@@ -1,7 +1,8 @@
 """Command-line pipeline: synth, keyframes, encode, decode, dict, roundtrip.
 
 Every command is deterministic given its inputs and flags. Exit status 0 on
-success, 1 on validation/parse failures, 2 on internal invariant breaches.
+success, 1 on validation/parse failures and on files that cannot be read or
+written, 2 on internal invariant breaches.
 A config file of ``key = value`` lines can seed any flag; explicit flags win.
 """
 
@@ -29,9 +30,10 @@ CONFIG_KEYS = {
     "dict",
     "force_final_keyframe",
     "move_seconds",
+    "traj_rate",
 }
 
-_FLOAT_KEYS = {"rate", "sigma", "prominence", "min_sep", "merge_window", "tau", "move_seconds"}
+_FLOAT_KEYS = {"rate", "sigma", "prominence", "min_sep", "merge_window", "tau", "move_seconds", "traj_rate"}
 _BOOL_KEYS = {"force_final_keyframe"}
 
 
@@ -127,7 +129,7 @@ def _detect(seq, args, cfg, stage: _Stage) -> keyframe.KeyFrameSet:
     params = _energy_params(args, cfg)
     kfs = keyframe.extract_keyframes(seq, params)
     if _setting(args, cfg, "force_final_keyframe", False):
-        kfs = _force_final(kfs, len(seq.frames), seq.sample_rate)
+        kfs = _force_final(kfs, len(seq), seq.sample_rate)
     stage.done("keyframes", t0, merged=len(kfs.merged))
     return kfs
 
@@ -236,8 +238,8 @@ def _cmd_dict_build(args, cfg) -> int:
         merged = kfs.merged
         transitions = 0
         for a, b in zip(merged, merged[1:]):
-            state_a = encoder.encode_pose(seq.frames[a], columns)
-            state_b = encoder.encode_pose(seq.frames[b], columns)
+            state_a = encoder.encode_pose(seq.frame(a), columns)
+            state_b = encoder.encode_pose(seq.frame(b), columns)
             observed = robot_mod.project_path(seq, a, b, robot)
             trajectory.dict_update(mdict, trajectory.DictKey.from_states(state_a, state_b), observed)
             transitions += 1
@@ -325,7 +327,7 @@ def _cmd_pipeline(args, cfg) -> int:
         fh.write(trajectory.trajectory_to_csv(traj))
 
     report = {
-        "frames": len(seq.frames),
+        "frames": len(seq),
         "merged_keyframes": len(kfs.merged),
         "cells": sum(len(c.cells) for c in score.columns),
         "key_poses": len(poses),
@@ -437,7 +439,7 @@ def main(argv=None) -> int:
     except NoKeyFrames as exc:
         print(f"error: {exc} (try --force-final-keyframe)", file=sys.stderr)
         return 1
-    except LabanMotionError as exc:
+    except (LabanMotionError, OSError) as exc:  # OSError: a user path cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # internal invariant breach

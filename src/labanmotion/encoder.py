@@ -23,7 +23,17 @@ import numpy as np
 from .errors import BadInput, DegeneratePose, NoKeyFrames
 from .keyframe import KeyFrameSet
 from .laban import Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level
-from .skeleton import PARENT, BodyFrame, JointName, SkeletonFrame, SkeletonSequence, body_frame
+from .skeleton import (
+    JOINT_INDEX,
+    PARENT,
+    BodyFrame,
+    JointName,
+    SkeletonFrame,
+    SkeletonSequence,
+    body_frame,
+    joint_positions,
+    stacked_norm,
+)
 
 # Sector order is counterclockwise from forward (+azimuth toward left).
 AZIMUTH_SECTORS: tuple[Direction, ...] = (
@@ -85,18 +95,26 @@ def columns_for_mode(mode: str) -> tuple[str, ...]:
     raise ValueError(f"unknown columns mode: {mode!r}")
 
 
-def segment_direction(frame: SkeletonFrame, distal: JointName, bf: BodyFrame | None = None) -> np.ndarray:
+def segment_direction(
+    pose: SkeletonFrame | np.ndarray, distal: JointName, bf: BodyFrame | None = None
+) -> np.ndarray:
     """Unit direction of the distal joint relative to its parent, expressed
-    as (forward, left, up) components of the frame's body frame."""
+    as (forward, left, up) components of the pose's body frame.
+
+    ``pose`` is one frame or a (..., 12, 3) position array; the result has
+    shape (..., 3), and ``bf`` must have the same leading axes.
+    """
     parent = PARENT[distal]
     if parent is None:
         raise DegeneratePose(f"{distal.value} has no parent")
-    d = frame.positions[distal] - frame.positions[parent]
-    norm = float(np.linalg.norm(d))
-    if norm < 1e-9:
+    pos = joint_positions(pose)
+    d = pos[..., JOINT_INDEX[distal], :] - pos[..., JOINT_INDEX[parent], :]
+    norm = stacked_norm(d)
+    if (norm < 1e-9).any():
         raise DegeneratePose(f"zero-length segment at {distal.value}")
-    bf = bf or body_frame(frame)
-    return bf.to_body(d / norm)
+    if bf is None:
+        bf = body_frame(pos)
+    return bf.to_body(d / norm[..., None])
 
 
 def classify_elevation(elevation_deg: float) -> LabanSymbol | Level:
@@ -134,11 +152,12 @@ def digitize(v: np.ndarray) -> LabanSymbol:
 
 def encode_pose(frame: SkeletonFrame, columns: tuple[str, ...] = ARM_COLUMNS) -> dict[str, LabanSymbol]:
     """Symbols for one frame, per column."""
-    bf = body_frame(frame)
+    pos = joint_positions(frame)
+    bf = body_frame(pos)
     out: dict[str, LabanSymbol] = {}
     for column in columns:
         try:
-            out[column] = digitize(segment_direction(frame, COLUMN_DISTAL[column], bf))
+            out[column] = digitize(segment_direction(pos, COLUMN_DISTAL[column], bf))
         except DegeneratePose as exc:
             raise DegeneratePose(f"column {column}: {exc}") from exc
     return out
@@ -163,7 +182,7 @@ def encode_sequence(
     # microsecond quantization keeps cell arithmetic consistent with the
     # score file format's 6-decimal times
     key_times = [round(float(ts[i]), 6) for i in merged]
-    key_symbols = [encode_pose(seq.frames[i], columns) for i in merged]
+    key_symbols = [encode_pose(seq.frame(i), columns) for i in merged]
 
     laban_columns = []
     for column in columns:

@@ -126,7 +126,7 @@ def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams) -> Ener
     normalized into [0, 1] over the whole sequence. A constant magnitude
     series normalizes to all zeros.
     """
-    if len(seq.frames) < 3:
+    if len(seq) < 3:
         raise InsufficientData("energy needs at least 3 frames")
     if seq.sample_rate is None:
         raise InsufficientData("sequence must be uniformly sampled (resample first)")

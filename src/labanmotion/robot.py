@@ -37,7 +37,7 @@ import numpy as np
 from .encoder import COLUMN_DISTAL, LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, segment_direction
 from .errors import BadSymbol, MissingColumn, ParseError, ValidationError
 from .laban import Direction, LabanScore, LabanSymbol, Level, states_at, validate
-from .skeleton import SkeletonFrame, SkeletonSequence, body_frame
+from .skeleton import SkeletonFrame, SkeletonSequence, body_frame, joint_positions
 
 log = logging.getLogger(__name__)
 
@@ -428,22 +428,23 @@ def decode_score(score: LabanScore, robot: RobotDescription) -> list[JointPose]:
     return [d.pose for d in decode_score_detailed(score, robot)]
 
 
-def project_frame(
-    frame: SkeletonFrame,
+def _observed_vectors(positions: np.ndarray, robot: RobotDescription) -> dict[str, np.ndarray]:
+    """Body-frame segment directions of the robot's observable columns, for
+    one (12, 3) pose or a stack of them."""
+    bf = body_frame(positions)
+    return {
+        col: segment_direction(positions, COLUMN_DISTAL[col], bf)
+        for col in robot.column_map
+        if col in COLUMN_DISTAL
+    }
+
+
+def _retarget(
+    t: float,
+    vectors: dict[str, np.ndarray],
     robot: RobotDescription,
     hist: dict[str, ConcatenationState],
 ) -> JointPose:
-    """Continuous retarget of one observed frame onto the robot.
-
-    Uses the un-quantized body-frame segment directions of the mapped
-    columns, so intermediate motion between key poses lands in joint space
-    without passing through symbols.
-    """
-    bf = body_frame(frame)
-    vectors = {}
-    for col in robot.column_map:
-        if col in COLUMN_DISTAL:
-            vectors[col] = segment_direction(frame, COLUMN_DISTAL[col], bf)
     per_segment = reduce_vectors(vectors, robot, hist)
     angles: dict[str, float] = {}
     for ref in robot.segment_refs():
@@ -460,12 +461,35 @@ def project_frame(
     for fj in robot.fixed_joints:
         val, _ = _clamp_nearest(0.0, *fj.limits)
         angles[fj.name] = val
-    return JointPose(t=frame.timestamp, angles=angles)
+    return JointPose(t=t, angles=angles)
+
+
+def project_frame(
+    frame: SkeletonFrame,
+    robot: RobotDescription,
+    hist: dict[str, ConcatenationState],
+) -> JointPose:
+    """Continuous retarget of one observed frame onto the robot.
+
+    Uses the un-quantized body-frame segment directions of the mapped
+    columns, so intermediate motion between key poses lands in joint space
+    without passing through symbols.
+    """
+    return _retarget(frame.timestamp, _observed_vectors(joint_positions(frame), robot), robot, hist)
 
 
 def project_path(
     seq: SkeletonSequence, start: int, end: int, robot: RobotDescription
 ) -> list[JointPose]:
-    """Joint-space path for frames start..end inclusive (shared history)."""
+    """Joint-space path for frames start..end inclusive (shared history).
+
+    Body frames and segment directions are computed for the whole range at
+    once; the per-segment merge, whose history is sequential, and the joint
+    angles run frame by frame.
+    """
+    vectors = _observed_vectors(seq.positions[start:end + 1], robot)
     hist: dict[str, ConcatenationState] = {}
-    return [project_frame(seq.frames[i], robot, hist) for i in range(start, end + 1)]
+    return [
+        _retarget(t, {col: v[k] for col, v in vectors.items()}, robot, hist)
+        for k, t in enumerate(seq.times[start:end + 1].tolist())
+    ]

@@ -8,6 +8,10 @@ The skeleton file format is JSON:
 Coordinates are meters in an arbitrary rigid world frame; all direction
 encoding downstream goes through the person-anchored body frame built by
 :func:`body_frame`, so the world frame never matters.
+
+In memory a sequence is two arrays, ``times`` (n,) and ``positions``
+(n, 12, 3) with joints in ``ALL_JOINTS`` order, so parsing, validation,
+resampling and the body frame run as array operations over all frames.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .errors import (
     BadDescriptor,
     DegeneratePose,
     InsufficientData,
+    LabanMotionError,
     MalformedFrame,
     ParseError,
     TimeOrderError,
@@ -61,6 +66,26 @@ PARENT: dict[JointName, JointName | None] = {
 }
 
 ALL_JOINTS: tuple[JointName, ...] = tuple(JointName)
+JOINT_INDEX: dict[JointName, int] = {j: k for k, j in enumerate(ALL_JOINTS)}
+_JOINT_KEYS: tuple[str, ...] = tuple(j.value for j in ALL_JOINTS)
+_CHILDREN: tuple[JointName, ...] = tuple(j for j in ALL_JOINTS if PARENT[j] is not None)
+_CHILD_IDX = [JOINT_INDEX[j] for j in _CHILDREN]
+_PARENT_IDX = [JOINT_INDEX[PARENT[j]] for j in _CHILDREN]
+
+
+def stacked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, broadcast over the leading ones.
+
+    Written as a stacked matmul so that each product is the same BLAS dot
+    that ``a @ b`` computes for one pair of vectors: batched and single-frame
+    results agree bit for bit, which ``np.sum(a * b, -1)`` does not promise.
+    """
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def stacked_norm(a: np.ndarray) -> np.ndarray:
+    """Euclidean norms over the last axis; equals ``np.linalg.norm`` per vector."""
+    return np.sqrt(stacked_dot(a, a))
 
 
 @dataclass(eq=False)
@@ -71,103 +96,179 @@ class SkeletonFrame:
     positions: dict[JointName, np.ndarray]
 
 
+def joint_positions(pose: SkeletonFrame | np.ndarray) -> np.ndarray:
+    """A frame's positions as a (12, 3) array in ``ALL_JOINTS`` order; an
+    array of shape (..., 12, 3) is returned as is."""
+    if isinstance(pose, SkeletonFrame):
+        return np.array([pose.positions[j] for j in ALL_JOINTS], dtype=float)
+    return np.asarray(pose, dtype=float)
+
+
 @dataclass(eq=False)
 class SkeletonSequence:
-    """Ordered frames plus the sampling rate once the timing is uniform.
+    """Joint positions over time.
 
-    ``sample_rate`` is None for raw, possibly non-uniform recordings and is
-    set by :func:`resample`.
+    ``times`` is (n,) seconds, strictly increasing. ``positions`` is
+    (n, 12, 3) meters, joints in ``ALL_JOINTS`` order. ``sample_rate`` is
+    the rate when the timing is known to be uniform at it, else None;
+    :func:`resample` sets it.
     """
 
-    frames: list[SkeletonFrame]
+    times: np.ndarray
+    positions: np.ndarray
     sample_rate: float | None = None
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.times)
 
     def positions_of(self, joint: JointName) -> np.ndarray:
-        """(n, 3) array of one joint's positions over time."""
-        return np.array([f.positions[joint] for f in self.frames])
+        """(n, 3) view of one joint's positions over time."""
+        return self.positions[:, JOINT_INDEX[joint]]
 
     def timestamps(self) -> np.ndarray:
-        return np.array([f.timestamp for f in self.frames])
+        return self.times
+
+    def frame(self, i: int) -> SkeletonFrame:
+        """Frame i; its joint arrays are views into ``positions``."""
+        return SkeletonFrame(float(self.times[i]), dict(zip(ALL_JOINTS, self.positions[i])))
 
 
 @dataclass(frozen=True)
 class BodyFrame:
-    """Right-handed person-anchored frame: forward = left x up."""
+    """Right-handed person-anchored frame: forward = left x up.
+
+    ``axes`` holds the forward, left and up unit vectors as rows: (3, 3) for
+    one pose, (..., 3, 3) for a batch. ``origin`` is (3,) or (..., 3).
+    """
 
     origin: np.ndarray
-    forward: np.ndarray
-    left: np.ndarray
-    up: np.ndarray
+    axes: np.ndarray
+
+    @property
+    def forward(self) -> np.ndarray:
+        return self.axes[..., 0, :]
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.axes[..., 1, :]
+
+    @property
+    def up(self) -> np.ndarray:
+        return self.axes[..., 2, :]
 
     def to_body(self, v: np.ndarray) -> np.ndarray:
-        """World-frame direction -> (forward, left, up) components."""
-        return np.array([self.forward @ v, self.left @ v, self.up @ v])
+        """World-frame direction(s) -> (forward, left, up) components."""
+        return stacked_dot(self.axes, np.asarray(v)[..., None, :])
 
 
-def validate_frame(frame: SkeletonFrame, index: int) -> None:
-    """Raise MalformedFrame unless all joints are present, finite, distinct."""
-    for joint in ALL_JOINTS:
-        if joint not in frame.positions:
-            raise MalformedFrame(index, joint.value, "missing")
-        p = frame.positions[joint]
-        if p.shape != (3,) or not np.all(np.isfinite(p)):
-            raise MalformedFrame(index, joint.value, "non-finite coordinate")
-    for joint, parent in PARENT.items():
-        if parent is None:
-            continue
-        d = frame.positions[joint] - frame.positions[parent]
-        if float(np.linalg.norm(d)) <= 0.0:
-            raise MalformedFrame(index, joint.value, "coincides with parent")
+# JSON numbers; an exact type test also rules out bool
+_NUMBER_TYPES = (int, float)
+# stands in for a missing joint until the geometry check names it
+_ABSENT = (math.nan, math.nan, math.nan)
+_STRUCTURE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
-def _frame_from_obj(obj: dict, index: int) -> SkeletonFrame:
-    joints = obj.get("joints")
-    if not isinstance(joints, dict):
-        raise ParseError(f"frames[{index}]", "missing 'joints' object")
-    positions: dict[JointName, np.ndarray] = {}
-    for joint in ALL_JOINTS:
-        if joint.value in joints:
-            coords = joints[joint.value]
+def _frame_arrays(frames: list) -> tuple[np.ndarray, np.ndarray]:
+    """(times, positions) of parsed frame objects.
+
+    Raises one of ``_STRUCTURE_ERRORS`` when a frame is not an object with
+    a numeric ``t`` and a ``joints`` object of [x, y, z] triples.
+    """
+    ts = [f["t"] for f in frames]
+    if not set(map(type, ts)) <= set(_NUMBER_TYPES):
+        raise TypeError("non-numeric timestamp")
+    rows = [[f["joints"].get(k, _ABSENT) for k in _JOINT_KEYS] for f in frames]
+    positions = np.array(rows, dtype=float) if rows else np.empty((0, len(ALL_JOINTS), 3))
+    if positions.shape[1:] != (len(ALL_JOINTS), 3):
+        raise ValueError("joints are not [x, y, z] triples")
+    return np.array(ts, dtype=float), positions
+
+
+def _first_malformed(frames: list) -> tuple[int, LabanMotionError | None]:
+    """Index and error of the first frame that :func:`_frame_arrays` cannot
+    read, checking the joints object, then each triple, then ``t``."""
+    for i, f in enumerate(frames):
+        joints = f.get("joints") if isinstance(f, dict) else None
+        if not isinstance(joints, dict):
+            return i, ParseError(f"frames[{i}]", "missing 'joints' object")
+        for key in _JOINT_KEYS:
             try:
-                positions[joint] = np.array([float(c) for c in coords], dtype=float)
-            except (TypeError, ValueError):
-                raise MalformedFrame(index, joint.value, "bad coordinate triple")
-    t = obj.get("t")
-    if not isinstance(t, (int, float)):
-        raise ParseError(f"frames[{index}].t", "missing or non-numeric timestamp")
-    frame = SkeletonFrame(timestamp=float(t), positions=positions)
-    validate_frame(frame, index)
-    return frame
+                shape = np.array(joints.get(key, _ABSENT), dtype=float).shape
+            except _STRUCTURE_ERRORS:
+                shape = None
+            if shape != (3,):
+                return i, MalformedFrame(i, key, "bad coordinate triple")
+        if type(f.get("t")) not in _NUMBER_TYPES:
+            return i, ParseError(f"frames[{i}].t", "missing or non-numeric timestamp")
+    return len(frames), None
+
+
+def _check_geometry(frames: list, times: np.ndarray, positions: np.ndarray) -> None:
+    """Raise for the first frame with a non-finite timestamp, a missing or
+    non-finite joint, or a joint on its parent (joints in enum order)."""
+    finite = np.isfinite(positions).all(axis=2)
+    with np.errstate(invalid="ignore", over="ignore"):
+        d = positions[:, _CHILD_IDX] - positions[:, _PARENT_IDX]
+        apart = stacked_dot(d, d) > 0.0
+    bad = ~np.isfinite(times) | ~finite.all(axis=1) | ~apart.all(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if not math.isfinite(times[i]):
+        raise ParseError(f"frames[{i}].t", "non-finite timestamp")
+    if not finite[i].all():
+        joint = _JOINT_KEYS[int(np.argmin(finite[i]))]
+        detail = "non-finite coordinate" if joint in frames[i]["joints"] else "missing"
+        raise MalformedFrame(i, joint, detail)
+    raise MalformedFrame(i, _CHILDREN[int(np.argmin(apart[i]))].value, "coincides with parent")
+
+
+def _uniform_rate(times: np.ndarray, hint) -> float | None:
+    """The hinted rate if every timestamp step matches it to a microsecond."""
+    if type(hint) not in _NUMBER_TYPES or not 0.0 < hint < math.inf:
+        return None
+    if np.any(np.abs(np.diff(times) - 1.0 / hint) > 1e-6):
+        return None
+    return float(hint)
 
 
 def load_sequence(path: str) -> SkeletonSequence:
-    """Load and validate a skeleton sequence file.
-
-    Raises MalformedFrame for missing joints or non-finite coordinates,
-    TimeOrderError for non-increasing timestamps, ParseError for bad JSON.
-    """
+    """Load and validate a skeleton sequence file (see :func:`parse_sequence`)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return parse_sequence(text)
 
 
 def parse_sequence(text: str) -> SkeletonSequence:
+    """Parse and validate skeleton JSON text.
+
+    Every error names the first bad frame in file order: ParseError for bad
+    JSON, a frame without a ``joints`` object, or a missing, non-numeric or
+    non-finite ``t``; MalformedFrame for a bad triple, a missing or
+    non-finite joint, or a joint on its parent; TimeOrderError for a
+    non-increasing ``t``. ``sample_rate`` is ``sample_rate_hint`` when the
+    timestamps are uniform at that rate, else None.
+    """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
-    if not isinstance(obj, dict) or "frames" not in obj:
+    frames = obj.get("frames") if isinstance(obj, dict) else None
+    if not isinstance(frames, list):
         raise ParseError("$", "expected object with a 'frames' list")
-    frames = [_frame_from_obj(f, i) for i, f in enumerate(obj["frames"])]
-    for i in range(1, len(frames)):
-        if frames[i].timestamp <= frames[i - 1].timestamp:
-            raise TimeOrderError(i)
-    hint = obj.get("sample_rate_hint")
-    rate = float(hint) if isinstance(hint, (int, float)) else None
-    return SkeletonSequence(frames=frames, sample_rate=rate)
+    try:
+        times, positions = _frame_arrays(frames)
+        error = None
+    except _STRUCTURE_ERRORS:
+        end, error = _first_malformed(frames)
+        times, positions = _frame_arrays(frames[:end])
+    _check_geometry(frames, times, positions)
+    if error is not None:
+        raise error
+    late = times[1:] <= times[:-1]
+    if late.any():
+        raise TimeOrderError(int(np.argmax(late)) + 1)
+    return SkeletonSequence(times, positions, _uniform_rate(times, obj.get("sample_rate_hint")))
 
 
 def serialize_sequence(seq: SkeletonSequence) -> str:
@@ -178,15 +279,12 @@ def serialize_sequence(seq: SkeletonSequence) -> str:
     else:
         lines.append(f'  "sample_rate_hint": {float(seq.sample_rate)!r},')
     lines.append('  "frames": [')
-    for i, frame in enumerate(seq.frames):
-        joints = ", ".join(
-            '"%s": [%r, %r, %r]'
-            % (j.value, float(frame.positions[j][0]), float(frame.positions[j][1]),
-               float(frame.positions[j][2]))
-            for j in sorted(frame.positions, key=lambda j: j.value)
-        )
-        comma = "," if i + 1 < len(seq.frames) else ""
-        lines.append(f'    {{"t": {float(frame.timestamp)!r}, "joints": {{{joints}}}}}{comma}')
+    names = sorted(_JOINT_KEYS)
+    rows = seq.positions[:, [_JOINT_KEYS.index(k) for k in names]].tolist()
+    for i, (t, row) in enumerate(zip(seq.times.tolist(), rows)):
+        joints = ", ".join('"%s": [%r, %r, %r]' % (name, *p) for name, p in zip(names, row))
+        comma = "," if i + 1 < len(rows) else ""
+        lines.append(f'    {{"t": {float(t)!r}, "joints": {{{joints}}}}}{comma}')
     lines.append("  ]")
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -205,47 +303,55 @@ def resample(seq: SkeletonSequence, rate: float) -> SkeletonSequence:
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    if len(seq.frames) < 2:
+    if len(seq) < 2:
         raise InsufficientData("resample needs at least 2 frames")
-    ts = seq.timestamps()
+    ts = seq.times
     t0, t1 = float(ts[0]), float(ts[-1])
     # microsecond slack: spans quantized to 6 decimals still cover the last
     # original timestamp; interpolation clamps at the ends
     n = int(math.floor((t1 - t0) * rate + 1e-6 * rate + 1e-9)) + 1
     grid = t0 + np.arange(n) / rate
-    per_joint = {j: seq.positions_of(j) for j in ALL_JOINTS}
-    frames = []
-    for t in grid:
-        pos = {
-            j: np.array([np.interp(t, ts, per_joint[j][:, c]) for c in range(3)])
-            for j in ALL_JOINTS
-        }
-        frames.append(SkeletonFrame(timestamp=float(t), positions=pos))
-    return SkeletonSequence(frames=frames, sample_rate=float(rate))
+    coords = seq.positions.reshape(len(ts), -1)
+    out = np.column_stack([np.interp(grid, ts, coords[:, c]) for c in range(coords.shape[1])])
+    return SkeletonSequence(grid, out.reshape((n,) + seq.positions.shape[1:]), float(rate))
 
 
 _MIN_SPAN = 1e-6  # meters; below this the pose cannot define a frame
+_DEGENERATE = ("zero spine length", "zero shoulder span", "shoulders parallel to spine")
+_SPINE_BASE, _SPINE_SHOULDER, _SHOULDER_LEFT, _SHOULDER_RIGHT = (
+    JOINT_INDEX[j]
+    for j in (JointName.SpineBase, JointName.SpineShoulder, JointName.ShoulderLeft, JointName.ShoulderRight)
+)
 
 
-def body_frame(frame: SkeletonFrame) -> BodyFrame:
+def body_frame(pose: SkeletonFrame | np.ndarray) -> BodyFrame:
     """Build the body frame: origin at SpineShoulder, up along the spine,
-    left along the shoulder line with the spine component removed."""
-    origin = frame.positions[JointName.SpineShoulder]
-    spine = origin - frame.positions[JointName.SpineBase]
-    spine_len = float(np.linalg.norm(spine))
-    if spine_len < _MIN_SPAN:
-        raise DegeneratePose("zero spine length")
-    up = spine / spine_len
-    span = frame.positions[JointName.ShoulderLeft] - frame.positions[JointName.ShoulderRight]
-    if float(np.linalg.norm(span)) < _MIN_SPAN:
-        raise DegeneratePose("zero shoulder span")
-    left_raw = span - (span @ up) * up
-    left_len = float(np.linalg.norm(left_raw))
-    if left_len < _MIN_SPAN:
-        raise DegeneratePose("shoulders parallel to spine")
-    left = left_raw / left_len
-    forward = np.cross(left, up)
-    return BodyFrame(origin=origin, forward=forward, left=left, up=up)
+    left along the shoulder line with the spine component removed.
+
+    ``pose`` is one frame or a (..., 12, 3) position array; for an array
+    every field gets the same leading axes. Raises DegeneratePose for the
+    first pose that cannot define a frame.
+    """
+    pos = joint_positions(pose)
+    origin = pos[..., _SPINE_SHOULDER, :]
+    spine = origin - pos[..., _SPINE_BASE, :]
+    span = pos[..., _SHOULDER_LEFT, :] - pos[..., _SHOULDER_RIGHT, :]
+    spine_len = stacked_norm(spine)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        up = spine / spine_len[..., None]
+        left_raw = span - stacked_dot(span, up)[..., None] * up
+        left_len = stacked_norm(left_raw)
+        left = left_raw / left_len[..., None]
+    failed = (spine_len < _MIN_SPAN, stacked_norm(span) < _MIN_SPAN, left_len < _MIN_SPAN)
+    bad = failed[0] | failed[1] | failed[2]
+    if bad.any():
+        i = int(np.argmax(bad.reshape(-1)))
+        raise DegeneratePose(next(m for m, f in zip(_DEGENERATE, failed) if f.reshape(-1)[i]))
+    # left x up, term for term as np.cross computes it (same bits), without
+    # its axis handling, which costs more than the arithmetic for one pose
+    l0, l1, l2, u0, u1, u2 = (v[..., k] for v in (left, up) for k in range(3))
+    forward = np.stack([l1 * u2 - l2 * u1, l2 * u0 - l0 * u2, l0 * u1 - l1 * u0], axis=-1)
+    return BodyFrame(origin=origin, axes=np.stack([forward, left, up], axis=-2))
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +454,29 @@ def _move_profile(tau: float, seconds: float) -> float:
     return s / total
 
 
-def _frame_for(arm_dirs: dict[str, np.ndarray], head_dir: np.ndarray, t: float) -> SkeletonFrame:
-    pos = dict(_BASE)
-    pos[JointName.Head] = pos[JointName.Neck] + _HEAD_LEN * head_dir
-    for side, shoulder, elbow, wrist, hand in (
-        ("left", JointName.ShoulderLeft, JointName.ElbowLeft, JointName.WristLeft, JointName.HandLeft),
-        ("right", JointName.ShoulderRight, JointName.ElbowRight, JointName.WristRight, JointName.HandRight),
-    ):
-        u = arm_dirs[side]
-        pos[elbow] = pos[shoulder] + UPPER_ARM_LEN * u
-        pos[wrist] = pos[elbow] + FOREARM_LEN * u
-        pos[hand] = pos[wrist] + HAND_LEN * u
-    return SkeletonFrame(timestamp=t, positions={j: p.copy() for j, p in pos.items()})
+# (shoulder, elbow, wrist, hand) per side
+_ARM_JOINTS = {
+    "left": (JointName.ShoulderLeft, JointName.ElbowLeft, JointName.WristLeft, JointName.HandLeft),
+    "right": (JointName.ShoulderRight, JointName.ElbowRight, JointName.WristRight, JointName.HandRight),
+}
+
+
+def _pose_positions(dirs: dict[str, np.ndarray]) -> np.ndarray:
+    """Standing skeleton with the "left" and "right" arms and the "head"
+    pointing along unit directions of shape (3,) or (n, 3); returns
+    positions of shape (12, 3) or (n, 12, 3)."""
+    lead = np.broadcast_shapes(*(np.shape(d) for d in dirs.values()))[:-1]
+    positions = np.empty(lead + (len(ALL_JOINTS), 3))
+    for joint, p in _BASE.items():
+        positions[..., JOINT_INDEX[joint], :] = p
+    positions[..., JOINT_INDEX[JointName.Head], :] = _BASE[JointName.Neck] + _HEAD_LEN * dirs["head"]
+    for side, chain in _ARM_JOINTS.items():
+        shoulder, elbow, wrist, hand = (JOINT_INDEX[j] for j in chain)
+        u = dirs[side]
+        positions[..., elbow, :] = positions[..., shoulder, :] + UPPER_ARM_LEN * u
+        positions[..., wrist, :] = positions[..., elbow, :] + FOREARM_LEN * u
+        positions[..., hand, :] = positions[..., wrist, :] + HAND_LEN * u
+    return positions
 
 
 def _part_key(part: str) -> str:
@@ -450,11 +567,9 @@ def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
     if n < 1:
         raise BadDescriptor("descriptor spans less than one frame")
 
-    down = pose_vector("place_low")
-    up = pose_vector("place_high")
-    frames = []
-    for i in range(n):
-        t = i / rate
+    times = np.arange(n) / rate
+    moved = np.empty((n, 3))
+    for i, t in enumerate(times.tolist()):
         u = plan[-1][3]  # past the last segment: final pose
         acc = 0.0
         for kind, seconds, a, b in plan:
@@ -465,11 +580,8 @@ def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
                     u = _slerp(a, b, _move_profile((t - acc) / seconds, seconds))
                 break
             acc += seconds
-        arm_dirs = {"left": down, "right": down}
-        head_dir = up
-        if part == "head":
-            head_dir = u
-        else:
-            arm_dirs[part.split("_")[0]] = u
-        frames.append(_frame_for(arm_dirs, head_dir, t))
-    return SkeletonSequence(frames=frames, sample_rate=float(rate))
+        moved[i] = u
+    dirs = {"left": pose_vector("place_low"), "right": pose_vector("place_low"),
+            "head": pose_vector("place_high")}
+    dirs[part.split("_")[0]] = moved
+    return SkeletonSequence(times, _pose_positions(dirs), float(rate))

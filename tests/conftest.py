@@ -20,7 +20,7 @@ from labanmotion.laban import (
     Level,
     VALID_LIMB_SYMBOLS,
 )
-from labanmotion.skeleton import JointName, SkeletonFrame, SkeletonSequence
+from labanmotion.skeleton import JointName, SkeletonFrame, SkeletonSequence, joint_positions
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +69,14 @@ def oracle_energy(seq: SkeletonSequence, part: JointName, sigma: float) -> list[
     """values = normalized |acceleration| - normalized |speed| per sample."""
     rate = seq.sample_rate
     dt = 1.0 / rate
-    coords = [[float(f.positions[part][c]) for f in seq.frames] for c in range(3)]
+    coords = [[float(x) for x in seq.positions_of(part)[:, c]] for c in range(3)]
     vs, accs = [], []
     for c in range(3):
         x = oracle_smooth(coords[c], sigma, rate)
         v, a = _oracle_derivs(x, dt)
         vs.append(v)
         accs.append(a)
-    n = len(seq.frames)
+    n = len(seq)
     inv = 1.0 / math.sqrt(3.0)
     raw_ea = [inv * math.sqrt(accs[0][i] ** 2 + accs[1][i] ** 2 + accs[2][i] ** 2) for i in range(n)]
     raw_es = [inv * math.sqrt(vs[0][i] ** 2 + vs[1][i] ** 2 + vs[2][i] ** 2) for i in range(n)]
@@ -111,14 +111,19 @@ def rotate_about(v: np.ndarray, axis: np.ndarray, angle_rad: float) -> np.ndarra
 
 
 def transform_sequence(seq: SkeletonSequence, R: np.ndarray, t: np.ndarray) -> SkeletonSequence:
-    frames = [
-        SkeletonFrame(
-            timestamp=f.timestamp,
-            positions={j: R @ p + t for j, p in f.positions.items()},
-        )
-        for f in seq.frames
-    ]
-    return SkeletonSequence(frames=frames, sample_rate=seq.sample_rate)
+    return SkeletonSequence(seq.times.copy(), seq.positions @ R.T + t, seq.sample_rate)
+
+
+def frames_of(seq: SkeletonSequence) -> list[SkeletonFrame]:
+    return [seq.frame(i) for i in range(len(seq))]
+
+
+def sequence_of(frames: list[SkeletonFrame], sample_rate: float | None = None) -> SkeletonSequence:
+    return SkeletonSequence(
+        np.array([f.timestamp for f in frames], dtype=float),
+        np.array([joint_positions(f) for f in frames]),
+        sample_rate,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def test_criterion_02_energy_oracle_equivalence():
                 rate=30.0,
             )
             joints = (JointName.WristRight, JointName.Head)
-        if len(seq.frames) > 200:
+        if len(seq) > 200:
             failures.append((trial, "sequence too long"))
             continue
         for part in joints:
@@ -366,7 +366,7 @@ def test_criterion_09_dictionary_semantics():
     for _ in range(2):
         for a, b in zip(kfs.merged, kfs.merged[1:]):
             k2 = DictKey.from_states(
-                encode_pose(seq.frames[a], columns), encode_pose(seq.frames[b], columns)
+                encode_pose(seq.frame(a), columns), encode_pose(seq.frame(b), columns)
             )
             dict_update(mdict, k2, project_path(seq, a, b, robot))
     for k2, entry in mdict.entries.items():

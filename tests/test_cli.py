@@ -211,3 +211,34 @@ def test_decode_single_pose_score(tmp_path):
     assert main(["decode", score_path, "--robot", "lab_9dof", "-o", traj_path]) == 0
     lines = open(traj_path).read().strip().split("\n")
     assert len(lines) == 2  # header + the single decoded pose
+
+
+def test_config_traj_rate(tmp_path):
+    clip = _synth(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("traj_rate = 50\nrobot = frontal_7dof\n")
+    outdir = tmp_path / "out"
+    assert main(["--config", str(cfg), "pipeline", clip, "-o", str(outdir)]) == 0
+    rows = (outdir / "trajectory.csv").read_text().strip().split("\n")[1:]
+    times = [float(r.split(",")[0]) for r in rows]
+    assert times[1] - times[0] == pytest.approx(0.02, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "{tmp}/nope.json", "-o", "{tmp}/score.json"],
+    ["synth", "static", "-o", "{tmp}/nodir/x.json"],
+    ["synth", "static", "-o", "{tmp}"],
+    ["decode", "{tmp}/nope.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"],
+    ["decode", "{golden}", "--robot", "{tmp}/nope_robot.json", "-o", "{tmp}/t.csv"],
+    ["decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/nodir/t.csv"],
+    ["--config", "{tmp}/nope.cfg", "synth", "static", "-o", "{tmp}/x.json"],
+    ["pipeline", "{tmp}/nope.json", "--robot", "frontal_7dof", "-o", "{tmp}/taken"],
+], ids=["missing-input", "missing-output-dir", "output-is-dir", "missing-score",
+        "missing-robot", "unwritable-csv", "missing-config", "output-dir-is-file"])
+def test_unusable_paths_exit_1(tmp_path, capsys, argv):
+    (tmp_path / "taken").write_text("")
+    golden = os.path.join(DATA, "golden_frontal_score.json")
+    rc = main([a.format(tmp=tmp_path, golden=golden) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -16,7 +16,14 @@ from labanmotion.errors import BadInput, DegeneratePose, NoKeyFrames
 from labanmotion.keyframe import EnergyParams, KeyFrameSet, extract_keyframes
 from labanmotion.laban import Direction, LabanSymbol, Level, validate
 from labanmotion.robot import symbol_to_vector
-from labanmotion.skeleton import JointName, SkeletonFrame, SkeletonSequence, synth_motion
+from labanmotion.skeleton import (
+    JOINT_INDEX,
+    JointName,
+    SkeletonFrame,
+    SkeletonSequence,
+    body_frame,
+    synth_motion,
+)
 
 from conftest import random_rotation, rotate_about, transform_sequence
 
@@ -25,13 +32,12 @@ L = Level
 
 
 def _pose_frame(right_arm="place_low", left_arm="place_low", head="place_high"):
-    from labanmotion.skeleton import pose_vector, _frame_for
+    from labanmotion.skeleton import ALL_JOINTS, pose_vector, _pose_positions
 
-    return _frame_for(
-        {"left": pose_vector(left_arm), "right": pose_vector(right_arm)},
-        pose_vector(head),
-        0.0,
+    pos = _pose_positions(
+        {"left": pose_vector(left_arm), "right": pose_vector(right_arm), "head": pose_vector(head)}
     )
+    return SkeletonFrame(timestamp=0.0, positions=dict(zip(ALL_JOINTS, pos)))
 
 
 def test_segment_direction_wrist_above_elbow():
@@ -65,6 +71,42 @@ def test_segment_direction_degenerate():
     with pytest.raises(DegeneratePose):
         segment_direction(frame, JointName.WristRight)
 
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_batched_body_frame_and_directions_match_per_frame(rng, rotated):
+    seq = synth_motion(
+        {"pattern": "reach_sequence", "part": "left_arm",
+         "poses": [["place_low", 0.3], ["left_forward_high", 0.3], ["right_middle", 0.3],
+                   ["backward_low", 0.3]]},
+        rate=30.0,
+    )
+    if rotated:
+        seq = transform_sequence(seq, random_rotation(rng), rng.normal(size=3))
+    bf = body_frame(seq.positions)
+    assert np.array_equal(bf.forward, np.cross(bf.left, bf.up))
+    distal = (JointName.WristLeft, JointName.ElbowLeft, JointName.WristRight, JointName.Head)
+    batched = {j: segment_direction(seq.positions, j, bf) for j in distal}
+    for i in range(len(seq)):
+        frame = seq.frame(i)
+        one = body_frame(frame)
+        for axis in ("origin", "forward", "left", "up"):
+            assert np.array_equal(getattr(bf, axis)[i], getattr(one, axis))
+        for j in distal:
+            assert np.array_equal(batched[j][i], segment_direction(frame, j))
+
+
+def test_batched_degenerate_pose_raises():
+    seq = synth_motion({"pattern": "static", "duration": 0.5}, rate=30.0)
+    J = JOINT_INDEX
+    positions = seq.positions.copy()
+    positions[7, J[JointName.ShoulderLeft]] = positions[7, J[JointName.ShoulderRight]]
+    with pytest.raises(DegeneratePose, match="zero shoulder span"):
+        body_frame(positions)
+    positions = seq.positions.copy()
+    positions[3, J[JointName.WristRight]] = positions[3, J[JointName.ElbowRight]]
+    with pytest.raises(DegeneratePose, match="WristRight"):
+        segment_direction(positions, JointName.WristRight)
 
 def test_digitize_axes():
     assert digitize(np.array([0.0, 0.0, 1.0])) == LabanSymbol(D.Place, L.High)
@@ -161,7 +203,7 @@ def test_columns_for_mode():
 
 def test_encode_sequence_static_forced_keyframe():
     seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
-    kfs = KeyFrameSet(per_part={}, merged=[len(seq.frames) - 1], params=EnergyParams())
+    kfs = KeyFrameSet(per_part={}, merged=[len(seq) - 1], params=EnergyParams())
     score = encode_sequence(seq, kfs)
     assert validate(score) == []
     for col in score.columns:

@@ -16,7 +16,7 @@ from labanmotion.keyframe import (
 )
 from labanmotion.skeleton import ALL_JOINTS, JointName, SkeletonFrame, SkeletonSequence, synth_motion
 
-from conftest import oracle_energy, oracle_smooth
+from conftest import oracle_energy, oracle_smooth, sequence_of
 
 
 def _series(values):
@@ -57,7 +57,7 @@ def _translated_sequence(step_64ths=(3, -2, 1), n=64, rate=32.0):
             for j, b in _GRID_BASE.items()
         }
         frames.append(SkeletonFrame(timestamp=i / rate, positions=pos))
-    return SkeletonSequence(frames=frames, sample_rate=rate)
+    return sequence_of(frames, sample_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def test_energy_bounds_and_consistency(rng):
 
 def test_energy_too_short():
     seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
-    short = SkeletonSequence(frames=seq.frames[:2], sample_rate=30.0)
+    short = SkeletonSequence(seq.times[:2], seq.positions[:2], sample_rate=30.0)
     with pytest.raises(InsufficientData):
         energy(short, JointName.WristRight, EnergyParams())
 
@@ -315,7 +315,7 @@ def test_time_shift_equivariance():
     peaks = detect_peaks(energy(seq, JointName.WristRight, params), params, 30.0)
     speaks = detect_peaks(energy(shifted, JointName.WristRight, params), params, 30.0)
     reach = math.ceil(3 * params.sigma * 30.0) + 2
-    interior = [p for p in peaks if reach < p < len(seq.frames) - reach]
+    interior = [p for p in peaks if reach < p < len(seq) - reach]
     assert interior, "test needs interior peaks"
     for p in interior:
         assert p + k in speaks
@@ -327,13 +327,7 @@ def test_scale_invariance_of_peak_locations():
          "poses": [["place_low", 0.5], ["right_high", 0.5], ["forward_middle", 0.5]]},
         rate=30.0,
     )
-    scaled = SkeletonSequence(
-        frames=[
-            SkeletonFrame(timestamp=f.timestamp, positions={j: 3.7 * p for j, p in f.positions.items()})
-            for f in seq.frames
-        ],
-        sample_rate=seq.sample_rate,
-    )
+    scaled = SkeletonSequence(seq.times, 3.7 * seq.positions, sample_rate=seq.sample_rate)
     params = EnergyParams()
     p1 = detect_peaks(energy(seq, JointName.WristRight, params), params, 30.0)
     p2 = detect_peaks(energy(scaled, JointName.WristRight, params), params, 30.0)

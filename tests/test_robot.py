@@ -383,10 +383,10 @@ def test_project_frame_continuous_directions():
         rate=30.0,
     )
     robot = load_robot("frontal_7dof")
-    start = project_frame(seq.frames[0], robot, {})
-    end = project_frame(seq.frames[-1], robot, {})
+    start = project_frame(seq.frame(0), robot, {})
+    end = project_frame(seq.frame(-1), robot, {})
     assert start.angles["r_shoulder_pitch"] == pytest.approx(-90.0, abs=1e-6)
     assert end.angles["r_shoulder_pitch"] == pytest.approx(0.0, abs=1e-6)
     # mid-move angles are intermediate, not quantized to 45-degree steps
-    mid = project_frame(seq.frames[len(seq.frames) // 2], robot, {})
+    mid = project_frame(seq.frame(len(seq) // 2), robot, {})
     assert -90.0 < mid.angles["r_shoulder_pitch"] < 0.0

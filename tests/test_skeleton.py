@@ -9,13 +9,13 @@ from labanmotion.errors import (
     DegeneratePose,
     InsufficientData,
     MalformedFrame,
+    ParseError,
     TimeOrderError,
 )
 from labanmotion.skeleton import (
     ALL_JOINTS,
     JointName,
     SkeletonFrame,
-    SkeletonSequence,
     body_frame,
     load_sequence,
     parse_sequence,
@@ -25,7 +25,7 @@ from labanmotion.skeleton import (
     synth_motion,
 )
 
-from conftest import random_rotation, transform_sequence
+from conftest import frames_of, random_rotation, sequence_of, transform_sequence
 
 
 def _upright_frame(t=0.0):
@@ -92,11 +92,91 @@ def test_load_non_finite_coordinate(tmp_path):
         load_sequence(str(path))
 
 
+
+def _set(path, value):
+    """Mutator that sets obj["frames"][i]...[key] = value (value(obj) if callable)."""
+    def apply(obj):
+        *head, last = path
+        target = obj["frames"]
+        for key in head:
+            target = target[key]
+        target[last] = value(obj) if callable(value) else value
+    return apply
+
+
+def _delete(path):
+    def apply(obj):
+        *head, last = path
+        target = obj["frames"]
+        for key in head:
+            target = target[key]
+        del target[last]
+    return apply
+
+
+NAN, INF = float("nan"), float("inf")
+
+# (mutators, expected exception, expected attributes); faults sit in frame 2
+# unless a case checks which of several faults is reported first
+MALFORMED = {
+    "missing-joint": ([_delete([2, "joints", "ElbowLeft"])], MalformedFrame, {"index": 2, "joint": "ElbowLeft"}),
+    "short-triple": ([_set([2, "joints", "Head"], [0.0, 0.0])], MalformedFrame, {"index": 2, "joint": "Head"}),
+    "nested-triple": ([_set([2, "joints", "Head"], [[0.0], [0.0], [0.0]])], MalformedFrame, {"index": 2, "joint": "Head"}),
+    "string-coordinate": ([_set([2, "joints", "Neck", 1], "up")], MalformedFrame, {"index": 2, "joint": "Neck"}),
+    "nan-coordinate": ([_set([2, "joints", "WristRight", 1], NAN)], MalformedFrame, {"index": 2, "joint": "WristRight"}),
+    "infinite-coordinate": ([_set([2, "joints", "HandLeft", 0], INF)], MalformedFrame, {"index": 2, "joint": "HandLeft"}),
+    "joint-on-parent": ([_set([2, "joints", "ElbowRight"], lambda o: o["frames"][2]["joints"]["ShoulderRight"])],
+                        MalformedFrame, {"index": 2, "joint": "ElbowRight"}),
+    "missing-t": ([_delete([2, "t"])], ParseError, {"location": "frames[2].t"}),
+    "nan-t": ([_set([2, "t"], NAN)], ParseError, {"location": "frames[2].t"}),
+    "infinite-t": ([_set([2, "t"], INF)], ParseError, {"location": "frames[2].t"}),
+    "bool-t": ([_set([2, "t"], True)], ParseError, {"location": "frames[2].t"}),
+    "repeated-t": ([_set([2, "t"], lambda o: o["frames"][1]["t"])], TimeOrderError, {"index": 2}),
+    "decreasing-t": ([_set([2, "t"], 0.0)], TimeOrderError, {"index": 2}),
+    "joints-not-object": ([_set([2, "joints"], [])], ParseError, {"location": "frames[2]"}),
+    "frame-not-object": ([_set([2], 5)], ParseError, {"location": "frames[2]"}),
+    "earliest-frame-first": ([_set([3, "joints", "Head", 0], NAN), _delete([1, "joints", "HandRight"])],
+                             MalformedFrame, {"index": 1, "joint": "HandRight"}),
+    "geometry-before-later-structure": ([_set([1, "joints", "Head", 2], NAN), _set([2, "joints", "Neck"], 1.0)],
+                                        MalformedFrame, {"index": 1, "joint": "Head"}),
+    "structure-before-later-geometry": ([_set([1, "joints", "Neck"], 1.0), _delete([2, "joints", "Head"])],
+                                        MalformedFrame, {"index": 1, "joint": "Neck"}),
+    "joint-order-within-frame": ([_delete([2, "joints", "HandRight"]), _set([2, "joints", "SpineShoulder", 0], NAN)],
+                                 MalformedFrame, {"index": 2, "joint": "SpineShoulder"}),
+    "triple-before-t": ([_set([2, "t"], None), _set([2, "joints", "HandRight"], "x")],
+                        MalformedFrame, {"index": 2, "joint": "HandRight"}),
+    "frames-before-time-order": ([_set([1, "t"], 0.0), _set([3, "joints", "Neck", 0], INF)],
+                                 MalformedFrame, {"index": 3, "joint": "Neck"}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_parse_malformed_skeleton(case):
+    mutators, error, attrs = MALFORMED[case]
+    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.2}, rate=30.0)))
+    for mutate in mutators:
+        mutate(obj)
+    with pytest.raises(error) as exc:
+        parse_sequence(json.dumps(obj))
+    assert {k: getattr(exc.value, k) for k in attrs} == attrs
+
+
+def test_sample_rate_hint_needs_uniform_timestamps():
+    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.5}, rate=30.0)))
+    assert parse_sequence(json.dumps(obj)).sample_rate == 30.0
+    obj["frames"][4]["t"] += 0.01
+    assert parse_sequence(json.dumps(obj)).sample_rate is None
+    obj["frames"][4]["t"] -= 0.01
+    obj["sample_rate_hint"] = 25.0
+    assert parse_sequence(json.dumps(obj)).sample_rate is None
+    obj["sample_rate_hint"] = True
+    assert parse_sequence(json.dumps(obj)).sample_rate is None
+
 def test_resample_identity_at_same_rate():
     seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
     out = resample(seq, 30.0)
     assert len(out) == len(seq)
-    for a, b in zip(seq.frames, out.frames):
+    for a, b in zip(frames_of(seq), frames_of(out)):
         for j in ALL_JOINTS:
             assert np.max(np.abs(a.positions[j] - b.positions[j])) < 1e-9
 
@@ -106,17 +186,17 @@ def test_resample_midpoint():
     f1 = _upright_frame(1.0)
     for j in ALL_JOINTS:
         f1.positions[j] = f1.positions[j] + np.array([1.0, 0.0, 0.0])
-    seq = SkeletonSequence(frames=[f0, f1])
+    seq = sequence_of([f0, f1])
     out = resample(seq, 2.0)
     assert len(out) == 3
-    assert out.frames[1].timestamp == pytest.approx(0.5, abs=1e-12)
-    assert out.frames[1].positions[JointName.WristRight][0] == pytest.approx(
+    assert out.frame(1).timestamp == pytest.approx(0.5, abs=1e-12)
+    assert out.frame(1).positions[JointName.WristRight][0] == pytest.approx(
         f0.positions[JointName.WristRight][0] + 0.5, abs=1e-12
     )
 
 
 def test_resample_single_frame():
-    seq = SkeletonSequence(frames=[_upright_frame(0.0)])
+    seq = sequence_of([_upright_frame(0.0)])
     with pytest.raises(InsufficientData):
         resample(seq, 30.0)
 
@@ -130,7 +210,7 @@ def test_resample_idempotent(rng):
     once = resample(seq, 30.0)
     twice = resample(once, 30.0)
     assert len(once) == len(twice)
-    for a, b in zip(once.frames, twice.frames):
+    for a, b in zip(frames_of(once), frames_of(twice)):
         for j in ALL_JOINTS:
             assert np.max(np.abs(a.positions[j] - b.positions[j])) < 1e-9
 
@@ -193,8 +273,8 @@ def test_body_frame_degenerate_shoulders():
 def test_synth_static_frame_count_and_constancy():
     seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
     assert len(seq) == 60
-    first = seq.frames[0]
-    for f in seq.frames[1:]:
+    first = seq.frame(0)
+    for f in frames_of(seq)[1:]:
         for j in ALL_JOINTS:
             assert np.array_equal(f.positions[j], first.positions[j])
 
@@ -261,7 +341,7 @@ def test_serialize_load_roundtrip_bitwise(tmp_path):
     back = load_sequence(str(path))
     assert back.sample_rate == seq.sample_rate
     assert len(back) == len(seq)
-    for a, b in zip(seq.frames, back.frames):
+    for a, b in zip(frames_of(seq), frames_of(back)):
         assert a.timestamp == b.timestamp
         for j in ALL_JOINTS:
             assert np.array_equal(a.positions[j], b.positions[j])
