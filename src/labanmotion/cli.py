@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -50,7 +51,12 @@ def _read_config(path: str) -> dict:
             if not sep or key not in CONFIG_KEYS:
                 raise LabanMotionError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in _FLOAT_KEYS:
-                cfg[key] = float(value)
+                try:
+                    cfg[key] = float(value)
+                except ValueError:
+                    cfg[key] = math.nan
+                if not math.isfinite(cfg[key]):
+                    raise LabanMotionError(f"{path}:{lineno}: {key} needs a finite number, got {value!r}")
             elif key in _BOOL_KEYS:
                 cfg[key] = value.lower() in ("1", "true", "yes")
             else:
@@ -196,32 +202,34 @@ def _load_robot(args, cfg) -> robot_mod.RobotDescription:
     return robot_mod.load_robot(path)
 
 
-def _states_for(score: laban.LabanScore, decoded) -> list[dict]:
-    return [laban.states_at(score, min(d.t, score.total_duration)) for d in decoded]
-
-
-def _cmd_decode(args, cfg) -> int:
-    stage = _Stage(args.verbose)
-    score = laban.load_score(args.score)
-    robot = _load_robot(args, cfg)
+def _decode_to_csv(score: laban.LabanScore, robot, rate: float, path: str, args, cfg,
+                   stage: _Stage) -> tuple[list[robot_mod.DecodedPose], trajectory.Trajectory]:
+    """Decode the score, synthesize its trajectory and write it as CSV."""
     t0 = time.perf_counter()
     decoded = robot_mod.decode_score_detailed(score, robot)
     stage.done("decode", t0, poses=len(decoded))
-    poses = [d.pose for d in decoded]
-    rate = _setting(args, cfg, "rate", 100.0)
     mdict = None
     dict_path = _setting(args, cfg, "dict", None)
     if dict_path:
         mdict = trajectory.load_dictionary(dict_path)
     t0 = time.perf_counter()
+    poses = [d.pose for d in decoded]
     if len(poses) >= 2:
-        states = _states_for(score, decoded)
+        states = [d.states for d in decoded]
         traj = trajectory.synthesize(poses, states, mdict, _setting(args, cfg, "interp", "linear"), rate)
     else:
-        traj = trajectory.Trajectory(rate=rate, samples=poses)
+        traj = trajectory.Trajectory.from_poses(poses, rate)
     stage.done("trajectory", t0, samples=len(traj.samples))
-    with open(args.output, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(trajectory.trajectory_to_csv(traj))
+    return decoded, traj
+
+
+def _cmd_decode(args, cfg) -> int:
+    score = laban.load_score(args.score)
+    robot = _load_robot(args, cfg)
+    _decode_to_csv(score, robot, _setting(args, cfg, "rate", 100.0), args.output, args, cfg,
+                   _Stage(args.verbose))
     return 0
 
 
@@ -236,14 +244,12 @@ def _cmd_dict_build(args, cfg) -> int:
         seq = _load_uniform(path, rate)
         kfs = _detect(seq, args, cfg, stage)
         merged = kfs.merged
-        transitions = 0
-        for a, b in zip(merged, merged[1:]):
-            state_a = encoder.encode_pose(seq.frame(a), columns)
-            state_b = encoder.encode_pose(seq.frame(b), columns)
-            observed = robot_mod.project_path(seq, a, b, robot)
-            trajectory.dict_update(mdict, trajectory.DictKey.from_states(state_a, state_b), observed)
-            transitions += 1
-        stage.done(f"build {path}", t0, transitions=transitions)
+        states = [encoder.encode_pose(seq.frame(i), columns) for i in merged]
+        for k in range(len(merged) - 1):
+            observed = robot_mod.project_path(seq, merged[k], merged[k + 1], robot)
+            key = trajectory.DictKey.from_states(states[k], states[k + 1])
+            trajectory.dict_update(mdict, key, observed)
+        stage.done(f"build {path}", t0, transitions=max(len(merged) - 1, 0))
     trajectory.save_dictionary(mdict, args.output)
     return 0
 
@@ -311,26 +317,14 @@ def _cmd_pipeline(args, cfg) -> int:
     laban.save_score(score, os.path.join(args.output, "score.json"))
 
     robot = _load_robot(args, cfg)
-    decoded = robot_mod.decode_score_detailed(score, robot)
-    poses = [d.pose for d in decoded]
-    mdict = None
-    dict_path = _setting(args, cfg, "dict", None)
-    if dict_path:
-        mdict = trajectory.load_dictionary(dict_path)
-    traj_rate = _setting(args, cfg, "traj_rate", 100.0)
-    if len(poses) >= 2:
-        states = _states_for(score, decoded)
-        traj = trajectory.synthesize(poses, states, mdict, _setting(args, cfg, "interp", "linear"), traj_rate)
-    else:
-        traj = trajectory.Trajectory(rate=traj_rate, samples=poses)
-    with open(os.path.join(args.output, "trajectory.csv"), "w", encoding="utf-8") as fh:
-        fh.write(trajectory.trajectory_to_csv(traj))
+    decoded, traj = _decode_to_csv(score, robot, _setting(args, cfg, "traj_rate", 100.0),
+                                   os.path.join(args.output, "trajectory.csv"), args, cfg, stage)
 
     report = {
         "frames": len(seq),
         "merged_keyframes": len(kfs.merged),
         "cells": sum(len(c.cells) for c in score.columns),
-        "key_poses": len(poses),
+        "key_poses": len(decoded),
         "trajectory_samples": len(traj.samples),
         "clamped_segments": sum(
             1 for d in decoded for cmd in d.segments.values() if cmd.driven and cmd.clamped

@@ -13,6 +13,8 @@ any valid score whose times are 6-decimal representable.
 from __future__ import annotations
 
 import json
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -122,6 +124,8 @@ def validate(score: LabanScore) -> list[Violation]:
     out: list[Violation] = []
     if not score.columns:
         out.append(Violation("no-columns", None, None, "score has no columns"))
+    if not math.isfinite(score.total_duration):
+        out.append(Violation("non-finite", None, None, f"total_duration {score.total_duration}"))
     names = [c.name for c in score.columns]
     for name in set(names):
         if names.count(name) > 1:
@@ -145,6 +149,10 @@ def validate(score: LabanScore) -> list[Violation]:
                 out.append(
                     Violation("place-middle", col.name, i, "(Place, Middle) is not a limb symbol")
                 )
+            if not (math.isfinite(cell.start) and math.isfinite(cell.duration)):
+                out.append(
+                    Violation("non-finite", col.name, i, f"start {cell.start}, duration {cell.duration}")
+                )
             if cell.duration <= 0:
                 out.append(Violation("nonpositive-duration", col.name, i, f"duration {cell.duration}"))
             if cell.start < 0:
@@ -159,33 +167,70 @@ def validate(score: LabanScore) -> list[Violation]:
         for i in range(1, len(col.cells)):
             if col.cells[i].start <= col.cells[i - 1].start:
                 out.append(Violation("start-order", col.name, i, "starts not increasing"))
-        for i in range(len(col.cells)):
-            for j in range(i + 1, len(col.cells)):
-                a, b = col.cells[i], col.cells[j]
-                lo, hi = (a, b) if a.start <= b.start else (b, a)
-                if hi.start < lo.end - 1e-12:
-                    out.append(
-                        Violation("overlap", col.name, j, f"cells {i} and {j} overlap")
-                    )
+        out.extend(
+            Violation("overlap", col.name, j, f"cells {i} and {j} overlap")
+            for i, j in _overlapping_pairs(col.cells)
+        )
     return out
 
 
-def states_at(score: LabanScore, t: float) -> dict[str, LabanSymbol]:
-    """Symbols in force at time t, per column.
+def _overlapping_pairs(cells: tuple[Cell, ...]) -> list[tuple[int, int]]:
+    """Index pairs (i, j), i < j, of cells that overlap, sorted.
+
+    Two cells overlap when the later-starting one (the lower index on equal
+    starts) starts more than 1e-12 before the other ends. One sweep in start
+    order keeps the cells still open at the current start; every one of them
+    overlaps it, so the cost is the number of cells plus the number of pairs.
+    Cells with a non-finite start or end take no part.
+    """
+    order = sorted(
+        (i for i, c in enumerate(cells) if math.isfinite(c.start) and math.isfinite(c.end)),
+        key=lambda i: cells[i].start,
+    )
+    pairs: list[tuple[int, int]] = []
+    active: list[int] = []
+    for j in order:
+        start = cells[j].start
+        active = [i for i in active if cells[i].end - 1e-12 > start]
+        pairs.extend((min(i, j), max(i, j)) for i in active)
+        active.append(j)
+    pairs.sort()
+    return pairs
+
+
+def states_at(score: LabanScore, times: Iterable[float]) -> list[dict[str, LabanSymbol]]:
+    """Symbols in force at each of a nondecreasing sequence of times, per column.
 
     A cell covers (start, start + duration]; at exactly a cell's start the
-    previous cell (if any) still holds. Columns with no covering cell are
-    absent from the result.
+    previous cell (if any) still holds. Where cells share a time, the first
+    covering one in column order wins. Columns with no covering cell are
+    absent from a time's dict. One cursor per column sweeps the cells, which
+    must be in increasing start order, as :func:`validate` requires.
     """
-    if t < 0 or t > score.total_duration + 1e-12:
-        raise OutOfRange(f"t={t} outside [0, {score.total_duration}]")
-    out: dict[str, LabanSymbol] = {}
-    for col in score.columns:
-        for cell in col.cells:
-            # tiny right-end slack absorbs float drift in start + duration
-            if cell.start < t <= cell.end + 1e-9:
-                out[col.name] = cell.symbol
-                break
+    columns = [
+        (col.name, [c.symbol for c in col.cells], [c.start for c in col.cells],
+         # tiny right-end slack absorbs float drift in start + duration
+         [c.end + 1e-9 for c in col.cells])
+        for col in score.columns
+    ]
+    cursors = [0] * len(columns)
+    out: list[dict[str, LabanSymbol]] = []
+    prev = -math.inf
+    for t in times:
+        if not 0 <= t <= score.total_duration + 1e-12:
+            raise OutOfRange(f"t={t} outside [0, {score.total_duration}]")
+        if t < prev:
+            raise ValueError("states_at needs nondecreasing times")
+        prev = t
+        state: dict[str, LabanSymbol] = {}
+        for c, (name, symbols, starts, ends) in enumerate(columns):
+            k = cursors[c]
+            while k < len(ends) and ends[k] < t:  # ends before t and every later time
+                k += 1
+            cursors[c] = k
+            if k < len(ends) and starts[k] < t:
+                state[name] = symbols[k]
+        out.append(state)
     return out
 
 

@@ -357,6 +357,7 @@ class DecodedPose:
     t: float
     pose: JointPose
     segments: dict[str, SegmentCommand]
+    states: dict[str, LabanSymbol]  # symbol in force at t per score column; uncovered ones absent
 
 
 def _neutral_angles(seg: Segment) -> tuple[float, float]:
@@ -388,10 +389,11 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
     # nanosecond quantization collapses float drift in start + duration so
     # shared boundaries dedupe across columns
     times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
+    states = states_at(score, [min(t, score.total_duration) for t in times])
+    segments = [(ref, robot.segment(ref), robot.sources_of(ref)) for ref in robot.segment_refs()]
     hist: dict[str, ConcatenationState] = {}
     out: list[DecodedPose] = []
-    for t in times:
-        symbols = states_at(score, min(t, score.total_duration))
+    for t, symbols in zip(times, states):
         vectors = {
             col: symbol_to_vector(sym)
             for col, sym in symbols.items()
@@ -400,11 +402,9 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
         per_segment = reduce_vectors(vectors, robot, hist)
         angles: dict[str, float] = {}
         detail: dict[str, SegmentCommand] = {}
-        for ref in robot.segment_refs():
-            seg = robot.segment(ref)
+        for ref, seg, sources in segments:
             if ref in per_segment:
                 yaw, pitch, clamped = vector_to_joints(per_segment[ref], seg)
-                sources = robot.sources_of(ref)
                 merged = len(sources) > 1
                 symbol = symbols[sources[0]] if not merged else None
                 detail[ref] = SegmentCommand(yaw, pitch, clamped, True, merged, symbol)
@@ -419,7 +419,7 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
         for fj in robot.fixed_joints:
             val, _ = _clamp_nearest(0.0, *fj.limits)
             angles[fj.name] = val
-        out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail))
+        out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail, states=symbols))
     return out
 
 

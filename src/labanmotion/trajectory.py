@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InsufficientData, ShapeError, TimeOrderError
+from .errors import BadInput, InsufficientData, ShapeError, TimeOrderError
 from .laban import Direction, LabanSymbol, Level
 from .robot import JointPose
 
@@ -30,11 +30,20 @@ DEFAULT_TAU_DEG = 10.0
 
 @dataclass(eq=False)
 class Trajectory:
-    rate: float
-    samples: list[JointPose]
+    """Uniformly sampled joint angles; sample i is ``samples[i]`` at ``times[i]``."""
 
-    def joints(self) -> tuple[str, ...]:
-        return tuple(sorted(self.samples[0].angles)) if self.samples else ()
+    rate: float
+    joints: tuple[str, ...]  # sorted; the columns of samples
+    times: np.ndarray  # (m,) seconds
+    samples: np.ndarray  # (m, len(joints)) degrees
+
+    @classmethod
+    def from_poses(cls, poses: list[JointPose], rate: float) -> "Trajectory":
+        """The poses themselves as samples, for a score that decodes to fewer
+        than the two key poses :func:`synthesize` needs."""
+        _check_rate(rate)
+        times, joints, angles = _keypose_arrays(poses)
+        return cls(rate=float(rate), joints=joints, times=times, samples=angles)
 
 
 @dataclass(eq=False)
@@ -117,22 +126,26 @@ class MotionDictionary:
 # Interpolation
 # ---------------------------------------------------------------------------
 
+def _check_rate(rate: float) -> None:
+    if not (math.isfinite(rate) and rate > 0):
+        raise BadInput(f"trajectory rate must be a finite number > 0, got {rate}")
+
+
 def _keypose_arrays(keyposes: list[JointPose]) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    if len(keyposes) < 2:
-        raise InsufficientData("need at least 2 key poses")
     times = np.array([p.t for p in keyposes], dtype=float)
     if np.any(np.diff(times) <= 0):
         bad = int(np.argmax(np.diff(times) <= 0)) + 1
         raise TimeOrderError(bad, "key pose times must be strictly increasing")
-    joints = tuple(sorted(keyposes[0].angles))
+    joints = tuple(sorted(keyposes[0].angles)) if keyposes else ()
     for p in keyposes:
         if tuple(sorted(p.angles)) != joints:
             raise ShapeError("key poses disagree on joint names")
     angles = np.array([[p.angles[j] for j in joints] for p in keyposes], dtype=float)
-    return times, joints, angles
+    return times, joints, angles.reshape(len(keyposes), len(joints))
 
 
-def _blend(mode: str, tau: float) -> float:
+def _blend(mode: str, tau):
+    """Blend weight for normalized segment time tau (a float or an array)."""
     if mode == "linear":
         return tau
     if mode == "cubic":
@@ -143,6 +156,8 @@ def _blend(mode: str, tau: float) -> float:
 
 def evaluate(keyposes: list[JointPose], mode: str, t: float) -> dict[str, float]:
     """Interpolated angles at an arbitrary time within the key-pose span."""
+    if len(keyposes) < 2:
+        raise InsufficientData("need at least 2 key poses")
     times, joints, angles = _keypose_arrays(keyposes)
     t = min(max(t, times[0]), times[-1])
     k = int(np.searchsorted(times, t, side="right")) - 1
@@ -166,22 +181,9 @@ def interpolate(keyposes: list[JointPose], mode: str, rate: float) -> Trajectory
     Samples that land exactly on key-pose times reproduce those poses; per
     joint and per segment the samples stay between the endpoint angles, so
     limits honored by the key poses are honored by the whole trajectory.
+    This is :func:`synthesize` without a dictionary.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    times, joints, angles = _keypose_arrays(keyposes)
-    _blend(mode, 0.0)  # reject unknown modes before sampling
-    grid = _sample_grid(float(times[0]), float(times[-1]), rate)
-    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 2)
-    tau = (grid - times[idx]) / (times[idx + 1] - times[idx])
-    tau = np.clip(tau, 0.0, 1.0)
-    s = tau if mode == "linear" else tau * tau * (3.0 - 2.0 * tau)
-    rows = angles[idx] + s[:, None] * (angles[idx + 1] - angles[idx])
-    samples = [
-        JointPose(t=float(t), angles={j: float(rows[i, c]) for c, j in enumerate(joints)})
-        for i, t in enumerate(grid)
-    ]
-    return Trajectory(rate=float(rate), samples=samples)
+    return synthesize(keyposes, None, None, mode, rate)
 
 
 # ---------------------------------------------------------------------------
@@ -263,49 +265,35 @@ def synthesize(
     ramp of its endpoint residuals; transitions without a stored path use
     plain interpolation. The result passes through every key pose.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    _check_rate(rate)
+    if len(keyposes) < 2:
+        raise InsufficientData("need at least 2 key poses")
     times, joints, angles = _keypose_arrays(keyposes)
     if states is not None and len(states) != len(keyposes):
         raise ShapeError("states must align 1:1 with key poses")
-    _blend(mode, 0.0)
 
-    warped: dict[int, np.ndarray] = {}
+    grid = _sample_grid(float(times[0]), float(times[-1]), rate)
+    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 2)
+    tau = np.clip((grid - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    rows = angles[idx] + _blend(mode, tau)[:, None] * (angles[idx + 1] - angles[idx])
     if mdict is not None and states is not None:
+        # idx is sorted, so segment k's samples are rows[bounds[k]:bounds[k + 1]]
+        bounds = np.searchsorted(idx, np.arange(len(times)))
+        path_u = np.linspace(0.0, 1.0, PATH_SAMPLES)
         for k in range(len(keyposes) - 1):
             path = dict_lookup(mdict, DictKey.from_states(states[k], states[k + 1]))
             if path is None:
                 continue
             if path.joints != joints:
                 raise ShapeError("dictionary path joints do not match key poses")
-            warped[k] = path.samples
-
-    grid = _sample_grid(float(times[0]), float(times[-1]), rate)
-    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 2)
-    tau = np.clip((grid - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    rows = np.empty((grid.size, len(joints)))
-    path_u = np.linspace(0.0, 1.0, PATH_SAMPLES)
-    for k in range(len(keyposes) - 1):
-        m = idx == k
-        if not np.any(m):
-            continue
-        tk = tau[m]
-        if k in warped:
-            S = warped[k]
-            base = np.column_stack(
-                [np.interp(tk, path_u, S[:, c]) for c in range(len(joints))]
-            )
+            seg = slice(bounds[k], bounds[k + 1])
+            tk = tau[seg]
+            S = path.samples
+            base = np.column_stack([np.interp(tk, path_u, S[:, c]) for c in range(len(joints))])
             res0 = angles[k] - S[0]
             res1 = angles[k + 1] - S[-1]
-            rows[m] = base + (1.0 - tk)[:, None] * res0 + tk[:, None] * res1
-        else:
-            s = tk if mode == "linear" else tk * tk * (3.0 - 2.0 * tk)
-            rows[m] = angles[k] + s[:, None] * (angles[k + 1] - angles[k])
-    samples = [
-        JointPose(t=float(t), angles={j: float(rows[i, c]) for c, j in enumerate(joints)})
-        for i, t in enumerate(grid)
-    ]
-    return Trajectory(rate=float(rate), samples=samples)
+            rows[seg] = base + (1.0 - tk)[:, None] * res0 + tk[:, None] * res1
+    return Trajectory(rate=float(rate), joints=joints, times=grid, samples=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +301,9 @@ def synthesize(
 # ---------------------------------------------------------------------------
 
 def trajectory_to_csv(traj: Trajectory) -> str:
-    joints = traj.joints()
-    lines = ["t," + ",".join(joints)]
-    for p in traj.samples:
-        lines.append(f"{p.t:.6f}," + ",".join(f"{p.angles[j]:.6f}" for j in joints))
+    row = ",".join(["%.6f"] * (1 + len(traj.joints)))
+    lines = ["t," + ",".join(traj.joints)]
+    lines.extend(row % tuple(r) for r in np.column_stack([traj.times, traj.samples]).tolist())
     return "\n".join(lines) + "\n"
 
 

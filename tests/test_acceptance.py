@@ -282,7 +282,10 @@ def test_criterion_08_trajectory_exactness_and_stops():
         ]
         mode = "cubic" if trial % 2 == 0 else "linear"
         traj = interpolate(keyposes, mode, 10.0)
-        by_t = {round(p.t, 9): p for p in traj.samples}
+        by_t = {
+            round(t, 9): JointPose(t=t, angles=dict(zip(traj.joints, row)))
+            for t, row in zip(traj.times.tolist(), traj.samples.tolist())
+        }
         for kp in keyposes:
             sample = by_t.get(round(kp.t, 9))
             if sample is None:

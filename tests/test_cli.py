@@ -4,6 +4,7 @@ import shutil
 
 import pytest
 
+from labanmotion import cli, encoder
 from labanmotion.cli import main
 from labanmotion.laban import load_score
 from labanmotion.skeleton import load_sequence
@@ -242,3 +243,79 @@ def test_unusable_paths_exit_1(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def _score_text(duration: str, total: str) -> str:
+    """A frontal_7dof score whose RightArm cell has the given duration."""
+    columns = [
+        '{"cells": [{"dir": "Forward", "duration": %s, "level": "Middle", "start": 0.0}], "name": "%s"}'
+        % (duration if name == "RightArm" else "1.0", name)
+        for name in ("Head", "LeftArm", "RightArm")
+    ]
+    return '{"columns": [%s], "meta": {}, "total_duration": %s}' % (", ".join(columns), total)
+
+
+@pytest.mark.parametrize("argv,config,needle", [
+    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "0", "-o", "{tmp}/t.csv"], None, "rate"),
+    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "nan", "-o", "{tmp}/t.csv"], None, "rate"),
+    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate=-inf", "-o", "{tmp}/t.csv"], None, "rate"),
+    (["pipeline", "{clip}", "--robot", "frontal_7dof", "--traj-rate", "-1", "-o", "{tmp}/out"], None, "rate"),
+    (["decode", "{tmp}/nan.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
+    (["decode", "{tmp}/inf.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
+    (["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "sigma = abc\n",
+     "run.cfg:1: sigma"),
+    (["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "\nrate = nan\n",
+     "run.cfg:2: rate"),
+    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
+     "robot = frontal_7dof\nrate = 0\n", "rate"),
+], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
+        "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
+        "config-rate-nan", "config-rate-0"])
+def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
+    clip = _synth(tmp_path)
+    golden = os.path.join(DATA, "golden_frontal_score.json")
+    (tmp_path / "nan.json").write_text(_score_text("NaN", "2.0"))
+    (tmp_path / "inf.json").write_text(_score_text("1.0", "Infinity"))
+    if config is not None:
+        (tmp_path / "run.cfg").write_text(config)
+    capsys.readouterr()
+    rc = main([a.format(tmp=tmp_path, golden=golden, clip=clip) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err
+
+
+def test_dict_build_encodes_each_key_frame_once(tmp_path, monkeypatch):
+    clips = [
+        _synth(tmp_path, "reach.json", [
+            "synth", "reach_sequence", "--part", "right_arm", "--pose", "place_low:0.6",
+            "--pose", "forward_middle:0.6", "--pose", "right_high:0.6", "--pose", "place_low:0.6",
+            "-o", str(tmp_path / "reach.json"),
+        ]),
+        _synth(tmp_path, "move.json"),
+    ]
+    events = []
+    detect, encode_pose = cli._detect, encoder.encode_pose
+
+    def counting_detect(*args, **kwargs):
+        kfs = detect(*args, **kwargs)
+        events.append(("detect", len(kfs.merged)))
+        return kfs
+
+    def counting_encode(*args, **kwargs):
+        events.append(("encode", 1))
+        return encode_pose(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_detect", counting_detect)
+    monkeypatch.setattr(encoder, "encode_pose", counting_encode)
+    assert main(["dict", "build", *clips, "--robot", "frontal_7dof", "-o", str(tmp_path / "d.json")]) == 0
+    per_clip = []
+    for kind, n in events:
+        if kind == "detect":
+            per_clip.append([n, 0])
+        else:
+            per_clip[-1][1] += 1
+    assert len(per_clip) == 2
+    assert max(merged for merged, _ in per_clip) >= 4
+    assert all(encodes == merged for merged, encodes in per_clip)

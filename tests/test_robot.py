@@ -15,6 +15,7 @@ from labanmotion.laban import (
     Level,
     VALID_LIMB_SYMBOLS,
     load_score,
+    states_at,
 )
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
@@ -249,6 +250,17 @@ def test_decode_uncovered_column_neutral():
     assert first.pose.angles["head_yaw"] == 0.0
     assert first.pose.angles["head_pitch"] == 0.0
     assert detailed[1].segments["head/0"].driven is True
+    # the symbols in force at each pose, every score column, uncovered ones absent
+    assert first.states == {"RightArm": S(D.Forward, L.Middle), "LeftArm": S(D.Place, L.Low)}
+    assert detailed[1].states == {"Head": S(D.Forward, L.Middle)}
+
+
+def test_decoded_states_are_the_states_at_each_pose():
+    score = load_score(os.path.join(DATA, "golden_frontal_score.json"))
+    detailed = decode_score_detailed(score, load_robot("frontal_7dof"))
+    assert len(detailed) > 2
+    for d in detailed:
+        assert d.states == states_at(score, [min(d.t, score.total_duration)])[0]
 
 
 def test_decode_missing_mapped_column():

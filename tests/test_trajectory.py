@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from labanmotion.errors import InsufficientData, ShapeError, TimeOrderError
+from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
 from labanmotion.laban import Direction, LabanSymbol, Level
 from labanmotion.robot import JointPose
 from labanmotion.trajectory import (
@@ -12,6 +12,7 @@ from labanmotion.trajectory import (
     MotionDictionary,
     MotionPath,
     PATH_SAMPLES,
+    Trajectory,
     dict_lookup,
     dict_update,
     evaluate,
@@ -39,6 +40,14 @@ def _state(sym):
     return {"RightArm": sym}
 
 
+def _poses(traj):
+    """The trajectory's samples as timed poses."""
+    return [
+        JointPose(t=t, angles=dict(zip(traj.joints, row)))
+        for t, row in zip(traj.times.tolist(), traj.samples.tolist())
+    ]
+
+
 def fd_velocity(keyposes, mode, t, side, eps=5e-5):
     """Richardson-extrapolated one-sided finite-difference velocity at t.
 
@@ -64,7 +73,7 @@ def fd_velocity(keyposes, mode, t, side, eps=5e-5):
 
 def test_linear_midpoint_is_mean():
     traj = interpolate([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)], "linear", 2.0)
-    mid = traj.samples[1]
+    mid = _poses(traj)[1]
     assert mid.t == pytest.approx(0.5)
     assert mid.angles["elbow"] == pytest.approx(15.0, abs=1e-12)
     assert mid.angles["shoulder_pitch"] == pytest.approx(15.0, abs=1e-12)
@@ -84,7 +93,7 @@ def test_samples_at_key_times_equal_key_poses():
     keyposes = [_pose(0.0, 1.0, 2.0, 3.0), _pose(0.5, -4.0, 5.0, -6.0), _pose(1.5, 7.0, -8.0, 9.0)]
     for mode in ("linear", "cubic"):
         traj = interpolate(keyposes, mode, 10.0)
-        by_t = {p.t: p for p in traj.samples}
+        by_t = {p.t: p for p in _poses(traj)}
         for kp in keyposes:
             sample = by_t[kp.t]
             for j in JOINTS:
@@ -95,7 +104,7 @@ def test_linear_monotone_between_endpoints():
     keyposes = [_pose(0.0, 0.0, 50.0, -10.0), _pose(2.0, 30.0, -50.0, -10.0)]
     traj = interpolate(keyposes, "linear", 25.0)
     for j in JOINTS:
-        vals = [p.angles[j] for p in traj.samples]
+        vals = traj.samples[:, traj.joints.index(j)]
         diffs = np.diff(vals)
         assert np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)
 
@@ -111,7 +120,7 @@ def test_interpolate_errors():
 
 def test_uniform_grid():
     traj = interpolate([_pose(0.25, 0, 0, 0), _pose(1.25, 1, 1, 1)], "linear", 30.0)
-    ts = np.array([p.t for p in traj.samples])
+    ts = traj.times
     assert np.max(np.abs(np.diff(ts) - 1.0 / 30.0)) < 1e-9
     assert ts[0] == 0.25
 
@@ -245,7 +254,7 @@ def test_synthesize_empty_dict_equals_interpolate():
         a = interpolate(keyposes, mode, 25.0)
         b = synthesize(keyposes, states, MotionDictionary(), mode, 25.0)
         assert len(a.samples) == len(b.samples)
-        for pa, pb in zip(a.samples, b.samples):
+        for pa, pb in zip(_poses(a), _poses(b)):
             assert pa.t == pb.t
             for j in JOINTS:
                 assert pa.angles[j] == pytest.approx(pb.angles[j], abs=0.0)
@@ -270,11 +279,11 @@ def test_synthesize_recovers_recorded_path():
     dict_update(mdict, key, recorded)
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
     traj = synthesize([recorded[0], recorded[-1]], states, mdict, "linear", 30.0)
-    rebuilt = resample_path(traj.samples)
+    rebuilt = resample_path(_poses(traj))
     assert path_distance(rebuilt, resample_path(recorded)) < mdict.tau
     # and it would NOT be linear: the arc survives
     linear = interpolate([recorded[0], recorded[-1]], "linear", 30.0)
-    assert path_distance(rebuilt, resample_path(linear.samples)) > 1.0
+    assert path_distance(rebuilt, resample_path(_poses(linear))) > 1.0
 
 
 def test_synthesize_mixed_coverage_continuous():
@@ -284,13 +293,14 @@ def test_synthesize_mixed_coverage_continuous():
     mdict = MotionDictionary()
     dict_update(mdict, DictKey.from_states(states[0], states[1]), observed)
     traj = synthesize(keyposes, states, mdict, "linear", 50.0)
-    vals = np.array([[p.angles[j] for j in sorted(JOINTS)] for p in traj.samples])
-    ts = np.array([p.t for p in traj.samples])
+    assert traj.joints == tuple(sorted(JOINTS))
+    vals = traj.samples
+    ts = traj.times
     # passes through all key poses
     for kp in keyposes:
         i = int(np.argmin(np.abs(ts - kp.t)))
         for j in JOINTS:
-            assert traj.samples[i].angles[j] == pytest.approx(kp.angles[j], abs=1e-9)
+            assert _poses(traj)[i].angles[j] == pytest.approx(kp.angles[j], abs=1e-9)
     # no jump at the shared key pose: successive steps stay bounded
     steps = np.max(np.abs(np.diff(vals, axis=0)), axis=1)
     assert np.max(steps) < 5.0  # 50 Hz sampling of bounded-slope segments
@@ -306,7 +316,7 @@ def test_synthesize_endpoint_exactness_randomized(rng):
         states = [_state(S(D.Forward, L.Middle)) for _ in keyposes]
         mode = "cubic" if rng.random() < 0.5 else "linear"
         traj = synthesize(keyposes, states, None, mode, 10.0)
-        by_t = {round(p.t, 9): p for p in traj.samples}
+        by_t = {round(p.t, 9): p for p in _poses(traj)}
         for kp in keyposes:
             sample = by_t[round(kp.t, 9)]
             for j in JOINTS:
@@ -337,3 +347,83 @@ def test_synthesize_states_misaligned():
     keyposes = [_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)]
     with pytest.raises(ShapeError):
         synthesize(keyposes, [_state(S(D.Place, L.Low))], MotionDictionary(), "linear", 10.0)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_rate_must_be_finite_and_positive(rate):
+    keyposes = [_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)]
+    with pytest.raises(BadInput):
+        synthesize(keyposes, None, None, "linear", rate)
+    with pytest.raises(BadInput):
+        interpolate(keyposes, "linear", rate)
+    with pytest.raises(BadInput):
+        Trajectory.from_poses(keyposes[:1], rate)
+
+
+def test_from_poses_keeps_the_poses():
+    one = Trajectory.from_poses([_pose(0.5, 1.0, 2.0, 3.0)], 100.0)
+    assert one.joints == JOINTS
+    assert one.times.tolist() == [0.5]
+    assert one.samples.tolist() == [[1.0, 2.0, 3.0]]
+    assert trajectory_to_csv(one) == "t,elbow,shoulder_pitch,shoulder_yaw\n0.500000,1.000000,2.000000,3.000000\n"
+    none = Trajectory.from_poses([], 100.0)
+    assert none.samples.shape == (0, 0)
+    assert trajectory_to_csv(none) == "t,\n"
+
+
+def _synthesize_per_segment(keyposes, states, mdict, mode, rate):
+    """Reference: one grid mask per key-pose segment, filled from the
+    dictionary path or by interpolation."""
+    joints = tuple(sorted(keyposes[0].angles))
+    times = np.array([p.t for p in keyposes])
+    angles = np.array([[p.angles[j] for j in joints] for p in keyposes])
+    n = int(math.floor((times[-1] - times[0]) * rate + 1e-6 * rate + 1e-9)) + 1
+    grid = times[0] + np.arange(n) / rate
+    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 2)
+    tau = np.clip((grid - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    rows = np.empty((grid.size, len(joints)))
+    path_u = np.linspace(0.0, 1.0, PATH_SAMPLES)
+    for k in range(len(keyposes) - 1):
+        m = idx == k
+        tk = tau[m]
+        path = dict_lookup(mdict, DictKey.from_states(states[k], states[k + 1])) if mdict else None
+        if path is not None:
+            S = path.samples
+            base = np.column_stack([np.interp(tk, path_u, S[:, c]) for c in range(len(joints))])
+            rows[m] = base + (1.0 - tk)[:, None] * (angles[k] - S[0]) + tk[:, None] * (angles[k + 1] - S[-1])
+        else:
+            s = tk if mode == "linear" else tk * tk * (3.0 - 2.0 * tk)
+            rows[m] = angles[k] + s[:, None] * (angles[k + 1] - angles[k])
+    return grid, rows
+
+
+def test_synthesize_matches_per_segment_reference(rng):
+    symbols = [S(D.Place, L.Low), S(D.Forward, L.Middle), S(D.Left, L.High)]
+    for trial in range(30):
+        k = int(rng.integers(2, 9))
+        times = np.cumsum(rng.integers(1, 30, size=k)) / 7.0
+        keyposes = [_pose(float(t), *map(float, rng.uniform(-90, 90, size=3))) for t in times]
+        states = [_state(symbols[int(i)]) for i in rng.integers(0, len(symbols), size=k)]
+        mdict = MotionDictionary()
+        for _ in range(3):  # some transitions get a recorded path, others none
+            a, b = (int(i) for i in rng.integers(0, len(symbols), size=2))
+            observed = [_pose(float(u), *map(float, rng.uniform(-90, 90, size=3))) for u in range(4)]
+            dict_update(mdict, DictKey.from_states(_state(symbols[a]), _state(symbols[b])), observed)
+        mode = ("linear", "cubic")[trial % 2]
+        rate = float(rng.choice([3.0, 10.0, 29.97]))
+        for d in (mdict, None):
+            traj = synthesize(keyposes, states, d, mode, rate)
+            grid, rows = _synthesize_per_segment(keyposes, states, d, mode, rate)
+            assert traj.joints == JOINTS
+            assert np.array_equal(traj.times, grid)
+            assert np.array_equal(traj.samples, rows)
+
+
+def test_csv_matches_per_value_formatting(rng):
+    angles = np.concatenate([rng.uniform(-180, 180, size=40), [-0.0, 0.0, -1e-9, 2.5e-7, 0.0000005, 179.9999995]])
+    keyposes = [_pose(float(i) / 3.0, *angles[3 * i:3 * i + 3]) for i in range(len(angles) // 3)]
+    traj = Trajectory.from_poses(keyposes, 3.0)
+    expected = "t," + ",".join(JOINTS) + "\n" + "".join(
+        f"{p.t:.6f}," + ",".join(f"{p.angles[j]:.6f}" for j in JOINTS) + "\n" for p in keyposes
+    )
+    assert trajectory_to_csv(traj) == expected
