@@ -36,6 +36,13 @@ CONFIG_KEYS = {
 
 _FLOAT_KEYS = {"rate", "sigma", "prominence", "min_sep", "merge_window", "tau", "move_seconds", "traj_rate"}
 _BOOL_KEYS = {"force_final_keyframe"}
+# allowed values of the keys whose flags take a fixed set; argparse and the
+# config reader both check against these
+CHOICES = {
+    "interp": ("linear", "cubic"),
+    "peak_mode": ("max", "min"),
+    "columns": ("arm", "split"),
+}
 
 
 def _read_config(path: str) -> dict:
@@ -59,6 +66,10 @@ def _read_config(path: str) -> dict:
                     raise LabanMotionError(f"{path}:{lineno}: {key} needs a finite number, got {value!r}")
             elif key in _BOOL_KEYS:
                 cfg[key] = value.lower() in ("1", "true", "yes")
+            elif key in CHOICES and value not in CHOICES[key]:
+                raise LabanMotionError(
+                    f"{path}:{lineno}: {key} must be one of {', '.join(CHOICES[key])}, got {value!r}"
+                )
             else:
                 cfg[key] = value
     return cfg
@@ -345,7 +356,7 @@ def _add_keyframe_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--prominence", type=float, default=None)
     p.add_argument("--min-sep", dest="min_sep", type=float, default=None)
     p.add_argument("--merge-window", dest="merge_window", type=float, default=None)
-    p.add_argument("--peak-mode", dest="peak_mode", choices=("max", "min"), default=None)
+    p.add_argument("--peak-mode", dest="peak_mode", choices=CHOICES["peak_mode"], default=None)
     p.add_argument("--force-final-keyframe", dest="force_final_keyframe",
                    action="store_const", const=True, default=None)
 
@@ -379,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="skeleton -> Labanotation score")
     p.add_argument("skeleton")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--columns", choices=("arm", "split"), default=None)
+    p.add_argument("--columns", choices=CHOICES["columns"], default=None)
     _add_keyframe_flags(p)
     p.set_defaults(func=_cmd_encode)
 
@@ -387,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("score")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--robot", default=None, help="description file or bundled name")
-    p.add_argument("--interp", choices=("linear", "cubic"), default=None)
+    p.add_argument("--interp", choices=CHOICES["interp"], default=None)
     p.add_argument("--rate", type=float, default=None, help="trajectory sample rate, Hz")
     p.add_argument("--dict", dest="dict", default=None, help="motion dictionary file")
     p.set_defaults(func=_cmd_decode)
@@ -414,8 +425,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("skeleton")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.add_argument("--robot", default=None)
-    p.add_argument("--columns", choices=("arm", "split"), default=None)
-    p.add_argument("--interp", choices=("linear", "cubic"), default=None)
+    p.add_argument("--columns", choices=CHOICES["columns"], default=None)
+    p.add_argument("--interp", choices=CHOICES["interp"], default=None)
     p.add_argument("--dict", dest="dict", default=None)
     p.add_argument("--traj-rate", dest="traj_rate", type=float, default=None)
     _add_keyframe_flags(p)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 import logging
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .encoder import COLUMN_DISTAL, LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, segment_direction
 from .errors import BadSymbol, MissingColumn, ParseError, ValidationError
-from .laban import Direction, LabanScore, LabanSymbol, Level, states_at, validate
+from .laban import VALID_LIMB_SYMBOLS, Direction, LabanScore, LabanSymbol, Level, states_at, validate
 from .skeleton import SkeletonFrame, SkeletonSequence, body_frame, joint_positions
 
 log = logging.getLogger(__name__)
@@ -80,12 +81,16 @@ class RobotDescription:
                 return chain.segments[int(idx)]
         raise KeyError(ref)
 
-    def segment_refs(self) -> list[str]:
-        return [f"{c.name}/{i}" for c in self.chains for i in range(len(c.segments))]
-
-    def sources_of(self, ref: str) -> list[str]:
-        """Columns feeding a segment, in column_map order."""
-        return [col for col, refs in self.column_map.items() if ref in refs]
+    @cached_property
+    def segment_table(self) -> tuple[tuple[str, Segment, tuple[str, ...]], ...]:
+        """``(ref, segment, source columns in column_map order)`` for every
+        segment in chain order, built once per description."""
+        table = []
+        for chain in self.chains:
+            for i, seg in enumerate(chain.segments):
+                ref = f"{chain.name}/{i}"
+                table.append((ref, seg, tuple(col for col, refs in self.column_map.items() if ref in refs)))
+        return tuple(table)
 
     def joint_names(self) -> list[str]:
         names = []
@@ -189,7 +194,7 @@ def parse_robot(text: str) -> RobotDescription:
 
 def validate_robot(robot: RobotDescription) -> list[str]:
     problems = []
-    refs = set(robot.segment_refs())
+    refs = {ref for ref, _, _ in robot.segment_table}
     fan_in: dict[str, int] = {}
     for col, targets in robot.column_map.items():
         if len(set(targets)) != len(targets):
@@ -222,19 +227,27 @@ def load_robot(path: str) -> RobotDescription:
 # Symbol geometry
 # ---------------------------------------------------------------------------
 
-def symbol_to_vector(s: LabanSymbol) -> np.ndarray:
-    """Unit body-frame direction at the center of a symbol's band."""
+def _band_center(s: LabanSymbol) -> np.ndarray:
     if s.direction == Direction.Place:
-        if s.level == Level.High:
-            return np.array([0.0, 0.0, 1.0])
-        if s.level == Level.Low:
-            return np.array([0.0, 0.0, -1.0])
+        v = np.array([0.0, 0.0, 1.0 if s.level == Level.High else -1.0])
+    else:
+        theta = math.radians(LEVEL_ELEVATION_DEG[s.level])
+        phi = math.radians(SECTOR_CENTER_DEG[s.direction])
+        v = np.array([math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), math.sin(theta)])
+    v.flags.writeable = False  # one array per symbol, shared by every caller
+    return v
+
+
+_SYMBOL_VECTORS = {s: _band_center(s) for s in VALID_LIMB_SYMBOLS}
+
+
+def symbol_to_vector(s: LabanSymbol) -> np.ndarray:
+    """Unit body-frame direction at the center of a symbol's band, as a
+    shared read-only array."""
+    v = _SYMBOL_VECTORS.get(s)
+    if v is None:
         raise BadSymbol("(Place, Middle) has no direction")
-    theta = math.radians(LEVEL_ELEVATION_DEG[s.level])
-    phi = math.radians(SECTOR_CENTER_DEG[s.direction])
-    return np.array(
-        [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), math.sin(theta)]
-    )
+    return v
 
 
 def concatenate(
@@ -269,8 +282,7 @@ def reduce_vectors(
     out. ``hist`` is updated in place per segment.
     """
     out: dict[str, np.ndarray] = {}
-    for ref in robot.segment_refs():
-        sources = robot.sources_of(ref)
+    for ref, _, sources in robot.segment_table:
         if not sources or any(c not in vectors for c in sources):
             continue
         if len(sources) == 1:
@@ -291,8 +303,7 @@ def reduce_columns(
     hist: dict[str, ConcatenationState],
 ) -> dict[str, np.ndarray]:
     """Symbol form of :func:`reduce_vectors`; missing source columns raise."""
-    for ref in robot.segment_refs():
-        sources = robot.sources_of(ref)
+    for ref, _, sources in robot.segment_table:
         for col in sources:
             if col not in symbols:
                 raise MissingColumn(ref, col)
@@ -379,8 +390,8 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
     if violations:
         raise ValidationError(violations)
     score_columns = {c.name for c in score.columns}
-    for ref in robot.segment_refs():
-        for col in robot.sources_of(ref):
+    for ref, _, sources in robot.segment_table:
+        for col in sources:
             if col not in score_columns:
                 raise MissingColumn(ref, col)
     for name in sorted(score_columns - set(robot.column_map)):
@@ -390,7 +401,6 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
     # shared boundaries dedupe across columns
     times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
     states = states_at(score, [min(t, score.total_duration) for t in times])
-    segments = [(ref, robot.segment(ref), robot.sources_of(ref)) for ref in robot.segment_refs()]
     hist: dict[str, ConcatenationState] = {}
     out: list[DecodedPose] = []
     for t, symbols in zip(times, states):
@@ -402,7 +412,7 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
         per_segment = reduce_vectors(vectors, robot, hist)
         angles: dict[str, float] = {}
         detail: dict[str, SegmentCommand] = {}
-        for ref, seg, sources in segments:
+        for ref, seg, sources in robot.segment_table:
             if ref in per_segment:
                 yaw, pitch, clamped = vector_to_joints(per_segment[ref], seg)
                 merged = len(sources) > 1
@@ -447,8 +457,7 @@ def _retarget(
 ) -> JointPose:
     per_segment = reduce_vectors(vectors, robot, hist)
     angles: dict[str, float] = {}
-    for ref in robot.segment_refs():
-        seg = robot.segment(ref)
+    for ref, seg, _ in robot.segment_table:
         if ref in per_segment:
             yaw, pitch, _ = vector_to_joints(per_segment[ref], seg)
         else:

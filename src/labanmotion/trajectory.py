@@ -14,18 +14,23 @@ interpolation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadInput, InsufficientData, ShapeError, TimeOrderError
+from .errors import BadInput, InsufficientData, ParseError, ShapeError, TimeOrderError, ValidationError
 from .laban import Direction, LabanSymbol, Level
 from .robot import JointPose
 
 PATH_SAMPLES = 32
 DEFAULT_TAU_DEG = 10.0
+# largest sample grid synthesize builds (about 5.5 h at 100 Hz, 16 MB per
+# array column); a longer span or a higher rate raises BadInput
+MAX_TRAJECTORY_SAMPLES = 2_000_000
 
 
 @dataclass(eq=False)
@@ -171,8 +176,13 @@ def evaluate(keyposes: list[JointPose], mode: str, t: float) -> dict[str, float]
 def _sample_grid(t0: float, t1: float, rate: float) -> np.ndarray:
     # the microsecond slack keeps the final key time on the grid even when
     # 6-decimal quantization left the span a hair under a whole step count
-    n = int(math.floor((t1 - t0) * rate + 1e-6 * rate + 1e-9)) + 1
-    return t0 + np.arange(n) / rate
+    steps = (t1 - t0) * rate + 1e-6 * rate + 1e-9
+    if not steps < MAX_TRAJECTORY_SAMPLES:  # checked before anything is allocated
+        raise BadInput(
+            f"a {t1 - t0:g} s trajectory at {rate:g} Hz needs more than "
+            f"{MAX_TRAJECTORY_SAMPLES} samples"
+        )
+    return t0 + np.arange(int(math.floor(steps)) + 1) / rate
 
 
 def interpolate(keyposes: list[JointPose], mode: str, rate: float) -> Trajectory:
@@ -300,11 +310,67 @@ def synthesize(
 # Serialization
 # ---------------------------------------------------------------------------
 
+# |v|·1e6 must stay below 2**52, where every half-integer is a double; larger
+# and non-finite values are formatted by the per-row `%` path
+_CSV_EXACT_LIMIT = 2.0**52 / 1e6
+# rows formatted per array pass: bounds the byte buffer and its temporaries
+_CSV_BLOCK_ROWS = 4096
+_PAD = 0  # buffer bytes that a value does not use; dropped before decoding
+
+
+def _csv_rows_percent(block: np.ndarray) -> str:
+    row = ",".join(["%.6f"] * block.shape[1]) + "\n"
+    return "".join(row % tuple(r) for r in block.tolist())
+
+
+def _csv_rows_array(block: np.ndarray) -> str:
+    """Rows of a finite block with every |v| < _CSV_EXACT_LIMIT, byte for byte
+    as ``'%.6f' % v`` writes them.
+
+    rint(|v|·1e6) is the correctly rounded (half-even) integer of the exact
+    product unless the rounded product is a half-integer; only there may the
+    exact product lie on either side, so those values take their integer
+    from ``%``. The sign comes from the sign bit, so -0.0 and negatives that
+    round to zero print ``-0.000000``.
+    """
+    mag = np.abs(block)
+    y = mag * 1e6
+    r = np.rint(y)
+    tie = np.abs(r - y) == 0.5
+    if tie.any():
+        r[tie] = [float(("%.6f" % m).replace(".", "")) for m in mag[tie].tolist()]
+    q = r.astype(np.int64)
+    n_int = len(str(int(q.max()) // 1000000))
+    # field: sign, n_int integer digits, '.', 6 decimals, separator
+    buf = np.empty(block.shape + (n_int + 9,), dtype=np.uint8)
+    buf[..., 0] = np.where(np.signbit(block), ord("-"), _PAD)
+    buf[..., n_int + 1] = ord(".")
+    for pos in [*range(n_int + 7, n_int + 1, -1), *range(n_int, 0, -1)]:  # last digit first
+        rest = q // 10
+        digit = q - 10 * rest + ord("0")
+        if pos < n_int:  # a leading zero of the integer part is pad
+            digit = np.where(q > 0, digit, _PAD)
+        buf[..., pos] = digit
+        q = rest
+    buf[:, :-1, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    return buf[buf != _PAD].tobytes().decode("ascii")
+
+
 def trajectory_to_csv(traj: Trajectory) -> str:
-    row = ",".join(["%.6f"] * (1 + len(traj.joints)))
-    lines = ["t," + ",".join(traj.joints)]
-    lines.extend(row % tuple(r) for r in np.column_stack([traj.times, traj.samples]).tolist())
-    return "\n".join(lines) + "\n"
+    """Header ``t,<joint>,...`` and one ``%.6f`` row per sample.
+
+    Rows are formatted in blocks of 4096 by an array formatter
+    that writes the same bytes as ``%``; a block holding a non-finite value
+    or a magnitude of 2**52 / 1e6 (about 4.5e9) or more is formatted by ``%``
+    row by row.
+    """
+    parts = ["t," + ",".join(traj.joints) + "\n"]
+    for a in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+        block = np.column_stack([traj.times[a:a + _CSV_BLOCK_ROWS], traj.samples[a:a + _CSV_BLOCK_ROWS]])
+        exact = np.all(np.abs(block) < _CSV_EXACT_LIMIT)  # False for NaN and inf
+        parts.append(_csv_rows_array(block) if exact else _csv_rows_percent(block))
+    return "".join(parts)
 
 
 def serialize_dictionary(mdict: MotionDictionary) -> str:
@@ -330,19 +396,73 @@ def serialize_dictionary(mdict: MotionDictionary) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the types json.loads gives numbers; bool is a type of its own
+_NUMBER_TYPES = {int, float}
+
+
+def _parse_path(p, where: str) -> DictPath:
+    if not isinstance(p, dict):
+        raise ParseError(where, "expected an object")
+    count, joints, rows = p.get("count"), p.get("joints"), p.get("samples")
+    if type(count) is not int:
+        raise ParseError(f"{where}.count", "expected an integer")
+    if not isinstance(joints, list) or not all(isinstance(j, str) for j in joints):
+        raise ParseError(f"{where}.joints", "expected a list of joint names")
+    if not (
+        isinstance(rows, list)
+        and all(type(row) is list for row in rows)
+        and set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES
+    ):
+        raise ParseError(f"{where}.samples", "expected a list of rows of numbers")
+    if count < 1:
+        raise ValidationError([f"{where}.count: must be at least 1, got {count}"])
+    if len(rows) != PATH_SAMPLES or any(len(row) != len(joints) for row in rows):
+        raise ValidationError([f"{where}.samples: expected {PATH_SAMPLES} rows of {len(joints)} angles"])
+    try:
+        samples = np.array(rows, dtype=float)
+        finite = bool(np.all(np.isfinite(samples)))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValidationError([f"{where}.samples: non-finite angle"])
+    return DictPath(motion=MotionPath(joints=tuple(joints), samples=samples), count=count)
+
+
 def parse_dictionary(text: str) -> MotionDictionary:
-    obj = json.loads(text)
-    mdict = MotionDictionary(tau=float(obj.get("tau", DEFAULT_TAU_DEG)))
-    for key_text, paths in obj.get("entries", {}).items():
-        key = DictKey.parse(key_text)
-        entry = DictEntry()
-        for p in paths:
-            motion = MotionPath(
-                joints=tuple(p["joints"]),
-                samples=np.array(p["samples"], dtype=float),
-            )
-            entry.paths.append(DictPath(motion=motion, count=int(p["count"])))
-        mdict.entries[key] = entry
+    """Inverse of :func:`serialize_dictionary`.
+
+    Malformed JSON and wrong types raise ParseError; a ``samples_per_path``
+    other than PATH_SAMPLES, a key with no paths, a path that is not
+    PATH_SAMPLES rows of one angle per joint, a non-finite angle, a count
+    below 1 and a tau that is not a finite number > 0 raise ValidationError.
+    """
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+    if not isinstance(obj, dict):
+        raise ParseError("$", "expected a JSON object")
+    if obj.get("samples_per_path") != PATH_SAMPLES:
+        raise ValidationError([f"$.samples_per_path: expected {PATH_SAMPLES}, got {obj.get('samples_per_path')!r}"])
+    tau, entries = obj.get("tau"), obj.get("entries")
+    if type(tau) not in _NUMBER_TYPES:
+        raise ParseError("$.tau", "expected a number")
+    if not 0 < tau <= sys.float_info.max:  # exact for integers; False for NaN
+        raise ValidationError([f"$.tau: must be a finite number > 0, got {tau!r}"])
+    if not isinstance(entries, dict):
+        raise ParseError("$.entries", "expected an object")
+    mdict = MotionDictionary(tau=float(tau))
+    for key_text, paths in entries.items():
+        where = f"$.entries[{json.dumps(key_text)}]"
+        try:
+            key = DictKey.parse(key_text)
+        except ValueError:
+            raise ParseError(where, "not a (from-state)->(to-state) key") from None
+        if not isinstance(paths, list):
+            raise ParseError(where, "expected a list of paths")
+        if not paths:
+            raise ValidationError([f"{where}: no paths"])
+        mdict.entries[key] = DictEntry(paths=[_parse_path(p, f"{where}[{i}]") for i, p in enumerate(paths)])
     return mdict
 
 

@@ -1,12 +1,14 @@
 import json
+import math
 import os
 import shutil
 
 import pytest
 
-from labanmotion import cli, encoder
+from labanmotion import cli, encoder, trajectory
 from labanmotion.cli import main
-from labanmotion.laban import load_score
+from labanmotion.laban import Direction, LabanSymbol, Level, load_score
+from labanmotion.robot import JointPose
 from labanmotion.skeleton import load_sequence
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -268,9 +270,18 @@ def _score_text(duration: str, total: str) -> str:
      "run.cfg:2: rate"),
     (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
      "robot = frontal_7dof\nrate = 0\n", "rate"),
+    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "1e9", "-o", "{tmp}/t.csv"], None,
+     "samples"),
+    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
+     "robot = frontal_7dof\ninterp = quintic\n", "run.cfg:2: interp"),
+    (["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "peak_mode = median\n",
+     "run.cfg:1: peak_mode"),
+    (["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"], "columns = legs\n",
+     "run.cfg:1: columns"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
-        "config-rate-nan", "config-rate-0"])
+        "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
+        "config-peak-mode-unknown", "config-columns-unknown"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -319,3 +330,84 @@ def test_dict_build_encodes_each_key_frame_once(tmp_path, monkeypatch):
     assert len(per_clip) == 2
     assert max(merged for merged, _ in per_clip) >= 4
     assert all(encodes == merged for merged, encodes in per_clip)
+
+
+def _bad_dict_text(case: str) -> str:
+    """A one-path dictionary file, broken as ``case`` says."""
+    if case == "json":
+        return '{"samples_per_path": 32,'
+    if case == "not-object":
+        return "[]"
+    mdict = trajectory.MotionDictionary()
+    key = trajectory.DictKey.from_states(
+        {"RightArm": LabanSymbol(Direction.Place, Level.Low)},
+        {"RightArm": LabanSymbol(Direction.Forward, Level.Middle)},
+    )
+    observed = [JointPose(t=float(t), angles={"a": 10.0 * t, "b": -5.0 * t}) for t in range(3)]
+    trajectory.dict_update(mdict, key, observed)
+    obj = json.loads(trajectory.serialize_dictionary(mdict))
+    path = next(iter(obj["entries"].values()))[0]
+    if case == "samples-per-path":
+        obj["samples_per_path"] = 16
+    elif case == "tau-string":
+        obj["tau"] = "10"
+    elif case == "tau-zero":
+        obj["tau"] = 0
+    elif case == "entries-list":
+        obj["entries"] = []
+    elif case == "bad-key":
+        obj["entries"] = {"RightArm=Up.Middle->": [path]}
+    elif case == "no-paths":
+        obj["entries"] = {k: [] for k in obj["entries"]}
+    elif case == "count-string":
+        path["count"] = "1"
+    elif case == "count-zero":
+        path["count"] = 0
+    elif case == "joints-string":
+        path["joints"] = "a,b"
+    elif case == "sample-bool":
+        path["samples"][3][1] = True
+    elif case == "short-path":
+        path["samples"].pop()
+    elif case == "short-row":
+        path["samples"][5].pop()
+    elif case == "nan-sample":
+        path["samples"][0][1] = math.nan
+    elif case == "huge-integer":
+        path["samples"][0][0] = 10**400
+    return json.dumps(obj)
+
+
+_BAD_DICTIONARIES = [
+    ("json", "line 1"),
+    ("not-object", "$: expected a JSON object"),
+    ("samples-per-path", "samples_per_path"),
+    ("tau-string", "$.tau"),
+    ("tau-zero", "$.tau"),
+    ("entries-list", "$.entries"),
+    ("bad-key", "RightArm=Up.Middle"),
+    ("no-paths", "no paths"),
+    ("count-string", ".count"),
+    ("count-zero", ".count"),
+    ("joints-string", ".joints"),
+    ("sample-bool", ".samples"),
+    ("short-path", "32 rows of 2"),
+    ("short-row", "32 rows of 2"),
+    ("nan-sample", "non-finite"),
+    ("huge-integer", "non-finite"),
+]
+
+
+@pytest.mark.parametrize("case,needle", _BAD_DICTIONARIES, ids=[case for case, _ in _BAD_DICTIONARIES])
+def test_bad_dictionary_exit_1(tmp_path, capsys, case, needle):
+    bad = tmp_path / "dict.json"
+    bad.write_text(_bad_dict_text(case))
+    golden = os.path.join(DATA, "golden_frontal_score.json")
+    for argv in (["dict", "stats", str(bad)],
+                 ["decode", golden, "--robot", "frontal_7dof", "--dict", str(bad), "-o", str(tmp_path / "t.csv")]):
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err, err

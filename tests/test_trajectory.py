@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from labanmotion.robot import JointPose
 from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
     DictKey,
+    MAX_TRAJECTORY_SAMPLES,
     MotionDictionary,
     MotionPath,
     PATH_SAMPLES,
@@ -243,6 +245,26 @@ def test_dict_serialization_roundtrip():
     assert serialize_dictionary(back) == text
 
 
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+def test_dict_serialization_roundtrip_randomized(rng):
+    symbols = [S(D.Place, L.Low), S(D.Forward, L.Middle), S(D.Left, L.High), S(D.RightBackward, L.Low)]
+    for trial in range(20):
+        mdict = MotionDictionary(tau=float(rng.uniform(0.5, 40.0)))
+        for _ in range(int(rng.integers(0, 12))):
+            a, b = (symbols[int(i)] for i in rng.integers(0, len(symbols), size=2))
+            n = int(rng.integers(2, 40))
+            times = np.cumsum(rng.uniform(0.01, 1.0, size=n))
+            scale = 10.0 ** float(rng.uniform(-8, 3))
+            observed = [_pose(float(t), *map(float, rng.normal(0, scale, size=3))) for t in times]
+            dict_update(mdict, DictKey.from_states(_state(a), {"Head": b, "RightArm": a}), observed)
+        text = serialize_dictionary(mdict)
+        json.loads(text, parse_constant=_reject_constant)
+        assert serialize_dictionary(parse_dictionary(text)) == text
+
+
 # ---------------------------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------------------------
@@ -360,6 +382,15 @@ def test_rate_must_be_finite_and_positive(rate):
         Trajectory.from_poses(keyposes[:1], rate)
 
 
+def test_sample_count_is_bounded():
+    keyposes = [_pose(0.0, 0, 0, 0), _pose(21.0, 10, 20, 30)]
+    # each rate asks for more than MAX_TRAJECTORY_SAMPLES samples; the check
+    # runs before the grid is allocated
+    for rate in (MAX_TRAJECTORY_SAMPLES / 21.0, 1e9, 1e300):
+        with pytest.raises(BadInput, match="samples"):
+            synthesize(keyposes, None, None, "linear", rate)
+
+
 def test_from_poses_keeps_the_poses():
     one = Trajectory.from_poses([_pose(0.5, 1.0, 2.0, 3.0)], 100.0)
     assert one.joints == JOINTS
@@ -419,6 +450,14 @@ def test_synthesize_matches_per_segment_reference(rng):
             assert np.array_equal(traj.samples, rows)
 
 
+def _csv_per_value(times, samples):
+    """Reference: one f-string per value."""
+    return "t," + ",".join(JOINTS) + "\n" + "".join(
+        f"{t:.6f}," + ",".join(f"{v:.6f}" for v in row) + "\n"
+        for t, row in zip(times.tolist(), samples.tolist())
+    )
+
+
 def test_csv_matches_per_value_formatting(rng):
     angles = np.concatenate([rng.uniform(-180, 180, size=40), [-0.0, 0.0, -1e-9, 2.5e-7, 0.0000005, 179.9999995]])
     keyposes = [_pose(float(i) / 3.0, *angles[3 * i:3 * i + 3]) for i in range(len(angles) // 3)]
@@ -427,3 +466,34 @@ def test_csv_matches_per_value_formatting(rng):
         f"{p.t:.6f}," + ",".join(f"{p.angles[j]:.6f}" for j in JOINTS) + "\n" for p in keyposes
     )
     assert trajectory_to_csv(traj) == expected
+
+    limit = 2.0**52 / 1e6  # the array formatter's bound; beyond it rows go through %
+    half_micro = 5e-7
+    n_random = 100_000
+    random = np.exp(rng.uniform(math.log(1e-9), math.log(limit), n_random)) * rng.choice([-1.0, 1.0], n_random)
+    cases = {
+        "binary ties": np.concatenate([np.arange(-4096, 4096) / 128, np.arange(-4096, 4096) / 2**20]),
+        # 2.5e-6 and the like: |v|*1e6 rounds to a half-integer, the exact product is not one
+        "decimal ties": np.arange(-4000, 4000) / 2e6 + 0.5e-6,
+        "half micro": [half_micro, np.nextafter(half_micro, 0), np.nextafter(half_micro, 1),
+                       -half_micro, -np.nextafter(half_micro, 0), -np.nextafter(half_micro, 1)],
+        "negative zero": [-0.0, 0.0, -1e-9, 1e-9, -4.9e-7, 4.9e-7],
+        "integer digits": [s * (10.0**k + 0.1234565) for k in range(10) for s in (1.0, -1.0)],
+        "below limit": [np.nextafter(limit, 0), -np.nextafter(limit, 0), 2.5e-6, -1e-9],
+        "at limit": [limit, -limit, np.nextafter(limit, math.inf), 2.5e-6, -1e-9, 1e300],
+        "non-finite": [math.nan, math.inf, -math.inf, 1.25, -0.0, 2.5e-6],
+        "log-uniform": random,
+    }
+    for name, values in cases.items():
+        values = np.asarray(values, dtype=float)
+        values = np.resize(values, (-(-values.size // 4), 4))  # whole rows, the last one filled from the start
+        traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
+        assert trajectory_to_csv(traj) == _csv_per_value(values[:, 0], values[:, 1:]), name
+
+    # row counts around the 4096-row block, with a fallback value in one block only
+    for rows in (0, 1, 4095, 4096, 4097, 8193):
+        values = random[:4 * rows].reshape(rows, 4).copy()
+        if rows > 4096:
+            values[4096, 2] = math.nan
+        traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
+        assert trajectory_to_csv(traj) == _csv_per_value(values[:, 0], values[:, 1:]), rows
