@@ -109,7 +109,7 @@ def _force_final(kfs: keyframe.KeyFrameSet, n_frames: int, rate: float) -> keyfr
 
 
 def _keyframes_obj(seq: skeleton.SkeletonSequence, kfs: keyframe.KeyFrameSet) -> dict:
-    ts = seq.timestamps()
+    ts = seq.times
     return {
         "sample_rate": seq.sample_rate,
         "params": {
@@ -175,7 +175,7 @@ def _cmd_synth(args, cfg) -> int:
         poses = []
         for item in args.pose:
             name, _, dwell = item.partition(":")
-            poses.append([name, float(dwell) if dwell else 0.5])
+            poses.append([name, dwell or 0.5])  # synth_motion checks the dwell
         descriptor["poses"] = poses
     seq = skeleton.synth_motion(descriptor, rate=rate)
     skeleton.save_sequence(seq, args.output)
@@ -255,7 +255,7 @@ def _cmd_dict_build(args, cfg) -> int:
         seq = _load_uniform(path, rate)
         kfs = _detect(seq, args, cfg, stage)
         merged = kfs.merged
-        states = [encoder.encode_pose(seq.frame(i), columns) for i in merged]
+        states = [encoder.encode_pose(seq.positions[i], columns) for i in merged]
         for k in range(len(merged) - 1):
             observed = robot_mod.project_path(seq, merged[k], merged[k + 1], robot)
             key = trajectory.DictKey.from_states(states[k], states[k + 1])

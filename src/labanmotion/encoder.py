@@ -28,10 +28,8 @@ from .skeleton import (
     PARENT,
     BodyFrame,
     JointName,
-    SkeletonFrame,
     SkeletonSequence,
     body_frame,
-    joint_positions,
     stacked_norm,
 )
 
@@ -95,19 +93,16 @@ def columns_for_mode(mode: str) -> tuple[str, ...]:
     raise ValueError(f"unknown columns mode: {mode!r}")
 
 
-def segment_direction(
-    pose: SkeletonFrame | np.ndarray, distal: JointName, bf: BodyFrame | None = None
-) -> np.ndarray:
+def segment_direction(pos: np.ndarray, distal: JointName, bf: BodyFrame | None = None) -> np.ndarray:
     """Unit direction of the distal joint relative to its parent, expressed
     as (forward, left, up) components of the pose's body frame.
 
-    ``pose`` is one frame or a (..., 12, 3) position array; the result has
-    shape (..., 3), and ``bf`` must have the same leading axes.
+    ``pos`` is a (..., 12, 3) position array; the result has shape (..., 3),
+    and ``bf`` must have the same leading axes.
     """
     parent = PARENT[distal]
     if parent is None:
         raise DegeneratePose(f"{distal.value} has no parent")
-    pos = joint_positions(pose)
     d = pos[..., JOINT_INDEX[distal], :] - pos[..., JOINT_INDEX[parent], :]
     norm = stacked_norm(d)
     if (norm < 1e-9).any():
@@ -150,9 +145,8 @@ def digitize(v: np.ndarray) -> LabanSymbol:
     return LabanSymbol(classify_azimuth(azimuth), band)
 
 
-def encode_pose(frame: SkeletonFrame, columns: tuple[str, ...] = ARM_COLUMNS) -> dict[str, LabanSymbol]:
-    """Symbols for one frame, per column."""
-    pos = joint_positions(frame)
+def encode_pose(pos: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> dict[str, LabanSymbol]:
+    """Symbols per column for one (12, 3) pose."""
     bf = body_frame(pos)
     out: dict[str, LabanSymbol] = {}
     for column in columns:
@@ -175,14 +169,14 @@ def encode_sequence(
     coalesced. A key frame at t = 0 would yield an empty interval and is
     skipped.
     """
-    ts = seq.timestamps()
+    ts = seq.times
     merged = [i for i in kfs.merged if ts[i] > 0.0]
     if not merged:
         raise NoKeyFrames("no merged key frames to encode")
     # microsecond quantization keeps cell arithmetic consistent with the
     # score file format's 6-decimal times
     key_times = [round(float(ts[i]), 6) for i in merged]
-    key_symbols = [encode_pose(seq.frame(i), columns) for i in merged]
+    key_symbols = [encode_pose(seq.positions[i], columns) for i in merged]
 
     laban_columns = []
     for column in columns:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientData
+from .errors import BadInput, InsufficientData
 from .skeleton import JointName, SkeletonSequence
 
 DEFAULT_TRACKED_PARTS: tuple[JointName, ...] = (
@@ -48,14 +48,16 @@ class EnergyParams:
     peak_mode: str = "max"
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # every comparison with NaN is False, so NaN fails each check
+        if not 0.0 < self.sigma < math.inf:
+            raise BadInput(f"sigma must be a finite number > 0, got {self.sigma}")
         if not 0.0 <= self.prominence <= 1.0:
-            raise ValueError("prominence must lie in [0, 1]")
-        if self.min_separation < 0 or self.merge_window < 0:
-            raise ValueError("separations must be non-negative")
+            raise BadInput(f"prominence must lie in [0, 1], got {self.prominence}")
+        for name in ("min_separation", "merge_window"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise BadInput(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
         if self.peak_mode not in ("max", "min"):
-            raise ValueError("peak_mode must be 'max' or 'min'")
+            raise BadInput("peak_mode must be 'max' or 'min'")
 
 
 @dataclass(eq=False)

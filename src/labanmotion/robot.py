@@ -38,7 +38,7 @@ import numpy as np
 from .encoder import COLUMN_DISTAL, LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, segment_direction
 from .errors import BadSymbol, MissingColumn, ParseError, ValidationError
 from .laban import VALID_LIMB_SYMBOLS, Direction, LabanScore, LabanSymbol, Level, states_at, validate
-from .skeleton import SkeletonFrame, SkeletonSequence, body_frame, joint_positions
+from .skeleton import SkeletonSequence, body_frame
 
 log = logging.getLogger(__name__)
 
@@ -92,29 +92,31 @@ class RobotDescription:
                 table.append((ref, seg, tuple(col for col, refs in self.column_map.items() if ref in refs)))
         return tuple(table)
 
-    def joint_names(self) -> list[str]:
-        names = []
+    def _joint_limits(self) -> list[tuple[str, tuple[float, float]]]:
+        """``(joint, limits)`` per segment yaw, pitch and roll in chain order,
+        then per fixed joint."""
+        limits = []
         for chain in self.chains:
             for seg in chain.segments:
-                names.append(seg.yaw_joint)
-                names.append(seg.pitch_joint)
+                limits += [(seg.yaw_joint, seg.yaw_limits), (seg.pitch_joint, seg.pitch_limits)]
                 if seg.roll_joint:
-                    names.append(seg.roll_joint)
-        names.extend(fj.name for fj in self.fixed_joints)
-        return names
+                    limits.append((seg.roll_joint, seg.roll_limits))
+        return limits + [(fj.name, fj.limits) for fj in self.fixed_joints]
+
+    @cached_property
+    def neutral_angles(self) -> dict[str, float]:
+        """Joint name -> zero clamped into its limits, for every joint in
+        :meth:`joint_names` order, built once per description."""
+        return {name: _clamp_nearest(0.0, *limits)[0] for name, limits in self._joint_limits()}
+
+    def joint_names(self) -> list[str]:
+        return [name for name, _ in self._joint_limits()]
 
 
 @dataclass
 class JointPose:
     t: float
     angles: dict[str, float]
-
-
-@dataclass(frozen=True)
-class ConcatenationState:
-    """History used to break the opposed-directions tie during merges."""
-
-    last_direction: np.ndarray | None = None
 
 
 def _limits(obj, key, where) -> tuple[float, float]:
@@ -125,10 +127,21 @@ def _limits(obj, key, where) -> tuple[float, float]:
         or not all(isinstance(x, (int, float)) for x in pair)
     ):
         raise ParseError(f"{where}.{key}", "expected [lo, hi] degrees")
-    lo, hi = float(pair[0]), float(pair[1])
-    if lo > hi or lo < -180.0 or hi > 180.0:
-        raise ValidationError([f"{where}.{key}: bad limits [{lo}, {hi}]"])
-    return lo, hi
+    # compared before conversion: an integer beyond the float range has no float
+    if not -180.0 <= pair[0] <= pair[1] <= 180.0:  # False for NaN
+        raise ValidationError([f"{where}.{key}: bad limits [{pair[0]}, {pair[1]}]"])
+    return float(pair[0]), float(pair[1])
+
+
+def _objects(obj: dict, key: str, where: str) -> list[dict]:
+    """The list of objects at ``obj[key]`` (empty when absent)."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise ParseError(f"{where}.{key}", "expected a list")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise ParseError(f"{where}.{key}[{i}]", "expected an object")
+    return items
 
 
 def parse_robot(text: str) -> RobotDescription:
@@ -142,13 +155,13 @@ def parse_robot(text: str) -> RobotDescription:
     if not isinstance(name, str):
         raise ParseError("$.name", "missing robot name")
     chains = []
-    for ci, chain_obj in enumerate(obj.get("chains", [])):
+    for ci, chain_obj in enumerate(_objects(obj, "chains", "$")):
         where = f"$.chains[{ci}]"
         cname = chain_obj.get("name")
         if not isinstance(cname, str):
             raise ParseError(f"{where}.name", "missing chain name")
         segments = []
-        for si, seg_obj in enumerate(chain_obj.get("segments", [])):
+        for si, seg_obj in enumerate(_objects(chain_obj, "segments", where)):
             swhere = f"{where}.segments[{si}]"
             yaw_j = seg_obj.get("yaw_joint")
             pitch_j = seg_obj.get("pitch_joint")
@@ -177,7 +190,7 @@ def parse_robot(text: str) -> RobotDescription:
             raise ParseError(f"$.column_map.{col}", "expected a list of segment refs")
         column_map[str(col)] = tuple(refs)
     fixed = []
-    for fi, fj_obj in enumerate(obj.get("fixed_joints", [])):
+    for fi, fj_obj in enumerate(_objects(obj, "fixed_joints", "$")):
         fwhere = f"$.fixed_joints[{fi}]"
         fname = fj_obj.get("name")
         if not isinstance(fname, str):
@@ -250,49 +263,45 @@ def symbol_to_vector(s: LabanSymbol) -> np.ndarray:
     return v
 
 
-def concatenate(
-    a: np.ndarray, b: np.ndarray, hist: ConcatenationState
-) -> tuple[np.ndarray, ConcatenationState]:
+def concatenate(a: np.ndarray, b: np.ndarray, last: np.ndarray | None) -> np.ndarray:
     """Combine two adjacent directions into one by the normalized sum.
 
-    Opposed directions cancel; in that singular case the previous combined
-    direction is kept (or the first operand on a cold start).
+    Opposed directions cancel; in that singular case ``last``, the previous
+    combined direction, is kept (or the first operand on a cold start).
     """
     s = a + b
     norm = float(np.linalg.norm(s))
     if norm > 1e-6:
-        result = s / norm
-    elif hist.last_direction is not None:
-        result = hist.last_direction
-    else:
-        result = np.asarray(a, dtype=float)
-    return result, ConcatenationState(last_direction=result)
+        return s / norm
+    if last is not None:
+        return last
+    return np.asarray(a, dtype=float)
 
 
 def reduce_vectors(
     vectors: dict[str, np.ndarray],
     robot: RobotDescription,
-    hist: dict[str, ConcatenationState],
+    hist: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Per-segment direction from per-column directions.
 
     Split targets receive their source column's vector unchanged; merge
     targets left-fold ``concatenate`` over their source columns in
-    column-map order. Segments whose sources are not all present are left
-    out. ``hist`` is updated in place per segment.
+    column-map order, each step's result being the next step's history.
+    Segments whose sources are not all present are left out. ``hist`` maps
+    each merged segment to its last combined direction and is updated in
+    place.
     """
     out: dict[str, np.ndarray] = {}
     for ref, _, sources in robot.segment_table:
         if not sources or any(c not in vectors for c in sources):
             continue
-        if len(sources) == 1:
-            out[ref] = vectors[sources[0]]
-            continue
-        state = hist.get(ref, ConcatenationState())
         v = vectors[sources[0]]
-        for col in sources[1:]:
-            v, state = concatenate(v, vectors[col], state)
-        hist[ref] = state
+        if len(sources) > 1:
+            last = hist.get(ref)
+            for col in sources[1:]:
+                v = last = concatenate(v, vectors[col], last)
+            hist[ref] = v
         out[ref] = v
     return out
 
@@ -300,7 +309,7 @@ def reduce_vectors(
 def reduce_columns(
     symbols: dict[str, LabanSymbol],
     robot: RobotDescription,
-    hist: dict[str, ConcatenationState],
+    hist: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Symbol form of :func:`reduce_vectors`; missing source columns raise."""
     for ref, _, sources in robot.segment_table:
@@ -371,10 +380,20 @@ class DecodedPose:
     states: dict[str, LabanSymbol]  # symbol in force at t per score column; uncovered ones absent
 
 
-def _neutral_angles(seg: Segment) -> tuple[float, float]:
-    yaw, _ = _clamp_nearest(0.0, *seg.yaw_limits)
-    pitch, _ = _clamp_nearest(0.0, *seg.pitch_limits)
-    return yaw, pitch
+def _joint_angles(
+    per_segment: dict[str, np.ndarray], robot: RobotDescription
+) -> tuple[dict[str, float], dict[str, tuple[float, float, bool]]]:
+    """Joint angles for :func:`reduce_vectors` output: the robot's neutral
+    angles with each driven segment's yaw and pitch overwritten, plus the
+    ``(yaw, pitch, clamped)`` of every driven segment."""
+    angles = dict(robot.neutral_angles)
+    driven: dict[str, tuple[float, float, bool]] = {}
+    for ref, seg, _ in robot.segment_table:
+        if ref in per_segment:
+            yaw, pitch, _ = driven[ref] = vector_to_joints(per_segment[ref], seg)
+            angles[seg.yaw_joint] = yaw
+            angles[seg.pitch_joint] = pitch
+    return angles, driven
 
 
 def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[DecodedPose]:
@@ -401,7 +420,7 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
     # shared boundaries dedupe across columns
     times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
     states = states_at(score, [min(t, score.total_duration) for t in times])
-    hist: dict[str, ConcatenationState] = {}
+    hist: dict[str, np.ndarray] = {}
     out: list[DecodedPose] = []
     for t, symbols in zip(times, states):
         vectors = {
@@ -409,26 +428,16 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
             for col, sym in symbols.items()
             if col in robot.column_map
         }
-        per_segment = reduce_vectors(vectors, robot, hist)
-        angles: dict[str, float] = {}
+        angles, driven = _joint_angles(reduce_vectors(vectors, robot, hist), robot)
         detail: dict[str, SegmentCommand] = {}
         for ref, seg, sources in robot.segment_table:
-            if ref in per_segment:
-                yaw, pitch, clamped = vector_to_joints(per_segment[ref], seg)
+            if ref in driven:
                 merged = len(sources) > 1
                 symbol = symbols[sources[0]] if not merged else None
-                detail[ref] = SegmentCommand(yaw, pitch, clamped, True, merged, symbol)
+                detail[ref] = SegmentCommand(*driven[ref], True, merged, symbol)
             else:
-                yaw, pitch = _neutral_angles(seg)
+                yaw, pitch = angles[seg.yaw_joint], angles[seg.pitch_joint]
                 detail[ref] = SegmentCommand(yaw, pitch, False, False, False, None)
-            angles[seg.yaw_joint] = detail[ref].yaw
-            angles[seg.pitch_joint] = detail[ref].pitch
-            if seg.roll_joint:
-                roll, _ = _clamp_nearest(0.0, *seg.roll_limits)
-                angles[seg.roll_joint] = roll
-        for fj in robot.fixed_joints:
-            val, _ = _clamp_nearest(0.0, *fj.limits)
-            angles[fj.name] = val
         out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail, states=symbols))
     return out
 
@@ -438,67 +447,27 @@ def decode_score(score: LabanScore, robot: RobotDescription) -> list[JointPose]:
     return [d.pose for d in decode_score_detailed(score, robot)]
 
 
-def _observed_vectors(positions: np.ndarray, robot: RobotDescription) -> dict[str, np.ndarray]:
-    """Body-frame segment directions of the robot's observable columns, for
-    one (12, 3) pose or a stack of them."""
-    bf = body_frame(positions)
-    return {
-        col: segment_direction(positions, COLUMN_DISTAL[col], bf)
-        for col in robot.column_map
-        if col in COLUMN_DISTAL
-    }
-
-
-def _retarget(
-    t: float,
-    vectors: dict[str, np.ndarray],
-    robot: RobotDescription,
-    hist: dict[str, ConcatenationState],
-) -> JointPose:
-    per_segment = reduce_vectors(vectors, robot, hist)
-    angles: dict[str, float] = {}
-    for ref, seg, _ in robot.segment_table:
-        if ref in per_segment:
-            yaw, pitch, _ = vector_to_joints(per_segment[ref], seg)
-        else:
-            yaw, pitch = _neutral_angles(seg)
-        angles[seg.yaw_joint] = yaw
-        angles[seg.pitch_joint] = pitch
-        if seg.roll_joint:
-            roll, _ = _clamp_nearest(0.0, *seg.roll_limits)
-            angles[seg.roll_joint] = roll
-    for fj in robot.fixed_joints:
-        val, _ = _clamp_nearest(0.0, *fj.limits)
-        angles[fj.name] = val
-    return JointPose(t=t, angles=angles)
-
-
-def project_frame(
-    frame: SkeletonFrame,
-    robot: RobotDescription,
-    hist: dict[str, ConcatenationState],
-) -> JointPose:
-    """Continuous retarget of one observed frame onto the robot.
-
-    Uses the un-quantized body-frame segment directions of the mapped
-    columns, so intermediate motion between key poses lands in joint space
-    without passing through symbols.
-    """
-    return _retarget(frame.timestamp, _observed_vectors(joint_positions(frame), robot), robot, hist)
-
-
 def project_path(
     seq: SkeletonSequence, start: int, end: int, robot: RobotDescription
 ) -> list[JointPose]:
     """Joint-space path for frames start..end inclusive (shared history).
 
-    Body frames and segment directions are computed for the whole range at
-    once; the per-segment merge, whose history is sequential, and the joint
-    angles run frame by frame.
+    Uses the un-quantized body-frame segment directions of the mapped
+    columns, so intermediate motion between key poses lands in joint space
+    without passing through symbols. Body frames and directions are computed
+    for the whole range at once; the per-segment merge, whose history is
+    sequential, and the joint angles run frame by frame.
     """
-    vectors = _observed_vectors(seq.positions[start:end + 1], robot)
-    hist: dict[str, ConcatenationState] = {}
-    return [
-        _retarget(t, {col: v[k] for col, v in vectors.items()}, robot, hist)
-        for k, t in enumerate(seq.times[start:end + 1].tolist())
-    ]
+    positions = seq.positions[start:end + 1]
+    bf = body_frame(positions)
+    vectors = {
+        col: segment_direction(positions, COLUMN_DISTAL[col], bf)
+        for col in robot.column_map
+        if col in COLUMN_DISTAL
+    }
+    hist: dict[str, np.ndarray] = {}
+    poses = []
+    for k, t in enumerate(seq.times[start:end + 1].tolist()):
+        per_segment = reduce_vectors({col: v[k] for col, v in vectors.items()}, robot, hist)
+        poses.append(JointPose(t, _joint_angles(per_segment, robot)[0]))
+    return poses

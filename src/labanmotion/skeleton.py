@@ -16,6 +16,7 @@ resampling and the body frame run as array operations over all frames.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ import numpy as np
 
 from .errors import (
     BadDescriptor,
+    BadInput,
     DegeneratePose,
     InsufficientData,
     LabanMotionError,
@@ -89,22 +91,6 @@ def stacked_norm(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(eq=False)
-class SkeletonFrame:
-    """One time-stamped snapshot of all twelve joint positions (meters)."""
-
-    timestamp: float
-    positions: dict[JointName, np.ndarray]
-
-
-def joint_positions(pose: SkeletonFrame | np.ndarray) -> np.ndarray:
-    """A frame's positions as a (12, 3) array in ``ALL_JOINTS`` order; an
-    array of shape (..., 12, 3) is returned as is."""
-    if isinstance(pose, SkeletonFrame):
-        return np.array([pose.positions[j] for j in ALL_JOINTS], dtype=float)
-    return np.asarray(pose, dtype=float)
-
-
-@dataclass(eq=False)
 class SkeletonSequence:
     """Joint positions over time.
 
@@ -124,13 +110,6 @@ class SkeletonSequence:
     def positions_of(self, joint: JointName) -> np.ndarray:
         """(n, 3) view of one joint's positions over time."""
         return self.positions[:, JOINT_INDEX[joint]]
-
-    def timestamps(self) -> np.ndarray:
-        return self.times
-
-    def frame(self, i: int) -> SkeletonFrame:
-        """Frame i; its joint arrays are views into ``positions``."""
-        return SkeletonFrame(float(self.times[i]), dict(zip(ALL_JOINTS, self.positions[i])))
 
 
 @dataclass(frozen=True)
@@ -162,7 +141,7 @@ class BodyFrame:
 
 
 # JSON numbers; an exact type test also rules out bool
-_NUMBER_TYPES = (int, float)
+_NUMBER_TYPES = {int, float}
 # stands in for a missing joint until the geometry check names it
 _ABSENT = (math.nan, math.nan, math.nan)
 _STRUCTURE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
@@ -172,15 +151,19 @@ def _frame_arrays(frames: list) -> tuple[np.ndarray, np.ndarray]:
     """(times, positions) of parsed frame objects.
 
     Raises one of ``_STRUCTURE_ERRORS`` when a frame is not an object with
-    a numeric ``t`` and a ``joints`` object of [x, y, z] triples.
+    a numeric ``t`` and a ``joints`` object of [x, y, z] number triples.
     """
     ts = [f["t"] for f in frames]
-    if not set(map(type, ts)) <= set(_NUMBER_TYPES):
+    if not set(map(type, ts)) <= _NUMBER_TYPES:
         raise TypeError("non-numeric timestamp")
     rows = [[f["joints"].get(k, _ABSENT) for k in _JOINT_KEYS] for f in frames]
     positions = np.array(rows, dtype=float) if rows else np.empty((0, len(ALL_JOINTS), 3))
     if positions.shape[1:] != (len(ALL_JOINTS), 3):
         raise ValueError("joints are not [x, y, z] triples")
+    # the float conversion accepts numeric strings and bools; the type scan does not
+    coordinates = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
+    if not set(map(type, coordinates)) <= _NUMBER_TYPES:
+        raise TypeError("non-numeric coordinate")
     return np.array(ts, dtype=float), positions
 
 
@@ -192,11 +175,12 @@ def _first_malformed(frames: list) -> tuple[int, LabanMotionError | None]:
         if not isinstance(joints, dict):
             return i, ParseError(f"frames[{i}]", "missing 'joints' object")
         for key in _JOINT_KEYS:
+            triple = joints.get(key, _ABSENT)
             try:
-                shape = np.array(joints.get(key, _ABSENT), dtype=float).shape
+                shape = np.array(triple, dtype=float).shape
             except _STRUCTURE_ERRORS:
                 shape = None
-            if shape != (3,):
+            if shape != (3,) or not set(map(type, triple)) <= _NUMBER_TYPES:
                 return i, MalformedFrame(i, key, "bad coordinate triple")
         if type(f.get("t")) not in _NUMBER_TYPES:
             return i, ParseError(f"frames[{i}].t", "missing or non-numeric timestamp")
@@ -301,8 +285,8 @@ def resample(seq: SkeletonSequence, rate: float) -> SkeletonSequence:
     Positions are interpolated linearly per coordinate. Idempotent when the
     input is already uniform at the requested rate.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise BadInput(f"resample rate must be a finite number > 0, got {rate}")
     if len(seq) < 2:
         raise InsufficientData("resample needs at least 2 frames")
     ts = seq.times
@@ -324,15 +308,14 @@ _SPINE_BASE, _SPINE_SHOULDER, _SHOULDER_LEFT, _SHOULDER_RIGHT = (
 )
 
 
-def body_frame(pose: SkeletonFrame | np.ndarray) -> BodyFrame:
+def body_frame(pos: np.ndarray) -> BodyFrame:
     """Build the body frame: origin at SpineShoulder, up along the spine,
     left along the shoulder line with the spine component removed.
 
-    ``pose`` is one frame or a (..., 12, 3) position array; for an array
-    every field gets the same leading axes. Raises DegeneratePose for the
-    first pose that cannot define a frame.
+    ``pos`` is a (..., 12, 3) position array, (12, 3) for one pose; every
+    field gets its leading axes. Raises DegeneratePose for the first pose
+    that cannot define a frame.
     """
-    pos = joint_positions(pose)
     origin = pos[..., _SPINE_SHOULDER, :]
     spine = origin - pos[..., _SPINE_BASE, :]
     span = pos[..., _SHOULDER_LEFT, :] - pos[..., _SHOULDER_RIGHT, :]
@@ -490,28 +473,39 @@ def _arc_angle(a: np.ndarray, b: np.ndarray) -> float:
     return math.acos(max(-1.0, min(1.0, float(a @ b))))
 
 
+def _seconds(value, what: str, allow_zero: bool = False) -> float:
+    """A descriptor time as a float; BadDescriptor unless it is a finite
+    number > 0 (>= 0 with ``allow_zero``)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not (0.0 <= seconds < math.inf and (allow_zero or seconds > 0.0)):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise BadDescriptor(f"{what} must be a finite number of seconds {bound}, got {value!r}")
+    return seconds
+
+
 def _segment_plan(descriptor: dict) -> tuple[str, list[tuple[str, float, np.ndarray, np.ndarray]]]:
     """Expand a descriptor into (part, [(kind, seconds, from_dir, to_dir)...])."""
     pattern = descriptor.get("pattern")
-    move_floor = float(descriptor.get("move_seconds", DEFAULT_MOVE_SECONDS))
+    move_floor = _seconds(descriptor.get("move_seconds", DEFAULT_MOVE_SECONDS), "move_seconds", allow_zero=True)
 
     def move_seconds(a: np.ndarray, b: np.ndarray) -> float:
         return max(move_floor, _SECONDS_PER_RADIAN * _arc_angle(a, b))
 
     if pattern == "static":
-        dur = float(descriptor.get("duration", 2.0))
-        if dur <= 0:
-            raise BadDescriptor("static duration must be positive")
+        dur = _seconds(descriptor.get("duration", 2.0), "static duration")
         down = pose_vector("place_low")
         return "right_arm", [("dwell", dur, down, down)]
     if pattern == "move_hold_move":
         part = _part_key(descriptor.get("part", "right_arm"))
-        hold = float(descriptor.get("hold", 0.5))
-        if hold <= 0:
-            raise BadDescriptor("hold must be positive")
+        hold = _seconds(descriptor.get("hold", 0.5), "hold")
+        if "from_pose" not in descriptor or "to_pose" not in descriptor:
+            raise BadDescriptor("move_hold_move needs a from pose and a to pose")
         a = pose_vector(descriptor["from_pose"])
         b = pose_vector(descriptor["to_pose"])
-        lead = float(descriptor.get("lead_seconds", DEFAULT_LEAD_SECONDS))
+        lead = _seconds(descriptor.get("lead_seconds", DEFAULT_LEAD_SECONDS), "lead_seconds", allow_zero=True)
         return part, [("dwell", lead, a, a), ("move", move_seconds(a, b), a, b), ("dwell", hold, b, b)]
     if pattern == "reach_sequence":
         part = _part_key(descriptor.get("part", "right_arm"))
@@ -522,11 +516,10 @@ def _segment_plan(descriptor: dict) -> tuple[str, list[tuple[str, float, np.ndar
         prev = None
         for name, dwell in poses:
             u = pose_vector(name)
-            if float(dwell) <= 0:
-                raise BadDescriptor("dwell times must be positive")
+            dwell = _seconds(dwell, f"dwell of {name}")
             if prev is not None:
                 plan.append(("move", move_seconds(prev, u), prev, u))
-            plan.append(("dwell", float(dwell), u, u))
+            plan.append(("dwell", dwell, u, u))
             prev = u
         return part, plan
     raise BadDescriptor(f"unknown pattern: {pattern!r}")
@@ -559,8 +552,8 @@ def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
     abrupt stop, so arrivals read as brief stops. Parts not named stay at
     their defaults (arms down, head up).
     """
-    if rate <= 0:
-        raise BadDescriptor("rate must be positive")
+    if not 0.0 < rate < math.inf:
+        raise BadDescriptor(f"rate must be a finite number > 0, got {rate}")
     part, plan = _segment_plan(descriptor)
     total = sum(seconds for _, seconds, _, _ in plan)
     n = int(round(total * rate))

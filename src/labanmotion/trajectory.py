@@ -123,8 +123,8 @@ class MotionDictionary:
     entries: dict[DictKey, DictEntry] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:
+            raise BadInput(f"tau must be a finite number > 0, got {self.tau}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +137,16 @@ def _check_rate(rate: float) -> None:
 
 
 def _keypose_arrays(keyposes: list[JointPose]) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
+    """(times (m,), sorted joint names, angles (m, J)) of timed poses; the
+    times must increase strictly and every pose must name the same joints."""
     times = np.array([p.t for p in keyposes], dtype=float)
     if np.any(np.diff(times) <= 0):
         bad = int(np.argmax(np.diff(times) <= 0)) + 1
-        raise TimeOrderError(bad, "key pose times must be strictly increasing")
+        raise TimeOrderError(bad, "pose times must be strictly increasing")
     joints = tuple(sorted(keyposes[0].angles)) if keyposes else ()
     for p in keyposes:
         if tuple(sorted(p.angles)) != joints:
-            raise ShapeError("key poses disagree on joint names")
+            raise ShapeError("poses disagree on joint names")
     angles = np.array([[p.angles[j] for j in joints] for p in keyposes], dtype=float)
     return times, joints, angles.reshape(len(keyposes), len(joints))
 
@@ -159,17 +161,22 @@ def _blend(mode: str, tau):
     raise ValueError(f"unknown interpolation mode: {mode!r}")
 
 
+def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
+    """(segment index, normalized segment time, angles) at time(s) ``t``, a
+    float or an (m,) array; times outside the key-pose span hold the end
+    poses."""
+    idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+    tau = np.clip((t - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    rows = angles[idx] + _blend(mode, tau)[..., None] * (angles[idx + 1] - angles[idx])
+    return idx, tau, rows
+
+
 def evaluate(keyposes: list[JointPose], mode: str, t: float) -> dict[str, float]:
     """Interpolated angles at an arbitrary time within the key-pose span."""
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
     times, joints, angles = _keypose_arrays(keyposes)
-    t = min(max(t, times[0]), times[-1])
-    k = int(np.searchsorted(times, t, side="right")) - 1
-    k = min(max(k, 0), len(times) - 2)
-    tau = (t - times[k]) / (times[k + 1] - times[k])
-    s = _blend(mode, float(tau))
-    row = angles[k] + s * (angles[k + 1] - angles[k])
+    row = _rows_at(times, angles, mode, t)[2]
     return {j: float(row[i]) for i, j in enumerate(joints)}
 
 
@@ -204,16 +211,9 @@ def resample_path(poses: list[JointPose], n: int = PATH_SAMPLES) -> MotionPath:
     """Per-joint linear resampling onto n uniform points of normalized time."""
     if len(poses) < 2:
         raise InsufficientData("need at least 2 observed samples")
-    times = np.array([p.t for p in poses], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        raise TimeOrderError(int(np.argmax(np.diff(times) <= 0)) + 1)
-    joints = tuple(sorted(poses[0].angles))
-    for p in poses:
-        if tuple(sorted(p.angles)) != joints:
-            raise ShapeError("observed samples disagree on joint names")
+    times, joints, data = _keypose_arrays(poses)
     u = (times - times[0]) / (times[-1] - times[0])
     grid = np.linspace(0.0, 1.0, n)
-    data = np.array([[p.angles[j] for j in joints] for p in poses], dtype=float)
     out = np.column_stack([np.interp(grid, u, data[:, c]) for c in range(len(joints))])
     return MotionPath(joints=joints, samples=out)
 
@@ -283,9 +283,7 @@ def synthesize(
         raise ShapeError("states must align 1:1 with key poses")
 
     grid = _sample_grid(float(times[0]), float(times[-1]), rate)
-    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 2)
-    tau = np.clip((grid - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    rows = angles[idx] + _blend(mode, tau)[:, None] * (angles[idx + 1] - angles[idx])
+    idx, tau, rows = _rows_at(times, angles, mode, grid)
     if mdict is not None and states is not None:
         # idx is sorted, so segment k's samples are rows[bounds[k]:bounds[k + 1]]
         bounds = np.searchsorted(idx, np.arange(len(times)))

@@ -20,7 +20,7 @@ from labanmotion.laban import (
     Level,
     VALID_LIMB_SYMBOLS,
 )
-from labanmotion.skeleton import JointName, SkeletonFrame, SkeletonSequence, joint_positions
+from labanmotion.skeleton import JointName, SkeletonSequence
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +112,6 @@ def rotate_about(v: np.ndarray, axis: np.ndarray, angle_rad: float) -> np.ndarra
 
 def transform_sequence(seq: SkeletonSequence, R: np.ndarray, t: np.ndarray) -> SkeletonSequence:
     return SkeletonSequence(seq.times.copy(), seq.positions @ R.T + t, seq.sample_rate)
-
-
-def frames_of(seq: SkeletonSequence) -> list[SkeletonFrame]:
-    return [seq.frame(i) for i in range(len(seq))]
-
-
-def sequence_of(frames: list[SkeletonFrame], sample_rate: float | None = None) -> SkeletonSequence:
-    return SkeletonSequence(
-        np.array([f.timestamp for f in frames], dtype=float),
-        np.array([joint_positions(f) for f in frames]),
-        sample_rate,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_criterion_03_keyframe_recall():
         seq = synth_motion(descriptor, rate=rate)
         segments = descriptor_timeline(descriptor)
         kfs = extract_keyframes(seq)
-        times = seq.timestamps()
+        times = seq.times
         kf_times = [float(times[i]) for i in kfs.merged]
         slack = 3.0 / rate
         ok = True
@@ -369,7 +369,7 @@ def test_criterion_09_dictionary_semantics():
     for _ in range(2):
         for a, b in zip(kfs.merged, kfs.merged[1:]):
             k2 = DictKey.from_states(
-                encode_pose(seq.frame(a), columns), encode_pose(seq.frame(b), columns)
+                encode_pose(seq.positions[a], columns), encode_pose(seq.positions[b], columns)
             )
             dict_update(mdict, k2, project_path(seq, a, b, robot))
     for k2, entry in mdict.entries.items():

@@ -278,15 +278,42 @@ def _score_text(duration: str, total: str) -> str:
      "run.cfg:1: peak_mode"),
     (["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"], "columns = legs\n",
      "run.cfg:1: columns"),
+    (["synth", "move_hold_move", "--part", "right_arm", "--from-pose", "place_low", "-o", "{tmp}/x.json"], None,
+     "to pose"),
+    (["synth", "move_hold_move", "--to-pose", "forward_middle", "-o", "{tmp}/x.json"], None, "from pose"),
+    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "forward_middle:x", "-o", "{tmp}/x.json"],
+     None, "dwell of forward_middle"),
+    (["synth", "static", "--rate", "nan", "-o", "{tmp}/x.json"], None, "rate"),
+    (["synth", "static", "--duration", "nan", "-o", "{tmp}/x.json"], None, "duration"),
+    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--move-seconds", "nan",
+      "-o", "{tmp}/x.json"], None, "move_seconds"),
+    (["keyframes", "{clip}", "--sigma=-1", "-o", "{tmp}/kf.json"], None, "sigma"),
+    (["keyframes", "{clip}", "--sigma", "nan", "-o", "{tmp}/kf.json"], None, "sigma"),
+    (["keyframes", "{clip}", "--prominence", "2", "-o", "{tmp}/kf.json"], None, "prominence"),
+    (["keyframes", "{clip}", "--rate", "0", "-o", "{tmp}/kf.json"], None, "rate"),
+    (["keyframes", "{clip}", "--rate", "nan", "-o", "{tmp}/kf.json"], None, "rate"),
+    (["keyframes", "{clip}", "--min-sep", "nan", "-o", "{tmp}/kf.json"], None, "min_separation"),
+    (["keyframes", "{clip}", "--merge-window", "inf", "-o", "{tmp}/kf.json"], None, "merge_window"),
+    (["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "0", "-o", "{tmp}/d.json"], None, "tau"),
+    (["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "nan", "-o", "{tmp}/d.json"], None, "tau"),
+    (["keyframes", "{tmp}/typed.json", "-o", "{tmp}/kf.json"], None, "frame 3: joint WristRight"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
-        "config-peak-mode-unknown", "config-columns-unknown"])
+        "config-peak-mode-unknown", "config-columns-unknown", "synth-no-to-pose", "synth-no-from-pose",
+        "synth-dwell-not-a-number", "synth-rate-nan", "synth-duration-nan", "synth-move-seconds-nan",
+        "keyframes-sigma-negative", "keyframes-sigma-nan", "keyframes-prominence-2", "keyframes-rate-0",
+        "keyframes-rate-nan",
+        "keyframes-min-sep-nan", "keyframes-merge-window-inf", "dict-tau-0", "dict-tau-nan",
+        "skeleton-string-coordinate"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
     (tmp_path / "nan.json").write_text(_score_text("NaN", "2.0"))
     (tmp_path / "inf.json").write_text(_score_text("1.0", "Infinity"))
+    typed = json.loads(open(clip).read())
+    typed["frames"][3]["joints"]["WristRight"][2] = "0.2"
+    (tmp_path / "typed.json").write_text(json.dumps(typed))
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
     capsys.readouterr()
@@ -295,6 +322,37 @@ def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err
+
+
+_NAN_LIMIT_ROBOT = """
+{"name": "r", "chains": [{"name": "right_arm", "segments": [
+  {"yaw_joint": "y", "pitch_joint": "p", "yaw_limits": [NaN, 90], "pitch_limits": [-90, 90]}]}],
+ "column_map": {"RightArm": ["right_arm/0"]}}
+"""
+
+
+@pytest.mark.parametrize("text,needle", [
+    ('{"name": "r", "chains": {"name": "c"}, "column_map": {}}', "$.chains: expected a list"),
+    ('{"name": "r", "chains": [1], "column_map": {}}', "$.chains[0]: expected an object"),
+    ('{"name": "r", "chains": [{"name": "c", "segments": "yaw"}], "column_map": {}}',
+     "$.chains[0].segments: expected a list"),
+    ('{"name": "r", "chains": [{"name": "c", "segments": [[]]}], "column_map": {}}',
+     "$.chains[0].segments[0]: expected an object"),
+    ('{"name": "r", "chains": [], "column_map": {}, "fixed_joints": 3}', "$.fixed_joints: expected a list"),
+    ('{"name": "r", "chains": [], "column_map": {}, "fixed_joints": ["body_yaw"]}',
+     "$.fixed_joints[0]: expected an object"),
+    (_NAN_LIMIT_ROBOT, "yaw_limits: bad limits [nan, 90]"),
+    (_NAN_LIMIT_ROBOT.replace("NaN", "-1" + "0" * 400), "yaw_limits: bad limits [-1000"),
+], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
+        "fixed-joints-not-list", "fixed-joint-not-object", "nan-limit", "limit-beyond-float-range"])
+def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
+    (tmp_path / "robot.json").write_text(text)
+    golden = os.path.join(DATA, "golden_frontal_score.json")
+    rc = main(["decode", golden, "--robot", str(tmp_path / "robot.json"), "-o", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert needle in err, err
 
 
 def test_dict_build_encodes_each_key_frame_once(tmp_path, monkeypatch):

@@ -19,9 +19,10 @@ from labanmotion.robot import symbol_to_vector
 from labanmotion.skeleton import (
     JOINT_INDEX,
     JointName,
-    SkeletonFrame,
     SkeletonSequence,
+    _pose_positions,
     body_frame,
+    pose_vector,
     synth_motion,
 )
 
@@ -31,45 +32,39 @@ D = Direction
 L = Level
 
 
-def _pose_frame(right_arm="place_low", left_arm="place_low", head="place_high"):
-    from labanmotion.skeleton import ALL_JOINTS, pose_vector, _pose_positions
-
-    pos = _pose_positions(
+def _pose(right_arm="place_low", left_arm="place_low", head="place_high"):
+    """(12, 3) standing pose with the arms and head along named directions."""
+    return _pose_positions(
         {"left": pose_vector(left_arm), "right": pose_vector(right_arm), "head": pose_vector(head)}
     )
-    return SkeletonFrame(timestamp=0.0, positions=dict(zip(ALL_JOINTS, pos)))
 
 
 def test_segment_direction_wrist_above_elbow():
-    frame = _pose_frame(right_arm="place_high")
-    v = segment_direction(frame, JointName.WristRight)
+    v = segment_direction(_pose(right_arm="place_high"), JointName.WristRight)
     assert np.allclose(v, [0, 0, 1], atol=1e-9)
 
 
 def test_segment_direction_forward():
-    frame = _pose_frame(right_arm="forward_middle")
-    v = segment_direction(frame, JointName.WristRight)
+    v = segment_direction(_pose(right_arm="forward_middle"), JointName.WristRight)
     assert np.allclose(v, [1, 0, 0], atol=1e-9)
 
 
 def test_segment_direction_world_invariant(rng):
-    frame = _pose_frame(right_arm="left_forward_high")
-    v0 = segment_direction(frame, JointName.WristRight)
+    pose = _pose(right_arm="left_forward_high")
+    v0 = segment_direction(pose, JointName.WristRight)
     for _ in range(10):
         R = random_rotation(rng)
         t = rng.normal(size=3)
-        moved = SkeletonFrame(
-            timestamp=0.0, positions={j: R @ p + t for j, p in frame.positions.items()}
-        )
+        moved = pose @ R.T + t
         v1 = segment_direction(moved, JointName.WristRight)
         assert np.max(np.abs(v1 - v0)) < 1e-6
 
 
 def test_segment_direction_degenerate():
-    frame = _pose_frame()
-    frame.positions[JointName.WristRight] = frame.positions[JointName.ElbowRight].copy()
+    pose = _pose()
+    pose[JOINT_INDEX[JointName.WristRight]] = pose[JOINT_INDEX[JointName.ElbowRight]]
     with pytest.raises(DegeneratePose):
-        segment_direction(frame, JointName.WristRight)
+        segment_direction(pose, JointName.WristRight)
 
 
 
@@ -88,12 +83,12 @@ def test_batched_body_frame_and_directions_match_per_frame(rng, rotated):
     distal = (JointName.WristLeft, JointName.ElbowLeft, JointName.WristRight, JointName.Head)
     batched = {j: segment_direction(seq.positions, j, bf) for j in distal}
     for i in range(len(seq)):
-        frame = seq.frame(i)
-        one = body_frame(frame)
+        pose = seq.positions[i]
+        one = body_frame(pose)
         for axis in ("origin", "forward", "left", "up"):
             assert np.array_equal(getattr(bf, axis)[i], getattr(one, axis))
         for j in distal:
-            assert np.array_equal(batched[j][i], segment_direction(frame, j))
+            assert np.array_equal(batched[j][i], segment_direction(pose, j))
 
 
 def test_batched_degenerate_pose_raises():
@@ -174,22 +169,20 @@ def test_quantization_robustness_under_10_degrees(rng):
 
 
 def test_encode_pose_tpose():
-    frame = _pose_frame(right_arm="right_middle", left_arm="left_middle")
-    symbols = encode_pose(frame, ARM_COLUMNS)
+    symbols = encode_pose(_pose(right_arm="right_middle", left_arm="left_middle"), ARM_COLUMNS)
     assert symbols["LeftArm"] == LabanSymbol(D.Left, L.Middle)
     assert symbols["RightArm"] == LabanSymbol(D.Right, L.Middle)
 
 
 def test_encode_pose_arms_down_head_up():
-    symbols = encode_pose(_pose_frame(), ARM_COLUMNS)
+    symbols = encode_pose(_pose(), ARM_COLUMNS)
     assert symbols["LeftArm"] == LabanSymbol(D.Place, L.Low)
     assert symbols["RightArm"] == LabanSymbol(D.Place, L.Low)
     assert symbols["Head"] == LabanSymbol(D.Place, L.High)
 
 
 def test_encode_pose_split_columns():
-    frame = _pose_frame(right_arm="forward_high")
-    symbols = encode_pose(frame, SPLIT_COLUMNS)
+    symbols = encode_pose(_pose(right_arm="forward_high"), SPLIT_COLUMNS)
     assert symbols["RightUpperArm"] == LabanSymbol(D.Forward, L.High)
     assert symbols["RightForearm"] == LabanSymbol(D.Forward, L.High)
 

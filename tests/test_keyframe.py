@@ -14,9 +14,9 @@ from labanmotion.keyframe import (
     merge_keyframes,
     smooth_signal,
 )
-from labanmotion.skeleton import ALL_JOINTS, JointName, SkeletonFrame, SkeletonSequence, synth_motion
+from labanmotion.skeleton import ALL_JOINTS, JointName, SkeletonSequence, synth_motion
 
-from conftest import oracle_energy, oracle_smooth, sequence_of
+from conftest import oracle_energy, oracle_smooth
 
 
 def _series(values):
@@ -50,14 +50,9 @@ def _translated_sequence(step_64ths=(3, -2, 1), n=64, rate=32.0):
     """Rigid constant-velocity translation built exactly: every coordinate is
     an integer number of 1/64 m, so finite differences of the affine motion
     are exact and the acceleration is a true zero rather than rounding dust."""
-    frames = []
-    for i in range(n):
-        pos = {
-            j: np.array([(b[c] + i * step_64ths[c]) / 64.0 for c in range(3)])
-            for j, b in _GRID_BASE.items()
-        }
-        frames.append(SkeletonFrame(timestamp=i / rate, positions=pos))
-    return sequence_of(frames, sample_rate=rate)
+    base = np.array([_GRID_BASE[j] for j in ALL_JOINTS])
+    positions = (base + np.arange(n)[:, None, None] * np.array(step_64ths)) / 64.0
+    return SkeletonSequence(np.arange(n) / rate, positions, sample_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +147,7 @@ def test_energy_move_hold_move_peak_inside_hold():
     params = EnergyParams()
     # brute-force oracle locates the maximum independently
     ref = oracle_energy(seq, JointName.WristRight, params.sigma)
-    ts = seq.timestamps()
+    ts = seq.times
     hold_start = ts[-1] - hold
     t_peak_oracle = ts[int(np.argmax(ref))]
     assert hold_start - 1e-9 <= t_peak_oracle <= ts[-1] + 1e-9

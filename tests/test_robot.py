@@ -19,7 +19,6 @@ from labanmotion.laban import (
 )
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
-    ConcatenationState,
     Segment,
     concatenate,
     decode_score,
@@ -27,7 +26,9 @@ from labanmotion.robot import (
     joints_to_vector,
     load_robot,
     parse_robot,
+    project_path,
     reduce_columns,
+    reduce_vectors,
     symbol_to_vector,
     vector_to_joints,
 )
@@ -68,27 +69,38 @@ def test_symbol_roundtrip_all_26():
         assert digitize(symbol_to_vector(sym)) == sym
 
 
+def _merge_arm(upper, fore, hist):
+    """Merge two directions on ``_merge_robot``'s one segment; ``hist`` is
+    updated in place."""
+    vectors = {"RightUpperArm": np.array(upper, dtype=float), "RightForearm": np.array(fore, dtype=float)}
+    return reduce_vectors(vectors, _merge_robot(), hist)["arm/0"]
+
+
 def test_concatenate_continue():
-    v, st = concatenate(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), ConcatenationState())
+    v = concatenate(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), None)
     assert np.allclose(v, [1, 0, 0], atol=1e-12)
-    assert np.allclose(st.last_direction, v, atol=0)
+    # the combined direction is the history the segment's next merge gets
+    hist = {}
+    assert np.array_equal(_merge_arm([1, 0, 0], [1, 0, 0], hist), v)
+    assert np.allclose(hist["arm/0"], v, atol=0)
 
 
 def test_concatenate_orthogonal():
-    v, _ = concatenate(np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]), ConcatenationState())
+    v = concatenate(np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]), None)
     r = 1.0 / math.sqrt(2.0)
     assert np.allclose(v, [r, 0, r], atol=1e-12)
 
 
 def test_concatenate_reverse_uses_history():
-    hist = ConcatenationState(last_direction=np.array([0.0, 0.0, 1.0]))
-    v, st = concatenate(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), hist)
+    v = concatenate(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), np.array([0.0, 0.0, 1.0]))
     assert np.allclose(v, [0, 0, 1], atol=1e-12)
-    assert np.allclose(st.last_direction, [0, 0, 1], atol=1e-12)
+    hist = {"arm/0": np.array([0.0, 0.0, 1.0])}
+    _merge_arm([1, 0, 0], [-1, 0, 0], hist)
+    assert np.allclose(hist["arm/0"], [0, 0, 1], atol=1e-12)
 
 
 def test_concatenate_reverse_cold_start_keeps_first():
-    v, _ = concatenate(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), ConcatenationState())
+    v = concatenate(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), None)
     assert np.allclose(v, [1, 0, 0], atol=1e-12)
 
 
@@ -100,8 +112,8 @@ def test_concatenate_commutative_and_planar(rng):
         b /= np.linalg.norm(b)
         if np.linalg.norm(a + b) < 1e-3:
             continue
-        v_ab, _ = concatenate(a, b, ConcatenationState())
-        v_ba, _ = concatenate(b, a, ConcatenationState())
+        v_ab = concatenate(a, b, None)
+        v_ba = concatenate(b, a, None)
         assert np.max(np.abs(v_ab - v_ba)) < 1e-12
         # result lies in span(a, b): zero component along a x b
         n = np.cross(a, b)
@@ -385,8 +397,7 @@ def test_decode_split_robot_copies_column():
     assert poses[0].angles["f_pitch"] == pytest.approx(45.0, abs=1e-9)
 
 
-def test_project_frame_continuous_directions():
-    from labanmotion.robot import project_frame
+def test_project_path_continuous_directions():
     from labanmotion.skeleton import synth_motion
 
     seq = synth_motion(
@@ -395,10 +406,10 @@ def test_project_frame_continuous_directions():
         rate=30.0,
     )
     robot = load_robot("frontal_7dof")
-    start = project_frame(seq.frame(0), robot, {})
-    end = project_frame(seq.frame(-1), robot, {})
+    start = project_path(seq, 0, 0, robot)[0]
+    end = project_path(seq, len(seq) - 1, len(seq) - 1, robot)[0]
     assert start.angles["r_shoulder_pitch"] == pytest.approx(-90.0, abs=1e-6)
     assert end.angles["r_shoulder_pitch"] == pytest.approx(0.0, abs=1e-6)
     # mid-move angles are intermediate, not quantized to 45-degree steps
-    mid = project_frame(seq.frame(len(seq) // 2), robot, {})
+    mid = project_path(seq, len(seq) // 2, len(seq) // 2, robot)[0]
     assert -90.0 < mid.angles["r_shoulder_pitch"] < 0.0

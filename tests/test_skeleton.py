@@ -14,8 +14,9 @@ from labanmotion.errors import (
 )
 from labanmotion.skeleton import (
     ALL_JOINTS,
+    JOINT_INDEX,
     JointName,
-    SkeletonFrame,
+    SkeletonSequence,
     body_frame,
     load_sequence,
     parse_sequence,
@@ -25,10 +26,11 @@ from labanmotion.skeleton import (
     synth_motion,
 )
 
-from conftest import frames_of, random_rotation, sequence_of, transform_sequence
+from conftest import random_rotation, transform_sequence
 
 
-def _upright_frame(t=0.0):
+def _upright_pose():
+    """(12, 3) positions of an upright pose with the arms held out sideways."""
     pos = {
         JointName.SpineBase: np.array([0.0, 0.0, 0.0]),
         JointName.SpineShoulder: np.array([0.0, 0.0, 0.5]),
@@ -43,28 +45,27 @@ def _upright_frame(t=0.0):
         JointName.HandLeft: np.array([0.0, 0.83, 0.5]),
         JointName.HandRight: np.array([0.0, -0.83, 0.5]),
     }
-    return SkeletonFrame(timestamp=t, positions=pos)
+    return np.array([pos[j] for j in ALL_JOINTS])
 
 
-def _file_obj(frames):
+def _file_obj(times):
+    """A skeleton file object with the upright pose at each time."""
+    joints = {j.value: list(map(float, p)) for j, p in zip(ALL_JOINTS, _upright_pose())}
     return {
         "sample_rate_hint": None,
-        "frames": [
-            {"t": f.timestamp, "joints": {j.value: list(map(float, p)) for j, p in f.positions.items()}}
-            for f in frames
-        ],
+        "frames": [{"t": t, "joints": {k: list(p) for k, p in joints.items()}} for t in times],
     }
 
 
 def test_load_two_frame_file(tmp_path):
     path = tmp_path / "seq.json"
-    path.write_text(json.dumps(_file_obj([_upright_frame(0.0), _upright_frame(0.1)])))
+    path.write_text(json.dumps(_file_obj([0.0, 0.1])))
     seq = load_sequence(str(path))
     assert len(seq) == 2
 
 
 def test_load_missing_joint(tmp_path):
-    obj = _file_obj([_upright_frame(0.0), _upright_frame(0.1)])
+    obj = _file_obj([0.0, 0.1])
     del obj["frames"][1]["joints"]["WristLeft"]
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(obj))
@@ -75,7 +76,7 @@ def test_load_missing_joint(tmp_path):
 
 
 def test_load_duplicate_timestamp(tmp_path):
-    obj = _file_obj([_upright_frame(0.0), _upright_frame(0.0)])
+    obj = _file_obj([0.0, 0.0])
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(obj))
     with pytest.raises(TimeOrderError) as exc:
@@ -84,7 +85,7 @@ def test_load_duplicate_timestamp(tmp_path):
 
 
 def test_load_non_finite_coordinate(tmp_path):
-    obj = _file_obj([_upright_frame(0.0)])
+    obj = _file_obj([0.0])
     obj["frames"][0]["joints"]["Head"][2] = float("nan")
     path = tmp_path / "seq.json"
     path.write_text(json.dumps(obj).replace("NaN", "NaN"))
@@ -147,6 +148,19 @@ MALFORMED = {
                         MalformedFrame, {"index": 2, "joint": "HandRight"}),
     "frames-before-time-order": ([_set([1, "t"], 0.0), _set([3, "joints", "Neck", 0], INF)],
                                  MalformedFrame, {"index": 3, "joint": "Neck"}),
+    "numeric-string-coordinate": ([_set([2, "joints", "Neck", 0], "0.1")], MalformedFrame,
+                                  {"index": 2, "joint": "Neck"}),
+    "bool-coordinate": ([_set([2, "joints", "WristLeft", 1], True)], MalformedFrame,
+                        {"index": 2, "joint": "WristLeft"}),
+    "string-and-bool-triple": ([_set([2, "joints", "HandRight"], ["0.1", True, 0.8])], MalformedFrame,
+                               {"index": 2, "joint": "HandRight"}),
+    "type-before-later-geometry": ([_set([1, "joints", "Head", 0], "0"), _set([2, "joints", "Neck", 0], NAN)],
+                                   MalformedFrame, {"index": 1, "joint": "Head"}),
+    "geometry-before-later-type": ([_set([1, "joints", "Head", 2], NAN), _set([2, "joints", "Neck", 1], False)],
+                                   MalformedFrame, {"index": 1, "joint": "Head"}),
+    "type-joint-order-within-frame": ([_set([2, "joints", "HandRight", 0], True),
+                                       _set([2, "joints", "SpineShoulder", 2], "0.5")],
+                                      MalformedFrame, {"index": 2, "joint": "SpineShoulder"}),
 }
 
 
@@ -161,7 +175,7 @@ def test_parse_malformed_skeleton(case):
     assert {k: getattr(exc.value, k) for k in attrs} == attrs
 
 
-def test_sample_rate_hint_needs_uniform_timestamps():
+def test_sample_rate_hint_needs_uniform_time_steps():
     obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.5}, rate=30.0)))
     assert parse_sequence(json.dumps(obj)).sample_rate == 30.0
     obj["frames"][4]["t"] += 0.01
@@ -176,27 +190,22 @@ def test_resample_identity_at_same_rate():
     seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
     out = resample(seq, 30.0)
     assert len(out) == len(seq)
-    for a, b in zip(frames_of(seq), frames_of(out)):
-        for j in ALL_JOINTS:
-            assert np.max(np.abs(a.positions[j] - b.positions[j])) < 1e-9
+    assert np.max(np.abs(seq.positions - out.positions)) < 1e-9
 
 
 def test_resample_midpoint():
-    f0 = _upright_frame(0.0)
-    f1 = _upright_frame(1.0)
-    for j in ALL_JOINTS:
-        f1.positions[j] = f1.positions[j] + np.array([1.0, 0.0, 0.0])
-    seq = sequence_of([f0, f1])
+    p0 = _upright_pose()
+    p1 = p0 + np.array([1.0, 0.0, 0.0])
+    seq = SkeletonSequence(np.array([0.0, 1.0]), np.stack([p0, p1]))
     out = resample(seq, 2.0)
     assert len(out) == 3
-    assert out.frame(1).timestamp == pytest.approx(0.5, abs=1e-12)
-    assert out.frame(1).positions[JointName.WristRight][0] == pytest.approx(
-        f0.positions[JointName.WristRight][0] + 0.5, abs=1e-12
-    )
+    wrist = JOINT_INDEX[JointName.WristRight]
+    assert out.times[1] == pytest.approx(0.5, abs=1e-12)
+    assert out.positions[1, wrist, 0] == pytest.approx(p0[wrist, 0] + 0.5, abs=1e-12)
 
 
 def test_resample_single_frame():
-    seq = sequence_of([_upright_frame(0.0)])
+    seq = SkeletonSequence(np.array([0.0]), _upright_pose()[None])
     with pytest.raises(InsufficientData):
         resample(seq, 30.0)
 
@@ -210,13 +219,11 @@ def test_resample_idempotent(rng):
     once = resample(seq, 30.0)
     twice = resample(once, 30.0)
     assert len(once) == len(twice)
-    for a, b in zip(frames_of(once), frames_of(twice)):
-        for j in ALL_JOINTS:
-            assert np.max(np.abs(a.positions[j] - b.positions[j])) < 1e-9
+    assert np.max(np.abs(once.positions - twice.positions)) < 1e-9
 
 
 def test_body_frame_axis_aligned():
-    bf = body_frame(_upright_frame())
+    bf = body_frame(_upright_pose())
     assert np.allclose(bf.up, [0, 0, 1], atol=1e-12)
     assert np.allclose(bf.left, [0, 1, 0], atol=1e-12)
     assert np.allclose(bf.forward, [1, 0, 0], atol=1e-12)
@@ -225,11 +232,7 @@ def test_body_frame_axis_aligned():
 
 def test_body_frame_rotated_90_about_z():
     Rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    frame = _upright_frame()
-    rotated = SkeletonFrame(
-        timestamp=0.0, positions={j: Rz @ p for j, p in frame.positions.items()}
-    )
-    bf = body_frame(rotated)
+    bf = body_frame(_upright_pose() @ Rz.T)
     assert np.allclose(bf.forward, Rz @ np.array([1.0, 0.0, 0.0]), atol=1e-9)
     assert np.allclose(bf.left, Rz @ np.array([0.0, 1.0, 0.0]), atol=1e-9)
     # orthonormality preserved
@@ -238,14 +241,12 @@ def test_body_frame_rotated_90_about_z():
 
 
 def test_body_frame_equivariance_randomized(rng):
-    frame = _upright_frame()
+    pose = _upright_pose()
     for _ in range(25):
         R = random_rotation(rng)
         t = rng.normal(size=3)
-        moved = SkeletonFrame(
-            timestamp=0.0, positions={j: R @ p + t for j, p in frame.positions.items()}
-        )
-        bf0 = body_frame(frame)
+        moved = pose @ R.T + t
+        bf0 = body_frame(pose)
         bf1 = body_frame(moved)
         assert np.max(np.abs(bf1.forward - R @ bf0.forward)) < 1e-6
         assert np.max(np.abs(bf1.left - R @ bf0.left)) < 1e-6
@@ -253,7 +254,7 @@ def test_body_frame_equivariance_randomized(rng):
 
 
 def test_body_frame_orthonormal_and_right_handed():
-    bf = body_frame(_upright_frame())
+    bf = body_frame(_upright_pose())
     for v in (bf.forward, bf.left, bf.up):
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
     assert abs(bf.forward @ bf.left) < 1e-9
@@ -264,19 +265,17 @@ def test_body_frame_orthonormal_and_right_handed():
 
 
 def test_body_frame_degenerate_shoulders():
-    frame = _upright_frame()
-    frame.positions[JointName.ShoulderLeft] = frame.positions[JointName.ShoulderRight].copy()
+    pose = _upright_pose()
+    pose[JOINT_INDEX[JointName.ShoulderLeft]] = pose[JOINT_INDEX[JointName.ShoulderRight]]
     with pytest.raises(DegeneratePose):
-        body_frame(frame)
+        body_frame(pose)
 
 
 def test_synth_static_frame_count_and_constancy():
     seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
     assert len(seq) == 60
-    first = seq.frame(0)
-    for f in frames_of(seq)[1:]:
-        for j in ALL_JOINTS:
-            assert np.array_equal(f.positions[j], first.positions[j])
+    for pose in seq.positions[1:]:
+        assert np.array_equal(pose, seq.positions[0])
 
 
 def test_synth_move_hold_move_constant_on_hold():
@@ -286,7 +285,7 @@ def test_synth_move_hold_move_constant_on_hold():
          "from_pose": "place_low", "to_pose": "forward_middle", "hold": hold},
         rate=30.0,
     )
-    ts = seq.timestamps()
+    ts = seq.times
     hold_start = ts[-1] - hold + 1e-9
     wrist = seq.positions_of(JointName.WristRight)
     on_hold = wrist[ts >= hold_start]
@@ -341,10 +340,8 @@ def test_serialize_load_roundtrip_bitwise(tmp_path):
     back = load_sequence(str(path))
     assert back.sample_rate == seq.sample_rate
     assert len(back) == len(seq)
-    for a, b in zip(frames_of(seq), frames_of(back)):
-        assert a.timestamp == b.timestamp
-        for j in ALL_JOINTS:
-            assert np.array_equal(a.positions[j], b.positions[j])
+    assert np.array_equal(back.times, seq.times)
+    assert np.array_equal(back.positions, seq.positions)
 
 
 def test_serialize_parse_identity_twice():
