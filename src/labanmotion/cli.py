@@ -9,33 +9,19 @@ A config file of ``key = value`` lines can seed any flag; explicit flags win.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 
 from . import encoder, keyframe, laban, robot as robot_mod, skeleton, trajectory
 from .errors import LabanMotionError, NoKeyFrames
 
-CONFIG_KEYS = {
-    "rate",
-    "sigma",
-    "prominence",
-    "min_sep",
-    "merge_window",
-    "peak_mode",
-    "columns",
-    "interp",
-    "tau",
-    "robot",
-    "dict",
-    "force_final_keyframe",
-    "move_seconds",
-    "traj_rate",
-}
-
 _FLOAT_KEYS = {"rate", "sigma", "prominence", "min_sep", "merge_window", "tau", "move_seconds", "traj_rate"}
 _BOOL_KEYS = {"force_final_keyframe"}
+_BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
 # allowed values of the keys whose flags take a fixed set; argparse and the
 # config reader both check against these
 CHOICES = {
@@ -43,6 +29,7 @@ CHOICES = {
     "peak_mode": ("max", "min"),
     "columns": ("arm", "split"),
 }
+CONFIG_KEYS = _FLOAT_KEYS | _BOOL_KEYS | set(CHOICES) | {"robot", "dict"}
 
 
 def _read_config(path: str) -> dict:
@@ -65,7 +52,11 @@ def _read_config(path: str) -> dict:
                 if not math.isfinite(cfg[key]):
                     raise LabanMotionError(f"{path}:{lineno}: {key} needs a finite number, got {value!r}")
             elif key in _BOOL_KEYS:
-                cfg[key] = value.lower() in ("1", "true", "yes")
+                if value.lower() not in _BOOLS:
+                    raise LabanMotionError(
+                        f"{path}:{lineno}: {key} must be one of {', '.join(_BOOLS)}, got {value!r}"
+                    )
+                cfg[key] = _BOOLS[value.lower()]
             elif key in CHOICES and value not in CHOICES[key]:
                 raise LabanMotionError(
                     f"{path}:{lineno}: {key} must be one of {', '.join(CHOICES[key])}, got {value!r}"
@@ -73,30 +64,6 @@ def _read_config(path: str) -> dict:
             else:
                 cfg[key] = value
     return cfg
-
-
-def _setting(args, cfg: dict, key: str, default):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg:
-        return cfg[key]
-    return default
-
-
-def _energy_params(args, cfg) -> keyframe.EnergyParams:
-    return keyframe.EnergyParams(
-        sigma=_setting(args, cfg, "sigma", 0.1),
-        prominence=_setting(args, cfg, "prominence", 0.1),
-        min_separation=_setting(args, cfg, "min_sep", 0.25),
-        merge_window=_setting(args, cfg, "merge_window", 0.2),
-        peak_mode=_setting(args, cfg, "peak_mode", "max"),
-    )
-
-
-def _load_uniform(path: str, rate: float) -> skeleton.SkeletonSequence:
-    seq = skeleton.load_sequence(path)
-    return skeleton.resample(seq, rate)
 
 
 def _force_final(kfs: keyframe.KeyFrameSet, n_frames: int, rate: float) -> keyframe.KeyFrameSet:
@@ -108,165 +75,166 @@ def _force_final(kfs: keyframe.KeyFrameSet, n_frames: int, rate: float) -> keyfr
     return keyframe.KeyFrameSet(per_part=kfs.per_part, merged=merged, params=kfs.params)
 
 
-def _keyframes_obj(seq: skeleton.SkeletonSequence, kfs: keyframe.KeyFrameSet) -> dict:
+def _keyframes_json(seq: skeleton.SkeletonSequence, kfs: keyframe.KeyFrameSet) -> str:
     ts = seq.times
-    return {
+    per_part = sorted(kfs.per_part.items(), key=lambda kv: kv[0].value)
+    return json.dumps({
         "sample_rate": seq.sample_rate,
-        "params": {
-            "sigma": kfs.params.sigma,
-            "prominence": kfs.params.prominence,
-            "min_separation": kfs.params.min_separation,
-            "merge_window": kfs.params.merge_window,
-            "peak_mode": kfs.params.peak_mode,
-        },
-        "per_part": {p.value: list(v) for p, v in sorted(kfs.per_part.items(), key=lambda kv: kv[0].value)},
-        "per_part_times": {
-            p.value: [round(float(ts[i]), 6) for i in v]
-            for p, v in sorted(kfs.per_part.items(), key=lambda kv: kv[0].value)
-        },
+        "params": {k: getattr(kfs.params, k)
+                   for k in ("sigma", "prominence", "min_separation", "merge_window", "peak_mode")},
+        "per_part": {p.value: list(v) for p, v in per_part},
+        "per_part_times": {p.value: [round(float(ts[i]), 6) for i in v] for p, v in per_part},
         "merged": list(kfs.merged),
         "merged_times": [round(float(ts[i]), 6) for i in kfs.merged],
-    }
+    }, indent=2, sort_keys=True) + "\n"
 
 
-class _Stage:
-    """Optional per-stage timing/count lines on stderr."""
-
-    def __init__(self, verbose: bool):
-        self.verbose = verbose
-
-    def done(self, name: str, started: float, **counts):
-        if self.verbose:
-            extras = " ".join(f"{k}={v}" for k, v in counts.items())
-            print(f"[{name}] {time.perf_counter() - started:.3f}s {extras}".rstrip(), file=sys.stderr)
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
-def _detect(seq, args, cfg, stage: _Stage) -> keyframe.KeyFrameSet:
-    t0 = time.perf_counter()
-    params = _energy_params(args, cfg)
-    kfs = keyframe.extract_keyframes(seq, params)
-    if _setting(args, cfg, "force_final_keyframe", False):
-        kfs = _force_final(kfs, len(seq), seq.sample_rate)
-    stage.done("keyframes", t0, merged=len(kfs.merged))
-    return kfs
+class _Run:
+    """One command's settings and the pipeline stages it runs.
+
+    A setting resolves as its flag, then the config file, then the default.
+    Observation (skeleton -> key frames -> score) is the same for every
+    robot; mapping (score -> key poses -> trajectory) is per robot. Library
+    functions are reached through their modules at call time, so wrappers
+    installed on a module see every call.
+    """
+
+    def __init__(self, args, cfg: dict):
+        self.args = args
+        self.cfg = cfg
+
+    def get(self, key: str, default=None):
+        flag = getattr(self.args, key, None)
+        return flag if flag is not None else self.cfg.get(key, default)
+
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Time the block; with --verbose print one ``[name] seconds k=v``
+        line with the counts the block puts into the yielded dict."""
+        counts: dict = {}
+        started = time.perf_counter()
+        yield counts
+        if self.args.verbose:
+            extras = "".join(f" {k}={v}" for k, v in counts.items())
+            print(f"[{name}] {time.perf_counter() - started:.3f}s{extras}", file=sys.stderr)
+
+    def observe(self, path: str) -> tuple[skeleton.SkeletonSequence, keyframe.KeyFrameSet]:
+        """Load and resample a skeleton, then detect its key frames."""
+        with self.stage("load") as counts:
+            seq = skeleton.resample(skeleton.load_sequence(path), self.get("rate", 30.0))
+            counts["frames"] = len(seq)
+        with self.stage("keyframes") as counts:
+            params = keyframe.EnergyParams(
+                sigma=self.get("sigma", 0.1),
+                prominence=self.get("prominence", 0.1),
+                min_separation=self.get("min_sep", 0.25),
+                merge_window=self.get("merge_window", 0.2),
+                peak_mode=self.get("peak_mode", "max"),
+            )
+            kfs = keyframe.extract_keyframes(seq, params)
+            if self.get("force_final_keyframe", False):
+                kfs = _force_final(kfs, len(seq), seq.sample_rate)
+            counts["merged"] = len(kfs.merged)
+        return seq, kfs
+
+    def encode(self, seq: skeleton.SkeletonSequence, kfs: keyframe.KeyFrameSet) -> laban.LabanScore:
+        with self.stage("encode") as counts:
+            columns = encoder.columns_for_mode(self.get("columns", "arm"))
+            score = encoder.encode_sequence(seq, kfs, columns)
+            counts["cells"] = sum(len(c.cells) for c in score.columns)
+        return score
+
+    def robot(self) -> robot_mod.RobotDescription:
+        path = self.get("robot")
+        if path is None:
+            raise LabanMotionError("a robot description is required (--robot)")
+        return robot_mod.load_robot(path)
+
+    def decode(self, score: laban.LabanScore) -> tuple[robot_mod.RobotDescription, list[robot_mod.DecodedPose]]:
+        robot = self.robot()
+        with self.stage("decode") as counts:
+            decoded = robot_mod.decode_score_detailed(score, robot)
+            counts["poses"] = len(decoded)
+        return robot, decoded
+
+    def synthesize(self, decoded: list[robot_mod.DecodedPose], rate: float) -> trajectory.Trajectory:
+        dict_path = self.get("dict")
+        mdict = trajectory.load_dictionary(dict_path) if dict_path else None
+        with self.stage("trajectory") as counts:
+            poses = [d.pose for d in decoded]
+            if len(poses) >= 2:
+                traj = trajectory.synthesize(poses, [d.states for d in decoded], mdict,
+                                             self.get("interp", "linear"), rate)
+            else:
+                traj = trajectory.Trajectory.from_poses(poses, rate)
+            counts["samples"] = len(traj.samples)
+        return traj
 
 
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_synth(args, cfg) -> int:
-    rate = _setting(args, cfg, "rate", 30.0)
+def _cmd_synth(run: _Run) -> int:
+    args = run.args
     descriptor: dict = {"pattern": args.pattern}
-    if args.duration is not None:
-        descriptor["duration"] = args.duration
-    if args.part is not None:
-        descriptor["part"] = args.part
-    if args.from_pose is not None:
-        descriptor["from_pose"] = args.from_pose
-    if args.to_pose is not None:
-        descriptor["to_pose"] = args.to_pose
-    if args.hold is not None:
-        descriptor["hold"] = args.hold
-    move_seconds = _setting(args, cfg, "move_seconds", None)
-    if move_seconds is not None:
-        descriptor["move_seconds"] = move_seconds
+    for key in ("duration", "part", "from_pose", "to_pose", "hold", "move_seconds"):
+        if run.get(key) is not None:
+            descriptor[key] = run.get(key)
     if args.pose:
         poses = []
         for item in args.pose:
             name, _, dwell = item.partition(":")
             poses.append([name, dwell or 0.5])  # synth_motion checks the dwell
         descriptor["poses"] = poses
-    seq = skeleton.synth_motion(descriptor, rate=rate)
+    seq = skeleton.synth_motion(descriptor, rate=run.get("rate", 30.0))
     skeleton.save_sequence(seq, args.output)
     return 0
 
 
-def _cmd_keyframes(args, cfg) -> int:
-    stage = _Stage(args.verbose)
-    rate = _setting(args, cfg, "rate", 30.0)
-    seq = _load_uniform(args.skeleton, rate)
-    kfs = _detect(seq, args, cfg, stage)
-    with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump(_keyframes_obj(seq, kfs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _cmd_keyframes(run: _Run) -> int:
+    seq, kfs = run.observe(run.args.skeleton)
+    _write(run.args.output, _keyframes_json(seq, kfs))
     return 0
 
 
-def _cmd_encode(args, cfg) -> int:
-    stage = _Stage(args.verbose)
-    rate = _setting(args, cfg, "rate", 30.0)
-    seq = _load_uniform(args.skeleton, rate)
-    kfs = _detect(seq, args, cfg, stage)
-    columns = encoder.columns_for_mode(_setting(args, cfg, "columns", "arm"))
-    t0 = time.perf_counter()
-    score = encoder.encode_sequence(seq, kfs, columns)
-    stage.done("encode", t0, cells=sum(len(c.cells) for c in score.columns))
-    laban.save_score(score, args.output)
+def _cmd_encode(run: _Run) -> int:
+    laban.save_score(run.encode(*run.observe(run.args.skeleton)), run.args.output)
     return 0
 
 
-def _load_robot(args, cfg) -> robot_mod.RobotDescription:
-    path = _setting(args, cfg, "robot", None)
-    if path is None:
-        raise LabanMotionError("a robot description is required (--robot)")
-    return robot_mod.load_robot(path)
-
-
-def _decode_to_csv(score: laban.LabanScore, robot, rate: float, path: str, args, cfg,
-                   stage: _Stage) -> tuple[list[robot_mod.DecodedPose], trajectory.Trajectory]:
-    """Decode the score, synthesize its trajectory and write it as CSV."""
-    t0 = time.perf_counter()
-    decoded = robot_mod.decode_score_detailed(score, robot)
-    stage.done("decode", t0, poses=len(decoded))
-    mdict = None
-    dict_path = _setting(args, cfg, "dict", None)
-    if dict_path:
-        mdict = trajectory.load_dictionary(dict_path)
-    t0 = time.perf_counter()
-    poses = [d.pose for d in decoded]
-    if len(poses) >= 2:
-        states = [d.states for d in decoded]
-        traj = trajectory.synthesize(poses, states, mdict, _setting(args, cfg, "interp", "linear"), rate)
-    else:
-        traj = trajectory.Trajectory.from_poses(poses, rate)
-    stage.done("trajectory", t0, samples=len(traj.samples))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory.trajectory_to_csv(traj))
-    return decoded, traj
-
-
-def _cmd_decode(args, cfg) -> int:
-    score = laban.load_score(args.score)
-    robot = _load_robot(args, cfg)
-    _decode_to_csv(score, robot, _setting(args, cfg, "rate", 100.0), args.output, args, cfg,
-                   _Stage(args.verbose))
+def _cmd_decode(run: _Run) -> int:
+    _, decoded = run.decode(laban.load_score(run.args.score))
+    traj = run.synthesize(decoded, run.get("rate", 100.0))
+    _write(run.args.output, trajectory.trajectory_to_csv(traj))
     return 0
 
 
-def _cmd_dict_build(args, cfg) -> int:
-    stage = _Stage(args.verbose)
-    robot = _load_robot(args, cfg)
-    rate = _setting(args, cfg, "rate", 30.0)
-    mdict = trajectory.MotionDictionary(tau=_setting(args, cfg, "tau", trajectory.DEFAULT_TAU_DEG))
+def _cmd_dict_build(run: _Run) -> int:
+    robot = run.robot()
+    mdict = trajectory.MotionDictionary(tau=run.get("tau", trajectory.DEFAULT_TAU_DEG))
     columns = tuple(c for c in sorted(robot.column_map) if c in encoder.COLUMN_DISTAL)
-    for path in sorted(args.skeletons):  # lexicographic: deterministic merge order
-        t0 = time.perf_counter()
-        seq = _load_uniform(path, rate)
-        kfs = _detect(seq, args, cfg, stage)
+    for path in sorted(run.args.skeletons):  # lexicographic: deterministic merge order
+        seq, kfs = run.observe(path)
         merged = kfs.merged
-        states = [encoder.encode_pose(seq.positions[i], columns) for i in merged]
-        for k in range(len(merged) - 1):
-            observed = robot_mod.project_path(seq, merged[k], merged[k + 1], robot)
-            key = trajectory.DictKey.from_states(states[k], states[k + 1])
-            trajectory.dict_update(mdict, key, observed)
-        stage.done(f"build {path}", t0, transitions=max(len(merged) - 1, 0))
-    trajectory.save_dictionary(mdict, args.output)
+        with run.stage(f"build {path}") as counts:
+            states = [encoder.encode_pose(seq.positions[i], columns) for i in merged]
+            for k in range(len(merged) - 1):
+                observed = robot_mod.project_path(seq, merged[k], merged[k + 1], robot)
+                key = trajectory.DictKey.from_states(states[k], states[k + 1])
+                trajectory.dict_update(mdict, key, observed)
+            counts["transitions"] = max(len(merged) - 1, 0)
+    trajectory.save_dictionary(mdict, run.args.output)
     return 0
 
 
-def _cmd_dict_stats(args, cfg) -> int:
-    mdict = trajectory.load_dictionary(args.dictionary)
+def _cmd_dict_stats(run: _Run) -> int:
+    mdict = trajectory.load_dictionary(run.args.dictionary)
     print(f"tau: {mdict.tau}")
     print(f"entries: {len(mdict.entries)}")
     for key in sorted(mdict.entries, key=str):
@@ -276,10 +244,8 @@ def _cmd_dict_stats(args, cfg) -> int:
     return 0
 
 
-def _cmd_roundtrip(args, cfg) -> int:
-    score = laban.load_score(args.score)
-    robot = _load_robot(args, cfg)
-    decoded = robot_mod.decode_score_detailed(score, robot)
+def _cmd_roundtrip(run: _Run) -> int:
+    robot, decoded = run.decode(laban.load_score(run.args.score))
     matched = 0
     mismatched = 0
     clamped: list[str] = []
@@ -311,26 +277,13 @@ def _cmd_roundtrip(args, cfg) -> int:
     return 0 if mismatched == 0 else 1
 
 
-def _cmd_pipeline(args, cfg) -> int:
-    import os
-
-    stage = _Stage(args.verbose)
-    os.makedirs(args.output, exist_ok=True)
-    rate = _setting(args, cfg, "rate", 30.0)
-    seq = _load_uniform(args.skeleton, rate)
-    kfs = _detect(seq, args, cfg, stage)
-    with open(os.path.join(args.output, "keyframes.json"), "w", encoding="utf-8") as fh:
-        json.dump(_keyframes_obj(seq, kfs), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    columns = encoder.columns_for_mode(_setting(args, cfg, "columns", "arm"))
-    score = encoder.encode_sequence(seq, kfs, columns)
-    laban.save_score(score, os.path.join(args.output, "score.json"))
-
-    robot = _load_robot(args, cfg)
-    decoded, traj = _decode_to_csv(score, robot, _setting(args, cfg, "traj_rate", 100.0),
-                                   os.path.join(args.output, "trajectory.csv"), args, cfg, stage)
-
+def _cmd_pipeline(run: _Run) -> int:
+    out = run.args.output
+    os.makedirs(out, exist_ok=True)  # an unusable output path fails before any stage runs
+    seq, kfs = run.observe(run.args.skeleton)
+    score = run.encode(seq, kfs)
+    robot, decoded = run.decode(score)
+    traj = run.synthesize(decoded, run.get("traj_rate", 100.0))
     report = {
         "frames": len(seq),
         "merged_keyframes": len(kfs.merged),
@@ -342,9 +295,11 @@ def _cmd_pipeline(args, cfg) -> int:
         ),
         "robot": robot.name,
     }
-    with open(os.path.join(args.output, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # every stage has succeeded: a failing run leaves no partial output
+    _write(os.path.join(out, "keyframes.json"), _keyframes_json(seq, kfs))
+    laban.save_score(score, os.path.join(out, "score.json"))
+    _write(os.path.join(out, "trajectory.csv"), trajectory.trajectory_to_csv(traj))
+    _write(os.path.join(out, "report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -440,7 +395,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _read_config(args.config) if args.config else {}
-        return args.func(args, cfg)
+        return args.func(_Run(args, cfg))
     except NoKeyFrames as exc:
         print(f"error: {exc} (try --force-final-keyframe)", file=sys.stderr)
         return 1

@@ -124,7 +124,7 @@ def _limits(obj, key, where) -> tuple[float, float]:
     if (
         not isinstance(pair, (list, tuple))
         or len(pair) != 2
-        or not all(isinstance(x, (int, float)) for x in pair)
+        or not all(type(x) in (int, float) for x in pair)  # exact: a bool is an int
     ):
         raise ParseError(f"{where}.{key}", "expected [lo, hi] degrees")
     # compared before conversion: an integer beyond the float range has no float

@@ -69,6 +69,10 @@ PARENT: dict[JointName, JointName | None] = {
 
 ALL_JOINTS: tuple[JointName, ...] = tuple(JointName)
 JOINT_INDEX: dict[JointName, int] = {j: k for k, j in enumerate(ALL_JOINTS)}
+# largest uniform grid that resampling, synthesis and trajectories build
+# (about 5.5 h at 100 Hz, 16 MB per array column); more raises BadInput
+MAX_SAMPLES = 2_000_000
+
 _JOINT_KEYS: tuple[str, ...] = tuple(j.value for j in ALL_JOINTS)
 _CHILDREN: tuple[JointName, ...] = tuple(j for j in ALL_JOINTS if PARENT[j] is not None)
 _CHILD_IDX = [JOINT_INDEX[j] for j in _CHILDREN]
@@ -279,25 +283,37 @@ def save_sequence(seq: SkeletonSequence, path: str) -> None:
         fh.write(serialize_sequence(seq))
 
 
+def _check_sample_count(steps: float, span: float, rate: float) -> None:
+    """BadInput unless ``steps`` (a span times a rate) stays below
+    :data:`MAX_SAMPLES`; call it before anything is allocated."""
+    if not steps < MAX_SAMPLES:  # False for NaN
+        raise BadInput(f"a {span:g} s span at {rate:g} Hz needs more than {MAX_SAMPLES} samples")
+
+
+def uniform_grid(t0: float, t1: float, rate: float) -> np.ndarray:
+    """Times ``t0 + i / rate`` from ``t0`` through ``t1``."""
+    # the microsecond slack keeps the final time on the grid even when
+    # 6-decimal quantization left the span a hair under a whole step count
+    steps = (t1 - t0) * rate + 1e-6 * rate + 1e-9
+    _check_sample_count(steps, t1 - t0, rate)
+    return t0 + np.arange(int(math.floor(steps)) + 1) / rate
+
+
 def resample(seq: SkeletonSequence, rate: float) -> SkeletonSequence:
     """Resample to a uniform grid from the first to the last timestamp.
 
-    Positions are interpolated linearly per coordinate. Idempotent when the
-    input is already uniform at the requested rate.
+    Positions are interpolated linearly per coordinate, clamping at the ends.
+    Idempotent when the input is already uniform at the requested rate.
     """
     if not 0.0 < rate < math.inf:
         raise BadInput(f"resample rate must be a finite number > 0, got {rate}")
     if len(seq) < 2:
         raise InsufficientData("resample needs at least 2 frames")
     ts = seq.times
-    t0, t1 = float(ts[0]), float(ts[-1])
-    # microsecond slack: spans quantized to 6 decimals still cover the last
-    # original timestamp; interpolation clamps at the ends
-    n = int(math.floor((t1 - t0) * rate + 1e-6 * rate + 1e-9)) + 1
-    grid = t0 + np.arange(n) / rate
+    grid = uniform_grid(float(ts[0]), float(ts[-1]), rate)
     coords = seq.positions.reshape(len(ts), -1)
     out = np.column_stack([np.interp(grid, ts, coords[:, c]) for c in range(coords.shape[1])])
-    return SkeletonSequence(grid, out.reshape((n,) + seq.positions.shape[1:]), float(rate))
+    return SkeletonSequence(grid, out.reshape(grid.shape + seq.positions.shape[1:]), float(rate))
 
 
 _MIN_SPAN = 1e-6  # meters; below this the pose cannot define a frame
@@ -556,6 +572,7 @@ def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
         raise BadDescriptor(f"rate must be a finite number > 0, got {rate}")
     part, plan = _segment_plan(descriptor)
     total = sum(seconds for _, seconds, _, _ in plan)
+    _check_sample_count(total * rate, total, rate)
     n = int(round(total * rate))
     if n < 1:
         raise BadDescriptor("descriptor spans less than one frame")

@@ -25,12 +25,10 @@ import numpy as np
 from .errors import BadInput, InsufficientData, ParseError, ShapeError, TimeOrderError, ValidationError
 from .laban import Direction, LabanSymbol, Level
 from .robot import JointPose
+from .skeleton import uniform_grid
 
 PATH_SAMPLES = 32
 DEFAULT_TAU_DEG = 10.0
-# largest sample grid synthesize builds (about 5.5 h at 100 Hz, 16 MB per
-# array column); a longer span or a higher rate raises BadInput
-MAX_TRAJECTORY_SAMPLES = 2_000_000
 
 
 @dataclass(eq=False)
@@ -180,18 +178,6 @@ def evaluate(keyposes: list[JointPose], mode: str, t: float) -> dict[str, float]
     return {j: float(row[i]) for i, j in enumerate(joints)}
 
 
-def _sample_grid(t0: float, t1: float, rate: float) -> np.ndarray:
-    # the microsecond slack keeps the final key time on the grid even when
-    # 6-decimal quantization left the span a hair under a whole step count
-    steps = (t1 - t0) * rate + 1e-6 * rate + 1e-9
-    if not steps < MAX_TRAJECTORY_SAMPLES:  # checked before anything is allocated
-        raise BadInput(
-            f"a {t1 - t0:g} s trajectory at {rate:g} Hz needs more than "
-            f"{MAX_TRAJECTORY_SAMPLES} samples"
-        )
-    return t0 + np.arange(int(math.floor(steps)) + 1) / rate
-
-
 def interpolate(keyposes: list[JointPose], mode: str, rate: float) -> Trajectory:
     """Uniformly sampled trajectory through the key poses.
 
@@ -282,7 +268,7 @@ def synthesize(
     if states is not None and len(states) != len(keyposes):
         raise ShapeError("states must align 1:1 with key poses")
 
-    grid = _sample_grid(float(times[0]), float(times[-1]), rate)
+    grid = uniform_grid(float(times[0]), float(times[-1]), rate)
     idx, tau, rows = _rows_at(times, angles, mode, grid)
     if mdict is not None and states is not None:
         # idx is sorted, so segment k's samples are rows[bounds[k]:bounds[k + 1]]

@@ -203,6 +203,44 @@ def test_verbose_stderr_lines(tmp_path, capsys):
     assert main(["--verbose", "keyframes", clip, "-o", str(tmp_path / "kf.json")]) == 0
     err = capsys.readouterr().err
     assert "[keyframes]" in err
+    quiet, loud = tmp_path / "quiet", tmp_path / "loud"
+    assert main(["pipeline", clip, "--robot", "frontal_7dof", "-o", str(quiet)]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["--verbose", "pipeline", clip, "--robot", "frontal_7dof", "-o", str(loud)]) == 0
+    stages = [line.split("]")[0] + "]" for line in capsys.readouterr().err.splitlines()]
+    for name in ("[keyframes]", "[encode]", "[decode]", "[trajectory]"):
+        assert stages.count(name) == 1, stages
+    assert sorted(os.listdir(loud)) == sorted(os.listdir(quiet))
+    for name in os.listdir(quiet):
+        assert (loud / name).read_bytes() == (quiet / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "{clip}", "--robot", "frontal_7dof", "--columns", "split"],
+    ["pipeline", "{clip}"],
+    ["pipeline", "{clip}", "--robot", "frontal_7dof", "--dict", "{tmp}/nope.json"],
+    ["pipeline", "{clip}", "--robot", "frontal_7dof", "--traj-rate", "-1"],
+    ["pipeline", "{static}", "--robot", "frontal_7dof"],
+], ids=["split-columns-on-arm-robot", "no-robot", "missing-dict", "traj-rate-negative", "static-no-force-final"])
+def test_failed_pipeline_writes_nothing(tmp_path, capsys, argv):
+    clip = _synth(tmp_path)
+    static = _synth(tmp_path, "static.json", ["synth", "static", "-o", str(tmp_path / "static.json")])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    rc = main([a.format(tmp=tmp_path, clip=clip, static=static) for a in argv] + ["-o", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("value,rc", [("1", 0), ("TRUE", 0), ("Yes", 0), ("0", 1), ("false", 1), ("NO", 1)])
+def test_config_bool_values(tmp_path, value, rc):
+    clip = _synth(tmp_path, "static.json", ["synth", "static", "-o", str(tmp_path / "static.json")])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"force_final_keyframe = {value}\n")
+    # a static clip has key frames only when the final frame is forced
+    assert main(["--config", str(cfg), "encode", clip, "-o", str(tmp_path / "score.json")]) == rc
 
 
 def test_decode_single_pose_score(tmp_path):
@@ -297,6 +335,11 @@ def _score_text(duration: str, total: str) -> str:
     (["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "0", "-o", "{tmp}/d.json"], None, "tau"),
     (["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "nan", "-o", "{tmp}/d.json"], None, "tau"),
     (["keyframes", "{tmp}/typed.json", "-o", "{tmp}/kf.json"], None, "frame 3: joint WristRight"),
+    (["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"],
+     "force_final_keyframe = maybe\n", "run.cfg:1: force_final_keyframe"),
+    # both grids would far exceed the sample cap, which is checked before any allocation
+    (["keyframes", "{clip}", "--rate", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
+    (["synth", "static", "--rate", "1e9", "-o", "{tmp}/x.json"], None, "samples"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -305,7 +348,7 @@ def _score_text(duration: str, total: str) -> str:
         "keyframes-sigma-negative", "keyframes-sigma-nan", "keyframes-prominence-2", "keyframes-rate-0",
         "keyframes-rate-nan",
         "keyframes-min-sep-nan", "keyframes-merge-window-inf", "dict-tau-0", "dict-tau-nan",
-        "skeleton-string-coordinate"])
+        "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -343,8 +386,10 @@ _NAN_LIMIT_ROBOT = """
      "$.fixed_joints[0]: expected an object"),
     (_NAN_LIMIT_ROBOT, "yaw_limits: bad limits [nan, 90]"),
     (_NAN_LIMIT_ROBOT.replace("NaN", "-1" + "0" * 400), "yaw_limits: bad limits [-1000"),
+    (_NAN_LIMIT_ROBOT.replace("NaN", "true"), "yaw_limits: expected [lo, hi] degrees"),
 ], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
-        "fixed-joints-not-list", "fixed-joint-not-object", "nan-limit", "limit-beyond-float-range"])
+        "fixed-joints-not-list", "fixed-joint-not-object", "nan-limit", "limit-beyond-float-range",
+        "bool-limit"])
 def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
     (tmp_path / "robot.json").write_text(text)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -365,23 +410,23 @@ def test_dict_build_encodes_each_key_frame_once(tmp_path, monkeypatch):
         _synth(tmp_path, "move.json"),
     ]
     events = []
-    detect, encode_pose = cli._detect, encoder.encode_pose
+    observe, encode_pose = cli._Run.observe, encoder.encode_pose
 
-    def counting_detect(*args, **kwargs):
-        kfs = detect(*args, **kwargs)
-        events.append(("detect", len(kfs.merged)))
-        return kfs
+    def counting_observe(run, path):
+        seq, kfs = observe(run, path)
+        events.append(("observe", len(kfs.merged)))
+        return seq, kfs
 
     def counting_encode(*args, **kwargs):
         events.append(("encode", 1))
         return encode_pose(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_detect", counting_detect)
+    monkeypatch.setattr(cli._Run, "observe", counting_observe)
     monkeypatch.setattr(encoder, "encode_pose", counting_encode)
     assert main(["dict", "build", *clips, "--robot", "frontal_7dof", "-o", str(tmp_path / "d.json")]) == 0
     per_clip = []
     for kind, n in events:
-        if kind == "detect":
+        if kind == "observe":
             per_clip.append([n, 0])
         else:
             per_clip[-1][1] += 1

@@ -180,22 +180,22 @@ PINNED = {
     "dict-decode-merge_arm": "971b351facd56ee58c8cb20ef3c51258cf715f084ead518aafcf2f886a566768",
     "pipeline-reach_left-frontal_7dof-arm-cubic": "fb681d8c9322338423b1459948c32d5cb9c8c1173f9a369d59f70fcebace547e",
     "pipeline-reach_left-frontal_7dof-arm-linear": "04c72eb984944a6ea5de8758ba208e542ce4046903121ab03e9cdd10eaf7e243",
-    "pipeline-reach_left-frontal_7dof-split-cubic": "d1e0447b99804f37c35a3641a820429318bc540b4c1552192bea09aeda2faac2",
-    "pipeline-reach_left-frontal_7dof-split-linear": "d1e0447b99804f37c35a3641a820429318bc540b4c1552192bea09aeda2faac2",
+    "pipeline-reach_left-frontal_7dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
+    "pipeline-reach_left-frontal_7dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_left-lab_9dof-arm-cubic": "79883e5eac269146c6a2ea617de1232896a6d88321c5945243beb0ef22e03a7a",
     "pipeline-reach_left-lab_9dof-arm-linear": "942ff38f58d09917b2f7ad3f09b24b4c2da0824ce14d1d34c49576f02ce7759c",
-    "pipeline-reach_left-lab_9dof-split-cubic": "d1e0447b99804f37c35a3641a820429318bc540b4c1552192bea09aeda2faac2",
-    "pipeline-reach_left-lab_9dof-split-linear": "d1e0447b99804f37c35a3641a820429318bc540b4c1552192bea09aeda2faac2",
+    "pipeline-reach_left-lab_9dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
+    "pipeline-reach_left-lab_9dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_left-merge_arm-cubic": "0ec2cb841be9268a6b276c7c440b8cdb6320255d4b5cd612577a8e58bfd8ab41",
     "pipeline-reach_left-merge_split-cubic": "823875b8b33d00229eebc9f573630e467c869e406189274a11e5e17c1cc905fb",
     "pipeline-reach_right-frontal_7dof-arm-cubic": "3e470a6cee12747ffff2d57c840963855ec9a924e8b6af52a7c099fcf3673ed3",
     "pipeline-reach_right-frontal_7dof-arm-linear": "7a87c81d486fd6d66a91808595fc56d1902136275364674028fe421a2b9e002b",
-    "pipeline-reach_right-frontal_7dof-split-cubic": "f0244a3e0fad59014773ba31baadb87c3be1de331c353914deb1638281aa91a0",
-    "pipeline-reach_right-frontal_7dof-split-linear": "f0244a3e0fad59014773ba31baadb87c3be1de331c353914deb1638281aa91a0",
+    "pipeline-reach_right-frontal_7dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
+    "pipeline-reach_right-frontal_7dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_right-lab_9dof-arm-cubic": "eee30355957c3c84043a189607ee40ca95c37c686fe9a2e08a8fb9d970df9e3c",
     "pipeline-reach_right-lab_9dof-arm-linear": "7a4b3c5dd6a687d90083d44474884f23b4c46a9d5f47ae2e6b1ac9eefc7ee107",
-    "pipeline-reach_right-lab_9dof-split-cubic": "f0244a3e0fad59014773ba31baadb87c3be1de331c353914deb1638281aa91a0",
-    "pipeline-reach_right-lab_9dof-split-linear": "f0244a3e0fad59014773ba31baadb87c3be1de331c353914deb1638281aa91a0",
+    "pipeline-reach_right-lab_9dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
+    "pipeline-reach_right-lab_9dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_right-merge_arm-cubic": "9d62a5db50550fd06ab331a2f3060d63a8f75e89e9ef3c36f2a96e1bea536c27",
     "pipeline-reach_right-merge_split-cubic": "b5faaadb2ed15dd8bd9f51270966053e1bdbe32ecc296dd902947d67ca6d28f7",
     "roundtrip-backward-frontal_7dof": "ef3b373b838766e35696bd24a2f53f53fb64a221b18e05cd020acfd27e4942d7",

@@ -7,10 +7,10 @@ import pytest
 from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
 from labanmotion.laban import Direction, LabanSymbol, Level
 from labanmotion.robot import JointPose
+from labanmotion.skeleton import MAX_SAMPLES
 from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
     DictKey,
-    MAX_TRAJECTORY_SAMPLES,
     MotionDictionary,
     MotionPath,
     PATH_SAMPLES,
@@ -384,9 +384,9 @@ def test_rate_must_be_finite_and_positive(rate):
 
 def test_sample_count_is_bounded():
     keyposes = [_pose(0.0, 0, 0, 0), _pose(21.0, 10, 20, 30)]
-    # each rate asks for more than MAX_TRAJECTORY_SAMPLES samples; the check
-    # runs before the grid is allocated
-    for rate in (MAX_TRAJECTORY_SAMPLES / 21.0, 1e9, 1e300):
+    # each rate asks for more than MAX_SAMPLES samples; the check runs
+    # before the grid is allocated
+    for rate in (MAX_SAMPLES / 21.0, 1e9, 1e300):
         with pytest.raises(BadInput, match="samples"):
             synthesize(keyposes, None, None, "linear", rate)
 
