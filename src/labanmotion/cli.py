@@ -210,7 +210,7 @@ def _cmd_encode(run: _Run) -> int:
 
 def _cmd_decode(run: _Run) -> int:
     _, decoded = run.decode(laban.load_score(run.args.score))
-    traj = run.synthesize(decoded, run.get("rate", 100.0))
+    traj = run.synthesize(decoded, run.get("traj_rate", 100.0))
     _write(run.args.output, trajectory.trajectory_to_csv(traj))
     return 0
 
@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--robot", default=None, help="description file or bundled name")
     p.add_argument("--interp", choices=CHOICES["interp"], default=None)
-    p.add_argument("--rate", type=float, default=None, help="trajectory sample rate, Hz")
+    p.add_argument("--rate", dest="traj_rate", type=float, default=None, help="trajectory sample rate, Hz")
     p.add_argument("--dict", dest="dict", default=None, help="motion dictionary file")
     p.set_defaults(func=_cmd_decode)
 

@@ -10,13 +10,14 @@ are averaged into one shared key frame.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BadInput, InsufficientData
-from .skeleton import JointName, SkeletonSequence
+from .skeleton import MAX_SAMPLES, JointName, SkeletonSequence
 
 DEFAULT_TRACKED_PARTS: tuple[JointName, ...] = (
     JointName.WristLeft,
@@ -82,14 +83,18 @@ def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
 
     The kernel is symmetric (zero lag) and edges are handled by replicating
     the boundary samples, so output length equals input length and constants
-    pass through unchanged.
+    pass through unchanged. A kernel longer than :data:`MAX_SAMPLES` is
+    refused before anything is allocated.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
+    s = sigma * rate  # width in samples
+    # the kernel has 2 * ceil(3 s) + 1 samples; False for inf and NaN
+    if not 3.0 * s <= (MAX_SAMPLES - 1) // 2:
+        raise BadInput(f"sigma {sigma:g} s at {rate:g} Hz needs a kernel of more than {MAX_SAMPLES} samples")
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return xs.copy()
-    s = sigma * rate  # width in samples
     r = int(math.ceil(3.0 * s))
     k = np.arange(-r, r + 1, dtype=float)
     w = np.exp(-(k * k) / (2.0 * s * s))
@@ -149,38 +154,49 @@ def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams) -> Ener
     return EnergySeries(part=part, values=ea - es, ea=ea, es=es)
 
 
-def _local_maxima(vals: np.ndarray) -> list[int]:
-    """Interior local maxima; a flat top counts once, at its middle sample."""
-    n = vals.size
+def _local_maxima(vals: np.ndarray) -> np.ndarray:
+    """Interior local maxima; a flat top counts once, at its middle sample.
+
+    The signal is cut into runs of equal samples. A run is a peak when the
+    signal rises into it and falls out of it; runs touching either end are
+    not interior and never count.
+    """
+    if vals.size < 3:
+        return np.zeros(0, dtype=np.int64)
+    starts = np.concatenate(([0], np.flatnonzero(vals[1:] != vals[:-1]) + 1))
+    ends = np.append(starts[1:] - 1, vals.size - 1)
+    run = vals[starts]
+    k = np.flatnonzero((run[1:-1] > run[:-2]) & (run[1:-1] > run[2:])) + 1
+    return (starts[k] + ends[k]) // 2
+
+
+def _saddles(heights: list[float], valleys: list[float]) -> list[float]:
+    """For each peak in order, its lowest sample back to the nearest
+    strictly higher peak before it (or to the start); ``valleys[j]`` is the
+    minimum between peak j - 1 (or the start) and peak j."""
     out = []
-    i = 1
-    while i < n - 1:
-        if vals[i] > vals[i - 1]:
-            j = i
-            while j + 1 < n and vals[j + 1] == vals[i]:
-                j += 1
-            if j < n - 1 and vals[j + 1] < vals[i]:
-                out.append((i + j) // 2)
-            i = j + 1
-        else:
-            i += 1
+    stack: list[tuple[float, float]] = []  # (height, its saddle)
+    for h, low in zip(heights, valleys):
+        while stack and stack[-1][0] <= h:
+            low = min(low, stack.pop()[1])
+        out.append(low)
+        stack.append((h, low))
     return out
 
 
-def _prominence(vals: np.ndarray, peak: int) -> float:
-    """Topographic prominence: drop to the highest saddle on either side."""
-    h = vals[peak]
-    lo_left = h
-    k = peak - 1
-    while k >= 0 and vals[k] <= h:
-        lo_left = min(lo_left, vals[k])
-        k -= 1
-    lo_right = h
-    k = peak + 1
-    while k < vals.size and vals[k] <= h:
-        lo_right = min(lo_right, vals[k])
-        k += 1
-    return float(h - max(lo_left, lo_right))
+def _prominences(vals: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Topographic prominence of each peak: drop to the highest saddle on
+    either side.
+
+    Walking from a peak to the nearest strictly higher sample covers exactly
+    the valleys up to the nearest strictly higher peak (or the signal's end),
+    so one monotonic stack per side over the peaks finds every saddle.
+    """
+    heights = vals[peaks].tolist()
+    valleys = np.minimum.reduceat(vals, np.concatenate(([0], peaks))).tolist()
+    left = _saddles(heights, valleys[:-1])
+    right = _saddles(heights[::-1], valleys[:0:-1])[::-1]
+    return np.asarray(heights) - np.maximum(left, right)
 
 
 def detect_peaks(es: EnergySeries, params: EnergyParams, rate: float) -> list[int]:
@@ -190,14 +206,21 @@ def detect_peaks(es: EnergySeries, params: EnergyParams, rate: float) -> list[in
     highest value first, so that survivors are at least min_separation apart.
     """
     vals = es.values if params.peak_mode == "max" else -es.values
-    candidates = [p for p in _local_maxima(vals) if _prominence(vals, p) >= params.prominence]
+    peaks = _local_maxima(vals)
+    if peaks.size == 0:
+        return []
+    candidates = peaks[_prominences(vals, peaks) >= params.prominence]
     min_sep_frames = params.min_separation * rate
-    order = sorted(candidates, key=lambda p: (-vals[p], p))
     kept: list[int] = []
-    for p in order:
-        if all(abs(p - q) >= min_sep_frames for q in kept):
-            kept.append(p)
-    return sorted(kept)
+    # highest first, ties by index; the sorted survivors closest on either
+    # side are the only ones that can be too near
+    for p in candidates[np.lexsort((candidates, -vals[candidates]))].tolist():
+        k = bisect.bisect(kept, p)
+        far_left = k == 0 or p - kept[k - 1] >= min_sep_frames
+        far_right = k == len(kept) or kept[k] - p >= min_sep_frames
+        if far_left and far_right:
+            kept.insert(k, p)
+    return kept
 
 
 def merge_keyframes(per_part: dict[JointName, list[int]], params: EnergyParams, rate: float) -> KeyFrameSet:
@@ -205,33 +228,34 @@ def merge_keyframes(per_part: dict[JointName, list[int]], params: EnergyParams, 
 
     Single-linkage clustering with gap <= merge_window * rate frames; each
     cluster becomes the half-up rounded mean of its member indices. Clusters
-    whose means end up closer than min_separation * rate are merged further
-    so the result always respects the separation bound.
+    whose means end up closer than min_separation * rate are merged further,
+    leftmost pair first, so the result always respects the separation bound.
     """
     indices = sorted({i for idxs in per_part.values() for i in idxs})
     gap = params.merge_window * rate
     min_sep_frames = params.min_separation * rate
-    clusters: list[list[int]] = []
+    clusters: list[list[int]] = []  # [sum, count] of each cluster's members
     for i in indices:
-        if clusters and i - clusters[-1][-1] <= gap:
-            clusters[-1].append(i)
+        if clusters and i - last <= gap:
+            clusters[-1][0] += i
+            clusters[-1][1] += 1
         else:
-            clusters.append([i])
+            clusters.append([i, 1])
+        last = i
 
     def mean_of(c: list[int]) -> int:
-        return int(math.floor(sum(c) / len(c) + 0.5))
+        return int(math.floor(c[0] / c[1] + 0.5))
 
-    while True:
-        means = [mean_of(c) for c in clusters]
-        violation = next(
-            (k for k in range(len(means) - 1) if means[k + 1] - means[k] < min_sep_frames),
-            None,
-        )
-        if violation is None:
-            break
-        clusters[violation] = clusters[violation] + clusters[violation + 1]
-        del clusters[violation + 1]
-
+    # a cluster joins the stack only once every pair below it is far enough
+    # apart, so the top pair is always the leftmost one that can be too near
+    stack: list[list[int]] = []
+    for c in clusters:
+        stack.append(c)
+        while len(stack) > 1 and mean_of(stack[-1]) - mean_of(stack[-2]) < min_sep_frames:
+            total, count = stack.pop()
+            stack[-1][0] += total
+            stack[-1][1] += count
+    means = [mean_of(c) for c in stack]
     return KeyFrameSet(per_part={k: list(v) for k, v in per_part.items()}, merged=means, params=params)
 
 

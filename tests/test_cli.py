@@ -265,6 +265,20 @@ def test_config_traj_rate(tmp_path):
     assert times[1] - times[0] == pytest.approx(0.02, abs=1e-9)
 
 
+@pytest.mark.parametrize("config,step", [("", 0.01), ("rate = 30\n", 0.01), ("traj_rate = 50\n", 0.02)],
+                         ids=["no-config", "config-rate", "config-traj-rate"])
+def test_config_rate_is_not_the_decode_rate(tmp_path, config, step):
+    # rate is the skeleton rate; only traj_rate (or --rate) sets decode's rate
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config)
+    golden = os.path.join(DATA, "golden_frontal_score.json")
+    out = tmp_path / "t.csv"
+    assert main(["--config", str(cfg), "decode", golden, "--robot", "frontal_7dof", "-o", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    times = [float(r.split(",")[0]) for r in rows[:2]]
+    assert times[1] - times[0] == pytest.approx(step, abs=1e-9)
+
+
 @pytest.mark.parametrize("argv", [
     ["encode", "{tmp}/nope.json", "-o", "{tmp}/score.json"],
     ["synth", "static", "-o", "{tmp}/nodir/x.json"],
@@ -307,7 +321,7 @@ def _score_text(duration: str, total: str) -> str:
     (["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "\nrate = nan\n",
      "run.cfg:2: rate"),
     (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
-     "robot = frontal_7dof\nrate = 0\n", "rate"),
+     "robot = frontal_7dof\ntraj_rate = 0\n", "rate"),
     (["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "1e9", "-o", "{tmp}/t.csv"], None,
      "samples"),
     (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
@@ -340,6 +354,9 @@ def _score_text(duration: str, total: str) -> str:
     # both grids would far exceed the sample cap, which is checked before any allocation
     (["keyframes", "{clip}", "--rate", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
     (["synth", "static", "--rate", "1e9", "-o", "{tmp}/x.json"], None, "samples"),
+    # so would the smoothing kernel
+    (["keyframes", "{clip}", "--sigma", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
+    (["keyframes", "{clip}", "--sigma", "1e300", "-o", "{tmp}/kf.json"], None, "samples"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -348,7 +365,8 @@ def _score_text(duration: str, total: str) -> str:
         "keyframes-sigma-negative", "keyframes-sigma-nan", "keyframes-prominence-2", "keyframes-rate-0",
         "keyframes-rate-nan",
         "keyframes-min-sep-nan", "keyframes-merge-window-inf", "dict-tau-0", "dict-tau-nan",
-        "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9"])
+        "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9",
+        "keyframes-sigma-1e9", "keyframes-sigma-1e300"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from labanmotion.errors import InsufficientData
+from labanmotion.errors import BadInput, InsufficientData
 from labanmotion.keyframe import (
+    DEFAULT_TRACKED_PARTS,
     EnergyParams,
     EnergySeries,
     KeyFrameSet,
@@ -14,7 +15,7 @@ from labanmotion.keyframe import (
     merge_keyframes,
     smooth_signal,
 )
-from labanmotion.skeleton import ALL_JOINTS, JointName, SkeletonSequence, synth_motion
+from labanmotion.skeleton import ALL_JOINTS, MAX_SAMPLES, JointName, SkeletonSequence, synth_motion
 
 from conftest import oracle_energy, oracle_smooth
 
@@ -96,6 +97,16 @@ def test_smooth_kernel_weights_sum_to_one():
 
 def test_smooth_empty_series():
     assert smooth_signal([], sigma=0.1, rate=30.0).size == 0
+
+
+def test_smooth_kernel_is_bounded():
+    # the kernel has 2 * ceil(3 * sigma * rate) + 1 samples
+    at_bound = 2 * math.ceil(3 * 333333.0) + 1
+    assert at_bound <= MAX_SAMPLES
+    assert np.allclose(smooth_signal([1.0, 2.0, 3.0], sigma=333333.0, rate=1.0), 2.0, atol=1e-6)
+    for sigma in (333333.34, 1e9, 1e300, math.inf):
+        with pytest.raises(BadInput, match="samples"):
+            smooth_signal([1.0, 2.0, 3.0], sigma=sigma, rate=1.0)
 
 
 def test_smooth_matches_oracle(rng):
@@ -332,3 +343,165 @@ def test_scale_invariance_of_peak_locations():
 def test_extract_keyframes_static_is_empty():
     seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
     assert extract_keyframes(seq).merged == []
+
+
+# ---------------------------------------------------------------------------
+# brute-force references: the quadratic loops the detector replaced
+# ---------------------------------------------------------------------------
+
+def _ref_local_maxima(vals):
+    n = vals.size
+    out = []
+    i = 1
+    while i < n - 1:
+        if vals[i] > vals[i - 1]:
+            j = i
+            while j + 1 < n and vals[j + 1] == vals[i]:
+                j += 1
+            if j < n - 1 and vals[j + 1] < vals[i]:
+                out.append((i + j) // 2)
+            i = j + 1
+        else:
+            i += 1
+    return out
+
+
+def _ref_prominence(vals, peak):
+    h = vals[peak]
+    lo_left = h
+    k = peak - 1
+    while k >= 0 and vals[k] <= h:
+        lo_left = min(lo_left, vals[k])
+        k -= 1
+    lo_right = h
+    k = peak + 1
+    while k < vals.size and vals[k] <= h:
+        lo_right = min(lo_right, vals[k])
+        k += 1
+    return float(h - max(lo_left, lo_right))
+
+
+def _ref_candidates(values, peak_mode):
+    """Local maxima of the (flipped) signal with their prominences."""
+    vals = values if peak_mode == "max" else -values
+    return vals, [(p, _ref_prominence(vals, p)) for p in _ref_local_maxima(vals)]
+
+
+def _ref_separate(vals, candidates, prominence, min_sep_frames):
+    """The greedy all-pairs separation filter over the prominent candidates."""
+    order = sorted((p for p, prom in candidates if prom >= prominence), key=lambda p: (-vals[p], p))
+    kept = []
+    for p in order:
+        if all(abs(p - q) >= min_sep_frames for q in kept):
+            kept.append(p)
+    return sorted(kept)
+
+
+def _ref_merge(per_part, params, rate):
+    """Single linkage, then a scan that restarts after every merge."""
+    indices = sorted({i for idxs in per_part.values() for i in idxs})
+    gap = params.merge_window * rate
+    min_sep_frames = params.min_separation * rate
+    clusters = []
+    for i in indices:
+        if clusters and i - clusters[-1][-1] <= gap:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+
+    def mean_of(c):
+        return int(math.floor(sum(c) / len(c) + 0.5))
+
+    while True:
+        means = [mean_of(c) for c in clusters]
+        violation = next(
+            (k for k in range(len(means) - 1) if means[k + 1] - means[k] < min_sep_frames),
+            None,
+        )
+        if violation is None:
+            return means
+        clusters[violation] = clusters[violation] + clusters[violation + 1]
+        del clusters[violation + 1]
+
+
+def _reference_signals(seed, count):
+    """Seeded signals in [-1, 1] that stress the corner cases: quantized
+    values (flat tops at the start, the end and inside), repeated shapes
+    (equal-height ties) and cumulative-sum ramps."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(count):
+        n = int(rng.integers(3, 120))
+        kind = k % 4
+        if kind == 0:
+            levels = int(rng.integers(2, 7))
+            x = rng.integers(0, levels, size=n) / (levels - 1) * 2.0 - 1.0
+            x = np.repeat(x, rng.integers(1, 4, size=n))  # widen some runs
+        elif kind == 1:
+            shape = np.round(rng.uniform(-1.0, 1.0, size=int(rng.integers(2, 8))), 1)
+            x = np.tile(shape, int(rng.integers(1, 12)))
+        elif kind == 2:
+            x = np.cumsum(rng.normal(size=n))
+            x = np.round(x, int(rng.integers(0, 3)))
+        else:
+            x = smooth_signal(rng.normal(size=n), sigma=float(rng.uniform(0.02, 0.2)), rate=30.0)
+        lo, hi = float(x.min()), float(x.max())
+        out.append((x - lo) / (hi - lo) * 2.0 - 1.0 if hi > lo else x)
+    return out
+
+
+def _ripple_ramp(n):
+    i = np.arange(n)
+    return i / n + 3.0 / n * np.sin(2 * i)
+
+
+_REF_PROMINENCES = (0.0, 0.1, 1.0)
+_REF_SEPARATIONS = (0.0, 0.25, 1.0)
+
+
+def _assert_peaks_match(values, rate=30.0):
+    series = _series(values)
+    for mode in ("max", "min"):
+        vals, candidates = _ref_candidates(series.values, mode)
+        for prominence in _REF_PROMINENCES:
+            for min_sep in _REF_SEPARATIONS:
+                params = EnergyParams(prominence=prominence, min_separation=min_sep, peak_mode=mode)
+                got = detect_peaks(series, params, rate)
+                assert got == _ref_separate(vals, candidates, prominence, min_sep * rate), (mode, params)
+                assert all(type(p) is int for p in got)
+
+
+def test_peaks_match_reference_on_seeded_signals():
+    for values in _reference_signals(seed=7, count=1000):
+        _assert_peaks_match(values)
+
+
+def test_peaks_match_reference_on_ripple_ramp():
+    _assert_peaks_match(_ripple_ramp(2000))
+
+
+def test_merge_matches_reference_on_seeded_peaks():
+    rng = np.random.default_rng(11)
+    parts = list(DEFAULT_TRACKED_PARTS)
+    for _ in range(1000):
+        span = int(rng.integers(1, 400))
+        per_part = {
+            part: sorted(set(rng.integers(0, span, size=int(rng.integers(0, 25))).tolist()))
+            for part in parts[:int(rng.integers(1, len(parts) + 1))]
+        }
+        for merge_window in (0.0, 0.1, 0.2, 0.6):
+            for min_sep in _REF_SEPARATIONS:
+                params = EnergyParams(merge_window=merge_window, min_separation=min_sep)
+                assert merge_keyframes(per_part, params, 30.0).merged == _ref_merge(per_part, params, 30.0)
+
+
+def test_merge_matches_reference_on_detected_peaks():
+    signals = _reference_signals(seed=13, count=60)
+    for k in range(0, len(signals) - 4, 5):
+        n = min(s.size for s in signals[k:k + 5])
+        for merge_window in (0.1, 0.2, 0.6):
+            for min_sep in _REF_SEPARATIONS:
+                params = EnergyParams(prominence=0.0, merge_window=merge_window, min_separation=min_sep)
+                per_part = {part: detect_peaks(_series(s[:n]), params, 30.0)
+                            for part, s in zip(DEFAULT_TRACKED_PARTS, signals[k:k + 5])}
+                assert merge_keyframes(per_part, params, 30.0).merged == _ref_merge(per_part, params, 30.0)

@@ -4,7 +4,8 @@ Each case runs one or more commands through ``cli.main`` and digests their
 exit codes, stdout, ``error:`` lines and written files in order. The table
 covers ``pipeline`` on two synthetic reach clips (both bundled robots, both
 column modes, both interpolation modes), ``decode`` and ``roundtrip`` of the
-golden scores, ``decode --dict`` after a ``dict build`` of the clips, and two
+golden scores, ``decode --dict`` after a ``dict build`` of the clips,
+``keyframes`` on the clips with non-default detector settings, and two
 robots with merged and split segments written here, so the opposed-direction
 history of merges is pinned too. A change meant to alter an output updates
 its digest deliberately; print the current table with
@@ -76,6 +77,15 @@ CANCEL_SCORE = """
 
 ROBOTS = ("frontal_7dof", "lab_9dof")
 
+# detector settings away from the defaults: no filtering at all, minima,
+# narrow smoothing, and wide clusters under a long separation bound
+KEYFRAME_SETTINGS = {
+    "unfiltered": ["--prominence", "0", "--min-sep", "0"],
+    "min": ["--peak-mode", "min"],
+    "sigma-0.03": ["--sigma", "0.03"],
+    "wide-merge": ["--merge-window", "0.6", "--min-sep", "1"],
+}
+
 
 def _cases() -> dict[str, list[list[str]]]:
     """Case name -> commands; ``{i}`` is the input directory that
@@ -96,6 +106,8 @@ def _cases() -> dict[str, list[list[str]]]:
                 "pipeline", f"{{i}}/{clip}.json", "--robot", robot, "--columns", columns,
                 "--interp", "cubic", "--traj-rate", "50", "-o", "{w}",
             ]]
+        for name, flags in KEYFRAME_SETTINGS.items():
+            cases[f"keyframes-{clip}-{name}"] = [["keyframes", f"{{i}}/{clip}.json", *flags, "-o", "{w}/kf.json"]]
     for robot in ROBOTS + ("{i}/merge_arm.json", "{i}/merge_split.json"):
         name = os.path.basename(robot).removesuffix(".json")
         for golden in GOLDENS:
@@ -178,6 +190,14 @@ PINNED = {
     "dict-decode-frontal_7dof": "9b4f6e2e9e174e73b52b0ff59a7d444eb776d2ecd6158fc1d4b28141beb58d7f",
     "dict-decode-lab_9dof": "ff2808e0689a6a430cfe90ea5ad60cef414a2e8e2941c8c8685a7d7e8e1bddba",
     "dict-decode-merge_arm": "971b351facd56ee58c8cb20ef3c51258cf715f084ead518aafcf2f886a566768",
+    "keyframes-reach_left-min": "769ae4847557605ad5a4839e9bb1e4c20e75e6096e6692770948fe1ee5fe5ee4",
+    "keyframes-reach_left-sigma-0.03": "91fd3392ae2b5406c4bed77c8fdabef7ee1be1290339ef8bf1e91b168244fcef",
+    "keyframes-reach_left-unfiltered": "b27a1266967e3af927b2dce71bc910b2cf2df413312db0dcce1d0071d63daf7f",
+    "keyframes-reach_left-wide-merge": "5d21c68f0ee40667c6225de42e598a610d41f1e2d88a8447a5387ed0ac61f712",
+    "keyframes-reach_right-min": "497271d17a03aaaaefe18cb27f72d6adb5947675f9a5f3975fdcd80ffba240ba",
+    "keyframes-reach_right-sigma-0.03": "1da0fe9f413445bba93a907846a6b69acdc6ed35ef43e415ce138a6fda36a89d",
+    "keyframes-reach_right-unfiltered": "b058b1879f04855f9b0de53e864b190d164b381c5d72ad233eb2861ed1b5e588",
+    "keyframes-reach_right-wide-merge": "2ead879467d53c97ad96034638fc3a9545d5361aa8367e03e26471b2f9154901",
     "pipeline-reach_left-frontal_7dof-arm-cubic": "fb681d8c9322338423b1459948c32d5cb9c8c1173f9a369d59f70fcebace547e",
     "pipeline-reach_left-frontal_7dof-arm-linear": "04c72eb984944a6ea5de8758ba208e542ce4046903121ab03e9cdd10eaf7e243",
     "pipeline-reach_left-frontal_7dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
