@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 import time
 
 from . import encoder, keyframe, laban, robot as robot_mod, skeleton, trajectory
-from .errors import LabanMotionError, NoKeyFrames
+from .errors import LabanMotionError, NoKeyFrames, finite
 
 _FLOAT_KEYS = {"rate", "sigma", "prominence", "min_sep", "merge_window", "tau", "move_seconds", "traj_rate"}
 _BOOL_KEYS = {"force_final_keyframe"}
@@ -30,6 +29,14 @@ CHOICES = {
     "columns": ("arm", "split"),
 }
 CONFIG_KEYS = _FLOAT_KEYS | _BOOL_KEYS | set(CHOICES) | {"robot", "dict"}
+
+
+def _number(text: str):
+    """``text`` as a float, or unchanged if it is not one, for a range check to name."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
 
 
 def _read_config(path: str) -> dict:
@@ -45,12 +52,7 @@ def _read_config(path: str) -> dict:
             if not sep or key not in CONFIG_KEYS:
                 raise LabanMotionError(f"{path}:{lineno}: unknown config key {key!r}")
             if key in _FLOAT_KEYS:
-                try:
-                    cfg[key] = float(value)
-                except ValueError:
-                    cfg[key] = math.nan
-                if not math.isfinite(cfg[key]):
-                    raise LabanMotionError(f"{path}:{lineno}: {key} needs a finite number, got {value!r}")
+                cfg[key] = finite(_number(value), f"{path}:{lineno}: {key}", error=LabanMotionError)
             elif key in _BOOL_KEYS:
                 if value.lower() not in _BOOLS:
                     raise LabanMotionError(
@@ -190,7 +192,7 @@ def _cmd_synth(run: _Run) -> int:
         poses = []
         for item in args.pose:
             name, _, dwell = item.partition(":")
-            poses.append([name, dwell or 0.5])  # synth_motion checks the dwell
+            poses.append([name, _number(dwell or "0.5")])  # synth_motion checks the dwell
         descriptor["poses"] = poses
     seq = skeleton.synth_motion(descriptor, rate=run.get("rate", 30.0))
     skeleton.save_sequence(seq, args.output)

@@ -1,6 +1,9 @@
-"""Exception types shared across the pipeline."""
+"""Exception types and the input contract: one JSON reader, one number rule, one range check."""
 
 from __future__ import annotations
+
+import json
+import sys
 
 
 class LabanMotionError(Exception):
@@ -63,7 +66,7 @@ class ValidationError(LabanMotionError):
     """A structurally parsed object violates semantic rules."""
 
     def __init__(self, violations):
-        self.violations = list(violations)
+        self.violations = [violations] if isinstance(violations, str) else list(violations)
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
@@ -86,3 +89,44 @@ class MissingColumn(LabanMotionError):
 
 class ShapeError(LabanMotionError):
     """Mismatched sample counts or joint sets."""
+
+
+def read_json(text: str) -> dict:
+    """The JSON object that ``text`` holds; ParseError at "line L, column C" for
+    bad syntax, at "$" for an over-long integer, too deep nesting or a non-object."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+    except (ValueError, RecursionError) as exc:
+        raise ParseError("$", str(exc)) from None
+    if not isinstance(obj, dict):
+        raise ParseError("$", "expected a JSON object")
+    return obj
+
+
+# the types json.loads gives numbers; an exact type test also rules out bool
+_NUMBER_TYPES = {int, float}
+_MAX = sys.float_info.max
+
+
+def json_numbers(values) -> bool:
+    """True if every one of ``values`` is a JSON number; one pass."""
+    return set(map(type, values)) <= _NUMBER_TYPES
+
+
+def finite(value, what: str, lo: float = -_MAX, hi: float = _MAX, *, strict: bool = False, error=BadInput) -> float:
+    """``value`` as a float if it is a number, not a bool, in [lo, hi] (above lo
+    if ``strict``); else ``error("<what> must be a finite number ..., got <value>")``.
+    Comparing before converting fails NaN, infinities and too large integers."""
+    try:
+        ok = type(value) is not bool and (lo < value if strict else lo <= value) and value <= hi
+    except TypeError:  # not a number
+        ok = False
+    if not ok:
+        if hi < _MAX:
+            bound = f" in {'(' if strict else '['}{lo:g}, {hi:g}]"
+        else:
+            bound = f" {'>' if strict else '>='} {lo:g}" if lo > -_MAX else ""
+        raise error(f"{what} must be a finite number{bound}, got {value!r}")
+    return float(value)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadInput, InsufficientData
+from .errors import BadInput, InsufficientData, finite
 from .skeleton import MAX_SAMPLES, JointName, SkeletonSequence
 
 DEFAULT_TRACKED_PARTS: tuple[JointName, ...] = (
@@ -49,14 +49,10 @@ class EnergyParams:
     peak_mode: str = "max"
 
     def __post_init__(self):
-        # every comparison with NaN is False, so NaN fails each check
-        if not 0.0 < self.sigma < math.inf:
-            raise BadInput(f"sigma must be a finite number > 0, got {self.sigma}")
-        if not 0.0 <= self.prominence <= 1.0:
-            raise BadInput(f"prominence must lie in [0, 1], got {self.prominence}")
-        for name in ("min_separation", "merge_window"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise BadInput(f"{name} must be a finite number >= 0, got {getattr(self, name)}")
+        finite(self.sigma, "sigma", 0.0, strict=True)
+        finite(self.prominence, "prominence", 0.0, 1.0)
+        finite(self.min_separation, "min_separation", 0.0)
+        finite(self.merge_window, "merge_window", 0.0)
         if self.peak_mode not in ("max", "min"):
             raise BadInput("peak_mode must be 'max' or 'min'")
 
@@ -83,15 +79,15 @@ def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
 
     The kernel is symmetric (zero lag) and edges are handled by replicating
     the boundary samples, so output length equals input length and constants
-    pass through unchanged. A kernel longer than :data:`MAX_SAMPLES` is
-    refused before anything is allocated.
+    pass through unchanged. A kernel longer than :data:`MAX_SAMPLES`, or one so
+    narrow that 1 / (2 s^2) overflows, is refused before anything is allocated.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
     s = sigma * rate  # width in samples
-    # the kernel has 2 * ceil(3 s) + 1 samples; False for inf and NaN
-    if not 3.0 * s <= (MAX_SAMPLES - 1) // 2:
-        raise BadInput(f"sigma {sigma:g} s at {rate:g} Hz needs a kernel of more than {MAX_SAMPLES} samples")
+    # the kernel has 2 * ceil(3 s) + 1 samples and divides by 2 s^2, which must be
+    # a normal float (0 gives 0/0, a subnormal overflows); False for inf and NaN
+    if not (2.0 * s * s >= np.finfo(float).tiny and 3.0 * s <= (MAX_SAMPLES - 1) // 2):
+        raise BadInput(f"sigma {sigma:g} s at {rate:g} Hz gives no usable kernel within {MAX_SAMPLES} samples")
+    finite(sigma, "sigma", 0.0, strict=True)
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return xs.copy()

@@ -18,7 +18,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import OutOfRange, ParseError, ValidationError
+from .errors import BadInput, OutOfRange, ParseError, ValidationError, finite, json_numbers, read_json
 
 
 class Direction(str, Enum):
@@ -272,24 +272,26 @@ def serialize_score(score: LabanScore) -> str:
 
 
 def _require(obj: dict, key: str, kinds, where: str):
+    """``obj[key]`` if it is one of ``kinds``; ``float`` means a JSON number, read as a
+    float, or NaN if it has no finite float value, which :func:`validate` reports."""
     if key not in obj:
         raise ParseError(where, f"missing key {key!r}")
     val = obj[key]
-    if not isinstance(val, kinds):
+    if not (json_numbers([val]) if kinds is float else isinstance(val, kinds)):
         raise ParseError(f"{where}.{key}", f"unexpected type {type(val).__name__}")
-    return val
+    if kinds is not float:
+        return val
+    try:
+        return finite(val, key)
+    except BadInput:
+        return math.nan
 
 
 def parse_score(text: str) -> LabanScore:
     """Parse and validate a score file. ParseError carries the location of
     syntax or token problems; semantic rule breaks raise ValidationError."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
-    if not isinstance(obj, dict):
-        raise ParseError("$", "expected a JSON object")
-    total = _require(obj, "total_duration", (int, float), "$")
+    obj = read_json(text)
+    total = _require(obj, "total_duration", float, "$")
     meta_obj = obj.get("meta", {})
     if not isinstance(meta_obj, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in meta_obj.items()
@@ -318,13 +320,12 @@ def parse_score(text: str) -> LabanScore:
                 level = Level(lvl_tok)
             except ValueError:
                 raise ParseError(f"{cwhere}.level", f"unknown level token {lvl_tok!r}")
-            start = _require(cell_obj, "start", (int, float), cwhere)
-            duration = _require(cell_obj, "duration", (int, float), cwhere)
-            cells.append(Cell(LabanSymbol(direction, level), float(start), float(duration)))
+            start = _require(cell_obj, "start", float, cwhere)
+            cells.append(Cell(LabanSymbol(direction, level), start, _require(cell_obj, "duration", float, cwhere)))
         columns.append(LabanColumn(name=name, cells=tuple(cells)))
     score = LabanScore(
         columns=tuple(columns),
-        total_duration=float(total),
+        total_duration=total,
         meta=tuple(sorted((str(k), str(v)) for k, v in meta_obj.items())),
     )
     violations = validate(score)

@@ -26,7 +26,6 @@ zero (clamped into their limits). Two descriptions ship with the package:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +35,7 @@ import logging
 import numpy as np
 
 from .encoder import COLUMN_DISTAL, LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, segment_direction
-from .errors import BadSymbol, MissingColumn, ParseError, ValidationError
+from .errors import BadSymbol, MissingColumn, ParseError, ValidationError, json_numbers, read_json
 from .laban import VALID_LIMB_SYMBOLS, Direction, LabanScore, LabanSymbol, Level, states_at, validate
 from .skeleton import SkeletonSequence, body_frame
 
@@ -121,11 +120,7 @@ class JointPose:
 
 def _limits(obj, key, where) -> tuple[float, float]:
     pair = obj.get(key)
-    if (
-        not isinstance(pair, (list, tuple))
-        or len(pair) != 2
-        or not all(type(x) in (int, float) for x in pair)  # exact: a bool is an int
-    ):
+    if not isinstance(pair, list) or len(pair) != 2 or not json_numbers(pair):
         raise ParseError(f"{where}.{key}", "expected [lo, hi] degrees")
     # compared before conversion: an integer beyond the float range has no float
     if not -180.0 <= pair[0] <= pair[1] <= 180.0:  # False for NaN
@@ -145,12 +140,7 @@ def _objects(obj: dict, key: str, where: str) -> list[dict]:
 
 
 def parse_robot(text: str) -> RobotDescription:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
-    if not isinstance(obj, dict):
-        raise ParseError("$", "expected a JSON object")
+    obj = read_json(text)
     name = obj.get("name")
     if not isinstance(name, str):
         raise ParseError("$.name", "missing robot name")

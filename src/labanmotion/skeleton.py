@@ -16,8 +16,8 @@ resampling and the body frame run as array operations over all frames.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -33,6 +33,9 @@ from .errors import (
     MalformedFrame,
     ParseError,
     TimeOrderError,
+    finite,
+    json_numbers,
+    read_json,
 )
 
 
@@ -144,8 +147,6 @@ class BodyFrame:
         return stacked_dot(self.axes, np.asarray(v)[..., None, :])
 
 
-# JSON numbers; an exact type test also rules out bool
-_NUMBER_TYPES = {int, float}
 # stands in for a missing joint until the geometry check names it
 _ABSENT = (math.nan, math.nan, math.nan)
 _STRUCTURE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
@@ -158,66 +159,69 @@ def _frame_arrays(frames: list) -> tuple[np.ndarray, np.ndarray]:
     a numeric ``t`` and a ``joints`` object of [x, y, z] number triples.
     """
     ts = [f["t"] for f in frames]
-    if not set(map(type, ts)) <= _NUMBER_TYPES:
+    if not json_numbers(ts):
         raise TypeError("non-numeric timestamp")
     rows = [[f["joints"].get(k, _ABSENT) for k in _JOINT_KEYS] for f in frames]
     positions = np.array(rows, dtype=float) if rows else np.empty((0, len(ALL_JOINTS), 3))
     if positions.shape[1:] != (len(ALL_JOINTS), 3):
         raise ValueError("joints are not [x, y, z] triples")
     # the float conversion accepts numeric strings and bools; the type scan does not
-    coordinates = itertools.chain.from_iterable(itertools.chain.from_iterable(rows))
-    if not set(map(type, coordinates)) <= _NUMBER_TYPES:
+    if not json_numbers(itertools.chain.from_iterable(itertools.chain.from_iterable(rows))):
         raise TypeError("non-numeric coordinate")
     return np.array(ts, dtype=float), positions
 
 
-def _first_malformed(frames: list) -> tuple[int, LabanMotionError | None]:
-    """Index and error of the first frame that :func:`_frame_arrays` cannot
-    read, checking the joints object, then each triple, then ``t``."""
+def _raise_malformed(frames: list) -> None:
+    """Raise for the first frame :func:`_frame_arrays` cannot read (joints object,
+    then each triple, then ``t``), or for a geometry fault of an earlier frame."""
     for i, f in enumerate(frames):
-        joints = f.get("joints") if isinstance(f, dict) else None
-        if not isinstance(joints, dict):
-            return i, ParseError(f"frames[{i}]", "missing 'joints' object")
-        for key in _JOINT_KEYS:
-            triple = joints.get(key, _ABSENT)
-            try:
-                shape = np.array(triple, dtype=float).shape
-            except _STRUCTURE_ERRORS:
-                shape = None
-            if shape != (3,) or not set(map(type, triple)) <= _NUMBER_TYPES:
-                return i, MalformedFrame(i, key, "bad coordinate triple")
-        if type(f.get("t")) not in _NUMBER_TYPES:
-            return i, ParseError(f"frames[{i}].t", "missing or non-numeric timestamp")
-    return len(frames), None
+        try:
+            joints = f.get("joints") if isinstance(f, dict) else None
+            if not isinstance(joints, dict):
+                raise ParseError(f"frames[{i}]", "missing 'joints' object")
+            for key in _JOINT_KEYS:
+                triple = joints.get(key, _ABSENT)
+                try:
+                    shape = np.array(triple, dtype=float).shape
+                except _STRUCTURE_ERRORS:
+                    shape = None
+                if shape != (3,) or not json_numbers(triple):
+                    raise MalformedFrame(i, key, "bad coordinate triple")
+            finite(f.get("t"), "timestamp", error=functools.partial(ParseError, f"frames[{i}].t"))
+        except LabanMotionError:
+            _check_geometry(frames, *_frame_arrays(frames[:i]))
+            raise
 
 
 def _check_geometry(frames: list, times: np.ndarray, positions: np.ndarray) -> None:
     """Raise for the first frame with a non-finite timestamp, a missing or
     non-finite joint, or a joint on its parent (joints in enum order)."""
-    finite = np.isfinite(positions).all(axis=2)
+    timed = np.isfinite(times)
+    located = np.isfinite(positions).all(axis=2)
     with np.errstate(invalid="ignore", over="ignore"):
         d = positions[:, _CHILD_IDX] - positions[:, _PARENT_IDX]
         apart = stacked_dot(d, d) > 0.0
-    bad = ~np.isfinite(times) | ~finite.all(axis=1) | ~apart.all(axis=1)
+    bad = ~timed | ~located.all(axis=1) | ~apart.all(axis=1)
     if not bad.any():
         return
     i = int(np.argmax(bad))
-    if not math.isfinite(times[i]):
+    if not timed[i]:
         raise ParseError(f"frames[{i}].t", "non-finite timestamp")
-    if not finite[i].all():
-        joint = _JOINT_KEYS[int(np.argmin(finite[i]))]
+    if not located[i].all():
+        joint = _JOINT_KEYS[int(np.argmin(located[i]))]
         detail = "non-finite coordinate" if joint in frames[i]["joints"] else "missing"
         raise MalformedFrame(i, joint, detail)
     raise MalformedFrame(i, _CHILDREN[int(np.argmin(apart[i]))].value, "coincides with parent")
 
 
 def _uniform_rate(times: np.ndarray, hint) -> float | None:
-    """The hinted rate if every timestamp step matches it to a microsecond."""
-    if type(hint) not in _NUMBER_TYPES or not 0.0 < hint < math.inf:
+    """The hinted rate if it is a number > 0 and every timestamp step
+    matches it to a microsecond; any other hint is ignored."""
+    try:
+        rate = finite(hint, "sample_rate_hint", 0.0, strict=True)
+    except BadInput:
         return None
-    if np.any(np.abs(np.diff(times) - 1.0 / hint) > 1e-6):
-        return None
-    return float(hint)
+    return None if np.any(np.abs(np.diff(times) - 1.0 / rate) > 1e-6) else rate
 
 
 def load_sequence(path: str) -> SkeletonSequence:
@@ -237,22 +241,16 @@ def parse_sequence(text: str) -> SkeletonSequence:
     non-increasing ``t``. ``sample_rate`` is ``sample_rate_hint`` when the
     timestamps are uniform at that rate, else None.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg)
-    frames = obj.get("frames") if isinstance(obj, dict) else None
+    obj = read_json(text)
+    frames = obj.get("frames")
     if not isinstance(frames, list):
         raise ParseError("$", "expected object with a 'frames' list")
     try:
         times, positions = _frame_arrays(frames)
-        error = None
     except _STRUCTURE_ERRORS:
-        end, error = _first_malformed(frames)
-        times, positions = _frame_arrays(frames[:end])
+        _raise_malformed(frames)
+        raise  # a structure fault the frame scan does not know: a bug
     _check_geometry(frames, times, positions)
-    if error is not None:
-        raise error
     late = times[1:] <= times[:-1]
     if late.any():
         raise TimeOrderError(int(np.argmax(late)) + 1)
@@ -305,8 +303,7 @@ def resample(seq: SkeletonSequence, rate: float) -> SkeletonSequence:
     Positions are interpolated linearly per coordinate, clamping at the ends.
     Idempotent when the input is already uniform at the requested rate.
     """
-    if not 0.0 < rate < math.inf:
-        raise BadInput(f"resample rate must be a finite number > 0, got {rate}")
+    finite(rate, "resample rate", 0.0, strict=True)
     if len(seq) < 2:
         raise InsufficientData("resample needs at least 2 frames")
     ts = seq.times
@@ -489,23 +486,14 @@ def _arc_angle(a: np.ndarray, b: np.ndarray) -> float:
     return math.acos(max(-1.0, min(1.0, float(a @ b))))
 
 
-def _seconds(value, what: str, allow_zero: bool = False) -> float:
-    """A descriptor time as a float; BadDescriptor unless it is a finite
-    number > 0 (>= 0 with ``allow_zero``)."""
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        seconds = math.nan
-    if not (0.0 <= seconds < math.inf and (allow_zero or seconds > 0.0)):
-        bound = ">= 0" if allow_zero else "> 0"
-        raise BadDescriptor(f"{what} must be a finite number of seconds {bound}, got {value!r}")
-    return seconds
+# a descriptor time: BadDescriptor unless a finite number > 0, or >= 0 with strict=False
+_seconds = functools.partial(finite, lo=0.0, strict=True, error=BadDescriptor)
 
 
 def _segment_plan(descriptor: dict) -> tuple[str, list[tuple[str, float, np.ndarray, np.ndarray]]]:
     """Expand a descriptor into (part, [(kind, seconds, from_dir, to_dir)...])."""
     pattern = descriptor.get("pattern")
-    move_floor = _seconds(descriptor.get("move_seconds", DEFAULT_MOVE_SECONDS), "move_seconds", allow_zero=True)
+    move_floor = _seconds(descriptor.get("move_seconds", DEFAULT_MOVE_SECONDS), "move_seconds", strict=False)
 
     def move_seconds(a: np.ndarray, b: np.ndarray) -> float:
         return max(move_floor, _SECONDS_PER_RADIAN * _arc_angle(a, b))
@@ -521,7 +509,7 @@ def _segment_plan(descriptor: dict) -> tuple[str, list[tuple[str, float, np.ndar
             raise BadDescriptor("move_hold_move needs a from pose and a to pose")
         a = pose_vector(descriptor["from_pose"])
         b = pose_vector(descriptor["to_pose"])
-        lead = _seconds(descriptor.get("lead_seconds", DEFAULT_LEAD_SECONDS), "lead_seconds", allow_zero=True)
+        lead = _seconds(descriptor.get("lead_seconds", DEFAULT_LEAD_SECONDS), "lead_seconds", strict=False)
         return part, [("dwell", lead, a, a), ("move", move_seconds(a, b), a, b), ("dwell", hold, b, b)]
     if pattern == "reach_sequence":
         part = _part_key(descriptor.get("part", "right_arm"))
@@ -568,8 +556,7 @@ def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
     abrupt stop, so arrivals read as brief stops. Parts not named stay at
     their defaults (arms down, head up).
     """
-    if not 0.0 < rate < math.inf:
-        raise BadDescriptor(f"rate must be a finite number > 0, got {rate}")
+    finite(rate, "rate", 0.0, strict=True, error=BadDescriptor)
     part, plan = _segment_plan(descriptor)
     total = sum(seconds for _, seconds, _, _ in plan)
     _check_sample_count(total * rate, total, rate)

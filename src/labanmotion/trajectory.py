@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadInput, InsufficientData, ParseError, ShapeError, TimeOrderError, ValidationError
+from .errors import (InsufficientData, ParseError, ShapeError, TimeOrderError, ValidationError, finite,
+                     json_numbers, read_json)
 from .laban import Direction, LabanSymbol, Level
 from .robot import JointPose
 from .skeleton import uniform_grid
@@ -44,7 +44,7 @@ class Trajectory:
     def from_poses(cls, poses: list[JointPose], rate: float) -> "Trajectory":
         """The poses themselves as samples, for a score that decodes to fewer
         than the two key poses :func:`synthesize` needs."""
-        _check_rate(rate)
+        finite(rate, "trajectory rate", 0.0, strict=True)
         times, joints, angles = _keypose_arrays(poses)
         return cls(rate=float(rate), joints=joints, times=times, samples=angles)
 
@@ -121,18 +121,12 @@ class MotionDictionary:
     entries: dict[DictKey, DictEntry] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:
-            raise BadInput(f"tau must be a finite number > 0, got {self.tau}")
+        finite(self.tau, "tau", 0.0, strict=True)
 
 
 # ---------------------------------------------------------------------------
 # Interpolation
 # ---------------------------------------------------------------------------
-
-def _check_rate(rate: float) -> None:
-    if not (math.isfinite(rate) and rate > 0):
-        raise BadInput(f"trajectory rate must be a finite number > 0, got {rate}")
-
 
 def _keypose_arrays(keyposes: list[JointPose]) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
     """(times (m,), sorted joint names, angles (m, J)) of timed poses; the
@@ -261,7 +255,7 @@ def synthesize(
     ramp of its endpoint residuals; transitions without a stored path use
     plain interpolation. The result passes through every key pose.
     """
-    _check_rate(rate)
+    finite(rate, "trajectory rate", 0.0, strict=True)
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
     times, joints, angles = _keypose_arrays(keyposes)
@@ -380,10 +374,6 @@ def serialize_dictionary(mdict: MotionDictionary) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the types json.loads gives numbers; bool is a type of its own
-_NUMBER_TYPES = {int, float}
-
-
 def _parse_path(p, where: str) -> DictPath:
     if not isinstance(p, dict):
         raise ParseError(where, "expected an object")
@@ -392,11 +382,8 @@ def _parse_path(p, where: str) -> DictPath:
         raise ParseError(f"{where}.count", "expected an integer")
     if not isinstance(joints, list) or not all(isinstance(j, str) for j in joints):
         raise ParseError(f"{where}.joints", "expected a list of joint names")
-    if not (
-        isinstance(rows, list)
-        and all(type(row) is list for row in rows)
-        and set(map(type, itertools.chain.from_iterable(rows))) <= _NUMBER_TYPES
-    ):
+    if not (isinstance(rows, list) and all(type(row) is list for row in rows)
+            and json_numbers(itertools.chain.from_iterable(rows))):
         raise ParseError(f"{where}.samples", "expected a list of rows of numbers")
     if count < 1:
         raise ValidationError([f"{where}.count: must be at least 1, got {count}"])
@@ -404,10 +391,10 @@ def _parse_path(p, where: str) -> DictPath:
         raise ValidationError([f"{where}.samples: expected {PATH_SAMPLES} rows of {len(joints)} angles"])
     try:
         samples = np.array(rows, dtype=float)
-        finite = bool(np.all(np.isfinite(samples)))
+        all_finite = bool(np.all(np.isfinite(samples)))
     except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not finite:
+        all_finite = False
+    if not all_finite:
         raise ValidationError([f"{where}.samples: non-finite angle"])
     return DictPath(motion=MotionPath(joints=tuple(joints), samples=samples), count=count)
 
@@ -420,22 +407,15 @@ def parse_dictionary(text: str) -> MotionDictionary:
     PATH_SAMPLES rows of one angle per joint, a non-finite angle, a count
     below 1 and a tau that is not a finite number > 0 raise ValidationError.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
-    if not isinstance(obj, dict):
-        raise ParseError("$", "expected a JSON object")
+    obj = read_json(text)
     if obj.get("samples_per_path") != PATH_SAMPLES:
         raise ValidationError([f"$.samples_per_path: expected {PATH_SAMPLES}, got {obj.get('samples_per_path')!r}"])
     tau, entries = obj.get("tau"), obj.get("entries")
-    if type(tau) not in _NUMBER_TYPES:
+    if not json_numbers([tau]):
         raise ParseError("$.tau", "expected a number")
-    if not 0 < tau <= sys.float_info.max:  # exact for integers; False for NaN
-        raise ValidationError([f"$.tau: must be a finite number > 0, got {tau!r}"])
+    mdict = MotionDictionary(tau=finite(tau, "$.tau", 0.0, strict=True, error=ValidationError))
     if not isinstance(entries, dict):
         raise ParseError("$.entries", "expected an object")
-    mdict = MotionDictionary(tau=float(tau))
     for key_text, paths in entries.items():
         where = f"$.entries[{json.dumps(key_text)}]"
         try:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import shutil
 
 import pytest
@@ -299,11 +300,11 @@ def test_unusable_paths_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-def _score_text(duration: str, total: str) -> str:
-    """A frontal_7dof score whose RightArm cell has the given duration."""
+def _score_text(duration: str, total: str, start: str = "0.0") -> str:
+    """A frontal_7dof score whose RightArm cell has the given duration and start."""
     columns = [
-        '{"cells": [{"dir": "Forward", "duration": %s, "level": "Middle", "start": 0.0}], "name": "%s"}'
-        % (duration if name == "RightArm" else "1.0", name)
+        '{"cells": [{"dir": "Forward", "duration": %s, "level": "Middle", "start": %s}], "name": "%s"}'
+        % (((duration, start) if name == "RightArm" else ("1.0", "0.0")) + (name,))
         for name in ("Head", "LeftArm", "RightArm")
     ]
     return '{"columns": [%s], "meta": {}, "total_duration": %s}' % (", ".join(columns), total)
@@ -357,6 +358,16 @@ def _score_text(duration: str, total: str) -> str:
     # so would the smoothing kernel
     (["keyframes", "{clip}", "--sigma", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
     (["keyframes", "{clip}", "--sigma", "1e300", "-o", "{tmp}/kf.json"], None, "samples"),
+    # 2 s^2 underflows to 0: the kernel would be 0/0
+    (["keyframes", "{clip}", "--sigma", "1e-300", "-o", "{tmp}/kf.json"], None, "sigma"),
+    # integers beyond the float range are non-finite numbers; bools are not numbers
+    (["decode", "{tmp}/big-total.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
+    (["decode", "{tmp}/big-start.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
+    (["decode", "{tmp}/false-start.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
+     "$.columns[2].cells[0].start"),
+    (["decode", "{tmp}/true-duration.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
+     "$.columns[2].cells[0].duration"),
+    (["keyframes", "{tmp}/big-t.json", "-o", "{tmp}/kf.json"], None, "frames[3].t"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -366,7 +377,8 @@ def _score_text(duration: str, total: str) -> str:
         "keyframes-rate-nan",
         "keyframes-min-sep-nan", "keyframes-merge-window-inf", "dict-tau-0", "dict-tau-nan",
         "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9",
-        "keyframes-sigma-1e9", "keyframes-sigma-1e300"])
+        "keyframes-sigma-1e9", "keyframes-sigma-1e300", "keyframes-sigma-1e-300", "score-401-digit-total",
+        "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -375,6 +387,14 @@ def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     typed = json.loads(open(clip).read())
     typed["frames"][3]["joints"]["WristRight"][2] = "0.2"
     (tmp_path / "typed.json").write_text(json.dumps(typed))
+    big = "1" + "0" * 400
+    (tmp_path / "big-total.json").write_text(_score_text("1.0", big))
+    (tmp_path / "big-start.json").write_text(_score_text("1.0", "2.0", start=big))
+    (tmp_path / "false-start.json").write_text(_score_text("1.0", "2.0", start="false"))
+    (tmp_path / "true-duration.json").write_text(_score_text("true", "2.0"))
+    timed = json.loads(open(clip).read())
+    timed["frames"][3]["t"] = int(big)
+    (tmp_path / "big-t.json").write_text(json.dumps(timed))
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
     capsys.readouterr()
@@ -383,6 +403,65 @@ def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err
+
+
+@pytest.mark.parametrize("hint", [10**400, True, -30, "30"], ids=["401-digit", "true", "negative", "string"])
+def test_unusable_sample_rate_hint_is_ignored(tmp_path, hint):
+    obj = json.loads(open(_synth(tmp_path)).read())
+    del obj["sample_rate_hint"]
+    (tmp_path / "plain.json").write_text(json.dumps(obj))
+    obj["sample_rate_hint"] = hint
+    (tmp_path / "hinted.json").write_text(json.dumps(obj))
+    for name in ("plain", "hinted"):
+        assert main(["encode", str(tmp_path / f"{name}.json"), "-o", str(tmp_path / f"{name}.score.json")]) == 0
+    assert (tmp_path / "hinted.score.json").read_bytes() == (tmp_path / "plain.score.json").read_bytes()
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+# accepted flag values, most at the edges of their ranges
+_EDGES = {
+    "--rate": ["10", "30", "240"],
+    "--sigma": ["1e-3", "0.1", "2"],
+    "--prominence": ["0", "0.1", "1"],
+    "--min-sep": ["0", "0.25", "1e308"],
+    "--merge-window": ["0", "0.2", "1e308"],
+}
+
+
+def test_written_json_is_strict(tmp_path, capsys):
+    # every JSON file any command writes loads without NaN or Infinity,
+    # whatever accepted flag values it ran with
+    rng = random.Random(4)
+    clip = _synth(tmp_path)
+    succeeded = {}
+    for i in range(4):
+        out = tmp_path / f"run{i}"
+        out.mkdir()
+        flags = [x for flag, values in _EDGES.items() for x in (flag, rng.choice(values))]
+        flags += ["--force-final-keyframe"] * rng.randint(0, 1)
+        dwell, move = rng.choice(["1e-3", "0.5", "3"]), rng.choice(["0", "1e-3", "0.4"])
+        runs = [
+            ["synth", "reach_sequence", "--pose", f"place_low:{dwell}", "--pose", "right_high:0.5",
+             "--move-seconds", move, "--rate", rng.choice(_EDGES["--rate"]), "-o", str(out / "synth.json")],
+            ["keyframes", clip, *flags, "-o", str(out / "kf.json")],
+            ["encode", clip, *flags, "-o", str(out / "score.json")],
+            ["pipeline", clip, "--robot", rng.choice(["frontal_7dof", "lab_9dof"]),
+             "--traj-rate", rng.choice(["1e-300", "1", "1e3"]), *flags, "-o", str(out / "pipeline")],
+            ["dict", "build", clip, "--robot", "frontal_7dof", "--tau", rng.choice(["1e-300", "10", "1e308"]),
+             *flags, "-o", str(out / "dict.json")],
+        ]
+        for argv in runs:
+            rc = main(argv)
+            assert rc in (0, 1), (argv, capsys.readouterr().err)
+            succeeded[argv[0]] = succeeded.get(argv[0], 0) + (rc == 0)
+    assert all(succeeded.values()), succeeded
+    written = [os.path.join(d, f) for d, _, files in os.walk(tmp_path) for f in files if f.endswith(".json")]
+    assert len(written) > 2 * len(succeeded)
+    for path in written:
+        json.loads(open(path).read(), parse_constant=_refuse_constant)
 
 
 _NAN_LIMIT_ROBOT = """

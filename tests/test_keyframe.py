@@ -109,6 +109,15 @@ def test_smooth_kernel_is_bounded():
             smooth_signal([1.0, 2.0, 3.0], sigma=sigma, rate=1.0)
 
 
+def test_smooth_refuses_a_kernel_without_width():
+    # 2 s^2 must be a normal float: at 1e-160 s (3e-159 samples) 1 / (2 s^2)
+    # overflows, and below about 1e-154 samples 2 s^2 is 0 and every weight NaN
+    assert np.array_equal(smooth_signal([1.0, 2.0, 3.0], sigma=1e-150, rate=1.0), [1.0, 2.0, 3.0])
+    for sigma in (1e-160, 1e-300, 0.0, -0.1, math.nan):
+        with pytest.raises(BadInput, match="sigma"):
+            smooth_signal([1.0, 2.0, 3.0], sigma=sigma, rate=30.0)
+
+
 def test_smooth_matches_oracle(rng):
     xs = rng.normal(size=80)
     out = smooth_signal(xs, sigma=0.13, rate=30.0)

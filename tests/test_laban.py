@@ -299,6 +299,9 @@ def test_validate_rejects_non_finite(start, duration, total):
 
 @pytest.mark.parametrize("field,token", [
     ("duration", "NaN"), ("start", "Infinity"), ("start", "-Infinity"), ("total_duration", "Infinity"),
+    pytest.param("total_duration", "1" + "0" * 400, id="total_duration-401-digits"),
+    pytest.param("start", "1" + "0" * 400, id="start-401-digits"),
+    pytest.param("duration", "-1" + "0" * 400, id="duration-minus-401-digits"),
 ])
 def test_parse_rejects_non_finite(field, token):
     obj = {"columns": [{"cells": [{"dir": "Forward", "duration": 1.0, "level": "Middle", "start": 0.0}],
@@ -309,3 +312,15 @@ def test_parse_rejects_non_finite(field, token):
     with pytest.raises(ValidationError) as exc:
         parse_score(text)
     assert any(v.rule == "non-finite" for v in exc.value.violations)
+
+
+@pytest.mark.parametrize("field", ["start", "duration", "total_duration"])
+@pytest.mark.parametrize("token", ["true", "false", '"1.0"', "null"])
+def test_parse_rejects_non_numbers(field, token):
+    obj = {"columns": [{"cells": [{"dir": "Forward", "duration": 1.0, "level": "Middle", "start": 0.0}],
+                        "name": "RightArm"}], "meta": {}, "total_duration": 2.0}
+    target = obj if field == "total_duration" else obj["columns"][0]["cells"][0]
+    target[field] = "@"
+    with pytest.raises(ParseError) as exc:
+        parse_score(json.dumps(obj).replace('"@"', token))
+    assert exc.value.location == (f"$.{field}" if field == "total_duration" else f"$.columns[0].cells[0].{field}")

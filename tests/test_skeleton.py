@@ -132,6 +132,11 @@ MALFORMED = {
     "nan-t": ([_set([2, "t"], NAN)], ParseError, {"location": "frames[2].t"}),
     "infinite-t": ([_set([2, "t"], INF)], ParseError, {"location": "frames[2].t"}),
     "bool-t": ([_set([2, "t"], True)], ParseError, {"location": "frames[2].t"}),
+    "t-beyond-float-range": ([_set([2, "t"], 10**400)], ParseError, {"location": "frames[2].t"}),
+    "coordinate-beyond-float-range": ([_set([2, "joints", "Neck", 2], -10**400)], MalformedFrame,
+                                      {"index": 2, "joint": "Neck"}),
+    "geometry-before-later-huge-t": ([_set([1, "joints", "Head", 0], NAN), _set([2, "t"], 10**400)],
+                                     MalformedFrame, {"index": 1, "joint": "Head"}),
     "repeated-t": ([_set([2, "t"], lambda o: o["frames"][1]["t"])], TimeOrderError, {"index": 2}),
     "decreasing-t": ([_set([2, "t"], 0.0)], TimeOrderError, {"index": 2}),
     "joints-not-object": ([_set([2, "joints"], [])], ParseError, {"location": "frames[2]"}),
@@ -184,6 +189,8 @@ def test_sample_rate_hint_needs_uniform_time_steps():
     obj["sample_rate_hint"] = 25.0
     assert parse_sequence(json.dumps(obj)).sample_rate is None
     obj["sample_rate_hint"] = True
+    assert parse_sequence(json.dumps(obj)).sample_rate is None
+    obj["sample_rate_hint"] = 10**400
     assert parse_sequence(json.dumps(obj)).sample_rate is None
 
 def test_resample_identity_at_same_rate():
@@ -342,6 +349,30 @@ def test_serialize_load_roundtrip_bitwise(tmp_path):
     assert len(back) == len(seq)
     assert np.array_equal(back.times, seq.times)
     assert np.array_equal(back.positions, seq.positions)
+
+
+def test_parse_serialize_roundtrip_seeded(rng):
+    # random full-precision sequences, with and without a rate, survive
+    # serialize -> parse bit for bit and serialize to strict JSON
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for _ in range(200):
+        n = int(rng.integers(2, 12))
+        if rng.random() < 0.5:
+            rate = float(rng.choice([1.0, 24.0, 30.0, 1000.0]))
+            times = np.arange(n) / rate
+        else:
+            rate = None
+            times = np.cumsum(rng.uniform(1e-6, 10.0, n)) - rng.uniform(-1e3, 1e3)
+        positions = rng.normal(size=(n, len(ALL_JOINTS), 3)) * 10.0 ** rng.uniform(-100, 100)
+        seq = SkeletonSequence(times, positions, rate)
+        text = serialize_sequence(seq)
+        json.loads(text, parse_constant=refuse)
+        back = parse_sequence(text)
+        assert back.sample_rate == seq.sample_rate
+        assert np.array_equal(back.times, seq.times) and np.array_equal(back.positions, seq.positions)
+        assert serialize_sequence(back) == text
 
 
 def test_serialize_parse_identity_twice():
