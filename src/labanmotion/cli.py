@@ -157,21 +157,20 @@ class _Run:
             raise LabanMotionError("a robot description is required (--robot)")
         return robot_mod.load_robot(path)
 
-    def decode(self, score: laban.LabanScore) -> tuple[robot_mod.RobotDescription, list[robot_mod.DecodedPose]]:
+    def decode(self, score: laban.LabanScore) -> tuple[robot_mod.RobotDescription, robot_mod.DecodedScore]:
         robot = self.robot()
         with self.stage("decode") as counts:
             decoded = robot_mod.decode_score_detailed(score, robot)
             counts["poses"] = len(decoded)
         return robot, decoded
 
-    def synthesize(self, decoded: list[robot_mod.DecodedPose], rate: float) -> trajectory.Trajectory:
+    def synthesize(self, decoded: robot_mod.DecodedScore, rate: float) -> trajectory.Trajectory:
         dict_path = self.get("dict")
         mdict = trajectory.load_dictionary(dict_path) if dict_path else None
         with self.stage("trajectory") as counts:
-            poses = [d.pose for d in decoded]
+            poses = decoded.poses
             if len(poses) >= 2:
-                traj = trajectory.synthesize(poses, [d.states for d in decoded], mdict,
-                                             self.get("interp", "linear"), rate)
+                traj = trajectory.synthesize(poses, decoded.states, mdict, self.get("interp", "linear"), rate)
             else:
                 traj = trajectory.Trajectory.from_poses(poses, rate)
             counts["samples"] = len(traj.samples)
@@ -292,9 +291,7 @@ def _cmd_pipeline(run: _Run) -> int:
         "cells": sum(len(c.cells) for c in score.columns),
         "key_poses": len(decoded),
         "trajectory_samples": len(traj.samples),
-        "clamped_segments": sum(
-            1 for d in decoded for cmd in d.segments.values() if cmd.driven and cmd.clamped
-        ),
+        "clamped_segments": int(decoded.clamped.sum()),
         "robot": robot.name,
     }
     # every stage has succeeded: a failing run leaves no partial output

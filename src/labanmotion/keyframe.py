@@ -127,7 +127,8 @@ def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams) -> Ener
     The x, y, z coordinate signals are smoothed first, then differentiated;
     acceleration and speed magnitudes (each scaled by 1/sqrt(3)) are min-max
     normalized into [0, 1] over the whole sequence. A constant magnitude
-    series normalizes to all zeros.
+    series normalizes to all zeros. Coordinates so large that a derivative
+    or its square overflows raise BadInput naming the part.
     """
     if len(seq) < 3:
         raise InsufficientData("energy needs at least 3 frames")
@@ -137,16 +138,20 @@ def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams) -> Ener
     dt = 1.0 / rate
     coords = seq.positions_of(part)
     vs, accs = [], []
-    for c in range(3):
-        x = smooth_signal(coords[:, c], params.sigma, rate)
-        v, a = _derivatives(x, dt)
-        vs.append(v)
-        accs.append(a)
-    inv_sqrt3 = 1.0 / math.sqrt(3.0)
-    raw_ea = inv_sqrt3 * np.sqrt(accs[0] ** 2 + accs[1] ** 2 + accs[2] ** 2)
-    raw_es = inv_sqrt3 * np.sqrt(vs[0] ** 2 + vs[1] ** 2 + vs[2] ** 2)
-    ea = _minmax(raw_ea)
-    es = _minmax(raw_es)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for c in range(3):
+                x = smooth_signal(coords[:, c], params.sigma, rate)
+                v, a = _derivatives(x, dt)
+                vs.append(v)
+                accs.append(a)
+            inv_sqrt3 = 1.0 / math.sqrt(3.0)
+            raw_ea = inv_sqrt3 * np.sqrt(accs[0] ** 2 + accs[1] ** 2 + accs[2] ** 2)
+            raw_es = inv_sqrt3 * np.sqrt(vs[0] ** 2 + vs[1] ** 2 + vs[2] ** 2)
+            ea = _minmax(raw_ea)
+            es = _minmax(raw_es)
+    except FloatingPointError:
+        raise BadInput(f"energy of {part.value} overflows: its coordinates are too large") from None
     return EnergySeries(part=part, values=ea - es, ea=ea, es=es)
 
 

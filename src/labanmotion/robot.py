@@ -31,11 +31,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 import logging
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .encoder import COLUMN_DISTAL, LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, segment_direction
-from .errors import BadSymbol, MissingColumn, ParseError, ValidationError, json_numbers, read_json
+from .errors import (BadSymbol, MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers,
+                     read_json)
 from .laban import VALID_LIMB_SYMBOLS, Direction, LabanScore, LabanSymbol, Level, states_at, validate
 from .skeleton import SkeletonSequence, body_frame
 
@@ -106,16 +108,79 @@ class RobotDescription:
     def neutral_angles(self) -> dict[str, float]:
         """Joint name -> zero clamped into its limits, for every joint in
         :meth:`joint_names` order, built once per description."""
-        return {name: _clamp_nearest(0.0, *limits)[0] for name, limits in self._joint_limits()}
+        return {name: float(_clamp_nearest(np.zeros(1), *limits)[0][0]) for name, limits in self._joint_limits()}
 
     def joint_names(self) -> list[str]:
         return [name for name, _ in self._joint_limits()]
 
+    @cached_property
+    def symbol_table(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """Segment ref -> ``(yaw_pitch, clamped)`` for every segment fed by
+        one column, built at the first decode rather than by
+        :func:`load_robot`. Row k of the (27, 2) ``yaw_pitch`` and the (27,)
+        ``clamped`` is :func:`vector_to_joints` of symbol k of
+        ``VALID_LIMB_SYMBOLS``; the last row, which code -1 (no symbol in
+        force) selects, holds the segment's neutral angles, unclamped."""
+        directions = np.array([_SYMBOL_VECTORS[s] for s in VALID_LIMB_SYMBOLS])
+        table = {}
+        for ref, seg, sources in self.segment_table:
+            if len(sources) == 1:
+                yaw, pitch, clamped = _joint_rows(directions, seg)
+                neutral = [self.neutral_angles[seg.yaw_joint], self.neutral_angles[seg.pitch_joint]]
+                table[ref] = (np.vstack([np.column_stack([yaw, pitch]), neutral]), np.append(clamped, False))
+        return table
+
 
 @dataclass
 class JointPose:
+    """One timed pose: joint name -> angle in degrees."""
+
     t: float
     angles: dict[str, float]
+
+
+@dataclass(eq=False)
+class KeyPoses:
+    """Timed joint-space poses as arrays: pose i is ``angles[i]`` at ``times[i]``.
+
+    The times increase strictly and ``joints``, sorted by name, names the
+    columns of ``angles``, so every pose has the same joints. Indexing and
+    iterating give :class:`JointPose` copies.
+    """
+
+    times: np.ndarray  # (m,) seconds
+    joints: tuple[str, ...]  # sorted; the columns of angles
+    angles: np.ndarray  # (m, len(joints)) degrees
+
+    def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)
+        self.joints = tuple(self.joints)
+        self.angles = np.asarray(self.angles, dtype=float)
+        if list(self.joints) != sorted(set(self.joints)) or self.angles.shape != (len(self.times), len(self.joints)):
+            raise ShapeError("poses disagree on joint names")
+        steps = np.diff(self.times) <= 0
+        if steps.any():
+            raise TimeOrderError(int(np.argmax(steps)) + 1, "pose times must be strictly increasing")
+
+    @classmethod
+    def of(cls, poses: Iterable[JointPose]) -> "KeyPoses":
+        """Key poses from :class:`JointPose` objects, which must all name the
+        same joints."""
+        poses = list(poses)
+        joints = tuple(sorted(poses[0].angles)) if poses else ()
+        if any(tuple(sorted(p.angles)) != joints for p in poses):
+            raise ShapeError("poses disagree on joint names")
+        angles = np.array([[p.angles[j] for j in joints] for p in poses], dtype=float)
+        return cls(np.array([p.t for p in poses], dtype=float), joints, angles.reshape(len(poses), len(joints)))
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i: int) -> JointPose:
+        return JointPose(float(self.times[i]), dict(zip(self.joints, self.angles[i].tolist())))
+
+    def __iter__(self) -> Iterator[JointPose]:
+        return (self[i] for i in range(len(self)))
 
 
 def _limits(obj, key, where) -> tuple[float, float]:
@@ -242,6 +307,8 @@ def _band_center(s: LabanSymbol) -> np.ndarray:
 
 
 _SYMBOL_VECTORS = {s: _band_center(s) for s in VALID_LIMB_SYMBOLS}
+# the code of symbol k of VALID_LIMB_SYMBOLS is k
+_SYMBOL_CODES = {s: k for k, s in enumerate(VALID_LIMB_SYMBOLS)}
 
 
 def symbol_to_vector(s: LabanSymbol) -> np.ndarray:
@@ -268,60 +335,49 @@ def concatenate(a: np.ndarray, b: np.ndarray, last: np.ndarray | None) -> np.nda
     return np.asarray(a, dtype=float)
 
 
-def reduce_vectors(
-    vectors: dict[str, np.ndarray],
-    robot: RobotDescription,
-    hist: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Per-segment direction from per-column directions.
-
-    Split targets receive their source column's vector unchanged; merge
-    targets left-fold ``concatenate`` over their source columns in
-    column-map order, each step's result being the next step's history.
-    Segments whose sources are not all present are left out. ``hist`` maps
-    each merged segment to its last combined direction and is updated in
-    place.
-    """
-    out: dict[str, np.ndarray] = {}
-    for ref, _, sources in robot.segment_table:
-        if not sources or any(c not in vectors for c in sources):
-            continue
-        v = vectors[sources[0]]
-        if len(sources) > 1:
-            last = hist.get(ref)
-            for col in sources[1:]:
-                v = last = concatenate(v, vectors[col], last)
-            hist[ref] = v
-        out[ref] = v
-    return out
+def _fold(rows: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
+    """Combined directions of a merged segment, one per row of its source
+    columns' directions: each row left-folds :func:`concatenate` in
+    column-map order, each step's result being the next step's history,
+    from one row to the next too. Returns an (n, 3) array."""
+    out, last = [], None
+    for vectors in rows:
+        v = vectors[0]
+        for w in vectors[1:]:
+            v = last = concatenate(v, w, last)
+        out.append(v)
+    return np.array(out, dtype=float).reshape(len(out), 3)
 
 
-def reduce_columns(
-    symbols: dict[str, LabanSymbol],
-    robot: RobotDescription,
-    hist: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Symbol form of :func:`reduce_vectors`; missing source columns raise."""
-    for ref, _, sources in robot.segment_table:
-        for col in sources:
-            if col not in symbols:
-                raise MissingColumn(ref, col)
-    vectors = {col: symbol_to_vector(sym) for col, sym in symbols.items()}
-    return reduce_vectors(vectors, robot, hist)
+_RAD_TO_DEG = 180.0 / math.pi  # the factor math.degrees multiplies by
 
 
-def _angular_distance(a: float, b: float) -> float:
-    d = abs(a - b) % 360.0
-    return min(d, 360.0 - d)
+def _clamp_nearest(values: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clamp each value to the angularly nearest limit, equidistant picking
+    the lower: the clamped values and where they were clamped."""
+    inside = (lo <= values) & (values <= hi)
+    if inside.all():
+        return values, ~inside
+    d_lo = np.abs(values - lo) % 360.0
+    d_hi = np.abs(values - hi) % 360.0
+    nearest = np.where(np.minimum(d_lo, 360.0 - d_lo) <= np.minimum(d_hi, 360.0 - d_hi), lo, hi)
+    return np.where(inside, values, nearest), ~inside
 
 
-def _clamp_nearest(value: float, lo: float, hi: float) -> tuple[float, bool]:
-    """Clamp to the angularly nearest limit; equidistant picks the lower."""
-    if lo <= value <= hi:
-        return value, False
-    d_lo = _angular_distance(value, lo)
-    d_hi = _angular_distance(value, hi)
-    return (lo, True) if d_lo <= d_hi else (hi, True)
+def _joint_rows(directions: np.ndarray, seg: Segment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`vector_to_joints` of each row of (n, 3) directions: yaw, pitch
+    and clamped arrays. asin and atan2 are ``math``'s, mapped over list
+    columns, because numpy's may differ in the last bit from a per-value
+    computation; the rest is array arithmetic that rounds as scalar
+    arithmetic does."""
+    fx, ly, uz = directions.T
+    # fmin/fmax pass NaN by as Python's min/max do
+    pitch = np.array(list(map(math.asin, np.fmax(-1.0, np.fmin(1.0, uz)).tolist())), dtype=float) * _RAD_TO_DEG
+    yaw = np.array(list(map(math.atan2, ly.tolist(), fx.tolist())), dtype=float) * _RAD_TO_DEG
+    yaw[fx * fx + ly * ly < 1e-12] = 0.0
+    yaw, yaw_clamped = _clamp_nearest(yaw, *seg.yaw_limits)
+    pitch, pitch_clamped = _clamp_nearest(pitch, *seg.pitch_limits)
+    return yaw, pitch, yaw_clamped | pitch_clamped
 
 
 def vector_to_joints(v: np.ndarray, seg: Segment) -> tuple[float, float, bool]:
@@ -331,15 +387,8 @@ def vector_to_joints(v: np.ndarray, seg: Segment) -> tuple[float, float, bool]:
     At the poles yaw is defined as 0. Angles outside the segment's limits
     are clamped to the nearest limit and flagged.
     """
-    fx, ly, uz = float(v[0]), float(v[1]), float(v[2])
-    pitch = math.degrees(math.asin(max(-1.0, min(1.0, uz))))
-    if fx * fx + ly * ly < 1e-12:
-        yaw = 0.0
-    else:
-        yaw = math.degrees(math.atan2(ly, fx))
-    yaw_c, yaw_clamped = _clamp_nearest(yaw, *seg.yaw_limits)
-    pitch_c, pitch_clamped = _clamp_nearest(pitch, *seg.pitch_limits)
-    return yaw_c, pitch_c, yaw_clamped or pitch_clamped
+    yaw, pitch, clamped = _joint_rows(np.asarray(v, dtype=float).reshape(1, 3), seg)
+    return float(yaw[0]), float(pitch[0]), bool(clamped[0])
 
 
 def joints_to_vector(yaw: float, pitch: float) -> np.ndarray:
@@ -364,29 +413,55 @@ class SegmentCommand:
 
 @dataclass
 class DecodedPose:
+    """One decoded pose with per-segment detail, as :class:`DecodedScore` items
+    present it."""
+
     t: float
     pose: JointPose
     segments: dict[str, SegmentCommand]
     states: dict[str, LabanSymbol]  # symbol in force at t per score column; uncovered ones absent
 
 
-def _joint_angles(
-    per_segment: dict[str, np.ndarray], robot: RobotDescription
-) -> tuple[dict[str, float], dict[str, tuple[float, float, bool]]]:
-    """Joint angles for :func:`reduce_vectors` output: the robot's neutral
-    angles with each driven segment's yaw and pitch overwritten, plus the
-    ``(yaw, pitch, clamped)`` of every driven segment."""
-    angles = dict(robot.neutral_angles)
-    driven: dict[str, tuple[float, float, bool]] = {}
-    for ref, seg, _ in robot.segment_table:
-        if ref in per_segment:
-            yaw, pitch, _ = driven[ref] = vector_to_joints(per_segment[ref], seg)
-            angles[seg.yaw_joint] = yaw
-            angles[seg.pitch_joint] = pitch
-    return angles, driven
+@dataclass(eq=False)
+class DecodedScore:
+    """A decoded score: the key poses, the symbols in force at each, and
+    per-segment flags as (poses, segments) arrays whose columns follow
+    ``robot.segment_table``. Indexing and iterating give
+    :class:`DecodedPose` views, built on demand."""
+
+    poses: KeyPoses
+    states: list[dict[str, LabanSymbol]]  # per pose: symbol in force per score column; uncovered ones absent
+    robot: RobotDescription
+    driven: np.ndarray  # (m, segments) bool: the segment's source columns all had a symbol
+    clamped: np.ndarray  # (m, segments) bool: a driven segment realized at a joint limit
+
+    def __len__(self) -> int:
+        return len(self.poses)
+
+    def __getitem__(self, i: int) -> DecodedPose:
+        pose = self.poses[i]
+        segments = {}
+        for s, (ref, seg, sources) in enumerate(self.robot.segment_table):
+            driven = bool(self.driven[i, s])
+            merged = driven and len(sources) > 1
+            segments[ref] = SegmentCommand(
+                pose.angles[seg.yaw_joint], pose.angles[seg.pitch_joint], bool(self.clamped[i, s]), driven,
+                merged, self.states[i][sources[0]] if driven and not merged else None,
+            )
+        return DecodedPose(pose.t, pose, segments, self.states[i])
+
+    def __iter__(self) -> Iterator[DecodedPose]:
+        return (self[i] for i in range(len(self)))
 
 
-def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[DecodedPose]:
+def _neutral(robot: RobotDescription, m: int) -> tuple[tuple[str, ...], dict[str, int], np.ndarray]:
+    """Sorted joint names, each one's column, and m rows of neutral angles."""
+    joints = tuple(sorted(robot.neutral_angles))
+    angles = np.tile(np.array([robot.neutral_angles[j] for j in joints], dtype=float), (m, 1))
+    return joints, {j: c for c, j in enumerate(joints)}, angles
+
+
+def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> DecodedScore:
     """Decode a score into per-boundary-time joint poses with segment detail.
 
     Boundary times are the distinct cell end times, ascending. At each time,
@@ -394,6 +469,10 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
     symbol yet hold the neutral pose (zeros clamped into limits). A mapped
     column that never appears anywhere in the score is an error; extra score
     columns are ignored with a warning.
+
+    A segment fed by one column reads its angles from the robot's
+    :attr:`~RobotDescription.symbol_table`, one gather over all poses; a
+    merged segment folds its columns' directions pose by pose (:func:`_fold`).
     """
     violations = validate(score)
     if violations:
@@ -410,43 +489,45 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> list[De
     # shared boundaries dedupe across columns
     times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
     states = states_at(score, [min(t, score.total_duration) for t in times])
-    hist: dict[str, np.ndarray] = {}
-    out: list[DecodedPose] = []
-    for t, symbols in zip(times, states):
-        vectors = {
-            col: symbol_to_vector(sym)
-            for col, sym in symbols.items()
-            if col in robot.column_map
-        }
-        angles, driven = _joint_angles(reduce_vectors(vectors, robot, hist), robot)
-        detail: dict[str, SegmentCommand] = {}
-        for ref, seg, sources in robot.segment_table:
-            if ref in driven:
-                merged = len(sources) > 1
-                symbol = symbols[sources[0]] if not merged else None
-                detail[ref] = SegmentCommand(*driven[ref], True, merged, symbol)
-            else:
-                yaw, pitch = angles[seg.yaw_joint], angles[seg.pitch_joint]
-                detail[ref] = SegmentCommand(yaw, pitch, False, False, False, None)
-        out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail, states=symbols))
-    return out
+    # per mapped column, the code of the symbol in force at each pose; -1 where none is
+    codes = {col: np.array([_SYMBOL_CODES.get(state.get(col), -1) for state in states], dtype=np.intp)
+             for col in robot.column_map}
+    joints, column, angles = _neutral(robot, len(times))
+    driven = np.zeros((len(times), len(robot.segment_table)), dtype=bool)
+    clamped = np.zeros_like(driven)
+    for s, (ref, seg, sources) in enumerate(robot.segment_table):
+        cols = [column[seg.yaw_joint], column[seg.pitch_joint]]
+        if len(sources) == 1:
+            yaw_pitch, flags = robot.symbol_table[ref]
+            code = codes[sources[0]]
+            angles[:, cols] = yaw_pitch[code]
+            driven[:, s] = code >= 0
+            clamped[:, s] = flags[code]
+        elif sources:
+            rows = np.flatnonzero(np.all([codes[col] >= 0 for col in sources], axis=0))
+            directions = _fold([[symbol_to_vector(states[i][col]) for col in sources] for i in rows.tolist()])
+            yaw, pitch, flags = _joint_rows(directions, seg)
+            angles[rows, cols[0]], angles[rows, cols[1]] = yaw, pitch
+            driven[rows, s] = True
+            clamped[rows, s] = flags
+    return DecodedScore(KeyPoses(np.array(times, dtype=float), joints, angles), states, robot, driven, clamped)
 
 
-def decode_score(score: LabanScore, robot: RobotDescription) -> list[JointPose]:
+def decode_score(score: LabanScore, robot: RobotDescription) -> KeyPoses:
     """Timed joint-space key poses for a score on a robot."""
-    return [d.pose for d in decode_score_detailed(score, robot)]
+    return decode_score_detailed(score, robot).poses
 
 
 def project_path(
     seq: SkeletonSequence, start: int, end: int, robot: RobotDescription
-) -> list[JointPose]:
+) -> KeyPoses:
     """Joint-space path for frames start..end inclusive (shared history).
 
     Uses the un-quantized body-frame segment directions of the mapped
     columns, so intermediate motion between key poses lands in joint space
-    without passing through symbols. Body frames and directions are computed
-    for the whole range at once; the per-segment merge, whose history is
-    sequential, and the joint angles run frame by frame.
+    without passing through symbols. Body frames, directions and joint
+    angles are computed for the whole range at once; merges, whose history
+    is sequential, run frame by frame.
     """
     positions = seq.positions[start:end + 1]
     bf = body_frame(positions)
@@ -455,9 +536,10 @@ def project_path(
         for col in robot.column_map
         if col in COLUMN_DISTAL
     }
-    hist: dict[str, np.ndarray] = {}
-    poses = []
-    for k, t in enumerate(seq.times[start:end + 1].tolist()):
-        per_segment = reduce_vectors({col: v[k] for col, v in vectors.items()}, robot, hist)
-        poses.append(JointPose(t, _joint_angles(per_segment, robot)[0]))
-    return poses
+    joints, column, angles = _neutral(robot, len(positions))
+    for _, seg, sources in robot.segment_table:
+        if sources and all(col in vectors for col in sources):
+            directions = _fold(zip(*(vectors[col] for col in sources))) if len(sources) > 1 else vectors[sources[0]]
+            yaw, pitch, _ = _joint_rows(directions, seg)
+            angles[:, column[seg.yaw_joint]], angles[:, column[seg.pitch_joint]] = yaw, pitch
+    return KeyPoses(seq.times[start:end + 1], joints, angles)

@@ -21,10 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (InsufficientData, ParseError, ShapeError, TimeOrderError, ValidationError, finite,
-                     json_numbers, read_json)
+from .errors import InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json
 from .laban import Direction, LabanSymbol, Level
-from .robot import JointPose
+from .robot import KeyPoses
 from .skeleton import uniform_grid
 
 PATH_SAMPLES = 32
@@ -41,12 +40,11 @@ class Trajectory:
     samples: np.ndarray  # (m, len(joints)) degrees
 
     @classmethod
-    def from_poses(cls, poses: list[JointPose], rate: float) -> "Trajectory":
+    def from_poses(cls, poses: KeyPoses, rate: float) -> "Trajectory":
         """The poses themselves as samples, for a score that decodes to fewer
         than the two key poses :func:`synthesize` needs."""
         finite(rate, "trajectory rate", 0.0, strict=True)
-        times, joints, angles = _keypose_arrays(poses)
-        return cls(rate=float(rate), joints=joints, times=times, samples=angles)
+        return cls(rate=float(rate), joints=poses.joints, times=poses.times, samples=poses.angles)
 
 
 @dataclass(eq=False)
@@ -128,21 +126,6 @@ class MotionDictionary:
 # Interpolation
 # ---------------------------------------------------------------------------
 
-def _keypose_arrays(keyposes: list[JointPose]) -> tuple[np.ndarray, tuple[str, ...], np.ndarray]:
-    """(times (m,), sorted joint names, angles (m, J)) of timed poses; the
-    times must increase strictly and every pose must name the same joints."""
-    times = np.array([p.t for p in keyposes], dtype=float)
-    if np.any(np.diff(times) <= 0):
-        bad = int(np.argmax(np.diff(times) <= 0)) + 1
-        raise TimeOrderError(bad, "pose times must be strictly increasing")
-    joints = tuple(sorted(keyposes[0].angles)) if keyposes else ()
-    for p in keyposes:
-        if tuple(sorted(p.angles)) != joints:
-            raise ShapeError("poses disagree on joint names")
-    angles = np.array([[p.angles[j] for j in joints] for p in keyposes], dtype=float)
-    return times, joints, angles.reshape(len(keyposes), len(joints))
-
-
 def _blend(mode: str, tau):
     """Blend weight for normalized segment time tau (a float or an array)."""
     if mode == "linear":
@@ -163,16 +146,15 @@ def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
     return idx, tau, rows
 
 
-def evaluate(keyposes: list[JointPose], mode: str, t: float) -> dict[str, float]:
+def evaluate(keyposes: KeyPoses, mode: str, t: float) -> dict[str, float]:
     """Interpolated angles at an arbitrary time within the key-pose span."""
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
-    times, joints, angles = _keypose_arrays(keyposes)
-    row = _rows_at(times, angles, mode, t)[2]
-    return {j: float(row[i]) for i, j in enumerate(joints)}
+    row = _rows_at(keyposes.times, keyposes.angles, mode, t)[2]
+    return {j: float(row[i]) for i, j in enumerate(keyposes.joints)}
 
 
-def interpolate(keyposes: list[JointPose], mode: str, rate: float) -> Trajectory:
+def interpolate(keyposes: KeyPoses, mode: str, rate: float) -> Trajectory:
     """Uniformly sampled trajectory through the key poses.
 
     Samples that land exactly on key-pose times reproduce those poses; per
@@ -187,15 +169,15 @@ def interpolate(keyposes: list[JointPose], mode: str, rate: float) -> Trajectory
 # Motion dictionary
 # ---------------------------------------------------------------------------
 
-def resample_path(poses: list[JointPose], n: int = PATH_SAMPLES) -> MotionPath:
+def resample_path(poses: KeyPoses, n: int = PATH_SAMPLES) -> MotionPath:
     """Per-joint linear resampling onto n uniform points of normalized time."""
     if len(poses) < 2:
         raise InsufficientData("need at least 2 observed samples")
-    times, joints, data = _keypose_arrays(poses)
+    times = poses.times
     u = (times - times[0]) / (times[-1] - times[0])
     grid = np.linspace(0.0, 1.0, n)
-    out = np.column_stack([np.interp(grid, u, data[:, c]) for c in range(len(joints))])
-    return MotionPath(joints=joints, samples=out)
+    out = np.column_stack([np.interp(grid, u, poses.angles[:, c]) for c in range(len(poses.joints))])
+    return MotionPath(joints=poses.joints, samples=out)
 
 
 def path_distance(a: MotionPath, b: MotionPath) -> float:
@@ -206,7 +188,7 @@ def path_distance(a: MotionPath, b: MotionPath) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def dict_update(mdict: MotionDictionary, key: DictKey, observed: list[JointPose]) -> MotionDictionary:
+def dict_update(mdict: MotionDictionary, key: DictKey, observed: KeyPoses) -> MotionDictionary:
     """Fold one observed transition into the dictionary.
 
     The observation is resampled to the fixed path length; if its nearest
@@ -242,8 +224,8 @@ def dict_lookup(mdict: MotionDictionary, key: DictKey) -> MotionPath | None:
 
 
 def synthesize(
-    keyposes: list[JointPose],
-    states: list[dict[str, LabanSymbol]],
+    keyposes: KeyPoses,
+    states: list[dict[str, LabanSymbol]] | None,
     mdict: MotionDictionary | None,
     mode: str,
     rate: float,
@@ -258,7 +240,7 @@ def synthesize(
     finite(rate, "trajectory rate", 0.0, strict=True)
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
-    times, joints, angles = _keypose_arrays(keyposes)
+    times, joints, angles = keyposes.times, keyposes.joints, keyposes.angles
     if states is not None and len(states) != len(keyposes):
         raise ShapeError("states must align 1:1 with key poses")
 

@@ -29,6 +29,7 @@ from labanmotion.laban import (
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
     JointPose,
+    KeyPoses,
     decode_score_detailed,
     joints_to_vector,
     load_robot,
@@ -276,10 +277,10 @@ def test_criterion_08_trajectory_exactness_and_stops():
         # times in whole deciseconds, gaps >= 1 s, so a 10 Hz grid hits them
         gaps = rng.integers(10, 26, size=k - 1)
         times = np.concatenate([[0], np.cumsum(gaps)]) / 10.0
-        keyposes = [
+        keyposes = KeyPoses.of([
             JointPose(t=float(t), angles={j: float(a) for j, a in zip(joints, rng.uniform(-170, 170, size=4))})
             for t in times
-        ]
+        ])
         mode = "cubic" if trial % 2 == 0 else "linear"
         traj = interpolate(keyposes, mode, 10.0)
         by_t = {
@@ -323,7 +324,7 @@ def _observed(offset: float, wiggle: float):
                 },
             )
         )
-    return out
+    return KeyPoses.of(out)
 
 
 def test_criterion_09_dictionary_semantics():

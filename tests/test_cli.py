@@ -9,7 +9,7 @@ import pytest
 from labanmotion import cli, encoder, trajectory
 from labanmotion.cli import main
 from labanmotion.laban import Direction, LabanSymbol, Level, load_score
-from labanmotion.robot import JointPose
+from labanmotion.robot import JointPose, KeyPoses
 from labanmotion.skeleton import load_sequence
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -255,6 +255,14 @@ def test_decode_single_pose_score(tmp_path):
     assert len(lines) == 2  # header + the single decoded pose
 
 
+def test_decode_score_without_cells_writes_the_header(tmp_path):
+    columns = ", ".join(f'{{"cells": [], "name": "{name}"}}' for name in ("Head", "LeftArm", "RightArm"))
+    (tmp_path / "empty.json").write_text('{"columns": [%s], "meta": {}, "total_duration": 1.0}' % columns)
+    assert main(["decode", str(tmp_path / "empty.json"), "--robot", "frontal_7dof", "-o", str(tmp_path / "t.csv")]) == 0
+    joints = sorted(cli.robot_mod.load_robot("frontal_7dof").joint_names())
+    assert (tmp_path / "t.csv").read_text() == "t," + ",".join(joints) + "\n"
+
+
 def test_config_traj_rate(tmp_path):
     clip = _synth(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -368,6 +376,10 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
     (["decode", "{tmp}/true-duration.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
      "$.columns[2].cells[0].duration"),
     (["keyframes", "{tmp}/big-t.json", "-o", "{tmp}/kf.json"], None, "frames[3].t"),
+    # finite coordinates whose velocity or its square overflows
+    (["keyframes", "{tmp}/big-Head.json", "-o", "{tmp}/kf.json"], None, "energy of Head"),
+    (["pipeline", "{tmp}/big-WristRight.json", "--robot", "frontal_7dof", "-o", "{tmp}/out"], None,
+     "energy of WristRight"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -378,7 +390,8 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
         "keyframes-min-sep-nan", "keyframes-merge-window-inf", "dict-tau-0", "dict-tau-nan",
         "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9",
         "keyframes-sigma-1e9", "keyframes-sigma-1e300", "keyframes-sigma-1e-300", "score-401-digit-total",
-        "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t"])
+        "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t",
+        "skeleton-head-1e308", "skeleton-wrist-1e308"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -395,6 +408,10 @@ def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     timed = json.loads(open(clip).read())
     timed["frames"][3]["t"] = int(big)
     (tmp_path / "big-t.json").write_text(json.dumps(timed))
+    for joint in ("Head", "WristRight"):
+        huge = json.loads(open(clip).read())
+        huge["frames"][3]["joints"][joint][0] = 1e308
+        (tmp_path / f"big-{joint}.json").write_text(json.dumps(huge))
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
     capsys.readouterr()
@@ -543,7 +560,7 @@ def _bad_dict_text(case: str) -> str:
         {"RightArm": LabanSymbol(Direction.Place, Level.Low)},
         {"RightArm": LabanSymbol(Direction.Forward, Level.Middle)},
     )
-    observed = [JointPose(t=float(t), angles={"a": 10.0 * t, "b": -5.0 * t}) for t in range(3)]
+    observed = KeyPoses.of([JointPose(t=float(t), angles={"a": 10.0 * t, "b": -5.0 * t}) for t in range(3)])
     trajectory.dict_update(mdict, key, observed)
     obj = json.loads(trajectory.serialize_dictionary(mdict))
     path = next(iter(obj["entries"].values()))[0]

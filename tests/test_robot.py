@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from labanmotion.encoder import digitize
+from labanmotion.encoder import COLUMN_DISTAL, digitize, segment_direction
 from labanmotion.errors import BadSymbol, MissingColumn, ValidationError
+from labanmotion import robot as robot_mod
 from labanmotion.laban import (
     Cell,
     Direction,
@@ -19,7 +20,10 @@ from labanmotion.laban import (
 )
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
+    DecodedPose,
+    JointPose,
     Segment,
+    SegmentCommand,
     concatenate,
     decode_score,
     decode_score_detailed,
@@ -27,11 +31,10 @@ from labanmotion.robot import (
     load_robot,
     parse_robot,
     project_path,
-    reduce_columns,
-    reduce_vectors,
     symbol_to_vector,
     vector_to_joints,
 )
+from labanmotion.skeleton import JOINT_INDEX, JointName, SkeletonSequence, body_frame, synth_motion
 
 from conftest import random_rotation
 
@@ -413,3 +416,315 @@ def test_project_path_continuous_directions():
     # mid-move angles are intermediate, not quantized to 45-degree steps
     mid = project_path(seq, len(seq) // 2, len(seq) // 2, robot)[0]
     assert -90.0 < mid.angles["r_shoulder_pitch"] < 0.0
+
+
+# ---------------------------------------------------------------------------
+# Brute-force references: the per-pose decode and the per-frame projection
+# that the array code replaced, with their helpers, kept as they were
+# ---------------------------------------------------------------------------
+
+def _angular_distance(a, b):
+    d = abs(a - b) % 360.0
+    return min(d, 360.0 - d)
+
+
+def _clamp_nearest(value, lo, hi):
+    """Clamp to the angularly nearest limit; equidistant picks the lower."""
+    if lo <= value <= hi:
+        return value, False
+    d_lo = _angular_distance(value, lo)
+    d_hi = _angular_distance(value, hi)
+    return (lo, True) if d_lo <= d_hi else (hi, True)
+
+
+def _vector_to_joints(v, seg):
+    """(yaw, pitch, clamped) realizing a unit direction on a gimbal segment.
+
+    Yaw is measured from forward toward left, pitch from the horizontal up.
+    At the poles yaw is defined as 0. Angles outside the segment's limits
+    are clamped to the nearest limit and flagged.
+    """
+    fx, ly, uz = float(v[0]), float(v[1]), float(v[2])
+    pitch = math.degrees(math.asin(max(-1.0, min(1.0, uz))))
+    if fx * fx + ly * ly < 1e-12:
+        yaw = 0.0
+    else:
+        yaw = math.degrees(math.atan2(ly, fx))
+    yaw_c, yaw_clamped = _clamp_nearest(yaw, *seg.yaw_limits)
+    pitch_c, pitch_clamped = _clamp_nearest(pitch, *seg.pitch_limits)
+    return yaw_c, pitch_c, yaw_clamped or pitch_clamped
+
+
+def reduce_vectors(vectors, robot, hist):
+    """Per-segment direction from per-column directions.
+
+    Split targets receive their source column's vector unchanged; merge
+    targets left-fold ``concatenate`` over their source columns in
+    column-map order, each step's result being the next step's history.
+    Segments whose sources are not all present are left out. ``hist`` maps
+    each merged segment to its last combined direction and is updated in
+    place.
+    """
+    out = {}
+    for ref, _, sources in robot.segment_table:
+        if not sources or any(c not in vectors for c in sources):
+            continue
+        v = vectors[sources[0]]
+        if len(sources) > 1:
+            last = hist.get(ref)
+            for col in sources[1:]:
+                v = last = concatenate(v, vectors[col], last)
+            hist[ref] = v
+        out[ref] = v
+    return out
+
+
+def reduce_columns(symbols, robot, hist):
+    """Symbol form of :func:`reduce_vectors`; missing source columns raise."""
+    for ref, _, sources in robot.segment_table:
+        for col in sources:
+            if col not in symbols:
+                raise MissingColumn(ref, col)
+    vectors = {col: symbol_to_vector(sym) for col, sym in symbols.items()}
+    return reduce_vectors(vectors, robot, hist)
+
+
+def _joint_angles(per_segment, robot):
+    """Joint angles for :func:`reduce_vectors` output: the robot's neutral
+    angles with each driven segment's yaw and pitch overwritten, plus the
+    ``(yaw, pitch, clamped)`` of every driven segment."""
+    angles = dict(robot.neutral_angles)
+    driven = {}
+    for ref, seg, _ in robot.segment_table:
+        if ref in per_segment:
+            yaw, pitch, _ = driven[ref] = _vector_to_joints(per_segment[ref], seg)
+            angles[seg.yaw_joint] = yaw
+            angles[seg.pitch_joint] = pitch
+    return angles, driven
+
+
+def _decode_per_pose(score, robot):
+    """Reference decode of a valid score: one reduce and one angle dict per pose."""
+    times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
+    states = states_at(score, [min(t, score.total_duration) for t in times])
+    hist = {}
+    out = []
+    for t, symbols in zip(times, states):
+        vectors = {
+            col: symbol_to_vector(sym)
+            for col, sym in symbols.items()
+            if col in robot.column_map
+        }
+        angles, driven = _joint_angles(reduce_vectors(vectors, robot, hist), robot)
+        detail = {}
+        for ref, seg, sources in robot.segment_table:
+            if ref in driven:
+                merged = len(sources) > 1
+                symbol = symbols[sources[0]] if not merged else None
+                detail[ref] = SegmentCommand(*driven[ref], True, merged, symbol)
+            else:
+                yaw, pitch = angles[seg.yaw_joint], angles[seg.pitch_joint]
+                detail[ref] = SegmentCommand(yaw, pitch, False, False, False, None)
+        out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail, states=symbols))
+    return out
+
+
+def _project_per_frame(seq, start, end, robot):
+    """Reference projection: one reduce and one angle dict per frame."""
+    positions = seq.positions[start:end + 1]
+    bf = body_frame(positions)
+    vectors = {
+        col: segment_direction(positions, COLUMN_DISTAL[col], bf)
+        for col in robot.column_map
+        if col in COLUMN_DISTAL
+    }
+    hist = {}
+    poses = []
+    for k, t in enumerate(seq.times[start:end + 1].tolist()):
+        per_segment = reduce_vectors({col: v[k] for col, v in vectors.items()}, robot, hist)
+        poses.append(JointPose(t, _joint_angles(per_segment, robot)[0]))
+    return poses
+
+
+def _merge3_robot():
+    """Upper arm, forearm and head merged into one torso segment; the forearm
+    also drives a narrow wrist. Roll and fixed joints have nonzero neutrals."""
+    return parse_robot(
+        """
+        {"name": "merge3",
+         "chains": [{"name": "torso", "segments": [
+            {"yaw_joint": "t_yaw", "pitch_joint": "t_pitch", "yaw_limits": [-120, 120],
+             "pitch_limits": [-60, 80], "roll_joint": "t_roll", "roll_limits": [10, 40]}]},
+                    {"name": "wrist", "segments": [
+            {"yaw_joint": "w_yaw", "pitch_joint": "w_pitch",
+             "yaw_limits": [-45, 45], "pitch_limits": [-30, 30]}]}],
+         "column_map": {"RightUpperArm": ["torso/0"], "RightForearm": ["torso/0", "wrist/0"],
+                        "Head": ["torso/0"]},
+         "fixed_joints": [{"name": "base", "limits": [-30, -5]}]}
+        """
+    )
+
+
+def _reference_robots():
+    return {"frontal_7dof": load_robot("frontal_7dof"), "lab_9dof": load_robot("lab_9dof"),
+            "merge": _merge_robot(), "merge3": _merge3_robot()}
+
+
+# opposed pairs (Forward/Backward, Left/Right, Place High/Low, two diagonals)
+# make merged directions cancel often
+_OPPOSED = tuple(S(d, l) for d, l in (
+    (D.Forward, L.Middle), (D.Backward, L.Middle), (D.Left, L.Middle), (D.Right, L.Middle),
+    (D.Place, L.High), (D.Place, L.Low), (D.LeftBackward, L.High), (D.RightForward, L.Low)))
+
+
+def _random_decode_score(rng, names):
+    """Cells on a 0.25 s grid with gaps; a column may start late, so it is
+    uncovered at the first poses. Symbols come from the opposed pairs or
+    from all 26."""
+    columns = []
+    end = 0
+    for name in names:
+        cells = []
+        t = int(rng.integers(0, 4))
+        for _ in range(int(rng.integers(1, 7))):
+            pool = _OPPOSED if rng.random() < 0.6 else VALID_LIMB_SYMBOLS
+            dur = int(rng.integers(1, 5))
+            cells.append(Cell(pool[int(rng.integers(0, len(pool)))], t / 4.0, dur / 4.0))
+            t += dur + int(rng.integers(0, 3)) * int(rng.random() < 0.3)
+        end = max(end, t)
+        columns.append(LabanColumn(name, tuple(cells)))
+    return LabanScore(columns=tuple(columns), total_duration=end / 4.0 + 0.5)
+
+
+def _same_bits(got, want):
+    """Equal float arrays down to the sign of zero."""
+    want = np.asarray(want, dtype=float)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_same_decode(got, ref, robot):
+    joints = got.poses.joints
+    refs = [r for r, _, _ in robot.segment_table]
+    shape = (len(ref), len(refs))
+    assert got.poses.times.tolist() == [d.t for d in ref]
+    want = np.array([[d.pose.angles[j] for j in joints] for d in ref]).reshape(len(ref), len(joints))
+    assert np.array_equal(got.poses.angles, want)
+    assert _same_bits(got.poses.angles, want)
+    assert sorted(joints) == sorted(robot.joint_names())
+    assert np.array_equal(got.driven, np.array([[d.segments[r].driven for r in refs] for d in ref]).reshape(shape))
+    assert np.array_equal(got.clamped, np.array([[d.segments[r].clamped for r in refs] for d in ref]).reshape(shape))
+    assert [[d.segments[r].symbol for r in refs] for d in got] == [[d.segments[r].symbol for r in refs] for d in ref]
+    assert got.states == [d.states for d in ref]
+    assert [d.segments for d in got] == [d.segments for d in ref]
+
+
+def test_decode_matches_per_pose_reference():
+    rng = np.random.default_rng(909)
+    seen = {"cold cancel": 0, "history cancel": 0, "second-step cancel": 0, "uncovered first": 0, "clamped": 0}
+    for name, robot in _reference_robots().items():
+        names = ("LeftArm", "RightArm", "Head") if name in BUNDLED_ROBOTS else (
+            "RightUpperArm", "RightForearm", "Head")
+        for _ in range(200):
+            score = _random_decode_score(rng, names)
+            got = decode_score_detailed(score, robot)
+            ref = _decode_per_pose(score, robot)
+            _assert_same_decode(got, ref, robot)
+            seen["uncovered first"] += int(not got.driven[0].all())
+            seen["clamped"] += int(got.clamped.sum())
+            # merged segments: which poses cancel at the first and second fold step
+            covered = [d for d in ref if "RightUpperArm" in d.states and "RightForearm" in d.states]
+            for k, d in enumerate(covered):
+                first = symbol_to_vector(d.states["RightUpperArm"]) + symbol_to_vector(d.states["RightForearm"])
+                if np.linalg.norm(first) <= 1e-6:
+                    seen["history cancel" if k else "cold cancel"] += 1
+                elif name == "merge3" and "Head" in d.states:
+                    second = first / np.linalg.norm(first) + symbol_to_vector(d.states["Head"])
+                    seen["second-step cancel"] += int(np.linalg.norm(second) <= 1e-6)
+    assert all(seen.values()), seen
+
+
+def _folded_clip(rng):
+    """A reach clip through poles and backward poses; in a few frames,
+    frame 0 among them, the right wrist sits on the right shoulder, so the
+    forearm points exactly opposite the upper arm."""
+    poses = ["place_low", "place_high", "left_backward_middle", "right_backward_high", "backward_low",
+             "forward_middle", "left_high", "right_low"]
+    order = [poses[int(i)] for i in rng.permutation(len(poses))]
+    seq = synth_motion({"pattern": "reach_sequence", "part": str(rng.choice(["right_arm", "left_arm", "head"])),
+                        "poses": [[p, 0.4] for p in order]}, rate=30.0)
+    positions = seq.positions.copy()
+    folded = [0, *rng.choice(np.arange(1, len(seq)), size=6, replace=False).tolist()]
+    positions[folded, JOINT_INDEX[JointName.WristRight]] = positions[folded, JOINT_INDEX[JointName.ShoulderRight]]
+    return SkeletonSequence(seq.times, positions, seq.sample_rate)
+
+
+def test_project_path_matches_per_frame_reference():
+    rng = np.random.default_rng(910)
+    robots = _reference_robots()
+    poles = clamped = 0
+    for _ in range(6):
+        seq = _folded_clip(rng)
+        n = len(seq)
+        ranges = [(0, n - 1), (0, 0)] + [tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
+                                         for _ in range(4)]
+        for robot in robots.values():
+            for a, b in ranges:
+                got = project_path(seq, a, b, robot)
+                ref = _project_per_frame(seq, a, b, robot)
+                assert len(got) == len(ref)
+                assert got.times.tolist() == [p.t for p in ref]
+                assert sorted(got.joints) == sorted(robot.joint_names())
+                assert _same_bits(got.angles, [[p.angles[j] for j in got.joints] for p in ref])
+        bf = body_frame(seq.positions)
+        for col in ("LeftArm", "RightArm", "Head"):
+            d = segment_direction(seq.positions, COLUMN_DISTAL[col], bf)
+            poles += int(np.sum(d[:, 0] ** 2 + d[:, 1] ** 2 < 1e-12))
+            clamped += sum(_vector_to_joints(v, SEG_FRONTAL)[2] for v in d)
+    # the clips reach the yaw = 0 pole rule and yaws beyond the frontal limits
+    assert poles and clamped
+
+
+def test_symbol_table_is_vector_to_joints():
+    for name in BUNDLED_ROBOTS:
+        robot = load_robot(name)
+        single = [(ref, seg) for ref, seg, sources in robot.segment_table if len(sources) == 1]
+        assert sorted(robot.symbol_table) == sorted(ref for ref, _ in single)
+        for ref, seg in single:
+            yaw_pitch, clamped = robot.symbol_table[ref]
+            assert yaw_pitch.shape == (len(VALID_LIMB_SYMBOLS) + 1, 2)
+            for k, sym in enumerate(VALID_LIMB_SYMBOLS):
+                yaw, pitch, flag = vector_to_joints(symbol_to_vector(sym), seg)
+                assert yaw_pitch[k].tolist() == [yaw, pitch]
+                assert clamped[k] == flag
+                assert _vector_to_joints(symbol_to_vector(sym), seg) == (yaw, pitch, flag)
+            # code -1: no symbol in force, the neutral pose
+            assert yaw_pitch[-1].tolist() == [robot.neutral_angles[seg.yaw_joint], robot.neutral_angles[seg.pitch_joint]]
+            assert not clamped[-1]
+
+
+def test_load_robot_does_not_build_the_symbol_table():
+    robot = load_robot("frontal_7dof")
+    assert "symbol_table" not in vars(robot)
+    decode_score(_full_score(S(D.Forward, L.Middle)), robot)
+    assert "symbol_table" in vars(robot)
+
+
+def test_joint_rows_match_vector_to_joints():
+    rng = np.random.default_rng(912)
+    random = rng.normal(size=(20000, 3))
+    random /= np.linalg.norm(random, axis=1)[:, None]
+    edges = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [7e-7, 7e-7, 1.0], [7.1e-7, 7.1e-7, 1.0],
+             [1.0, -0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+             [0.6, 0.8, 1.0 + 1e-15], [0.6, 0.8, -1.0 - 1e-15]]
+    directions = np.vstack([random, edges, [symbol_to_vector(s) for s in VALID_LIMB_SYMBOLS]])
+    segments = [SEG_FREE, SEG_FRONTAL, Segment("y", "p", (-45.0, 45.0), (-30.0, 30.0)),
+                Segment("y", "p", (10.0, 40.0), (-90.0, -60.0)), Segment("y", "p", (-180.0, -170.0), (80.0, 90.0)),
+                Segment("y", "p", (0.0, 0.0), (0.0, 0.0))]
+    for seg in segments:
+        yaw, pitch, clamped = robot_mod._joint_rows(directions, seg)
+        want = [_vector_to_joints(v, seg) for v in directions]
+        assert _same_bits(yaw, [w[0] for w in want])
+        assert _same_bits(pitch, [w[1] for w in want])
+        assert clamped.tolist() == [w[2] for w in want]
+        # the scalar form is one row of the array form
+        assert [vector_to_joints(v, seg) for v in directions[-40:]] == want[-40:]

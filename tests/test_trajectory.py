@@ -6,7 +6,7 @@ import pytest
 
 from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
 from labanmotion.laban import Direction, LabanSymbol, Level
-from labanmotion.robot import JointPose
+from labanmotion.robot import JointPose, KeyPoses
 from labanmotion.skeleton import MAX_SAMPLES
 from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
@@ -44,10 +44,7 @@ def _state(sym):
 
 def _poses(traj):
     """The trajectory's samples as timed poses."""
-    return [
-        JointPose(t=t, angles=dict(zip(traj.joints, row)))
-        for t, row in zip(traj.times.tolist(), traj.samples.tolist())
-    ]
+    return KeyPoses(traj.times, traj.joints, traj.samples)
 
 
 def fd_velocity(keyposes, mode, t, side, eps=5e-5):
@@ -74,7 +71,7 @@ def fd_velocity(keyposes, mode, t, side, eps=5e-5):
 # ---------------------------------------------------------------------------
 
 def test_linear_midpoint_is_mean():
-    traj = interpolate([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)], "linear", 2.0)
+    traj = interpolate(KeyPoses.of([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)]), "linear", 2.0)
     mid = _poses(traj)[1]
     assert mid.t == pytest.approx(0.5)
     assert mid.angles["elbow"] == pytest.approx(15.0, abs=1e-12)
@@ -83,7 +80,7 @@ def test_linear_midpoint_is_mean():
 
 
 def test_cubic_endpoint_velocities_vanish():
-    keyposes = [_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)]
+    keyposes = KeyPoses.of([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)])
     v0 = fd_velocity(keyposes, "cubic", 0.0, +1)
     v1 = fd_velocity(keyposes, "cubic", 1.0, -1)
     for j in JOINTS:
@@ -92,7 +89,7 @@ def test_cubic_endpoint_velocities_vanish():
 
 
 def test_samples_at_key_times_equal_key_poses():
-    keyposes = [_pose(0.0, 1.0, 2.0, 3.0), _pose(0.5, -4.0, 5.0, -6.0), _pose(1.5, 7.0, -8.0, 9.0)]
+    keyposes = KeyPoses.of([_pose(0.0, 1.0, 2.0, 3.0), _pose(0.5, -4.0, 5.0, -6.0), _pose(1.5, 7.0, -8.0, 9.0)])
     for mode in ("linear", "cubic"):
         traj = interpolate(keyposes, mode, 10.0)
         by_t = {p.t: p for p in _poses(traj)}
@@ -103,7 +100,7 @@ def test_samples_at_key_times_equal_key_poses():
 
 
 def test_linear_monotone_between_endpoints():
-    keyposes = [_pose(0.0, 0.0, 50.0, -10.0), _pose(2.0, 30.0, -50.0, -10.0)]
+    keyposes = KeyPoses.of([_pose(0.0, 0.0, 50.0, -10.0), _pose(2.0, 30.0, -50.0, -10.0)])
     traj = interpolate(keyposes, "linear", 25.0)
     for j in JOINTS:
         vals = traj.samples[:, traj.joints.index(j)]
@@ -113,15 +110,34 @@ def test_linear_monotone_between_endpoints():
 
 def test_interpolate_errors():
     with pytest.raises(InsufficientData):
-        interpolate([_pose(0.0, 1.0, 2.0, 3.0)], "linear", 10.0)
+        interpolate(KeyPoses.of([_pose(0.0, 1.0, 2.0, 3.0)]), "linear", 10.0)
     with pytest.raises(TimeOrderError):
-        interpolate([_pose(0.0, 1, 2, 3), _pose(0.0, 4, 5, 6)], "linear", 10.0)
+        interpolate(KeyPoses.of([_pose(0.0, 1, 2, 3), _pose(0.0, 4, 5, 6)]), "linear", 10.0)
     with pytest.raises(ValueError):
-        interpolate([_pose(0.0, 1, 2, 3), _pose(1.0, 4, 5, 6)], "quintic", 10.0)
+        interpolate(KeyPoses.of([_pose(0.0, 1, 2, 3), _pose(1.0, 4, 5, 6)]), "quintic", 10.0)
+
+
+def test_key_poses_have_one_joint_set():
+    with pytest.raises(ShapeError):
+        KeyPoses.of([_pose(0.0, 1, 2, 3), JointPose(t=1.0, angles={"elbow": 1.0})])
+    with pytest.raises(ShapeError):  # joints not sorted
+        KeyPoses(np.array([0.0, 1.0]), ("shoulder_yaw", "elbow"), np.zeros((2, 2)))
+    with pytest.raises(ShapeError):  # angles not one per pose and joint
+        KeyPoses(np.array([0.0, 1.0]), JOINTS, np.zeros((2, 2)))
+    # joints given as a list match a loaded dictionary's tuple
+    listed = KeyPoses(np.array([0.0, 1.0]), list(JOINTS), np.array([[0.0, 0.0, 0.0], [30.0, 20.0, 40.0]]))
+    assert listed.joints == JOINTS
+    states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
+    key = DictKey.from_states(*states)
+    loaded = parse_dictionary(serialize_dictionary(dict_update(MotionDictionary(), key, listed)))
+    assert path_distance(resample_path(listed), dict_lookup(loaded, key)) == 0.0
+    # the recorded path is the straight line itself
+    assert np.allclose(synthesize(listed, states, loaded, "linear", 10.0).samples,
+                       synthesize(listed, states, None, "linear", 10.0).samples, atol=1e-9)
 
 
 def test_uniform_grid():
-    traj = interpolate([_pose(0.25, 0, 0, 0), _pose(1.25, 1, 1, 1)], "linear", 30.0)
+    traj = interpolate(KeyPoses.of([_pose(0.25, 0, 0, 0), _pose(1.25, 1, 1, 1)]), "linear", 30.0)
     ts = traj.times
     assert np.max(np.abs(np.diff(ts) - 1.0 / 30.0)) < 1e-9
     assert ts[0] == 0.25
@@ -135,7 +151,7 @@ def _path(offset=0.0):
     poses = [_pose(0.0, 0.0 + offset, 10.0 + offset, -20.0 + offset),
              _pose(0.5, 15.0 + offset, 30.0 + offset, 0.0 + offset),
              _pose(1.0, 30.0 + offset, 20.0 + offset, 40.0 + offset)]
-    return poses
+    return KeyPoses.of(poses)
 
 
 def test_path_distance_identity_and_offset():
@@ -258,7 +274,7 @@ def test_dict_serialization_roundtrip_randomized(rng):
             n = int(rng.integers(2, 40))
             times = np.cumsum(rng.uniform(0.01, 1.0, size=n))
             scale = 10.0 ** float(rng.uniform(-8, 3))
-            observed = [_pose(float(t), *map(float, rng.normal(0, scale, size=3))) for t in times]
+            observed = KeyPoses.of([_pose(float(t), *map(float, rng.normal(0, scale, size=3))) for t in times])
             dict_update(mdict, DictKey.from_states(_state(a), {"Head": b, "RightArm": a}), observed)
         text = serialize_dictionary(mdict)
         json.loads(text, parse_constant=_reject_constant)
@@ -270,7 +286,7 @@ def test_dict_serialization_roundtrip_randomized(rng):
 # ---------------------------------------------------------------------------
 
 def test_synthesize_empty_dict_equals_interpolate():
-    keyposes = [_pose(0.0, 0, 10, -20), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)]
+    keyposes = KeyPoses.of([_pose(0.0, 0, 10, -20), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)), _state(S(D.Left, L.Middle))]
     for mode in ("linear", "cubic"):
         a = interpolate(keyposes, mode, 25.0)
@@ -296,22 +312,24 @@ def test_synthesize_recovers_recorded_path():
                   10.0 - 10.0 * u,
                   40.0 * u * u)
         )
+    recorded = KeyPoses.of(recorded)
+    ends = KeyPoses.of([recorded[0], recorded[-1]])
     key = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     mdict = MotionDictionary()
     dict_update(mdict, key, recorded)
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
-    traj = synthesize([recorded[0], recorded[-1]], states, mdict, "linear", 30.0)
+    traj = synthesize(ends, states, mdict, "linear", 30.0)
     rebuilt = resample_path(_poses(traj))
     assert path_distance(rebuilt, resample_path(recorded)) < mdict.tau
     # and it would NOT be linear: the arc survives
-    linear = interpolate([recorded[0], recorded[-1]], "linear", 30.0)
+    linear = interpolate(ends, "linear", 30.0)
     assert path_distance(rebuilt, resample_path(_poses(linear))) > 1.0
 
 
 def test_synthesize_mixed_coverage_continuous():
-    keyposes = [_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)]
+    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)), _state(S(D.Left, L.Middle))]
-    observed = [keyposes[0], _pose(0.5, 25.0, 5.0, 10.0), keyposes[1]]
+    observed = KeyPoses.of([keyposes[0], _pose(0.5, 25.0, 5.0, 10.0), keyposes[1]])
     mdict = MotionDictionary()
     dict_update(mdict, DictKey.from_states(states[0], states[1]), observed)
     traj = synthesize(keyposes, states, mdict, "linear", 50.0)
@@ -332,9 +350,9 @@ def test_synthesize_endpoint_exactness_randomized(rng):
     for _ in range(25):
         k = int(rng.integers(2, 6))
         times = np.cumsum(rng.integers(5, 20, size=k)) / 10.0
-        keyposes = [
+        keyposes = KeyPoses.of([
             _pose(float(t), *[float(a) for a in rng.uniform(-90, 90, size=3)]) for t in times
-        ]
+        ])
         states = [_state(S(D.Forward, L.Middle)) for _ in keyposes]
         mode = "cubic" if rng.random() < 0.5 else "linear"
         traj = synthesize(keyposes, states, None, mode, 10.0)
@@ -346,7 +364,7 @@ def test_synthesize_endpoint_exactness_randomized(rng):
 
 
 def test_csv_export_shape():
-    traj = interpolate([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)], "linear", 10.0)
+    traj = interpolate(KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)]), "linear", 10.0)
     text = trajectory_to_csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t," + ",".join(sorted(JOINTS))
@@ -355,35 +373,35 @@ def test_csv_export_shape():
 
 
 def test_synthesize_rejects_mismatched_dictionary_joints():
-    keyposes = [_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)]
+    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
     mdict = MotionDictionary()
     key = DictKey.from_states(states[0], states[1])
-    other = [JointPose(t=0.0, angles={"x": 0.0}), JointPose(t=1.0, angles={"x": 1.0})]
+    other = KeyPoses.of([JointPose(t=0.0, angles={"x": 0.0}), JointPose(t=1.0, angles={"x": 1.0})])
     dict_update(mdict, key, other)
     with pytest.raises(ShapeError):
         synthesize(keyposes, states, mdict, "linear", 10.0)
 
 
 def test_synthesize_states_misaligned():
-    keyposes = [_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)]
+    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
     with pytest.raises(ShapeError):
         synthesize(keyposes, [_state(S(D.Place, L.Low))], MotionDictionary(), "linear", 10.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
 def test_rate_must_be_finite_and_positive(rate):
-    keyposes = [_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)]
+    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)])
     with pytest.raises(BadInput):
         synthesize(keyposes, None, None, "linear", rate)
     with pytest.raises(BadInput):
         interpolate(keyposes, "linear", rate)
     with pytest.raises(BadInput):
-        Trajectory.from_poses(keyposes[:1], rate)
+        Trajectory.from_poses(KeyPoses.of([keyposes[0]]), rate)
 
 
 def test_sample_count_is_bounded():
-    keyposes = [_pose(0.0, 0, 0, 0), _pose(21.0, 10, 20, 30)]
+    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(21.0, 10, 20, 30)])
     # each rate asks for more than MAX_SAMPLES samples; the check runs
     # before the grid is allocated
     for rate in (MAX_SAMPLES / 21.0, 1e9, 1e300):
@@ -392,12 +410,12 @@ def test_sample_count_is_bounded():
 
 
 def test_from_poses_keeps_the_poses():
-    one = Trajectory.from_poses([_pose(0.5, 1.0, 2.0, 3.0)], 100.0)
+    one = Trajectory.from_poses(KeyPoses.of([_pose(0.5, 1.0, 2.0, 3.0)]), 100.0)
     assert one.joints == JOINTS
     assert one.times.tolist() == [0.5]
     assert one.samples.tolist() == [[1.0, 2.0, 3.0]]
     assert trajectory_to_csv(one) == "t,elbow,shoulder_pitch,shoulder_yaw\n0.500000,1.000000,2.000000,3.000000\n"
-    none = Trajectory.from_poses([], 100.0)
+    none = Trajectory.from_poses(KeyPoses.of([]), 100.0)
     assert none.samples.shape == (0, 0)
     assert trajectory_to_csv(none) == "t,\n"
 
@@ -433,12 +451,12 @@ def test_synthesize_matches_per_segment_reference(rng):
     for trial in range(30):
         k = int(rng.integers(2, 9))
         times = np.cumsum(rng.integers(1, 30, size=k)) / 7.0
-        keyposes = [_pose(float(t), *map(float, rng.uniform(-90, 90, size=3))) for t in times]
+        keyposes = KeyPoses.of([_pose(float(t), *map(float, rng.uniform(-90, 90, size=3))) for t in times])
         states = [_state(symbols[int(i)]) for i in rng.integers(0, len(symbols), size=k)]
         mdict = MotionDictionary()
         for _ in range(3):  # some transitions get a recorded path, others none
             a, b = (int(i) for i in rng.integers(0, len(symbols), size=2))
-            observed = [_pose(float(u), *map(float, rng.uniform(-90, 90, size=3))) for u in range(4)]
+            observed = KeyPoses.of([_pose(float(u), *map(float, rng.uniform(-90, 90, size=3))) for u in range(4)])
             dict_update(mdict, DictKey.from_states(_state(symbols[a]), _state(symbols[b])), observed)
         mode = ("linear", "cubic")[trial % 2]
         rate = float(rng.choice([3.0, 10.0, 29.97]))
@@ -461,7 +479,7 @@ def _csv_per_value(times, samples):
 def test_csv_matches_per_value_formatting(rng):
     angles = np.concatenate([rng.uniform(-180, 180, size=40), [-0.0, 0.0, -1e-9, 2.5e-7, 0.0000005, 179.9999995]])
     keyposes = [_pose(float(i) / 3.0, *angles[3 * i:3 * i + 3]) for i in range(len(angles) // 3)]
-    traj = Trajectory.from_poses(keyposes, 3.0)
+    traj = Trajectory.from_poses(KeyPoses.of(keyposes), 3.0)
     expected = "t," + ",".join(JOINTS) + "\n" + "".join(
         f"{p.t:.6f}," + ",".join(f"{p.angles[j]:.6f}" for j in JOINTS) + "\n" for p in keyposes
     )
