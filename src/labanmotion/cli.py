@@ -224,11 +224,16 @@ def _cmd_dict_build(run: _Run) -> int:
         seq, kfs = run.observe(path)
         merged = kfs.merged
         with run.stage(f"build {path}") as counts:
-            states = [encoder.encode_pose(seq.positions[i], columns) for i in merged]
-            for k in range(len(merged) - 1):
-                observed = robot_mod.project_path(seq, merged[k], merged[k + 1], robot)
-                key = trajectory.DictKey.from_states(states[k], states[k + 1])
-                trajectory.dict_update(mdict, key, observed)
+            states = encoder.encode_poses(seq.positions[merged], columns)
+            if len(merged) >= 2:
+                # one projection per clip, so a merge's history runs across
+                # transitions; each transition's path is a slice of it
+                clip = robot_mod.project_path(seq, merged[0], merged[-1], robot)
+                for k, (a, b) in enumerate(zip(merged, merged[1:])):
+                    rows = slice(a - merged[0], b - merged[0] + 1)
+                    observed = robot_mod.KeyPoses(clip.times[rows], clip.joints, clip.angles[rows])
+                    key = trajectory.DictKey.from_states(states[k], states[k + 1])
+                    trajectory.dict_update(mdict, key, observed)
             counts["transitions"] = max(len(merged) - 1, 0)
     trajectory.save_dictionary(mdict, run.args.output)
     return 0

@@ -132,29 +132,66 @@ def classify_azimuth(azimuth_deg: float) -> Direction:
     return AZIMUTH_SECTORS[sector]
 
 
+def _symbol(x: float, y: float, z: float) -> LabanSymbol:
+    """Symbol of a unit body-frame direction (x forward, y left, z up)."""
+    band = classify_elevation(math.degrees(math.asin(max(-1.0, min(1.0, z)))))
+    if isinstance(band, LabanSymbol):
+        return band
+    return LabanSymbol(classify_azimuth(math.degrees(math.atan2(y, x))), band)
+
+
+def _unit_error(norm: float) -> BadInput:
+    return BadInput(f"expected a unit vector, |v| = {norm}")
+
+
 def digitize(v: np.ndarray) -> LabanSymbol:
     """Map a unit body-frame direction to its Labanotation symbol."""
     v = np.asarray(v, dtype=float)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-6:
-        raise BadInput(f"expected a unit vector, |v| = {norm}")
-    band = classify_elevation(math.degrees(math.asin(max(-1.0, min(1.0, float(v[2]))))))
-    if isinstance(band, LabanSymbol):
-        return band
-    azimuth = math.degrees(math.atan2(float(v[1]), float(v[0])))
-    return LabanSymbol(classify_azimuth(azimuth), band)
+        raise _unit_error(norm)
+    return _symbol(float(v[0]), float(v[1]), float(v[2]))
+
+
+def _encode(positions: np.ndarray, columns: tuple[str, ...]) -> list[dict[str, LabanSymbol]]:
+    """:func:`encode_poses` in one pass; an error may come from any pose."""
+    bf = body_frame(positions)
+    per_column = []
+    for column in columns:
+        try:
+            v = segment_direction(positions, COLUMN_DISTAL[column], bf)
+        except DegeneratePose as exc:
+            raise DegeneratePose(f"column {column}: {exc}") from exc
+        # the norm check of digitize; stacked_norm equals np.linalg.norm per vector
+        norm = stacked_norm(v)
+        off = np.abs(norm - 1.0) > 1e-6
+        if off.any():
+            raise _unit_error(float(norm[np.argmax(off)]))
+        per_column.append(map(_symbol, *v.T.tolist()))
+    # every check has passed before the first symbol is computed, pose by pose
+    rows = zip(*per_column) if columns else [()] * len(positions)
+    return [dict(zip(columns, row)) for row in rows]
+
+
+def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> list[dict[str, LabanSymbol]]:
+    """Symbols per column for each pose of an (m, 12, 3) array.
+
+    Body frames and segment directions are computed for all poses at once;
+    each direction maps to its symbol by :func:`digitize`'s rule. An error
+    names the first pose that fails on its own: its body frame, then each
+    column in order, as encoding pose by pose would.
+    """
+    try:
+        return _encode(positions, columns)
+    except (DegeneratePose, BadInput):
+        for i in range(len(positions)):
+            _encode(positions[i:i + 1], columns)
+        raise
 
 
 def encode_pose(pos: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> dict[str, LabanSymbol]:
     """Symbols per column for one (12, 3) pose."""
-    bf = body_frame(pos)
-    out: dict[str, LabanSymbol] = {}
-    for column in columns:
-        try:
-            out[column] = digitize(segment_direction(pos, COLUMN_DISTAL[column], bf))
-        except DegeneratePose as exc:
-            raise DegeneratePose(f"column {column}: {exc}") from exc
-    return out
+    return encode_poses(np.asarray(pos)[None], columns)[0]
 
 
 def encode_sequence(
@@ -176,7 +213,7 @@ def encode_sequence(
     # microsecond quantization keeps cell arithmetic consistent with the
     # score file format's 6-decimal times
     key_times = [round(float(ts[i]), 6) for i in merged]
-    key_symbols = [encode_pose(seq.positions[i], columns) for i in merged]
+    key_symbols = encode_poses(seq.positions[merged], columns)
 
     laban_columns = []
     for column in columns:

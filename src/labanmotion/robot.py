@@ -521,13 +521,14 @@ def decode_score(score: LabanScore, robot: RobotDescription) -> KeyPoses:
 def project_path(
     seq: SkeletonSequence, start: int, end: int, robot: RobotDescription
 ) -> KeyPoses:
-    """Joint-space path for frames start..end inclusive (shared history).
+    """Joint-space path for frames start..end inclusive.
 
     Uses the un-quantized body-frame segment directions of the mapped
     columns, so intermediate motion between key poses lands in joint space
     without passing through symbols. Body frames, directions and joint
     angles are computed for the whole range at once; merges, whose history
-    is sequential, run frame by frame.
+    is sequential, run frame by frame, carrying the history from the first
+    frame of the range to the last.
     """
     positions = seq.positions[start:end + 1]
     bf = body_frame(positions)

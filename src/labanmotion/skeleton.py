@@ -161,14 +161,16 @@ def _frame_arrays(frames: list) -> tuple[np.ndarray, np.ndarray]:
     ts = [f["t"] for f in frames]
     if not json_numbers(ts):
         raise TypeError("non-numeric timestamp")
-    rows = [[f["joints"].get(k, _ABSENT) for k in _JOINT_KEYS] for f in frames]
-    positions = np.array(rows, dtype=float) if rows else np.empty((0, len(ALL_JOINTS), 3))
-    if positions.shape[1:] != (len(ALL_JOINTS), 3):
+    # one flat list, ALL_JOINTS triples frame after frame: converting it skips
+    # the shape discovery a nested list costs
+    triples = [f["joints"].get(k, _ABSENT) for f in frames for k in _JOINT_KEYS]
+    if set(map(len, triples)) - {3}:
         raise ValueError("joints are not [x, y, z] triples")
+    coords = list(itertools.chain.from_iterable(triples))
     # the float conversion accepts numeric strings and bools; the type scan does not
-    if not json_numbers(itertools.chain.from_iterable(itertools.chain.from_iterable(rows))):
+    if not json_numbers(coords):
         raise TypeError("non-numeric coordinate")
-    return np.array(ts, dtype=float), positions
+    return np.array(ts, dtype=float), np.array(coords, dtype=float).reshape(len(frames), len(ALL_JOINTS), 3)
 
 
 def _raise_malformed(frames: list) -> None:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json
-from .laban import Direction, LabanSymbol, Level
+from .laban import VALID_LIMB_SYMBOLS, LabanSymbol
 from .robot import KeyPoses
 from .skeleton import uniform_grid
 
@@ -74,6 +74,10 @@ class DictEntry:
         return [p.count / total for p in self.paths]
 
 
+# (direction, level) values of the limb symbols, as dictionary keys spell them
+_LIMB_TOKENS = frozenset((s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS)
+
+
 def _state_items(state: dict[str, LabanSymbol]) -> tuple[tuple[str, str, str], ...]:
     return tuple(
         (col, state[col].direction.value, state[col].level.value) for col in sorted(state)
@@ -99,14 +103,21 @@ class DictKey:
 
     @classmethod
     def parse(cls, text: str) -> "DictKey":
+        """Inverse of ``str``; ValueError for text that :meth:`from_states`
+        never gives: an unknown or non-limb symbol, or columns out of sorted
+        order or repeated."""
         def side(part: str):
             items = []
             if part:
                 for tok in part.split(","):
                     col, _, sym = tok.partition("=")
                     d, _, l = sym.partition(".")
-                    Direction(d), Level(l)  # validate tokens
+                    if (d, l) not in _LIMB_TOKENS:
+                        raise ValueError(f"{sym} is not a limb symbol")
                     items.append((col, d, l))
+            columns = [col for col, _, _ in items]
+            if columns != sorted(set(columns)):
+                raise ValueError("columns must be sorted and distinct")
             return tuple(items)
 
         a, _, b = text.partition("->")
@@ -345,9 +356,7 @@ def serialize_dictionary(mdict: MotionDictionary) -> str:
         lines.append(f'    {json.dumps(str(key))}: [')
         for pi, p in enumerate(entry.paths):
             joints = json.dumps(list(p.motion.joints))
-            rows = ", ".join(
-                "[" + ", ".join(repr(float(x)) for x in row) + "]" for row in p.motion.samples
-            )
+            rows = ", ".join("[" + ", ".join(map(repr, row)) + "]" for row in p.motion.samples.tolist())
             comma = "," if pi + 1 < len(entry.paths) else ""
             lines.append(f'      {{"count": {p.count}, "joints": {joints}, "samples": [{rows}]}}{comma}')
         lines.append("    ]" + ("," if ki + 1 < len(keys) else ""))

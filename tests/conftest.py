@@ -20,7 +20,11 @@ from labanmotion.laban import (
     Level,
     VALID_LIMB_SYMBOLS,
 )
-from labanmotion.skeleton import JointName, SkeletonSequence
+from labanmotion.encoder import COLUMN_DISTAL, classify_azimuth, classify_elevation, segment_direction
+from labanmotion.errors import BadInput, DegeneratePose
+from labanmotion.robot import project_path
+from labanmotion.skeleton import JointName, SkeletonSequence, body_frame
+from labanmotion.trajectory import DictKey, MotionDictionary, dict_update, serialize_dictionary
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +116,46 @@ def rotate_about(v: np.ndarray, axis: np.ndarray, angle_rad: float) -> np.ndarra
 
 def transform_sequence(seq: SkeletonSequence, R: np.ndarray, t: np.ndarray) -> SkeletonSequence:
     return SkeletonSequence(seq.times.copy(), seq.positions @ R.T + t, seq.sample_rate)
+
+
+# ---------------------------------------------------------------------------
+# Per-pose encoding and per-transition dictionary building (the loops that
+# encoder.encode_poses and one projection per clip replaced)
+# ---------------------------------------------------------------------------
+
+def encode_pose_reference(pos: np.ndarray, columns: tuple[str, ...]) -> dict[str, LabanSymbol]:
+    """Symbols per column for one (12, 3) pose: its body frame, then per
+    column the segment direction, np.linalg.norm's unit check, and asin and
+    atan2 on Python floats."""
+    bf = body_frame(pos)
+    out = {}
+    for column in columns:
+        try:
+            v = segment_direction(pos, COLUMN_DISTAL[column], bf)
+        except DegeneratePose as exc:
+            raise DegeneratePose(f"column {column}: {exc}") from exc
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) > 1e-6:
+            raise BadInput(f"expected a unit vector, |v| = {norm}")
+        band = classify_elevation(math.degrees(math.asin(max(-1.0, min(1.0, float(v[2]))))))
+        if not isinstance(band, LabanSymbol):
+            band = LabanSymbol(classify_azimuth(math.degrees(math.atan2(float(v[1]), float(v[0])))), band)
+        out[column] = band
+    return out
+
+
+def dict_build_per_transition(observed, robot, columns, tau: float = 10.0) -> str:
+    """Serialized dictionary of (sequence, key frame set) pairs, each key
+    frame encoded by :func:`encode_pose_reference` and each transition
+    projected on its own, so a merge's history restarts per transition."""
+    mdict = MotionDictionary(tau=tau)
+    for seq, kfs in observed:
+        merged = kfs.merged
+        states = [encode_pose_reference(seq.positions[i], columns) for i in merged]
+        for k in range(len(merged) - 1):
+            key = DictKey.from_states(states[k], states[k + 1])
+            dict_update(mdict, key, project_path(seq, merged[k], merged[k + 1], robot))
+    return serialize_dictionary(mdict)
 
 
 # ---------------------------------------------------------------------------

@@ -4,13 +4,16 @@ import os
 import random
 import shutil
 
+import numpy as np
 import pytest
 
 from labanmotion import cli, encoder, trajectory
 from labanmotion.cli import main
 from labanmotion.laban import Direction, LabanSymbol, Level, load_score
-from labanmotion.robot import JointPose, KeyPoses
-from labanmotion.skeleton import load_sequence
+from labanmotion.robot import JointPose, KeyPoses, load_robot
+from labanmotion.skeleton import load_sequence, save_sequence, synth_motion
+
+from conftest import dict_build_per_transition, random_rotation, transform_sequence
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -524,29 +527,61 @@ def test_dict_build_encodes_each_key_frame_once(tmp_path, monkeypatch):
         _synth(tmp_path, "move.json"),
     ]
     events = []
-    observe, encode_pose = cli._Run.observe, encoder.encode_pose
+    observe, encode_poses = cli._Run.observe, encoder.encode_poses
 
     def counting_observe(run, path):
         seq, kfs = observe(run, path)
         events.append(("observe", len(kfs.merged)))
         return seq, kfs
 
-    def counting_encode(*args, **kwargs):
-        events.append(("encode", 1))
-        return encode_pose(*args, **kwargs)
+    def counting_encode(positions, *args, **kwargs):
+        events.append(("encode", len(positions)))
+        return encode_poses(positions, *args, **kwargs)
 
     monkeypatch.setattr(cli._Run, "observe", counting_observe)
-    monkeypatch.setattr(encoder, "encode_pose", counting_encode)
+    monkeypatch.setattr(encoder, "encode_poses", counting_encode)
     assert main(["dict", "build", *clips, "--robot", "frontal_7dof", "-o", str(tmp_path / "d.json")]) == 0
     per_clip = []
     for kind, n in events:
         if kind == "observe":
             per_clip.append([n, 0])
         else:
-            per_clip[-1][1] += 1
+            per_clip[-1][1] += n
     assert len(per_clip) == 2
     assert max(merged for merged, _ in per_clip) >= 4
     assert all(encodes == merged for merged, encodes in per_clip)
+
+
+_REACH_POSES = ("place_low", "place_high", "forward_middle", "left_high", "right_low", "backward_low",
+                "right_forward_high", "left_backward_middle")
+
+
+@pytest.mark.parametrize("robot_name", ["frontal_7dof", "lab_9dof"])
+def test_dict_build_matches_per_transition_reference(tmp_path, monkeypatch, robot_name):
+    rng = np.random.default_rng(1212)
+    clips = []
+    for c in range(4):
+        poses = [[str(p), float(rng.uniform(0.3, 0.8))] for p in rng.permutation(_REACH_POSES)[:5]]
+        part = str(rng.choice(["right_arm", "left_arm", "head"]))
+        seq = synth_motion({"pattern": "reach_sequence", "part": part, "poses": poses}, rate=30.0)
+        if c % 2:
+            seq = transform_sequence(seq, random_rotation(rng), rng.normal(size=3))
+        clips.append(str(tmp_path / f"clip{c}.json"))
+        save_sequence(seq, clips[-1])
+    observed = []
+    observe = cli._Run.observe
+
+    def recording_observe(run, path):
+        observed.append(observe(run, path))
+        return observed[-1]
+
+    monkeypatch.setattr(cli._Run, "observe", recording_observe)
+    out = tmp_path / "dict.json"
+    assert main(["dict", "build", *clips, "--robot", robot_name, "-o", str(out)]) == 0
+    robot = load_robot(robot_name)
+    columns = tuple(c for c in sorted(robot.column_map) if c in encoder.COLUMN_DISTAL)
+    assert len(observed) == 4 and sum(len(kfs.merged) - 1 for _, kfs in observed) >= 20
+    assert out.read_text() == dict_build_per_transition(observed, robot, columns)
 
 
 def _bad_dict_text(case: str) -> str:
@@ -574,6 +609,13 @@ def _bad_dict_text(case: str) -> str:
         obj["entries"] = []
     elif case == "bad-key":
         obj["entries"] = {"RightArm=Up.Middle->": [path]}
+    elif case == "unsorted-key":
+        key = "RightArm=Forward.High,LeftArm=Forward.Low->LeftArm=Forward.Low,RightArm=Forward.High"
+        obj["entries"] = {key: [path]}
+    elif case == "repeated-column-key":
+        obj["entries"] = {"RightArm=Forward.High->RightArm=Forward.Low,RightArm=Forward.High": [path]}
+    elif case == "place-middle-key":
+        obj["entries"] = {"RightArm=Place.Middle->RightArm=Forward.Low": [path]}
     elif case == "no-paths":
         obj["entries"] = {k: [] for k in obj["entries"]}
     elif case == "count-string":
@@ -603,6 +645,9 @@ _BAD_DICTIONARIES = [
     ("tau-zero", "$.tau"),
     ("entries-list", "$.entries"),
     ("bad-key", "RightArm=Up.Middle"),
+    ("unsorted-key", "not a (from-state)->(to-state) key"),
+    ("repeated-column-key", "not a (from-state)->(to-state) key"),
+    ("place-middle-key", "not a (from-state)->(to-state) key"),
     ("no-paths", "no paths"),
     ("count-string", ".count"),
     ("count-zero", ".count"),

@@ -5,14 +5,16 @@ import pytest
 
 from labanmotion.encoder import (
     ARM_COLUMNS,
+    COLUMN_DISTAL,
     SPLIT_COLUMNS,
     columns_for_mode,
     digitize,
     encode_pose,
+    encode_poses,
     encode_sequence,
     segment_direction,
 )
-from labanmotion.errors import BadInput, DegeneratePose, NoKeyFrames
+from labanmotion.errors import BadInput, DegeneratePose, LabanMotionError, NoKeyFrames
 from labanmotion.keyframe import EnergyParams, KeyFrameSet, extract_keyframes
 from labanmotion.laban import Direction, LabanSymbol, Level, validate
 from labanmotion.robot import symbol_to_vector
@@ -26,7 +28,7 @@ from labanmotion.skeleton import (
     synth_motion,
 )
 
-from conftest import random_rotation, rotate_about, transform_sequence
+from conftest import encode_pose_reference, random_rotation, rotate_about, transform_sequence
 
 D = Direction
 L = Level
@@ -185,6 +187,93 @@ def test_encode_pose_split_columns():
     symbols = encode_pose(_pose(right_arm="forward_high"), SPLIT_COLUMNS)
     assert symbols["RightUpperArm"] == LabanSymbol(D.Forward, L.High)
     assert symbols["RightForearm"] == LabanSymbol(D.Forward, L.High)
+
+
+_EDGE_ELEVATIONS = (-67.5, -22.5, 22.5, 67.5)
+_EDGE_AZIMUTHS = tuple(-157.5 + 45.0 * k for k in range(8)) + (180.0,)
+
+
+def _edge_directions(rng, n):
+    """n unit directions; most sit on an elevation band edge, a sector edge or both."""
+    elev = np.where(rng.random(n) < 0.7, rng.choice(_EDGE_ELEVATIONS, n), rng.uniform(-90.0, 90.0, n))
+    azim = np.where(rng.random(n) < 0.7, rng.choice(_EDGE_AZIMUTHS, n), rng.uniform(-180.0, 180.0, n))
+    th, ph = np.radians(elev), np.radians(azim)
+    return np.column_stack([np.cos(th) * np.cos(ph), np.cos(th) * np.sin(ph), np.sin(th)])
+
+
+def _edge_poses(rng, n):
+    return _pose_positions({side: _edge_directions(rng, n) for side in ("left", "right", "head")})
+
+
+@pytest.mark.parametrize("columns", [ARM_COLUMNS, SPLIT_COLUMNS], ids=["arm", "split"])
+def test_encode_poses_matches_per_pose_reference(rng, columns):
+    on_edge = 0
+    for trial in range(40):
+        positions = _edge_poses(rng, int(rng.integers(1, 40)))
+        if trial % 2:  # rounding moves directions off the edges, to either side
+            positions = positions @ random_rotation(rng).T + rng.normal(size=3)
+        got = encode_poses(positions, columns)
+        assert got == [encode_pose_reference(pos, columns) for pos in positions]
+        assert got == [encode_pose(pos, columns) for pos in positions]
+        bf = body_frame(positions)
+        for column in columns:
+            z = segment_direction(positions, COLUMN_DISTAL[column], bf)[:, 2]
+            on_edge += sum(math.degrees(math.asin(x)) in _EDGE_ELEVATIONS for x in z.tolist())
+    assert on_edge  # some elevations land exactly on a band edge
+
+
+# faults put into one pose: a joint moved onto another (a body frame fault
+# or a zero-length column segment), or a scale for the whole pose
+_FAULTS = {
+    "zero shoulder span": (JointName.ShoulderLeft, JointName.ShoulderRight),
+    "wrist on elbow": (JointName.WristRight, JointName.ElbowRight),
+    "elbow on shoulder": (JointName.ElbowLeft, JointName.ShoulderLeft),
+    "head on neck": (JointName.Head, JointName.Neck),
+    "tiny pose": 1e-300,  # zero spine length
+    "huge pose": 1e200,  # overflowing norms make directions non-unit
+}
+
+
+def _put_fault(pose, fault):
+    what = _FAULTS[fault]
+    if isinstance(what, tuple):
+        pose[JOINT_INDEX[what[0]]] = pose[JOINT_INDEX[what[1]]]
+    else:
+        pose *= what
+
+
+def _error(encode):
+    try:
+        encode()
+    except LabanMotionError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("columns", [ARM_COLUMNS, SPLIT_COLUMNS], ids=["arm", "split"])
+def test_encode_poses_error_names_the_first_failing_pose(rng, columns):
+    seen = set()
+    for _ in range(150):
+        n = int(rng.integers(1, 12))
+        positions = _edge_poses(rng, n)
+        with np.errstate(all="ignore"):  # the huge pose overflows on purpose
+            for _ in range(int(rng.integers(1, 4))):
+                _put_fault(positions[int(rng.integers(n))], list(_FAULTS)[int(rng.integers(len(_FAULTS)))])
+            want = _error(lambda: [encode_pose_reference(pos, columns) for pos in positions])
+            assert _error(lambda: encode_poses(positions, columns)) == want
+        seen.add(want and want[1])
+    # body frame faults, column faults and the unit check all came first somewhere
+    assert {"zero shoulder span", "zero spine length", "expected a unit vector, |v| = 0.0"} <= seen
+    assert any(m and m.startswith("column RightForearm" if "RightForearm" in columns else "column RightArm")
+               for m in seen)
+
+
+def test_encode_poses_without_columns_checks_the_body_frame():
+    positions = _edge_poses(np.random.default_rng(3), 4)
+    assert encode_poses(positions, ()) == [{}] * 4
+    _put_fault(positions[2], "zero shoulder span")
+    with pytest.raises(DegeneratePose, match="zero shoulder span"):
+        encode_poses(positions, ())
 
 
 def test_columns_for_mode():

@@ -6,7 +6,8 @@ import pytest
 
 from labanmotion.encoder import COLUMN_DISTAL, digitize, segment_direction
 from labanmotion.errors import BadSymbol, MissingColumn, ValidationError
-from labanmotion import robot as robot_mod
+from labanmotion import cli, robot as robot_mod
+from labanmotion.keyframe import EnergyParams, KeyFrameSet
 from labanmotion.laban import (
     Cell,
     Direction,
@@ -22,6 +23,7 @@ from labanmotion.robot import (
     BUNDLED_ROBOTS,
     DecodedPose,
     JointPose,
+    KeyPoses,
     Segment,
     SegmentCommand,
     concatenate,
@@ -36,7 +38,9 @@ from labanmotion.robot import (
 )
 from labanmotion.skeleton import JOINT_INDEX, JointName, SkeletonSequence, body_frame, synth_motion
 
-from conftest import random_rotation
+from labanmotion.trajectory import DictKey, MotionDictionary, dict_update, serialize_dictionary
+
+from conftest import dict_build_per_transition, encode_pose_reference, random_rotation
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -124,19 +128,20 @@ def test_concatenate_commutative_and_planar(rng):
             assert abs(v_ab @ (n / np.linalg.norm(n))) < 1e-9
 
 
+_MERGE_ROBOT = """
+    {"name": "merger",
+     "chains": [{"name": "arm", "segments": [
+        {"yaw_joint": "a_yaw", "pitch_joint": "a_pitch",
+         "yaw_limits": [-180, 180], "pitch_limits": [-90, 90]}]},
+                {"name": "hand", "segments": [
+        {"yaw_joint": "h_yaw", "pitch_joint": "h_pitch",
+         "yaw_limits": [-180, 180], "pitch_limits": [-90, 90]}]}],
+     "column_map": {"RightUpperArm": ["arm/0"], "RightForearm": ["arm/0"]}}
+    """
+
+
 def _merge_robot():
-    return parse_robot(
-        """
-        {"name": "merger",
-         "chains": [{"name": "arm", "segments": [
-            {"yaw_joint": "a_yaw", "pitch_joint": "a_pitch",
-             "yaw_limits": [-180, 180], "pitch_limits": [-90, 90]}]},
-                    {"name": "hand", "segments": [
-            {"yaw_joint": "h_yaw", "pitch_joint": "h_pitch",
-             "yaw_limits": [-180, 180], "pitch_limits": [-90, 90]}]}],
-         "column_map": {"RightUpperArm": ["arm/0"], "RightForearm": ["arm/0"]}}
-        """
-    )
+    return parse_robot(_MERGE_ROBOT)
 
 
 def _split_robot():
@@ -682,6 +687,41 @@ def test_project_path_matches_per_frame_reference():
             clamped += sum(_vector_to_joints(v, SEG_FRONTAL)[2] for v in d)
     # the clips reach the yaw = 0 pole rule and yaws beyond the frontal limits
     assert poles and clamped
+
+
+def test_dict_build_carries_merge_history_across_a_clip(tmp_path, monkeypatch):
+    """dict build projects each clip once, so a merged segment's fold history
+    runs across all of the clip's transitions. With the right forearm folded
+    back onto the upper arm in every frame, each frame cancels, and every
+    path holds the direction of the clip's first key frame rather than that
+    of its own first frame."""
+    seq = synth_motion({"pattern": "reach_sequence", "part": "right_arm",
+                        "poses": [[p, 0.6] for p in ("place_low", "forward_middle", "right_high", "left_high")]},
+                       rate=30.0)
+    positions = seq.positions.copy()
+    positions[:, JOINT_INDEX[JointName.WristRight]] = positions[:, JOINT_INDEX[JointName.ShoulderRight]]
+    seq = SkeletonSequence(seq.times, positions, seq.sample_rate)
+    merged = [int(len(seq) * f) for f in (0.1, 0.35, 0.6, 0.85)]
+    kfs = KeyFrameSet(per_part={}, merged=merged, params=EnergyParams())
+    monkeypatch.setattr(cli._Run, "observe", lambda run, path: (seq, kfs))
+    robot_path = tmp_path / "merger.json"
+    robot_path.write_text(_MERGE_ROBOT)
+    out = tmp_path / "dict.json"
+    assert cli.main(["dict", "build", "clip.json", "--robot", str(robot_path), "-o", str(out)]) == 0
+
+    robot = _merge_robot()
+    columns = ("RightForearm", "RightUpperArm")
+    whole = _project_per_frame(seq, merged[0], merged[-1], robot)
+    states = [encode_pose_reference(seq.positions[i], columns) for i in merged]
+    mdict = MotionDictionary()
+    for k, (a, b) in enumerate(zip(merged, merged[1:])):
+        dict_update(mdict, DictKey.from_states(states[k], states[k + 1]),
+                    KeyPoses.of(whole[a - merged[0]:b - merged[0] + 1]))
+    assert out.read_text() == serialize_dictionary(mdict)
+    first = whole[0].angles
+    assert all(p.angles == first for p in whole)
+    # restarting the history at each transition gives other paths
+    assert out.read_text() != dict_build_per_transition([(seq, kfs)], robot, columns)
 
 
 def test_symbol_table_is_vector_to_joints():

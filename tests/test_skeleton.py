@@ -157,6 +157,15 @@ MALFORMED = {
                                   {"index": 2, "joint": "Neck"}),
     "bool-coordinate": ([_set([2, "joints", "WristLeft", 1], True)], MalformedFrame,
                         {"index": 2, "joint": "WristLeft"}),
+    "three-char-string-triple": ([_set([2, "joints", "Head"], "abc")], MalformedFrame, {"index": 2, "joint": "Head"}),
+    "three-key-object-triple": ([_set([2, "joints", "Head"], {"x": 0.0, "y": 0.0, "z": 1.0})], MalformedFrame,
+                                {"index": 2, "joint": "Head"}),
+    "four-element-triple": ([_set([2, "joints", "Head"], [0.0, 0.0, 1.0, 0.0])], MalformedFrame,
+                            {"index": 2, "joint": "Head"}),
+    # the flat list still holds 36 numbers per frame, shifted
+    "long-and-short-triples": ([_set([2, "joints", "Neck"], [0.0, 0.0, 0.6, 0.0]),
+                                _set([2, "joints", "Head"], [0.0, 0.0])],
+                               MalformedFrame, {"index": 2, "joint": "Neck"}),
     "string-and-bool-triple": ([_set([2, "joints", "HandRight"], ["0.1", True, 0.8])], MalformedFrame,
                                {"index": 2, "joint": "HandRight"}),
     "type-before-later-geometry": ([_set([1, "joints", "Head", 0], "0"), _set([2, "joints", "Neck", 0], NAN)],

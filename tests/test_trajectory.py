@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
-from labanmotion.laban import Direction, LabanSymbol, Level
+from labanmotion.laban import VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
 from labanmotion.robot import JointPose, KeyPoses
 from labanmotion.skeleton import MAX_SAMPLES
 from labanmotion.trajectory import (
@@ -279,6 +279,41 @@ def test_dict_serialization_roundtrip_randomized(rng):
         text = serialize_dictionary(mdict)
         json.loads(text, parse_constant=_reject_constant)
         assert serialize_dictionary(parse_dictionary(text)) == text
+
+
+def test_dict_serialization_writes_each_angle_as_its_float_repr(rng):
+    mdict = MotionDictionary()
+    for k in range(6):
+        times = np.cumsum(rng.uniform(0.01, 1.0, size=int(rng.integers(2, 40))))
+        scale = 10.0 ** float(rng.uniform(-300, 300))
+        angles = rng.normal(0, scale, size=(len(times), len(JOINTS)))
+        angles[0, 0] = -0.0
+        observed = KeyPoses(times, JOINTS, angles)
+        dict_update(mdict, DictKey.from_states(_state(S(D.Place, L.Low)), {"Head": VALID_LIMB_SYMBOLS[k]}), observed)
+    text = serialize_dictionary(mdict)
+    for entry in mdict.entries.values():
+        for p in entry.paths:
+            rows = ", ".join("[" + ", ".join(repr(float(x)) for x in row) + "]" for row in p.motion.samples)
+            assert f'"samples": [{rows}]' in text
+    assert "-0.0" in text
+
+
+_KEY_COLUMNS = ("Head", "LeftArm", "LeftForearm", "RightArm", "RightUpperArm")
+
+
+def test_dict_key_parses_its_text_and_nothing_from_states_cannot_give(rng):
+    for _ in range(200):
+        a, b = ({c: VALID_LIMB_SYMBOLS[int(rng.integers(len(VALID_LIMB_SYMBOLS)))]
+                 for c in rng.choice(_KEY_COLUMNS, size=int(rng.integers(0, 4)), replace=False)}
+                for _ in range(2))
+        key = DictKey.from_states(a, b)
+        assert DictKey.parse(str(key)) == key
+    for text in ("RightArm=Forward.High,LeftArm=Forward.Low->",
+                 "->Head=Left.Low,Head=Left.Low",
+                 "Head=Place.Middle->Head=Place.High",
+                 "Head=Up.High->"):
+        with pytest.raises(ValueError):
+            DictKey.parse(text)
 
 
 # ---------------------------------------------------------------------------
