@@ -170,7 +170,8 @@ class _Run:
         with self.stage("trajectory") as counts:
             poses = decoded.poses
             if len(poses) >= 2:
-                traj = trajectory.synthesize(poses, decoded.states, mdict, self.get("interp", "linear"), rate)
+                traj = trajectory.synthesize(poses, decoded.codes, mdict, self.get("interp", "linear"), rate,
+                                             decoded.columns)
             else:
                 traj = trajectory.Trajectory.from_poses(poses, rate)
             counts["samples"] = len(traj.samples)
@@ -219,12 +220,12 @@ def _cmd_decode(run: _Run) -> int:
 def _cmd_dict_build(run: _Run) -> int:
     robot = run.robot()
     mdict = trajectory.MotionDictionary(tau=run.get("tau", trajectory.DEFAULT_TAU_DEG))
-    columns = tuple(c for c in sorted(robot.column_map) if c in encoder.COLUMN_DISTAL)
+    columns = robot.mapped_columns
     for path in sorted(run.args.skeletons):  # lexicographic: deterministic merge order
         seq, kfs = run.observe(path)
         merged = kfs.merged
         with run.stage(f"build {path}") as counts:
-            states = encoder.encode_poses(seq.positions[merged], columns)
+            codes = encoder.encode_poses(seq.positions[merged], columns).tolist()
             if len(merged) >= 2:
                 # one projection per clip, so a merge's history runs across
                 # transitions; each transition's path is a slice of it
@@ -232,7 +233,7 @@ def _cmd_dict_build(run: _Run) -> int:
                 for k, (a, b) in enumerate(zip(merged, merged[1:])):
                     rows = slice(a - merged[0], b - merged[0] + 1)
                     observed = robot_mod.KeyPoses(clip.times[rows], clip.joints, clip.angles[rows])
-                    key = trajectory.DictKey.from_states(states[k], states[k + 1])
+                    key = trajectory.DictKey.of(columns, codes[k], codes[k + 1])
                     trajectory.dict_update(mdict, key, observed)
             counts["transitions"] = max(len(merged) - 1, 0)
     trajectory.save_dictionary(mdict, run.args.output)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadInput, DegeneratePose, NoKeyFrames
 from .keyframe import KeyFrameSet
-from .laban import Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level
+from .laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level
 from .skeleton import (
     JOINT_INDEX,
     PARENT,
@@ -153,7 +153,7 @@ def digitize(v: np.ndarray) -> LabanSymbol:
     return _symbol(float(v[0]), float(v[1]), float(v[2]))
 
 
-def _encode(positions: np.ndarray, columns: tuple[str, ...]) -> list[dict[str, LabanSymbol]]:
+def _encode(positions: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
     """:func:`encode_poses` in one pass; an error may come from any pose."""
     bf = body_frame(positions)
     per_column = []
@@ -167,14 +167,18 @@ def _encode(positions: np.ndarray, columns: tuple[str, ...]) -> list[dict[str, L
         off = np.abs(norm - 1.0) > 1e-6
         if off.any():
             raise _unit_error(float(norm[np.argmax(off)]))
-        per_column.append(map(_symbol, *v.T.tolist()))
-    # every check has passed before the first symbol is computed, pose by pose
-    rows = zip(*per_column) if columns else [()] * len(positions)
-    return [dict(zip(columns, row)) for row in rows]
+        per_column.append(v)
+    # every check has passed before the first symbol is computed
+    codes = np.empty((len(positions), len(columns)), dtype=np.intp)
+    for c, v in enumerate(per_column):
+        codes[:, c] = [SYMBOL_CODES[s] for s in map(_symbol, *v.T.tolist())]
+    return codes
 
 
-def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> list[dict[str, LabanSymbol]]:
-    """Symbols per column for each pose of an (m, 12, 3) array.
+def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> np.ndarray:
+    """Symbol codes (see :data:`~labanmotion.laban.SYMBOL_CODES`) of each pose
+    of an (m, 12, 3) array: an (m, len(columns)) intp array, column c for
+    ``columns[c]``.
 
     Body frames and segment directions are computed for all poses at once;
     each direction maps to its symbol by :func:`digitize`'s rule. An error
@@ -191,7 +195,8 @@ def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) 
 
 def encode_pose(pos: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> dict[str, LabanSymbol]:
     """Symbols per column for one (12, 3) pose."""
-    return encode_poses(np.asarray(pos)[None], columns)[0]
+    codes = encode_poses(np.asarray(pos)[None], columns)[0].tolist()
+    return {col: VALID_LIMB_SYMBOLS[code] for col, code in zip(columns, codes)}
 
 
 def encode_sequence(
@@ -213,14 +218,14 @@ def encode_sequence(
     # microsecond quantization keeps cell arithmetic consistent with the
     # score file format's 6-decimal times
     key_times = [round(float(ts[i]), 6) for i in merged]
-    key_symbols = encode_poses(seq.positions[merged], columns)
+    key_codes = encode_poses(seq.positions[merged], columns)
 
     laban_columns = []
-    for column in columns:
+    for column, codes in zip(columns, key_codes.T.tolist()):
         cells: list[Cell] = []
         prev_t = 0.0
-        for t, symbols in zip(key_times, key_symbols):
-            symbol = symbols[column]
+        for t, code in zip(key_times, codes):
+            symbol = VALID_LIMB_SYMBOLS[code]
             if cells and cells[-1].symbol == symbol:
                 last = cells[-1]
                 cells[-1] = Cell(symbol, last.start, t - last.start)

@@ -5,6 +5,13 @@ A cell's symbol is the direction/level the part holds at the cell's end;
 the state applies on the half-open interval (start, start + duration], so
 a task owns its ending state but not its starting one.
 
+In memory each column also holds its cells as arrays
+(:attr:`LabanColumn.arrays`): symbol codes, starts, durations and ends. A
+symbol's code is its index in ``VALID_LIMB_SYMBOLS``, or -1 for (Place,
+Middle) (:data:`SYMBOL_CODES`). :func:`validate` reads each column's arrays
+in one pass and evaluates every rule as a mask over them only for a column
+that fails it; :func:`states_at` answers with codes.
+
 Score files are JSON with a canonical serialization: sorted keys, 6-decimal
 floats, deterministic layout. ``parse_score(serialize_score(s)) == s`` for
 any valid score whose times are 6-decimal representable.
@@ -17,6 +24,10 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import BadInput, OutOfRange, ParseError, ValidationError, finite, json_numbers, read_json
 
@@ -57,6 +68,14 @@ VALID_LIMB_SYMBOLS: tuple[LabanSymbol, ...] = tuple(
     if not (d == Direction.Place and l == Level.Middle)
 )
 
+# symbol -> code: its index in VALID_LIMB_SYMBOLS, -1 for (Place, Middle)
+SYMBOL_CODES: dict[LabanSymbol, int] = {
+    **{LabanSymbol(d, l): -1 for d in Direction for l in Level},
+    **{s: k for k, s in enumerate(VALID_LIMB_SYMBOLS)},
+}
+# (dir, level) tokens of a score file -> their symbol, for all 27 pairs
+_TOKEN_SYMBOLS: dict[tuple[str, str], LabanSymbol] = {(s.direction.value, s.level.value): s for s in SYMBOL_CODES}
+
 COLUMN_NAMES: tuple[str, ...] = (
     "LeftArm",
     "RightArm",
@@ -84,10 +103,27 @@ class Cell:
         return self.start + self.duration
 
 
+class CellArrays(NamedTuple):
+    """A column's cells as (n,) arrays, cell i in row i."""
+
+    codes: np.ndarray  # intp symbol codes (see SYMBOL_CODES)
+    starts: np.ndarray
+    durations: np.ndarray
+    ends: np.ndarray  # Cell.end
+
+
 @dataclass(frozen=True)
 class LabanColumn:
     name: str
     cells: tuple[Cell, ...]
+
+    @cached_property
+    def arrays(self) -> CellArrays:
+        """The cells as arrays, built at first use (normally by :func:`validate`)."""
+        cells = self.cells
+        starts, durations, ends = np.array([[c.start for c in cells], [c.duration for c in cells],
+                                            [c.end for c in cells]], dtype=float)
+        return CellArrays(np.array([SYMBOL_CODES[c.symbol] for c in cells], dtype=np.intp), starts, durations, ends)
 
 
 @dataclass(frozen=True)
@@ -101,6 +137,12 @@ class LabanScore:
             if col.name == name:
                 return col
         return None
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """What :func:`validate` returns, found at its first call: a score
+        does not change, so parsing and then decoding it checks it once."""
+        return tuple(_violations(self))
 
 
 @dataclass(frozen=True)
@@ -121,6 +163,10 @@ class Violation:
 
 def validate(score: LabanScore) -> list[Violation]:
     """All rule violations in the score; empty means the score is valid."""
+    return list(score.violations)
+
+
+def _violations(score: LabanScore) -> list[Violation]:
     out: list[Violation] = []
     if not score.columns:
         out.append(Violation("no-columns", None, None, "score has no columns"))
@@ -144,33 +190,62 @@ def validate(score: LabanScore) -> list[Violation]:
     for col in score.columns:
         if col.name not in COLUMN_NAMES:
             out.append(Violation("unknown-column", col.name, None, "not a known column name"))
-        for i, cell in enumerate(col.cells):
-            if cell.symbol.direction == Direction.Place and cell.symbol.level == Level.Middle:
-                out.append(
-                    Violation("place-middle", col.name, i, "(Place, Middle) is not a limb symbol")
-                )
-            if not (math.isfinite(cell.start) and math.isfinite(cell.duration)):
-                out.append(
-                    Violation("non-finite", col.name, i, f"start {cell.start}, duration {cell.duration}")
-                )
-            if cell.duration <= 0:
-                out.append(Violation("nonpositive-duration", col.name, i, f"duration {cell.duration}"))
-            if cell.start < 0:
-                out.append(Violation("negative-start", col.name, i, f"start {cell.start}"))
-            if cell.end > score.total_duration + 1e-9:
-                out.append(
-                    Violation(
-                        "beyond-total", col.name, i,
-                        f"cell ends at {cell.end} after total_duration {score.total_duration}",
-                    )
-                )
-        for i in range(1, len(col.cells)):
-            if col.cells[i].start <= col.cells[i - 1].start:
-                out.append(Violation("start-order", col.name, i, "starts not increasing"))
-        out.extend(
-            Violation("overlap", col.name, j, f"cells {i} and {j} overlap")
-            for i, j in _overlapping_pairs(col.cells)
-        )
+        if not _cells_pass(col, score.total_duration):
+            # comparisons with NaN are False, as for floats
+            with np.errstate(invalid="ignore"):
+                out.extend(_column_violations(col, score.total_duration))
+    return out
+
+
+def _cells_pass(col: LabanColumn, total: float) -> bool:
+    """Whether every cell passes the cell rules and starts after the previous
+    cell ends: one pass over the column's arrays as floats, which
+    :func:`_column_violations` reports on only when it fails. A start or
+    duration that is not finite makes a NaN or infinite end."""
+    prev_start = prev_end = -math.inf
+    limit = total + 1e-9
+    for code, start, duration, end in zip(*(x.tolist() for x in col.arrays)):
+        if not (code >= 0 and duration > 0 and start >= 0 and end < math.inf and end <= limit
+                and start > prev_start and prev_end - 1e-12 <= start):
+            return False
+        prev_start, prev_end = start, end
+    return True
+
+
+def _column_violations(col: LabanColumn, total: float) -> list[Violation]:
+    """The cell rules of one column, each a mask over its arrays: per flagged
+    cell in cell order its broken rules, then start-order, then overlap."""
+    codes, starts, durations, ends = col.arrays
+    masks = (
+        codes < 0,
+        ~(np.isfinite(starts) & np.isfinite(durations)),
+        durations <= 0,
+        starts < 0,
+        ends > total + 1e-9,
+    )
+    out: list[Violation] = []
+    for i in np.flatnonzero(np.logical_or.reduce(masks)).tolist():
+        cell = col.cells[i]
+        place_middle, non_finite, nonpositive, negative, beyond = (bool(m[i]) for m in masks)
+        if place_middle:
+            out.append(Violation("place-middle", col.name, i, "(Place, Middle) is not a limb symbol"))
+        if non_finite:
+            out.append(Violation("non-finite", col.name, i, f"start {cell.start}, duration {cell.duration}"))
+        if nonpositive:
+            out.append(Violation("nonpositive-duration", col.name, i, f"duration {cell.duration}"))
+        if negative:
+            out.append(Violation("negative-start", col.name, i, f"start {cell.start}"))
+        if beyond:
+            out.append(Violation("beyond-total", col.name, i,
+                                 f"cell ends at {cell.end} after total_duration {total}"))
+    unordered = np.flatnonzero(starts[1:] <= starts[:-1]) + 1
+    out.extend(Violation("start-order", col.name, i, "starts not increasing") for i in unordered.tolist())
+    # with finite, strictly increasing starts a cell that overlaps a later one
+    # overlaps the next one too, so the full sweep runs only when one of
+    # those holds or some cell is not finite
+    if len(unordered) or not np.isfinite(ends).all() or np.any(ends[:-1] - 1e-12 > starts[1:]):
+        out.extend(Violation("overlap", col.name, j, f"cells {i} and {j} overlap")
+                   for i, j in _overlapping_pairs(col.cells))
     return out
 
 
@@ -198,39 +273,38 @@ def _overlapping_pairs(cells: tuple[Cell, ...]) -> list[tuple[int, int]]:
     return pairs
 
 
-def states_at(score: LabanScore, times: Iterable[float]) -> list[dict[str, LabanSymbol]]:
-    """Symbols in force at each of a nondecreasing sequence of times, per column.
+def states_at(score: LabanScore, times: Iterable[float]) -> np.ndarray:
+    """Codes of the symbols in force at each of a nondecreasing sequence of
+    times: an (m, C) intp array, column c for ``score.columns[c]``, -1 where
+    no cell of the column covers the time.
 
     A cell covers (start, start + duration]; at exactly a cell's start the
-    previous cell (if any) still holds. Where cells share a time, the first
-    covering one in column order wins. Columns with no covering cell are
-    absent from a time's dict. One cursor per column sweeps the cells, which
-    must be in increasing start order, as :func:`validate` requires.
+    previous cell (if any) still holds. The candidate cell at t is the first
+    whose end (plus 1e-9 of slack for float drift in start + duration) is not
+    before t, and it covers t if it starts before t; in a score that passes
+    :func:`validate` that is the first covering cell in column order. One
+    ``searchsorted`` per column finds it, over the running maximum of the
+    ends, since a valid column's ends may still step back by up to 1e-12.
+    Times out of [0, total_duration] raise OutOfRange, decreasing times
+    ValueError; the first bad time decides.
     """
-    columns = [
-        (col.name, [c.symbol for c in col.cells], [c.start for c in col.cells],
-         # tiny right-end slack absorbs float drift in start + duration
-         [c.end + 1e-9 for c in col.cells])
-        for col in score.columns
-    ]
-    cursors = [0] * len(columns)
-    out: list[dict[str, LabanSymbol]] = []
+    times = list(times)
     prev = -math.inf
-    for t in times:
-        if not 0 <= t <= score.total_duration + 1e-12:
-            raise OutOfRange(f"t={t} outside [0, {score.total_duration}]")
-        if t < prev:
+    for x in times:
+        if not 0 <= x <= score.total_duration + 1e-12:
+            raise OutOfRange(f"t={x} outside [0, {score.total_duration}]")
+        if x < prev:
             raise ValueError("states_at needs nondecreasing times")
-        prev = t
-        state: dict[str, LabanSymbol] = {}
-        for c, (name, symbols, starts, ends) in enumerate(columns):
-            k = cursors[c]
-            while k < len(ends) and ends[k] < t:  # ends before t and every later time
-                k += 1
-            cursors[c] = k
-            if k < len(ends) and starts[k] < t:
-                state[name] = symbols[k]
-        out.append(state)
+        prev = x
+    t = np.array(times, dtype=float)
+    out = np.empty((len(times), len(score.columns)), dtype=np.intp)
+    for c, col in enumerate(score.columns):
+        a = col.arrays
+        # the first cell whose end is not before t; one past the last, a
+        # sentinel cell that starts at +inf and so covers nothing
+        first = np.searchsorted(np.maximum.accumulate(a.ends + 1e-9), t).tolist()
+        starts, codes = a.starts.tolist() + [math.inf], a.codes.tolist() + [-1]
+        out[:, c] = [codes[k] if starts[k] < x else -1 for k, x in zip(first, times)]
     return out
 
 
@@ -287,6 +361,26 @@ def _require(obj: dict, key: str, kinds, where: str):
         return math.nan
 
 
+def _parse_cell(cell_obj, where: str) -> Cell:
+    """One cell object, each check naming its location: the object, ``dir``
+    and ``level`` present and strings, a known direction, a known level,
+    then ``start`` and ``duration``."""
+    if not isinstance(cell_obj, dict):
+        raise ParseError(where, "expected a cell object")
+    dir_tok = _require(cell_obj, "dir", str, where)
+    lvl_tok = _require(cell_obj, "level", str, where)
+    try:
+        Direction(dir_tok)
+    except ValueError:
+        raise ParseError(f"{where}.dir", f"unknown direction token {dir_tok!r}") from None
+    try:
+        Level(lvl_tok)
+    except ValueError:
+        raise ParseError(f"{where}.level", f"unknown level token {lvl_tok!r}") from None
+    start = _require(cell_obj, "start", float, where)
+    return Cell(_TOKEN_SYMBOLS[dir_tok, lvl_tok], start, _require(cell_obj, "duration", float, where))
+
+
 def parse_score(text: str) -> LabanScore:
     """Parse and validate a score file. ParseError carries the location of
     syntax or token problems; semantic rule breaks raise ValidationError."""
@@ -307,21 +401,18 @@ def parse_score(text: str) -> LabanScore:
         cells_obj = _require(col_obj, "cells", list, where)
         cells = []
         for i, cell_obj in enumerate(cells_obj):
-            cwhere = f"{where}.cells[{i}]"
-            if not isinstance(cell_obj, dict):
-                raise ParseError(cwhere, "expected a cell object")
-            dir_tok = _require(cell_obj, "dir", str, cwhere)
-            lvl_tok = _require(cell_obj, "level", str, cwhere)
+            # one lookup for the symbol and two finite floats take the common
+            # case; anything else goes through the checks that name the fault
             try:
-                direction = Direction(dir_tok)
-            except ValueError:
-                raise ParseError(f"{cwhere}.dir", f"unknown direction token {dir_tok!r}")
-            try:
-                level = Level(lvl_tok)
-            except ValueError:
-                raise ParseError(f"{cwhere}.level", f"unknown level token {lvl_tok!r}")
-            start = _require(cell_obj, "start", float, cwhere)
-            cells.append(Cell(LabanSymbol(direction, level), start, _require(cell_obj, "duration", float, cwhere)))
+                symbol = _TOKEN_SYMBOLS[cell_obj["dir"], cell_obj["level"]]
+                start, duration = cell_obj["start"], cell_obj["duration"]
+            except (KeyError, TypeError):  # TypeError: not an object, or an unhashable token
+                symbol = None
+            if (symbol is not None and type(start) is float and type(duration) is float
+                    and math.isfinite(start) and math.isfinite(duration)):
+                cells.append(Cell(symbol, start, duration))
+            else:
+                cells.append(_parse_cell(cell_obj, f"{where}.cells[{i}]"))
         columns.append(LabanColumn(name=name, cells=tuple(cells)))
     score = LabanScore(
         columns=tuple(columns),

@@ -6,7 +6,10 @@ feeding several segments is a split (the direction is copied); several
 columns feeding one segment is a merge (directions are combined by
 normalized vector sums, with transition history resolving the opposed-
 directions singularity). Commanded directions outside a joint's limits are
-realized at the nearest limit and flagged as clamped.
+realized at the nearest limit and flagged as clamped. A decode takes the
+symbols in force as one array of symbol codes for all key poses
+(:func:`~labanmotion.laban.states_at`) and keeps those of the robot's mapped
+columns in :attr:`DecodedScore.codes`.
 
 Description files are JSON:
 
@@ -93,6 +96,12 @@ class RobotDescription:
                 table.append((ref, seg, tuple(col for col, refs in self.column_map.items() if ref in refs)))
         return tuple(table)
 
+    @cached_property
+    def mapped_columns(self) -> tuple[str, ...]:
+        """The score columns of :attr:`column_map`, sorted: the columns of a
+        decode's codes and of the motion dictionary keys built for this robot."""
+        return tuple(col for col in sorted(self.column_map) if col in COLUMN_DISTAL)
+
     def _joint_limits(self) -> list[tuple[str, tuple[float, float]]]:
         """``(joint, limits)`` per segment yaw, pitch and roll in chain order,
         then per fixed joint."""
@@ -121,11 +130,10 @@ class RobotDescription:
         ``clamped`` is :func:`vector_to_joints` of symbol k of
         ``VALID_LIMB_SYMBOLS``; the last row, which code -1 (no symbol in
         force) selects, holds the segment's neutral angles, unclamped."""
-        directions = np.array([_SYMBOL_VECTORS[s] for s in VALID_LIMB_SYMBOLS])
         table = {}
         for ref, seg, sources in self.segment_table:
             if len(sources) == 1:
-                yaw, pitch, clamped = _joint_rows(directions, seg)
+                yaw, pitch, clamped = _joint_rows(_CODE_VECTORS, seg)
                 neutral = [self.neutral_angles[seg.yaw_joint], self.neutral_angles[seg.pitch_joint]]
                 table[ref] = (np.vstack([np.column_stack([yaw, pitch]), neutral]), np.append(clamped, False))
         return table
@@ -307,8 +315,8 @@ def _band_center(s: LabanSymbol) -> np.ndarray:
 
 
 _SYMBOL_VECTORS = {s: _band_center(s) for s in VALID_LIMB_SYMBOLS}
-# the code of symbol k of VALID_LIMB_SYMBOLS is k
-_SYMBOL_CODES = {s: k for k, s in enumerate(VALID_LIMB_SYMBOLS)}
+# row k: the direction of the symbol of code k
+_CODE_VECTORS = np.array([_SYMBOL_VECTORS[s] for s in VALID_LIMB_SYMBOLS])
 
 
 def symbol_to_vector(s: LabanSymbol) -> np.ndarray:
@@ -419,36 +427,41 @@ class DecodedPose:
     t: float
     pose: JointPose
     segments: dict[str, SegmentCommand]
-    states: dict[str, LabanSymbol]  # symbol in force at t per score column; uncovered ones absent
 
 
 @dataclass(eq=False)
 class DecodedScore:
-    """A decoded score: the key poses, the symbols in force at each, and
-    per-segment flags as (poses, segments) arrays whose columns follow
-    ``robot.segment_table``. Indexing and iterating give
+    """A decoded score: the key poses, the codes of the symbols in force at
+    each, and per-segment flags as (poses, segments) arrays whose columns
+    follow ``robot.segment_table``. Indexing and iterating give
     :class:`DecodedPose` views, built on demand."""
 
     poses: KeyPoses
-    states: list[dict[str, LabanSymbol]]  # per pose: symbol in force per score column; uncovered ones absent
+    codes: np.ndarray  # (m, len(columns)) intp: symbol code in force per mapped column, -1 where none is
     robot: RobotDescription
     driven: np.ndarray  # (m, segments) bool: the segment's source columns all had a symbol
     clamped: np.ndarray  # (m, segments) bool: a driven segment realized at a joint limit
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """The columns of :attr:`codes`: the robot's mapped columns, sorted."""
+        return self.robot.mapped_columns
 
     def __len__(self) -> int:
         return len(self.poses)
 
     def __getitem__(self, i: int) -> DecodedPose:
         pose = self.poses[i]
+        codes = dict(zip(self.columns, self.codes[i].tolist()))
         segments = {}
         for s, (ref, seg, sources) in enumerate(self.robot.segment_table):
             driven = bool(self.driven[i, s])
             merged = driven and len(sources) > 1
             segments[ref] = SegmentCommand(
                 pose.angles[seg.yaw_joint], pose.angles[seg.pitch_joint], bool(self.clamped[i, s]), driven,
-                merged, self.states[i][sources[0]] if driven and not merged else None,
+                merged, VALID_LIMB_SYMBOLS[codes[sources[0]]] if driven and not merged else None,
             )
-        return DecodedPose(pose.t, pose, segments, self.states[i])
+        return DecodedPose(pose.t, pose, segments)
 
     def __iter__(self) -> Iterator[DecodedPose]:
         return (self[i] for i in range(len(self)))
@@ -470,28 +483,33 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
     column that never appears anywhere in the score is an error; extra score
     columns are ignored with a warning.
 
-    A segment fed by one column reads its angles from the robot's
-    :attr:`~RobotDescription.symbol_table`, one gather over all poses; a
-    merged segment folds its columns' directions pose by pose (:func:`_fold`).
+    The robot's mapped columns are taken from one :func:`~labanmotion.laban.states_at`
+    code array. A segment fed by one column reads its angles from the
+    robot's :attr:`~RobotDescription.symbol_table`, one gather over all
+    poses; a merged segment folds its columns' directions pose by pose
+    (:func:`_fold`).
     """
     violations = validate(score)
     if violations:
         raise ValidationError(violations)
-    score_columns = {c.name for c in score.columns}
+    score_columns = {c.name: k for k, c in enumerate(score.columns)}
     for ref, _, sources in robot.segment_table:
         for col in sources:
             if col not in score_columns:
                 raise MissingColumn(ref, col)
-    for name in sorted(score_columns - set(robot.column_map)):
+    for name in sorted(score_columns.keys() - set(robot.column_map)):
         log.warning("score column %s not mapped on robot %s; ignored", name, robot.name)
 
     # nanosecond quantization collapses float drift in start + duration so
-    # shared boundaries dedupe across columns
-    times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
+    # shared boundaries dedupe across columns; Python's round, which np.round
+    # can differ from in the last bit
+    times = sorted({round(end, 9) for col in score.columns for end in col.arrays.ends.tolist()})
     states = states_at(score, [min(t, score.total_duration) for t in times])
-    # per mapped column, the code of the symbol in force at each pose; -1 where none is
-    codes = {col: np.array([_SYMBOL_CODES.get(state.get(col), -1) for state in states], dtype=np.intp)
-             for col in robot.column_map}
+    columns = robot.mapped_columns
+    # a mapped column that feeds no segment may be absent from the score: -1 throughout
+    codes = np.column_stack([states, np.full(len(times), -1, dtype=np.intp)])[
+        :, [score_columns.get(col, -1) for col in columns]]
+    index = {col: c for c, col in enumerate(columns)}
     joints, column, angles = _neutral(robot, len(times))
     driven = np.zeros((len(times), len(robot.segment_table)), dtype=bool)
     clamped = np.zeros_like(driven)
@@ -499,18 +517,19 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
         cols = [column[seg.yaw_joint], column[seg.pitch_joint]]
         if len(sources) == 1:
             yaw_pitch, flags = robot.symbol_table[ref]
-            code = codes[sources[0]]
+            code = codes[:, index[sources[0]]]
             angles[:, cols] = yaw_pitch[code]
             driven[:, s] = code >= 0
             clamped[:, s] = flags[code]
         elif sources:
-            rows = np.flatnonzero(np.all([codes[col] >= 0 for col in sources], axis=0))
-            directions = _fold([[symbol_to_vector(states[i][col]) for col in sources] for i in rows.tolist()])
+            source_codes = codes[:, [index[col] for col in sources]]
+            rows = np.flatnonzero((source_codes >= 0).all(axis=1))
+            directions = _fold(_CODE_VECTORS[source_codes[rows]])
             yaw, pitch, flags = _joint_rows(directions, seg)
             angles[rows, cols[0]], angles[rows, cols[1]] = yaw, pitch
             driven[rows, s] = True
             clamped[rows, s] = flags
-    return DecodedScore(KeyPoses(np.array(times, dtype=float), joints, angles), states, robot, driven, clamped)
+    return DecodedScore(KeyPoses(np.array(times, dtype=float), joints, angles), codes, robot, driven, clamped)
 
 
 def decode_score(score: LabanScore, robot: RobotDescription) -> KeyPoses:

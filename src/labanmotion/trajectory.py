@@ -17,12 +17,13 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json
-from .laban import VALID_LIMB_SYMBOLS, LabanSymbol
+from .laban import VALID_LIMB_SYMBOLS
 from .robot import KeyPoses
 from .skeleton import uniform_grid
 
@@ -74,26 +75,31 @@ class DictEntry:
         return [p.count / total for p in self.paths]
 
 
-# (direction, level) values of the limb symbols, as dictionary keys spell them
-_LIMB_TOKENS = frozenset((s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS)
-
-
-def _state_items(state: dict[str, LabanSymbol]) -> tuple[tuple[str, str, str], ...]:
-    return tuple(
-        (col, state[col].direction.value, state[col].level.value) for col in sorted(state)
-    )
+# (direction, level) values of the limb symbols, as dictionary keys spell
+# them: entry k for the symbol of code k
+_CODE_TOKENS = tuple((s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS)
+_LIMB_TOKENS = frozenset(_CODE_TOKENS)
 
 
 @dataclass(frozen=True)
 class DictKey:
-    """Canonical (start state, end state) pair of column symbol maps."""
+    """Canonical (start state, end state) pair of column symbol maps: per
+    side, ``(column, direction, level)`` for each column with a symbol in
+    force, columns sorted."""
 
     from_state: tuple[tuple[str, str, str], ...]
     to_state: tuple[tuple[str, str, str], ...]
 
     @classmethod
-    def from_states(cls, from_state: dict[str, LabanSymbol], to_state: dict[str, LabanSymbol]) -> "DictKey":
-        return cls(_state_items(from_state), _state_items(to_state))
+    def of(cls, columns: Sequence[str], from_codes: Sequence[int], to_codes: Sequence[int]) -> "DictKey":
+        """The key of a transition between two rows of symbol codes over
+        ``columns``, skipping columns whose code is -1 (no symbol in force).
+        ``dict build`` and :func:`synthesize` both make their keys here, over
+        the robot's mapped columns."""
+        def side(codes):
+            return tuple((col, *_CODE_TOKENS[code]) for col, code in sorted(zip(columns, codes)) if code >= 0)
+
+        return cls(side(from_codes), side(to_codes))
 
     def __str__(self) -> str:
         def side(items):
@@ -103,8 +109,8 @@ class DictKey:
 
     @classmethod
     def parse(cls, text: str) -> "DictKey":
-        """Inverse of ``str``; ValueError for text that :meth:`from_states`
-        never gives: an unknown or non-limb symbol, or columns out of sorted
+        """Inverse of ``str``; ValueError for text that :meth:`of` never
+        gives: an unknown or non-limb symbol, or columns out of sorted
         order or repeated."""
         def side(part: str):
             items = []
@@ -236,33 +242,37 @@ def dict_lookup(mdict: MotionDictionary, key: DictKey) -> MotionPath | None:
 
 def synthesize(
     keyposes: KeyPoses,
-    states: list[dict[str, LabanSymbol]] | None,
+    codes: np.ndarray | None,
     mdict: MotionDictionary | None,
     mode: str,
     rate: float,
+    columns: Sequence[str] = (),
 ) -> Trajectory:
     """Trajectory through the key poses, preferring dictionary paths.
 
-    For each adjacent key-pose pair, a stored path for the (state, state)
-    transition is time-warped onto the interval and shifted by the linear
-    ramp of its endpoint residuals; transitions without a stored path use
-    plain interpolation. The result passes through every key pose.
+    ``codes`` holds one row of symbol codes per key pose over ``columns``
+    (a decode's ``codes`` and ``columns``). For each adjacent key-pose pair,
+    a stored path for the transition between their rows
+    (:meth:`DictKey.of`) is time-warped onto the interval and shifted by the
+    linear ramp of its endpoint residuals; transitions without a stored
+    path use plain interpolation. The result passes through every key pose.
     """
     finite(rate, "trajectory rate", 0.0, strict=True)
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
     times, joints, angles = keyposes.times, keyposes.joints, keyposes.angles
-    if states is not None and len(states) != len(keyposes):
-        raise ShapeError("states must align 1:1 with key poses")
+    if codes is not None and np.shape(codes) != (len(keyposes), len(columns)):
+        raise ShapeError("codes must have one row per key pose and one column per state column")
 
     grid = uniform_grid(float(times[0]), float(times[-1]), rate)
     idx, tau, rows = _rows_at(times, angles, mode, grid)
-    if mdict is not None and states is not None:
+    if mdict is not None and codes is not None:
         # idx is sorted, so segment k's samples are rows[bounds[k]:bounds[k + 1]]
         bounds = np.searchsorted(idx, np.arange(len(times)))
         path_u = np.linspace(0.0, 1.0, PATH_SAMPLES)
+        code_rows = np.asarray(codes).tolist()
         for k in range(len(keyposes) - 1):
-            path = dict_lookup(mdict, DictKey.from_states(states[k], states[k + 1]))
+            path = dict_lookup(mdict, DictKey.of(columns, code_rows[k], code_rows[k + 1]))
             if path is None:
                 continue
             if path.joints != joints:

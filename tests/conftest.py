@@ -144,6 +144,15 @@ def encode_pose_reference(pos: np.ndarray, columns: tuple[str, ...]) -> dict[str
     return out
 
 
+def state_key(from_state: dict[str, LabanSymbol], to_state: dict[str, LabanSymbol]) -> DictKey:
+    """The dictionary key of two {column: symbol} maps, each side's columns
+    sorted: the rule that ``DictKey.of`` keeps for rows of symbol codes."""
+    def side(state):
+        return tuple((col, state[col].direction.value, state[col].level.value) for col in sorted(state))
+
+    return DictKey(side(from_state), side(to_state))
+
+
 def dict_build_per_transition(observed, robot, columns, tau: float = 10.0) -> str:
     """Serialized dictionary of (sequence, key frame set) pairs, each key
     frame encoded by :func:`encode_pose_reference` and each transition
@@ -153,9 +162,21 @@ def dict_build_per_transition(observed, robot, columns, tau: float = 10.0) -> st
         merged = kfs.merged
         states = [encode_pose_reference(seq.positions[i], columns) for i in merged]
         for k in range(len(merged) - 1):
-            key = DictKey.from_states(states[k], states[k + 1])
+            key = state_key(states[k], states[k + 1])
             dict_update(mdict, key, project_path(seq, merged[k], merged[k + 1], robot))
     return serialize_dictionary(mdict)
+
+
+def states_brute_force(score: LabanScore, t: float) -> dict[str, LabanSymbol]:
+    """Per-time scan: the first cell of each column that covers t, by the
+    (start, end + 1e-9] rule; columns with no covering cell are absent."""
+    out = {}
+    for col in score.columns:
+        for cell in col.cells:
+            if cell.start < t <= cell.end + 1e-9:
+                out[col.name] = cell.symbol
+                break
+    return out
 
 
 # ---------------------------------------------------------------------------

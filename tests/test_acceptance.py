@@ -38,7 +38,6 @@ from labanmotion.robot import (
 )
 from labanmotion.skeleton import JointName, descriptor_timeline, synth_motion
 from labanmotion.trajectory import (
-    DictKey,
     MotionDictionary,
     dict_update,
     evaluate,
@@ -47,7 +46,7 @@ from labanmotion.trajectory import (
     synthesize,
 )
 
-from conftest import oracle_energy, random_rotation, random_score, rotate_about, transform_sequence
+from conftest import oracle_energy, random_rotation, random_score, rotate_about, state_key, transform_sequence
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -330,7 +329,7 @@ def _observed(offset: float, wiggle: float):
 def test_criterion_09_dictionary_semantics():
     t0 = time.perf_counter()
     failures = []
-    key = DictKey.from_states(
+    key = state_key(
         {"RightArm": S(D.Place, L.Low)}, {"RightArm": S(D.Forward, L.Middle)}
     )
 
@@ -369,7 +368,7 @@ def test_criterion_09_dictionary_semantics():
     mdict = MotionDictionary()
     for _ in range(2):
         for a, b in zip(kfs.merged, kfs.merged[1:]):
-            k2 = DictKey.from_states(
+            k2 = state_key(
                 encode_pose(seq.positions[a], columns), encode_pose(seq.positions[b], columns)
             )
             dict_update(mdict, k2, project_path(seq, a, b, robot))

@@ -13,7 +13,7 @@ from labanmotion.laban import Direction, LabanSymbol, Level, load_score
 from labanmotion.robot import JointPose, KeyPoses, load_robot
 from labanmotion.skeleton import load_sequence, save_sequence, synth_motion
 
-from conftest import dict_build_per_transition, random_rotation, transform_sequence
+from conftest import dict_build_per_transition, random_rotation, state_key, transform_sequence
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -584,6 +584,28 @@ def test_dict_build_matches_per_transition_reference(tmp_path, monkeypatch, robo
     assert out.read_text() == dict_build_per_transition(observed, robot, columns)
 
 
+def test_dict_decode_uses_the_dictionary_on_a_partly_mapped_robot(tmp_path):
+    """A robot that maps one of a score's three columns: dict build keys
+    hold that column only, and so do decode's lookups, which therefore hit."""
+    robot = os.path.join(DATA, "partial_frontal.json")
+    clips = [
+        _synth(tmp_path, f"{part}.json", [
+            "synth", "reach_sequence", "--part", part, "--pose", "place_low:0.6", "--pose", "forward_middle:0.6",
+            "--pose", "right_high:0.6", "--pose", "place_low:0.6", "-o", str(tmp_path / f"{part}.json"),
+        ])
+        for part in ("right_arm", "left_arm")
+    ]
+    score = str(tmp_path / "score.json")
+    assert main(["encode", clips[0], "-o", score]) == 0
+    assert [col.name for col in load_score(score).columns] == ["LeftArm", "RightArm", "Head"]
+    assert main(["dict", "build", *clips, "--robot", robot, "-o", str(tmp_path / "dict.json")]) == 0
+    keys = list(json.loads((tmp_path / "dict.json").read_text())["entries"])
+    assert keys and all(key.count("=") == 2 and key.count("RightArm=") == 2 for key in keys)
+    for flags, out in (([], "plain.csv"), (["--dict", str(tmp_path / "dict.json")], "dict.csv")):
+        assert main(["decode", score, "--robot", robot, *flags, "-o", str(tmp_path / out)]) == 0
+    assert (tmp_path / "dict.csv").read_text() != (tmp_path / "plain.csv").read_text()
+
+
 def _bad_dict_text(case: str) -> str:
     """A one-path dictionary file, broken as ``case`` says."""
     if case == "json":
@@ -591,7 +613,7 @@ def _bad_dict_text(case: str) -> str:
     if case == "not-object":
         return "[]"
     mdict = trajectory.MotionDictionary()
-    key = trajectory.DictKey.from_states(
+    key = state_key(
         {"RightArm": LabanSymbol(Direction.Place, Level.Low)},
         {"RightArm": LabanSymbol(Direction.Forward, Level.Middle)},
     )

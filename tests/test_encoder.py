@@ -16,7 +16,7 @@ from labanmotion.encoder import (
 )
 from labanmotion.errors import BadInput, DegeneratePose, LabanMotionError, NoKeyFrames
 from labanmotion.keyframe import EnergyParams, KeyFrameSet, extract_keyframes
-from labanmotion.laban import Direction, LabanSymbol, Level, validate
+from labanmotion.laban import SYMBOL_CODES, Direction, LabanSymbol, Level, validate
 from labanmotion.robot import symbol_to_vector
 from labanmotion.skeleton import (
     JOINT_INDEX,
@@ -213,8 +213,10 @@ def test_encode_poses_matches_per_pose_reference(rng, columns):
         if trial % 2:  # rounding moves directions off the edges, to either side
             positions = positions @ random_rotation(rng).T + rng.normal(size=3)
         got = encode_poses(positions, columns)
-        assert got == [encode_pose_reference(pos, columns) for pos in positions]
-        assert got == [encode_pose(pos, columns) for pos in positions]
+        want = [encode_pose_reference(pos, columns) for pos in positions]
+        assert got.dtype == np.intp and got.shape == (len(positions), len(columns))
+        assert got.tolist() == [[SYMBOL_CODES[state[col]] for col in columns] for state in want]
+        assert [encode_pose(pos, columns) for pos in positions] == want
         bf = body_frame(positions)
         for column in columns:
             z = segment_direction(positions, COLUMN_DISTAL[column], bf)[:, 2]
@@ -270,7 +272,7 @@ def test_encode_poses_error_names_the_first_failing_pose(rng, columns):
 
 def test_encode_poses_without_columns_checks_the_body_frame():
     positions = _edge_poses(np.random.default_rng(3), 4)
-    assert encode_poses(positions, ()) == [{}] * 4
+    assert encode_poses(positions, ()).shape == (4, 0)
     _put_fault(positions[2], "zero shoulder span")
     with pytest.raises(DegeneratePose, match="zero shoulder span"):
         encode_poses(positions, ())

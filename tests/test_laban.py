@@ -1,5 +1,6 @@
 import glob
 import json
+import math
 import os
 
 import numpy as np
@@ -13,6 +14,7 @@ from labanmotion.laban import (
     LabanScore,
     LabanSymbol,
     Level,
+    SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
     Violation,
     parse_score,
@@ -21,7 +23,7 @@ from labanmotion.laban import (
     validate,
 )
 
-from conftest import random_score
+from conftest import random_score, states_brute_force
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = sorted(glob.glob(os.path.join(DATA, "golden_*.json")))
@@ -160,15 +162,24 @@ def test_randomized_roundtrip(rng):
         assert parse_score(serialize_score(score)) == score
 
 
+FM, PL = SYMBOL_CODES[S(D.Forward, L.Middle)], SYMBOL_CODES[S(D.Place, L.Low)]
+
+
+def test_symbol_codes():
+    assert [SYMBOL_CODES[s] for s in VALID_LIMB_SYMBOLS] == list(range(26))
+    assert SYMBOL_CODES[S(D.Place, L.Middle)] == -1
+    assert len(SYMBOL_CODES) == 27
+
+
 def test_states_at_half_open_rule():
     score = _one_column_score()
     # at exactly the second cell's start, the first cell's state still holds
-    assert states_at(score, [1.0])[0]["RightArm"] == S(D.Forward, L.Middle)
-    assert states_at(score, [1.2])[0]["RightArm"] == S(D.Place, L.Low)
+    assert states_at(score, [1.0]).tolist() == [[FM]]
+    assert states_at(score, [1.2]).tolist() == [[PL]]
     # closed right end at the score's total duration
-    assert states_at(score, [1.5])[0]["RightArm"] == S(D.Place, L.Low)
-    # before any coverage: absent
-    assert states_at(score, [0.0])[0] == {}
+    assert states_at(score, [1.5]).tolist() == [[PL]]
+    # before any coverage: -1
+    assert states_at(score, [0.0]).tolist() == [[-1]]
 
 
 def test_states_at_out_of_range():
@@ -189,17 +200,15 @@ def test_states_piecewise_constant(rng):
         for a, b in zip(boundaries, boundaries[1:]):
             ts = [a + (b - a) * f for f in (0.25, 0.5, 0.75)]
             states = states_at(score, [t for t in ts if t <= score.total_duration])
-            for s in states[1:]:
-                assert s == states[0]
+            assert (states == states[:1]).all()
 
 
 def test_states_at_batched_times():
     score = _one_column_score()
-    fm, pl = S(D.Forward, L.Middle), S(D.Place, L.Low)
-    assert states_at(score, [0.0, 0.5, 1.0, 1.0, 1.2, 1.5]) == [
-        {}, {"RightArm": fm}, {"RightArm": fm}, {"RightArm": fm}, {"RightArm": pl}, {"RightArm": pl},
-    ]
-    assert states_at(score, []) == []
+    codes = states_at(score, [0.0, 0.5, 1.0, 1.0, 1.2, 1.5])
+    assert codes.dtype == np.intp
+    assert codes.tolist() == [[-1], [FM], [FM], [FM], [PL], [PL]]
+    assert states_at(score, []).shape == (0, 1)
     with pytest.raises(OutOfRange):
         states_at(score, [0.5, 1.6])
     with pytest.raises(OutOfRange):
@@ -208,15 +217,38 @@ def test_states_at_batched_times():
         states_at(score, [1.2, 1.0])
 
 
-def _states_brute_force(score, t):
-    """Per-time scan: the first cell of each column that covers t."""
-    out = {}
-    for col in score.columns:
-        for cell in col.cells:
-            if cell.start < t <= cell.end + 1e-9:
-                out[col.name] = cell.symbol
-                break
+def _states_at_cursor(score, times):
+    """Reference: one cursor per column sweeps the cells once; one
+    {column: symbol} dict per time, uncovered columns absent."""
+    columns = [
+        (col.name, [c.symbol for c in col.cells], [c.start for c in col.cells],
+         [c.end + 1e-9 for c in col.cells])
+        for col in score.columns
+    ]
+    cursors = [0] * len(columns)
+    out = []
+    prev = -math.inf
+    for t in times:
+        if not 0 <= t <= score.total_duration + 1e-12:
+            raise OutOfRange(f"t={t} outside [0, {score.total_duration}]")
+        if t < prev:
+            raise ValueError("states_at needs nondecreasing times")
+        prev = t
+        state = {}
+        for c, (name, symbols, starts, ends) in enumerate(columns):
+            k = cursors[c]
+            while k < len(ends) and ends[k] < t:
+                k += 1
+            cursors[c] = k
+            if k < len(ends) and starts[k] < t:
+                state[name] = symbols[k]
+        out.append(state)
     return out
+
+
+def _as_codes(score, states):
+    """{column: symbol} dicts as states_at's (m, C) code rows."""
+    return [[SYMBOL_CODES[s[col.name]] if col.name in s else -1 for col in score.columns] for s in states]
 
 
 def _drifting_score(rng):
@@ -245,15 +277,69 @@ def test_states_at_matches_per_time_scan(rng):
             times += [x, x - 2e-9, x - 5e-10, x + 5e-10, x + 1e-9, x + 2e-9]
         times += list(rng.uniform(0.0, score.total_duration, size=20))
         times = sorted(t for t in times if 0.0 <= t <= score.total_duration + 1e-12)
-        assert states_at(score, times) == [_states_brute_force(score, t) for t in times]
+        want = [states_brute_force(score, t) for t in times]
+        assert _states_at_cursor(score, times) == want
+        assert states_at(score, times).tolist() == _as_codes(score, want)
+
+
+def test_states_at_matches_cursor_reference(rng):
+    """Seeded valid scores, at every boundary (cell end), mid-cell time and
+    exact start, and at 0 and total_duration."""
+    for score in [random_score(rng) for _ in range(150)] + [_drifting_score(rng) for _ in range(150)]:
+        cells = [c for col in score.columns for c in col.cells]
+        times = [0.0, score.total_duration]
+        times += [c.end for c in cells] + [c.start for c in cells] + [c.start + c.duration / 2 for c in cells]
+        times = sorted(min(t, score.total_duration) for t in times)
+        assert states_at(score, times).tolist() == _as_codes(score, _states_at_cursor(score, times))
+
+
+def test_states_at_where_a_valid_column_ends_step_back():
+    """A cell shorter than half an ulp of its start ends where it starts, so
+    a valid column's ends can fall by up to 1e-12 from one cell to the next;
+    the first cell that ends at or after t still decides."""
+    col = LabanColumn("RightArm", (
+        Cell(VALID_LIMB_SYMBOLS[0], 0.0, 0.5), Cell(VALID_LIMB_SYMBOLS[1], 0.5, 0.5 + 1e-13),
+        Cell(VALID_LIMB_SYMBOLS[2], 1.0, 1e-17), Cell(VALID_LIMB_SYMBOLS[3], 1.0 + 2e-12, 0.5)))
+    score = LabanScore(columns=(col,), total_duration=1.5 + 2e-12)
+    assert validate(score) == []
+    assert col.arrays.ends[2] < col.arrays.ends[1]
+    times = [1.0, 1.0 + 1e-9, 1.00000000100005, 1.0000000010001, 1.0000000010002, 1.2]
+    want = _as_codes(score, _states_at_cursor(score, times))
+    assert states_at(score, times).tolist() == want
+    assert [row[0] for row in want] == [1, 1, 1, 1, 3, 3]
+
+
+def _error(call):
+    try:
+        call()
+    except (OutOfRange, ValueError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def test_states_at_errors_match_cursor_reference(rng):
+    """The first bad time decides, range before order: the same error and
+    message as the cursor loop."""
+    score = _one_column_score()
+    pool = [0.0, 0.5, 1.0, 1.5, 1.5 + 1e-12, 1.6, -0.1, float("nan"), float("inf")]
+    seen = set()
+    for _ in range(300):
+        times = [pool[int(i)] for i in rng.integers(0, len(pool), size=int(rng.integers(1, 6)))]
+        want = _error(lambda: _states_at_cursor(score, times))
+        assert _error(lambda: states_at(score, times)) == want
+        seen.add(want and want[0])
+    assert seen == {None, OutOfRange, ValueError}
 
 
 def _overlaps_brute_force(col):
-    """Every pair of cells compared: the overlap violations in (i, j) order."""
+    """Every pair of cells compared: the overlap violations in (i, j) order.
+    Cells with a non-finite start or end take no part."""
     out = []
     for i in range(len(col.cells)):
         for j in range(i + 1, len(col.cells)):
             a, b = col.cells[i], col.cells[j]
+            if not all(math.isfinite(x) for x in (a.start, a.end, b.start, b.end)):
+                continue
             lo, hi = (a, b) if a.start <= b.start else (b, a)
             if hi.start < lo.end - 1e-12:
                 out.append(Violation("overlap", col.name, j, f"cells {i} and {j} overlap"))
@@ -311,7 +397,10 @@ def test_parse_rejects_non_finite(field, token):
     text = json.dumps(obj).replace('"@"', token)
     with pytest.raises(ValidationError) as exc:
         parse_score(text)
-    assert any(v.rule == "non-finite" for v in exc.value.violations)
+    # a value that is not a finite float is read as NaN
+    want = {"start": "start nan, duration 1.0", "duration": "start 0.0, duration nan",
+            "total_duration": "total_duration nan"}[field]
+    assert [v.detail for v in exc.value.violations if v.rule == "non-finite"] == [want]
 
 
 @pytest.mark.parametrize("field", ["start", "duration", "total_duration"])
@@ -324,3 +413,144 @@ def test_parse_rejects_non_numbers(field, token):
     with pytest.raises(ParseError) as exc:
         parse_score(json.dumps(obj).replace('"@"', token))
     assert exc.value.location == (f"$.{field}" if field == "total_duration" else f"$.columns[0].cells[0].{field}")
+
+
+def _validate_per_cell(score):
+    """Reference: the rules cell by cell, then start order, then every pair
+    of cells for overlaps (:func:`_overlaps_brute_force`)."""
+    out = []
+    if not score.columns:
+        out.append(Violation("no-columns", None, None, "score has no columns"))
+    if not math.isfinite(score.total_duration):
+        out.append(Violation("non-finite", None, None, f"total_duration {score.total_duration}"))
+    names = [c.name for c in score.columns]
+    for name in set(names):
+        if names.count(name) > 1:
+            out.append(Violation("duplicate-column", name, None, "column appears twice"))
+    present = set(names)
+    for whole, parts in (("LeftArm", ("LeftUpperArm", "LeftForearm")),
+                         ("RightArm", ("RightUpperArm", "RightForearm"))):
+        if whole in present and any(p in present for p in parts):
+            out.append(Violation("arm-exclusive", whole, None,
+                                 f"{whole} cannot coexist with {', '.join(p for p in parts if p in present)}"))
+    for col in score.columns:
+        if col.name not in ("LeftArm", "RightArm", "LeftUpperArm", "LeftForearm", "RightUpperArm",
+                            "RightForearm", "Head"):
+            out.append(Violation("unknown-column", col.name, None, "not a known column name"))
+        for i, cell in enumerate(col.cells):
+            if cell.symbol.direction == D.Place and cell.symbol.level == L.Middle:
+                out.append(Violation("place-middle", col.name, i, "(Place, Middle) is not a limb symbol"))
+            if not (math.isfinite(cell.start) and math.isfinite(cell.duration)):
+                out.append(Violation("non-finite", col.name, i, f"start {cell.start}, duration {cell.duration}"))
+            if cell.duration <= 0:
+                out.append(Violation("nonpositive-duration", col.name, i, f"duration {cell.duration}"))
+            if cell.start < 0:
+                out.append(Violation("negative-start", col.name, i, f"start {cell.start}"))
+            if cell.end > score.total_duration + 1e-9:
+                out.append(Violation("beyond-total", col.name, i,
+                                     f"cell ends at {cell.end} after total_duration {score.total_duration}"))
+        for i in range(1, len(col.cells)):
+            if col.cells[i].start <= col.cells[i - 1].start:
+                out.append(Violation("start-order", col.name, i, "starts not increasing"))
+        out.extend(_overlaps_brute_force(col))
+    return out
+
+
+# one fault put into a cell: (start, duration, symbol) -> the broken cell
+_CELL_FAULTS = {
+    "place-middle": lambda s, d, sym: (s, d, S(D.Place, L.Middle)),
+    "nan-start": lambda s, d, sym: (math.nan, d, sym),
+    "inf-start": lambda s, d, sym: (math.inf, d, sym),
+    "minus-inf-start": lambda s, d, sym: (-math.inf, d, sym),
+    "nan-duration": lambda s, d, sym: (s, math.nan, sym),
+    "inf-duration": lambda s, d, sym: (s, math.inf, sym),
+    "zero-duration": lambda s, d, sym: (s, 0.0, sym),
+    "negative-duration": lambda s, d, sym: (s, -0.5, sym),
+    "negative-start": lambda s, d, sym: (-0.25 - s, d, sym),
+    "beyond-total": lambda s, d, sym: (s, d + 20.0, sym),
+    "repeated-start": lambda s, d, sym: (s - d, d, sym),  # starts where the previous cell did, or before
+}
+
+
+def _malformed_score(rng):
+    """A seeded score of one to three columns with faults put into some of
+    their cells: every cell rule, starts out of order, unsorted columns and
+    one long cell over the three cells after it."""
+    columns = []
+    for name in rng.choice(["LeftArm", "RightArm", "Head"], size=int(rng.integers(1, 4)), replace=False):
+        cells, t = [], 0.0
+        for _ in range(int(rng.integers(0, 9))):
+            sym = VALID_LIMB_SYMBOLS[int(rng.integers(len(VALID_LIMB_SYMBOLS)))]
+            d = float(rng.integers(1, 6)) / 4.0
+            start, dur = t + float(rng.integers(0, 2)) / 4.0, d
+            if rng.random() < 0.25:
+                start, dur, sym = _CELL_FAULTS[str(rng.choice(list(_CELL_FAULTS)))](start, dur, sym)
+            cells.append(Cell(sym, start, dur))
+            t = start + d if math.isfinite(start) else t + d
+        if len(cells) >= 4 and rng.random() < 0.3:  # the first cell runs over the next three
+            first = cells[0]
+            cells[0] = Cell(first.symbol, first.start, cells[3].start + 0.125 - first.start)
+        if rng.random() < 0.2:
+            cells = [cells[int(i)] for i in rng.permutation(len(cells))]
+        columns.append(LabanColumn(str(name), tuple(cells)))
+    return LabanScore(columns=tuple(columns), total_duration=float(rng.choice([6.0, 8.0, math.nan, math.inf])))
+
+
+def test_validate_matches_per_cell_reference(rng):
+    seen = set()
+    for _ in range(600):
+        score = _malformed_score(rng)
+        got = validate(score)
+        assert got == _validate_per_cell(score)
+        seen |= {v.rule for v in got}
+    # a long cell over three later ones gives three overlaps with it
+    long_cell = LabanColumn("RightArm", (Cell(S(D.Forward, L.High), 0.0, 4.0),) + tuple(
+        Cell(S(D.Left, L.Low), float(k), 0.5) for k in (1, 2, 3)))
+    score = LabanScore(columns=(long_cell,), total_duration=4.0)
+    assert validate(score) == _validate_per_cell(score)
+    assert [(v.rule, v.cell) for v in validate(score)] == [("overlap", 1), ("overlap", 2), ("overlap", 3)]
+    # starts out of order, and an overlap of cells 0 and 2 that no two
+    # neighbouring cells show
+    unsorted = LabanColumn("RightArm", (Cell(S(D.Forward, L.High), 0.0, 3.0), Cell(S(D.Left, L.Low), 5.0, -4.0),
+                                        Cell(S(D.Left, L.High), 1.0, 0.5)))
+    score = LabanScore(columns=(unsorted,), total_duration=6.0)
+    assert validate(score) == _validate_per_cell(score)
+    assert [(v.rule, v.cell) for v in validate(score)] == [
+        ("nonpositive-duration", 1), ("start-order", 2), ("overlap", 2)]
+    # the end of a cell may pass total_duration by 1e-9, no more
+    for duration, rules in ((1.0 + 1e-10, []), (1.0 + 1e-8, ["beyond-total"])):
+        score = LabanScore(columns=(LabanColumn("Head", (Cell(S(D.Place, L.High), 0.0, duration),)),),
+                           total_duration=1.0)
+        assert [v.rule for v in validate(score)] == rules
+        assert validate(score) == _validate_per_cell(score)
+    assert seen >= {"place-middle", "non-finite", "nonpositive-duration", "negative-start", "beyond-total",
+                    "start-order", "overlap"}
+
+
+def _token_score(cell: dict) -> str:
+    """A score whose second cell has ``cell``'s tokens."""
+    cells = [{"dir": "Left", "duration": 0.5, "level": "Low", "start": 0.0}, {"duration": 1.0, "start": 0.5, **cell}]
+    return json.dumps({"columns": [{"cells": cells, "name": "RightArm"}], "meta": {}, "total_duration": 2.0})
+
+
+@pytest.mark.parametrize("cell,error,message", [
+    pytest.param({"dir": "Up", "level": "High"}, ParseError,
+                 "$.columns[0].cells[1].dir: unknown direction token 'Up'", id="bad-dir"),
+    pytest.param({"dir": "Forward", "level": "Mid"}, ParseError,
+                 "$.columns[0].cells[1].level: unknown level token 'Mid'", id="bad-level"),
+    pytest.param({"dir": "Up", "level": "Mid"}, ParseError,
+                 "$.columns[0].cells[1].dir: unknown direction token 'Up'", id="both-bad-reports-dir"),
+    pytest.param({"dir": 3, "level": "High"}, ParseError,
+                 "$.columns[0].cells[1].dir: unexpected type int", id="non-string-dir"),
+    pytest.param({"dir": "Up", "level": ["High"]}, ParseError,
+                 "$.columns[0].cells[1].level: unexpected type list", id="unhashable-level-before-bad-dir"),
+    pytest.param({"level": "High"}, ParseError,
+                 "$.columns[0].cells[1]: missing key 'dir'", id="missing-dir"),
+    pytest.param({"dir": "Place", "level": "Middle"}, ValidationError,
+                 "RightArm[1]: place-middle: (Place, Middle) is not a limb symbol", id="place-middle"),
+])
+def test_parse_token_errors(cell, error, message):
+    with pytest.raises(error) as exc:
+        parse_score(_token_score(cell))
+    assert type(exc.value) is error
+    assert str(exc.value) == message

@@ -4,7 +4,8 @@ Each case runs one or more commands through ``cli.main`` and digests their
 exit codes, stdout, ``error:`` lines and written files in order. The table
 covers ``pipeline`` on two synthetic reach clips (both bundled robots, both
 column modes, both interpolation modes), ``decode`` and ``roundtrip`` of the
-golden scores, ``decode --dict`` after a ``dict build`` of the clips,
+golden scores, ``decode --dict`` after a ``dict build`` of the clips (on a robot that maps
+only one of the score's columns too),
 ``keyframes`` on the clips with non-default detector settings, and two
 robots with merged and split segments written here, so the opposed-direction
 history of merges is pinned too. A change meant to alter an output updates
@@ -116,7 +117,7 @@ def _cases() -> dict[str, list[list[str]]]:
             cases[f"roundtrip-{golden}-{name}"] = [["roundtrip", score, "--robot", robot]]
     cases["decode-cancel-merge_split"] = [["decode", "{i}/cancel.json", "--robot", "{i}/merge_split.json",
                                            "--interp", "cubic", "--rate", "40", "-o", "{w}/t.csv"]]
-    for robot in ROBOTS + ("{i}/merge_arm.json",):
+    for robot in ROBOTS + ("{i}/merge_arm.json", "{data}/partial_frontal.json"):
         name = os.path.basename(robot).removesuffix(".json")
         steps = [["dict", "build", *(f"{{i}}/{clip}.json" for clip in CLIPS), "--robot", robot,
                   "-o", "{w}/dict.json"]]
@@ -190,6 +191,7 @@ PINNED = {
     "dict-decode-frontal_7dof": "9b4f6e2e9e174e73b52b0ff59a7d444eb776d2ecd6158fc1d4b28141beb58d7f",
     "dict-decode-lab_9dof": "ff2808e0689a6a430cfe90ea5ad60cef414a2e8e2941c8c8685a7d7e8e1bddba",
     "dict-decode-merge_arm": "971b351facd56ee58c8cb20ef3c51258cf715f084ead518aafcf2f886a566768",
+    "dict-decode-partial_frontal": "e038d5fda429a196fa5b0d9cd43f114396bc1d43f29c3e1f52185ed471cafd8e",
     "keyframes-reach_left-min": "769ae4847557605ad5a4839e9bb1e4c20e75e6096e6692770948fe1ee5fe5ee4",
     "keyframes-reach_left-sigma-0.03": "91fd3392ae2b5406c4bed77c8fdabef7ee1be1290339ef8bf1e91b168244fcef",
     "keyframes-reach_left-unfiltered": "b27a1266967e3af927b2dce71bc910b2cf2df413312db0dcce1d0071d63daf7f",

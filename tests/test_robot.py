@@ -15,6 +15,7 @@ from labanmotion.laban import (
     LabanScore,
     LabanSymbol,
     Level,
+    SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
     load_score,
     states_at,
@@ -38,9 +39,9 @@ from labanmotion.robot import (
 )
 from labanmotion.skeleton import JOINT_INDEX, JointName, SkeletonSequence, body_frame, synth_motion
 
-from labanmotion.trajectory import DictKey, MotionDictionary, dict_update, serialize_dictionary
+from labanmotion.trajectory import MotionDictionary, dict_update, serialize_dictionary
 
-from conftest import dict_build_per_transition, encode_pose_reference, random_rotation
+from conftest import dict_build_per_transition, encode_pose_reference, random_rotation, state_key, states_brute_force
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -270,17 +271,21 @@ def test_decode_uncovered_column_neutral():
     assert first.pose.angles["head_yaw"] == 0.0
     assert first.pose.angles["head_pitch"] == 0.0
     assert detailed[1].segments["head/0"].driven is True
-    # the symbols in force at each pose, every score column, uncovered ones absent
-    assert first.states == {"RightArm": S(D.Forward, L.Middle), "LeftArm": S(D.Place, L.Low)}
-    assert detailed[1].states == {"Head": S(D.Forward, L.Middle)}
+    # the codes of the symbols in force at each pose, mapped columns sorted, -1 where none is
+    assert detailed.columns == ("Head", "LeftArm", "RightArm")
+    fm, pl = SYMBOL_CODES[S(D.Forward, L.Middle)], SYMBOL_CODES[S(D.Place, L.Low)]
+    assert detailed.codes.tolist() == [[-1, pl, fm], [fm, -1, -1]]
 
 
 def test_decoded_states_are_the_states_at_each_pose():
     score = load_score(os.path.join(DATA, "golden_frontal_score.json"))
-    detailed = decode_score_detailed(score, load_robot("frontal_7dof"))
+    robot = load_robot("frontal_7dof")
+    detailed = decode_score_detailed(score, robot)
     assert len(detailed) > 2
-    for d in detailed:
-        assert d.states == states_at(score, [min(d.t, score.total_duration)])[0]
+    names = [col.name for col in score.columns]
+    for i, d in enumerate(detailed):
+        states = states_at(score, [min(d.t, score.total_duration)])[0]
+        assert detailed.codes[i].tolist() == [states[names.index(col)] for col in robot.mapped_columns]
 
 
 def test_decode_missing_mapped_column():
@@ -509,9 +514,10 @@ def _joint_angles(per_segment, robot):
 
 
 def _decode_per_pose(score, robot):
-    """Reference decode of a valid score: one reduce and one angle dict per pose."""
+    """Reference decode of a valid score: one reduce and one angle dict per
+    pose. Returns the poses and the {column: symbol} maps in force at each."""
     times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
-    states = states_at(score, [min(t, score.total_duration) for t in times])
+    states = [states_brute_force(score, min(t, score.total_duration)) for t in times]
     hist = {}
     out = []
     for t, symbols in zip(times, states):
@@ -530,8 +536,8 @@ def _decode_per_pose(score, robot):
             else:
                 yaw, pitch = angles[seg.yaw_joint], angles[seg.pitch_joint]
                 detail[ref] = SegmentCommand(yaw, pitch, False, False, False, None)
-        out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail, states=symbols))
-    return out
+        out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail))
+    return out, states
 
 
 def _project_per_frame(seq, start, end, robot):
@@ -607,7 +613,7 @@ def _same_bits(got, want):
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def _assert_same_decode(got, ref, robot):
+def _assert_same_decode(got, ref, states, robot):
     joints = got.poses.joints
     refs = [r for r, _, _ in robot.segment_table]
     shape = (len(ref), len(refs))
@@ -619,7 +625,8 @@ def _assert_same_decode(got, ref, robot):
     assert np.array_equal(got.driven, np.array([[d.segments[r].driven for r in refs] for d in ref]).reshape(shape))
     assert np.array_equal(got.clamped, np.array([[d.segments[r].clamped for r in refs] for d in ref]).reshape(shape))
     assert [[d.segments[r].symbol for r in refs] for d in got] == [[d.segments[r].symbol for r in refs] for d in ref]
-    assert got.states == [d.states for d in ref]
+    assert got.columns == robot.mapped_columns
+    assert got.codes.tolist() == [[SYMBOL_CODES[s[col]] if col in s else -1 for col in got.columns] for s in states]
     assert [d.segments for d in got] == [d.segments for d in ref]
 
 
@@ -632,18 +639,18 @@ def test_decode_matches_per_pose_reference():
         for _ in range(200):
             score = _random_decode_score(rng, names)
             got = decode_score_detailed(score, robot)
-            ref = _decode_per_pose(score, robot)
-            _assert_same_decode(got, ref, robot)
+            ref, states = _decode_per_pose(score, robot)
+            _assert_same_decode(got, ref, states, robot)
             seen["uncovered first"] += int(not got.driven[0].all())
             seen["clamped"] += int(got.clamped.sum())
             # merged segments: which poses cancel at the first and second fold step
-            covered = [d for d in ref if "RightUpperArm" in d.states and "RightForearm" in d.states]
-            for k, d in enumerate(covered):
-                first = symbol_to_vector(d.states["RightUpperArm"]) + symbol_to_vector(d.states["RightForearm"])
+            covered = [s for s in states if "RightUpperArm" in s and "RightForearm" in s]
+            for k, s in enumerate(covered):
+                first = symbol_to_vector(s["RightUpperArm"]) + symbol_to_vector(s["RightForearm"])
                 if np.linalg.norm(first) <= 1e-6:
                     seen["history cancel" if k else "cold cancel"] += 1
-                elif name == "merge3" and "Head" in d.states:
-                    second = first / np.linalg.norm(first) + symbol_to_vector(d.states["Head"])
+                elif name == "merge3" and "Head" in s:
+                    second = first / np.linalg.norm(first) + symbol_to_vector(s["Head"])
                     seen["second-step cancel"] += int(np.linalg.norm(second) <= 1e-6)
     assert all(seen.values()), seen
 
@@ -715,7 +722,7 @@ def test_dict_build_carries_merge_history_across_a_clip(tmp_path, monkeypatch):
     states = [encode_pose_reference(seq.positions[i], columns) for i in merged]
     mdict = MotionDictionary()
     for k, (a, b) in enumerate(zip(merged, merged[1:])):
-        dict_update(mdict, DictKey.from_states(states[k], states[k + 1]),
+        dict_update(mdict, state_key(states[k], states[k + 1]),
                     KeyPoses.of(whole[a - merged[0]:b - merged[0] + 1]))
     assert out.read_text() == serialize_dictionary(mdict)
     first = whole[0].angles

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
-from labanmotion.laban import VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
+from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
 from labanmotion.robot import JointPose, KeyPoses
 from labanmotion.skeleton import MAX_SAMPLES
 from labanmotion.trajectory import (
@@ -27,6 +27,8 @@ from labanmotion.trajectory import (
     trajectory_to_csv,
 )
 
+from conftest import state_key
+
 D = Direction
 L = Level
 S = LabanSymbol
@@ -40,6 +42,14 @@ def _pose(t, *angles):
 
 def _state(sym):
     return {"RightArm": sym}
+
+
+# synthesize's codes for one state per key pose, over the one column of _state
+COLUMNS = ("RightArm",)
+
+
+def _codes(states):
+    return np.array([[SYMBOL_CODES[state["RightArm"]]] for state in states], dtype=np.intp)
 
 
 def _poses(traj):
@@ -128,12 +138,12 @@ def test_key_poses_have_one_joint_set():
     listed = KeyPoses(np.array([0.0, 1.0]), list(JOINTS), np.array([[0.0, 0.0, 0.0], [30.0, 20.0, 40.0]]))
     assert listed.joints == JOINTS
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
-    key = DictKey.from_states(*states)
+    key = state_key(*states)
     loaded = parse_dictionary(serialize_dictionary(dict_update(MotionDictionary(), key, listed)))
     assert path_distance(resample_path(listed), dict_lookup(loaded, key)) == 0.0
     # the recorded path is the straight line itself
-    assert np.allclose(synthesize(listed, states, loaded, "linear", 10.0).samples,
-                       synthesize(listed, states, None, "linear", 10.0).samples, atol=1e-9)
+    assert np.allclose(synthesize(listed, _codes(states), loaded, "linear", 10.0, COLUMNS).samples,
+                       synthesize(listed, _codes(states), None, "linear", 10.0, COLUMNS).samples, atol=1e-9)
 
 
 def test_uniform_grid():
@@ -181,7 +191,7 @@ def test_resample_path_fixed_length():
 
 def test_dict_first_observation():
     mdict = MotionDictionary()
-    key = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+    key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     dict_update(mdict, key, _path())
     entry = mdict.entries[key]
     assert len(entry.paths) == 1
@@ -190,7 +200,7 @@ def test_dict_first_observation():
 
 def test_dict_identical_observation_bumps_count():
     mdict = MotionDictionary()
-    key = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+    key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     dict_update(mdict, key, _path())
     dict_update(mdict, key, _path())
     entry = mdict.entries[key]
@@ -201,7 +211,7 @@ def test_dict_identical_observation_bumps_count():
 
 def test_dict_dissimilar_observation_appends():
     mdict = MotionDictionary()
-    key = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+    key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     dict_update(mdict, key, _path())
     dict_update(mdict, key, _path(offset=25.0))  # RMS 25 > tau 10
     entry = mdict.entries[key]
@@ -211,7 +221,7 @@ def test_dict_dissimilar_observation_appends():
 
 def test_dict_probabilities_sum_to_one(rng):
     mdict = MotionDictionary()
-    key = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+    key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     for _ in range(30):
         dict_update(mdict, key, _path(offset=float(rng.uniform(-40, 40))))
     entry = mdict.entries[key]
@@ -224,7 +234,7 @@ def test_dict_probabilities_sum_to_one(rng):
 
 def test_dict_lookup_argmax_and_ties():
     mdict = MotionDictionary()
-    key = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+    key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     assert dict_lookup(mdict, key) is None
     dict_update(mdict, key, _path())            # path 0
     dict_update(mdict, key, _path(offset=25.0))  # path 1
@@ -237,8 +247,8 @@ def test_dict_lookup_argmax_and_ties():
 def test_dict_update_deterministic_serialization():
     def build():
         mdict = MotionDictionary()
-        key1 = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
-        key2 = DictKey.from_states(_state(S(D.Forward, L.Middle)), _state(S(D.Left, L.High)))
+        key1 = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+        key2 = state_key(_state(S(D.Forward, L.Middle)), _state(S(D.Left, L.High)))
         dict_update(mdict, key1, _path())
         dict_update(mdict, key2, _path(offset=3.0))
         dict_update(mdict, key1, _path(offset=30.0))
@@ -249,7 +259,7 @@ def test_dict_update_deterministic_serialization():
 
 def test_dict_serialization_roundtrip():
     mdict = MotionDictionary(tau=7.5)
-    key = DictKey.from_states(
+    key = state_key(
         {"RightArm": S(D.Place, L.Low), "Head": S(D.Place, L.High)},
         {"RightArm": S(D.Forward, L.Middle), "Head": S(D.Place, L.High)},
     )
@@ -275,7 +285,7 @@ def test_dict_serialization_roundtrip_randomized(rng):
             times = np.cumsum(rng.uniform(0.01, 1.0, size=n))
             scale = 10.0 ** float(rng.uniform(-8, 3))
             observed = KeyPoses.of([_pose(float(t), *map(float, rng.normal(0, scale, size=3))) for t in times])
-            dict_update(mdict, DictKey.from_states(_state(a), {"Head": b, "RightArm": a}), observed)
+            dict_update(mdict, state_key(_state(a), {"Head": b, "RightArm": a}), observed)
         text = serialize_dictionary(mdict)
         json.loads(text, parse_constant=_reject_constant)
         assert serialize_dictionary(parse_dictionary(text)) == text
@@ -289,7 +299,7 @@ def test_dict_serialization_writes_each_angle_as_its_float_repr(rng):
         angles = rng.normal(0, scale, size=(len(times), len(JOINTS)))
         angles[0, 0] = -0.0
         observed = KeyPoses(times, JOINTS, angles)
-        dict_update(mdict, DictKey.from_states(_state(S(D.Place, L.Low)), {"Head": VALID_LIMB_SYMBOLS[k]}), observed)
+        dict_update(mdict, state_key(_state(S(D.Place, L.Low)), {"Head": VALID_LIMB_SYMBOLS[k]}), observed)
     text = serialize_dictionary(mdict)
     for entry in mdict.entries.values():
         for p in entry.paths:
@@ -306,7 +316,7 @@ def test_dict_key_parses_its_text_and_nothing_from_states_cannot_give(rng):
         a, b = ({c: VALID_LIMB_SYMBOLS[int(rng.integers(len(VALID_LIMB_SYMBOLS)))]
                  for c in rng.choice(_KEY_COLUMNS, size=int(rng.integers(0, 4)), replace=False)}
                 for _ in range(2))
-        key = DictKey.from_states(a, b)
+        key = state_key(a, b)
         assert DictKey.parse(str(key)) == key
     for text in ("RightArm=Forward.High,LeftArm=Forward.Low->",
                  "->Head=Left.Low,Head=Left.Low",
@@ -314,6 +324,17 @@ def test_dict_key_parses_its_text_and_nothing_from_states_cannot_give(rng):
                  "Head=Up.High->"):
         with pytest.raises(ValueError):
             DictKey.parse(text)
+
+
+def test_dict_key_of_codes_is_the_symbol_map_rule(rng):
+    """DictKey.of over code rows, in any column order and with -1 for no
+    symbol, gives the key of the {column: symbol} maps of the same states."""
+    for _ in range(200):
+        columns = [str(c) for c in rng.permutation(_KEY_COLUMNS)[:int(rng.integers(0, 6))]]
+        a, b = (rng.integers(-1, len(VALID_LIMB_SYMBOLS), size=len(columns)).tolist() for _ in range(2))
+        maps = [{col: VALID_LIMB_SYMBOLS[code] for col, code in zip(columns, row) if code >= 0} for row in (a, b)]
+        assert DictKey.of(columns, a, b) == state_key(*maps)
+        assert DictKey.of(columns, np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)) == state_key(*maps)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +346,7 @@ def test_synthesize_empty_dict_equals_interpolate():
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)), _state(S(D.Left, L.Middle))]
     for mode in ("linear", "cubic"):
         a = interpolate(keyposes, mode, 25.0)
-        b = synthesize(keyposes, states, MotionDictionary(), mode, 25.0)
+        b = synthesize(keyposes, _codes(states), MotionDictionary(), mode, 25.0, COLUMNS)
         assert len(a.samples) == len(b.samples)
         for pa, pb in zip(_poses(a), _poses(b)):
             assert pa.t == pb.t
@@ -349,11 +370,11 @@ def test_synthesize_recovers_recorded_path():
         )
     recorded = KeyPoses.of(recorded)
     ends = KeyPoses.of([recorded[0], recorded[-1]])
-    key = DictKey.from_states(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+    key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     mdict = MotionDictionary()
     dict_update(mdict, key, recorded)
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
-    traj = synthesize(ends, states, mdict, "linear", 30.0)
+    traj = synthesize(ends, _codes(states), mdict, "linear", 30.0, COLUMNS)
     rebuilt = resample_path(_poses(traj))
     assert path_distance(rebuilt, resample_path(recorded)) < mdict.tau
     # and it would NOT be linear: the arc survives
@@ -366,8 +387,8 @@ def test_synthesize_mixed_coverage_continuous():
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)), _state(S(D.Left, L.Middle))]
     observed = KeyPoses.of([keyposes[0], _pose(0.5, 25.0, 5.0, 10.0), keyposes[1]])
     mdict = MotionDictionary()
-    dict_update(mdict, DictKey.from_states(states[0], states[1]), observed)
-    traj = synthesize(keyposes, states, mdict, "linear", 50.0)
+    dict_update(mdict, state_key(states[0], states[1]), observed)
+    traj = synthesize(keyposes, _codes(states), mdict, "linear", 50.0, COLUMNS)
     assert traj.joints == tuple(sorted(JOINTS))
     vals = traj.samples
     ts = traj.times
@@ -390,7 +411,7 @@ def test_synthesize_endpoint_exactness_randomized(rng):
         ])
         states = [_state(S(D.Forward, L.Middle)) for _ in keyposes]
         mode = "cubic" if rng.random() < 0.5 else "linear"
-        traj = synthesize(keyposes, states, None, mode, 10.0)
+        traj = synthesize(keyposes, _codes(states), None, mode, 10.0, COLUMNS)
         by_t = {round(p.t, 9): p for p in _poses(traj)}
         for kp in keyposes:
             sample = by_t[round(kp.t, 9)]
@@ -411,17 +432,19 @@ def test_synthesize_rejects_mismatched_dictionary_joints():
     keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
     mdict = MotionDictionary()
-    key = DictKey.from_states(states[0], states[1])
+    key = state_key(states[0], states[1])
     other = KeyPoses.of([JointPose(t=0.0, angles={"x": 0.0}), JointPose(t=1.0, angles={"x": 1.0})])
     dict_update(mdict, key, other)
     with pytest.raises(ShapeError):
-        synthesize(keyposes, states, mdict, "linear", 10.0)
+        synthesize(keyposes, _codes(states), mdict, "linear", 10.0, COLUMNS)
 
 
 def test_synthesize_states_misaligned():
     keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
     with pytest.raises(ShapeError):
-        synthesize(keyposes, [_state(S(D.Place, L.Low))], MotionDictionary(), "linear", 10.0)
+        synthesize(keyposes, _codes([_state(S(D.Place, L.Low))]), MotionDictionary(), "linear", 10.0, COLUMNS)
+    with pytest.raises(ShapeError):  # codes without their columns
+        synthesize(keyposes, _codes([_state(S(D.Place, L.Low))] * 2), MotionDictionary(), "linear", 10.0)
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
@@ -470,7 +493,7 @@ def _synthesize_per_segment(keyposes, states, mdict, mode, rate):
     for k in range(len(keyposes) - 1):
         m = idx == k
         tk = tau[m]
-        path = dict_lookup(mdict, DictKey.from_states(states[k], states[k + 1])) if mdict else None
+        path = dict_lookup(mdict, state_key(states[k], states[k + 1])) if mdict else None
         if path is not None:
             S = path.samples
             base = np.column_stack([np.interp(tk, path_u, S[:, c]) for c in range(len(joints))])
@@ -492,11 +515,11 @@ def test_synthesize_matches_per_segment_reference(rng):
         for _ in range(3):  # some transitions get a recorded path, others none
             a, b = (int(i) for i in rng.integers(0, len(symbols), size=2))
             observed = KeyPoses.of([_pose(float(u), *map(float, rng.uniform(-90, 90, size=3))) for u in range(4)])
-            dict_update(mdict, DictKey.from_states(_state(symbols[a]), _state(symbols[b])), observed)
+            dict_update(mdict, state_key(_state(symbols[a]), _state(symbols[b])), observed)
         mode = ("linear", "cubic")[trial % 2]
         rate = float(rng.choice([3.0, 10.0, 29.97]))
         for d in (mdict, None):
-            traj = synthesize(keyposes, states, d, mode, rate)
+            traj = synthesize(keyposes, _codes(states), d, mode, rate, COLUMNS)
             grid, rows = _synthesize_per_segment(keyposes, states, d, mode, rate)
             assert traj.joints == JOINTS
             assert np.array_equal(traj.times, grid)
