@@ -21,13 +21,16 @@ from .errors import LabanMotionError, NoKeyFrames, finite
 _FLOAT_KEYS = {"rate", "sigma", "prominence", "min_sep", "merge_window", "tau", "move_seconds", "traj_rate"}
 _BOOL_KEYS = {"force_final_keyframe"}
 _BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
-# allowed values of the keys whose flags take a fixed set; argparse and the
-# config reader both check against these
+# allowed values of the keys whose flags take a fixed set, as the library
+# checks them; argparse and the config reader both check against these
 CHOICES = {
-    "interp": ("linear", "cubic"),
-    "peak_mode": ("max", "min"),
-    "columns": ("arm", "split"),
+    "interp": tuple(trajectory.INTERP_MODES),
+    "peak_mode": keyframe.PEAK_MODES,
+    "columns": tuple(encoder.COLUMN_MODES),
 }
+# config key -> the EnergyParams field it sets
+_ENERGY_KEYS = {"sigma": "sigma", "prominence": "prominence", "min_sep": "min_separation",
+                "merge_window": "merge_window", "peak_mode": "peak_mode"}
 CONFIG_KEYS = _FLOAT_KEYS | _BOOL_KEYS | set(CHOICES) | {"robot", "dict"}
 
 
@@ -131,13 +134,9 @@ class _Run:
             seq = skeleton.resample(skeleton.load_sequence(path), self.get("rate", 30.0))
             counts["frames"] = len(seq)
         with self.stage("keyframes") as counts:
-            params = keyframe.EnergyParams(
-                sigma=self.get("sigma", 0.1),
-                prominence=self.get("prominence", 0.1),
-                min_separation=self.get("min_sep", 0.25),
-                merge_window=self.get("merge_window", 0.2),
-                peak_mode=self.get("peak_mode", "max"),
-            )
+            # a setting not given keeps the EnergyParams default
+            params = keyframe.EnergyParams(**{
+                field: self.get(key) for key, field in _ENERGY_KEYS.items() if self.get(key) is not None})
             kfs = keyframe.extract_keyframes(seq, params)
             if self.get("force_final_keyframe", False):
                 kfs = _force_final(kfs, len(seq), seq.sample_rate)

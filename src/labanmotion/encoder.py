@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import BadInput, DegeneratePose, NoKeyFrames
 from .keyframe import KeyFrameSet
-from .laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level
+from .laban import (ARM_COLUMNS, SECTOR_CENTER_DEG, SPLIT_COLUMNS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Cell, Direction,
+                    LabanColumn, LabanScore, LabanSymbol, Level)
 from .skeleton import (
     JOINT_INDEX,
     PARENT,
@@ -33,38 +34,12 @@ from .skeleton import (
     stacked_norm,
 )
 
-# Sector order is counterclockwise from forward (+azimuth toward left).
-AZIMUTH_SECTORS: tuple[Direction, ...] = (
-    Direction.Forward,
-    Direction.LeftForward,
-    Direction.Left,
-    Direction.LeftBackward,
-    Direction.Backward,
-    Direction.RightBackward,
-    Direction.Right,
-    Direction.RightForward,
-)
+# Sector k is centered at azimuth 45k degrees, counterclockwise from forward
+AZIMUTH_SECTORS: tuple[Direction, ...] = tuple(sorted(SECTOR_CENTER_DEG, key=lambda d: SECTOR_CENTER_DEG[d] % 360.0))
 
-SECTOR_CENTER_DEG: dict[Direction, float] = {
-    Direction.Forward: 0.0,
-    Direction.LeftForward: 45.0,
-    Direction.Left: 90.0,
-    Direction.LeftBackward: 135.0,
-    Direction.Backward: 180.0,
-    Direction.RightBackward: -135.0,
-    Direction.Right: -90.0,
-    Direction.RightForward: -45.0,
-}
-
-LEVEL_ELEVATION_DEG: dict[Level, float] = {
-    Level.High: 45.0,
-    Level.Middle: 0.0,
-    Level.Low: -45.0,
-}
-
-# Column name -> distal joint whose parent-relative segment is digitized.
-# Whole-arm columns use the forearm segment (wrist relative to elbow); split
-# mode exposes upper arm and forearm separately.
+# Column name (laban.COLUMN_NAMES) -> distal joint whose parent-relative
+# segment is digitized. Whole-arm columns use the forearm segment (wrist
+# relative to elbow); split mode exposes upper arm and forearm separately.
 COLUMN_DISTAL: dict[str, JointName] = {
     "LeftArm": JointName.WristLeft,
     "RightArm": JointName.WristRight,
@@ -75,22 +50,14 @@ COLUMN_DISTAL: dict[str, JointName] = {
     "Head": JointName.Head,
 }
 
-ARM_COLUMNS: tuple[str, ...] = ("LeftArm", "RightArm", "Head")
-SPLIT_COLUMNS: tuple[str, ...] = (
-    "LeftUpperArm",
-    "LeftForearm",
-    "RightUpperArm",
-    "RightForearm",
-    "Head",
-)
+# --columns mode -> its column layout
+COLUMN_MODES: dict[str, tuple[str, ...]] = {"arm": ARM_COLUMNS, "split": SPLIT_COLUMNS}
 
 
 def columns_for_mode(mode: str) -> tuple[str, ...]:
-    if mode == "arm":
-        return ARM_COLUMNS
-    if mode == "split":
-        return SPLIT_COLUMNS
-    raise ValueError(f"unknown columns mode: {mode!r}")
+    if mode not in COLUMN_MODES:
+        raise ValueError(f"unknown columns mode: {mode!r}")
+    return COLUMN_MODES[mode]
 
 
 def segment_direction(pos: np.ndarray, distal: JointName, bf: BodyFrame | None = None) -> np.ndarray:

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BadInput, InsufficientData, finite
 from .skeleton import MAX_SAMPLES, JointName, SkeletonSequence
 
+# joints whose energy signals vote on key frames
 DEFAULT_TRACKED_PARTS: tuple[JointName, ...] = (
     JointName.WristLeft,
     JointName.WristRight,
@@ -26,6 +27,8 @@ DEFAULT_TRACKED_PARTS: tuple[JointName, ...] = (
     JointName.ElbowRight,
     JointName.Head,
 )
+
+PEAK_MODES = ("max", "min")  # the values of EnergyParams.peak_mode
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,6 @@ class EnergyParams:
     prominence     minimum topographic prominence of an accepted peak
     min_separation minimum spacing between surviving peaks, seconds
     merge_window   single-linkage gap for clustering peaks across parts, seconds
-    tracked_parts  joints whose energy signals vote on key frames
     peak_mode      'max' detects energy maxima; 'min' is an escape hatch that
                    detects minima instead
     """
@@ -45,7 +47,6 @@ class EnergyParams:
     prominence: float = 0.1
     min_separation: float = 0.25
     merge_window: float = 0.2
-    tracked_parts: tuple[JointName, ...] = DEFAULT_TRACKED_PARTS
     peak_mode: str = "max"
 
     def __post_init__(self):
@@ -53,8 +54,8 @@ class EnergyParams:
         finite(self.prominence, "prominence", 0.0, 1.0)
         finite(self.min_separation, "min_separation", 0.0)
         finite(self.merge_window, "merge_window", 0.0)
-        if self.peak_mode not in ("max", "min"):
-            raise BadInput("peak_mode must be 'max' or 'min'")
+        if self.peak_mode not in PEAK_MODES:
+            raise BadInput(f"peak_mode must be {' or '.join(map(repr, PEAK_MODES))}")
 
 
 @dataclass(eq=False)
@@ -268,6 +269,6 @@ def extract_keyframes(seq: SkeletonSequence, params: EnergyParams | None = None)
     rate = seq.sample_rate
     per_part = {
         part: detect_peaks(energy(seq, part, params), params, rate)
-        for part in params.tracked_parts
+        for part in DEFAULT_TRACKED_PARTS
     }
     return merge_keyframes(per_part, params, rate)

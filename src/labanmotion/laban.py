@@ -1,4 +1,13 @@
-"""Labanotation data model and score file format.
+"""Labanotation vocabulary, data model and score file format.
+
+This module is the one owner of the vocabulary that observation (the
+encoder) and mapping (the robot) share: the symbols and their codes
+(:data:`SYMBOL_CODES`) and tokens (:data:`CODE_TOKENS`), the band centers
+(:data:`SECTOR_CENTER_DEG`, :data:`LEVEL_ELEVATION_DEG`), the spherical
+direction formula (:func:`direction_vector`) and each code's band-center
+direction (:data:`CODE_VECTORS`), and the column layouts
+(:data:`ARM_COLUMNS`, :data:`SPLIT_COLUMNS`) with the rules on column names
+(:func:`column_violations`).
 
 A score is a set of columns, one per body part, each holding timed cells.
 A cell's symbol is the direction/level the part holds at the cell's end;
@@ -21,7 +30,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -75,16 +84,48 @@ SYMBOL_CODES: dict[LabanSymbol, int] = {
 }
 # (dir, level) tokens of a score file -> their symbol, for all 27 pairs
 _TOKEN_SYMBOLS: dict[tuple[str, str], LabanSymbol] = {(s.direction.value, s.level.value): s for s in SYMBOL_CODES}
+# entry k: the tokens of the symbol of code k
+CODE_TOKENS: tuple[tuple[str, str], ...] = tuple((s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS)
 
-COLUMN_NAMES: tuple[str, ...] = (
-    "LeftArm",
-    "RightArm",
-    "LeftUpperArm",
-    "LeftForearm",
-    "RightUpperArm",
-    "RightForearm",
-    "Head",
-)
+# Band centers in degrees: each direction's azimuth, counterclockwise from
+# forward (toward left), and each level's elevation above the horizontal.
+SECTOR_CENTER_DEG: dict[Direction, float] = {
+    Direction.Forward: 0.0,
+    Direction.LeftForward: 45.0,
+    Direction.Left: 90.0,
+    Direction.LeftBackward: 135.0,
+    Direction.Backward: 180.0,
+    Direction.RightBackward: -135.0,
+    Direction.Right: -90.0,
+    Direction.RightForward: -45.0,
+}
+LEVEL_ELEVATION_DEG: dict[Level, float] = {
+    Level.High: 45.0,
+    Level.Middle: 0.0,
+    Level.Low: -45.0,
+}
+
+
+def direction_vector(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
+    """Unit body-frame direction (forward, left, up) at an azimuth and an
+    elevation in degrees."""
+    th, ph = math.radians(elevation_deg), math.radians(azimuth_deg)
+    return np.array([math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), math.sin(th)])
+
+
+# row k: the direction at the center of the band of the symbol of code k;
+# the Place symbols point exactly up and down
+CODE_VECTORS: np.ndarray = np.array([
+    [0.0, 0.0, 1.0 if s.level == Level.High else -1.0] if s.direction == Direction.Place
+    else direction_vector(SECTOR_CENTER_DEG[s.direction], LEVEL_ELEVATION_DEG[s.level])
+    for s in VALID_LIMB_SYMBOLS
+])
+CODE_VECTORS.flags.writeable = False
+
+# Column layouts: whole arms, or upper arm and forearm per side; both have the head.
+ARM_COLUMNS: tuple[str, ...] = ("LeftArm", "RightArm", "Head")
+SPLIT_COLUMNS: tuple[str, ...] = ("LeftUpperArm", "LeftForearm", "RightUpperArm", "RightForearm", "Head")
+COLUMN_NAMES: frozenset[str] = frozenset(ARM_COLUMNS + SPLIT_COLUMNS)
 
 _EXCLUSIVE = {
     "LeftArm": ("LeftUpperArm", "LeftForearm"),
@@ -176,24 +217,26 @@ def _violations(score: LabanScore) -> list[Violation]:
     for name in set(names):
         if names.count(name) > 1:
             out.append(Violation("duplicate-column", name, None, "column appears twice"))
-    present = set(names)
-    for whole, parts in _EXCLUSIVE.items():
-        if whole in present and any(p in present for p in parts):
-            out.append(
-                Violation(
-                    "arm-exclusive",
-                    whole,
-                    None,
-                    f"{whole} cannot coexist with {', '.join(p for p in parts if p in present)}",
-                )
-            )
+    out.extend(column_violations(names))
     for col in score.columns:
-        if col.name not in COLUMN_NAMES:
-            out.append(Violation("unknown-column", col.name, None, "not a known column name"))
         if not _cells_pass(col, score.total_duration):
             # comparisons with NaN are False, as for floats
             with np.errstate(invalid="ignore"):
                 out.extend(_column_violations(col, score.total_duration))
+    return out
+
+
+def column_violations(names: Sequence[str]) -> list[Violation]:
+    """The rules on column names that a score's columns and a robot's
+    ``column_map`` keys both keep: per side, no whole-arm column together
+    with an upper-arm or forearm column (arm-exclusive); then per name in
+    order, a known column (unknown-column)."""
+    present = set(names)
+    out = [Violation("arm-exclusive", whole, None,
+                     f"{whole} cannot coexist with {', '.join(p for p in parts if p in present)}")
+           for whole, parts in _EXCLUSIVE.items() if whole in present and any(p in present for p in parts)]
+    out += [Violation("unknown-column", name, None, "not a known column name")
+            for name in names if name not in COLUMN_NAMES]
     return out
 
 

@@ -21,6 +21,13 @@ Description files are JSON:
      "column_map": {"RightArm": ["right_arm/0"]},
      "fixed_joints": [{"name": "body_yaw", "limits": [-90, 90]}]}
 
+Each ``column_map`` key is a column name of
+:data:`~labanmotion.laban.COLUMN_NAMES`, and a side's whole-arm column
+(``RightArm``) is not mapped together with its upper-arm or forearm column
+(``RightUpperArm``, ``RightForearm``): the column rules a score keeps
+(:func:`~labanmotion.laban.column_violations`). Loading a description that
+breaks them raises ValidationError naming the key.
+
 Roll joints and fixed joints carry no direction information and are held at
 zero (clamped into their limits). Two descriptions ship with the package:
 ``frontal_7dof`` (frontal-hemisphere arms, one wrist roll) and ``lab_9dof``
@@ -38,10 +45,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .encoder import COLUMN_DISTAL, LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, segment_direction
+from .encoder import COLUMN_DISTAL, segment_direction
 from .errors import (BadSymbol, MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers,
                      read_json)
-from .laban import VALID_LIMB_SYMBOLS, Direction, LabanScore, LabanSymbol, Level, states_at, validate
+from .laban import (CODE_VECTORS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, LabanScore, LabanSymbol, column_violations,
+                    direction_vector, states_at, validate)
 from .skeleton import SkeletonSequence, body_frame
 
 log = logging.getLogger(__name__)
@@ -98,9 +106,9 @@ class RobotDescription:
 
     @cached_property
     def mapped_columns(self) -> tuple[str, ...]:
-        """The score columns of :attr:`column_map`, sorted: the columns of a
-        decode's codes and of the motion dictionary keys built for this robot."""
-        return tuple(col for col in sorted(self.column_map) if col in COLUMN_DISTAL)
+        """The columns of :attr:`column_map`, sorted: the columns of a decode's
+        codes and of the motion dictionary keys built for this robot."""
+        return tuple(sorted(self.column_map))
 
     def _joint_limits(self) -> list[tuple[str, tuple[float, float]]]:
         """``(joint, limits)`` per segment yaw, pitch and roll in chain order,
@@ -133,7 +141,7 @@ class RobotDescription:
         table = {}
         for ref, seg, sources in self.segment_table:
             if len(sources) == 1:
-                yaw, pitch, clamped = _joint_rows(_CODE_VECTORS, seg)
+                yaw, pitch, clamped = _joint_rows(CODE_VECTORS, seg)
                 neutral = [self.neutral_angles[seg.yaw_joint], self.neutral_angles[seg.pitch_joint]]
                 table[ref] = (np.vstack([np.column_stack([yaw, pitch]), neutral]), np.append(clamped, False))
         return table
@@ -269,7 +277,8 @@ def parse_robot(text: str) -> RobotDescription:
 
 
 def validate_robot(robot: RobotDescription) -> list[str]:
-    problems = []
+    """The rules the description breaks, as messages; empty means it is valid."""
+    problems = [f"column_map: {v}" for v in column_violations(list(robot.column_map))]
     refs = {ref for ref, _, _ in robot.segment_table}
     fan_in: dict[str, int] = {}
     for col, targets in robot.column_map.items():
@@ -303,29 +312,13 @@ def load_robot(path: str) -> RobotDescription:
 # Symbol geometry
 # ---------------------------------------------------------------------------
 
-def _band_center(s: LabanSymbol) -> np.ndarray:
-    if s.direction == Direction.Place:
-        v = np.array([0.0, 0.0, 1.0 if s.level == Level.High else -1.0])
-    else:
-        theta = math.radians(LEVEL_ELEVATION_DEG[s.level])
-        phi = math.radians(SECTOR_CENTER_DEG[s.direction])
-        v = np.array([math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), math.sin(theta)])
-    v.flags.writeable = False  # one array per symbol, shared by every caller
-    return v
-
-
-_SYMBOL_VECTORS = {s: _band_center(s) for s in VALID_LIMB_SYMBOLS}
-# row k: the direction of the symbol of code k
-_CODE_VECTORS = np.array([_SYMBOL_VECTORS[s] for s in VALID_LIMB_SYMBOLS])
-
-
 def symbol_to_vector(s: LabanSymbol) -> np.ndarray:
-    """Unit body-frame direction at the center of a symbol's band, as a
-    shared read-only array."""
-    v = _SYMBOL_VECTORS.get(s)
-    if v is None:
+    """Unit body-frame direction at the center of a symbol's band: its row
+    of :data:`~labanmotion.laban.CODE_VECTORS`, a shared read-only array."""
+    code = SYMBOL_CODES.get(s, -1)
+    if code < 0:
         raise BadSymbol("(Place, Middle) has no direction")
-    return v
+    return CODE_VECTORS[code]
 
 
 def concatenate(a: np.ndarray, b: np.ndarray, last: np.ndarray | None) -> np.ndarray:
@@ -401,10 +394,7 @@ def vector_to_joints(v: np.ndarray, seg: Segment) -> tuple[float, float, bool]:
 
 def joints_to_vector(yaw: float, pitch: float) -> np.ndarray:
     """Inverse of :func:`vector_to_joints` for unclamped angles."""
-    th, ph = math.radians(pitch), math.radians(yaw)
-    return np.array(
-        [math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), math.sin(th)]
-    )
+    return direction_vector(yaw, pitch)
 
 
 @dataclass
@@ -524,7 +514,7 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
         elif sources:
             source_codes = codes[:, [index[col] for col in sources]]
             rows = np.flatnonzero((source_codes >= 0).all(axis=1))
-            directions = _fold(_CODE_VECTORS[source_codes[rows]])
+            directions = _fold(CODE_VECTORS[source_codes[rows]])
             yaw, pitch, flags = _joint_rows(directions, seg)
             angles[rows, cols[0]], angles[rows, cols[1]] = yaw, pitch
             driven[rows, s] = True
@@ -551,14 +541,10 @@ def project_path(
     """
     positions = seq.positions[start:end + 1]
     bf = body_frame(positions)
-    vectors = {
-        col: segment_direction(positions, COLUMN_DISTAL[col], bf)
-        for col in robot.column_map
-        if col in COLUMN_DISTAL
-    }
+    vectors = {col: segment_direction(positions, COLUMN_DISTAL[col], bf) for col in robot.column_map}
     joints, column, angles = _neutral(robot, len(positions))
     for _, seg, sources in robot.segment_table:
-        if sources and all(col in vectors for col in sources):
+        if sources:
             directions = _fold(zip(*(vectors[col] for col in sources))) if len(sources) > 1 else vectors[sources[0]]
             yaw, pitch, _ = _joint_rows(directions, seg)
             angles[:, column[seg.yaw_joint]], angles[:, column[seg.pitch_joint]] = yaw, pitch

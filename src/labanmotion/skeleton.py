@@ -37,6 +37,7 @@ from .errors import (
     json_numbers,
     read_json,
 )
+from .laban import LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, Direction, Level, direction_vector
 
 
 class JointName(str, Enum):
@@ -374,18 +375,9 @@ _BASE = {
     JointName.ShoulderRight: np.array([0.0, -_HALF_SHOULDER, _SPINE_LEN]),
 }
 
-_POSE_AZIMUTH = {
-    "place": 0.0,
-    "forward": 0.0,
-    "left_forward": 45.0,
-    "left": 90.0,
-    "left_backward": 135.0,
-    "backward": 180.0,
-    "right_backward": -135.0,
-    "right": -90.0,
-    "right_forward": -45.0,
-}
-_POSE_ELEVATION = {"high": 45.0, "middle": 0.0, "low": -45.0}
+# pose names spell a Direction and a Level in snake case: "right_forward_high"
+_POSE_DIRECTIONS = {"".join("_" + c.lower() if c.isupper() else c for c in d.value)[1:]: d for d in Direction}
+_POSE_LEVELS = {l.value.lower(): l for l in Level}
 
 # Move profile: cosine ease-in to cruise speed, constant-velocity cruise,
 # abrupt stop at arrival. The ease-in lasts a fixed time (not a fixed
@@ -404,19 +396,14 @@ _SECONDS_PER_RADIAN = 0.7
 def pose_vector(name: str) -> np.ndarray:
     """Unit direction for a pose name like 'forward_middle' or 'place_low'."""
     parts = name.lower().rsplit("_", 1)
-    if len(parts) != 2 or parts[0] not in _POSE_AZIMUTH or parts[1] not in _POSE_ELEVATION:
+    if len(parts) != 2 or parts[0] not in _POSE_DIRECTIONS or parts[1] not in _POSE_LEVELS:
         raise BadDescriptor(f"unknown pose name: {name!r}")
-    direction, level = parts
-    if direction == "place":
-        if level == "middle":
+    direction, level = _POSE_DIRECTIONS[parts[0]], _POSE_LEVELS[parts[1]]
+    if direction == Direction.Place:
+        if level == Level.Middle:
             raise BadDescriptor("pose 'place_middle' has no direction")
-        elev = 90.0 if level == "high" else -90.0
-        azim = 0.0
-    else:
-        elev = _POSE_ELEVATION[level]
-        azim = _POSE_AZIMUTH[direction]
-    th, ph = math.radians(elev), math.radians(azim)
-    return np.array([math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), math.sin(th)])
+        return direction_vector(0.0, 90.0 if level == Level.High else -90.0)
+    return direction_vector(SECTOR_CENTER_DEG[direction], LEVEL_ELEVATION_DEG[level])
 
 
 def _slerp(a: np.ndarray, b: np.ndarray, s: float) -> np.ndarray:
@@ -568,18 +555,16 @@ def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
 
     times = np.arange(n) / rate
     moved = np.empty((n, 3))
+    k, acc = 0, 0.0  # the first segment that has not ended by the current time, and its start
     for i, t in enumerate(times.tolist()):
-        u = plan[-1][3]  # past the last segment: final pose
-        acc = 0.0
-        for kind, seconds, a, b in plan:
-            if t < acc + seconds - 1e-12:
-                if kind == "dwell":
-                    u = a
-                else:
-                    u = _slerp(a, b, _move_profile((t - acc) / seconds, seconds))
-                break
-            acc += seconds
-        moved[i] = u
+        while k < len(plan) and not t < acc + plan[k][1] - 1e-12:
+            acc += plan[k][1]
+            k += 1
+        if k == len(plan):  # past the last segment: final pose
+            moved[i] = plan[-1][3]
+        else:
+            kind, seconds, a, b = plan[k]
+            moved[i] = a if kind == "dwell" else _slerp(a, b, _move_profile((t - acc) / seconds, seconds))
     dirs = {"left": pose_vector("place_low"), "right": pose_vector("place_low"),
             "head": pose_vector("place_high")}
     dirs[part.split("_")[0]] = moved

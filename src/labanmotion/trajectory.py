@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json
-from .laban import VALID_LIMB_SYMBOLS
+from .laban import CODE_TOKENS
 from .robot import KeyPoses
 from .skeleton import uniform_grid
 
@@ -75,12 +75,6 @@ class DictEntry:
         return [p.count / total for p in self.paths]
 
 
-# (direction, level) values of the limb symbols, as dictionary keys spell
-# them: entry k for the symbol of code k
-_CODE_TOKENS = tuple((s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS)
-_LIMB_TOKENS = frozenset(_CODE_TOKENS)
-
-
 @dataclass(frozen=True)
 class DictKey:
     """Canonical (start state, end state) pair of column symbol maps: per
@@ -97,7 +91,7 @@ class DictKey:
         ``dict build`` and :func:`synthesize` both make their keys here, over
         the robot's mapped columns."""
         def side(codes):
-            return tuple((col, *_CODE_TOKENS[code]) for col, code in sorted(zip(columns, codes)) if code >= 0)
+            return tuple((col, *CODE_TOKENS[code]) for col, code in sorted(zip(columns, codes)) if code >= 0)
 
         return cls(side(from_codes), side(to_codes))
 
@@ -118,7 +112,7 @@ class DictKey:
                 for tok in part.split(","):
                     col, _, sym = tok.partition("=")
                     d, _, l = sym.partition(".")
-                    if (d, l) not in _LIMB_TOKENS:
+                    if (d, l) not in CODE_TOKENS:
                         raise ValueError(f"{sym} is not a limb symbol")
                     items.append((col, d, l))
             columns = [col for col, _, _ in items]
@@ -143,14 +137,18 @@ class MotionDictionary:
 # Interpolation
 # ---------------------------------------------------------------------------
 
+# interpolation mode -> blend weight of normalized segment time tau (a float
+# or an array); cubic Hermite with zero endpoint velocities is the smoothstep
+INTERP_MODES = {
+    "linear": lambda tau: tau,
+    "cubic": lambda tau: tau * tau * (3.0 - 2.0 * tau),
+}
+
+
 def _blend(mode: str, tau):
-    """Blend weight for normalized segment time tau (a float or an array)."""
-    if mode == "linear":
-        return tau
-    if mode == "cubic":
-        # Hermite with zero endpoint velocities reduces to the smoothstep
-        return tau * tau * (3.0 - 2.0 * tau)
-    raise ValueError(f"unknown interpolation mode: {mode!r}")
+    if mode not in INTERP_MODES:
+        raise ValueError(f"unknown interpolation mode: {mode!r}")
+    return INTERP_MODES[mode](tau)
 
 
 def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from labanmotion import cli, encoder, trajectory
+from labanmotion import cli, encoder, keyframe, trajectory
 from labanmotion.cli import main
 from labanmotion.laban import Direction, LabanSymbol, Level, load_score
 from labanmotion.robot import JointPose, KeyPoses, load_robot
@@ -63,6 +63,27 @@ def test_keyframes_command(tmp_path):
     assert obj["merged"], "expected at least one key frame"
     assert obj["sample_rate"] == 30.0
     assert len(obj["merged_times"]) == len(obj["merged"])
+
+
+def test_choices_and_keyframe_defaults_come_from_the_library(tmp_path):
+    assert cli.CHOICES == {"interp": ("linear", "cubic"), "peak_mode": ("max", "min"), "columns": ("arm", "split")}
+    for mode in cli.CHOICES["interp"]:
+        assert trajectory.interpolate(KeyPoses([0.0, 1.0], ("j",), [[0.0], [2.0]]), mode, 2.0).samples[1, 0] == 1.0
+    for mode in cli.CHOICES["peak_mode"]:
+        assert keyframe.EnergyParams(peak_mode=mode).peak_mode == mode
+    for mode in cli.CHOICES["columns"]:
+        assert set(encoder.columns_for_mode(mode)) <= set(encoder.COLUMN_DISTAL)
+    # with no flags and no config, key frames are found with the EnergyParams defaults
+    clip = _synth(tmp_path)
+    assert main(["keyframes", clip, "-o", str(tmp_path / "kf.json")]) == 0
+    params = json.loads((tmp_path / "kf.json").read_text())["params"]
+    assert params == {k: getattr(keyframe.EnergyParams(), k) for k in params} and len(params) == 5
+    # a given setting replaces its default only
+    (tmp_path / "run.cfg").write_text("sigma = 0.05\n")
+    assert main(["--config", str(tmp_path / "run.cfg"), "keyframes", clip, "--min-sep", "0.5",
+                 "-o", str(tmp_path / "kf2.json")]) == 0
+    params = json.loads((tmp_path / "kf2.json").read_text())["params"]
+    assert params == {k: getattr(keyframe.EnergyParams(sigma=0.05, min_separation=0.5), k) for k in params}
 
 
 def test_encode_decode_pipeline_files(tmp_path):
@@ -491,6 +512,14 @@ _NAN_LIMIT_ROBOT = """
 """
 
 
+def _frontal_with_column_map(column_map: dict) -> str:
+    """The bundled frontal_7dof description with another column map."""
+    with open(os.path.join(os.path.dirname(cli.__file__), "robots", "frontal_7dof.json")) as fh:
+        obj = json.load(fh)
+    obj["column_map"] = column_map
+    return json.dumps(obj)
+
+
 @pytest.mark.parametrize("text,needle", [
     ('{"name": "r", "chains": {"name": "c"}, "column_map": {}}', "$.chains: expected a list"),
     ('{"name": "r", "chains": [1], "column_map": {}}', "$.chains[0]: expected an object"),
@@ -504,17 +533,32 @@ _NAN_LIMIT_ROBOT = """
     (_NAN_LIMIT_ROBOT, "yaw_limits: bad limits [nan, 90]"),
     (_NAN_LIMIT_ROBOT.replace("NaN", "-1" + "0" * 400), "yaw_limits: bad limits [-1000"),
     (_NAN_LIMIT_ROBOT.replace("NaN", "true"), "yaw_limits: expected [lo, hi] degrees"),
+    (_frontal_with_column_map({"LeftArm": ["left_arm/0"], "RightArms": ["right_arm/0"], "Head": ["head/0"]}),
+     "column_map: RightArms: unknown-column: not a known column name"),
+    (_frontal_with_column_map({"LeftArm": ["left_arm/0"], "RightArm": ["right_arm/0"],
+                               "RightForearm": ["right_arm/0"], "Head": ["head/0"]}),
+     "column_map: RightArm: arm-exclusive: RightArm cannot coexist with RightForearm"),
 ], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
         "fixed-joints-not-list", "fixed-joint-not-object", "nan-limit", "limit-beyond-float-range",
-        "bool-limit"])
+        "bool-limit", "unknown-column", "arm-with-split-column"])
 def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
+    """Every command that loads a robot rejects the description at load."""
+    robot = str(tmp_path / "robot.json")
     (tmp_path / "robot.json").write_text(text)
     golden = os.path.join(DATA, "golden_frontal_score.json")
-    rc = main(["decode", golden, "--robot", str(tmp_path / "robot.json"), "-o", str(tmp_path / "t.csv")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert needle in err, err
+    clip = _synth(tmp_path)
+    capsys.readouterr()
+    for argv in (["decode", golden, "--robot", robot, "-o", str(tmp_path / "t.csv")],
+                 ["roundtrip", golden, "--robot", robot],
+                 ["dict", "build", clip, "--robot", robot, "-o", str(tmp_path / "dict.json")],
+                 ["pipeline", clip, "--robot", robot, "-o", str(tmp_path / "out")]):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1, argv
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert needle in err, err
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "dict.json").exists()
+    assert not os.listdir(tmp_path / "out")
 
 
 def test_dict_build_encodes_each_key_frame_once(tmp_path, monkeypatch):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from labanmotion import laban
 from labanmotion.encoder import (
     ARM_COLUMNS,
+    AZIMUTH_SECTORS,
     COLUMN_DISTAL,
     SPLIT_COLUMNS,
     columns_for_mode,
@@ -17,7 +19,7 @@ from labanmotion.encoder import (
 from labanmotion.errors import BadInput, DegeneratePose, LabanMotionError, NoKeyFrames
 from labanmotion.keyframe import EnergyParams, KeyFrameSet, extract_keyframes
 from labanmotion.laban import SYMBOL_CODES, Direction, LabanSymbol, Level, validate
-from labanmotion.robot import symbol_to_vector
+from labanmotion.robot import joints_to_vector, symbol_to_vector
 from labanmotion.skeleton import (
     JOINT_INDEX,
     JointName,
@@ -367,3 +369,59 @@ def test_encoder_output_always_validates(rng):
             continue
         score = encode_sequence(seq, kfs)
         assert validate(score) == []
+
+
+# ---------------------------------------------------------------------------
+# One vocabulary: every module reads laban's tables
+# ---------------------------------------------------------------------------
+
+_POSE_DIRECTIONS = {"place": D.Place, "forward": D.Forward, "left_forward": D.LeftForward, "left": D.Left,
+                    "left_backward": D.LeftBackward, "backward": D.Backward, "right_backward": D.RightBackward,
+                    "right": D.Right, "right_forward": D.RightForward}
+_POSE_LEVELS = {"high": L.High, "middle": L.Middle, "low": L.Low}
+
+
+def test_encoder_columns_are_the_laban_column_names():
+    assert set(COLUMN_DISTAL) == laban.COLUMN_NAMES
+    assert set(ARM_COLUMNS) | set(SPLIT_COLUMNS) == laban.COLUMN_NAMES
+    assert (ARM_COLUMNS, SPLIT_COLUMNS) == (laban.ARM_COLUMNS, laban.SPLIT_COLUMNS)
+
+
+def test_azimuth_sectors_run_counterclockwise_from_forward():
+    assert AZIMUTH_SECTORS == (D.Forward, D.LeftForward, D.Left, D.LeftBackward, D.Backward, D.RightBackward,
+                               D.Right, D.RightForward)
+
+
+def test_every_pose_name_digitizes_to_its_symbol():
+    names = [(d, l) for d in _POSE_DIRECTIONS for l in _POSE_LEVELS if (d, l) != ("place", "middle")]
+    assert len(names) == len(laban.VALID_LIMB_SYMBOLS) == 26
+    for d, l in names:
+        assert digitize(pose_vector(f"{d}_{l}")) == LabanSymbol(_POSE_DIRECTIONS[d], _POSE_LEVELS[l])
+
+
+def test_pose_vectors_are_the_band_centers():
+    for name_d, d in _POSE_DIRECTIONS.items():
+        for name_l, l in _POSE_LEVELS.items():
+            code = SYMBOL_CODES[LabanSymbol(d, l)]
+            if d != D.Place:
+                assert pose_vector(f"{name_d}_{name_l}").tobytes() == laban.CODE_VECTORS[code].tobytes()
+            elif l != L.Middle:
+                # a Place pose goes through the formula at +-90 degrees; its
+                # band center is exactly up or down, 6e-17 away in x
+                up = 1.0 if l == L.High else -1.0
+                assert pose_vector(f"place_{name_l}").tobytes() == laban.direction_vector(0.0, 90.0 * up).tobytes()
+                assert laban.CODE_VECTORS[code].tolist() == [0.0, 0.0, up]
+                assert symbol_to_vector(LabanSymbol(d, l)).tolist() == [0.0, 0.0, up]
+
+
+def test_joints_to_vector_is_the_direction_formula(rng):
+    for yaw, pitch in [(0.0, 0.0), (90.0, 45.0), (-135.0, -45.0), (180.0, 90.0)] + rng.uniform(
+            -180.0, 180.0, (200, 2)).tolist():
+        assert joints_to_vector(yaw, pitch).tobytes() == laban.direction_vector(yaw, pitch).tobytes()
+
+
+def test_code_vectors_are_read_only_rows_of_each_code():
+    assert laban.CODE_VECTORS.shape == (26, 3) and not laban.CODE_VECTORS.flags.writeable
+    for code, symbol in enumerate(laban.VALID_LIMB_SYMBOLS):
+        assert symbol_to_vector(symbol).tobytes() == laban.CODE_VECTORS[code].tobytes()
+        assert laban.CODE_TOKENS[code] == (symbol.direction.value, symbol.level.value)

@@ -17,6 +17,7 @@ from labanmotion.laban import (
     SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
     Violation,
+    column_violations,
     parse_score,
     serialize_score,
     states_at,
@@ -437,6 +438,7 @@ def _validate_per_cell(score):
         if col.name not in ("LeftArm", "RightArm", "LeftUpperArm", "LeftForearm", "RightUpperArm",
                             "RightForearm", "Head"):
             out.append(Violation("unknown-column", col.name, None, "not a known column name"))
+    for col in score.columns:
         for i, cell in enumerate(col.cells):
             if cell.symbol.direction == D.Place and cell.symbol.level == L.Middle:
                 out.append(Violation("place-middle", col.name, i, "(Place, Middle) is not a limb symbol"))
@@ -525,6 +527,20 @@ def test_validate_matches_per_cell_reference(rng):
         assert validate(score) == _validate_per_cell(score)
     assert seen >= {"place-middle", "non-finite", "nonpositive-duration", "negative-start", "beyond-total",
                     "start-order", "overlap"}
+
+
+def test_validate_reports_column_names_before_cells():
+    """The column-name rules (:func:`column_violations`, which robot
+    descriptions keep too) come before every cell rule."""
+    faulty = (Cell(S(D.Forward, L.High), 0.0, -1.0),)
+    score = LabanScore(columns=(LabanColumn("RightArm", faulty), LabanColumn("Tail", faulty),
+                                LabanColumn("RightForearm", faulty)), total_duration=2.0)
+    assert [(v.rule, v.column) for v in validate(score)] == [
+        ("arm-exclusive", "RightArm"), ("unknown-column", "Tail"), ("nonpositive-duration", "RightArm"),
+        ("nonpositive-duration", "Tail"), ("nonpositive-duration", "RightForearm")]
+    assert validate(score) == _validate_per_cell(score)
+    assert column_violations(["RightArm", "Tail", "RightForearm"]) == validate(score)[:2]
+    assert column_violations(["LeftArm", "RightUpperArm", "RightForearm", "Head"]) == []
 
 
 def _token_score(cell: dict) -> str:

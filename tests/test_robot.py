@@ -35,6 +35,7 @@ from labanmotion.robot import (
     parse_robot,
     project_path,
     symbol_to_vector,
+    validate_robot,
     vector_to_joints,
 )
 from labanmotion.skeleton import JOINT_INDEX, JointName, SkeletonSequence, body_frame, synth_motion
@@ -370,6 +371,30 @@ def test_validate_robot_rules():
                    "yaw_limits": [90, -90], "pitch_limits": [-90, 90]}]}],
                 "column_map": {}}"""
         )
+
+
+def test_validate_robot_checks_column_map_keys_by_the_score_column_rules():
+    frontal = load_robot("frontal_7dof")
+
+    def problems(column_map):
+        return validate_robot(robot_mod.RobotDescription(frontal.name, frontal.chains, column_map))
+
+    assert problems(frontal.column_map) == []
+    # a split layout on one side and a whole arm on the other is allowed, as in a score
+    assert problems({"LeftArm": ("left_arm/0",), "RightUpperArm": ("right_arm/0",),
+                     "RightForearm": ("right_arm/0",), "Head": ("head/0",)}) == []
+    assert problems({"RightArms": ("right_arm/0",), "Head": ("head/0",), "Neck": ("head/0",)}) == [
+        "column_map: RightArms: unknown-column: not a known column name",
+        "column_map: Neck: unknown-column: not a known column name",
+    ]
+    assert problems({"LeftArm": ("left_arm/0",), "LeftForearm": ("left_arm/0",), "RightArm": ("right_arm/0",),
+                     "RightUpperArm": ("right_arm/0",), "RightForearm": ("head/0",)}) == [
+        "column_map: LeftArm: arm-exclusive: LeftArm cannot coexist with LeftForearm",
+        "column_map: RightArm: arm-exclusive: RightArm cannot coexist with RightUpperArm, RightForearm",
+    ]
+    # the column rules come first, then the segment rules
+    assert problems({"Tail": ("tail/0",)}) == ["column_map: Tail: unknown-column: not a known column name",
+                                               "column Tail references unknown segment tail/0"]
 
 
 def test_decode_merge_robot_threads_history():

@@ -12,14 +12,17 @@ from labanmotion.errors import (
     ParseError,
     TimeOrderError,
 )
+from labanmotion import skeleton
 from labanmotion.skeleton import (
     ALL_JOINTS,
     JOINT_INDEX,
     JointName,
     SkeletonSequence,
     body_frame,
+    descriptor_timeline,
     load_sequence,
     parse_sequence,
+    pose_vector,
     resample,
     save_sequence,
     serialize_sequence,
@@ -389,3 +392,60 @@ def test_serialize_parse_identity_twice():
     text1 = serialize_sequence(seq)
     text2 = serialize_sequence(parse_sequence(text1))
     assert text1 == text2
+
+
+def _synth_motion_nested(descriptor: dict, rate: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: (times, positions) of the generator that scans the plan
+    from its first segment again for every frame."""
+    part, plan = skeleton._segment_plan(descriptor)
+    n = int(round(sum(seconds for _, seconds, _, _ in plan) * rate))
+    times = np.arange(n) / rate
+    moved = np.empty((n, 3))
+    for i, t in enumerate(times.tolist()):
+        u = plan[-1][3]
+        acc = 0.0
+        for kind, seconds, a, b in plan:
+            if t < acc + seconds - 1e-12:
+                u = a if kind == "dwell" else skeleton._slerp(
+                    a, b, skeleton._move_profile((t - acc) / seconds, seconds))
+                break
+            acc += seconds
+        moved[i] = u
+    dirs = {"left": pose_vector("place_low"), "right": pose_vector("place_low"), "head": pose_vector("place_high")}
+    dirs[part.split("_")[0]] = moved
+    return times, skeleton._pose_positions(dirs)
+
+
+_POSE_NAMES = [f"{d}_{l}" for d in ("place", "forward", "left_forward", "left", "left_backward", "backward",
+                                    "right_backward", "right", "right_forward")
+               for l in ("high", "middle", "low") if (d, l) != ("place", "middle")]
+
+
+def test_synth_motion_matches_nested_scan_reference(rng):
+    lead_zero = on_end = near_end = 0
+    for _ in range(80):
+        part = str(rng.choice(["left_arm", "right_arm", "head"]))
+        # move_seconds 3.0 outlasts every arc (0.7 s per radian), so segment
+        # ends fall on sums of the dwell choices: on frame times, or within
+        # 1e-12 of one after rounding
+        move = float(rng.choice([0.0, 0.5, 3.0]))
+        dwells = [0.1, 0.25, 0.3, 0.5, 0.7, 1.0]
+        if rng.random() < 0.4:
+            lead = float(rng.choice([0.0, 0.25, 0.5]))
+            from_pose, to_pose = (str(p) for p in rng.choice(_POSE_NAMES, size=2))
+            descriptor = {"pattern": "move_hold_move", "part": part, "from_pose": from_pose, "to_pose": to_pose,
+                          "hold": float(rng.choice(dwells)), "lead_seconds": lead, "move_seconds": move}
+            lead_zero += lead == 0.0
+        else:
+            names = rng.choice(_POSE_NAMES, size=int(rng.integers(2, 12)))
+            poses = [[str(p), float(rng.choice(dwells))] for p in names]
+            descriptor = {"pattern": "reach_sequence", "part": part, "poses": poses, "move_seconds": move}
+        rate = float(rng.choice([4.0, 8.0, 10.0, 30.0]))
+        seq = synth_motion(descriptor, rate=rate)
+        times, positions = _synth_motion_nested(descriptor, rate)
+        assert seq.times.tobytes() == times.tobytes()
+        assert seq.positions.tobytes() == positions.tobytes()
+        ends = [end for _, _, end in descriptor_timeline(descriptor)]
+        on_end += any(t in ends for t in times.tolist())
+        near_end += any(0.0 < end - t <= 1e-12 for end in ends for t in times.tolist())
+    assert lead_zero > 5 and on_end > 20 and near_end > 0
