@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import BadInput, DegeneratePose, NoKeyFrames
 from .keyframe import KeyFrameSet
-from .laban import (ARM_COLUMNS, SECTOR_CENTER_DEG, SPLIT_COLUMNS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Cell, Direction,
+from .laban import (ARM_COLUMNS, SECTOR_CENTER_DEG, SPLIT_COLUMNS, VALID_LIMB_SYMBOLS, Cell, Direction,
                     LabanColumn, LabanScore, LabanSymbol, Level)
 from .skeleton import (
     JOINT_INDEX,
@@ -79,32 +79,58 @@ def segment_direction(pos: np.ndarray, distal: JointName, bf: BodyFrame | None =
     return bf.to_body(d / norm[..., None])
 
 
+# Elevation bands from the top: a polar cap is a whole Place symbol, the
+# bands between the caps are levels
+_ELEVATION_BANDS: tuple[LabanSymbol | Level, ...] = (
+    LabanSymbol(Direction.Place, Level.High), Level.High, Level.Middle, Level.Low, LabanSymbol(Direction.Place, Level.Low),
+)
+
+
+def _band(elevation_deg: float) -> int:
+    """Index in _ELEVATION_BANDS of an elevation angle's band. Caps are
+    closed at 67.5, High/Low own their 22.5 boundaries."""
+    if elevation_deg >= 67.5:
+        return 0
+    if elevation_deg <= -67.5:
+        return 4
+    if elevation_deg >= 22.5:
+        return 1
+    if elevation_deg <= -22.5:
+        return 3
+    return 2
+
+
+def _sector(azimuth_deg: float) -> int:
+    """Index in AZIMUTH_SECTORS of an azimuth angle's sector; sectors are
+    closed at their lower edge."""
+    return int(math.floor((azimuth_deg + 22.5) / 45.0)) % 8
+
+
 def classify_elevation(elevation_deg: float) -> LabanSymbol | Level:
     """Band of an elevation angle: a Place symbol in the polar caps, else the
-    level. Caps are closed at 67.5, High/Low own their 22.5 boundaries."""
-    if elevation_deg >= 67.5:
-        return LabanSymbol(Direction.Place, Level.High)
-    if elevation_deg <= -67.5:
-        return LabanSymbol(Direction.Place, Level.Low)
-    if elevation_deg >= 22.5:
-        return Level.High
-    if elevation_deg <= -22.5:
-        return Level.Low
-    return Level.Middle
+    level."""
+    return _ELEVATION_BANDS[_band(elevation_deg)]
 
 
 def classify_azimuth(azimuth_deg: float) -> Direction:
-    """Sector of an azimuth angle; sectors are closed at their lower edge."""
-    sector = int(math.floor((azimuth_deg + 22.5) / 45.0)) % 8
-    return AZIMUTH_SECTORS[sector]
+    """Sector of an azimuth angle."""
+    return AZIMUTH_SECTORS[_sector(azimuth_deg)]
 
 
-def _symbol(x: float, y: float, z: float) -> LabanSymbol:
-    """Symbol of a unit body-frame direction (x forward, y left, z up)."""
-    band = classify_elevation(math.degrees(math.asin(max(-1.0, min(1.0, z)))))
-    if isinstance(band, LabanSymbol):
-        return band
-    return LabanSymbol(classify_azimuth(math.degrees(math.atan2(y, x))), band)
+# _BAND_CODES[band][sector]: code of the symbol of an elevation band and an
+# azimuth sector, so that a direction's code takes no symbol and no hash
+_BAND_CODES: tuple[tuple[int, ...], ...] = tuple(
+    tuple(band.code if isinstance(band, LabanSymbol) else LabanSymbol(d, band).code for d in AZIMUTH_SECTORS)
+    for band in _ELEVATION_BANDS
+)
+
+
+def _code(x: float, y: float, z: float) -> int:
+    """Symbol code of a unit body-frame direction (x forward, y left, z up)."""
+    band = _band(math.degrees(math.asin(max(-1.0, min(1.0, z)))))
+    if band == 0 or band == 4:  # a polar cap; its symbol takes no azimuth
+        return _BAND_CODES[band][0]
+    return _BAND_CODES[band][_sector(math.degrees(math.atan2(y, x)))]
 
 
 def _unit_error(norm: float) -> BadInput:
@@ -117,7 +143,7 @@ def digitize(v: np.ndarray) -> LabanSymbol:
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-6:
         raise _unit_error(norm)
-    return _symbol(float(v[0]), float(v[1]), float(v[2]))
+    return VALID_LIMB_SYMBOLS[_code(float(v[0]), float(v[1]), float(v[2]))]
 
 
 def _encode(positions: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
@@ -138,7 +164,7 @@ def _encode(positions: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
     # every check has passed before the first symbol is computed
     codes = np.empty((len(positions), len(columns)), dtype=np.intp)
     for c, v in enumerate(per_column):
-        codes[:, c] = [SYMBOL_CODES[s] for s in map(_symbol, *v.T.tolist())]
+        codes[:, c] = list(map(_code, *v.T.tolist()))
     return codes
 
 

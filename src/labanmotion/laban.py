@@ -67,6 +67,13 @@ class LabanSymbol:
     def __str__(self) -> str:
         return f"{self.direction.value}.{self.level.value}"
 
+    @cached_property
+    def code(self) -> int:
+        """``SYMBOL_CODES[self]``, kept on the instance: a dict lookup hashes
+        the two enums in Python, and a score's cells share the parser's
+        symbol instances, so each instance looks up its code once."""
+        return SYMBOL_CODES[self]
+
 
 # The 26 symbols a limb column may carry: 8 azimuths x 3 levels, plus
 # straight up / straight down. (Place, Middle) names no direction.
@@ -164,7 +171,7 @@ class LabanColumn:
         cells = self.cells
         starts, durations, ends = np.array([[c.start for c in cells], [c.duration for c in cells],
                                             [c.end for c in cells]], dtype=float)
-        return CellArrays(np.array([SYMBOL_CODES[c.symbol] for c in cells], dtype=np.intp), starts, durations, ends)
+        return CellArrays(np.array([c.symbol.code for c in cells], dtype=np.intp), starts, durations, ends)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json
-from .laban import CODE_TOKENS
+from .laban import CODE_TOKENS, COLUMN_NAMES
 from .robot import KeyPoses
 from .skeleton import uniform_grid
 
@@ -104,7 +104,8 @@ class DictKey:
     @classmethod
     def parse(cls, text: str) -> "DictKey":
         """Inverse of ``str``; ValueError for text that :meth:`of` never
-        gives: an unknown or non-limb symbol, or columns out of sorted
+        gives: an unknown or non-limb symbol, a column name outside
+        :data:`~labanmotion.laban.COLUMN_NAMES`, or columns out of sorted
         order or repeated."""
         def side(part: str):
             items = []
@@ -118,6 +119,9 @@ class DictKey:
             columns = [col for col, _, _ in items]
             if columns != sorted(set(columns)):
                 raise ValueError("columns must be sorted and distinct")
+            unknown = [col for col in columns if col not in COLUMN_NAMES]
+            if unknown:
+                raise ValueError(f"{unknown[0]} is not a column name")
             return tuple(items)
 
         a, _, b = text.partition("->")
@@ -156,8 +160,13 @@ def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
     float or an (m,) array; times outside the key-pose span hold the end
     poses."""
     idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-    tau = np.clip((t - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    rows = angles[idx] + _blend(mode, tau)[..., None] * (angles[idx + 1] - angles[idx])
+    tau = np.clip((t - times[idx]) / np.diff(times)[idx], 0.0, 1.0)
+    # angles[idx] + blend * (angles[idx + 1] - angles[idx]) in the same IEEE
+    # operations, with one (m, J) temporary beside the result
+    step = np.take(np.diff(angles, axis=0), idx, axis=0)
+    step *= _blend(mode, tau)[..., None]
+    rows = np.take(angles, idx, axis=0)
+    rows += step
     return idx, tau, rows
 
 
@@ -292,25 +301,42 @@ def synthesize(
 # |v|·1e6 must stay below 2**52, where every half-integer is a double; larger
 # and non-finite values are formatted by the per-row `%` path
 _CSV_EXACT_LIMIT = 2.0**52 / 1e6
-# rows formatted per array pass: bounds the byte buffer and its temporaries
+# rows formatted per array pass: bounds the word buffer and the temporaries
 _CSV_BLOCK_ROWS = 4096
-_PAD = 0  # buffer bytes that a value does not use; dropped before decoding
 
 
-def _csv_rows_percent(block: np.ndarray) -> str:
-    row = ",".join(["%.6f"] * block.shape[1]) + "\n"
-    return "".join(row % tuple(r) for r in block.tolist())
+def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The uint32 words that :func:`_csv_words` gathers, four characters
+    each, by 3-digit group g; a 0 byte is pad (NUL).
+
+    Integer part: 1000·sign + g is a leading group g without leading zeros,
+    behind its sign ('-' or pad); _NUL_WORD is a group above the leading
+    one, all pad; _INNER + g is a group below it, zero-padded. Decimals: '.'
+    and the first three; the last three and ',', or '\\n' at 1000 + g.
+    """
+    group = np.arange(1000)
+    digits = tuple(d + ord("0") for d in (group // 100, group // 10 % 10, group % 10))
+    lead = (np.where(group >= 100, digits[0], 0), np.where(group >= 10, digits[1], 0), digits[2])
+
+    def words(*chars):  # byte k of word g is chars[k][g], or chars[k] where that is one number
+        return np.column_stack(np.broadcast_arrays(*chars)).astype(np.uint8).view(np.uint32).ravel()
+
+    integer = np.concatenate([words(0, *lead), words(ord("-"), *lead), np.zeros(1, np.uint32), words(*digits, 0)])
+    return integer, words(ord("."), *digits), np.concatenate([words(*digits, ord(",")), words(*digits, ord("\n"))])
 
 
-def _csv_rows_array(block: np.ndarray) -> str:
-    """Rows of a finite block with every |v| < _CSV_EXACT_LIMIT, byte for byte
-    as ``'%.6f' % v`` writes them.
+_CSV_INT, _CSV_POINT, _CSV_END = _csv_tables()
+_NUL_WORD, _INNER = 2000, 2001
+
+
+def _micros(block: np.ndarray) -> np.ndarray:
+    """rint(|v|·1e6) as int64: the integer that ``'%.6f' % v`` writes, for a
+    block with every |v| < _CSV_EXACT_LIMIT.
 
     rint(|v|·1e6) is the correctly rounded (half-even) integer of the exact
     product unless the rounded product is a half-integer; only there may the
     exact product lie on either side, so those values take their integer
-    from ``%``. The sign comes from the sign bit, so -0.0 and negatives that
-    round to zero print ``-0.000000``.
+    from ``%``.
     """
     mag = np.abs(block)
     y = mag * 1e6
@@ -318,37 +344,70 @@ def _csv_rows_array(block: np.ndarray) -> str:
     tie = np.abs(r - y) == 0.5
     if tie.any():
         r[tie] = [float(("%.6f" % m).replace(".", "")) for m in mag[tie].tolist()]
-    q = r.astype(np.int64)
-    n_int = len(str(int(q.max()) // 1000000))
-    # field: sign, n_int integer digits, '.', 6 decimals, separator
-    buf = np.empty(block.shape + (n_int + 9,), dtype=np.uint8)
-    buf[..., 0] = np.where(np.signbit(block), ord("-"), _PAD)
-    buf[..., n_int + 1] = ord(".")
-    for pos in [*range(n_int + 7, n_int + 1, -1), *range(n_int, 0, -1)]:  # last digit first
-        rest = q // 10
-        digit = q - 10 * rest + ord("0")
-        if pos < n_int:  # a leading zero of the integer part is pad
-            digit = np.where(q > 0, digit, _PAD)
-        buf[..., pos] = digit
-        q = rest
-    buf[:, :-1, -1] = ord(",")
-    buf[:, -1, -1] = ord("\n")
-    return buf[buf != _PAD].tobytes().decode("ascii")
+    return r.astype(np.int64)
+
+
+def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
+    """Fill ``buffer`` with the words of a block's rows, resizing it if the
+    block needs another size: per value, its integer part's 3-digit groups,
+    then '.ddd', then 'ddd,' (or 'ddd\\n' in a row's last field). The sign
+    comes from the sign bit, so -0.0 and negatives that round to zero print
+    ``-0.000000``."""
+    frac = _micros(block)
+    whole = frac // 1000000
+    frac -= whole * 1000000
+    n_groups = -(-len(str(int(whole.max()))) // 3)
+    size = block.size * (n_groups + 2) * 4
+    if len(buffer) != size:
+        buffer[:] = bytes(size)
+    words = np.frombuffer(buffer, np.uint32).reshape(*block.shape, n_groups + 2)
+    sign = np.signbit(block) * 1000  # the offset of the '-' words
+    rest = whole
+    for slot in range(n_groups - 1, -1, -1):  # last group first
+        group = rest
+        if slot:
+            rest = rest // 1000
+            group = group - rest * 1000
+        unit = 1000 ** (n_groups - 1 - slot)  # the place value of the group's last digit
+        index = sign + group
+        if slot < n_groups - 1:  # a group above the leading one is all pad
+            index[whole < unit] = _NUL_WORD
+        if slot:  # a group below the leading one is zero-padded
+            np.copyto(index, _INNER + group, where=whole >= 1000 * unit)
+        np.take(_CSV_INT, index, out=words[..., slot])
+    thousandths = frac // 1000
+    np.take(_CSV_POINT, thousandths, out=words[..., -2])
+    frac -= thousandths * 1000
+    frac[:, -1] += 1000
+    np.take(_CSV_END, frac, out=words[..., -1])
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
     """Header ``t,<joint>,...`` and one ``%.6f`` row per sample.
 
-    Rows are formatted in blocks of 4096 by an array formatter
-    that writes the same bytes as ``%``; a block holding a non-finite value
-    or a magnitude of 2**52 / 1e6 (about 4.5e9) or more is formatted by ``%``
-    row by row.
+    Rows are formatted in blocks of 4096 by an array formatter that writes
+    the same bytes as ``%``. It rounds each |v|·1e6 to an integer and splits
+    that into 3-digit groups: the integer part's groups, then two groups of
+    decimals. Each group is an index into a small table of uint32 words,
+    four characters each, which ``np.take`` gathers into a buffer that
+    the blocks reuse: the sign and the leading group without its leading
+    zeros, every later integer group zero-padded, '.' with the first three
+    decimals, and the last three decimals with ',' or '\\n'. Bytes that a
+    word does not need are NUL, and one ``translate`` drops them. A block
+    holding a non-finite value or a magnitude of 2**52 / 1e6 (about 4.5e9)
+    or more is formatted by ``%`` row by row.
     """
     parts = ["t," + ",".join(traj.joints) + "\n"]
+    row = ",".join(["%.6f"] * (len(traj.joints) + 1)) + "\n"
+    buffer = bytearray()
     for a in range(0, len(traj.times), _CSV_BLOCK_ROWS):
         block = np.column_stack([traj.times[a:a + _CSV_BLOCK_ROWS], traj.samples[a:a + _CSV_BLOCK_ROWS]])
-        exact = np.all(np.abs(block) < _CSV_EXACT_LIMIT)  # False for NaN and inf
-        parts.append(_csv_rows_array(block) if exact else _csv_rows_percent(block))
+        if np.all(np.abs(block) < _CSV_EXACT_LIMIT):  # False for NaN and inf
+            _csv_words(block, buffer)
+            parts.append(buffer.translate(None, b"\0").decode("ascii"))
+        else:
+            parts.append("".join(row % tuple(r) for r in block.tolist()))
+    del buffer  # freed before the join, which holds the text twice
     return "".join(parts)
 
 
@@ -419,8 +478,8 @@ def parse_dictionary(text: str) -> MotionDictionary:
         where = f"$.entries[{json.dumps(key_text)}]"
         try:
             key = DictKey.parse(key_text)
-        except ValueError:
-            raise ParseError(where, "not a (from-state)->(to-state) key") from None
+        except ValueError as exc:
+            raise ParseError(where, f"not a (from-state)->(to-state) key: {exc}") from None
         if not isinstance(paths, list):
             raise ParseError(where, "expected a list of paths")
         if not paths:

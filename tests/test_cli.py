@@ -680,6 +680,8 @@ def _bad_dict_text(case: str) -> str:
         obj["entries"] = {key: [path]}
     elif case == "repeated-column-key":
         obj["entries"] = {"RightArm=Forward.High->RightArm=Forward.Low,RightArm=Forward.High": [path]}
+    elif case == "misspelled-column-key":  # what dict build wrote, with RightArm misspelled
+        obj["entries"] = {k.replace("RightArm=", "RightArms="): v for k, v in obj["entries"].items()}
     elif case == "place-middle-key":
         obj["entries"] = {"RightArm=Place.Middle->RightArm=Forward.Low": [path]}
     elif case == "no-paths":
@@ -714,6 +716,7 @@ _BAD_DICTIONARIES = [
     ("unsorted-key", "not a (from-state)->(to-state) key"),
     ("repeated-column-key", "not a (from-state)->(to-state) key"),
     ("place-middle-key", "not a (from-state)->(to-state) key"),
+    ("misspelled-column-key", "RightArms=Place.Low->RightArms=Forward.Middle"),
     ("no-paths", "no paths"),
     ("count-string", ".count"),
     ("count-zero", ".count"),

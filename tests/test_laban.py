@@ -172,6 +172,22 @@ def test_symbol_codes():
     assert len(SYMBOL_CODES) == 27
 
 
+def test_symbol_code_of_a_separately_built_symbol():
+    """A symbol's cached code is SYMBOL_CODES' entry for any equal symbol,
+    however it was built, and a column of such symbols has the same code
+    array as the parser's."""
+    tokens = [(s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS]
+    fresh = [LabanSymbol(Direction(d), Level(lv)) for d, lv in tokens]
+    assert len(fresh) == 26
+    for k, (canonical, s) in enumerate(zip(VALID_LIMB_SYMBOLS, fresh)):
+        assert s == canonical and s is not canonical
+        assert s.code == canonical.code == SYMBOL_CODES[s] == k
+    assert LabanSymbol(Direction("Place"), Level("Middle")).code == -1
+    cells = tuple(Cell(s, float(i), 1.0) for i, s in enumerate(fresh))
+    parsed = parse_score(serialize_score(LabanScore((LabanColumn("Head", cells),), float(len(cells)))))
+    assert parsed.columns[0].arrays.codes.tolist() == LabanColumn("Head", cells).arrays.codes.tolist() == list(range(26))
+
+
 def test_states_at_half_open_rule():
     score = _one_column_score()
     # at exactly the second cell's start, the first cell's state still holds

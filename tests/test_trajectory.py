@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from labanmotion import trajectory
 from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
 from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
 from labanmotion.robot import JointPose, KeyPoses
@@ -15,6 +16,7 @@ from labanmotion.trajectory import (
     MotionPath,
     PATH_SAMPLES,
     Trajectory,
+    _rows_at,
     dict_lookup,
     dict_update,
     evaluate,
@@ -321,7 +323,9 @@ def test_dict_key_parses_its_text_and_nothing_from_states_cannot_give(rng):
     for text in ("RightArm=Forward.High,LeftArm=Forward.Low->",
                  "->Head=Left.Low,Head=Left.Low",
                  "Head=Place.Middle->Head=Place.High",
-                 "Head=Up.High->"):
+                 "Head=Up.High->",
+                 "RightArms=Forward.High->RightArms=Forward.Low",
+                 "->Head=Left.Low,Torso=Left.Low"):
         with pytest.raises(ValueError):
             DictKey.parse(text)
 
@@ -573,3 +577,113 @@ def test_csv_matches_per_value_formatting(rng):
             values[4096, 2] = math.nan
         traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
         assert trajectory_to_csv(traj) == _csv_per_value(values[:, 0], values[:, 1:]), rows
+
+
+def _csv_rows_digit_loop(block):
+    """Reference: the array formatter before the word tables, one int64
+    ``//10`` pass per digit, for a finite block with every |v| < 2**52 / 1e6."""
+    mag = np.abs(block)
+    y = mag * 1e6
+    r = np.rint(y)
+    tie = np.abs(r - y) == 0.5
+    if tie.any():
+        r[tie] = [float(("%.6f" % m).replace(".", "")) for m in mag[tie].tolist()]
+    q = r.astype(np.int64)
+    n_int = len(str(int(q.max()) // 1000000))
+    buf = np.empty(block.shape + (n_int + 9,), dtype=np.uint8)
+    buf[..., 0] = np.where(np.signbit(block), ord("-"), 0)
+    buf[..., n_int + 1] = ord(".")
+    for pos in [*range(n_int + 7, n_int + 1, -1), *range(n_int, 0, -1)]:
+        rest = q // 10
+        digit = q - 10 * rest + ord("0")
+        if pos < n_int:
+            digit = np.where(q > 0, digit, 0)
+        buf[..., pos] = digit
+        q = rest
+    buf[:, :-1, -1] = ord(",")
+    buf[:, -1, -1] = ord("\n")
+    return buf[buf != 0].tobytes().decode("ascii")
+
+
+def _csv_digit_loop(values):
+    """Reference CSV of (m, 4) rows: the digit loop per 4096-row block, or
+    ``%`` row by row for a block that it cannot write exactly."""
+    out = ["t," + ",".join(JOINTS) + "\n"]
+    for a in range(0, len(values), 4096):
+        block = values[a:a + 4096]
+        if np.all(np.abs(block) < 2.0**52 / 1e6):
+            out.append(_csv_rows_digit_loop(block))
+        else:
+            out.append("".join(("%.6f," * 3 + "%.6f\n") % tuple(r) for r in block.tolist()))
+    return "".join(out)
+
+
+def test_csv_matches_the_digit_loop_reference(rng):
+    """The word-table formatter writes the digit loop's bytes, where the
+    3-digit groups, the sign and the half-integer ties meet."""
+    edges = [999.9999995, 1000.0, 999999.9999995, 1e6, 999999999.9999995, 1e9]
+    limit = 2.0**52 / 1e6
+    random = np.exp(rng.uniform(math.log(1e-9), math.log(limit), 40_000)) * rng.choice([-1.0, 1.0], 40_000)
+    cases = {
+        "group edges": edges + [-v for v in edges],
+        "next to the edges": [np.nextafter(v, w) * s for v in edges for w in (0, math.inf) for s in (1, -1)],
+        "one block of everything": [-0.0, 0.0, 2.5e-6, -2.5e-6, 0.5e-6, -0.5e-6, 1234567890.0, -1234567890.0,
+                                    4503599627.370495, -4.5e9, 999.9999995, -1000.0, 7.0, -1e-9, 1e6 + 0.5e-6],
+        "t past 1000 s in a block of angles": [1000.0 + 0.01 * i if i % 4 == 0 else rng.uniform(-180, 180)
+                                               for i in range(4 * 300)],
+        "log-uniform": random,
+    }
+    for name, values in cases.items():
+        values = np.asarray(values, dtype=float)
+        values = np.resize(values, (-(-values.size // 4), 4))
+        traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
+        assert trajectory_to_csv(traj) == _csv_digit_loop(values) == _csv_per_value(values[:, 0], values[:, 1:]), name
+    # every block of one trajectory gets its own group count; the buffer is resized
+    values = np.concatenate([np.resize(np.array(edges), (4096, 4)), random.reshape(-1, 4)[:5000],
+                             np.full((3, 4), -0.0)])
+    traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
+    assert trajectory_to_csv(traj) == _csv_digit_loop(values)
+
+
+def _rows_at_one_expression(times, angles, mode, t):
+    """Reference: the interpolation as one expression over gathered rows."""
+    idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+    tau = np.clip((t - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
+    s = tau if mode == "linear" else tau * tau * (3.0 - 2.0 * tau)
+    return idx, tau, angles[idx] + s[..., None] * (angles[idx + 1] - angles[idx])
+
+
+def test_rows_at_matches_the_one_expression_reference(rng, monkeypatch):
+    symbols = [S(D.Place, L.Low), S(D.Forward, L.Middle), S(D.Left, L.High)]
+    for trial in range(40):
+        k = int(rng.integers(2, 12))
+        times = np.cumsum(rng.uniform(0.01, 3.0, size=k))
+        angles = rng.uniform(-180, 180, size=(k, len(JOINTS)))
+        t = np.concatenate([rng.uniform(times[0] - 1.0, times[-1] + 1.0, size=200), times])
+        for mode in ("linear", "cubic"):
+            for got, want in zip(_rows_at(times, angles, mode, t), _rows_at_one_expression(times, angles, mode, t)):
+                assert np.array_equal(got, want)
+            # a scalar time, as evaluate passes it
+            x = float(t[trial % len(t)])
+            _, _, row = _rows_at(times, angles, mode, x)
+            want = _rows_at_one_expression(times, angles, mode, x)[2]
+            assert row.shape == (len(JOINTS),) and np.array_equal(row, want)
+            assert evaluate(KeyPoses(times, JOINTS, angles), mode, x) == dict(zip(JOINTS, want.tolist()))
+
+    # synthesize's dictionary branch overwrites the interpolated rows of the
+    # segments the dictionary covers; the others keep them
+    for trial in range(10):
+        k = int(rng.integers(3, 9))
+        keyposes = KeyPoses(np.cumsum(rng.integers(1, 30, size=k)) / 7.0, JOINTS, rng.uniform(-90, 90, size=(k, 3)))
+        states = [_state(symbols[int(i)]) for i in rng.integers(0, len(symbols), size=k)]
+        mdict = MotionDictionary()
+        observed = KeyPoses(np.arange(4.0), JOINTS, rng.uniform(-90, 90, size=(4, 3)))
+        dict_update(mdict, state_key(states[0], states[1]), observed)
+        mode = ("linear", "cubic")[trial % 2]
+        got = [synthesize(keyposes, _codes(states), d, mode, 10.0, COLUMNS).samples for d in (mdict, None)]
+        with monkeypatch.context() as m:
+            m.setattr(trajectory, "_rows_at", _rows_at_one_expression)
+            want = [synthesize(keyposes, _codes(states), d, mode, 10.0, COLUMNS).samples for d in (mdict, None)]
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert not np.array_equal(got[0], got[1])
+
