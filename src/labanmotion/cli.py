@@ -163,7 +163,7 @@ class _Run:
             counts["poses"] = len(decoded)
         return robot, decoded
 
-    def synthesize(self, decoded: robot_mod.DecodedScore, rate: float) -> trajectory.Trajectory:
+    def synthesize(self, decoded: robot_mod.DecodedScore, rate: float) -> robot_mod.KeyPoses:
         dict_path = self.get("dict")
         mdict = trajectory.load_dictionary(dict_path) if dict_path else None
         with self.stage("trajectory") as counts:
@@ -171,8 +171,9 @@ class _Run:
             if len(poses) >= 2:
                 traj = trajectory.synthesize(poses, decoded.codes, mdict, self.get("interp", "linear"), rate,
                                              decoded.columns)
-            else:
-                traj = trajectory.Trajectory.from_poses(poses, rate)
+            else:  # fewer poses than synthesize needs: the poses themselves are the trajectory
+                finite(rate, "trajectory rate", 0.0, strict=True)
+                traj = poses
             counts["samples"] = len(traj.samples)
         return traj
 
@@ -231,7 +232,7 @@ def _cmd_dict_build(run: _Run) -> int:
                 clip = robot_mod.project_path(seq, merged[0], merged[-1], robot)
                 for k, (a, b) in enumerate(zip(merged, merged[1:])):
                     rows = slice(a - merged[0], b - merged[0] + 1)
-                    observed = robot_mod.KeyPoses(clip.times[rows], clip.joints, clip.angles[rows])
+                    observed = robot_mod.KeyPoses(clip.times[rows], clip.joints, clip.samples[rows])
                     key = trajectory.DictKey.of(columns, codes[k], codes[k + 1])
                     trajectory.dict_update(mdict, key, observed)
             counts["transitions"] = max(len(merged) - 1, 0)

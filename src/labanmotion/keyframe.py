@@ -82,6 +82,9 @@ def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
     the boundary samples, so output length equals input length and constants
     pass through unchanged. A kernel longer than :data:`MAX_SAMPLES`, or one so
     narrow that 1 / (2 s^2) overflows, is refused before anything is allocated.
+    A kernel wider than the clip has the weight of its taps beyond the clip
+    folded into its outermost taps, so n samples cost O(n * min(r, n)) for
+    radius r.
     """
     s = sigma * rate  # width in samples
     # the kernel has 2 * ceil(3 s) + 1 samples and divides by 2 s^2, which must be
@@ -96,7 +99,13 @@ def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
     k = np.arange(-r, r + 1, dtype=float)
     w = np.exp(-(k * k) / (2.0 * s * s))
     w /= w.sum()
-    pad = np.concatenate([np.full(r, xs[0]), xs, np.full(r, xs[-1])])
+    m = min(r, xs.size - 1)
+    if m < r:  # taps beyond m only meet replicated edge samples: fold each tail into the outermost tap kept
+        tails = w[:r - m].sum(), w[r + m + 1:].sum()
+        w = w[r - m:r + m + 1].copy()
+        w[0] += tails[0]
+        w[-1] += tails[1]
+    pad = np.concatenate([np.full(m, xs[0]), xs, np.full(m, xs[-1])])
     return np.convolve(pad, w, mode="valid")
 
 

@@ -9,7 +9,9 @@ directions singularity). Commanded directions outside a joint's limits are
 realized at the nearest limit and flagged as clamped. A decode takes the
 symbols in force as one array of symbol codes for all key poses
 (:func:`~labanmotion.laban.states_at`) and keeps those of the robot's mapped
-columns in :attr:`DecodedScore.codes`.
+columns in :attr:`DecodedScore.codes`. Decoded and projected poses are a
+:class:`KeyPoses`, the package's one type for timed joint angles, which the
+trajectory module also uses for dictionary paths and sampled trajectories.
 
 Description files are JSON:
 
@@ -86,13 +88,6 @@ class RobotDescription:
     column_map: dict[str, tuple[str, ...]]
     fixed_joints: tuple[FixedJoint, ...] = ()
 
-    def segment(self, ref: str) -> Segment:
-        chain_name, _, idx = ref.partition("/")
-        for chain in self.chains:
-            if chain.name == chain_name:
-                return chain.segments[int(idx)]
-        raise KeyError(ref)
-
     @cached_property
     def segment_table(self) -> tuple[tuple[str, Segment, tuple[str, ...]], ...]:
         """``(ref, segment, source columns in column_map order)`` for every
@@ -157,26 +152,28 @@ class JointPose:
 
 @dataclass(eq=False)
 class KeyPoses:
-    """Timed joint-space poses as arrays: pose i is ``angles[i]`` at ``times[i]``.
+    """Timed joint angles as arrays: pose i is ``samples[i]`` at ``times[i]``.
 
-    The times increase strictly and ``joints``, sorted by name, names the
-    columns of ``angles``, so every pose has the same joints. Indexing and
-    iterating give :class:`JointPose` copies.
+    The one type for joint angles over time: decoded and projected key
+    poses, motion dictionary paths (on normalized time) and synthesized
+    trajectories. The times increase strictly and ``joints``, sorted by
+    name, names the columns of ``samples``, so every pose has the same
+    joints. Indexing and iterating give :class:`JointPose` copies.
     """
 
     times: np.ndarray  # (m,) seconds
-    joints: tuple[str, ...]  # sorted; the columns of angles
-    angles: np.ndarray  # (m, len(joints)) degrees
+    joints: tuple[str, ...]  # sorted; the columns of samples
+    samples: np.ndarray  # (m, len(joints)) degrees
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
         self.joints = tuple(self.joints)
-        self.angles = np.asarray(self.angles, dtype=float)
-        if list(self.joints) != sorted(set(self.joints)) or self.angles.shape != (len(self.times), len(self.joints)):
+        self.samples = np.asarray(self.samples, dtype=float)
+        if list(self.joints) != sorted(set(self.joints)) or self.samples.shape != (len(self.times), len(self.joints)):
             raise ShapeError("poses disagree on joint names")
         steps = np.diff(self.times) <= 0
         if steps.any():
-            raise TimeOrderError(int(np.argmax(steps)) + 1, "pose times must be strictly increasing")
+            raise TimeOrderError(int(np.argmax(steps)) + 1, "times must be strictly increasing")
 
     @classmethod
     def of(cls, poses: Iterable[JointPose]) -> "KeyPoses":
@@ -193,7 +190,7 @@ class KeyPoses:
         return len(self.times)
 
     def __getitem__(self, i: int) -> JointPose:
-        return JointPose(float(self.times[i]), dict(zip(self.joints, self.angles[i].tolist())))
+        return JointPose(float(self.times[i]), dict(zip(self.joints, self.samples[i].tolist())))
 
     def __iter__(self) -> Iterator[JointPose]:
         return (self[i] for i in range(len(self)))

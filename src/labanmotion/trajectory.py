@@ -10,6 +10,10 @@ synthesis, dictionary paths are time-warped onto the key-pose interval and
 their endpoint residuals are blended out linearly so the result still passes
 exactly through the key poses; uncovered transitions fall back to plain
 interpolation.
+
+Every timed set of joint angles here is a :class:`~labanmotion.robot.KeyPoses`:
+the key poses going in, the dictionary paths (on normalized time, 0 to 1)
+and the sampled trajectory coming out.
 """
 
 from __future__ import annotations
@@ -29,36 +33,14 @@ from .skeleton import uniform_grid
 
 PATH_SAMPLES = 32
 DEFAULT_TAU_DEG = 10.0
-
-
-@dataclass(eq=False)
-class Trajectory:
-    """Uniformly sampled joint angles; sample i is ``samples[i]`` at ``times[i]``."""
-
-    rate: float
-    joints: tuple[str, ...]  # sorted; the columns of samples
-    times: np.ndarray  # (m,) seconds
-    samples: np.ndarray  # (m, len(joints)) degrees
-
-    @classmethod
-    def from_poses(cls, poses: KeyPoses, rate: float) -> "Trajectory":
-        """The poses themselves as samples, for a score that decodes to fewer
-        than the two key poses :func:`synthesize` needs."""
-        finite(rate, "trajectory rate", 0.0, strict=True)
-        return cls(rate=float(rate), joints=poses.joints, times=poses.times, samples=poses.angles)
-
-
-@dataclass(eq=False)
-class MotionPath:
-    """Fixed-length joint path on normalized time, joints in sorted order."""
-
-    joints: tuple[str, ...]
-    samples: np.ndarray  # (n, len(joints)) degrees
+# the normalized times of every loaded dictionary path, shared read-only
+_PATH_TIMES = np.linspace(0.0, 1.0, PATH_SAMPLES)
+_PATH_TIMES.flags.writeable = False
 
 
 @dataclass(eq=False)
 class DictPath:
-    motion: MotionPath
+    motion: KeyPoses  # PATH_SAMPLES poses on normalized time, np.linspace(0, 1, PATH_SAMPLES)
     count: int
 
 
@@ -174,11 +156,11 @@ def evaluate(keyposes: KeyPoses, mode: str, t: float) -> dict[str, float]:
     """Interpolated angles at an arbitrary time within the key-pose span."""
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
-    row = _rows_at(keyposes.times, keyposes.angles, mode, t)[2]
+    row = _rows_at(keyposes.times, keyposes.samples, mode, t)[2]
     return {j: float(row[i]) for i, j in enumerate(keyposes.joints)}
 
 
-def interpolate(keyposes: KeyPoses, mode: str, rate: float) -> Trajectory:
+def interpolate(keyposes: KeyPoses, mode: str, rate: float) -> KeyPoses:
     """Uniformly sampled trajectory through the key poses.
 
     Samples that land exactly on key-pose times reproduce those poses; per
@@ -193,18 +175,19 @@ def interpolate(keyposes: KeyPoses, mode: str, rate: float) -> Trajectory:
 # Motion dictionary
 # ---------------------------------------------------------------------------
 
-def resample_path(poses: KeyPoses, n: int = PATH_SAMPLES) -> MotionPath:
-    """Per-joint linear resampling onto n uniform points of normalized time."""
+def resample_path(poses: KeyPoses, n: int = PATH_SAMPLES) -> KeyPoses:
+    """Per-joint linear resampling onto n uniform points of normalized time,
+    ``np.linspace(0, 1, n)``."""
     if len(poses) < 2:
         raise InsufficientData("need at least 2 observed samples")
     times = poses.times
     u = (times - times[0]) / (times[-1] - times[0])
     grid = np.linspace(0.0, 1.0, n)
-    out = np.column_stack([np.interp(grid, u, poses.angles[:, c]) for c in range(len(poses.joints))])
-    return MotionPath(joints=poses.joints, samples=out)
+    out = np.column_stack([np.interp(grid, u, poses.samples[:, c]) for c in range(len(poses.joints))])
+    return KeyPoses(grid, poses.joints, out)
 
 
-def path_distance(a: MotionPath, b: MotionPath) -> float:
+def path_distance(a: KeyPoses, b: KeyPoses) -> float:
     """RMS angular difference over all samples and joints, degrees."""
     if a.joints != b.joints or a.samples.shape != b.samples.shape:
         raise ShapeError("paths differ in joints or sample count")
@@ -238,7 +221,7 @@ def dict_update(mdict: MotionDictionary, key: DictKey, observed: KeyPoses) -> Mo
     return mdict
 
 
-def dict_lookup(mdict: MotionDictionary, key: DictKey) -> MotionPath | None:
+def dict_lookup(mdict: MotionDictionary, key: DictKey) -> KeyPoses | None:
     """Highest-probability path for a key (ties pick the lowest index)."""
     entry = mdict.entries.get(key)
     if entry is None or not entry.paths:
@@ -254,8 +237,9 @@ def synthesize(
     mode: str,
     rate: float,
     columns: Sequence[str] = (),
-) -> Trajectory:
-    """Trajectory through the key poses, preferring dictionary paths.
+) -> KeyPoses:
+    """Trajectory through the key poses, preferring dictionary paths, sampled
+    at ``rate`` from the first key-pose time to the last.
 
     ``codes`` holds one row of symbol codes per key pose over ``columns``
     (a decode's ``codes`` and ``columns``). For each adjacent key-pose pair,
@@ -267,7 +251,7 @@ def synthesize(
     finite(rate, "trajectory rate", 0.0, strict=True)
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
-    times, joints, angles = keyposes.times, keyposes.joints, keyposes.angles
+    times, joints, angles = keyposes.times, keyposes.joints, keyposes.samples
     if codes is not None and np.shape(codes) != (len(keyposes), len(columns)):
         raise ShapeError("codes must have one row per key pose and one column per state column")
 
@@ -276,7 +260,6 @@ def synthesize(
     if mdict is not None and codes is not None:
         # idx is sorted, so segment k's samples are rows[bounds[k]:bounds[k + 1]]
         bounds = np.searchsorted(idx, np.arange(len(times)))
-        path_u = np.linspace(0.0, 1.0, PATH_SAMPLES)
         code_rows = np.asarray(codes).tolist()
         for k in range(len(keyposes) - 1):
             path = dict_lookup(mdict, DictKey.of(columns, code_rows[k], code_rows[k + 1]))
@@ -287,11 +270,11 @@ def synthesize(
             seg = slice(bounds[k], bounds[k + 1])
             tk = tau[seg]
             S = path.samples
-            base = np.column_stack([np.interp(tk, path_u, S[:, c]) for c in range(len(joints))])
+            base = np.column_stack([np.interp(tk, path.times, S[:, c]) for c in range(len(joints))])
             res0 = angles[k] - S[0]
             res1 = angles[k + 1] - S[-1]
             rows[seg] = base + (1.0 - tk)[:, None] * res0 + tk[:, None] * res1
-    return Trajectory(rate=float(rate), joints=joints, times=grid, samples=rows)
+    return KeyPoses(grid, joints, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +365,7 @@ def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
     np.take(_CSV_END, frac, out=words[..., -1])
 
 
-def trajectory_to_csv(traj: Trajectory) -> str:
+def trajectory_to_csv(traj: KeyPoses) -> str:
     """Header ``t,<joint>,...`` and one ``%.6f`` row per sample.
 
     Rows are formatted in blocks of 4096 by an array formatter that writes
@@ -445,6 +428,8 @@ def _parse_path(p, where: str) -> DictPath:
         raise ParseError(f"{where}.samples", "expected a list of rows of numbers")
     if count < 1:
         raise ValidationError([f"{where}.count: must be at least 1, got {count}"])
+    if joints != sorted(set(joints)):
+        raise ValidationError([f"{where}.joints: joint names must be sorted and distinct"])
     if len(rows) != PATH_SAMPLES or any(len(row) != len(joints) for row in rows):
         raise ValidationError([f"{where}.samples: expected {PATH_SAMPLES} rows of {len(joints)} angles"])
     try:
@@ -454,16 +439,17 @@ def _parse_path(p, where: str) -> DictPath:
         all_finite = False
     if not all_finite:
         raise ValidationError([f"{where}.samples: non-finite angle"])
-    return DictPath(motion=MotionPath(joints=tuple(joints), samples=samples), count=count)
+    return DictPath(motion=KeyPoses(_PATH_TIMES, joints, samples), count=count)
 
 
 def parse_dictionary(text: str) -> MotionDictionary:
     """Inverse of :func:`serialize_dictionary`.
 
     Malformed JSON and wrong types raise ParseError; a ``samples_per_path``
-    other than PATH_SAMPLES, a key with no paths, a path that is not
-    PATH_SAMPLES rows of one angle per joint, a non-finite angle, a count
-    below 1 and a tau that is not a finite number > 0 raise ValidationError.
+    other than PATH_SAMPLES, a key with no paths, path joints out of sorted
+    order or repeated, a path that is not PATH_SAMPLES rows of one angle per
+    joint, a non-finite angle, a count below 1 and a tau that is not a
+    finite number > 0 raise ValidationError.
     """
     obj = read_json(text)
     if obj.get("samples_per_path") != PATH_SAMPLES:

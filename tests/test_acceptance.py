@@ -239,7 +239,7 @@ def test_criterion_07_boundary_gesture_clamping():
         )
         decoded = decode_score_detailed(LabanScore(columns=cols, total_duration=1.0), robot)
         cmd = decoded[0].segments["right_arm/0"]
-        seg = robot.segment("right_arm/0")
+        seg = next(seg for ref, seg, _ in robot.segment_table if ref == "right_arm/0")
         within = (
             seg.yaw_limits[0] <= cmd.yaw <= seg.yaw_limits[1]
             and seg.pitch_limits[0] <= cmd.pitch <= seg.pitch_limits[1]

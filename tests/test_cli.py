@@ -404,6 +404,9 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
     (["keyframes", "{tmp}/big-Head.json", "-o", "{tmp}/kf.json"], None, "energy of Head"),
     (["pipeline", "{tmp}/big-WristRight.json", "--robot", "frontal_7dof", "-o", "{tmp}/out"], None,
      "energy of WristRight"),
+    # one key pose is written as it is, but the rate is still checked
+    (["decode", os.path.join(DATA, "golden_minimal_score.json"), "--robot", os.path.join(DATA, "partial_frontal.json"),
+      "--rate", "0", "-o", "{tmp}/t.csv"], None, "trajectory rate"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -415,7 +418,7 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
         "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9",
         "keyframes-sigma-1e9", "keyframes-sigma-1e300", "keyframes-sigma-1e-300", "score-401-digit-total",
         "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t",
-        "skeleton-head-1e308", "skeleton-wrist-1e308"])
+        "skeleton-head-1e308", "skeleton-wrist-1e308", "decode-one-pose-rate-0"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -692,6 +695,10 @@ def _bad_dict_text(case: str) -> str:
         path["count"] = 0
     elif case == "joints-string":
         path["joints"] = "a,b"
+    elif case == "repeated-joints":
+        path["joints"] = ["a", "a"]
+    elif case == "unsorted-joints":
+        path["joints"] = ["b", "a"]
     elif case == "sample-bool":
         path["samples"][3][1] = True
     elif case == "short-path":
@@ -721,6 +728,8 @@ _BAD_DICTIONARIES = [
     ("count-string", ".count"),
     ("count-zero", ".count"),
     ("joints-string", ".joints"),
+    ("repeated-joints", "[0].joints: joint names must be sorted and distinct"),
+    ("unsorted-joints", "[0].joints: joint names must be sorted and distinct"),
     ("sample-bool", ".samples"),
     ("short-path", "32 rows of 2"),
     ("short-row", "32 rows of 2"),

@@ -125,6 +125,34 @@ def test_smooth_matches_oracle(rng):
     assert np.max(np.abs(out - np.array(ref))) < 1e-9
 
 
+def _smooth_in_full(xs, sigma, rate):
+    """Reference: the whole kernel convolved over r replicated edge samples per side."""
+    s = sigma * rate
+    r = int(math.ceil(3.0 * s))
+    k = np.arange(-r, r + 1, dtype=float)
+    w = np.exp(-(k * k) / (2.0 * s * s))
+    w /= w.sum()
+    return np.convolve(np.concatenate([np.full(r, xs[0]), xs, np.full(r, xs[-1])]), w, mode="valid")
+
+
+def test_smooth_folds_a_kernel_wider_than_the_clip(rng, monkeypatch):
+    # a clip of n samples meets at most 2n - 1 taps; the weight beyond them
+    # goes to the outermost taps, within 1e-12 of the whole kernel
+    convolve = np.convolve
+    widths = []
+    monkeypatch.setattr(np, "convolve", lambda a, v, mode: widths.append(len(v)) or convolve(a, v, mode))
+    for n in (1, 2, 3, 10, 50, 237):
+        xs = rng.normal(size=n)
+        for sigma in (0.1, 1.0, 10.0, 100.0):
+            widths.clear()
+            out = smooth_signal(xs, sigma, 30.0)
+            assert widths == [min(2 * math.ceil(3.0 * (sigma * 30.0)) + 1, 2 * n - 1)], (n, sigma)
+            with monkeypatch.context() as m:
+                m.setattr(np, "convolve", convolve)
+                want = _smooth_in_full(xs, sigma, 30.0)
+            assert np.max(np.abs(out - want)) < 1e-12, (n, sigma)
+
+
 # ---------------------------------------------------------------------------
 # energy
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ def test_boundary_gesture_all_symbols():
     for sym in VALID_LIMB_SYMBOLS:
         detailed = decode_score_detailed(_full_score(sym), robot)
         cmd = detailed[0].segments["right_arm/0"]
-        seg = robot.segment("right_arm/0")
+        seg = next(seg for ref, seg, _ in robot.segment_table if ref == "right_arm/0")
         assert seg.yaw_limits[0] <= cmd.yaw <= seg.yaw_limits[1]
         assert seg.pitch_limits[0] <= cmd.pitch <= seg.pitch_limits[1]
         if sym.direction in outside:
@@ -644,8 +644,8 @@ def _assert_same_decode(got, ref, states, robot):
     shape = (len(ref), len(refs))
     assert got.poses.times.tolist() == [d.t for d in ref]
     want = np.array([[d.pose.angles[j] for j in joints] for d in ref]).reshape(len(ref), len(joints))
-    assert np.array_equal(got.poses.angles, want)
-    assert _same_bits(got.poses.angles, want)
+    assert np.array_equal(got.poses.samples, want)
+    assert _same_bits(got.poses.samples, want)
     assert sorted(joints) == sorted(robot.joint_names())
     assert np.array_equal(got.driven, np.array([[d.segments[r].driven for r in refs] for d in ref]).reshape(shape))
     assert np.array_equal(got.clamped, np.array([[d.segments[r].clamped for r in refs] for d in ref]).reshape(shape))
@@ -711,7 +711,7 @@ def test_project_path_matches_per_frame_reference():
                 assert len(got) == len(ref)
                 assert got.times.tolist() == [p.t for p in ref]
                 assert sorted(got.joints) == sorted(robot.joint_names())
-                assert _same_bits(got.angles, [[p.angles[j] for j in got.joints] for p in ref])
+                assert _same_bits(got.samples, [[p.angles[j] for j in got.joints] for p in ref])
         bf = body_frame(seq.positions)
         for col in ("LeftArm", "RightArm", "Head"):
             d = segment_direction(seq.positions, COLUMN_DISTAL[col], bf)

@@ -13,9 +13,7 @@ from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
     DictKey,
     MotionDictionary,
-    MotionPath,
     PATH_SAMPLES,
-    Trajectory,
     _rows_at,
     dict_lookup,
     dict_update,
@@ -54,11 +52,6 @@ def _codes(states):
     return np.array([[SYMBOL_CODES[state["RightArm"]]] for state in states], dtype=np.intp)
 
 
-def _poses(traj):
-    """The trajectory's samples as timed poses."""
-    return KeyPoses(traj.times, traj.joints, traj.samples)
-
-
 def fd_velocity(keyposes, mode, t, side, eps=5e-5):
     """Richardson-extrapolated one-sided finite-difference velocity at t.
 
@@ -84,7 +77,7 @@ def fd_velocity(keyposes, mode, t, side, eps=5e-5):
 
 def test_linear_midpoint_is_mean():
     traj = interpolate(KeyPoses.of([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)]), "linear", 2.0)
-    mid = _poses(traj)[1]
+    mid = traj[1]
     assert mid.t == pytest.approx(0.5)
     assert mid.angles["elbow"] == pytest.approx(15.0, abs=1e-12)
     assert mid.angles["shoulder_pitch"] == pytest.approx(15.0, abs=1e-12)
@@ -104,7 +97,7 @@ def test_samples_at_key_times_equal_key_poses():
     keyposes = KeyPoses.of([_pose(0.0, 1.0, 2.0, 3.0), _pose(0.5, -4.0, 5.0, -6.0), _pose(1.5, 7.0, -8.0, 9.0)])
     for mode in ("linear", "cubic"):
         traj = interpolate(keyposes, mode, 10.0)
-        by_t = {p.t: p for p in _poses(traj)}
+        by_t = {p.t: p for p in traj}
         for kp in keyposes:
             sample = by_t[kp.t]
             for j in JOINTS:
@@ -125,6 +118,9 @@ def test_interpolate_errors():
         interpolate(KeyPoses.of([_pose(0.0, 1.0, 2.0, 3.0)]), "linear", 10.0)
     with pytest.raises(TimeOrderError):
         interpolate(KeyPoses.of([_pose(0.0, 1, 2, 3), _pose(0.0, 4, 5, 6)]), "linear", 10.0)
+    # float spacing at 1e10 s is 1.9e-6 s, so a 1 MHz grid repeats time stamps
+    with pytest.raises(TimeOrderError):
+        interpolate(KeyPoses([1e10, 1e10 + 1.0], ("x",), [[0.0], [1.0]]), "linear", 1e6)
     with pytest.raises(ValueError):
         interpolate(KeyPoses.of([_pose(0.0, 1, 2, 3), _pose(1.0, 4, 5, 6)]), "quintic", 10.0)
 
@@ -177,7 +173,7 @@ def test_path_distance_identity_and_offset():
 
 def test_path_distance_shape_mismatch():
     a = resample_path(_path())
-    b = MotionPath(joints=("x", "y"), samples=np.zeros((PATH_SAMPLES, 2)))
+    b = KeyPoses(np.linspace(0, 1, PATH_SAMPLES), ("x", "y"), np.zeros((PATH_SAMPLES, 2)))
     with pytest.raises(ShapeError):
         path_distance(a, b)
 
@@ -352,7 +348,7 @@ def test_synthesize_empty_dict_equals_interpolate():
         a = interpolate(keyposes, mode, 25.0)
         b = synthesize(keyposes, _codes(states), MotionDictionary(), mode, 25.0, COLUMNS)
         assert len(a.samples) == len(b.samples)
-        for pa, pb in zip(_poses(a), _poses(b)):
+        for pa, pb in zip(a, b):
             assert pa.t == pb.t
             for j in JOINTS:
                 assert pa.angles[j] == pytest.approx(pb.angles[j], abs=0.0)
@@ -379,11 +375,11 @@ def test_synthesize_recovers_recorded_path():
     dict_update(mdict, key, recorded)
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
     traj = synthesize(ends, _codes(states), mdict, "linear", 30.0, COLUMNS)
-    rebuilt = resample_path(_poses(traj))
+    rebuilt = resample_path(traj)
     assert path_distance(rebuilt, resample_path(recorded)) < mdict.tau
     # and it would NOT be linear: the arc survives
     linear = interpolate(ends, "linear", 30.0)
-    assert path_distance(rebuilt, resample_path(_poses(linear))) > 1.0
+    assert path_distance(rebuilt, resample_path(linear)) > 1.0
 
 
 def test_synthesize_mixed_coverage_continuous():
@@ -400,7 +396,7 @@ def test_synthesize_mixed_coverage_continuous():
     for kp in keyposes:
         i = int(np.argmin(np.abs(ts - kp.t)))
         for j in JOINTS:
-            assert _poses(traj)[i].angles[j] == pytest.approx(kp.angles[j], abs=1e-9)
+            assert traj[i].angles[j] == pytest.approx(kp.angles[j], abs=1e-9)
     # no jump at the shared key pose: successive steps stay bounded
     steps = np.max(np.abs(np.diff(vals, axis=0)), axis=1)
     assert np.max(steps) < 5.0  # 50 Hz sampling of bounded-slope segments
@@ -416,7 +412,7 @@ def test_synthesize_endpoint_exactness_randomized(rng):
         states = [_state(S(D.Forward, L.Middle)) for _ in keyposes]
         mode = "cubic" if rng.random() < 0.5 else "linear"
         traj = synthesize(keyposes, _codes(states), None, mode, 10.0, COLUMNS)
-        by_t = {round(p.t, 9): p for p in _poses(traj)}
+        by_t = {round(p.t, 9): p for p in traj}
         for kp in keyposes:
             sample = by_t[round(kp.t, 9)]
             for j in JOINTS:
@@ -458,8 +454,8 @@ def test_rate_must_be_finite_and_positive(rate):
         synthesize(keyposes, None, None, "linear", rate)
     with pytest.raises(BadInput):
         interpolate(keyposes, "linear", rate)
-    with pytest.raises(BadInput):
-        Trajectory.from_poses(KeyPoses.of([keyposes[0]]), rate)
+    with pytest.raises(BadInput):  # checked before the pose count
+        synthesize(KeyPoses.of([keyposes[0]]), None, None, "linear", rate)
 
 
 def test_sample_count_is_bounded():
@@ -472,12 +468,13 @@ def test_sample_count_is_bounded():
 
 
 def test_from_poses_keeps_the_poses():
-    one = Trajectory.from_poses(KeyPoses.of([_pose(0.5, 1.0, 2.0, 3.0)]), 100.0)
+    # a score with fewer than two key poses writes the poses themselves
+    one = KeyPoses.of([_pose(0.5, 1.0, 2.0, 3.0)])
     assert one.joints == JOINTS
     assert one.times.tolist() == [0.5]
     assert one.samples.tolist() == [[1.0, 2.0, 3.0]]
     assert trajectory_to_csv(one) == "t,elbow,shoulder_pitch,shoulder_yaw\n0.500000,1.000000,2.000000,3.000000\n"
-    none = Trajectory.from_poses(KeyPoses.of([]), 100.0)
+    none = KeyPoses.of([])
     assert none.samples.shape == (0, 0)
     assert trajectory_to_csv(none) == "t,\n"
 
@@ -530,6 +527,14 @@ def test_synthesize_matches_per_segment_reference(rng):
             assert np.array_equal(traj.samples, rows)
 
 
+def _timed(values):
+    """A trajectory whose samples hold ``values`` in whole rows, the last one
+    filled from the start, at increasing times."""
+    values = np.asarray(values, dtype=float)
+    samples = np.resize(values, (-(-values.size // len(JOINTS)), len(JOINTS)))
+    return KeyPoses(np.arange(len(samples)) / 7.0, JOINTS, samples)
+
+
 def _csv_per_value(times, samples):
     """Reference: one f-string per value."""
     return "t," + ",".join(JOINTS) + "\n" + "".join(
@@ -541,7 +546,7 @@ def _csv_per_value(times, samples):
 def test_csv_matches_per_value_formatting(rng):
     angles = np.concatenate([rng.uniform(-180, 180, size=40), [-0.0, 0.0, -1e-9, 2.5e-7, 0.0000005, 179.9999995]])
     keyposes = [_pose(float(i) / 3.0, *angles[3 * i:3 * i + 3]) for i in range(len(angles) // 3)]
-    traj = Trajectory.from_poses(KeyPoses.of(keyposes), 3.0)
+    traj = KeyPoses.of(keyposes)
     expected = "t," + ",".join(JOINTS) + "\n" + "".join(
         f"{p.t:.6f}," + ",".join(f"{p.angles[j]:.6f}" for j in JOINTS) + "\n" for p in keyposes
     )
@@ -565,18 +570,15 @@ def test_csv_matches_per_value_formatting(rng):
         "log-uniform": random,
     }
     for name, values in cases.items():
-        values = np.asarray(values, dtype=float)
-        values = np.resize(values, (-(-values.size // 4), 4))  # whole rows, the last one filled from the start
-        traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
-        assert trajectory_to_csv(traj) == _csv_per_value(values[:, 0], values[:, 1:]), name
+        traj = _timed(values)
+        assert trajectory_to_csv(traj) == _csv_per_value(traj.times, traj.samples), name
 
     # row counts around the 4096-row block, with a fallback value in one block only
     for rows in (0, 1, 4095, 4096, 4097, 8193):
-        values = random[:4 * rows].reshape(rows, 4).copy()
+        traj = _timed(random[:3 * rows])
         if rows > 4096:
-            values[4096, 2] = math.nan
-        traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
-        assert trajectory_to_csv(traj) == _csv_per_value(values[:, 0], values[:, 1:]), rows
+            traj.samples[4096, 1] = math.nan
+        assert trajectory_to_csv(traj) == _csv_per_value(traj.times, traj.samples), rows
 
 
 def _csv_rows_digit_loop(block):
@@ -629,20 +631,17 @@ def test_csv_matches_the_digit_loop_reference(rng):
         "next to the edges": [np.nextafter(v, w) * s for v in edges for w in (0, math.inf) for s in (1, -1)],
         "one block of everything": [-0.0, 0.0, 2.5e-6, -2.5e-6, 0.5e-6, -0.5e-6, 1234567890.0, -1234567890.0,
                                     4503599627.370495, -4.5e9, 999.9999995, -1000.0, 7.0, -1e-9, 1e6 + 0.5e-6],
-        "t past 1000 s in a block of angles": [1000.0 + 0.01 * i if i % 4 == 0 else rng.uniform(-180, 180)
-                                               for i in range(4 * 300)],
         "log-uniform": random,
     }
-    for name, values in cases.items():
-        values = np.asarray(values, dtype=float)
-        values = np.resize(values, (-(-values.size // 4), 4))
-        traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
-        assert trajectory_to_csv(traj) == _csv_digit_loop(values) == _csv_per_value(values[:, 0], values[:, 1:]), name
+    trajectories = {name: _timed(values) for name, values in cases.items()}
+    trajectories["t past 1000 s in a block of angles"] = KeyPoses(1000.0 + 0.04 * np.arange(300), JOINTS,
+                                                                  rng.uniform(-180, 180, size=(300, 3)))
+    for name, traj in trajectories.items():
+        values = np.column_stack([traj.times, traj.samples])
+        assert trajectory_to_csv(traj) == _csv_digit_loop(values) == _csv_per_value(traj.times, traj.samples), name
     # every block of one trajectory gets its own group count; the buffer is resized
-    values = np.concatenate([np.resize(np.array(edges), (4096, 4)), random.reshape(-1, 4)[:5000],
-                             np.full((3, 4), -0.0)])
-    traj = Trajectory(rate=1.0, joints=JOINTS, times=values[:, 0], samples=values[:, 1:])
-    assert trajectory_to_csv(traj) == _csv_digit_loop(values)
+    traj = _timed(np.concatenate([np.resize(np.array(edges), 4096 * 3), random[:5000 * 3], np.full(9, -0.0)]))
+    assert trajectory_to_csv(traj) == _csv_digit_loop(np.column_stack([traj.times, traj.samples]))
 
 
 def _rows_at_one_expression(times, angles, mode, t):
