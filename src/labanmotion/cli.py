@@ -18,8 +18,6 @@ import time
 from . import encoder, keyframe, laban, robot as robot_mod, skeleton, trajectory
 from .errors import LabanMotionError, NoKeyFrames, finite
 
-_FLOAT_KEYS = {"rate", "sigma", "prominence", "min_sep", "merge_window", "tau", "move_seconds", "traj_rate"}
-_BOOL_KEYS = {"force_final_keyframe"}
 _BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
 # allowed values of the keys whose flags take a fixed set, as the library
 # checks them; argparse and the config reader both check against these
@@ -28,10 +26,34 @@ CHOICES = {
     "peak_mode": keyframe.PEAK_MODES,
     "columns": tuple(encoder.COLUMN_MODES),
 }
+_ENERGY = keyframe.EnergyParams()  # the detector's defaults
+# every setting a run reads, flag or config key: key -> (kind, default, help).
+# The kind is float, bool, str (any non-empty text) or the tuple of allowed values.
+SETTINGS = {
+    "rate": (float, 30.0, "skeleton sampling rate, Hz"),
+    "sigma": (float, _ENERGY.sigma, "smoothing width, seconds"),
+    "prominence": (float, _ENERGY.prominence, "minimum peak prominence, 0-1"),
+    "min_sep": (float, _ENERGY.min_separation, "minimum key-frame spacing, seconds"),
+    "merge_window": (float, _ENERGY.merge_window, "gap merging key frames across parts, seconds"),
+    "peak_mode": (CHOICES["peak_mode"], _ENERGY.peak_mode, "detect energy maxima or minima"),
+    "force_final_keyframe": (bool, False, "make the last frame a key frame"),
+    "columns": (CHOICES["columns"], "arm", "whole-arm or upper-arm and forearm columns"),
+    "robot": (str, None, "description file or bundled name"),
+    "interp": (CHOICES["interp"], "linear", "interpolation between key poses"),
+    "dict": (str, None, "motion dictionary file"),
+    "traj_rate": (float, 100.0, "trajectory sample rate, Hz"),
+    "tau": (float, trajectory.DEFAULT_TAU_DEG, "path similarity threshold, deg RMS"),
+    "move_seconds": (float, skeleton.DEFAULT_MOVE_SECONDS, "shortest move, seconds"),
+}
 # config key -> the EnergyParams field it sets
 _ENERGY_KEYS = {"sigma": "sigma", "prominence": "prominence", "min_sep": "min_separation",
                 "merge_window": "merge_window", "peak_mode": "peak_mode"}
-CONFIG_KEYS = _FLOAT_KEYS | _BOOL_KEYS | set(CHOICES) | {"robot", "dict"}
+# argparse options of each kind of setting; a tuple of values is the flag's choices
+_KIND_OPTIONS = {float: {"type": float}, bool: {"action": "store_const", "const": True}, str: {}}
+# each setting's flag, ``--<key>`` with dashes, and its argparse options, worked out once
+_FLAGS = {key: ("--" + key.replace("_", "-"), {"dest": key, "help": help, **_KIND_OPTIONS.get(kind, {"choices": kind})})
+          for key, (kind, _, help) in SETTINGS.items()}
+_KEYFRAME_KEYS = ("rate", *_ENERGY_KEYS, "force_final_keyframe")
 
 
 def _number(text: str):
@@ -50,22 +72,20 @@ def _read_config(path: str) -> dict:
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            key = key.strip()
-            value = value.strip().strip('"')
-            if not sep or key not in CONFIG_KEYS:
-                raise LabanMotionError(f"{path}:{lineno}: unknown config key {key!r}")
-            if key in _FLOAT_KEYS:
-                cfg[key] = finite(_number(value), f"{path}:{lineno}: {key}", error=LabanMotionError)
-            elif key in _BOOL_KEYS:
+            key, value, where = key.strip(), value.strip().strip('"'), f"{path}:{lineno}"
+            if not sep or key not in SETTINGS:
+                raise LabanMotionError(f"{where}: unknown config key {key!r}")
+            kind = SETTINGS[key][0]
+            if kind is float:
+                cfg[key] = finite(_number(value), f"{where}: {key}", error=LabanMotionError)
+            elif kind is bool:
                 if value.lower() not in _BOOLS:
-                    raise LabanMotionError(
-                        f"{path}:{lineno}: {key} must be one of {', '.join(_BOOLS)}, got {value!r}"
-                    )
+                    raise LabanMotionError(f"{where}: {key} must be one of {', '.join(_BOOLS)}, got {value!r}")
                 cfg[key] = _BOOLS[value.lower()]
-            elif key in CHOICES and value not in CHOICES[key]:
-                raise LabanMotionError(
-                    f"{path}:{lineno}: {key} must be one of {', '.join(CHOICES[key])}, got {value!r}"
-                )
+            elif kind is str and not value:
+                raise LabanMotionError(f"{where}: {key} must not be empty")
+            elif kind is not str and value not in kind:
+                raise LabanMotionError(f"{where}: {key} must be one of {', '.join(kind)}, got {value!r}")
             else:
                 cfg[key] = value
     return cfg
@@ -85,8 +105,7 @@ def _keyframes_json(seq: skeleton.SkeletonSequence, kfs: keyframe.KeyFrameSet) -
     per_part = sorted(kfs.per_part.items(), key=lambda kv: kv[0].value)
     return json.dumps({
         "sample_rate": seq.sample_rate,
-        "params": {k: getattr(kfs.params, k)
-                   for k in ("sigma", "prominence", "min_separation", "merge_window", "peak_mode")},
+        "params": {field: getattr(kfs.params, field) for field in _ENERGY_KEYS.values()},
         "per_part": {p.value: list(v) for p, v in per_part},
         "per_part_times": {p.value: [round(float(ts[i]), 6) for i in v] for p, v in per_part},
         "merged": list(kfs.merged),
@@ -100,30 +119,35 @@ def _write(path: str, text: str) -> None:
 
 
 class _Run:
-    """One command's settings and the pipeline stages it runs.
+    """One command's settings, the pipeline stages it runs and their counts.
 
-    A setting resolves as its flag, then the config file, then the default.
-    Observation (skeleton -> key frames -> score) is the same for every
-    robot; mapping (score -> key poses -> trajectory) is per robot. Library
-    functions are reached through their modules at call time, so wrappers
-    installed on a module see every call.
+    A setting resolves as its flag, then the config file, then its
+    :data:`SETTINGS` default. ``counts`` holds what the stages counted, under
+    the names of ``pipeline``'s report.json. Observation (skeleton -> key
+    frames -> score) is the same for every robot; mapping (score -> key poses
+    -> trajectory) is per robot. Library functions are reached through their
+    modules at call time, so wrappers installed on a module see every call.
     """
 
     def __init__(self, args, cfg: dict):
         self.args = args
         self.cfg = cfg
+        self.counts: dict = {}
 
-    def get(self, key: str, default=None):
+    def get(self, key: str):
         flag = getattr(self.args, key, None)
-        return flag if flag is not None else self.cfg.get(key, default)
+        if flag is not None:
+            return flag
+        return self.cfg[key] if key in self.cfg else SETTINGS[key][1]
 
     @contextlib.contextmanager
     def stage(self, name: str):
-        """Time the block; with --verbose print one ``[name] seconds k=v``
-        line with the counts the block puts into the yielded dict."""
+        """Time the block and merge the counts it puts into the yielded dict into
+        ``self.counts``; with --verbose print them as one ``[name] seconds k=v`` line."""
         counts: dict = {}
         started = time.perf_counter()
         yield counts
+        self.counts.update(counts)
         if self.args.verbose:
             extras = "".join(f" {k}={v}" for k, v in counts.items())
             print(f"[{name}] {time.perf_counter() - started:.3f}s{extras}", file=sys.stderr)
@@ -131,21 +155,19 @@ class _Run:
     def observe(self, path: str) -> tuple[skeleton.SkeletonSequence, keyframe.KeyFrameSet]:
         """Load and resample a skeleton, then detect its key frames."""
         with self.stage("load") as counts:
-            seq = skeleton.resample(skeleton.load_sequence(path), self.get("rate", 30.0))
+            seq = skeleton.resample(skeleton.load_sequence(path), self.get("rate"))
             counts["frames"] = len(seq)
         with self.stage("keyframes") as counts:
-            # a setting not given keeps the EnergyParams default
-            params = keyframe.EnergyParams(**{
-                field: self.get(key) for key, field in _ENERGY_KEYS.items() if self.get(key) is not None})
+            params = keyframe.EnergyParams(**{field: self.get(key) for key, field in _ENERGY_KEYS.items()})
             kfs = keyframe.extract_keyframes(seq, params)
-            if self.get("force_final_keyframe", False):
+            if self.get("force_final_keyframe"):
                 kfs = _force_final(kfs, len(seq), seq.sample_rate)
-            counts["merged"] = len(kfs.merged)
+            counts["merged_keyframes"] = len(kfs.merged)
         return seq, kfs
 
     def encode(self, seq: skeleton.SkeletonSequence, kfs: keyframe.KeyFrameSet) -> laban.LabanScore:
         with self.stage("encode") as counts:
-            columns = encoder.columns_for_mode(self.get("columns", "arm"))
+            columns = encoder.columns_for_mode(self.get("columns"))
             score = encoder.encode_sequence(seq, kfs, columns)
             counts["cells"] = sum(len(c.cells) for c in score.columns)
         return score
@@ -160,21 +182,22 @@ class _Run:
         robot = self.robot()
         with self.stage("decode") as counts:
             decoded = robot_mod.decode_score_detailed(score, robot)
-            counts["poses"] = len(decoded)
+            counts["key_poses"] = len(decoded)
+            counts["clamped_segments"] = int(decoded.clamped.sum())
         return robot, decoded
 
-    def synthesize(self, decoded: robot_mod.DecodedScore, rate: float) -> robot_mod.KeyPoses:
-        dict_path = self.get("dict")
-        mdict = trajectory.load_dictionary(dict_path) if dict_path else None
+    def synthesize(self, decoded: robot_mod.DecodedScore) -> robot_mod.KeyPoses:
+        dict_path, rate = self.get("dict"), self.get("traj_rate")
+        mdict = trajectory.load_dictionary(dict_path) if dict_path is not None else None
         with self.stage("trajectory") as counts:
             poses = decoded.poses
             if len(poses) >= 2:
-                traj = trajectory.synthesize(poses, decoded.codes, mdict, self.get("interp", "linear"), rate,
+                traj = trajectory.synthesize(poses, decoded.codes, mdict, self.get("interp"), rate,
                                              decoded.columns)
             else:  # fewer poses than synthesize needs: the poses themselves are the trajectory
                 finite(rate, "trajectory rate", 0.0, strict=True)
                 traj = poses
-            counts["samples"] = len(traj.samples)
+            counts["trajectory_samples"] = len(traj.samples)
         return traj
 
 
@@ -184,17 +207,16 @@ class _Run:
 
 def _cmd_synth(run: _Run) -> int:
     args = run.args
-    descriptor: dict = {"pattern": args.pattern}
-    for key in ("duration", "part", "from_pose", "to_pose", "hold", "move_seconds"):
-        if run.get(key) is not None:
-            descriptor[key] = run.get(key)
+    descriptor = {key: getattr(args, key) for key in ("duration", "part", "from_pose", "to_pose", "hold")
+                  if getattr(args, key) is not None}
+    descriptor.update(pattern=args.pattern, move_seconds=run.get("move_seconds"))
     if args.pose:
         poses = []
         for item in args.pose:
             name, _, dwell = item.partition(":")
             poses.append([name, _number(dwell or "0.5")])  # synth_motion checks the dwell
         descriptor["poses"] = poses
-    seq = skeleton.synth_motion(descriptor, rate=run.get("rate", 30.0))
+    seq = skeleton.synth_motion(descriptor, rate=run.get("rate"))
     skeleton.save_sequence(seq, args.output)
     return 0
 
@@ -212,14 +234,13 @@ def _cmd_encode(run: _Run) -> int:
 
 def _cmd_decode(run: _Run) -> int:
     _, decoded = run.decode(laban.load_score(run.args.score))
-    traj = run.synthesize(decoded, run.get("traj_rate", 100.0))
-    _write(run.args.output, trajectory.trajectory_to_csv(traj))
+    _write(run.args.output, trajectory.trajectory_to_csv(run.synthesize(decoded)))
     return 0
 
 
 def _cmd_dict_build(run: _Run) -> int:
     robot = run.robot()
-    mdict = trajectory.MotionDictionary(tau=run.get("tau", trajectory.DEFAULT_TAU_DEG))
+    mdict = trajectory.MotionDictionary(tau=run.get("tau"))
     columns = robot.mapped_columns
     for path in sorted(run.args.skeletons):  # lexicographic: deterministic merge order
         seq, kfs = run.observe(path)
@@ -242,8 +263,7 @@ def _cmd_dict_build(run: _Run) -> int:
 
 def _cmd_dict_stats(run: _Run) -> int:
     mdict = trajectory.load_dictionary(run.args.dictionary)
-    print(f"tau: {mdict.tau}")
-    print(f"entries: {len(mdict.entries)}")
+    print(f"tau: {mdict.tau}\nentries: {len(mdict.entries)}")
     for key in sorted(mdict.entries, key=str):
         entry = mdict.entries[key]
         probs = ", ".join(f"{p:.3f}" for p in entry.probabilities())
@@ -253,10 +273,8 @@ def _cmd_dict_stats(run: _Run) -> int:
 
 def _cmd_roundtrip(run: _Run) -> int:
     robot, decoded = run.decode(laban.load_score(run.args.score))
-    matched = 0
-    mismatched = 0
+    matched = mismatched = skipped_merged = 0
     clamped: list[str] = []
-    skipped_merged = 0
     for d in decoded:
         for ref, cmd in sorted(d.segments.items()):
             if not cmd.driven:
@@ -273,9 +291,8 @@ def _cmd_roundtrip(run: _Run) -> int:
             else:
                 mismatched += 1
                 print(f"MISMATCH t={d.t:.6f} {ref}: {cmd.symbol} -> {symbol}")
-    total = matched + mismatched
     print(f"robot: {robot.name}")
-    print(f"cells compared: {total}, matched: {matched}, mismatched: {mismatched}")
+    print(f"cells compared: {matched + mismatched}, matched: {matched}, mismatched: {mismatched}")
     print(f"clamped (boundary gestures, excluded): {len(clamped)}")
     for line in clamped:
         print(f"  {line}")
@@ -290,114 +307,75 @@ def _cmd_pipeline(run: _Run) -> int:
     seq, kfs = run.observe(run.args.skeleton)
     score = run.encode(seq, kfs)
     robot, decoded = run.decode(score)
-    traj = run.synthesize(decoded, run.get("traj_rate", 100.0))
-    report = {
-        "frames": len(seq),
-        "merged_keyframes": len(kfs.merged),
-        "cells": sum(len(c.cells) for c in score.columns),
-        "key_poses": len(decoded),
-        "trajectory_samples": len(traj.samples),
-        "clamped_segments": int(decoded.clamped.sum()),
-        "robot": robot.name,
-    }
+    traj = run.synthesize(decoded)
     # every stage has succeeded: a failing run leaves no partial output
     _write(os.path.join(out, "keyframes.json"), _keyframes_json(seq, kfs))
     laban.save_score(score, os.path.join(out, "score.json"))
     _write(os.path.join(out, "trajectory.csv"), trajectory.trajectory_to_csv(traj))
+    report = dict(run.counts, robot=robot.name)  # the same counts --verbose prints
     _write(os.path.join(out, "report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _add_keyframe_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rate", type=float, default=None, help="uniform sampling rate, Hz")
-    p.add_argument("--sigma", type=float, default=None, help="smoothing width, seconds")
-    p.add_argument("--prominence", type=float, default=None)
-    p.add_argument("--min-sep", dest="min_sep", type=float, default=None)
-    p.add_argument("--merge-window", dest="merge_window", type=float, default=None)
-    p.add_argument("--peak-mode", dest="peak_mode", choices=CHOICES["peak_mode"], default=None)
-    p.add_argument("--force-final-keyframe", dest="force_final_keyframe",
-                   action="store_const", const=True, default=None)
+def _settings(parser: argparse.ArgumentParser, *keys: str, **flags: str) -> None:
+    """Add each setting's flag, or the spelling ``flags`` gives for it; a flag not
+    given leaves None, so the config file or the default decides."""
+    for key in keys:
+        flag, options = _FLAGS[key]
+        parser.add_argument(flags.get(key, flag), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="labanmotion")
     parser.add_argument("--config", default=None, help="key=value settings file; flags win")
-    parser.add_argument("--verbose", action="store_true", help="per-stage timing on stderr")
+    parser.add_argument("--verbose", action="store_true", help="per-stage timing and counts on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic skeleton file")
-    p.add_argument("pattern", choices=("static", "move_hold_move", "reach_sequence"))
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--rate", type=float, default=None)
-    p.add_argument("--duration", type=float, default=None, help="static pattern length, s")
-    p.add_argument("--part", default=None, help="left_arm | right_arm | head")
-    p.add_argument("--from-pose", dest="from_pose", default=None)
-    p.add_argument("--to-pose", dest="to_pose", default=None)
-    p.add_argument("--hold", type=float, default=None)
-    p.add_argument("--move-seconds", dest="move_seconds", type=float, default=None)
-    p.add_argument("--pose", action="append", default=None, metavar="NAME:DWELL",
-                   help="reach_sequence stop; repeatable")
-    p.set_defaults(func=_cmd_synth)
+    def command(subs, name, func, help, *positionals, output="output file", **shaped):
+        """A subcommand: positionals, then ``shaped`` ones with their options, then -o unless output is None."""
+        p = subs.add_parser(name, help=help)
+        for arg, options in {**dict.fromkeys(positionals, {}), **shaped}.items():
+            p.add_argument(arg, **options)
+        if output:
+            p.add_argument("-o", "--output", required=True, help=output)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("keyframes", help="detect key frames")
-    p.add_argument("skeleton")
-    p.add_argument("-o", "--output", required=True)
-    _add_keyframe_flags(p)
-    p.set_defaults(func=_cmd_keyframes)
+    p = command(sub, "synth", _cmd_synth, "generate a synthetic skeleton file",
+                pattern={"choices": ("static", "move_hold_move", "reach_sequence")})
+    _settings(p, "rate")
+    p.add_argument("--duration", type=float, help="static pattern length, s")
+    p.add_argument("--part", help="left_arm | right_arm | head")
+    p.add_argument("--from-pose")
+    p.add_argument("--to-pose")
+    p.add_argument("--hold", type=float)
+    _settings(p, "move_seconds")
+    p.add_argument("--pose", action="append", metavar="NAME:DWELL", help="reach_sequence stop; repeatable")
 
-    p = sub.add_parser("encode", help="skeleton -> Labanotation score")
-    p.add_argument("skeleton")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--columns", choices=CHOICES["columns"], default=None)
-    _add_keyframe_flags(p)
-    p.set_defaults(func=_cmd_encode)
+    _settings(command(sub, "keyframes", _cmd_keyframes, "detect key frames", "skeleton"), *_KEYFRAME_KEYS)
+    _settings(command(sub, "encode", _cmd_encode, "skeleton -> Labanotation score", "skeleton"),
+              "columns", *_KEYFRAME_KEYS)
+    _settings(command(sub, "decode", _cmd_decode, "score -> joint trajectory CSV", "score"),
+              "robot", "interp", "traj_rate", "dict", traj_rate="--rate")
 
-    p = sub.add_parser("decode", help="score -> joint trajectory CSV")
-    p.add_argument("score")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--robot", default=None, help="description file or bundled name")
-    p.add_argument("--interp", choices=CHOICES["interp"], default=None)
-    p.add_argument("--rate", dest="traj_rate", type=float, default=None, help="trajectory sample rate, Hz")
-    p.add_argument("--dict", dest="dict", default=None, help="motion dictionary file")
-    p.set_defaults(func=_cmd_decode)
+    dsub = sub.add_parser("dict", help="motion dictionary operations").add_subparsers(
+        dest="dict_command", required=True)
+    p = command(dsub, "build", _cmd_dict_build, "build a dictionary from observations", skeletons={"nargs": "+"})
+    _settings(p, "robot", "tau", *_KEYFRAME_KEYS)
+    command(dsub, "stats", _cmd_dict_stats, "summarize a dictionary", "dictionary", output=None)
 
-    p = sub.add_parser("dict", help="motion dictionary operations")
-    dsub = p.add_subparsers(dest="dict_command", required=True)
-    b = dsub.add_parser("build", help="build a dictionary from observations")
-    b.add_argument("skeletons", nargs="+")
-    b.add_argument("-o", "--output", required=True)
-    b.add_argument("--robot", default=None)
-    b.add_argument("--tau", type=float, default=None, help="path similarity threshold, deg RMS")
-    _add_keyframe_flags(b)
-    b.set_defaults(func=_cmd_dict_build)
-    s = dsub.add_parser("stats", help="summarize a dictionary")
-    s.add_argument("dictionary")
-    s.set_defaults(func=_cmd_dict_stats)
-
-    p = sub.add_parser("roundtrip", help="decode then re-encode a score on a robot")
-    p.add_argument("score")
-    p.add_argument("--robot", default=None)
-    p.set_defaults(func=_cmd_roundtrip)
-
-    p = sub.add_parser("pipeline", help="skeleton -> score -> trajectory, all artifacts")
-    p.add_argument("skeleton")
-    p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--robot", default=None)
-    p.add_argument("--columns", choices=CHOICES["columns"], default=None)
-    p.add_argument("--interp", choices=CHOICES["interp"], default=None)
-    p.add_argument("--dict", dest="dict", default=None)
-    p.add_argument("--traj-rate", dest="traj_rate", type=float, default=None)
-    _add_keyframe_flags(p)
-    p.set_defaults(func=_cmd_pipeline)
-
+    p = command(sub, "roundtrip", _cmd_roundtrip, "decode then re-encode a score on a robot", "score", output=None)
+    _settings(p, "robot")
+    p = command(sub, "pipeline", _cmd_pipeline, "skeleton -> score -> trajectory, all artifacts", "skeleton",
+                output="output directory")
+    _settings(p, "robot", "columns", "interp", "dict", "traj_rate", *_KEYFRAME_KEYS)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _read_config(args.config) if args.config else {}
         return args.func(_Run(args, cfg))

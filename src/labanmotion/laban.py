@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -221,9 +222,8 @@ def _violations(score: LabanScore) -> list[Violation]:
     if not math.isfinite(score.total_duration):
         out.append(Violation("non-finite", None, None, f"total_duration {score.total_duration}"))
     names = [c.name for c in score.columns]
-    for name in set(names):
-        if names.count(name) > 1:
-            out.append(Violation("duplicate-column", name, None, "column appears twice"))
+    out += [Violation("duplicate-column", name, None, "column appears twice")
+            for name, n in Counter(names).items() if n > 1]  # in order of first appearance
     out.extend(column_violations(names))
     for col in score.columns:
         if not _cells_pass(col, score.total_duration):

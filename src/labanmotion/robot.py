@@ -39,6 +39,7 @@ zero (clamped into their limits). Two descriptions ship with the package:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
@@ -288,10 +289,7 @@ def validate_robot(robot: RobotDescription) -> list[str]:
     for ref, n in fan_in.items():
         if n > 3:
             problems.append(f"segment {ref} merged from {n} columns (limit 3)")
-    names = robot.joint_names()
-    for jn in set(names):
-        if names.count(jn) > 1:
-            problems.append(f"joint name {jn} used twice")
+    problems += [f"joint name {jn} used twice" for jn, n in Counter(robot.joint_names()).items() if n > 1]
     return problems
 
 

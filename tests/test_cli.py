@@ -3,6 +3,8 @@ import math
 import os
 import random
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -232,9 +234,15 @@ def test_verbose_stderr_lines(tmp_path, capsys):
     assert main(["pipeline", clip, "--robot", "frontal_7dof", "-o", str(quiet)]) == 0
     assert capsys.readouterr().err == ""
     assert main(["--verbose", "pipeline", clip, "--robot", "frontal_7dof", "-o", str(loud)]) == 0
-    stages = [line.split("]")[0] + "]" for line in capsys.readouterr().err.splitlines()]
+    lines = capsys.readouterr().err.splitlines()
+    stages = [line.split("]")[0] + "]" for line in lines]
     for name in ("[keyframes]", "[encode]", "[decode]", "[trajectory]"):
         assert stages.count(name) == 1, stages
+    # --verbose prints the counts report.json holds, under the same names
+    printed = dict(item.split("=") for line in lines for item in line.split()[2:])
+    report = json.loads((loud / "report.json").read_text())
+    assert set(printed) == set(report) - {"robot"}, (printed, report)
+    assert all(int(printed[k]) == report[k] for k in printed), (printed, report)
     assert sorted(os.listdir(loud)) == sorted(os.listdir(quiet))
     for name in os.listdir(quiet):
         assert (loud / name).read_bytes() == (quiet / name).read_bytes(), name
@@ -310,6 +318,58 @@ def test_config_rate_is_not_the_decode_rate(tmp_path, config, step):
     rows = out.read_text().strip().split("\n")[1:]
     times = [float(r.split(",")[0]) for r in rows[:2]]
     assert times[1] - times[0] == pytest.approx(step, abs=1e-9)
+
+
+def test_settings_are_the_documented_config_keys():
+    assert set(cli.SETTINGS) == {"sigma", "prominence", "min_sep", "merge_window", "peak_mode", "columns", "interp",
+                                 "rate", "traj_rate", "tau", "robot", "dict", "force_final_keyframe", "move_seconds"}
+
+
+@pytest.mark.parametrize("key", list(cli.SETTINGS))
+def test_setting_resolves_as_flag_then_config_then_default(tmp_path, key):
+    kind, default, _ = cli.SETTINGS[key]
+    command = {"move_seconds": ["synth", "static"], "tau": ["dict", "build", "c.json"]}.get(key, ["pipeline", "c.json"])
+    flag = "--" + key.replace("_", "-")
+    # a config text and its value; a config text that the flag's arguments override, and the flag's value
+    if kind is float:
+        config, value, overridden, flag_args, flag_value = "0.375", 0.375, "0.375", [flag, "0.625"], 0.625
+    elif kind is bool:  # the flag can only set True, so it overrides a config line that sets False
+        config, value, overridden, flag_args, flag_value = "yes", True, "no", [flag], True
+    elif kind is str:
+        config, value, overridden, flag_args, flag_value = "a.json", "a.json", "a.json", [flag, "b.json"], "b.json"
+    else:
+        config, value, overridden, flag_args, flag_value = kind[-1], kind[-1], kind[-1], [flag, kind[0]], kind[0]
+
+    def resolve(config, flags=()):
+        (tmp_path / "run.cfg").write_text("" if config is None else f"{key} = {config}\n")
+        args = cli.build_parser().parse_args([*command, "-o", "out", *flags])
+        return cli._Run(args, cli._read_config(str(tmp_path / "run.cfg"))).get(key)
+
+    assert resolve(None) == default
+    assert resolve(config) == value != default
+    assert resolve(overridden, flag_args) == flag_value != resolve(overridden)
+
+
+@pytest.mark.parametrize("case", ["score-columns", "robot-joints"])
+def test_duplicate_names_are_reported_in_file_order(tmp_path, case):
+    """Repeated column or joint names are named in the order they first
+    appear, whatever the interpreter's string hash seed."""
+    if case == "score-columns":
+        names = ("RightArm", "Head", "LeftArm", "RightArm", "LeftArm", "Head")
+        (tmp_path / "score.json").write_text(json.dumps(
+            {"columns": [{"cells": [], "name": n} for n in names], "meta": {}, "total_duration": 1.0}))
+        argv = ["decode", str(tmp_path / "score.json"), "--robot", "frontal_7dof", "-o", str(tmp_path / "t.csv")]
+        expected = "; ".join(f"{n}: duplicate-column: column appears twice" for n in ("RightArm", "Head", "LeftArm"))
+    else:
+        (tmp_path / "robot.json").write_text(_DUPLICATE_JOINT_ROBOT)
+        argv = ["roundtrip", os.path.join(DATA, "golden_frontal_score.json"), "--robot", str(tmp_path / "robot.json")]
+        expected = _DUPLICATE_JOINT_ERROR
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    for seed in range(1, 7):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "labanmotion.cli", *argv], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (1, f"error: {expected}\n"), seed
 
 
 @pytest.mark.parametrize("argv", [
@@ -407,6 +467,13 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
     # one key pose is written as it is, but the rate is still checked
     (["decode", os.path.join(DATA, "golden_minimal_score.json"), "--robot", os.path.join(DATA, "partial_frontal.json"),
       "--rate", "0", "-o", "{tmp}/t.csv"], None, "trajectory rate"),
+    # an empty value names no file: the flag's fails to open, the config line's is refused
+    (["decode", "{golden}", "--robot", "frontal_7dof", "--dict", "", "-o", "{tmp}/t.csv"], None,
+     "No such file or directory: ''"),
+    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"],
+     "dict =\n", "run.cfg:1: dict must not be empty"),
+    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"], "interp = cubic\nrobot =\n",
+     "run.cfg:2: robot must not be empty"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -418,7 +485,8 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
         "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9",
         "keyframes-sigma-1e9", "keyframes-sigma-1e300", "keyframes-sigma-1e-300", "score-401-digit-total",
         "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t",
-        "skeleton-head-1e308", "skeleton-wrist-1e308", "decode-one-pose-rate-0"])
+        "skeleton-head-1e308", "skeleton-wrist-1e308", "decode-one-pose-rate-0", "decode-dict-empty",
+        "config-dict-empty", "config-robot-empty"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -515,12 +583,24 @@ _NAN_LIMIT_ROBOT = """
 """
 
 
+_FRONTAL = os.path.join(os.path.dirname(cli.__file__), "robots", "frontal_7dof.json")
+
+
 def _frontal_with_column_map(column_map: dict) -> str:
     """The bundled frontal_7dof description with another column map."""
-    with open(os.path.join(os.path.dirname(cli.__file__), "robots", "frontal_7dof.json")) as fh:
+    with open(_FRONTAL) as fh:
         obj = json.load(fh)
     obj["column_map"] = column_map
     return json.dumps(obj)
+
+
+# frontal_7dof with its joints r_shoulder_yaw, r_shoulder_pitch, r_wrist_roll,
+# l_shoulder_yaw, l_shoulder_pitch, head_yaw, head_pitch renamed so that
+# r_wrist_roll and then head_pitch appear twice
+with open(_FRONTAL) as _fh:
+    _DUPLICATE_JOINT_ROBOT = (_fh.read().replace('"l_shoulder_yaw"', '"head_pitch"')
+                              .replace('"head_yaw"', '"r_wrist_roll"'))
+_DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pitch used twice"
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -541,9 +621,16 @@ def _frontal_with_column_map(column_map: dict) -> str:
     (_frontal_with_column_map({"LeftArm": ["left_arm/0"], "RightArm": ["right_arm/0"],
                                "RightForearm": ["right_arm/0"], "Head": ["head/0"]}),
      "column_map: RightArm: arm-exclusive: RightArm cannot coexist with RightForearm"),
+    (_DUPLICATE_JOINT_ROBOT, _DUPLICATE_JOINT_ERROR),
+    (_frontal_with_column_map({"LeftArm": ["left_arm/0"], "RightArm": ["right_arm/0", "right_arm/0"],
+                               "Head": ["head/0"]}), "column RightArm lists a segment twice"),
+    (_frontal_with_column_map({column: ["right_arm/0"] for column in
+                               ("LeftUpperArm", "LeftForearm", "RightUpperArm", "RightForearm")} | {"Head": ["head/0"]}),
+     "segment right_arm/0 merged from 4 columns (limit 3)"),
 ], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
         "fixed-joints-not-list", "fixed-joint-not-object", "nan-limit", "limit-beyond-float-range",
-        "bool-limit", "unknown-column", "arm-with-split-column"])
+        "bool-limit", "unknown-column", "arm-with-split-column", "joint-names-repeated", "segment-listed-twice",
+        "segment-fed-by-4-columns"])
 def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
     """Every command that loads a robot rejects the description at load."""
     robot = str(tmp_path / "robot.json")
