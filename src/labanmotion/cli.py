@@ -118,6 +118,11 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _write_csv(path: str, traj: robot_mod.KeyPoses) -> None:
+    with open(path, "wb") as fh:  # the formatter writes bytes, block by block
+        trajectory.trajectory_to_csv(traj, fh)
+
+
 class _Run:
     """One command's settings, the pipeline stages it runs and their counts.
 
@@ -234,7 +239,7 @@ def _cmd_encode(run: _Run) -> int:
 
 def _cmd_decode(run: _Run) -> int:
     _, decoded = run.decode(laban.load_score(run.args.score))
-    _write(run.args.output, trajectory.trajectory_to_csv(run.synthesize(decoded)))
+    _write_csv(run.args.output, run.synthesize(decoded))
     return 0
 
 
@@ -311,7 +316,7 @@ def _cmd_pipeline(run: _Run) -> int:
     # every stage has succeeded: a failing run leaves no partial output
     _write(os.path.join(out, "keyframes.json"), _keyframes_json(seq, kfs))
     laban.save_score(score, os.path.join(out, "score.json"))
-    _write(os.path.join(out, "trajectory.csv"), trajectory.trajectory_to_csv(traj))
+    _write_csv(os.path.join(out, "trajectory.csv"), traj)
     report = dict(run.counts, robot=robot.name)  # the same counts --verbose prints
     _write(os.path.join(out, "report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0
@@ -377,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _read_config(args.config) if args.config else {}
+        cfg = _read_config(args.config) if args.config is not None else {}
         return args.func(_Run(args, cfg))
     except NoKeyFrames as exc:
         print(f"error: {exc} (try --force-final-keyframe)", file=sys.stderr)

@@ -137,11 +137,24 @@ def _blend(mode: str, tau):
     return INTERP_MODES[mode](tau)
 
 
+def _segment_index(times: np.ndarray, t):
+    """The index of the key-pose segment holding each time ``t``, clipped to
+    the first and last segment: ``clip(searchsorted(times, t, "right") - 1, 0,
+    k - 2)`` for k key times. A sorted (m,) array, such as a sampling grid,
+    takes one search per inner key time instead of one per sample."""
+    if np.ndim(t) == 1 and np.all(t[1:] >= t[:-1]):
+        # segment j holds the samples from the first at or past times[j] (the
+        # first sample for j = 0) up to the next segment's first
+        bounds = np.concatenate(([0], np.searchsorted(t, times[1:-1]), [len(t)]))
+        return np.repeat(np.arange(len(times) - 1, dtype=np.intp), np.diff(bounds))
+    return np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+
+
 def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
     """(segment index, normalized segment time, angles) at time(s) ``t``, a
     float or an (m,) array; times outside the key-pose span hold the end
     poses."""
-    idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+    idx = _segment_index(times, t)
     tau = np.clip((t - times[idx]) / np.diff(times)[idx], 0.0, 1.0)
     # angles[idx] + blend * (angles[idx + 1] - angles[idx]) in the same IEEE
     # operations, with one (m, J) temporary beside the result
@@ -321,12 +334,13 @@ def _micros(block: np.ndarray) -> np.ndarray:
     exact product lie on either side, so those values take their integer
     from ``%``.
     """
-    mag = np.abs(block)
-    y = mag * 1e6
+    y = np.abs(block)
+    y *= 1e6
     r = np.rint(y)
-    tie = np.abs(r - y) == 0.5
+    y -= r  # in place: |y - r| is |r - y|
+    tie = np.abs(y, out=y) == 0.5
     if tie.any():
-        r[tie] = [float(("%.6f" % m).replace(".", "")) for m in mag[tie].tolist()]
+        r[tie] = [float(("%.6f" % m).replace(".", "")) for m in np.abs(block[tie]).tolist()]
     return r.astype(np.int64)
 
 
@@ -336,21 +350,19 @@ def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
     then '.ddd', then 'ddd,' (or 'ddd\\n' in a row's last field). The sign
     comes from the sign bit, so -0.0 and negatives that round to zero print
     ``-0.000000``."""
-    frac = _micros(block)
-    whole = frac // 1000000
-    frac -= whole * 1000000
+    whole, frac = np.divmod(_micros(block), 1000000)
     n_groups = -(-len(str(int(whole.max()))) // 3)
     size = block.size * (n_groups + 2) * 4
     if len(buffer) != size:
-        buffer[:] = bytes(size)
+        buffer.clear()  # emptied first: a slice assignment briefly holds three copies
+        buffer.extend(bytes(size))
     words = np.frombuffer(buffer, np.uint32).reshape(*block.shape, n_groups + 2)
-    sign = np.signbit(block) * 1000  # the offset of the '-' words
+    sign = np.signbit(block) * np.int16(1000)  # the offset of the '-' words
     rest = whole
     for slot in range(n_groups - 1, -1, -1):  # last group first
         group = rest
         if slot:
-            rest = rest // 1000
-            group = group - rest * 1000
+            rest, group = np.divmod(rest, 1000)
         unit = 1000 ** (n_groups - 1 - slot)  # the place value of the group's last digit
         index = sign + group
         if slot < n_groups - 1:  # a group above the leading one is all pad
@@ -358,15 +370,16 @@ def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
         if slot:  # a group below the leading one is zero-padded
             np.copyto(index, _INNER + group, where=whole >= 1000 * unit)
         np.take(_CSV_INT, index, out=words[..., slot])
-    thousandths = frac // 1000
+    del whole, rest, group, index  # freed before the decimals' temporaries
+    thousandths, frac = np.divmod(frac, 1000)
     np.take(_CSV_POINT, thousandths, out=words[..., -2])
-    frac -= thousandths * 1000
     frac[:, -1] += 1000
     np.take(_CSV_END, frac, out=words[..., -1])
 
 
-def trajectory_to_csv(traj: KeyPoses) -> str:
-    """Header ``t,<joint>,...`` and one ``%.6f`` row per sample.
+def trajectory_to_csv(traj: KeyPoses, fh) -> None:
+    """Write the header ``t,<joint>,...`` and one ``%.6f`` row per sample to
+    ``fh``, a file opened for binary writing, as UTF-8 bytes.
 
     Rows are formatted in blocks of 4096 by an array formatter that writes
     the same bytes as ``%``. It rounds each |v|·1e6 to an integer and splits
@@ -378,20 +391,23 @@ def trajectory_to_csv(traj: KeyPoses) -> str:
     decimals, and the last three decimals with ',' or '\\n'. Bytes that a
     word does not need are NUL, and one ``translate`` drops them. A block
     holding a non-finite value or a magnitude of 2**52 / 1e6 (about 4.5e9)
-    or more is formatted by ``%`` row by row.
+    or more is formatted by ``%`` row by row. Each block's bytes are
+    written as soon as they are formatted, so memory stays one block's
+    worth whatever the row count.
     """
-    parts = ["t," + ",".join(traj.joints) + "\n"]
+    fh.write(("t," + ",".join(traj.joints) + "\n").encode("utf-8"))
     row = ",".join(["%.6f"] * (len(traj.joints) + 1)) + "\n"
     buffer = bytearray()
+    block_rows = np.empty((min(len(traj.times), _CSV_BLOCK_ROWS), len(traj.joints) + 1))  # refilled per block
     for a in range(0, len(traj.times), _CSV_BLOCK_ROWS):
-        block = np.column_stack([traj.times[a:a + _CSV_BLOCK_ROWS], traj.samples[a:a + _CSV_BLOCK_ROWS]])
+        block = block_rows[:len(traj.times) - a]
+        block[:, 0] = traj.times[a:a + _CSV_BLOCK_ROWS]
+        block[:, 1:] = traj.samples[a:a + _CSV_BLOCK_ROWS]
         if np.all(np.abs(block) < _CSV_EXACT_LIMIT):  # False for NaN and inf
             _csv_words(block, buffer)
-            parts.append(buffer.translate(None, b"\0").decode("ascii"))
+            fh.write(buffer.translate(None, b"\0"))
         else:
-            parts.append("".join(row % tuple(r) for r in block.tolist()))
-    del buffer  # freed before the join, which holds the text twice
-    return "".join(parts)
+            fh.write("".join(row % tuple(r) for r in block.tolist()).encode("ascii"))
 
 
 def serialize_dictionary(mdict: MotionDictionary) -> str:
@@ -421,19 +437,22 @@ def _parse_path(p, where: str) -> DictPath:
     count, joints, rows = p.get("count"), p.get("joints"), p.get("samples")
     if type(count) is not int:
         raise ParseError(f"{where}.count", "expected an integer")
-    if not isinstance(joints, list) or not all(isinstance(j, str) for j in joints):
+    if not isinstance(joints, list) or not set(map(type, joints)) <= {str}:
         raise ParseError(f"{where}.joints", "expected a list of joint names")
-    if not (isinstance(rows, list) and all(type(row) is list for row in rows)
-            and json_numbers(itertools.chain.from_iterable(rows))):
+    # one flat list of every angle, row after row: the checks and the
+    # conversion run over it in C, with no shape discovery of nested rows
+    is_rows = isinstance(rows, list) and set(map(type, rows)) <= {list}
+    values = list(itertools.chain.from_iterable(rows)) if is_rows else []
+    if not (is_rows and json_numbers(values)):
         raise ParseError(f"{where}.samples", "expected a list of rows of numbers")
     if count < 1:
         raise ValidationError([f"{where}.count: must be at least 1, got {count}"])
     if joints != sorted(set(joints)):
         raise ValidationError([f"{where}.joints: joint names must be sorted and distinct"])
-    if len(rows) != PATH_SAMPLES or any(len(row) != len(joints) for row in rows):
+    if len(rows) != PATH_SAMPLES or set(map(len, rows)) - {len(joints)}:
         raise ValidationError([f"{where}.samples: expected {PATH_SAMPLES} rows of {len(joints)} angles"])
     try:
-        samples = np.array(rows, dtype=float)
+        samples = np.array(values, dtype=float).reshape(PATH_SAMPLES, len(joints))
         all_finite = bool(np.all(np.isfinite(samples)))
     except OverflowError:  # an integer beyond the float range
         all_finite = False

@@ -392,6 +392,17 @@ def test_unusable_paths_exit_1(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full, a device whose writes fail")
+def test_a_failed_csv_write_exits_1(capsys):
+    # the CSV is written block by block as it is formatted: a write that
+    # fails part way is a user error like a path that cannot be opened
+    rc = main(["decode", os.path.join(DATA, "golden_frontal_score.json"), "--robot", "frontal_7dof",
+               "-o", "/dev/full"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and "internal error" not in err, err
+
+
 def _score_text(duration: str, total: str, start: str = "0.0") -> str:
     """A frontal_7dof score whose RightArm cell has the given duration and start."""
     columns = [
@@ -474,6 +485,8 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
      "dict =\n", "run.cfg:1: dict must not be empty"),
     (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"], "interp = cubic\nrobot =\n",
      "run.cfg:2: robot must not be empty"),
+    (["--config", "", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
+     "No such file or directory: ''"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -486,7 +499,7 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
         "keyframes-sigma-1e9", "keyframes-sigma-1e300", "keyframes-sigma-1e-300", "score-401-digit-total",
         "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t",
         "skeleton-head-1e308", "skeleton-wrist-1e308", "decode-one-pose-rate-0", "decode-dict-empty",
-        "config-dict-empty", "config-robot-empty"])
+        "config-dict-empty", "config-robot-empty", "config-path-empty"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")

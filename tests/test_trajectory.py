@@ -1,5 +1,7 @@
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,13 +10,14 @@ from labanmotion import trajectory
 from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
 from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
 from labanmotion.robot import JointPose, KeyPoses
-from labanmotion.skeleton import MAX_SAMPLES
+from labanmotion.skeleton import MAX_SAMPLES, uniform_grid
 from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
     DictKey,
     MotionDictionary,
     PATH_SAMPLES,
     _rows_at,
+    _segment_index,
     dict_lookup,
     dict_update,
     evaluate,
@@ -34,6 +37,13 @@ L = Level
 S = LabanSymbol
 
 JOINTS = ("elbow", "shoulder_pitch", "shoulder_yaw")
+
+
+def _csv(traj):
+    """The CSV that trajectory_to_csv writes, as text."""
+    out = io.BytesIO()
+    trajectory_to_csv(traj, out)
+    return out.getvalue().decode()
 
 
 def _pose(t, *angles):
@@ -421,11 +431,40 @@ def test_synthesize_endpoint_exactness_randomized(rng):
 
 def test_csv_export_shape():
     traj = interpolate(KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)]), "linear", 10.0)
-    text = trajectory_to_csv(traj)
+    text = _csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t," + ",".join(sorted(JOINTS))
     assert len(lines) == 1 + len(traj.samples)
     assert lines[1].startswith("0.000000,")
+
+
+class _Discard:
+    """A binary file that keeps only the number of bytes written to it."""
+
+    size = 0
+
+    def write(self, data):
+        self.size += len(data)
+        return len(data)
+
+
+def test_csv_write_memory_does_not_grow_with_rows(rng):
+    # each block is written as it is formatted: the traced peak is one
+    # block's worth, whatever the row count and well under the output size
+    joints = tuple(f"joint{i}" for i in range(7))
+    peaks, sizes = [], []
+    for n in (50_000, 200_000):  # times stay under 1000 s, so every block has one integer group
+        traj = KeyPoses(np.arange(n) / 1000.0, joints, rng.uniform(-180, 180, size=(n, len(joints))))
+        sink = _Discard()
+        tracemalloc.start()
+        try:
+            trajectory_to_csv(traj, sink)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        sizes.append(sink.size)
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+    assert peaks[0] < sizes[0] / 2, (peaks, sizes)
 
 
 def test_synthesize_rejects_mismatched_dictionary_joints():
@@ -473,10 +512,10 @@ def test_from_poses_keeps_the_poses():
     assert one.joints == JOINTS
     assert one.times.tolist() == [0.5]
     assert one.samples.tolist() == [[1.0, 2.0, 3.0]]
-    assert trajectory_to_csv(one) == "t,elbow,shoulder_pitch,shoulder_yaw\n0.500000,1.000000,2.000000,3.000000\n"
+    assert _csv(one) == "t,elbow,shoulder_pitch,shoulder_yaw\n0.500000,1.000000,2.000000,3.000000\n"
     none = KeyPoses.of([])
     assert none.samples.shape == (0, 0)
-    assert trajectory_to_csv(none) == "t,\n"
+    assert _csv(none) == "t,\n"
 
 
 def _synthesize_per_segment(keyposes, states, mdict, mode, rate):
@@ -550,7 +589,7 @@ def test_csv_matches_per_value_formatting(rng):
     expected = "t," + ",".join(JOINTS) + "\n" + "".join(
         f"{p.t:.6f}," + ",".join(f"{p.angles[j]:.6f}" for j in JOINTS) + "\n" for p in keyposes
     )
-    assert trajectory_to_csv(traj) == expected
+    assert _csv(traj) == expected
 
     limit = 2.0**52 / 1e6  # the array formatter's bound; beyond it rows go through %
     half_micro = 5e-7
@@ -571,14 +610,14 @@ def test_csv_matches_per_value_formatting(rng):
     }
     for name, values in cases.items():
         traj = _timed(values)
-        assert trajectory_to_csv(traj) == _csv_per_value(traj.times, traj.samples), name
+        assert _csv(traj) == _csv_per_value(traj.times, traj.samples), name
 
     # row counts around the 4096-row block, with a fallback value in one block only
     for rows in (0, 1, 4095, 4096, 4097, 8193):
         traj = _timed(random[:3 * rows])
         if rows > 4096:
             traj.samples[4096, 1] = math.nan
-        assert trajectory_to_csv(traj) == _csv_per_value(traj.times, traj.samples), rows
+        assert _csv(traj) == _csv_per_value(traj.times, traj.samples), rows
 
 
 def _csv_rows_digit_loop(block):
@@ -638,10 +677,10 @@ def test_csv_matches_the_digit_loop_reference(rng):
                                                                   rng.uniform(-180, 180, size=(300, 3)))
     for name, traj in trajectories.items():
         values = np.column_stack([traj.times, traj.samples])
-        assert trajectory_to_csv(traj) == _csv_digit_loop(values) == _csv_per_value(traj.times, traj.samples), name
+        assert _csv(traj) == _csv_digit_loop(values) == _csv_per_value(traj.times, traj.samples), name
     # every block of one trajectory gets its own group count; the buffer is resized
     traj = _timed(np.concatenate([np.resize(np.array(edges), 4096 * 3), random[:5000 * 3], np.full(9, -0.0)]))
-    assert trajectory_to_csv(traj) == _csv_digit_loop(np.column_stack([traj.times, traj.samples]))
+    assert _csv(traj) == _csv_digit_loop(np.column_stack([traj.times, traj.samples]))
 
 
 def _rows_at_one_expression(times, angles, mode, t):
@@ -650,6 +689,47 @@ def _rows_at_one_expression(times, angles, mode, t):
     tau = np.clip((t - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
     s = tau if mode == "linear" else tau * tau * (3.0 - 2.0 * tau)
     return idx, tau, angles[idx] + s[..., None] * (angles[idx + 1] - angles[idx])
+
+
+def _segment_index_search(times, t):
+    """Reference: one search per time, the expression ``_rows_at`` used on every array."""
+    return np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+
+
+def test_segment_index_of_a_sorted_grid_matches_the_search(rng, monkeypatch):
+    grids = []
+    for trial in range(200):
+        k = 2 if trial % 4 == 0 else int(rng.integers(3, 12))  # a single segment, or several
+        times = np.cumsum(rng.uniform(0.01, 3.0, size=k))
+        inside = rng.uniform(times[0] - 1.0, times[-1] + 1.0, size=int(rng.integers(0, 60)))
+        # every key time, some twice, and points before and after the span
+        grid = np.sort(np.concatenate([inside, times, times[rng.integers(0, k, size=3)], [times[0] - 2.0],
+                                       [times[-1] + 2.0]]))
+        grids.append((times, grid))
+    # grids as synthesize samples them, whose points fall on the key times
+    times = np.array([0.0, 0.5, 1.0, 2.5])
+    grids += [(times, uniform_grid(0.0, 2.5, 10.0)), (times[:2], uniform_grid(0.0, 0.5, 4.0)),
+              (times, np.empty(0)), (times, np.array([1.0]))]
+    for times, grid in grids:
+        got, want = _segment_index(times, grid), _segment_index_search(times, grid)
+        assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), (times, grid)
+
+    # a sorted grid costs one search per inner key time, not one per sample;
+    # an unsorted array and a scalar search per time
+    searched = []
+    search = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        searched.append(np.size(v))
+        return search(a, v, *args, **kwargs)
+
+    times = np.cumsum(rng.uniform(0.1, 0.4, size=50))
+    grid = uniform_grid(float(times[0]), float(times[-1]), 100.0)
+    monkeypatch.setattr(np, "searchsorted", counted)
+    for t, sizes in ((grid, [len(times) - 2]), (rng.permutation(grid), [len(grid)]), (float(grid[7]), [1])):
+        searched.clear()
+        _segment_index(times, t)
+        assert searched == sizes
 
 
 def test_rows_at_matches_the_one_expression_reference(rng, monkeypatch):
