@@ -10,9 +10,8 @@ are averaged into one shared key frame.
 
 from __future__ import annotations
 
-import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +30,16 @@ DEFAULT_TRACKED_PARTS: tuple[JointName, ...] = (
 PEAK_MODES = ("max", "min")  # the values of EnergyParams.peak_mode
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """Tunable knobs of the detector.
+class _EnergyFields(NamedTuple):
+    sigma: float = 0.1
+    prominence: float = 0.1
+    min_separation: float = 0.25
+    merge_window: float = 0.2
+    peak_mode: str = "max"
+
+
+class EnergyParams(_EnergyFields):
+    """Tunable knobs of the detector, checked when made.
 
     sigma          Gaussian smoothing width, seconds
     prominence     minimum topographic prominence of an accepted peak
@@ -43,36 +49,34 @@ class EnergyParams:
                    detects minima instead
     """
 
-    sigma: float = 0.1
-    prominence: float = 0.1
-    min_separation: float = 0.25
-    merge_window: float = 0.2
-    peak_mode: str = "max"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):  # a NamedTuple class itself may not define __new__
+        self = super().__new__(cls, *args, **kwargs)
         finite(self.sigma, "sigma", 0.0, strict=True)
         finite(self.prominence, "prominence", 0.0, 1.0)
         finite(self.min_separation, "min_separation", 0.0)
         finite(self.merge_window, "merge_window", 0.0)
         if self.peak_mode not in PEAK_MODES:
             raise BadInput(f"peak_mode must be {' or '.join(map(repr, PEAK_MODES))}")
+        return self
 
 
-@dataclass(eq=False)
 class EnergySeries:
     """Energy samples for one part, aligned with the sequence frames."""
 
-    part: JointName
-    values: np.ndarray  # ea - es
-    ea: np.ndarray      # normalized acceleration magnitude, in [0, 1]
-    es: np.ndarray      # normalized speed magnitude, in [0, 1]
+    def __init__(self, part: JointName, values: np.ndarray, ea: np.ndarray, es: np.ndarray):
+        self.part = part
+        self.values = values  # ea - es
+        self.ea = ea  # normalized acceleration magnitude, in [0, 1]
+        self.es = es  # normalized speed magnitude, in [0, 1]
 
 
-@dataclass(eq=False)
 class KeyFrameSet:
-    per_part: dict[JointName, list[int]]
-    merged: list[int]
-    params: EnergyParams
+    def __init__(self, per_part: dict[JointName, list[int]], merged: list[int], params: EnergyParams):
+        self.per_part = per_part
+        self.merged = merged
+        self.params = params
 
 
 def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
@@ -221,12 +225,13 @@ def detect_peaks(es: EnergySeries, params: EnergyParams, rate: float) -> list[in
     if peaks.size == 0:
         return []
     candidates = peaks[_prominences(vals, peaks) >= params.prominence]
+    from bisect import bisect  # here, so that importing the package does not load it
     min_sep_frames = params.min_separation * rate
     kept: list[int] = []
     # highest first, ties by index; the sorted survivors closest on either
     # side are the only ones that can be too near
     for p in candidates[np.lexsort((candidates, -vals[candidates]))].tolist():
-        k = bisect.bisect(kept, p)
+        k = bisect(kept, p)
         far_left = k == 0 or p - kept[k - 1] >= min_sep_frames
         far_right = k == len(kept) or kept[k] - p >= min_sep_frames
         if far_left and far_right:

@@ -32,7 +32,6 @@ import json
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -60,11 +59,17 @@ class Level(str, Enum):
     Low = "Low"
 
 
-@dataclass(frozen=True)
-class LabanSymbol:
+# The package's records are NamedTuples: read-only fields, value equality
+# and a hash of the field tuple, without the per-class source that
+# @dataclass compiles at import. A record with a cached property is a
+# NamedTuple of its fields plus a subclass without __slots__, whose
+# instances have the dict that cached_property stores into.
+class _SymbolFields(NamedTuple):
     direction: Direction
     level: Level
 
+
+class LabanSymbol(_SymbolFields):
     def __str__(self) -> str:
         return f"{self.direction.value}.{self.level.value}"
 
@@ -141,8 +146,7 @@ _EXCLUSIVE = {
 }
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     symbol: LabanSymbol
     start: float
     duration: float
@@ -161,11 +165,12 @@ class CellArrays(NamedTuple):
     ends: np.ndarray  # Cell.end
 
 
-@dataclass(frozen=True)
-class LabanColumn:
+class _ColumnFields(NamedTuple):
     name: str
     cells: tuple[Cell, ...]
 
+
+class LabanColumn(_ColumnFields):
     @cached_property
     def arrays(self) -> CellArrays:
         """The cells as arrays, built at first use (normally by :func:`validate`)."""
@@ -175,12 +180,13 @@ class LabanColumn:
         return CellArrays(np.array([c.symbol.code for c in cells], dtype=np.intp), starts, durations, ends)
 
 
-@dataclass(frozen=True)
-class LabanScore:
+class _ScoreFields(NamedTuple):
     columns: tuple[LabanColumn, ...]
     total_duration: float
-    meta: tuple[tuple[str, str], ...] = field(default_factory=tuple)
+    meta: tuple[tuple[str, str], ...] = ()
 
+
+class LabanScore(_ScoreFields):
     def column(self, name: str) -> LabanColumn | None:
         for col in self.columns:
             if col.name == name:
@@ -194,8 +200,7 @@ class LabanScore:
         return tuple(_violations(self))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken rule: which column/cell, which rule, and what happened."""
 
     rule: str

@@ -39,12 +39,10 @@ zero (clamped into their limits). Two descriptions ship with the package:
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from importlib import resources
-import logging
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -55,13 +53,12 @@ from .laban import (CODE_VECTORS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, LabanScore, 
                     direction_vector, states_at, validate)
 from .skeleton import SkeletonSequence, body_frame
 
-log = logging.getLogger(__name__)
-
 BUNDLED_ROBOTS = ("frontal_7dof", "lab_9dof")
+# the bundled descriptions are package data files beside this module
+_ROBOTS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "robots")
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     yaw_joint: str
     pitch_joint: str
     yaw_limits: tuple[float, float]
@@ -70,25 +67,24 @@ class Segment:
     roll_limits: tuple[float, float] = (-180.0, 180.0)
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     name: str
     segments: tuple[Segment, ...]
 
 
-@dataclass(frozen=True)
-class FixedJoint:
+class FixedJoint(NamedTuple):
     name: str
     limits: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class RobotDescription:
+class _RobotFields(NamedTuple):
     name: str
     chains: tuple[Chain, ...]
     column_map: dict[str, tuple[str, ...]]
     fixed_joints: tuple[FixedJoint, ...] = ()
 
+
+class RobotDescription(_RobotFields):
     @cached_property
     def segment_table(self) -> tuple[tuple[str, Segment, tuple[str, ...]], ...]:
         """``(ref, segment, source columns in column_map order)`` for every
@@ -143,15 +139,53 @@ class RobotDescription:
         return table
 
 
-@dataclass
-class JointPose:
+class _View:
+    """Value equality and a repr over the attributes named in ``_fields``:
+    equal when of the same class with equal attributes, and unhashable."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._values()))})"
+
+
+class JointPose(_View):
     """One timed pose: joint name -> angle in degrees."""
 
-    t: float
-    angles: dict[str, float]
+    _fields = ("t", "angles")
+
+    def __init__(self, t: float, angles: dict[str, float]):
+        self.t = t
+        self.angles = angles
 
 
-@dataclass(eq=False)
+def _check_order(times: np.ndarray) -> None:
+    steps = np.diff(times) <= 0
+    if steps.any():
+        raise TimeOrderError(int(np.argmax(steps)) + 1, "times must be strictly increasing")
+
+
+# the arrays that ordered_times made: KeyPoses does not check their order again
+_ORDERED: list[np.ndarray] = []
+
+
+def ordered_times(times) -> np.ndarray:
+    """Strictly increasing ``times`` as a read-only float array for many
+    :class:`KeyPoses` to share, such as the normalized times of every motion
+    dictionary path: their order is checked here, once, not by each."""
+    times = np.array(times, dtype=float)
+    _check_order(times)
+    times.flags.writeable = False
+    _ORDERED.append(times)
+    return times
+
+
 class KeyPoses:
     """Timed joint angles as arrays: pose i is ``samples[i]`` at ``times[i]``.
 
@@ -162,19 +196,14 @@ class KeyPoses:
     joints. Indexing and iterating give :class:`JointPose` copies.
     """
 
-    times: np.ndarray  # (m,) seconds
-    joints: tuple[str, ...]  # sorted; the columns of samples
-    samples: np.ndarray  # (m, len(joints)) degrees
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.joints = tuple(self.joints)
-        self.samples = np.asarray(self.samples, dtype=float)
+    def __init__(self, times, joints, samples):
+        self.times = np.asarray(times, dtype=float)  # (m,) seconds
+        self.joints = tuple(joints)  # sorted; the columns of samples
+        self.samples = np.asarray(samples, dtype=float)  # (m, len(joints)) degrees
         if list(self.joints) != sorted(set(self.joints)) or self.samples.shape != (len(self.times), len(self.joints)):
             raise ShapeError("poses disagree on joint names")
-        steps = np.diff(self.times) <= 0
-        if steps.any():
-            raise TimeOrderError(int(np.argmax(steps)) + 1, "times must be strictly increasing")
+        if not any(self.times is t for t in _ORDERED):
+            _check_order(self.times)
 
     @classmethod
     def of(cls, poses: Iterable[JointPose]) -> "KeyPoses":
@@ -296,10 +325,9 @@ def validate_robot(robot: RobotDescription) -> list[str]:
 def load_robot(path: str) -> RobotDescription:
     """Load a description from a file path or a bundled name."""
     if path in BUNDLED_ROBOTS:
-        text = resources.files("labanmotion.robots").joinpath(f"{path}.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        path = os.path.join(_ROBOTS_DIR, f"{path}.json")
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     return parse_robot(text)
 
 
@@ -392,40 +420,46 @@ def joints_to_vector(yaw: float, pitch: float) -> np.ndarray:
     return direction_vector(yaw, pitch)
 
 
-@dataclass
-class SegmentCommand:
+class SegmentCommand(_View):
     """Decoded state of one segment at one boundary time."""
 
-    yaw: float
-    pitch: float
-    clamped: bool
-    driven: bool  # False when the segment held the neutral pose
-    merged: bool  # True when several columns were combined
-    symbol: LabanSymbol | None  # source symbol for single-column segments
+    _fields = ("yaw", "pitch", "clamped", "driven", "merged", "symbol")
+
+    def __init__(self, yaw: float, pitch: float, clamped: bool, driven: bool, merged: bool,
+                 symbol: LabanSymbol | None):
+        self.yaw = yaw
+        self.pitch = pitch
+        self.clamped = clamped
+        self.driven = driven  # False when the segment held the neutral pose
+        self.merged = merged  # True when several columns were combined
+        self.symbol = symbol  # source symbol for single-column segments
 
 
-@dataclass
-class DecodedPose:
+class DecodedPose(_View):
     """One decoded pose with per-segment detail, as :class:`DecodedScore` items
     present it."""
 
-    t: float
-    pose: JointPose
-    segments: dict[str, SegmentCommand]
+    _fields = ("t", "pose", "segments")
+
+    def __init__(self, t: float, pose: JointPose, segments: dict[str, SegmentCommand]):
+        self.t = t
+        self.pose = pose
+        self.segments = segments
 
 
-@dataclass(eq=False)
 class DecodedScore:
     """A decoded score: the key poses, the codes of the symbols in force at
     each, and per-segment flags as (poses, segments) arrays whose columns
     follow ``robot.segment_table``. Indexing and iterating give
     :class:`DecodedPose` views, built on demand."""
 
-    poses: KeyPoses
-    codes: np.ndarray  # (m, len(columns)) intp: symbol code in force per mapped column, -1 where none is
-    robot: RobotDescription
-    driven: np.ndarray  # (m, segments) bool: the segment's source columns all had a symbol
-    clamped: np.ndarray  # (m, segments) bool: a driven segment realized at a joint limit
+    def __init__(self, poses: KeyPoses, codes: np.ndarray, robot: RobotDescription, driven: np.ndarray,
+                 clamped: np.ndarray):
+        self.poses = poses
+        self.codes = codes  # (m, len(columns)) intp: symbol code in force per mapped column, -1 where none is
+        self.robot = robot
+        self.driven = driven  # (m, segments) bool: the segment's source columns all had a symbol
+        self.clamped = clamped  # (m, segments) bool: a driven segment realized at a joint limit
 
     @property
     def columns(self) -> tuple[str, ...]:
@@ -483,7 +517,8 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
             if col not in score_columns:
                 raise MissingColumn(ref, col)
     for name in sorted(score_columns.keys() - set(robot.column_map)):
-        log.warning("score column %s not mapped on robot %s; ignored", name, robot.name)
+        import logging  # only a decode that warns loads logging, not every start-up
+        logging.getLogger(__name__).warning("score column %s not mapped on robot %s; ignored", name, robot.name)
 
     # nanosecond quantization collapses float drift in start + duration so
     # shared boundaries dedupe across columns; Python's round, which np.round

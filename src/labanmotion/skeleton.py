@@ -19,8 +19,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,7 +98,6 @@ def stacked_norm(a: np.ndarray) -> np.ndarray:
     return np.sqrt(stacked_dot(a, a))
 
 
-@dataclass(eq=False)
 class SkeletonSequence:
     """Joint positions over time.
 
@@ -108,9 +107,10 @@ class SkeletonSequence:
     :func:`resample` sets it.
     """
 
-    times: np.ndarray
-    positions: np.ndarray
-    sample_rate: float | None = None
+    def __init__(self, times: np.ndarray, positions: np.ndarray, sample_rate: float | None = None):
+        self.times = times
+        self.positions = positions
+        self.sample_rate = sample_rate
 
     def __len__(self) -> int:
         return len(self.times)
@@ -120,8 +120,7 @@ class SkeletonSequence:
         return self.positions[:, JOINT_INDEX[joint]]
 
 
-@dataclass(frozen=True)
-class BodyFrame:
+class BodyFrame(NamedTuple):
     """Right-handed person-anchored frame: forward = left x up.
 
     ``axes`` holds the forward, left and up unit vectors as rows: (3, 3) for

@@ -22,31 +22,30 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json
 from .laban import CODE_TOKENS, COLUMN_NAMES
-from .robot import KeyPoses
+from .robot import KeyPoses, ordered_times
 from .skeleton import uniform_grid
 
 PATH_SAMPLES = 32
 DEFAULT_TAU_DEG = 10.0
 # the normalized times of every loaded dictionary path, shared read-only
-_PATH_TIMES = np.linspace(0.0, 1.0, PATH_SAMPLES)
-_PATH_TIMES.flags.writeable = False
+_PATH_TIMES = ordered_times(np.linspace(0.0, 1.0, PATH_SAMPLES))
 
 
-@dataclass(eq=False)
 class DictPath:
-    motion: KeyPoses  # PATH_SAMPLES poses on normalized time, np.linspace(0, 1, PATH_SAMPLES)
-    count: int
+    def __init__(self, motion: KeyPoses, count: int):
+        self.motion = motion  # PATH_SAMPLES poses on normalized time, np.linspace(0, 1, PATH_SAMPLES)
+        self.count = count
 
 
-@dataclass(eq=False)
 class DictEntry:
-    paths: list[DictPath] = field(default_factory=list)
+    def __init__(self, paths: list[DictPath] | None = None):
+        self.paths = [] if paths is None else paths
 
     @property
     def total(self) -> int:
@@ -57,8 +56,7 @@ class DictEntry:
         return [p.count / total for p in self.paths]
 
 
-@dataclass(frozen=True)
-class DictKey:
+class DictKey(NamedTuple):
     """Canonical (start state, end state) pair of column symbol maps: per
     side, ``(column, direction, level)`` for each column with a symbol in
     force, columns sorted."""
@@ -110,13 +108,11 @@ class DictKey:
         return cls(side(a), side(b))
 
 
-@dataclass(eq=False)
 class MotionDictionary:
-    tau: float = DEFAULT_TAU_DEG
-    entries: dict[DictKey, DictEntry] = field(default_factory=dict)
-
-    def __post_init__(self):
-        finite(self.tau, "tau", 0.0, strict=True)
+    def __init__(self, tau: float = DEFAULT_TAU_DEG, entries: dict[DictKey, DictEntry] | None = None):
+        finite(tau, "tau", 0.0, strict=True)
+        self.tau = tau
+        self.entries = {} if entries is None else entries
 
 
 # ---------------------------------------------------------------------------
