@@ -17,9 +17,10 @@ a task owns its ending state but not its starting one.
 In memory each column also holds its cells as arrays
 (:attr:`LabanColumn.arrays`): symbol codes, starts, durations and ends. A
 symbol's code is its index in ``VALID_LIMB_SYMBOLS``, or -1 for (Place,
-Middle) (:data:`SYMBOL_CODES`). :func:`validate` reads each column's arrays
-in one pass and evaluates every rule as a mask over them only for a column
-that fails it; :func:`states_at` answers with codes.
+Middle) (:data:`SYMBOL_CODES`). :func:`validate` checks each column's arrays
+in one pass; only a column that fails gets a plain pass over its cells that
+names each broken rule, with one overlap per overlapping cell, not per pair.
+:func:`states_at` answers with codes.
 
 Score files are JSON with a canonical serialization: sorted keys, 6-decimal
 floats, deterministic layout. ``parse_score(serialize_score(s)) == s`` for
@@ -232,9 +233,7 @@ def _violations(score: LabanScore) -> list[Violation]:
     out.extend(column_violations(names))
     for col in score.columns:
         if not _cells_pass(col, score.total_duration):
-            # comparisons with NaN are False, as for floats
-            with np.errstate(invalid="ignore"):
-                out.extend(_column_violations(col, score.total_duration))
+            out.extend(_column_violations(col, score.total_duration))
     return out
 
 
@@ -268,64 +267,42 @@ def _cells_pass(col: LabanColumn, total: float) -> bool:
 
 
 def _column_violations(col: LabanColumn, total: float) -> list[Violation]:
-    """The cell rules of one column, each a mask over its arrays: per flagged
-    cell in cell order its broken rules, then start-order, then overlap."""
-    codes, starts, durations, ends = col.arrays
-    masks = (
-        codes < 0,
-        ~(np.isfinite(starts) & np.isfinite(durations)),
-        durations <= 0,
-        starts < 0,
-        ends > total + 1e-9,
-    )
-    out: list[Violation] = []
-    for i in np.flatnonzero(np.logical_or.reduce(masks)).tolist():
-        cell = col.cells[i]
-        place_middle, non_finite, nonpositive, negative, beyond = (bool(m[i]) for m in masks)
-        if place_middle:
-            out.append(Violation("place-middle", col.name, i, "(Place, Middle) is not a limb symbol"))
-        if non_finite:
-            out.append(Violation("non-finite", col.name, i, f"start {cell.start}, duration {cell.duration}"))
-        if nonpositive:
-            out.append(Violation("nonpositive-duration", col.name, i, f"duration {cell.duration}"))
-        if negative:
-            out.append(Violation("negative-start", col.name, i, f"start {cell.start}"))
-        if beyond:
-            out.append(Violation("beyond-total", col.name, i,
-                                 f"cell ends at {cell.end} after total_duration {total}"))
-    unordered = np.flatnonzero(starts[1:] <= starts[:-1]) + 1
-    out.extend(Violation("start-order", col.name, i, "starts not increasing") for i in unordered.tolist())
-    # with finite, strictly increasing starts a cell that overlaps a later one
-    # overlaps the next one too, so the full sweep runs only when one of
-    # those holds or some cell is not finite
-    if len(unordered) or not np.isfinite(ends).all() or np.any(ends[:-1] - 1e-12 > starts[1:]):
-        out.extend(Violation("overlap", col.name, j, f"cells {i} and {j} overlap")
-                   for i, j in _overlapping_pairs(col.cells))
-    return out
+    """The cell rules of one column in one pass over its cells: per cell in
+    cell order its broken rules, then start-order, then overlap.
 
-
-def _overlapping_pairs(cells: tuple[Cell, ...]) -> list[tuple[int, int]]:
-    """Index pairs (i, j), i < j, of cells that overlap, sorted.
-
-    Two cells overlap when the later-starting one (the lower index on equal
-    starts) starts more than 1e-12 before the other ends. One sweep in start
-    order keeps the cells still open at the current start; every one of them
-    overlaps it, so the cost is the number of cells plus the number of pairs.
-    Cells with a non-finite start or end take no part.
+    Overlaps: in start order (lower index first on equal starts), a finite
+    cell that starts more than 1e-12 before the running maximum of the
+    earlier finite cells' ends overlaps the first cell that reached that
+    maximum. Each such cell gives that one pair, so n cells give at most
+    n - 1 overlaps, sorted. Comparisons with NaN are False, as for floats.
     """
-    order = sorted(
-        (i for i, c in enumerate(cells) if math.isfinite(c.start) and math.isfinite(c.end)),
-        key=lambda i: cells[i].start,
-    )
+    name, cells, limit = col.name, col.cells, total + 1e-9
+    out: list[Violation] = []
+    for i, cell in enumerate(cells):
+        start, duration = cell.start, cell.duration
+        if cell.symbol.code < 0:
+            out.append(Violation("place-middle", name, i, "(Place, Middle) is not a limb symbol"))
+        if not (math.isfinite(start) and math.isfinite(duration)):
+            out.append(Violation("non-finite", name, i, f"start {start}, duration {duration}"))
+        if duration <= 0:
+            out.append(Violation("nonpositive-duration", name, i, f"duration {duration}"))
+        if start < 0:
+            out.append(Violation("negative-start", name, i, f"start {start}"))
+        if cell.end > limit:
+            out.append(Violation("beyond-total", name, i, f"cell ends at {cell.end} after total_duration {total}"))
+    out.extend(Violation("start-order", name, i, "starts not increasing")
+               for i in range(1, len(cells)) if cells[i].start <= cells[i - 1].start)
     pairs: list[tuple[int, int]] = []
-    active: list[int] = []
-    for j in order:
-        start = cells[j].start
-        active = [i for i in active if cells[i].end - 1e-12 > start]
-        pairs.extend((min(i, j), max(i, j)) for i in active)
-        active.append(j)
+    reach, first = -math.inf, -1
+    for j in sorted((i for i, c in enumerate(cells) if math.isfinite(c.start) and math.isfinite(c.end)),
+                    key=lambda i: cells[i].start):
+        if cells[j].start < reach - 1e-12:
+            pairs.append((min(first, j), max(first, j)))
+        if cells[j].end > reach:
+            reach, first = cells[j].end, j
     pairs.sort()
-    return pairs
+    out.extend(Violation("overlap", name, j, f"cells {i} and {j} overlap") for i, j in pairs)
+    return out
 
 
 def states_at(score: LabanScore, times: Iterable[float]) -> np.ndarray:

@@ -266,13 +266,15 @@ def parse_robot(text: str) -> RobotDescription:
             if not isinstance(yaw_j, str) or not isinstance(pitch_j, str):
                 raise ParseError(swhere, "segments need yaw_joint and pitch_joint names")
             roll_j = seg_obj.get("roll_joint")
+            if "roll_joint" in seg_obj and not isinstance(roll_j, str):
+                raise ParseError(f"{swhere}.roll_joint", "expected a joint name")
             segments.append(
                 Segment(
                     yaw_joint=yaw_j,
                     pitch_joint=pitch_j,
                     yaw_limits=_limits(seg_obj, "yaw_limits", swhere),
                     pitch_limits=_limits(seg_obj, "pitch_limits", swhere),
-                    roll_joint=roll_j if isinstance(roll_j, str) else None,
+                    roll_joint=roll_j,
                     roll_limits=_limits(seg_obj, "roll_limits", swhere)
                     if "roll_limits" in seg_obj
                     else (-180.0, 180.0),

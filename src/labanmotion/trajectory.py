@@ -133,22 +133,20 @@ def _blend(mode: str, tau):
     return INTERP_MODES[mode](tau)
 
 
-def _segment_index(times: np.ndarray, t):
-    """The index of the key-pose segment holding each time ``t``, clipped to
-    the first and last segment: ``clip(searchsorted(times, t, "right") - 1, 0,
-    k - 2)`` for k key times. A sorted (m,) array, such as a sampling grid,
-    takes one search per inner key time instead of one per sample."""
-    if np.ndim(t) == 1 and np.all(t[1:] >= t[:-1]):
-        # segment j holds the samples from the first at or past times[j] (the
-        # first sample for j = 0) up to the next segment's first
-        bounds = np.concatenate(([0], np.searchsorted(t, times[1:-1]), [len(t)]))
-        return np.repeat(np.arange(len(times) - 1, dtype=np.intp), np.diff(bounds))
-    return np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+def _segment_index(times: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The index of the key-pose segment holding each time of a sorted (m,)
+    array ``t``, such as a sampling grid, clipped to the first and last
+    segment: ``clip(searchsorted(times, t, "right") - 1, 0, k - 2)`` for k key
+    times, from one search per inner key time instead of one per sample."""
+    # segment j holds the samples from the first at or past times[j] (the
+    # first sample for j = 0) up to the next segment's first
+    bounds = np.concatenate(([0], np.searchsorted(t, times[1:-1]), [len(t)]))
+    return np.repeat(np.arange(len(times) - 1, dtype=np.intp), np.diff(bounds))
 
 
 def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
-    """(segment index, normalized segment time, angles) at time(s) ``t``, a
-    float or an (m,) array; times outside the key-pose span hold the end
+    """(segment index, normalized segment time, angles) at each time of a
+    sorted (m,) array ``t``; times outside the key-pose span hold the end
     poses."""
     idx = _segment_index(times, t)
     tau = np.clip((t - times[idx]) / np.diff(times)[idx], 0.0, 1.0)
@@ -165,7 +163,7 @@ def evaluate(keyposes: KeyPoses, mode: str, t: float) -> dict[str, float]:
     """Interpolated angles at an arbitrary time within the key-pose span."""
     if len(keyposes) < 2:
         raise InsufficientData("need at least 2 key poses")
-    row = _rows_at(keyposes.times, keyposes.samples, mode, t)[2]
+    row = _rows_at(keyposes.times, keyposes.samples, mode, np.array([t], dtype=float))[2][0]
     return {j: float(row[i]) for i, j in enumerate(keyposes.joints)}
 
 

@@ -596,6 +596,14 @@ _NAN_LIMIT_ROBOT = """
 """
 
 
+# a segment whose roll joint is a number, not a joint name
+_ROLL_JOINT_ROBOT = """
+{"name": "r", "chains": [{"name": "right_arm", "segments": [
+  {"yaw_joint": "y", "pitch_joint": "p", "yaw_limits": [-90, 90], "pitch_limits": [-90, 90],
+   "roll_joint": 5, "roll_limits": [-10, 10]}]}],
+ "column_map": {"RightArm": ["right_arm/0"]}}
+"""
+
 _FRONTAL = os.path.join(os.path.dirname(cli.__file__), "robots", "frontal_7dof.json")
 
 
@@ -626,6 +634,9 @@ _DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pi
     ('{"name": "r", "chains": [], "column_map": {}, "fixed_joints": 3}', "$.fixed_joints: expected a list"),
     ('{"name": "r", "chains": [], "column_map": {}, "fixed_joints": ["body_yaw"]}',
      "$.fixed_joints[0]: expected an object"),
+    (_ROLL_JOINT_ROBOT, "$.chains[0].segments[0].roll_joint: expected a joint name"),
+    (_ROLL_JOINT_ROBOT.replace('"roll_joint": 5', '"roll_joint": null'),
+     "$.chains[0].segments[0].roll_joint: expected a joint name"),
     (_NAN_LIMIT_ROBOT, "yaw_limits: bad limits [nan, 90]"),
     (_NAN_LIMIT_ROBOT.replace("NaN", "-1" + "0" * 400), "yaw_limits: bad limits [-1000"),
     (_NAN_LIMIT_ROBOT.replace("NaN", "true"), "yaw_limits: expected [lo, hi] degrees"),
@@ -641,7 +652,7 @@ _DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pi
                                ("LeftUpperArm", "LeftForearm", "RightUpperArm", "RightForearm")} | {"Head": ["head/0"]}),
      "segment right_arm/0 merged from 4 columns (limit 3)"),
 ], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
-        "fixed-joints-not-list", "fixed-joint-not-object", "nan-limit", "limit-beyond-float-range",
+        "fixed-joints-not-list", "fixed-joint-not-object", "roll-joint-not-string", "roll-joint-null", "nan-limit", "limit-beyond-float-range",
         "bool-limit", "unknown-column", "arm-with-split-column", "joint-names-repeated", "segment-listed-twice",
         "segment-fed-by-4-columns"])
 def test_bad_robot_exit_1(tmp_path, capsys, text, needle):

@@ -68,22 +68,24 @@ def test_validate_place_middle():
     assert violations[0].cell == 0
 
 
-def test_validate_overlaps_one_per_pair():
-    score = LabanScore(
-        columns=(
-            LabanColumn(
-                "RightArm",
-                (
-                    Cell(S(D.Forward, L.Middle), 0.0, 2.0),
-                    Cell(S(D.Left, L.Middle), 0.5, 2.0),
-                    Cell(S(D.Right, L.Middle), 1.0, 2.0),
-                ),
-            ),
-        ),
-        total_duration=3.0,
-    )
-    overlaps = [v for v in validate(score) if v.rule == "overlap"]
-    assert len(overlaps) == 3  # (0,1), (0,2), (1,2)
+def test_validate_overlaps_one_per_cell():
+    """Each overlapping cell is reported once, with the earlier-starting cell
+    that ends last: three mutually overlapping cells give two violations of
+    the three overlapping pairs."""
+    cells = (Cell(S(D.Forward, L.Middle), 0.0, 2.0), Cell(S(D.Left, L.Middle), 0.5, 2.0),
+             Cell(S(D.Right, L.Middle), 1.0, 2.0))
+    col = LabanColumn("RightArm", cells)
+    overlaps = [v for v in validate(LabanScore(columns=(col,), total_duration=3.0)) if v.rule == "overlap"]
+    assert [(v.cell, v.detail) for v in overlaps] == [(1, "cells 0 and 1 overlap"), (2, "cells 1 and 2 overlap")]
+    assert len(_overlaps_brute_force(col)) == 3  # (0,1), (0,2), (1,2)
+    # the partner of a cell may come after it in the column
+    col = LabanColumn("RightArm", cells[::-1])
+    overlaps = [v for v in validate(LabanScore(columns=(col,), total_duration=3.0)) if v.rule == "overlap"]
+    assert [(v.cell, v.detail) for v in overlaps] == [(1, "cells 0 and 1 overlap"), (2, "cells 1 and 2 overlap")]
+    # a long first cell is the partner of every cell it runs over
+    col = LabanColumn("RightArm", (Cell(S(D.Forward, L.High), 0.0, 3.0),) + cells[1:])
+    overlaps = [v for v in validate(LabanScore(columns=(col,), total_duration=3.0)) if v.rule == "overlap"]
+    assert [(v.cell, v.detail) for v in overlaps] == [(1, "cells 0 and 1 overlap"), (2, "cells 0 and 2 overlap")]
 
 
 def test_validate_arm_exclusivity():
@@ -349,8 +351,8 @@ def test_states_at_errors_match_cursor_reference(rng):
 
 
 def _overlaps_brute_force(col):
-    """Every pair of cells compared: the overlap violations in (i, j) order.
-    Cells with a non-finite start or end take no part."""
+    """Every pair of cells compared: the overlapping pairs as violations in
+    (i, j) order. Cells with a non-finite start or end take no part."""
     out = []
     for i in range(len(col.cells)):
         for j in range(i + 1, len(col.cells)):
@@ -363,9 +365,40 @@ def _overlaps_brute_force(col):
     return out
 
 
+def _overlaps_per_cell(col):
+    """Reference for the overlap rule, cell by cell: a cell with a finite
+    start and end that starts more than 1e-12 before the last end of the
+    finite cells ahead of it in start order (the lower index first on equal
+    starts) overlaps the first of them, in that order, to end there. One
+    violation per such cell, in (i, j) order."""
+    cells = col.cells
+    finite = [i for i, c in enumerate(cells) if math.isfinite(c.start) and math.isfinite(c.end)]
+    pairs = []
+    for j in finite:
+        ahead = sorted((i for i in finite if (cells[i].start, i) < (cells[j].start, j)),
+                       key=lambda i: (cells[i].start, i))
+        if ahead:
+            last = max(cells[i].end for i in ahead)
+            i = next(i for i in ahead if cells[i].end == last)
+            if cells[j].start < last - 1e-12:
+                pairs.append((min(i, j), max(i, j)))
+    return [Violation("overlap", col.name, j, f"cells {i} and {j} overlap") for i, j in sorted(pairs)]
+
+
+def _assert_overlaps_within_pairwise(col, overlaps):
+    """The overlap violations of a column against the pairwise reference:
+    some exactly when the reference has some, each one of its pairs, in its
+    order, and at most one fewer than the cells."""
+    pairwise = _overlaps_brute_force(col)
+    assert bool(overlaps) == bool(pairwise)
+    rest = iter(pairwise)
+    assert all(v in rest for v in overlaps), (overlaps, pairwise)  # a subsequence
+    assert len(overlaps) <= max(len(col.cells) - 1, 0)
+
+
 def test_validate_overlaps_match_pairwise_reference(rng):
     sym = S(D.Forward, L.Middle)
-    for _ in range(300):
+    for _ in range(2000):
         n = int(rng.integers(0, 12))
         # starts on a coarse grid so equal starts, touching cells and cells
         # that overlap several others all occur; unsorted order
@@ -377,7 +410,9 @@ def test_validate_overlaps_match_pairwise_reference(rng):
         cells = tuple(Cell(sym, float(s), float(d)) for s, d in zip(starts, durations))
         col = LabanColumn("RightArm", cells)
         score = LabanScore(columns=(col,), total_duration=10.0)
-        assert [v for v in validate(score) if v.rule == "overlap"] == _overlaps_brute_force(col)
+        overlaps = [v for v in validate(score) if v.rule == "overlap"]
+        assert overlaps == _overlaps_per_cell(col)
+        _assert_overlaps_within_pairwise(col, overlaps)
 
 
 @pytest.mark.parametrize("start,duration,total", [
@@ -433,8 +468,8 @@ def test_parse_rejects_non_numbers(field, token):
 
 
 def _validate_per_cell(score):
-    """Reference: the rules cell by cell, then start order, then every pair
-    of cells for overlaps (:func:`_overlaps_brute_force`)."""
+    """Reference: the rules cell by cell, then start order, then overlaps
+    cell by cell (:func:`_overlaps_per_cell`)."""
     out = []
     if not score.columns:
         out.append(Violation("no-columns", None, None, "score has no columns"))
@@ -470,7 +505,7 @@ def _validate_per_cell(score):
         for i in range(1, len(col.cells)):
             if col.cells[i].start <= col.cells[i - 1].start:
                 out.append(Violation("start-order", col.name, i, "starts not increasing"))
-        out.extend(_overlaps_brute_force(col))
+        out.extend(_overlaps_per_cell(col))
     return out
 
 
@@ -516,10 +551,12 @@ def _malformed_score(rng):
 
 def test_validate_matches_per_cell_reference(rng):
     seen = set()
-    for _ in range(600):
+    for _ in range(2000):
         score = _malformed_score(rng)
         got = validate(score)
         assert got == _validate_per_cell(score)
+        for col in score.columns:
+            _assert_overlaps_within_pairwise(col, [v for v in got if v.rule == "overlap" and v.column == col.name])
         seen |= {v.rule for v in got}
     # a long cell over three later ones gives three overlaps with it
     long_cell = LabanColumn("RightArm", (Cell(S(D.Forward, L.High), 0.0, 4.0),) + tuple(
