@@ -278,8 +278,9 @@ def _cmd_dict_stats(run: _Run) -> int:
 
 def _cmd_roundtrip(run: _Run) -> int:
     robot, decoded = run.decode(laban.load_score(run.args.score))
-    matched = mismatched = skipped_merged = 0
+    skipped_merged = 0
     clamped: list[str] = []
+    checked, directions = [], []  # (t, ref, symbol) and joint direction of each segment re-encoded
     for d in decoded:
         for ref, cmd in sorted(d.segments.items()):
             if not cmd.driven:
@@ -290,12 +291,16 @@ def _cmd_roundtrip(run: _Run) -> int:
             if cmd.clamped:
                 clamped.append(f"t={d.t:.6f} {ref} {cmd.symbol}")
                 continue
-            symbol = encoder.digitize(robot_mod.joints_to_vector(cmd.yaw, cmd.pitch))
-            if symbol == cmd.symbol:
-                matched += 1
-            else:
-                mismatched += 1
-                print(f"MISMATCH t={d.t:.6f} {ref}: {cmd.symbol} -> {symbol}")
+            checked.append((d.t, ref, cmd.symbol))
+            directions.append(laban.direction_vector(cmd.yaw, cmd.pitch))
+    codes = encoder.direction_codes(directions).tolist()
+    mismatched = 0
+    for (t, ref, symbol), code in zip(checked, codes):
+        back = laban.VALID_LIMB_SYMBOLS[code]
+        if back != symbol:
+            mismatched += 1
+            print(f"MISMATCH t={t:.6f} {ref}: {symbol} -> {back}")
+    matched = len(checked) - mismatched
     print(f"robot: {robot.name}")
     print(f"cells compared: {matched + mismatched}, matched: {matched}, mismatched: {mismatched}")
     print(f"clamped (boundary gestures, excluded): {len(clamped)}")

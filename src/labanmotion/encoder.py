@@ -5,6 +5,10 @@ azimuth from forward toward left. The sphere is partitioned into eight
 45-degree azimuth sectors by three levels, plus straight-up/straight-down
 caps, so every unit vector maps to exactly one of the 26 limb symbols.
 
+Poses become directions in :func:`column_directions`, which the robot's
+``project_path`` also calls, and directions become symbol codes in one
+array quantizer, :func:`direction_codes`.
+
 Band boundaries (degrees):
     elevation  [67.5,  90]  Place High
                [22.5, 67.5) High
@@ -16,14 +20,12 @@ Band boundaries (degrees):
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import BadInput, DegeneratePose, NoKeyFrames
 from .keyframe import KeyFrameSet
 from .laban import (ARM_COLUMNS, SECTOR_CENTER_DEG, SPLIT_COLUMNS, VALID_LIMB_SYMBOLS, Cell, Direction,
-                    LabanColumn, LabanScore, LabanSymbol, Level)
+                    LabanColumn, LabanScore, LabanSymbol, Level, direction_angles)
 from .skeleton import (
     JOINT_INDEX,
     PARENT,
@@ -65,18 +67,46 @@ def segment_direction(pos: np.ndarray, distal: JointName, bf: BodyFrame | None =
     as (forward, left, up) components of the pose's body frame.
 
     ``pos`` is a (..., 12, 3) position array; the result has shape (..., 3),
-    and ``bf`` must have the same leading axes.
+    and ``bf`` must have the same leading axes. A segment whose length
+    overflows gives NaN components, which :func:`column_directions` rejects.
     """
     parent = PARENT[distal]
     if parent is None:
         raise DegeneratePose(f"{distal.value} has no parent")
-    d = pos[..., JOINT_INDEX[distal], :] - pos[..., JOINT_INDEX[parent], :]
-    norm = stacked_norm(d)
-    if (norm < 1e-9).any():
-        raise DegeneratePose(f"zero-length segment at {distal.value}")
-    if bf is None:
-        bf = body_frame(pos)
-    return bf.to_body(d / norm[..., None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = pos[..., JOINT_INDEX[distal], :] - pos[..., JOINT_INDEX[parent], :]
+        norm = stacked_norm(d)
+        if (norm < 1e-9).any():
+            raise DegeneratePose(f"zero-length segment at {distal.value}")
+        if bf is None:
+            bf = body_frame(pos)
+        return bf.to_body(d / norm[..., None])
+
+
+def _check_unit(v: np.ndarray) -> None:
+    """BadInput for the first of (..., 3) directions not of unit length, NaN included."""
+    norm = stacked_norm(v).reshape(-1)
+    off = ~(np.abs(norm - 1.0) <= 1e-6)
+    if off.any():
+        raise BadInput(f"expected a unit vector, |v| = {float(norm[np.argmax(off)])}")
+
+
+def column_directions(positions: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
+    """Body-frame direction of each column's segment (:data:`COLUMN_DISTAL`)
+    in each pose of an (m, 12, 3) array: an (m, len(columns), 3) array, from
+    one body frame for all poses. The body frame is checked first, then each
+    column in order: a zero-length segment (DegeneratePose naming the
+    column), then a direction that is not of unit length (BadInput)."""
+    bf = body_frame(positions)
+    out = np.empty((len(positions), len(columns), 3))
+    for c, column in enumerate(columns):
+        try:
+            v = segment_direction(positions, COLUMN_DISTAL[column], bf)
+        except DegeneratePose as exc:
+            raise DegeneratePose(f"column {column}: {exc}") from exc
+        _check_unit(v)
+        out[:, c] = v
+    return out
 
 
 # Elevation bands from the top: a polar cap is a whole Place symbol, the
@@ -85,87 +115,51 @@ _ELEVATION_BANDS: tuple[LabanSymbol | Level, ...] = (
     LabanSymbol(Direction.Place, Level.High), Level.High, Level.Middle, Level.Low, LabanSymbol(Direction.Place, Level.Low),
 )
 
+# _BAND_CODES[band, sector]: code of the symbol of an elevation band and an
+# azimuth sector; a cap's row repeats its one symbol
+_BAND_CODES: np.ndarray = np.array([
+    [band.code if isinstance(band, LabanSymbol) else LabanSymbol(d, band).code for d in AZIMUTH_SECTORS]
+    for band in _ELEVATION_BANDS
+], dtype=np.intp)
 
-def _band(elevation_deg: float) -> int:
-    """Index in _ELEVATION_BANDS of an elevation angle's band. Caps are
+
+def _bands(el: np.ndarray) -> np.ndarray:
+    """Index in _ELEVATION_BANDS of each elevation angle's band. Caps are
     closed at 67.5, High/Low own their 22.5 boundaries."""
-    if elevation_deg >= 67.5:
-        return 0
-    if elevation_deg <= -67.5:
-        return 4
-    if elevation_deg >= 22.5:
-        return 1
-    if elevation_deg <= -22.5:
-        return 3
-    return 2
+    return 2 - (el >= 22.5) - (el >= 67.5) + (el <= -22.5) + (el <= -67.5)
 
 
-def _sector(azimuth_deg: float) -> int:
-    """Index in AZIMUTH_SECTORS of an azimuth angle's sector; sectors are
-    closed at their lower edge."""
-    return int(math.floor((azimuth_deg + 22.5) / 45.0)) % 8
+def _sectors(azimuth_deg: np.ndarray) -> np.ndarray:
+    """Index in AZIMUTH_SECTORS of each azimuth angle's sector; sectors are
+    closed at their lower edge. A non-finite angle has no sector."""
+    if not np.isfinite(azimuth_deg).all():
+        raise ValueError("a non-finite azimuth has no sector")
+    return (np.floor((azimuth_deg + 22.5) / 45.0) % 8.0).astype(np.intp)
 
 
 def classify_elevation(elevation_deg: float) -> LabanSymbol | Level:
     """Band of an elevation angle: a Place symbol in the polar caps, else the
     level."""
-    return _ELEVATION_BANDS[_band(elevation_deg)]
+    return _ELEVATION_BANDS[_bands(np.array([elevation_deg], dtype=float))[0]]
 
 
 def classify_azimuth(azimuth_deg: float) -> Direction:
     """Sector of an azimuth angle."""
-    return AZIMUTH_SECTORS[_sector(azimuth_deg)]
+    return AZIMUTH_SECTORS[_sectors(np.array([azimuth_deg], dtype=float))[0]]
 
 
-# _BAND_CODES[band][sector]: code of the symbol of an elevation band and an
-# azimuth sector, so that a direction's code takes no symbol and no hash
-_BAND_CODES: tuple[tuple[int, ...], ...] = tuple(
-    tuple(band.code if isinstance(band, LabanSymbol) else LabanSymbol(d, band).code for d in AZIMUTH_SECTORS)
-    for band in _ELEVATION_BANDS
-)
-
-
-def _code(x: float, y: float, z: float) -> int:
-    """Symbol code of a unit body-frame direction (x forward, y left, z up)."""
-    band = _band(math.degrees(math.asin(max(-1.0, min(1.0, z)))))
-    if band == 0 or band == 4:  # a polar cap; its symbol takes no azimuth
-        return _BAND_CODES[band][0]
-    return _BAND_CODES[band][_sector(math.degrees(math.atan2(y, x)))]
-
-
-def _unit_error(norm: float) -> BadInput:
-    return BadInput(f"expected a unit vector, |v| = {norm}")
+def direction_codes(directions: np.ndarray) -> np.ndarray:
+    """Symbol codes of (..., 3) unit body-frame directions (x forward, y
+    left, z up) as a flat intp array, from their angles
+    (:func:`~labanmotion.laban.direction_angles`) by the band boundaries."""
+    azimuth, elevation = direction_angles(np.asarray(directions, dtype=float).reshape(-1, 3))
+    return _BAND_CODES[_bands(elevation), _sectors(azimuth)]
 
 
 def digitize(v: np.ndarray) -> LabanSymbol:
     """Map a unit body-frame direction to its Labanotation symbol."""
-    v = np.asarray(v, dtype=float)
-    norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-6:
-        raise _unit_error(norm)
-    return VALID_LIMB_SYMBOLS[_code(float(v[0]), float(v[1]), float(v[2]))]
-
-
-def _encode(positions: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
-    """:func:`encode_poses` in one pass; an error may come from any pose."""
-    bf = body_frame(positions)
-    per_column = []
-    for column in columns:
-        try:
-            v = segment_direction(positions, COLUMN_DISTAL[column], bf)
-        except DegeneratePose as exc:
-            raise DegeneratePose(f"column {column}: {exc}") from exc
-        # the norm check of digitize; stacked_norm equals np.linalg.norm per vector
-        norm = stacked_norm(v)
-        off = np.abs(norm - 1.0) > 1e-6
-        if off.any():
-            raise _unit_error(float(norm[np.argmax(off)]))
-        per_column.append(v)
-    # every check has passed before the first symbol is computed
-    codes = np.empty((len(positions), len(columns)), dtype=np.intp)
-    for c, v in enumerate(per_column):
-        codes[:, c] = list(map(_code, *v.T.tolist()))
-    return codes
+    _check_unit(np.asarray(v, dtype=float))
+    return VALID_LIMB_SYMBOLS[direction_codes(v)[0]]
 
 
 def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> np.ndarray:
@@ -173,17 +167,18 @@ def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) 
     of an (m, 12, 3) array: an (m, len(columns)) intp array, column c for
     ``columns[c]``.
 
-    Body frames and segment directions are computed for all poses at once;
-    each direction maps to its symbol by :func:`digitize`'s rule. An error
-    names the first pose that fails on its own: its body frame, then each
-    column in order, as encoding pose by pose would.
+    The directions of all poses come from one :func:`column_directions` call
+    and their codes from one :func:`direction_codes` call. An error names
+    the first pose that fails on its own: its body frame, then each column
+    in order, as encoding pose by pose would.
     """
     try:
-        return _encode(positions, columns)
+        directions = column_directions(positions, columns)
     except (DegeneratePose, BadInput):
         for i in range(len(positions)):
-            _encode(positions[i:i + 1], columns)
+            column_directions(positions[i:i + 1], columns)
         raise
+    return direction_codes(directions).reshape(len(positions), len(columns))
 
 
 def encode_pose(pos: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> dict[str, LabanSymbol]:

@@ -4,8 +4,9 @@ This module is the one owner of the vocabulary that observation (the
 encoder) and mapping (the robot) share: the symbols and their codes
 (:data:`SYMBOL_CODES`) and tokens (:data:`CODE_TOKENS`), the band centers
 (:data:`SECTOR_CENTER_DEG`, :data:`LEVEL_ELEVATION_DEG`), the spherical
-direction formula (:func:`direction_vector`) and each code's band-center
-direction (:data:`CODE_VECTORS`), and the column layouts
+direction formula (:func:`direction_vector`) and its inverse
+(:func:`direction_angles`), each code's band-center direction
+(:data:`CODE_VECTORS`), and the column layouts
 (:data:`ARM_COLUMNS`, :data:`SPLIT_COLUMNS`) with the rules on column names
 (:func:`column_violations`).
 
@@ -125,6 +126,18 @@ def direction_vector(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
     elevation in degrees."""
     th, ph = math.radians(elevation_deg), math.radians(azimuth_deg)
     return np.array([math.cos(th) * math.cos(ph), math.cos(th) * math.sin(ph), math.sin(th)])
+
+
+def direction_angles(directions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth and elevation arrays in degrees of (n, 3) unit directions, the
+    inverse of :func:`direction_vector`. asin and atan2 are ``math``'s, mapped
+    over list columns: numpy's may differ in the last bit from per-value math;
+    np.degrees multiplies by the factor math.degrees does."""
+    fx, ly, uz = directions.T
+    # fmin/fmax pass NaN by as Python's min/max do
+    elevation = np.degrees(list(map(math.asin, np.fmax(-1.0, np.fmin(1.0, uz)).tolist())))
+    azimuth = np.degrees(list(map(math.atan2, ly.tolist(), fx.tolist())))
+    return azimuth, elevation
 
 
 # row k: the direction at the center of the band of the symbol of code k;

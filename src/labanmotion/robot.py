@@ -38,7 +38,6 @@ zero (clamped into their limits). Two descriptions ship with the package:
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
 from functools import cached_property
@@ -46,12 +45,12 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .encoder import COLUMN_DISTAL, segment_direction
+from .encoder import column_directions
 from .errors import (BadSymbol, MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers,
                      read_json)
 from .laban import (CODE_VECTORS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, LabanScore, LabanSymbol, column_violations,
-                    direction_vector, states_at, validate)
-from .skeleton import SkeletonSequence, body_frame
+                    direction_angles, states_at, validate)
+from .skeleton import SkeletonSequence
 
 BUNDLED_ROBOTS = ("frontal_7dof", "lab_9dof")
 # the bundled descriptions are package data files beside this module
@@ -109,7 +108,7 @@ class RobotDescription(_RobotFields):
         for chain in self.chains:
             for seg in chain.segments:
                 limits += [(seg.yaw_joint, seg.yaw_limits), (seg.pitch_joint, seg.pitch_limits)]
-                if seg.roll_joint:
+                if seg.roll_joint is not None:
                     limits.append((seg.roll_joint, seg.roll_limits))
         return limits + [(fj.name, fj.limits) for fj in self.fixed_joints]
 
@@ -268,6 +267,9 @@ def parse_robot(text: str) -> RobotDescription:
             roll_j = seg_obj.get("roll_joint")
             if "roll_joint" in seg_obj and not isinstance(roll_j, str):
                 raise ParseError(f"{swhere}.roll_joint", "expected a joint name")
+            for key, joint in (("yaw_joint", yaw_j), ("pitch_joint", pitch_j), ("roll_joint", roll_j)):
+                if joint == "":
+                    raise ParseError(f"{swhere}.{key}", "empty joint name")
             segments.append(
                 Segment(
                     yaw_joint=yaw_j,
@@ -295,6 +297,8 @@ def parse_robot(text: str) -> RobotDescription:
         fname = fj_obj.get("name")
         if not isinstance(fname, str):
             raise ParseError(f"{fwhere}.name", "missing joint name")
+        if not fname:
+            raise ParseError(f"{fwhere}.name", "empty joint name")
         fixed.append(FixedJoint(name=fname, limits=_limits(fj_obj, "limits", fwhere)))
     robot = RobotDescription(
         name=name, chains=tuple(chains), column_map=column_map, fixed_joints=tuple(fixed)
@@ -375,9 +379,6 @@ def _fold(rows: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
     return np.array(out, dtype=float).reshape(len(out), 3)
 
 
-_RAD_TO_DEG = 180.0 / math.pi  # the factor math.degrees multiplies by
-
-
 def _clamp_nearest(values: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Clamp each value to the angularly nearest limit, equidistant picking
     the lower: the clamped values and where they were clamped."""
@@ -392,14 +393,11 @@ def _clamp_nearest(values: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray
 
 def _joint_rows(directions: np.ndarray, seg: Segment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`vector_to_joints` of each row of (n, 3) directions: yaw, pitch
-    and clamped arrays. asin and atan2 are ``math``'s, mapped over list
-    columns, because numpy's may differ in the last bit from a per-value
-    computation; the rest is array arithmetic that rounds as scalar
-    arithmetic does."""
-    fx, ly, uz = directions.T
-    # fmin/fmax pass NaN by as Python's min/max do
-    pitch = np.array(list(map(math.asin, np.fmax(-1.0, np.fmin(1.0, uz)).tolist())), dtype=float) * _RAD_TO_DEG
-    yaw = np.array(list(map(math.atan2, ly.tolist(), fx.tolist())), dtype=float) * _RAD_TO_DEG
+    and clamped arrays. The angles are
+    :func:`~labanmotion.laban.direction_angles`; the pole rule and the clamps
+    are array arithmetic that rounds as scalar arithmetic does."""
+    yaw, pitch = direction_angles(directions)
+    fx, ly = directions[:, 0], directions[:, 1]
     yaw[fx * fx + ly * ly < 1e-12] = 0.0
     yaw, yaw_clamped = _clamp_nearest(yaw, *seg.yaw_limits)
     pitch, pitch_clamped = _clamp_nearest(pitch, *seg.pitch_limits)
@@ -415,11 +413,6 @@ def vector_to_joints(v: np.ndarray, seg: Segment) -> tuple[float, float, bool]:
     """
     yaw, pitch, clamped = _joint_rows(np.asarray(v, dtype=float).reshape(1, 3), seg)
     return float(yaw[0]), float(pitch[0]), bool(clamped[0])
-
-
-def joints_to_vector(yaw: float, pitch: float) -> np.ndarray:
-    """Inverse of :func:`vector_to_joints` for unclamped angles."""
-    return direction_vector(yaw, pitch)
 
 
 class SegmentCommand(_View):
@@ -564,20 +557,19 @@ def project_path(
 ) -> KeyPoses:
     """Joint-space path for frames start..end inclusive.
 
-    Uses the un-quantized body-frame segment directions of the mapped
-    columns, so intermediate motion between key poses lands in joint space
-    without passing through symbols. Body frames, directions and joint
-    angles are computed for the whole range at once; merges, whose history
-    is sequential, run frame by frame, carrying the history from the first
-    frame of the range to the last.
+    Uses the un-quantized directions of the mapped columns, from the
+    encoder's ``column_directions``, so intermediate motion between key poses
+    lands in joint space without passing through symbols. Body frames,
+    directions and joint angles are computed for the whole range at once;
+    merges, whose history is sequential, run frame by frame, carrying the
+    history from the first frame of the range to the last.
     """
-    positions = seq.positions[start:end + 1]
-    bf = body_frame(positions)
-    vectors = {col: segment_direction(positions, COLUMN_DISTAL[col], bf) for col in robot.column_map}
-    joints, column, angles = _neutral(robot, len(positions))
+    directions = column_directions(seq.positions[start:end + 1], robot.mapped_columns)
+    vectors = dict(zip(robot.mapped_columns, directions.transpose(1, 0, 2)))
+    joints, column, angles = _neutral(robot, len(directions))
     for _, seg, sources in robot.segment_table:
         if sources:
-            directions = _fold(zip(*(vectors[col] for col in sources))) if len(sources) > 1 else vectors[sources[0]]
-            yaw, pitch, _ = _joint_rows(directions, seg)
+            rows = _fold(zip(*(vectors[col] for col in sources))) if len(sources) > 1 else vectors[sources[0]]
+            yaw, pitch, _ = _joint_rows(rows, seg)
             angles[:, column[seg.yaw_joint]], angles[:, column[seg.pitch_joint]] = yaw, pitch
     return KeyPoses(seq.times[start:end + 1], joints, angles)

@@ -316,7 +316,7 @@ def resample(seq: SkeletonSequence, rate: float) -> SkeletonSequence:
 
 
 _MIN_SPAN = 1e-6  # meters; below this the pose cannot define a frame
-_DEGENERATE = ("zero spine length", "zero shoulder span", "shoulders parallel to spine")
+_DEGENERATE = ("zero spine length", "zero shoulder span", "shoulders parallel to spine", "non-finite body frame")
 _SPINE_BASE, _SPINE_SHOULDER, _SHOULDER_LEFT, _SHOULDER_RIGHT = (
     JOINT_INDEX[j]
     for j in (JointName.SpineBase, JointName.SpineShoulder, JointName.ShoulderLeft, JointName.ShoulderRight)
@@ -329,27 +329,30 @@ def body_frame(pos: np.ndarray) -> BodyFrame:
 
     ``pos`` is a (..., 12, 3) position array, (12, 3) for one pose; every
     field gets its leading axes. Raises DegeneratePose for the first pose
-    that cannot define a frame.
+    that cannot define a frame, a frame whose axes are not finite (a spine
+    or shoulder span that overflows) included.
     """
     origin = pos[..., _SPINE_SHOULDER, :]
-    spine = origin - pos[..., _SPINE_BASE, :]
-    span = pos[..., _SHOULDER_LEFT, :] - pos[..., _SHOULDER_RIGHT, :]
-    spine_len = stacked_norm(spine)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        spine = origin - pos[..., _SPINE_BASE, :]
+        span = pos[..., _SHOULDER_LEFT, :] - pos[..., _SHOULDER_RIGHT, :]
+        spine_len = stacked_norm(spine)
         up = spine / spine_len[..., None]
         left_raw = span - stacked_dot(span, up)[..., None] * up
         left_len = stacked_norm(left_raw)
         left = left_raw / left_len[..., None]
-    failed = (spine_len < _MIN_SPAN, stacked_norm(span) < _MIN_SPAN, left_len < _MIN_SPAN)
-    bad = failed[0] | failed[1] | failed[2]
+        # left x up, term for term as np.cross computes it (same bits), without
+        # its axis handling, which costs more than the arithmetic for one pose
+        l0, l1, l2, u0, u1, u2 = (v[..., k] for v in (left, up) for k in range(3))
+        forward = np.stack([l1 * u2 - l2 * u1, l2 * u0 - l0 * u2, l0 * u1 - l1 * u0], axis=-1)
+        axes = np.stack([forward, left, up], axis=-2)
+        failed = (spine_len < _MIN_SPAN, stacked_norm(span) < _MIN_SPAN, left_len < _MIN_SPAN,
+                  ~np.isfinite(axes).all(axis=(-2, -1)))
+    bad = failed[0] | failed[1] | failed[2] | failed[3]
     if bad.any():
         i = int(np.argmax(bad.reshape(-1)))
         raise DegeneratePose(next(m for m, f in zip(_DEGENERATE, failed) if f.reshape(-1)[i]))
-    # left x up, term for term as np.cross computes it (same bits), without
-    # its axis handling, which costs more than the arithmetic for one pose
-    l0, l1, l2, u0, u1, u2 = (v[..., k] for v in (left, up) for k in range(3))
-    forward = np.stack([l1 * u2 - l2 * u1, l2 * u0 - l0 * u2, l0 * u1 - l1 * u0], axis=-1)
-    return BodyFrame(origin=origin, axes=np.stack([forward, left, up], axis=-2))
+    return BodyFrame(origin=origin, axes=axes)
 
 
 # ---------------------------------------------------------------------------

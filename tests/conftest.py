@@ -135,7 +135,7 @@ def encode_pose_reference(pos: np.ndarray, columns: tuple[str, ...]) -> dict[str
         except DegeneratePose as exc:
             raise DegeneratePose(f"column {column}: {exc}") from exc
         norm = float(np.linalg.norm(v))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # NaN fails it
             raise BadInput(f"expected a unit vector, |v| = {norm}")
         band = classify_elevation(math.degrees(math.asin(max(-1.0, min(1.0, float(v[2]))))))
         if not isinstance(band, LabanSymbol):

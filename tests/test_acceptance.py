@@ -21,6 +21,7 @@ from labanmotion.laban import (
     LabanScore,
     LabanSymbol,
     Level,
+    direction_vector,
     load_score,
     parse_score,
     serialize_score,
@@ -31,7 +32,6 @@ from labanmotion.robot import (
     JointPose,
     KeyPoses,
     decode_score_detailed,
-    joints_to_vector,
     load_robot,
     project_path,
     symbol_to_vector,
@@ -218,7 +218,7 @@ def test_criterion_06_hardware_independence():
                 if not cmd.driven or cmd.merged or cmd.clamped:
                     continue
                 compared += 1
-                back = digitize(joints_to_vector(cmd.yaw, cmd.pitch))
+                back = digitize(direction_vector(cmd.yaw, cmd.pitch))
                 if back != cmd.symbol:
                     failures.append((name, d.t, ref, str(cmd.symbol), str(back)))
     if times_per_robot[0] != times_per_robot[1]:

@@ -2,9 +2,12 @@
 is run at sizes n and 4n, and what the run costs may grow about as fast as
 the input, no faster. Time ratios are too noisy to assert, so the proxies
 are deterministic: the number of violations in the error, the length of
-the ``error:`` line, and the ``tracemalloc`` peak of the run."""
+the ``error:`` line, and the ``tracemalloc`` peak of the run. A valid
+input that goes unused, a motion dictionary none of whose entries a decode
+looks up, is held to the same bound on its peak."""
 
 import gc
+import itertools
 import json
 import os
 import tracemalloc
@@ -13,6 +16,9 @@ import pytest
 
 from labanmotion import cli
 from labanmotion.cli import main
+from labanmotion.laban import CODE_TOKENS
+from labanmotion.robot import load_robot
+from labanmotion.trajectory import PATH_SAMPLES, parse_dictionary
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "golden_frontal_score.json")
@@ -85,3 +91,42 @@ def test_cost_grows_with_the_input(tmp_path, capsys, family):
     assert (small[0], big[0]) == (violations(N), violations(4 * N))
     for what, a, b in zip(("violations", "error-line length", "tracemalloc peak"), small, big):
         assert b <= GROWTH * a, f"{what}: {a} at n={N}, {b} at n={4 * N}"
+
+
+def _dictionary(n: int) -> str:
+    """A motion dictionary of n entries for frontal_7dof, every path at zero:
+    each leaves all three columns at Backward Low, a state the golden score
+    never holds, so a decode of that score looks none of them up."""
+    joints = sorted(load_robot("frontal_7dof").joint_names())
+    path = [{"count": 1, "joints": joints, "samples": [[0.0] * len(joints)] * PATH_SAMPLES}]
+    start = ",".join(f"{col}=Backward.Low" for col in ("Head", "LeftArm", "RightArm"))
+    ends = itertools.product(CODE_TOKENS, repeat=3)
+    entries = {f"{start}->" + ",".join(f"{col}={d}.{l}" for col, (d, l) in zip(("Head", "LeftArm", "RightArm"), end)):
+               path for end in itertools.islice(ends, n)}
+    return json.dumps({"samples_per_path": PATH_SAMPLES, "tau": 10.0, "entries": entries})
+
+
+def _dict_decode_peak(tmp_path, text: str) -> int:
+    """tracemalloc peak of a decode of the golden score with the dictionary ``text``."""
+    (tmp_path / "dict.json").write_text(text)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rc = main(["decode", GOLDEN, "--robot", "frontal_7dof", "--dict", str(tmp_path / "dict.json"),
+                   "-o", str(tmp_path / "d.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    return peak
+
+
+def test_unused_dictionary_cost_grows_with_its_entries(tmp_path):
+    assert main(["decode", GOLDEN, "--robot", "frontal_7dof", "-o", str(tmp_path / "plain.csv")]) == 0
+    assert len(parse_dictionary(_dictionary(4 * N)).entries) == 4 * N
+    _dict_decode_peak(tmp_path, _dictionary(N))  # once first, so one-time allocations count in neither size
+    small = _dict_decode_peak(tmp_path, _dictionary(N))
+    big = _dict_decode_peak(tmp_path, _dictionary(4 * N))
+    # no entry was used: the trajectory is the one written without the dictionary
+    assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert big <= GROWTH * small, f"tracemalloc peak: {small} at n={N}, {big} at n={4 * N}"

@@ -11,8 +11,8 @@ import pytest
 
 from labanmotion import cli, encoder, keyframe, trajectory
 from labanmotion.cli import main
-from labanmotion.laban import Direction, LabanSymbol, Level, load_score
-from labanmotion.robot import JointPose, KeyPoses, load_robot
+from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level, load_score
+from labanmotion.robot import JointPose, KeyPoses, decode_score_detailed, load_robot
 from labanmotion.skeleton import load_sequence, save_sequence, synth_motion
 
 from conftest import dict_build_per_transition, random_rotation, state_key, transform_sequence
@@ -134,6 +134,35 @@ def test_roundtrip_backward_reports_clamped(capsys):
     assert rc == 0  # clamped cells are excluded, the rest match
     assert "mismatched: 0" in out
     assert "Backward" in out
+
+
+@pytest.mark.parametrize("robot", ["frontal_7dof", "lab_9dof"])
+def test_roundtrip_quantizes_once_per_run(capsys, monkeypatch, robot):
+    """roundtrip re-encodes every compared segment in one direction_codes
+    call, and prints a MISMATCH line per segment whose code comes back
+    different, in pose then segment order."""
+    score = os.path.join(DATA, "golden_backward_score.json")
+    assert main(["roundtrip", score, "--robot", robot]) == 0
+    clean = capsys.readouterr().out
+    calls = []
+    direction_codes = encoder.direction_codes
+
+    def shifted_codes(directions):
+        calls.append(len(directions))
+        return (direction_codes(directions) + 1) % 26
+
+    monkeypatch.setattr(encoder, "direction_codes", shifted_codes)
+    assert main(["roundtrip", score, "--robot", robot]) == 1
+    out = capsys.readouterr().out
+    want = []
+    for d in decode_score_detailed(load_score(score), load_robot(robot)):
+        for ref, cmd in sorted(d.segments.items()):
+            if cmd.driven and not cmd.merged and not cmd.clamped:
+                back = VALID_LIMB_SYMBOLS[(SYMBOL_CODES[cmd.symbol] + 1) % 26]
+                want.append(f"MISMATCH t={d.t:.6f} {ref}: {cmd.symbol} -> {back}")
+    assert len(calls) == 1 and calls[0] == len(want) > 0
+    assert out.splitlines() == want + clean.replace(f"matched: {len(want)}, mismatched: 0",
+                                                    f"matched: 0, mismatched: {len(want)}").splitlines()
 
 
 def test_pipeline_end_to_end(tmp_path):
@@ -637,6 +666,12 @@ _DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pi
     (_ROLL_JOINT_ROBOT, "$.chains[0].segments[0].roll_joint: expected a joint name"),
     (_ROLL_JOINT_ROBOT.replace('"roll_joint": 5', '"roll_joint": null'),
      "$.chains[0].segments[0].roll_joint: expected a joint name"),
+    (_ROLL_JOINT_ROBOT.replace('"roll_joint": 5', '"roll_joint": ""'),
+     "$.chains[0].segments[0].roll_joint: empty joint name"),
+    (_ROLL_JOINT_ROBOT.replace('"roll_joint": 5', '"roll_joint": "r"').replace('"yaw_joint": "y"', '"yaw_joint": ""'),
+     "$.chains[0].segments[0].yaw_joint: empty joint name"),
+    ('{"name": "r", "chains": [], "column_map": {}, "fixed_joints": [{"name": "", "limits": [-90, 90]}]}',
+     "$.fixed_joints[0].name: empty joint name"),
     (_NAN_LIMIT_ROBOT, "yaw_limits: bad limits [nan, 90]"),
     (_NAN_LIMIT_ROBOT.replace("NaN", "-1" + "0" * 400), "yaw_limits: bad limits [-1000"),
     (_NAN_LIMIT_ROBOT.replace("NaN", "true"), "yaw_limits: expected [lo, hi] degrees"),
@@ -652,7 +687,8 @@ _DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pi
                                ("LeftUpperArm", "LeftForearm", "RightUpperArm", "RightForearm")} | {"Head": ["head/0"]}),
      "segment right_arm/0 merged from 4 columns (limit 3)"),
 ], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
-        "fixed-joints-not-list", "fixed-joint-not-object", "roll-joint-not-string", "roll-joint-null", "nan-limit", "limit-beyond-float-range",
+        "fixed-joints-not-list", "fixed-joint-not-object", "roll-joint-not-string", "roll-joint-null",
+        "roll-joint-empty", "yaw-joint-empty", "fixed-joint-name-empty", "nan-limit", "limit-beyond-float-range",
         "bool-limit", "unknown-column", "arm-with-split-column", "joint-names-repeated", "segment-listed-twice",
         "segment-fed-by-4-columns"])
 def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
@@ -672,6 +708,28 @@ def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert needle in err, err
     assert not (tmp_path / "t.csv").exists() and not (tmp_path / "dict.json").exists()
+    assert not os.listdir(tmp_path / "out")
+
+
+def test_skeleton_whose_spine_overflows_exits_1(tmp_path, capsys):
+    """Finite coordinates whose spine vector overflows give a NaN body frame,
+    which every length test lets through; each command that encodes refuses
+    the clip with one error line and writes nothing."""
+    clip = _synth(tmp_path, pattern=["synth", "reach_sequence", "--part", "right_arm", "--pose", "place_low:0.6",
+                                     "--pose", "forward_middle:0.6", "--pose", "right_high:0.6",
+                                     "-o", str(tmp_path / "clip.json")])
+    obj = json.loads(open(clip).read())
+    for frame in obj["frames"]:
+        frame["joints"]["SpineBase"] = [0.0, 0.0, -1.7e308]
+        frame["joints"]["SpineShoulder"] = [0.0, 0.0, 1.7e308]
+    (tmp_path / "clip.json").write_text(json.dumps(obj))
+    capsys.readouterr()
+    for argv in (["encode", clip, "-o", str(tmp_path / "score.json")],
+                 ["pipeline", clip, "--robot", "frontal_7dof", "-o", str(tmp_path / "out")],
+                 ["dict", "build", clip, "--robot", "frontal_7dof", "-o", str(tmp_path / "dict.json")]):
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().err == "error: non-finite body frame\n"
+    assert not (tmp_path / "score.json").exists() and not (tmp_path / "dict.json").exists()
     assert not os.listdir(tmp_path / "out")
 
 

@@ -9,8 +9,12 @@ from labanmotion.encoder import (
     AZIMUTH_SECTORS,
     COLUMN_DISTAL,
     SPLIT_COLUMNS,
+    classify_azimuth,
+    classify_elevation,
+    column_directions,
     columns_for_mode,
     digitize,
+    direction_codes,
     encode_pose,
     encode_poses,
     encode_sequence,
@@ -19,7 +23,7 @@ from labanmotion.encoder import (
 from labanmotion.errors import BadInput, DegeneratePose, LabanMotionError, NoKeyFrames
 from labanmotion.keyframe import EnergyParams, KeyFrameSet, extract_keyframes
 from labanmotion.laban import SYMBOL_CODES, Direction, LabanSymbol, Level, validate
-from labanmotion.robot import joints_to_vector, symbol_to_vector
+from labanmotion.robot import symbol_to_vector
 from labanmotion.skeleton import (
     JOINT_INDEX,
     JointName,
@@ -146,6 +150,102 @@ def test_band_boundaries_exact():
 def test_digitize_rejects_non_unit():
     with pytest.raises(BadInput):
         digitize(np.array([2.0, 0.0, 0.0]))
+    # NaN fails the unit check rather than passing it as every comparison would
+    for v in ([math.nan, 0.0, 0.0], [0.0, 0.0, math.nan]):
+        with pytest.raises(BadInput, match="nan"):
+            digitize(np.array(v))
+
+
+def test_classify_azimuth_has_no_sector_for_a_non_finite_angle():
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            classify_azimuth(angle)
+    assert classify_azimuth(1e300) == D.Forward  # finite, however large
+    assert classify_elevation(math.nan) == L.Middle  # as every band comparison is False
+
+
+def _band_reference(elevation_deg: float) -> int:
+    """Band index from the top (Place High, High, Middle, Low, Place Low) of
+    an elevation, one comparison at a time."""
+    if elevation_deg >= 67.5:
+        return 0
+    if elevation_deg <= -67.5:
+        return 4
+    if elevation_deg >= 22.5:
+        return 1
+    if elevation_deg <= -22.5:
+        return 3
+    return 2
+
+
+def _sector_reference(azimuth_deg: float) -> int:
+    """Index in AZIMUTH_SECTORS of an azimuth, lower edge closed."""
+    return int(math.floor((azimuth_deg + 22.5) / 45.0)) % 8
+
+
+def _code_reference(x: float, y: float, z: float) -> int:
+    """Symbol code of a unit direction from math.asin and math.atan2 on
+    Python floats; a cap's symbol takes no azimuth."""
+    band = _band_reference(math.degrees(math.asin(max(-1.0, min(1.0, z)))))
+    level = (None, L.High, L.Middle, L.Low, None)[band]
+    if level is None:
+        return SYMBOL_CODES[LabanSymbol(D.Place, L.High if band == 0 else L.Low)]
+    return SYMBOL_CODES[LabanSymbol(AZIMUTH_SECTORS[_sector_reference(math.degrees(math.atan2(y, x)))], level)]
+
+
+def test_direction_codes_match_a_scalar_band_and_sector_reference():
+    rng = np.random.default_rng(2024)
+    random = rng.normal(size=(200_000, 3))
+    random /= np.linalg.norm(random, axis=1)[:, None]
+    # every band and sector edge, and the angles 1e-12 to either side of it
+    elevations = [e + d for e in (-90.0, -67.5, -22.5, 0.0, 22.5, 67.5, 90.0) for d in (-1e-12, 0.0, 1e-12)]
+    azimuths = [a + d for a in _EDGE_AZIMUTHS + (-180.0, 0.0) for d in (-1e-12, 0.0, 1e-12)]
+    edges = [laban.direction_vector(a, e) for e in elevations for a in azimuths]
+    directions = np.vstack([random, edges, laban.CODE_VECTORS])
+    assert direction_codes(directions).tolist() == [_code_reference(*v) for v in directions.tolist()]
+    assert direction_codes(laban.CODE_VECTORS).tolist() == list(range(26))
+    # the angle classifiers are one-row calls of the same bands and sectors
+    for e in elevations + [-45.0, 45.0, 22.4999, -22.4999]:
+        band = _band_reference(e)
+        want = (LabanSymbol(D.Place, L.High), L.High, L.Middle, L.Low, LabanSymbol(D.Place, L.Low))[band]
+        assert classify_elevation(e) == want
+    for a in azimuths + [1e-300, -1e-300, 359.0, -359.0, 1e6]:
+        assert classify_azimuth(a) == AZIMUTH_SECTORS[_sector_reference(a)]
+
+
+def test_column_directions_is_the_one_path_of_encode_poses_and_project_path():
+    """encode_poses quantizes the bits column_directions gives, and
+    project_path turns the same bits into joint angles."""
+    from labanmotion import robot as robot_mod
+
+    assert robot_mod.column_directions is column_directions
+    seq = synth_motion({"pattern": "reach_sequence", "part": "right_arm",
+                        "poses": [("place_low", 0.6), ("right_forward_high", 0.6), ("left_middle", 0.6)]})
+    for name in robot_mod.BUNDLED_ROBOTS:
+        robot = robot_mod.load_robot(name)
+        columns = robot.mapped_columns
+        directions = column_directions(seq.positions, columns)
+        assert directions.shape == (len(seq), len(columns), 3)
+        assert encode_poses(seq.positions, columns).tolist() == \
+            direction_codes(directions).reshape(len(seq), len(columns)).tolist()
+        projected = robot_mod.project_path(seq, 0, len(seq) - 1, robot)
+        for _, seg, sources in robot.segment_table:
+            assert len(sources) == 1  # the bundled robots merge no columns
+            yaw, pitch, _ = robot_mod._joint_rows(directions[:, columns.index(sources[0])], seg)
+            for joint, want in ((seg.yaw_joint, yaw), (seg.pitch_joint, pitch)):
+                got = projected.samples[:, projected.joints.index(joint)]
+                assert got.tobytes() == want.tobytes()
+
+
+def test_column_directions_rejects_a_non_finite_direction():
+    positions = _edge_poses(np.random.default_rng(5), 3)
+    positions[1, JOINT_INDEX[JointName.WristRight]] = [0.0, 0.0, -1.7e308]
+    positions[1, JOINT_INDEX[JointName.ElbowRight]] = [0.0, 0.0, 1.7e308]
+    assert column_directions(positions, ("LeftArm", "Head")).shape == (3, 2, 3)
+    with pytest.raises(BadInput, match=r"\|v\| = nan"):
+        column_directions(positions, ARM_COLUMNS)
+    with pytest.raises(BadInput, match=r"\|v\| = nan"):
+        encode_poses(positions, ARM_COLUMNS)
 
 
 def test_digitize_total_on_random_sphere(rng):
@@ -414,10 +514,16 @@ def test_pose_vectors_are_the_band_centers():
                 assert symbol_to_vector(LabanSymbol(d, l)).tolist() == [0.0, 0.0, up]
 
 
-def test_joints_to_vector_is_the_direction_formula(rng):
-    for yaw, pitch in [(0.0, 0.0), (90.0, 45.0), (-135.0, -45.0), (180.0, 90.0)] + rng.uniform(
-            -180.0, 180.0, (200, 2)).tolist():
-        assert joints_to_vector(yaw, pitch).tobytes() == laban.direction_vector(yaw, pitch).tobytes()
+def test_direction_angles_invert_the_direction_formula(rng):
+    angles = [(0.0, 0.0), (90.0, 45.0), (-135.0, -45.0), (180.0, 89.0)] + np.column_stack(
+        [rng.uniform(-180.0, 180.0, 200), rng.uniform(-89.0, 89.0, 200)]).tolist()
+    directions = np.array([laban.direction_vector(yaw, pitch) for yaw, pitch in angles])
+    azimuth, elevation = laban.direction_angles(directions)
+    assert np.allclose(azimuth, [a for a, _ in angles], atol=1e-9)
+    assert np.allclose(elevation, [e for _, e in angles], atol=1e-9)
+    # the per-value math.asin and math.atan2 of each row, in degrees, bit for bit
+    assert azimuth.tolist() == [math.degrees(math.atan2(y, x)) for x, y, _ in directions.tolist()]
+    assert elevation.tolist() == [math.degrees(math.asin(max(-1.0, min(1.0, z)))) for *_, z in directions.tolist()]
 
 
 def test_code_vectors_are_read_only_rows_of_each_code():

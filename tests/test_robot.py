@@ -17,6 +17,7 @@ from labanmotion.laban import (
     Level,
     SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
+    direction_vector,
     load_score,
     states_at,
 )
@@ -30,7 +31,6 @@ from labanmotion.robot import (
     concatenate,
     decode_score,
     decode_score_detailed,
-    joints_to_vector,
     load_robot,
     parse_robot,
     project_path,
@@ -221,9 +221,9 @@ def test_vector_to_joints_pole_yaw_zero():
     assert clamped is False
 
 
-def test_joints_to_vector_inverts():
+def test_direction_vector_inverts_vector_to_joints():
     for yaw, pitch in ((0, 0), (45, 30), (-90, -45), (120, 80)):
-        v = joints_to_vector(yaw, pitch)
+        v = direction_vector(yaw, pitch)
         seg = SEG_FREE
         y2, p2, clamped = vector_to_joints(v, seg)
         assert not clamped
@@ -339,7 +339,7 @@ def test_hardware_independence_roundtrip():
             for ref, cmd in d.segments.items():
                 if not cmd.driven or cmd.merged or cmd.clamped:
                     continue
-                assert digitize(joints_to_vector(cmd.yaw, cmd.pitch)) == cmd.symbol
+                assert digitize(direction_vector(cmd.yaw, cmd.pitch)) == cmd.symbol
 
 
 def test_boundary_gesture_all_symbols():

@@ -290,6 +290,20 @@ def test_body_frame_degenerate_shoulders():
         body_frame(pose)
 
 
+@pytest.mark.parametrize("joints", [(JointName.SpineBase, JointName.SpineShoulder),
+                                    (JointName.ShoulderRight, JointName.ShoulderLeft)], ids=["spine", "shoulders"])
+def test_body_frame_rejects_a_frame_whose_span_overflows(joints):
+    """Finite positions whose difference overflows give NaN axes, which every
+    length test lets through; the frame is refused, with no RuntimeWarning."""
+    poses = np.stack([_upright_pose()] * 3)
+    poses[1, JOINT_INDEX[joints[0]], 2] = -1.7e308
+    poses[1, JOINT_INDEX[joints[1]], 2] = 1.7e308
+    for pos in (poses, poses[1]):
+        with pytest.raises(DegeneratePose, match="^non-finite body frame$"):
+            body_frame(pos)
+    body_frame(poses[[0, 2]])
+
+
 def test_synth_static_frame_count_and_constancy():
     seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
     assert len(seq) == 60
