@@ -12,13 +12,20 @@ encoding downstream goes through the person-anchored body frame built by
 In memory a sequence is two arrays, ``times`` (n,) and ``positions``
 (n, 12, 3) with joints in ``ALL_JOINTS`` order, so parsing, validation,
 resampling and the body frame run as array operations over all frames.
+Reading a file holds its text and these arrays but no JSON tree of it:
+frames are decoded one at a time and their numbers go straight into the
+arrays. Errors are unchanged: a document that fails any rule is read again
+as a whole, and that read names its first fault.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
+import operator
+import re
 from enum import Enum
 from typing import NamedTuple
 
@@ -152,6 +159,23 @@ _ABSENT = (math.nan, math.nan, math.nan)
 _STRUCTURE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
 
 
+def _number_arrays(ts: list, triples: list) -> tuple[np.ndarray, np.ndarray]:
+    """(times, flat coordinates) of timestamps and joint triples.
+
+    Raises one of ``_STRUCTURE_ERRORS`` unless every timestamp is a JSON
+    number and every triple is three JSON numbers.
+    """
+    if not json_numbers(ts):
+        raise TypeError("non-numeric timestamp")
+    if set(map(len, triples)) - {3}:
+        raise ValueError("joints are not [x, y, z] triples")
+    coords = list(itertools.chain.from_iterable(triples))
+    # the float conversion accepts numeric strings and bools; the type scan does not
+    if not json_numbers(coords):
+        raise TypeError("non-numeric coordinate")
+    return np.array(ts, dtype=float), np.array(coords, dtype=float)
+
+
 def _frame_arrays(frames: list) -> tuple[np.ndarray, np.ndarray]:
     """(times, positions) of parsed frame objects.
 
@@ -159,18 +183,11 @@ def _frame_arrays(frames: list) -> tuple[np.ndarray, np.ndarray]:
     a numeric ``t`` and a ``joints`` object of [x, y, z] number triples.
     """
     ts = [f["t"] for f in frames]
-    if not json_numbers(ts):
-        raise TypeError("non-numeric timestamp")
     # one flat list, ALL_JOINTS triples frame after frame: converting it skips
     # the shape discovery a nested list costs
     triples = [f["joints"].get(k, _ABSENT) for f in frames for k in _JOINT_KEYS]
-    if set(map(len, triples)) - {3}:
-        raise ValueError("joints are not [x, y, z] triples")
-    coords = list(itertools.chain.from_iterable(triples))
-    # the float conversion accepts numeric strings and bools; the type scan does not
-    if not json_numbers(coords):
-        raise TypeError("non-numeric coordinate")
-    return np.array(ts, dtype=float), np.array(coords, dtype=float).reshape(len(frames), len(ALL_JOINTS), 3)
+    times, coords = _number_arrays(ts, triples)
+    return times, coords.reshape(len(frames), len(ALL_JOINTS), 3)
 
 
 def _raise_malformed(frames: list) -> None:
@@ -195,14 +212,22 @@ def _raise_malformed(frames: list) -> None:
             raise
 
 
-def _check_geometry(frames: list, times: np.ndarray, positions: np.ndarray) -> None:
-    """Raise for the first frame with a non-finite timestamp, a missing or
-    non-finite joint, or a joint on its parent (joints in enum order)."""
+def _geometry_masks(times: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(timed, located, apart): per frame a finite timestamp, per joint finite
+    coordinates, per child joint (``_CHILDREN`` order) a place off its parent."""
     timed = np.isfinite(times)
     located = np.isfinite(positions).all(axis=2)
     with np.errstate(invalid="ignore", over="ignore"):
-        d = positions[:, _CHILD_IDX] - positions[:, _PARENT_IDX]
+        d = positions[:, _CHILD_IDX]  # a copy, so the difference is taken in place
+        d -= positions[:, _PARENT_IDX]
         apart = stacked_dot(d, d) > 0.0
+    return timed, located, apart
+
+
+def _check_geometry(frames: list, times: np.ndarray, positions: np.ndarray) -> None:
+    """Raise for the first frame with a non-finite timestamp, a missing or
+    non-finite joint, or a joint on its parent (joints in enum order)."""
+    timed, located, apart = _geometry_masks(times, positions)
     bad = ~timed | ~located.all(axis=1) | ~apart.all(axis=1)
     if not bad.any():
         return
@@ -242,7 +267,18 @@ def parse_sequence(text: str) -> SkeletonSequence:
     non-finite joint, or a joint on its parent; TimeOrderError for a
     non-increasing ``t``. ``sample_rate`` is ``sample_rate_hint`` when the
     timestamps are uniform at that rate, else None.
+
+    A valid document is read one frame at a time (:func:`_stream_sequence`);
+    any other is read whole by :func:`_parse_document`, which raises the error.
     """
+    try:
+        return _stream_sequence(text)
+    except _STREAM_ERRORS:
+        return _parse_document(text)
+
+
+def _parse_document(text: str) -> SkeletonSequence:
+    """:func:`parse_sequence` on the whole decoded document."""
     obj = read_json(text)
     frames = obj.get("frames")
     if not isinstance(frames, list):
@@ -257,6 +293,102 @@ def parse_sequence(text: str) -> SkeletonSequence:
     if late.any():
         raise TimeOrderError(int(np.argmax(late)) + 1)
     return SkeletonSequence(times, positions, _uniform_rate(times, obj.get("sample_rate_hint")))
+
+
+# what reading a document that the stream does not take raises: bad syntax
+# and a failed check (ValueError), a value of the wrong type, a file cut off
+# (IndexError), too deep nesting
+_STREAM_ERRORS = (ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError)
+_WHITESPACE = re.compile(r"[ \t\n\r]*")  # between JSON tokens, as json.loads skips it
+# json.loads' scanner on the value at an index: the same numbers, bit for bit
+_DECODE = json.JSONDecoder().raw_decode
+_JOINTS_OF = operator.itemgetter(*_JOINT_KEYS)
+# frames whose numbers become arrays at once; until then each holds about 2 KB
+# of Python lists and floats
+_CHUNK = 64
+
+
+def _stream_frames(text: str, idx: int) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+    """Read the array that opens at ``text[idx]`` one frame at a time.
+
+    Returns its (times, positions), None in their place if some frame is not
+    an object with a JSON-number ``t`` and a ``joints`` object holding every
+    joint as three JSON numbers, and the index after the array. A frame's
+    objects die once its numbers are converted, ``_CHUNK`` frames at a time.
+    """
+    skip = _WHITESPACE.match
+    time_chunks, coord_chunks, ts, triples = [], [], [], []
+    idx = skip(text, idx + 1).end()
+    last = text[idx] == "]"
+    while not last:
+        frame, idx = _DECODE(text, idx)
+        idx = skip(text, idx).end()
+        last = text[idx] != ","
+        if time_chunks is not None:
+            try:
+                triples += _JOINTS_OF(frame["joints"])
+                ts.append(frame["t"])
+                if last or len(ts) == _CHUNK:
+                    times, coords = _number_arrays(ts, triples)
+                    time_chunks.append(times)
+                    coord_chunks.append(coords)
+                    ts, triples = [], []
+            except _STRUCTURE_ERRORS:
+                time_chunks = None
+        if not last:
+            idx = skip(text, idx + 1).end()
+    if text[idx] != "]":
+        raise ValueError("expected ',' or ']' after a frame")
+    if time_chunks is None:
+        return None, idx + 1
+    if not time_chunks:  # "frames": []
+        time_chunks = coord_chunks = [np.empty(0)]
+    return (np.concatenate(time_chunks), np.concatenate(coord_chunks).reshape(-1, len(ALL_JOINTS), 3)), idx + 1
+
+
+def _stream_sequence(text: str) -> SkeletonSequence:
+    """:func:`parse_sequence` of a valid document, walking the root object
+    key by key and its ``frames`` frame by frame, so no tree of the whole
+    document is built. Other root keys are decoded and dropped; a repeated
+    key keeps its last value, as in ``json.loads``. Raises one of
+    ``_STREAM_ERRORS`` for every document it does not take.
+    """
+    skip = _WHITESPACE.match
+    arrays = hint = None
+    idx = skip(text, 0).end()
+    if text[idx] != "{":
+        raise ValueError("expected an object")
+    idx = skip(text, idx + 1).end()
+    last = text[idx] == "}"
+    while not last:
+        key, idx = _DECODE(text, idx)
+        if type(key) is not str:
+            raise TypeError("expected a key")
+        idx = skip(text, idx).end()
+        if text[idx] != ":":
+            raise ValueError("expected ':'")
+        idx = skip(text, idx + 1).end()
+        if key == "frames" and text[idx] == "[":
+            arrays, idx = _stream_frames(text, idx)
+        else:
+            value, idx = _DECODE(text, idx)
+            if key == "frames":
+                arrays = None
+            elif key == "sample_rate_hint":
+                hint = value
+        idx = skip(text, idx).end()
+        last = text[idx] != ","
+        if not last:
+            idx = skip(text, idx + 1).end()
+    if text[idx] != "}" or skip(text, idx + 1).end() != len(text):
+        raise ValueError("expected one object")
+    if arrays is None:
+        raise ValueError("no valid 'frames' list")
+    times, positions = arrays
+    timed, located, apart = _geometry_masks(times, positions)
+    if not (timed.all() and located.all() and apart.all()) or (times[1:] <= times[:-1]).any():
+        raise ValueError("a frame fails a check")
+    return SkeletonSequence(times, positions, _uniform_rate(times, hint))
 
 
 def serialize_sequence(seq: SkeletonSequence) -> str:
@@ -329,8 +461,8 @@ def body_frame(pos: np.ndarray) -> BodyFrame:
 
     ``pos`` is a (..., 12, 3) position array, (12, 3) for one pose; every
     field gets its leading axes. Raises DegeneratePose for the first pose
-    that cannot define a frame, a frame whose axes are not finite (a spine
-    or shoulder span that overflows) included.
+    that cannot define a frame, one whose spine or shoulder length is not
+    finite (a span or a norm that overflows) included.
     """
     origin = pos[..., _SPINE_SHOULDER, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -346,8 +478,10 @@ def body_frame(pos: np.ndarray) -> BodyFrame:
         l0, l1, l2, u0, u1, u2 = (v[..., k] for v in (left, up) for k in range(3))
         forward = np.stack([l1 * u2 - l2 * u1, l2 * u0 - l0 * u2, l0 * u1 - l1 * u0], axis=-1)
         axes = np.stack([forward, left, up], axis=-2)
+        # an infinite length passes every test above and makes its axis all zero;
+        # finite lengths at or above _MIN_SPAN make finite axes
         failed = (spine_len < _MIN_SPAN, stacked_norm(span) < _MIN_SPAN, left_len < _MIN_SPAN,
-                  ~np.isfinite(axes).all(axis=(-2, -1)))
+                  ~(np.isfinite(spine_len) & np.isfinite(left_len)))
     bad = failed[0] | failed[1] | failed[2] | failed[3]
     if bad.any():
         i = int(np.argmax(bad.reshape(-1)))

@@ -4,7 +4,8 @@ the input, no faster. Time ratios are too noisy to assert, so the proxies
 are deterministic: the number of violations in the error, the length of
 the ``error:`` line, and the ``tracemalloc`` peak of the run. A valid
 input that goes unused, a motion dictionary none of whose entries a decode
-looks up, is held to the same bound on its peak."""
+looks up, is held to the same bound on its peak, and so is reading a valid
+skeleton clip, whose peak also stays below a few times its text."""
 
 import gc
 import itertools
@@ -18,6 +19,7 @@ from labanmotion import cli
 from labanmotion.cli import main
 from labanmotion.laban import CODE_TOKENS
 from labanmotion.robot import load_robot
+from labanmotion.skeleton import parse_sequence, serialize_sequence, synth_motion
 from labanmotion.trajectory import PATH_SAMPLES, parse_dictionary
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -129,4 +131,29 @@ def test_unused_dictionary_cost_grows_with_its_entries(tmp_path):
     big = _dict_decode_peak(tmp_path, _dictionary(4 * N))
     # no entry was used: the trajectory is the one written without the dictionary
     assert (tmp_path / "d.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert big <= GROWTH * small, f"tracemalloc peak: {small} at n={N}, {big} at n={4 * N}"
+
+
+def _parse_peak(text: str) -> int:
+    """tracemalloc peak of reading the skeleton text ``text``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        seq = parse_sequence(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(seq) > 0
+    return peak
+
+
+def test_reading_a_clip_holds_no_tree_of_it():
+    """Frames are read one at a time into the arrays: the peak is the arrays
+    and their checks, below 3 times the text (a tree of the whole document,
+    a Python object per number, list and object, is about 6 times)."""
+    texts = [serialize_sequence(synth_motion({"pattern": "static", "duration": n / 30.0})) for n in (N, 4 * N)]
+    _parse_peak(texts[0])  # once first, so one-time allocations count in neither size
+    small, big = (_parse_peak(text) for text in texts)
+    for n, text, peak in zip((N, 4 * N), texts, (small, big)):
+        assert peak < 3 * len(text), f"tracemalloc peak {peak} for {len(text)} bytes of text at n={n}"
     assert big <= GROWTH * small, f"tracemalloc peak: {small} at n={N}, {big} at n={4 * N}"

@@ -334,7 +334,7 @@ _FAULTS = {
     "elbow on shoulder": (JointName.ElbowLeft, JointName.ShoulderLeft),
     "head on neck": (JointName.Head, JointName.Neck),
     "tiny pose": 1e-300,  # zero spine length
-    "huge pose": 1e200,  # overflowing norms make directions non-unit
+    "huge pose": 1e200,  # overflowing spine and shoulder lengths: a non-finite body frame
 }
 
 
@@ -366,8 +366,10 @@ def test_encode_poses_error_names_the_first_failing_pose(rng, columns):
             want = _error(lambda: [encode_pose_reference(pos, columns) for pos in positions])
             assert _error(lambda: encode_poses(positions, columns)) == want
         seen.add(want and want[1])
-    # body frame faults, column faults and the unit check all came first somewhere
-    assert {"zero shoulder span", "zero spine length", "expected a unit vector, |v| = 0.0"} <= seen
+    # body frame faults, the huge pose's among them, and column faults all came first somewhere;
+    # the huge pose's all-zero axes no longer reach the unit check
+    assert {"zero shoulder span", "zero spine length", "non-finite body frame"} <= seen
+    assert not any(m and m.startswith("expected a unit vector") for m in seen)
     assert any(m and m.startswith("column RightForearm" if "RightForearm" in columns else "column RightArm")
                for m in seen)
 

@@ -118,6 +118,28 @@ def _delete(path):
     return apply
 
 
+class _Text:
+    """Mutator of the dumped text, applied after every object mutator."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+
+def _cut_in_frame(i):
+    """Text cut off just inside frame i's joints object, then a newline."""
+    return _Text(lambda text: text[:_nth(text, '"joints": {', i + 1) + len('"joints": {')] + "\n")
+
+
+def _nth(text, needle, n):
+    idx = -1
+    for _ in range(n):
+        idx = text.index(needle, idx + 1)
+    return idx
+
+
+_DEEP = 100_000  # nesting depth beyond any recursion limit
+
+
 NAN, INF = float("nan"), float("inf")
 
 # (mutators, expected exception, expected attributes); faults sit in frame 2
@@ -178,6 +200,22 @@ MALFORMED = {
     "type-joint-order-within-frame": ([_set([2, "joints", "HandRight", 0], True),
                                        _set([2, "joints", "SpineShoulder", 2], "0.5")],
                                       MalformedFrame, {"index": 2, "joint": "SpineShoulder"}),
+    # syntax and document shape: the faults a frame-by-frame reader meets first
+    "data-after-root": ([_Text(lambda text: text + "\n{}")], ParseError,
+                        {"location": "line 2, column 1", "detail": "Extra data"}),
+    # where the error points differs between Python versions (at the comma or after it)
+    "trailing-comma-in-frames": ([_Text(lambda text: text[:-2] + ",\n" + text[-2:])], ParseError, {}),
+    "cut-off-inside-a-frame": ([_cut_in_frame(2)], ParseError,
+                               {"location": "line 2, column 1",
+                                "detail": "Expecting property name enclosed in double quotes"}),
+    "frame-nested-too-deep": ([_set([2], "deep"), _Text(lambda text: text.replace('"deep"', "[" * _DEEP + "]" * _DEEP))],
+                              ParseError, {"location": "$"}),
+    "number-as-key": ([_Text(lambda text: '{30: 1, ' + text[1:])], ParseError,
+                      {"location": "line 1, column 2", "detail": "Expecting property name enclosed in double quotes"}),
+    "root-not-object": ([_Text(lambda text: f"[{text}]")], ParseError,
+                        {"location": "$", "detail": "expected a JSON object"}),
+    "frames-not-list": ([lambda obj: obj.update(frames={"0": obj["frames"][0]})], ParseError,
+                        {"location": "$", "detail": "expected object with a 'frames' list"}),
 }
 
 
@@ -186,10 +224,95 @@ def test_parse_malformed_skeleton(case):
     mutators, error, attrs = MALFORMED[case]
     obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.2}, rate=30.0)))
     for mutate in mutators:
-        mutate(obj)
+        if not isinstance(mutate, _Text):
+            mutate(obj)
+    text = json.dumps(obj)
+    for mutate in mutators:
+        if isinstance(mutate, _Text):
+            text = mutate.edit(text)
     with pytest.raises(error) as exc:
-        parse_sequence(json.dumps(obj))
+        parse_sequence(text)
     assert {k: getattr(exc.value, k) for k in attrs} == attrs
+
+
+def _streamed_variants():
+    """(name, text) of valid skeleton documents in layouts and key orders
+    other than the canonical one; most hold more frames than one chunk."""
+    seq = synth_motion({"pattern": "move_hold_move", "part": "left_arm", "from_pose": "place_low",
+                        "to_pose": "left_high", "hold": 2.5}, rate=30.0)
+    assert len(seq) > 2 * skeleton._CHUNK
+    obj = json.loads(serialize_sequence(seq))
+    frames = json.dumps(obj["frames"])
+    other = json.dumps(obj["frames"][::2])
+    broken = json.loads(frames)
+    del broken[3]["joints"]["Neck"]
+    extra = json.loads(frames)
+    for f in extra:
+        f["confidence"] = [1.0, {"tracked": True}]
+        f["joints"] = {"Spine": [0.0, 0.0, 0.3], **dict(reversed(f["joints"].items()))}
+    ints = json.loads(frames)
+    for i, f in enumerate(ints):
+        f["t"] = i
+        f["joints"]["SpineBase"] = [0, 0, 0]
+    yield "canonical", serialize_sequence(seq)
+    yield "dumps", json.dumps(obj)
+    yield "indent-4", json.dumps(obj, indent=4)
+    yield "compact", json.dumps(obj, separators=(",", ":"))
+    yield "frames-first", json.dumps({"frames": obj["frames"], "sample_rate_hint": 30.0})
+    yield "unknown-root-keys", json.dumps({"meta": {"by": ["x", {"y": None}], "n": 1e300}, "frames": obj["frames"],
+                                          "sample_rate_hint": 30.0, "tail": [[[]], "]}"]})
+    yield "frames-valid-then-valid", f'{{"frames": {frames}, "sample_rate_hint": 30.0, "frames": {other}}}'
+    yield "frames-invalid-then-valid", f'{{"frames": {json.dumps(broken)}, "sample_rate_hint": 30.0, "frames": {frames}}}'
+    yield "frames-not-list-then-valid", f'{{"frames": {{"0": 1}}, "frames": {frames}, "sample_rate_hint": 30.0}}'
+    yield "hint-repeated", f'{{"sample_rate_hint": 25.0, "frames": {frames}, "sample_rate_hint": 30.0}}'
+    yield "hint-repeated-last-wrong", f'{{"sample_rate_hint": 30.0, "frames": {frames}, "sample_rate_hint": 25.0}}'
+    yield "extra-frame-and-joint-keys", json.dumps({"sample_rate_hint": 30.0, "frames": extra})
+    yield "integer-t-and-coordinates", json.dumps({"sample_rate_hint": 1, "frames": ints})
+    yield "nan-hint", json.dumps({"sample_rate_hint": NAN, "frames": obj["frames"]})
+    yield "no-frames", '{"sample_rate_hint": 30.0, "frames": []}'
+    tabbed = json.dumps(obj["frames"], indent="\t")
+    yield "whitespace", ' \r\n\t{ "frames" \n: \t' + tabbed + ' }\n\n'
+
+
+_VARIANTS = dict(_streamed_variants())
+
+
+@pytest.mark.parametrize("chunk", [1, 7, skeleton._CHUNK])
+@pytest.mark.parametrize("name", list(_VARIANTS))
+def test_valid_documents_are_read_frame_by_frame(monkeypatch, name, chunk):
+    """Every valid document is read by the stream, never by the whole-document
+    path, and gives what that path reads from the ``json.loads`` tree, bit for bit."""
+    text = _VARIANTS[name]
+    want = skeleton._parse_document(text)
+
+    def whole_document(text):
+        raise AssertionError("the whole-document path ran")
+
+    monkeypatch.setattr(skeleton, "read_json", whole_document)
+    monkeypatch.setattr(skeleton, "_CHUNK", chunk)
+    got = parse_sequence(text)
+    assert got.times.dtype == want.times.dtype and got.positions.dtype == want.positions.dtype
+    assert got.times.shape == want.times.shape and got.positions.shape == want.positions.shape
+    assert got.times.tobytes() == want.times.tobytes() and got.positions.tobytes() == want.positions.tobytes()
+    assert got.sample_rate == want.sample_rate and type(got.sample_rate) is type(want.sample_rate)
+    if name == "frames-valid-then-valid":
+        assert len(got) == len(json.loads(text)["frames"]) < len(json.loads(_VARIANTS["dumps"])["frames"])
+    if name == "no-frames":
+        assert got.positions.shape == (0, len(ALL_JOINTS), 3)
+
+
+def test_a_later_invalid_frames_key_replaces_a_valid_one():
+    """A repeated key keeps its last value: a valid frames list followed by
+    an invalid one raises the error of the invalid one."""
+    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.2}, rate=30.0)))
+    frames = json.dumps(obj["frames"])
+    del obj["frames"][2]["joints"]["Head"]
+    text = f'{{"frames": {frames}, "sample_rate_hint": 30.0, "frames": {json.dumps(obj["frames"])}}}'
+    with pytest.raises(MalformedFrame) as exc:
+        parse_sequence(text)
+    assert (exc.value.index, exc.value.joint, str(exc.value)) == (2, "Head", "frame 2: joint Head (missing)")
+    with pytest.raises(ParseError, match=r"^\$: expected object with a 'frames' list$"):
+        parse_sequence(f'{{"frames": {frames}, "frames": null}}')
 
 
 def test_sample_rate_hint_needs_uniform_time_steps():
@@ -298,6 +421,18 @@ def test_body_frame_rejects_a_frame_whose_span_overflows(joints):
     poses = np.stack([_upright_pose()] * 3)
     poses[1, JOINT_INDEX[joints[0]], 2] = -1.7e308
     poses[1, JOINT_INDEX[joints[1]], 2] = 1.7e308
+    for pos in (poses, poses[1]):
+        with pytest.raises(DegeneratePose, match="^non-finite body frame$"):
+            body_frame(pos)
+    body_frame(poses[[0, 2]])
+
+
+def test_body_frame_rejects_a_pose_whose_lengths_overflow():
+    """A pose times 1e200 has finite spans whose norms overflow to inf: the
+    axes (a span divided by inf) would be all zero, which is finite, so the
+    infinite lengths themselves refuse the frame."""
+    poses = np.stack([_upright_pose()] * 3)
+    poses[1] *= 1e200
     for pos in (poses, poses[1]):
         with pytest.raises(DegeneratePose, match="^non-finite body frame$"):
             body_frame(pos)
