@@ -488,6 +488,27 @@ def _neutral(robot: RobotDescription, m: int) -> tuple[tuple[str, ...], dict[str
     return joints, {j: c for c, j in enumerate(joints)}, angles
 
 
+def _round9(values: np.ndarray) -> np.ndarray:
+    """Python's ``round(v, 9)`` of each float of ``values``, in one array pass.
+
+    ``rint(v·1e9) / 1e9`` is that value wherever the rounded product v·1e9
+    lies farther than its spacing from a half-integer: the exact product then
+    rounds to the same integer, below 2**52 the integer is exact, and the
+    division rounds correctly. Products within their spacing of a
+    half-integer, which includes every one at 2**52 or more, and non-finite
+    ones take Python's ``round``, which np.round can differ from in the last
+    bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = values * 1e9
+        r = np.rint(y)
+        out = r / 1e9
+        near = ~(0.5 - np.abs(y - r) > np.spacing(np.abs(y)))
+    if near.any():
+        out[near] = [round(v, 9) for v in values[near].tolist()]
+    return out
+
+
 def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> DecodedScore:
     """Decode a score into per-boundary-time joint poses with segment detail.
 
@@ -516,10 +537,13 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
         logging.getLogger(__name__).warning("score column %s not mapped on robot %s; ignored", name, robot.name)
 
     # nanosecond quantization collapses float drift in start + duration so
-    # shared boundaries dedupe across columns; Python's round, which np.round
-    # can differ from in the last bit
-    times = sorted({round(end, 9) for col in score.columns for end in col.arrays.ends.tolist()})
-    states = states_at(score, [min(t, score.total_duration) for t in times])
+    # shared boundaries dedupe across columns; sorted and deduplicated by hand,
+    # as np.unique imports numpy.ma (about 1 MB) on its first call
+    times = np.sort(_round9(np.concatenate([np.empty(0)] + [col.arrays.ends for col in score.columns])))
+    distinct = np.ones(len(times), dtype=bool)
+    distinct[1:] = times[1:] != times[:-1]
+    times = times[distinct]
+    states = states_at(score, np.minimum(times, score.total_duration).tolist())
     columns = robot.mapped_columns
     # a mapped column that feeds no segment may be absent from the score: -1 throughout
     codes = np.column_stack([states, np.full(len(times), -1, dtype=np.intp)])[
@@ -544,7 +568,7 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
             angles[rows, cols[0]], angles[rows, cols[1]] = yaw, pitch
             driven[rows, s] = True
             clamped[rows, s] = flags
-    return DecodedScore(KeyPoses(np.array(times, dtype=float), joints, angles), codes, robot, driven, clamped)
+    return DecodedScore(KeyPoses(times, joints, angles), codes, robot, driven, clamped)
 
 
 def decode_score(score: LabanScore, robot: RobotDescription) -> KeyPoses:

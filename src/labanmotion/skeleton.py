@@ -86,7 +86,7 @@ MAX_SAMPLES = 2_000_000
 
 _JOINT_KEYS: tuple[str, ...] = tuple(j.value for j in ALL_JOINTS)
 _CHILDREN: tuple[JointName, ...] = tuple(j for j in ALL_JOINTS if PARENT[j] is not None)
-_CHILD_IDX = [JOINT_INDEX[j] for j in _CHILDREN]
+_CHILD_IDX = [JOINT_INDEX[j] for j in _CHILDREN]  # every joint after SpineBase, so read as positions[:, 1:]
 _PARENT_IDX = [JOINT_INDEX[PARENT[j]] for j in _CHILDREN]
 
 
@@ -218,8 +218,10 @@ def _geometry_masks(times: np.ndarray, positions: np.ndarray) -> tuple[np.ndarra
     timed = np.isfinite(times)
     located = np.isfinite(positions).all(axis=2)
     with np.errstate(invalid="ignore", over="ignore"):
-        d = positions[:, _CHILD_IDX]  # a copy, so the difference is taken in place
-        d -= positions[:, _PARENT_IDX]
+        # the children are every joint after the first, a view; the parents'
+        # gather takes the difference in place
+        d = positions[:, _PARENT_IDX]
+        np.subtract(positions[:, 1:], d, out=d)
         apart = stacked_dot(d, d) > 0.0
     return timed, located, apart
 

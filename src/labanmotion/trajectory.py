@@ -127,6 +127,16 @@ INTERP_MODES = {
 }
 
 
+# values per array pass on the write side (synthesis and the CSV formatter):
+# their temporaries stay this many values' worth whatever the sample count
+_BLOCK_VALUES = 16384
+
+
+def _block_rows(columns: int) -> int:
+    """Rows of ``columns`` values each per array pass: at least one."""
+    return max(1, _BLOCK_VALUES // max(columns, 1))
+
+
 def _blend(mode: str, tau):
     if mode not in INTERP_MODES:
         raise ValueError(f"unknown interpolation mode: {mode!r}")
@@ -147,15 +157,30 @@ def _segment_index(times: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
     """(segment index, normalized segment time, angles) at each time of a
     sorted (m,) array ``t``; times outside the key-pose span hold the end
-    poses."""
+    poses.
+
+    The (m, J) result is allocated once and filled block by block
+    (:func:`_block_rows`), so the temporaries are one block's worth however
+    many samples there are."""
     idx = _segment_index(times, t)
-    tau = np.clip((t - times[idx]) / np.diff(times)[idx], 0.0, 1.0)
-    # angles[idx] + blend * (angles[idx + 1] - angles[idx]) in the same IEEE
-    # operations, with one (m, J) temporary beside the result
-    step = np.take(np.diff(angles, axis=0), idx, axis=0)
-    step *= _blend(mode, tau)[..., None]
-    rows = np.take(angles, idx, axis=0)
-    rows += step
+    tau = np.empty(len(t))
+    rows = np.empty((len(t), angles.shape[1]))
+    spans, steps = np.diff(times), np.diff(angles, axis=0)
+    block = _block_rows(angles.shape[1])
+    for a in range(0, len(t), block):
+        part = slice(a, a + block)
+        i, w = idx[part], tau[part]
+        # (t - times[i]) / spans[i], clipped to [0, 1], then
+        # angles[i] + blend * (angles[i + 1] - angles[i]), in the same IEEE
+        # operations as over the whole grid at once
+        np.subtract(t[part], times[i], out=w)
+        w /= spans[i]
+        np.clip(w, 0.0, 1.0, out=w)
+        step = np.take(steps, i, axis=0)
+        step *= _blend(mode, w)[:, None]
+        out = rows[part]
+        np.take(angles, i, axis=0, out=out)
+        out += step
     return idx, tau, rows
 
 
@@ -254,6 +279,11 @@ def synthesize(
     (:meth:`DictKey.of`) is time-warped onto the interval and shifted by the
     linear ramp of its endpoint residuals; transitions without a stored
     path use plain interpolation. The result passes through every key pose.
+
+    The (m, J) result is allocated once and every step, interpolation and
+    dictionary warp alike, fills it block by block; beside it only the (m,)
+    grid, segment index and normalized segment times grow with the sample
+    count.
     """
     finite(rate, "trajectory rate", 0.0, strict=True)
     if len(keyposes) < 2:
@@ -267,6 +297,7 @@ def synthesize(
     if mdict is not None and codes is not None:
         # idx is sorted, so segment k's samples are rows[bounds[k]:bounds[k + 1]]
         bounds = np.searchsorted(idx, np.arange(len(times)))
+        block = _block_rows(len(joints))
         code_rows = np.asarray(codes).tolist()
         for k in range(len(keyposes) - 1):
             path = dict_lookup(mdict, DictKey.of(columns, code_rows[k], code_rows[k + 1]))
@@ -274,13 +305,15 @@ def synthesize(
                 continue
             if path.joints != joints:
                 raise ShapeError("dictionary path joints do not match key poses")
-            seg = slice(bounds[k], bounds[k + 1])
-            tk = tau[seg]
-            S = path.samples
-            base = np.column_stack([np.interp(tk, path.times, S[:, c]) for c in range(len(joints))])
-            res0 = angles[k] - S[0]
-            res1 = angles[k + 1] - S[-1]
-            rows[seg] = base + (1.0 - tk)[:, None] * res0 + tk[:, None] * res1
+            res0 = angles[k] - path.samples[0]
+            res1 = angles[k + 1] - path.samples[-1]
+            for a in range(bounds[k], bounds[k + 1], block):
+                part = slice(a, min(a + block, bounds[k + 1]))
+                tk, out = tau[part], rows[part]
+                for c in range(len(joints)):
+                    out[:, c] = np.interp(tk, path.times, path.samples[:, c])
+                out += (1.0 - tk)[:, None] * res0
+                out += tk[:, None] * res1
     return KeyPoses(grid, joints, rows)
 
 
@@ -291,8 +324,6 @@ def synthesize(
 # |v|·1e6 must stay below 2**52, where every half-integer is a double; larger
 # and non-finite values are formatted by the per-row `%` path
 _CSV_EXACT_LIMIT = 2.0**52 / 1e6
-# rows formatted per array pass: bounds the word buffer and the temporaries
-_CSV_BLOCK_ROWS = 4096
 
 
 def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,7 +366,9 @@ def _micros(block: np.ndarray) -> np.ndarray:
     tie = np.abs(y, out=y) == 0.5
     if tie.any():
         r[tie] = [float(("%.6f" % m).replace(".", "")) for m in np.abs(block[tie]).tolist()]
-    return r.astype(np.int64)
+    micros = y.view(np.int64)  # y's memory, no longer read, takes the integers
+    np.copyto(micros, r, casting="unsafe")
+    return micros
 
 
 def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
@@ -344,29 +377,34 @@ def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
     then '.ddd', then 'ddd,' (or 'ddd\\n' in a row's last field). The sign
     comes from the sign bit, so -0.0 and negatives that round to zero print
     ``-0.000000``."""
-    whole, frac = np.divmod(_micros(block), 1000000)
+    frac = _micros(block)
+    whole = np.empty_like(frac)
+    np.divmod(frac, 1000000, out=(whole, frac))
     n_groups = -(-len(str(int(whole.max()))) // 3)
     size = block.size * (n_groups + 2) * 4
     if len(buffer) != size:
-        buffer.clear()  # emptied first: a slice assignment briefly holds three copies
-        buffer.extend(bytes(size))
+        buffer[:] = b"\0"
+        buffer *= size  # resized in place: no second buffer-sized object
     words = np.frombuffer(buffer, np.uint32).reshape(*block.shape, n_groups + 2)
     sign = np.signbit(block) * np.int16(1000)  # the offset of the '-' words
+    # each group's word index, then the first three decimals; a lone group's
+    # index takes the place of whole, which no mask reads
+    index = whole if n_groups == 1 else np.empty_like(whole)
     rest = whole
     for slot in range(n_groups - 1, -1, -1):  # last group first
         group = rest
         if slot:
             rest, group = np.divmod(rest, 1000)
         unit = 1000 ** (n_groups - 1 - slot)  # the place value of the group's last digit
-        index = sign + group
+        np.add(sign, group, out=index)
         if slot < n_groups - 1:  # a group above the leading one is all pad
             index[whole < unit] = _NUL_WORD
         if slot:  # a group below the leading one is zero-padded
             np.copyto(index, _INNER + group, where=whole >= 1000 * unit)
         np.take(_CSV_INT, index, out=words[..., slot])
-    del whole, rest, group, index  # freed before the decimals' temporaries
-    thousandths, frac = np.divmod(frac, 1000)
-    np.take(_CSV_POINT, thousandths, out=words[..., -2])
+    del whole, rest, group, sign
+    np.divmod(frac, 1000, out=(index, frac))
+    np.take(_CSV_POINT, index, out=words[..., -2])
     frac[:, -1] += 1000
     np.take(_CSV_END, frac, out=words[..., -1])
 
@@ -375,8 +413,9 @@ def trajectory_to_csv(traj: KeyPoses, fh) -> None:
     """Write the header ``t,<joint>,...`` and one ``%.6f`` row per sample to
     ``fh``, a file opened for binary writing, as UTF-8 bytes.
 
-    Rows are formatted in blocks of 4096 by an array formatter that writes
-    the same bytes as ``%``. It rounds each |v|·1e6 to an integer and splits
+    Rows are formatted in blocks of about 16K values (``_BLOCK_VALUES``:
+    2,048 rows at 8 columns) by an array formatter that writes the same
+    bytes as ``%``. It rounds each |v|·1e6 to an integer and splits
     that into 3-digit groups: the integer part's groups, then two groups of
     decimals. Each group is an index into a small table of uint32 words,
     four characters each, which ``np.take`` gathers into a buffer that
@@ -387,16 +426,17 @@ def trajectory_to_csv(traj: KeyPoses, fh) -> None:
     holding a non-finite value or a magnitude of 2**52 / 1e6 (about 4.5e9)
     or more is formatted by ``%`` row by row. Each block's bytes are
     written as soon as they are formatted, so memory stays one block's
-    worth whatever the row count.
+    worth whatever the row count and the joint count.
     """
     fh.write(("t," + ",".join(traj.joints) + "\n").encode("utf-8"))
     row = ",".join(["%.6f"] * (len(traj.joints) + 1)) + "\n"
     buffer = bytearray()
-    block_rows = np.empty((min(len(traj.times), _CSV_BLOCK_ROWS), len(traj.joints) + 1))  # refilled per block
-    for a in range(0, len(traj.times), _CSV_BLOCK_ROWS):
+    n = _block_rows(len(traj.joints) + 1)
+    block_rows = np.empty((min(len(traj.times), n), len(traj.joints) + 1))  # refilled per block
+    for a in range(0, len(traj.times), n):
         block = block_rows[:len(traj.times) - a]
-        block[:, 0] = traj.times[a:a + _CSV_BLOCK_ROWS]
-        block[:, 1:] = traj.samples[a:a + _CSV_BLOCK_ROWS]
+        block[:, 0] = traj.times[a:a + n]
+        block[:, 1:] = traj.samples[a:a + n]
         if np.all(np.abs(block) < _CSV_EXACT_LIMIT):  # False for NaN and inf
             _csv_words(block, buffer)
             fh.write(buffer.translate(None, b"\0"))

@@ -23,6 +23,7 @@ from labanmotion.laban import (
 )
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
+    _round9,
     DecodedPose,
     JointPose,
     KeyPoses,
@@ -653,6 +654,37 @@ def _assert_same_decode(got, ref, states, robot):
     assert got.columns == robot.mapped_columns
     assert got.codes.tolist() == [[SYMBOL_CODES[s[col]] if col in s else -1 for col in got.columns] for s in states]
     assert [d.segments for d in got] == [d.segments for d in ref]
+
+
+def test_boundary_time_rounding_matches_round():
+    """decode's boundary times round with ``_round9``, one array pass, which
+    must give Python's ``round(v, 9)`` float for float: at and next to
+    half-nanoseconds, on start + duration sums that drift off the nanosecond
+    grid, and at magnitudes of 2**52 / 1e9 and more, where v·1e9 has no
+    fraction bits left."""
+    rng = np.random.default_rng(2024)
+    half = (np.arange(-20_000, 20_000) + 0.5) / 1e9
+    seconds = rng.integers(0, 5_000, size=half.size).astype(float)
+    starts = np.round(rng.uniform(0.0, 600.0, 20_000), 3)
+    durations = np.round(rng.uniform(0.001, 5.0, 20_000), int(rng.integers(1, 10)))
+    big = 2.0**52 / 1e9
+    cases = {
+        "halfway": np.concatenate([half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf)]),
+        "halfway past whole seconds": seconds + np.abs(half),
+        "drifted sums": np.concatenate([starts + durations, np.cumsum(durations), np.cumsum(np.full(5_000, 0.1))]),
+        "at and past 2**52 / 1e9": np.concatenate([[big, np.nextafter(big, 0.0), np.nextafter(big, np.inf), 2 * big,
+                                                    1e12, 1e300, 1.7e308], big * rng.uniform(1.0, 1e6, 5_000),
+                                                   big * rng.uniform(0.5, 1.0, 5_000)]),
+        "small and signed": [0.0, -0.0, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 1e-300, -1e-300, 4.9e-324, -2.5e-9],
+        "uniform": rng.uniform(-1000.0, 1000.0, 50_000),
+    }
+    for name, values in cases.items():
+        values = np.asarray(values, dtype=float)
+        got = _round9(values)
+        want = np.array([round(v, 9) for v in values.tolist()])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name  # bit for bit, -0.0 too
+        ends = np.abs(values[np.isfinite(values)])
+        assert np.unique(_round9(ends)).tolist() == sorted({round(v, 9) for v in ends.tolist()}), name
 
 
 def test_decode_matches_per_pose_reference():

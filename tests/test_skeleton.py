@@ -32,6 +32,30 @@ from labanmotion.skeleton import (
 from conftest import random_rotation, transform_sequence
 
 
+def test_geometry_masks_read_every_child_after_the_root():
+    """The masks read the child joints as the view positions[:, 1:], which
+    holds only while the children are every joint after SpineBase; the
+    masks equal those of gathering both sides."""
+    assert skeleton._CHILD_IDX == list(range(1, 12)) == list(range(1, len(ALL_JOINTS)))
+    rng = np.random.default_rng(5)
+    positions = rng.normal(size=(60, len(ALL_JOINTS), 3))
+    times = np.arange(60) / 30.0
+    positions[3, 4] = positions[3, skeleton._PARENT_IDX[3]]  # a joint on its parent
+    positions[7, 2, 1] = math.nan
+    positions[9, 5, 0] = math.inf
+    positions[11, 6] = [1e200, -1e200, 1e200]  # a squared distance that overflows to inf
+    positions[13, 8] = positions[13, skeleton._PARENT_IDX[7]] + [1e-170, 0.0, 0.0]  # one that underflows to 0
+    times[15] = math.nan
+    timed, located, apart = skeleton._geometry_masks(times, positions)
+    d = positions[:, skeleton._CHILD_IDX] - positions[:, skeleton._PARENT_IDX]
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_apart = skeleton.stacked_dot(d, d) > 0.0
+    assert np.array_equal(timed, np.isfinite(times))
+    assert np.array_equal(located, np.isfinite(positions).all(axis=2))
+    assert np.array_equal(apart, want_apart)
+    assert not apart[3, 3] and not apart[13, 7] and apart[11, 5]
+
+
 def _upright_pose():
     """(12, 3) positions of an upright pose with the arms held out sideways."""
     pos = {

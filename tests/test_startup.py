@@ -90,6 +90,26 @@ def test_unmapped_score_columns_are_warned_about_on_stderr(tmp_path, robot, stde
     assert (tmp_path / "t.csv").stat().st_size > 0
 
 
+# runs the CLI and prints the modules the run loaded after start-up
+_RUN_MODULES = """
+import json, sys
+from labanmotion import cli
+before = set(sys.modules)
+rc = cli.main(sys.argv[1:])
+print(json.dumps(sorted(set(sys.modules) - before)))
+sys.exit(rc)
+"""
+
+
+def test_a_decode_loads_no_numpy_module_after_start_up(tmp_path):
+    """A decode loads no numpy module that start-up did not: not numpy.ma,
+    which ``np.unique`` imports on its first call (about 1 MB of module
+    objects in every decoding process)."""
+    proc = _python(_RUN_MODULES, "decode", GOLDEN, "--robot", "frontal_7dof", "-o", str(tmp_path / "t.csv"))
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in json.loads(proc.stdout) if m.split(".")[0] == "numpy"] == []
+
+
 _SYMBOL = LabanSymbol(Direction.LeftForward, Level.High)
 # (record, its fields in order) for each formerly frozen record
 _FROZEN = [

@@ -16,6 +16,7 @@ from labanmotion.trajectory import (
     DictKey,
     MotionDictionary,
     PATH_SAMPLES,
+    _block_rows,
     _rows_at,
     _segment_index,
     dict_lookup,
@@ -467,6 +468,55 @@ def test_csv_write_memory_does_not_grow_with_rows(rng):
     assert peaks[0] < sizes[0] / 2, (peaks, sizes)
 
 
+def test_csv_write_memory_is_level_in_the_joint_count(rng):
+    # a block holds a fixed number of values, not rows: the traced peak is
+    # about the same at 7 and 28 joints, and blocks of any width write the
+    # bytes of %
+    peaks = []
+    for n_joints in (7, 28):
+        joints = tuple(f"joint{i:02d}" for i in range(n_joints))
+        n = 4 * _block_rows(8)  # several blocks at either width
+        traj = KeyPoses(np.arange(n) / 1000.0, joints, rng.uniform(-180, 180, size=(n, n_joints)))
+        tracemalloc.start()
+        try:
+            trajectory_to_csv(traj, _Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        rows = 2 * _block_rows(n_joints + 1) + 1
+        head = KeyPoses(traj.times[:rows], joints, traj.samples[:rows])
+        out = io.BytesIO()
+        trajectory_to_csv(head, out)
+        row = ",".join(["%.6f"] * (n_joints + 1)) + "\n"
+        assert out.getvalue().decode() == "t," + ",".join(joints) + "\n" + "".join(
+            row % (t, *r) for t, r in zip(head.times.tolist(), head.samples.tolist()))
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
+def test_synthesize_memory_is_the_result_and_a_few_sample_arrays(rng):
+    # the (m, J) result is filled block by block: beside it the traced peak
+    # holds the (m,) grid, segment index and normalized times, the result's
+    # time-order check and one block's temporaries, at a high rate and with
+    # or without a dictionary; an (m, J) temporary would exceed the bound
+    joints = tuple(f"joint{i}" for i in range(7))
+    keyposes = KeyPoses(np.array([0.0, 1.0, 2.5]), joints, rng.uniform(-90, 90, size=(3, len(joints))))
+    states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)), _state(S(D.Left, L.High))]
+    mdict = MotionDictionary()
+    for a, b in zip(states, states[1:]):
+        dict_update(mdict, state_key(a, b), KeyPoses(np.arange(4.0), joints, rng.uniform(-90, 90, size=(4, 7))))
+    for d in (None, mdict):
+        for mode in ("linear", "cubic"):
+            tracemalloc.start()
+            try:
+                traj = synthesize(keyposes, _codes(states), d, mode, 100_000.0, COLUMNS)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            m = len(traj.times)
+            assert m == 250_001
+            assert peak <= traj.samples.nbytes + 5 * m * 8, (d is not None, mode, peak, traj.samples.nbytes)
+
+
 def test_synthesize_rejects_mismatched_dictionary_joints():
     keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
@@ -612,11 +662,12 @@ def test_csv_matches_per_value_formatting(rng):
         traj = _timed(values)
         assert _csv(traj) == _csv_per_value(traj.times, traj.samples), name
 
-    # row counts around the 4096-row block, with a fallback value in one block only
-    for rows in (0, 1, 4095, 4096, 4097, 8193):
+    # row counts around the block (4 columns a row), with a fallback value in one block only
+    block = _block_rows(len(JOINTS) + 1)
+    for rows in (0, 1, block - 1, block, block + 1, 2 * block + 1):
         traj = _timed(random[:3 * rows])
-        if rows > 4096:
-            traj.samples[4096, 1] = math.nan
+        if rows > block:
+            traj.samples[block, 1] = math.nan
         assert _csv(traj) == _csv_per_value(traj.times, traj.samples), rows
 
 
@@ -647,11 +698,13 @@ def _csv_rows_digit_loop(block):
 
 
 def _csv_digit_loop(values):
-    """Reference CSV of (m, 4) rows: the digit loop per 4096-row block, or
-    ``%`` row by row for a block that it cannot write exactly."""
+    """Reference CSV of (m, 4) rows: the digit loop per block of
+    ``_BLOCK_VALUES`` values, or ``%`` row by row for a block that it cannot
+    write exactly."""
     out = ["t," + ",".join(JOINTS) + "\n"]
-    for a in range(0, len(values), 4096):
-        block = values[a:a + 4096]
+    rows = _block_rows(values.shape[1])
+    for a in range(0, len(values), rows):
+        block = values[a:a + rows]
         if np.all(np.abs(block) < 2.0**52 / 1e6):
             out.append(_csv_rows_digit_loop(block))
         else:
@@ -679,7 +732,8 @@ def test_csv_matches_the_digit_loop_reference(rng):
         values = np.column_stack([traj.times, traj.samples])
         assert _csv(traj) == _csv_digit_loop(values) == _csv_per_value(traj.times, traj.samples), name
     # every block of one trajectory gets its own group count; the buffer is resized
-    traj = _timed(np.concatenate([np.resize(np.array(edges), 4096 * 3), random[:5000 * 3], np.full(9, -0.0)]))
+    block = _block_rows(len(JOINTS) + 1)
+    traj = _timed(np.concatenate([np.resize(np.array(edges), block * 3), random[:5000 * 3], np.full(9, -0.0)]))
     assert _csv(traj) == _csv_digit_loop(np.column_stack([traj.times, traj.samples]))
 
 
