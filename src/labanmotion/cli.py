@@ -329,58 +329,77 @@ def _cmd_pipeline(run: _Run) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _settings(parser: argparse.ArgumentParser, *keys: str, **flags: str) -> None:
-    """Add each setting's flag, or the spelling ``flags`` gives for it; a flag not
-    given leaves None, so the config file or the default decides."""
-    for key in keys:
-        flag, options = _FLAGS[key]
-        parser.add_argument(flags.get(key, flag), **options)
+def _add_options(parser: argparse.ArgumentParser, options) -> None:
+    """Add each option: a setting's key, for its flag, or a ``(flag, argparse
+    options)`` pair. A setting's flag not given leaves None, so the config
+    file or the default decides."""
+    for option in options:
+        flag, kwargs = _FLAGS[option] if isinstance(option, str) else option
+        parser.add_argument(flag, **kwargs)
+
+
+class _Subcommand:
+    """A subcommand's parser, built and given its arguments by ``fill`` when
+    it first parses, so a run builds the parser of the command it runs and
+    no other. argparse reaches a subcommand's parser only through
+    ``parse_known_args``; the command's name and help live in the parent."""
+
+    def __init__(self, fill, **kwargs):
+        self._fill, self._kwargs, self._parser = fill, kwargs, None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._parser is None:
+            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._fill(self._parser)
+        return self._parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="labanmotion")
     parser.add_argument("--config", default=None, help="key=value settings file; flags win")
     parser.add_argument("--verbose", action="store_true", help="per-stage timing and counts on stderr")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
 
-    def command(subs, name, func, help, *positionals, output="output file", **shaped):
-        """A subcommand: positionals, then ``shaped`` ones with their options, then -o unless output is None."""
-        p = subs.add_parser(name, help=help)
-        for arg, options in {**dict.fromkeys(positionals, {}), **shaped}.items():
-            p.add_argument(arg, **options)
-        if output:
-            p.add_argument("-o", "--output", required=True, help=output)
-        p.set_defaults(func=func)
-        return p
+    def command(subs, name, func, help, *positionals, output="output file", options=(), **shaped):
+        """A subcommand whose parser, built when it first parses, takes positionals, then
+        ``shaped`` ones with their options, then -o unless output is None, then ``options``
+        (see :func:`_add_options`)."""
+        def fill(p):
+            for arg, kwargs in {**dict.fromkeys(positionals, {}), **shaped}.items():
+                p.add_argument(arg, **kwargs)
+            if output:
+                p.add_argument("-o", "--output", required=True, help=output)
+            _add_options(p, options)
+            p.set_defaults(func=func)
 
-    p = command(sub, "synth", _cmd_synth, "generate a synthetic skeleton file",
-                pattern={"choices": ("static", "move_hold_move", "reach_sequence")})
-    _settings(p, "rate")
-    p.add_argument("--duration", type=float, help="static pattern length, s")
-    p.add_argument("--part", help="left_arm | right_arm | head")
-    p.add_argument("--from-pose")
-    p.add_argument("--to-pose")
-    p.add_argument("--hold", type=float)
-    _settings(p, "move_seconds")
-    p.add_argument("--pose", action="append", metavar="NAME:DWELL", help="reach_sequence stop; repeatable")
+        subs.add_parser(name, help=help, fill=fill)
 
-    _settings(command(sub, "keyframes", _cmd_keyframes, "detect key frames", "skeleton"), *_KEYFRAME_KEYS)
-    _settings(command(sub, "encode", _cmd_encode, "skeleton -> Labanotation score", "skeleton"),
-              "columns", *_KEYFRAME_KEYS)
-    _settings(command(sub, "decode", _cmd_decode, "score -> joint trajectory CSV", "score"),
-              "robot", "interp", "traj_rate", "dict", traj_rate="--rate")
+    command(sub, "synth", _cmd_synth, "generate a synthetic skeleton file",
+            pattern={"choices": ("static", "move_hold_move", "reach_sequence")},
+            options=("rate",
+                     ("--duration", {"type": float, "help": "static pattern length, s"}),
+                     ("--part", {"help": "left_arm | right_arm | head"}),
+                     ("--from-pose", {}), ("--to-pose", {}), ("--hold", {"type": float}),
+                     "move_seconds",
+                     ("--pose", {"action": "append", "metavar": "NAME:DWELL",
+                                 "help": "reach_sequence stop; repeatable"})))
+    command(sub, "keyframes", _cmd_keyframes, "detect key frames", "skeleton", options=_KEYFRAME_KEYS)
+    command(sub, "encode", _cmd_encode, "skeleton -> Labanotation score", "skeleton",
+            options=("columns", *_KEYFRAME_KEYS))
+    command(sub, "decode", _cmd_decode, "score -> joint trajectory CSV", "score",
+            options=("robot", "interp", ("--rate", _FLAGS["traj_rate"][1]), "dict"))
 
-    dsub = sub.add_parser("dict", help="motion dictionary operations").add_subparsers(
-        dest="dict_command", required=True)
-    p = command(dsub, "build", _cmd_dict_build, "build a dictionary from observations", skeletons={"nargs": "+"})
-    _settings(p, "robot", "tau", *_KEYFRAME_KEYS)
-    command(dsub, "stats", _cmd_dict_stats, "summarize a dictionary", "dictionary", output=None)
+    def dict_commands(p):
+        dsub = p.add_subparsers(dest="dict_command", required=True, parser_class=_Subcommand)
+        command(dsub, "build", _cmd_dict_build, "build a dictionary from observations", skeletons={"nargs": "+"},
+                options=("robot", "tau", *_KEYFRAME_KEYS))
+        command(dsub, "stats", _cmd_dict_stats, "summarize a dictionary", "dictionary", output=None)
 
-    p = command(sub, "roundtrip", _cmd_roundtrip, "decode then re-encode a score on a robot", "score", output=None)
-    _settings(p, "robot")
-    p = command(sub, "pipeline", _cmd_pipeline, "skeleton -> score -> trajectory, all artifacts", "skeleton",
-                output="output directory")
-    _settings(p, "robot", "columns", "interp", "dict", "traj_rate", *_KEYFRAME_KEYS)
+    sub.add_parser("dict", help="motion dictionary operations", fill=dict_commands)
+    command(sub, "roundtrip", _cmd_roundtrip, "decode then re-encode a score on a robot", "score", output=None,
+            options=("robot",))
+    command(sub, "pipeline", _cmd_pipeline, "skeleton -> score -> trajectory, all artifacts", "skeleton",
+            output="output directory", options=("robot", "columns", "interp", "dict", "traj_rate", *_KEYFRAME_KEYS))
     return parser
 
 

@@ -79,16 +79,14 @@ class KeyFrameSet:
         self.params = params
 
 
-def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
-    """Convolve with a unit-sum Gaussian kernel truncated at +/- 3 sigma.
+def gaussian_kernel(sigma: float, rate: float, n: int) -> np.ndarray:
+    """The weights that :func:`smooth_signal` convolves a signal of ``n``
+    samples with: a unit-sum Gaussian truncated at +/- 3 sigma.
 
-    The kernel is symmetric (zero lag) and edges are handled by replicating
-    the boundary samples, so output length equals input length and constants
-    pass through unchanged. A kernel longer than :data:`MAX_SAMPLES`, or one so
-    narrow that 1 / (2 s^2) overflows, is refused before anything is allocated.
-    A kernel wider than the clip has the weight of its taps beyond the clip
-    folded into its outermost taps, so n samples cost O(n * min(r, n)) for
-    radius r.
+    A kernel longer than :data:`MAX_SAMPLES`, or one so narrow that
+    1 / (2 s^2) overflows, is refused before anything is allocated. A kernel
+    wider than the signal has the weight of its taps beyond the signal folded
+    into its outermost taps, so it keeps at most 2n - 1 taps.
     """
     s = sigma * rate  # width in samples
     # the kernel has 2 * ceil(3 s) + 1 samples and divides by 2 s^2, which must be
@@ -96,21 +94,39 @@ def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
     if not (2.0 * s * s >= np.finfo(float).tiny and 3.0 * s <= (MAX_SAMPLES - 1) // 2):
         raise BadInput(f"sigma {sigma:g} s at {rate:g} Hz gives no usable kernel within {MAX_SAMPLES} samples")
     finite(sigma, "sigma", 0.0, strict=True)
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return xs.copy()
     r = int(math.ceil(3.0 * s))
     k = np.arange(-r, r + 1, dtype=float)
     w = np.exp(-(k * k) / (2.0 * s * s))
     w /= w.sum()
-    m = min(r, xs.size - 1)
+    m = min(r, max(n - 1, 0))
     if m < r:  # taps beyond m only meet replicated edge samples: fold each tail into the outermost tap kept
         tails = w[:r - m].sum(), w[r + m + 1:].sum()
         w = w[r - m:r + m + 1].copy()
         w[0] += tails[0]
         w[-1] += tails[1]
+    return w
+
+
+def _convolve_replicated(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``xs`` convolved with the odd-length kernel ``w``, its edge samples
+    replicated, so the output has the input's length."""
+    if xs.size == 0:
+        return xs.copy()
+    m = len(w) // 2
     pad = np.concatenate([np.full(m, xs[0]), xs, np.full(m, xs[-1])])
     return np.convolve(pad, w, mode="valid")
+
+
+def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
+    """Convolve with the unit-sum Gaussian kernel of :func:`gaussian_kernel`.
+
+    The kernel is symmetric (zero lag) and edges are handled by replicating
+    the boundary samples, so output length equals input length and constants
+    pass through unchanged. With the kernel folded to the signal, n samples
+    cost O(n * min(r, n)) for radius r.
+    """
+    xs = np.asarray(xs, dtype=float)
+    return _convolve_replicated(xs, gaussian_kernel(sigma, rate, xs.size))
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:
@@ -135,10 +151,12 @@ def _derivatives(x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     return v, a
 
 
-def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams) -> EnergySeries:
+def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams,
+           kernel: np.ndarray | None = None) -> EnergySeries:
     """Energy signal of one part over a uniformly sampled sequence.
 
-    The x, y, z coordinate signals are smoothed first, then differentiated;
+    The x, y, z coordinate signals are smoothed first (with ``kernel``, the
+    clip's :func:`gaussian_kernel`, built here if not given), then differentiated;
     acceleration and speed magnitudes (each scaled by 1/sqrt(3)) are min-max
     normalized into [0, 1] over the whole sequence. A constant magnitude
     series normalizes to all zeros. Coordinates so large that a derivative
@@ -151,11 +169,13 @@ def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams) -> Ener
     rate = seq.sample_rate
     dt = 1.0 / rate
     coords = seq.positions_of(part)
+    if kernel is None:
+        kernel = gaussian_kernel(params.sigma, rate, len(seq))
     vs, accs = [], []
     try:
         with np.errstate(over="raise", invalid="raise"):
             for c in range(3):
-                x = smooth_signal(coords[:, c], params.sigma, rate)
+                x = _convolve_replicated(coords[:, c], kernel)
                 v, a = _derivatives(x, dt)
                 vs.append(v)
                 accs.append(a)
@@ -281,8 +301,10 @@ def extract_keyframes(seq: SkeletonSequence, params: EnergyParams | None = None)
     if seq.sample_rate is None:
         raise InsufficientData("sequence must be uniformly sampled (resample first)")
     rate = seq.sample_rate
+    # one kernel for every part's signals; energy refuses a clip under 3 frames first
+    kernel = gaussian_kernel(params.sigma, rate, len(seq)) if len(seq) >= 3 else None
     per_part = {
-        part: detect_peaks(energy(seq, part, params), params, rate)
+        part: detect_peaks(energy(seq, part, params, kernel), params, rate)
         for part in DEFAULT_TRACKED_PARTS
     }
     return merge_keyframes(per_part, params, rate)

@@ -350,37 +350,45 @@ _CSV_INT, _CSV_POINT, _CSV_END = _csv_tables()
 _NUL_WORD, _INNER = 2000, 2001
 
 
-def _micros(block: np.ndarray) -> np.ndarray:
+def _micros(block: np.ndarray, y: np.ndarray) -> np.ndarray:
     """rint(|v|·1e6) as int64: the integer that ``'%.6f' % v`` writes, for a
-    block with every |v| < _CSV_EXACT_LIMIT.
+    block with every |v| < _CSV_EXACT_LIMIT whose magnitudes |v| ``y`` holds.
+    The integers land in y's memory.
 
     rint(|v|·1e6) is the correctly rounded (half-even) integer of the exact
     product unless the rounded product is a half-integer; only there may the
     exact product lie on either side, so those values take their integer
     from ``%``.
     """
-    y = np.abs(block)
     y *= 1e6
     r = np.rint(y)
     y -= r  # in place: |y - r| is |r - y|
-    tie = np.abs(y, out=y) == 0.5
-    if tie.any():
+    if np.abs(y, out=y).max() == 0.5:
+        tie = y == 0.5
         r[tie] = [float(("%.6f" % m).replace(".", "")) for m in np.abs(block[tie]).tolist()]
     micros = y.view(np.int64)  # y's memory, no longer read, takes the integers
     np.copyto(micros, r, casting="unsafe")
     return micros
 
 
-def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
+def _csv_words(block: np.ndarray, y: np.ndarray, largest: float, buffer: bytearray) -> None:
     """Fill ``buffer`` with the words of a block's rows, resizing it if the
     block needs another size: per value, its integer part's 3-digit groups,
-    then '.ddd', then 'ddd,' (or 'ddd\\n' in a row's last field). The sign
-    comes from the sign bit, so -0.0 and negatives that round to zero print
-    ``-0.000000``."""
-    frac = _micros(block)
-    whole = np.empty_like(frac)
-    np.divmod(frac, 1000000, out=(whole, frac))
-    n_groups = -(-len(str(int(whole.max()))) // 3)
+    then '.ddd', then 'ddd,' (or 'ddd\\n' in a row's last field). ``y`` holds
+    the block's magnitudes and ``largest`` their maximum; :func:`_micros`
+    overwrites ``y``. The sign comes from the sign bit, so -0.0 and negatives
+    that round to zero print ``-0.000000``.
+
+    Each split is a floor division by a Python int, which numpy does
+    without a hardware divide, and a multiply and subtract for the
+    remainder. Every gather index is in its table's range by construction,
+    so ``np.take`` skips the bounds check (``mode="clip"``).
+    """
+    # `%` rounds monotonically, so the largest magnitude has the most integer digits
+    n_groups = -(-("%.6f" % largest).index(".") // 3)
+    frac = _micros(block, y)
+    whole = np.floor_divide(frac, 1000000)
+    frac -= whole * 1000000
     size = block.size * (n_groups + 2) * 4
     if len(buffer) != size:
         buffer[:] = b"\0"
@@ -394,19 +402,22 @@ def _csv_words(block: np.ndarray, buffer: bytearray) -> None:
     for slot in range(n_groups - 1, -1, -1):  # last group first
         group = rest
         if slot:
-            rest, group = np.divmod(rest, 1000)
+            rest = np.floor_divide(group, 1000)
+            group = group - 1000 * rest
         unit = 1000 ** (n_groups - 1 - slot)  # the place value of the group's last digit
         np.add(sign, group, out=index)
         if slot < n_groups - 1:  # a group above the leading one is all pad
             index[whole < unit] = _NUL_WORD
         if slot:  # a group below the leading one is zero-padded
             np.copyto(index, _INNER + group, where=whole >= 1000 * unit)
-        np.take(_CSV_INT, index, out=words[..., slot])
+        np.take(_CSV_INT, index, out=words[..., slot], mode="clip")
     del whole, rest, group, sign
-    np.divmod(frac, 1000, out=(index, frac))
-    np.take(_CSV_POINT, index, out=words[..., -2])
+    np.floor_divide(frac, 1000, out=index)  # the first three decimals
+    np.take(_CSV_POINT, index, out=words[..., -2], mode="clip")
+    index *= 1000
+    frac -= index  # the last three decimals
     frac[:, -1] += 1000
-    np.take(_CSV_END, frac, out=words[..., -1])
+    np.take(_CSV_END, frac, out=words[..., -1], mode="clip")
 
 
 def trajectory_to_csv(traj: KeyPoses, fh) -> None:
@@ -415,16 +426,20 @@ def trajectory_to_csv(traj: KeyPoses, fh) -> None:
 
     Rows are formatted in blocks of about 16K values (``_BLOCK_VALUES``:
     2,048 rows at 8 columns) by an array formatter that writes the same
-    bytes as ``%``. It rounds each |v|·1e6 to an integer and splits
-    that into 3-digit groups: the integer part's groups, then two groups of
-    decimals. Each group is an index into a small table of uint32 words,
-    four characters each, which ``np.take`` gathers into a buffer that
-    the blocks reuse: the sign and the leading group without its leading
-    zeros, every later integer group zero-padded, '.' with the first three
-    decimals, and the last three decimals with ',' or '\\n'. Bytes that a
-    word does not need are NUL, and one ``translate`` drops them. A block
+    bytes as ``%``. Per block, one ``abs`` pass fills a scratch array that
+    the call allocates once; its maximum is the range check: a block
     holding a non-finite value or a magnitude of 2**52 / 1e6 (about 4.5e9)
-    or more is formatted by ``%`` row by row. Each block's bytes are
+    or more is formatted by ``%`` row by row. Otherwise :func:`_micros`
+    rounds each |v|·1e6 to an integer in the scratch's memory, and floor
+    divisions by constant ints, each followed by a multiply and a subtract
+    for the remainder, split it into 3-digit groups: the integer part's
+    groups, then two groups of decimals. Each group is an index into a
+    small table of uint32 words, four characters each, which ``np.take``
+    gathers into a buffer that the blocks reuse: the sign and the leading
+    group without its leading zeros, every later integer group
+    zero-padded, '.' with the first three decimals, and the last three
+    decimals with ',' or '\\n'. Bytes that a word does not need are NUL,
+    and one ``translate`` drops them. Each block's bytes are
     written as soon as they are formatted, so memory stays one block's
     worth whatever the row count and the joint count.
     """
@@ -433,12 +448,15 @@ def trajectory_to_csv(traj: KeyPoses, fh) -> None:
     buffer = bytearray()
     n = _block_rows(len(traj.joints) + 1)
     block_rows = np.empty((min(len(traj.times), n), len(traj.joints) + 1))  # refilled per block
+    magnitudes = np.empty_like(block_rows)  # |block|, then its micros
     for a in range(0, len(traj.times), n):
         block = block_rows[:len(traj.times) - a]
         block[:, 0] = traj.times[a:a + n]
         block[:, 1:] = traj.samples[a:a + n]
-        if np.all(np.abs(block) < _CSV_EXACT_LIMIT):  # False for NaN and inf
-            _csv_words(block, buffer)
+        y = np.abs(block, out=magnitudes[:len(block)])
+        largest = y.max()
+        if largest < _CSV_EXACT_LIMIT:  # False for NaN and inf
+            _csv_words(block, y, largest, buffer)
             fh.write(buffer.translate(None, b"\0"))
         else:
             fh.write("".join(row % tuple(r) for r in block.tolist()).encode("ascii"))

@@ -379,6 +379,39 @@ def test_setting_resolves_as_flag_then_config_then_default(tmp_path, key):
     assert resolve(overridden, flag_args) == flag_value != resolve(overridden)
 
 
+@pytest.mark.skipif(sys.version_info >= (3, 13),
+                    reason="argparse 3.13 writes a flag's metavar once: -o, --output OUTPUT")
+def test_usage_and_argument_errors_are_pinned(monkeypatch, capsys):
+    # each subcommand's parser is built when it first parses; --help of
+    # every command and the argument errors stay byte for byte what these
+    # argparse versions print for parsers built up front (80 columns)
+    monkeypatch.setenv("COLUMNS", "80")
+    with open(os.path.join(DATA, "cli_usage.json"), encoding="utf-8") as fh:
+        cases = json.load(fh)
+    for case in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(case["argv"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out, err) == (case["status"], case["stdout"], case["stderr"]), case["argv"]
+
+
+def test_one_parser_parses_several_command_lines():
+    parser = cli.build_parser()
+    common = {"config": None, "verbose": False}
+    decode = {**common, "command": "decode", "func": cli._cmd_decode, "robot": None, "interp": None, "dict": None}
+    assert vars(parser.parse_args(["decode", "s.json", "--robot", "r", "--rate", "50", "-o", "a.csv"])) == {
+        **decode, "score": "s.json", "robot": "r", "traj_rate": 50.0, "output": "a.csv"}
+    # the flags of the first command line do not carry over
+    assert vars(parser.parse_args(["decode", "t.json", "-o", "b.csv"])) == {
+        **decode, "score": "t.json", "traj_rate": None, "output": "b.csv"}
+    assert vars(parser.parse_args(["dict", "stats", "d.json"])) == {
+        **common, "command": "dict", "dict_command": "stats", "func": cli._cmd_dict_stats, "dictionary": "d.json"}
+    build = parser.parse_args(["dict", "build", "a.json", "b.json", "--tau", "5", "-o", "d.json"])
+    assert (build.func, build.skeletons, build.tau, build.output) == (cli._cmd_dict_build, ["a.json", "b.json"], 5.0,
+                                                                      "d.json")
+    assert parser.parse_args(["dict", "build", "c.json", "-o", "e.json"]).tau is None
+
+
 @pytest.mark.parametrize("case", ["score-columns", "robot-joints"])
 def test_duplicate_names_are_reported_in_file_order(tmp_path, case):
     """Repeated column or joint names are named in the order they first

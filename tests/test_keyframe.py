@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from labanmotion import keyframe
 from labanmotion.errors import BadInput, InsufficientData
 from labanmotion.keyframe import (
     DEFAULT_TRACKED_PARTS,
@@ -380,6 +381,22 @@ def test_scale_invariance_of_peak_locations():
 def test_extract_keyframes_static_is_empty():
     seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
     assert extract_keyframes(seq).merged == []
+
+
+@pytest.mark.parametrize("sigma", [0.1, 10000.0])
+def test_extract_keyframes_builds_one_kernel_per_clip(monkeypatch, sigma):
+    # the clip's 15 coordinate signals share one kernel, at the default width
+    # and at one far wider than the clip, and each part's peaks are those of
+    # its energy on its own
+    seq = synth_motion({"pattern": "reach_sequence", "part": "right_arm",
+                        "poses": [["place_low", 0.6], ["forward_middle", 0.6], ["right_high", 0.6]]}, rate=30.0)
+    params = EnergyParams(sigma=sigma)
+    alone = {part: detect_peaks(energy(seq, part, params), params, 30.0) for part in DEFAULT_TRACKED_PARTS}
+    built = []
+    kernel = keyframe.gaussian_kernel
+    monkeypatch.setattr(keyframe, "gaussian_kernel", lambda *a: built.append(a) or kernel(*a))
+    assert extract_keyframes(seq, params).per_part == alone
+    assert built == [(sigma, 30.0, len(seq))]
 
 
 # ---------------------------------------------------------------------------

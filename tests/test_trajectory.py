@@ -656,6 +656,17 @@ def test_csv_matches_per_value_formatting(rng):
         "below limit": [np.nextafter(limit, 0), -np.nextafter(limit, 0), 2.5e-6, -1e-9],
         "at limit": [limit, -limit, np.nextafter(limit, math.inf), 2.5e-6, -1e-9, 1e300],
         "non-finite": [math.nan, math.inf, -math.inf, 1.25, -0.0, 2.5e-6],
+        # micros whose last three or six digits are zeros, at one to four integer groups
+        "whole thousandths": [0.001, -0.001, 0.999, 1.0, -1.0, 999.999, 999.0, 1000.0, -1000.001, 1e6, -1e6,
+                              123456.789, 1e9, -123456789.0, 123456789.000001, 4e9, -4000000000.001, 0.0],
+        # the range check reads the block's largest magnitude: a non-finite
+        # value anywhere in it, the first sample or the last value, sends the
+        # block through %
+        **{f"{v} first": [v, 1.25, -2.5e-6, 7.0, -0.0, 179.5] for v in (math.nan, math.inf, -math.inf)},
+        **{f"{v} last": [1.25, -2.5e-6, 7.0, -0.0, 179.5, v] for v in (math.nan, math.inf, -math.inf)},
+        **{f"{v} last in a full block": np.append(random[:3 * _block_rows(len(JOINTS) + 1) - 1], v)
+           for v in (math.nan, -math.inf)},
+        "largest at limit": [limit, 2.5e-6, -1e-9, 1.0, -0.0, 123.456789],
         "log-uniform": random,
     }
     for name, values in cases.items():
