@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import BadInput, DegeneratePose, NoKeyFrames
 from .keyframe import KeyFrameSet
-from .laban import (ARM_COLUMNS, SECTOR_CENTER_DEG, SPLIT_COLUMNS, VALID_LIMB_SYMBOLS, Cell, Direction,
-                    LabanColumn, LabanScore, LabanSymbol, Level, direction_angles)
+from .laban import (ARM_COLUMNS, SECTOR_CENTER_DEG, SPLIT_COLUMNS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Cell,
+                    Direction, LabanColumn, LabanScore, LabanSymbol, Level, direction_angles)
 from .skeleton import (
     JOINT_INDEX,
     PARENT,
@@ -118,7 +118,7 @@ _ELEVATION_BANDS: tuple[LabanSymbol | Level, ...] = (
 # _BAND_CODES[band, sector]: code of the symbol of an elevation band and an
 # azimuth sector; a cap's row repeats its one symbol
 _BAND_CODES: np.ndarray = np.array([
-    [band.code if isinstance(band, LabanSymbol) else LabanSymbol(d, band).code for d in AZIMUTH_SECTORS]
+    [SYMBOL_CODES[band if isinstance(band, LabanSymbol) else LabanSymbol(d, band)] for d in AZIMUTH_SECTORS]
     for band in _ELEVATION_BANDS
 ], dtype=np.intp)
 
@@ -194,8 +194,8 @@ def encode_sequence(
 ) -> LabanScore:
     """Build a score with one cell per column per merged key frame.
 
-    Cell k covers (t_{k-1}, t_k] with the symbol of the pose at key frame k;
-    the first cell starts at 0. Consecutive cells with identical symbols are
+    Cell k covers (t_{k-1}, t_k] with the code of the pose at key frame k;
+    the first cell starts at 0. Consecutive cells with identical codes are
     coalesced. A key frame at t = 0 would yield an empty interval and is
     skipped.
     """
@@ -213,12 +213,11 @@ def encode_sequence(
         cells: list[Cell] = []
         prev_t = 0.0
         for t, code in zip(key_times, codes):
-            symbol = VALID_LIMB_SYMBOLS[code]
-            if cells and cells[-1].symbol == symbol:
+            if cells and cells[-1].code == code:
                 last = cells[-1]
-                cells[-1] = Cell(symbol, last.start, t - last.start)
+                cells[-1] = Cell(code, last.start, t - last.start)
             else:
-                cells.append(Cell(symbol, prev_t, t - prev_t))
+                cells.append(Cell(code, prev_t, t - prev_t))
             prev_t = t
         laban_columns.append(LabanColumn(name=column, cells=tuple(cells)))
 

@@ -15,13 +15,12 @@ A cell's symbol is the direction/level the part holds at the cell's end;
 the state applies on the half-open interval (start, start + duration], so
 a task owns its ending state but not its starting one.
 
-In memory each column also holds its cells as arrays
-(:attr:`LabanColumn.arrays`): symbol codes, starts, durations and ends. A
-symbol's code is its index in ``VALID_LIMB_SYMBOLS``, or -1 for (Place,
-Middle) (:data:`SYMBOL_CODES`). :func:`validate` checks each column's arrays
-in one pass; only a column that fails gets a plain pass over its cells that
-names each broken rule, with one overlap per overlapping cell, not per pair.
-:func:`states_at` answers with codes.
+A cell holds its symbol as a code (:class:`Cell`): the symbol's index in
+``VALID_LIMB_SYMBOLS``, or -1 for (Place, Middle) (:data:`SYMBOL_CODES`).
+:func:`validate` checks each column in one pass over its cells; only a
+column that fails gets a second pass that names each broken rule, with one
+overlap per overlapping cell, not per pair. :func:`states_at` answers with
+codes.
 
 Score files are JSON with a canonical serialization: sorted keys, 6-decimal
 floats, deterministic layout. ``parse_score(serialize_score(s)) == s`` for
@@ -66,21 +65,12 @@ class Level(str, Enum):
 # @dataclass compiles at import. A record with a cached property is a
 # NamedTuple of its fields plus a subclass without __slots__, whose
 # instances have the dict that cached_property stores into.
-class _SymbolFields(NamedTuple):
+class LabanSymbol(NamedTuple):
     direction: Direction
     level: Level
 
-
-class LabanSymbol(_SymbolFields):
     def __str__(self) -> str:
         return f"{self.direction.value}.{self.level.value}"
-
-    @cached_property
-    def code(self) -> int:
-        """``SYMBOL_CODES[self]``, kept on the instance: a dict lookup hashes
-        the two enums in Python, and a score's cells share the parser's
-        symbol instances, so each instance looks up its code once."""
-        return SYMBOL_CODES[self]
 
 
 # The 26 symbols a limb column may carry: 8 azimuths x 3 levels, plus
@@ -97,8 +87,10 @@ SYMBOL_CODES: dict[LabanSymbol, int] = {
     **{LabanSymbol(d, l): -1 for d in Direction for l in Level},
     **{s: k for k, s in enumerate(VALID_LIMB_SYMBOLS)},
 }
-# (dir, level) tokens of a score file -> their symbol, for all 27 pairs
-_TOKEN_SYMBOLS: dict[tuple[str, str], LabanSymbol] = {(s.direction.value, s.level.value): s for s in SYMBOL_CODES}
+# (dir, level) tokens of a score file -> their symbol's code, for all 27 pairs
+_TOKEN_CODES: dict[tuple[str, str], int] = {(s.direction.value, s.level.value): k for s, k in SYMBOL_CODES.items()}
+# the codes a limb cell may hold
+_LIMB_CODES: frozenset[int] = frozenset(range(len(VALID_LIMB_SYMBOLS)))
 # entry k: the tokens of the symbol of code k
 CODE_TOKENS: tuple[tuple[str, str], ...] = tuple((s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS)
 
@@ -161,7 +153,7 @@ _EXCLUSIVE = {
 
 
 class Cell(NamedTuple):
-    symbol: LabanSymbol
+    code: int  # the symbol's SYMBOL_CODES entry
     start: float
     duration: float
 
@@ -170,28 +162,9 @@ class Cell(NamedTuple):
         return self.start + self.duration
 
 
-class CellArrays(NamedTuple):
-    """A column's cells as (n,) arrays, cell i in row i."""
-
-    codes: np.ndarray  # intp symbol codes (see SYMBOL_CODES)
-    starts: np.ndarray
-    durations: np.ndarray
-    ends: np.ndarray  # Cell.end
-
-
-class _ColumnFields(NamedTuple):
+class LabanColumn(NamedTuple):
     name: str
     cells: tuple[Cell, ...]
-
-
-class LabanColumn(_ColumnFields):
-    @cached_property
-    def arrays(self) -> CellArrays:
-        """The cells as arrays, built at first use (normally by :func:`validate`)."""
-        cells = self.cells
-        starts, durations, ends = np.array([[c.start for c in cells], [c.duration for c in cells],
-                                            [c.end for c in cells]], dtype=float)
-        return CellArrays(np.array([c.symbol.code for c in cells], dtype=np.intp), starts, durations, ends)
 
 
 class _ScoreFields(NamedTuple):
@@ -266,13 +239,14 @@ def column_violations(names: Sequence[str]) -> list[Violation]:
 
 def _cells_pass(col: LabanColumn, total: float) -> bool:
     """Whether every cell passes the cell rules and starts after the previous
-    cell ends: one pass over the column's arrays as floats, which
-    :func:`_column_violations` reports on only when it fails. A start or
-    duration that is not finite makes a NaN or infinite end."""
+    cell ends: one pass over the cells, which :func:`_column_violations`
+    reports on only when it fails. A start or duration that is not finite
+    makes a NaN or infinite end."""
     prev_start = prev_end = -math.inf
     limit = total + 1e-9
-    for code, start, duration, end in zip(*(x.tolist() for x in col.arrays)):
-        if not (code >= 0 and duration > 0 and start >= 0 and end < math.inf and end <= limit
+    for code, start, duration in col.cells:
+        end = start + duration
+        if not (code in _LIMB_CODES and duration > 0 and start >= 0 and end < math.inf and end <= limit
                 and start > prev_start and prev_end - 1e-12 <= start):
             return False
         prev_start, prev_end = start, end
@@ -293,8 +267,10 @@ def _column_violations(col: LabanColumn, total: float) -> list[Violation]:
     out: list[Violation] = []
     for i, cell in enumerate(cells):
         start, duration = cell.start, cell.duration
-        if cell.symbol.code < 0:
+        if cell.code == -1:
             out.append(Violation("place-middle", name, i, "(Place, Middle) is not a limb symbol"))
+        elif cell.code not in _LIMB_CODES:  # only a cell built in code, not one parsed
+            out.append(Violation("unknown-code", name, i, f"code {cell.code!r} names no symbol"))
         if not (math.isfinite(start) and math.isfinite(duration)):
             out.append(Violation("non-finite", name, i, f"start {start}, duration {duration}"))
         if duration <= 0:
@@ -344,11 +320,12 @@ def states_at(score: LabanScore, times: Iterable[float]) -> np.ndarray:
     t = np.array(times, dtype=float)
     out = np.empty((len(times), len(score.columns)), dtype=np.intp)
     for c, col in enumerate(score.columns):
-        a = col.arrays
+        codes, starts, durations = zip(*col.cells) if col.cells else ((), (), ())
+        ends = np.array(starts, dtype=float) + durations  # Cell.end, the same IEEE adds
         # the first cell whose end is not before t; one past the last, a
         # sentinel cell that starts at +inf and so covers nothing
-        first = np.searchsorted(np.maximum.accumulate(a.ends + 1e-9), t).tolist()
-        starts, codes = a.starts.tolist() + [math.inf], a.codes.tolist() + [-1]
+        first = np.searchsorted(np.maximum.accumulate(ends + 1e-9), t).tolist()
+        starts, codes = starts + (math.inf,), codes + (-1,)
         out[:, c] = [codes[k] if starts[k] < x else -1 for k, x in zip(first, times)]
     return out
 
@@ -371,12 +348,12 @@ def serialize_score(score: LabanScore) -> str:
     for ci, col in enumerate(score.columns):
         lines.append("    {")
         lines.append('      "cells": [')
-        for i, cell in enumerate(col.cells):
+        for i, (code, start, duration) in enumerate(col.cells):
             comma = "," if i + 1 < len(col.cells) else ""
+            dir_tok, lvl_tok = CODE_TOKENS[code]
             lines.append(
                 '        {"dir": "%s", "duration": %s, "level": "%s", "start": %s}%s'
-                % (cell.symbol.direction.value, _f6(cell.duration),
-                   cell.symbol.level.value, _f6(cell.start), comma)
+                % (dir_tok, _f6(duration), lvl_tok, _f6(start), comma)
             )
         lines.append("      ],")
         lines.append(f'      "name": "{col.name}"')
@@ -423,7 +400,7 @@ def _parse_cell(cell_obj, where: str) -> Cell:
     except ValueError:
         raise ParseError(f"{where}.level", f"unknown level token {lvl_tok!r}") from None
     start = _require(cell_obj, "start", float, where)
-    return Cell(_TOKEN_SYMBOLS[dir_tok, lvl_tok], start, _require(cell_obj, "duration", float, where))
+    return Cell(_TOKEN_CODES[dir_tok, lvl_tok], start, _require(cell_obj, "duration", float, where))
 
 
 def parse_score(text: str) -> LabanScore:
@@ -446,16 +423,16 @@ def parse_score(text: str) -> LabanScore:
         cells_obj = _require(col_obj, "cells", list, where)
         cells = []
         for i, cell_obj in enumerate(cells_obj):
-            # one lookup for the symbol and two finite floats take the common
+            # one lookup for the code and two finite floats take the common
             # case; anything else goes through the checks that name the fault
             try:
-                symbol = _TOKEN_SYMBOLS[cell_obj["dir"], cell_obj["level"]]
+                code = _TOKEN_CODES[cell_obj["dir"], cell_obj["level"]]
                 start, duration = cell_obj["start"], cell_obj["duration"]
             except (KeyError, TypeError):  # TypeError: not an object, or an unhashable token
-                symbol = None
-            if (symbol is not None and type(start) is float and type(duration) is float
+                code = None
+            if (code is not None and type(start) is float and type(duration) is float
                     and math.isfinite(start) and math.isfinite(duration)):
-                cells.append(Cell(symbol, start, duration))
+                cells.append(Cell(code, start, duration))
             else:
                 cells.append(_parse_cell(cell_obj, f"{where}.cells[{i}]"))
         columns.append(LabanColumn(name=name, cells=tuple(cells)))

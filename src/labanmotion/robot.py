@@ -539,7 +539,8 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
     # nanosecond quantization collapses float drift in start + duration so
     # shared boundaries dedupe across columns; sorted and deduplicated by hand,
     # as np.unique imports numpy.ma (about 1 MB) on its first call
-    times = np.sort(_round9(np.concatenate([np.empty(0)] + [col.arrays.ends for col in score.columns])))
+    ends = [start + duration for col in score.columns for _, start, duration in col.cells]  # Cell.end
+    times = np.sort(_round9(np.array(ends, dtype=float)))
     distinct = np.ones(len(times), dtype=bool)
     distinct[1:] = times[1:] != times[:-1]
     times = times[distinct]

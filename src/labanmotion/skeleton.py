@@ -85,8 +85,8 @@ JOINT_INDEX: dict[JointName, int] = {j: k for k, j in enumerate(ALL_JOINTS)}
 MAX_SAMPLES = 2_000_000
 
 _JOINT_KEYS: tuple[str, ...] = tuple(j.value for j in ALL_JOINTS)
+# every joint after SpineBase, so read as positions[:, 1:]
 _CHILDREN: tuple[JointName, ...] = tuple(j for j in ALL_JOINTS if PARENT[j] is not None)
-_CHILD_IDX = [JOINT_INDEX[j] for j in _CHILDREN]  # every joint after SpineBase, so read as positions[:, 1:]
 _PARENT_IDX = [JOINT_INDEX[PARENT[j]] for j in _CHILDREN]
 
 

@@ -18,6 +18,7 @@ from labanmotion.laban import (
     LabanScore,
     LabanSymbol,
     Level,
+    SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
 )
 from labanmotion.encoder import COLUMN_DISTAL, classify_azimuth, classify_elevation, segment_direction
@@ -167,14 +168,15 @@ def dict_build_per_transition(observed, robot, columns, tau: float = 10.0) -> st
     return serialize_dictionary(mdict)
 
 
-def states_brute_force(score: LabanScore, t: float) -> dict[str, LabanSymbol]:
-    """Per-time scan: the first cell of each column that covers t, by the
-    (start, end + 1e-9] rule; columns with no covering cell are absent."""
+def states_brute_force(score: LabanScore, t: float) -> dict[str, int]:
+    """Per-time scan: the code of the first cell of each column that covers
+    t, by the (start, end + 1e-9] rule; columns with no covering cell are
+    absent."""
     out = {}
     for col in score.columns:
         for cell in col.cells:
             if cell.start < t <= cell.end + 1e-9:
-                out[col.name] = cell.symbol
+                out[col.name] = cell.code
                 break
     return out
 
@@ -182,6 +184,12 @@ def states_brute_force(score: LabanScore, t: float) -> dict[str, LabanSymbol]:
 # ---------------------------------------------------------------------------
 # Random valid score generator (times on a centisecond grid)
 # ---------------------------------------------------------------------------
+
+def symbol_code(direction: Direction, level: Level) -> int:
+    """The code a cell holds for the symbol (direction, level): its
+    ``SYMBOL_CODES`` entry."""
+    return SYMBOL_CODES[LabanSymbol(direction, level)]
+
 
 _ARM_MODE = ("LeftArm", "RightArm", "Head")
 _SPLIT_MODE = ("LeftUpperArm", "LeftForearm", "RightUpperArm", "RightForearm", "Head")
@@ -200,13 +208,11 @@ def random_score(rng: np.random.Generator) -> LabanScore:
             gap = int(rng.integers(0, 3)) * 25
             dur = int(rng.integers(5, 200))
             start = t_cs + gap
-            sym = VALID_LIMB_SYMBOLS[int(rng.integers(0, len(VALID_LIMB_SYMBOLS)))]
+            code = int(rng.integers(0, len(VALID_LIMB_SYMBOLS)))
             # avoid adjacent identical symbols so canonical forms stay stable
-            if cells and cells[-1].symbol == sym and gap == 0:
-                sym = VALID_LIMB_SYMBOLS[
-                    (VALID_LIMB_SYMBOLS.index(sym) + 1) % len(VALID_LIMB_SYMBOLS)
-                ]
-            cells.append(Cell(sym, start / 100.0, dur / 100.0))
+            if cells and cells[-1].code == code and gap == 0:
+                code = (code + 1) % len(VALID_LIMB_SYMBOLS)
+            cells.append(Cell(code, start / 100.0, dur / 100.0))
             t_cs = start + dur
         end_cs_max = max(end_cs_max, t_cs)
         columns.append(LabanColumn(name=name, cells=tuple(cells)))

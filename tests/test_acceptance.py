@@ -233,9 +233,9 @@ def test_criterion_07_boundary_gesture_clamping():
     robot = load_robot("frontal_7dof")
     outside = {D.Backward, D.LeftBackward, D.RightBackward}
     failures = []
-    for sym in VALID_LIMB_SYMBOLS:
+    for code, sym in enumerate(VALID_LIMB_SYMBOLS):
         cols = tuple(
-            LabanColumn(n, (Cell(sym, 0.0, 1.0),)) for n in ("LeftArm", "RightArm", "Head")
+            LabanColumn(n, (Cell(code, 0.0, 1.0),)) for n in ("LeftArm", "RightArm", "Head")
         )
         decoded = decode_score_detailed(LabanScore(columns=cols, total_duration=1.0), robot)
         cmd = decoded[0].segments["right_arm/0"]

@@ -94,7 +94,7 @@ def test_encode_decode_pipeline_files(tmp_path):
     assert main(["encode", clip, "-o", score_path]) == 0
     score = load_score(score_path)
     right = score.column("RightArm")
-    assert [str(c.symbol) for c in right.cells] == ["Place.Low", "Forward.Middle"]
+    assert [str(VALID_LIMB_SYMBOLS[c.code]) for c in right.cells] == ["Place.Low", "Forward.Middle"]
 
     traj_path = str(tmp_path / "traj.csv")
     assert main(["decode", score_path, "--robot", "frontal_7dof", "--interp", "cubic",

@@ -34,7 +34,7 @@ from labanmotion.skeleton import (
     synth_motion,
 )
 
-from conftest import encode_pose_reference, random_rotation, rotate_about, transform_sequence
+from conftest import encode_pose_reference, random_rotation, rotate_about, symbol_code, transform_sequence
 
 D = Direction
 L = Level
@@ -396,8 +396,8 @@ def test_encode_sequence_static_forced_keyframe():
     assert validate(score) == []
     for col in score.columns:
         assert len(col.cells) == 1
-    assert score.column("LeftArm").cells[0].symbol == LabanSymbol(D.Place, L.Low)
-    assert score.column("RightArm").cells[0].symbol == LabanSymbol(D.Place, L.Low)
+    assert score.column("LeftArm").cells[0].code == symbol_code(D.Place, L.Low)
+    assert score.column("RightArm").cells[0].code == symbol_code(D.Place, L.Low)
 
 
 def test_encode_sequence_move_hold_move():
@@ -408,9 +408,9 @@ def test_encode_sequence_move_hold_move():
     )
     score = encode_sequence(seq, extract_keyframes(seq))
     right = score.column("RightArm")
-    assert [c.symbol for c in right.cells] == [
-        LabanSymbol(D.Place, L.Low),
-        LabanSymbol(D.Forward, L.Middle),
+    assert [c.code for c in right.cells] == [
+        symbol_code(D.Place, L.Low),
+        symbol_code(D.Forward, L.Middle),
     ]
     assert validate(score) == []
 

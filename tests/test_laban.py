@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from labanmotion import laban
 from labanmotion.errors import OutOfRange, ParseError, ValidationError
 from labanmotion.laban import (
     Cell,
@@ -24,7 +25,7 @@ from labanmotion.laban import (
     validate,
 )
 
-from conftest import random_score, states_brute_force
+from conftest import random_score, states_brute_force, symbol_code
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = sorted(glob.glob(os.path.join(DATA, "golden_*.json")))
@@ -39,7 +40,7 @@ def _one_column_score():
         columns=(
             LabanColumn(
                 "RightArm",
-                (Cell(S(D.Forward, L.Middle), 0.0, 1.0), Cell(S(D.Place, L.Low), 1.0, 0.5)),
+                (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0), Cell(symbol_code(D.Place, L.Low), 1.0, 0.5)),
             ),
         ),
         total_duration=1.5,
@@ -58,7 +59,7 @@ def test_validate_well_formed():
 
 def test_validate_place_middle():
     score = LabanScore(
-        columns=(LabanColumn("RightArm", (Cell(S(D.Place, L.Middle), 0.0, 1.0),)),),
+        columns=(LabanColumn("RightArm", (Cell(symbol_code(D.Place, L.Middle), 0.0, 1.0),)),),
         total_duration=1.0,
     )
     violations = validate(score)
@@ -72,8 +73,8 @@ def test_validate_overlaps_one_per_cell():
     """Each overlapping cell is reported once, with the earlier-starting cell
     that ends last: three mutually overlapping cells give two violations of
     the three overlapping pairs."""
-    cells = (Cell(S(D.Forward, L.Middle), 0.0, 2.0), Cell(S(D.Left, L.Middle), 0.5, 2.0),
-             Cell(S(D.Right, L.Middle), 1.0, 2.0))
+    cells = (Cell(symbol_code(D.Forward, L.Middle), 0.0, 2.0), Cell(symbol_code(D.Left, L.Middle), 0.5, 2.0),
+             Cell(symbol_code(D.Right, L.Middle), 1.0, 2.0))
     col = LabanColumn("RightArm", cells)
     overlaps = [v for v in validate(LabanScore(columns=(col,), total_duration=3.0)) if v.rule == "overlap"]
     assert [(v.cell, v.detail) for v in overlaps] == [(1, "cells 0 and 1 overlap"), (2, "cells 1 and 2 overlap")]
@@ -83,7 +84,7 @@ def test_validate_overlaps_one_per_cell():
     overlaps = [v for v in validate(LabanScore(columns=(col,), total_duration=3.0)) if v.rule == "overlap"]
     assert [(v.cell, v.detail) for v in overlaps] == [(1, "cells 0 and 1 overlap"), (2, "cells 1 and 2 overlap")]
     # a long first cell is the partner of every cell it runs over
-    col = LabanColumn("RightArm", (Cell(S(D.Forward, L.High), 0.0, 3.0),) + cells[1:])
+    col = LabanColumn("RightArm", (Cell(symbol_code(D.Forward, L.High), 0.0, 3.0),) + cells[1:])
     overlaps = [v for v in validate(LabanScore(columns=(col,), total_duration=3.0)) if v.rule == "overlap"]
     assert [(v.cell, v.detail) for v in overlaps] == [(1, "cells 0 and 1 overlap"), (2, "cells 0 and 2 overlap")]
 
@@ -91,8 +92,8 @@ def test_validate_overlaps_one_per_cell():
 def test_validate_arm_exclusivity():
     score = LabanScore(
         columns=(
-            LabanColumn("LeftArm", (Cell(S(D.Forward, L.Middle), 0.0, 1.0),)),
-            LabanColumn("LeftForearm", (Cell(S(D.Forward, L.Middle), 0.0, 1.0),)),
+            LabanColumn("LeftArm", (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0),)),
+            LabanColumn("LeftForearm", (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0),)),
         ),
         total_duration=1.0,
     )
@@ -104,9 +105,20 @@ def test_validate_no_columns():
     assert any(v.rule == "no-columns" for v in validate(score))
 
 
+def test_validate_rejects_a_code_that_names_no_symbol():
+    """A cell built in code, not parsed, may hold any value as its code; one
+    that is not -1 or a limb symbol's code is a violation, not a wrong pose."""
+    for code in (len(VALID_LIMB_SYMBOLS), 1.5, -2):
+        score = LabanScore(columns=(LabanColumn("RightArm", (Cell(code, 0.0, 1.0),)),), total_duration=1.0)
+        assert [(v.rule, v.cell, v.detail) for v in validate(score)] == [
+            ("unknown-code", 0, f"code {code!r} names no symbol")]
+        with pytest.raises(ValidationError):
+            serialize_score(score)
+
+
 def test_validate_cell_beyond_total():
     score = LabanScore(
-        columns=(LabanColumn("Head", (Cell(S(D.Place, L.High), 0.0, 2.0),)),),
+        columns=(LabanColumn("Head", (Cell(symbol_code(D.Place, L.High), 0.0, 2.0),)),),
         total_duration=1.0,
     )
     assert any(v.rule == "beyond-total" for v in validate(score))
@@ -174,20 +186,39 @@ def test_symbol_codes():
     assert len(SYMBOL_CODES) == 27
 
 
-def test_symbol_code_of_a_separately_built_symbol():
-    """A symbol's cached code is SYMBOL_CODES' entry for any equal symbol,
-    however it was built, and a column of such symbols has the same code
-    array as the parser's."""
-    tokens = [(s.direction.value, s.level.value) for s in VALID_LIMB_SYMBOLS]
-    fresh = [LabanSymbol(Direction(d), Level(lv)) for d, lv in tokens]
-    assert len(fresh) == 26
-    for k, (canonical, s) in enumerate(zip(VALID_LIMB_SYMBOLS, fresh)):
-        assert s == canonical and s is not canonical
-        assert s.code == canonical.code == SYMBOL_CODES[s] == k
-    assert LabanSymbol(Direction("Place"), Level("Middle")).code == -1
-    cells = tuple(Cell(s, float(i), 1.0) for i, s in enumerate(fresh))
-    parsed = parse_score(serialize_score(LabanScore((LabanColumn("Head", cells),), float(len(cells)))))
-    assert parsed.columns[0].arrays.codes.tolist() == LabanColumn("Head", cells).arrays.codes.tolist() == list(range(26))
+def _one_cell_text(dir_tok, lvl_tok, start) -> str:
+    return json.dumps({"columns": [{"cells": [{"dir": dir_tok, "duration": 1.0, "level": lvl_tok, "start": start}],
+                                    "name": "Head"}], "meta": {}, "total_duration": 1.0})
+
+
+def test_every_token_pair_parses_to_its_code_on_both_paths(monkeypatch):
+    """Each of the 27 (dir, level) token pairs gives the same cell code on
+    the fast path (float times) as on the located path (an int start goes
+    through ``_parse_cell``): the pair's SYMBOL_CODES entry, which is -1 for
+    (Place, Middle), a place-middle violation. A column of all 26 codes
+    serializes and parses back to the same codes."""
+    pairs = [(d.value, lv.value) for d in Direction for lv in Level]
+    assert len(pairs) == 27
+    for dir_tok, lvl_tok in pairs:
+        want = SYMBOL_CODES[S(Direction(dir_tok), Level(lvl_tok))]
+        if (dir_tok, lvl_tok) == ("Place", "Middle"):
+            assert want == -1
+            for start in (0.0, 0):
+                with pytest.raises(ValidationError) as exc:
+                    parse_score(_one_cell_text(dir_tok, lvl_tok, start))
+                assert [(v.rule, v.column, v.cell) for v in exc.value.violations] == [("place-middle", "Head", 0)]
+            continue
+        fast, located = (parse_score(_one_cell_text(dir_tok, lvl_tok, start)).columns[0].cells[0] for start in (0.0, 0))
+        assert type(fast.code) is type(located.code) is int
+        assert fast == located == Cell(want, 0.0, 1.0)
+    # with validation left out, both paths hold (Place, Middle) as -1
+    monkeypatch.setattr(laban, "validate", lambda score: [])
+    for start in (0.0, 0):
+        assert parse_score(_one_cell_text("Place", "Middle", start)).columns[0].cells == (Cell(-1, 0.0, 1.0),)
+    monkeypatch.undo()
+    cells = tuple(Cell(k, float(k), 1.0) for k in range(26))
+    parsed = parse_score(serialize_score(LabanScore((LabanColumn("Head", cells),), 26.0)))
+    assert [c.code for c in parsed.columns[0].cells] == list(range(26))
 
 
 def test_states_at_half_open_rule():
@@ -238,9 +269,9 @@ def test_states_at_batched_times():
 
 def _states_at_cursor(score, times):
     """Reference: one cursor per column sweeps the cells once; one
-    {column: symbol} dict per time, uncovered columns absent."""
+    {column: code} dict per time, uncovered columns absent."""
     columns = [
-        (col.name, [c.symbol for c in col.cells], [c.start for c in col.cells],
+        (col.name, [c.code for c in col.cells], [c.start for c in col.cells],
          [c.end + 1e-9 for c in col.cells])
         for col in score.columns
     ]
@@ -254,20 +285,20 @@ def _states_at_cursor(score, times):
             raise ValueError("states_at needs nondecreasing times")
         prev = t
         state = {}
-        for c, (name, symbols, starts, ends) in enumerate(columns):
+        for c, (name, codes, starts, ends) in enumerate(columns):
             k = cursors[c]
             while k < len(ends) and ends[k] < t:
                 k += 1
             cursors[c] = k
             if k < len(ends) and starts[k] < t:
-                state[name] = symbols[k]
+                state[name] = codes[k]
         out.append(state)
     return out
 
 
 def _as_codes(score, states):
-    """{column: symbol} dicts as states_at's (m, C) code rows."""
-    return [[SYMBOL_CODES[s[col.name]] if col.name in s else -1 for col in score.columns] for s in states]
+    """{column: code} dicts as states_at's (m, C) code rows."""
+    return [[s.get(col.name, -1) for col in score.columns] for s in states]
 
 
 def _drifting_score(rng):
@@ -278,9 +309,9 @@ def _drifting_score(rng):
     for name in rng.choice(["LeftArm", "RightArm", "Head"], size=int(rng.integers(1, 4)), replace=False):
         cells, t = [], float(rng.integers(0, 3)) * 0.25
         for _ in range(int(rng.integers(1, 8))):
-            sym = VALID_LIMB_SYMBOLS[int(rng.integers(0, len(VALID_LIMB_SYMBOLS)))]
+            code = int(rng.integers(0, len(VALID_LIMB_SYMBOLS)))
             dur = float(rng.integers(1, 40)) / 20.0 + float(rng.choice([0.0, 1e-9, -1e-9, 3e-10]))
-            cells.append(Cell(sym, t, dur))
+            cells.append(Cell(code, t, dur))
             t = cells[-1].end + float(rng.choice([0.0, 0.0, 0.25, 5e-10, -5e-10, 1e-12]))
         columns.append(LabanColumn(str(name), tuple(cells)))
     total = max(c.end for col in columns for c in col.cells) + float(rng.choice([0.0, 0.5]))
@@ -317,11 +348,10 @@ def test_states_at_where_a_valid_column_ends_step_back():
     a valid column's ends can fall by up to 1e-12 from one cell to the next;
     the first cell that ends at or after t still decides."""
     col = LabanColumn("RightArm", (
-        Cell(VALID_LIMB_SYMBOLS[0], 0.0, 0.5), Cell(VALID_LIMB_SYMBOLS[1], 0.5, 0.5 + 1e-13),
-        Cell(VALID_LIMB_SYMBOLS[2], 1.0, 1e-17), Cell(VALID_LIMB_SYMBOLS[3], 1.0 + 2e-12, 0.5)))
+        Cell(0, 0.0, 0.5), Cell(1, 0.5, 0.5 + 1e-13), Cell(2, 1.0, 1e-17), Cell(3, 1.0 + 2e-12, 0.5)))
     score = LabanScore(columns=(col,), total_duration=1.5 + 2e-12)
     assert validate(score) == []
-    assert col.arrays.ends[2] < col.arrays.ends[1]
+    assert col.cells[2].end < col.cells[1].end
     times = [1.0, 1.0 + 1e-9, 1.00000000100005, 1.0000000010001, 1.0000000010002, 1.2]
     want = _as_codes(score, _states_at_cursor(score, times))
     assert states_at(score, times).tolist() == want
@@ -397,7 +427,7 @@ def _assert_overlaps_within_pairwise(col, overlaps):
 
 
 def test_validate_overlaps_match_pairwise_reference(rng):
-    sym = S(D.Forward, L.Middle)
+    code = symbol_code(D.Forward, L.Middle)
     for _ in range(2000):
         n = int(rng.integers(0, 12))
         # starts on a coarse grid so equal starts, touching cells and cells
@@ -407,7 +437,7 @@ def test_validate_overlaps_match_pairwise_reference(rng):
         # invalid durations too: on equal starts, which cell counts as the
         # earlier one decides whether they overlap
         durations = np.where(rng.random(n) < 0.15, rng.choice([0.0, 1e-13, -0.5], size=n), durations)
-        cells = tuple(Cell(sym, float(s), float(d)) for s, d in zip(starts, durations))
+        cells = tuple(Cell(code, float(s), float(d)) for s, d in zip(starts, durations))
         col = LabanColumn("RightArm", cells)
         score = LabanScore(columns=(col,), total_duration=10.0)
         overlaps = [v for v in validate(score) if v.rule == "overlap"]
@@ -426,8 +456,8 @@ def test_validate_overlaps_match_pairwise_reference(rng):
 ])
 def test_validate_rejects_non_finite(start, duration, total):
     score = LabanScore(
-        columns=(LabanColumn("RightArm", (Cell(S(D.Forward, L.Middle), 0.0, 0.5),
-                                          Cell(S(D.Left, L.Low), start, duration))),),
+        columns=(LabanColumn("RightArm", (Cell(symbol_code(D.Forward, L.Middle), 0.0, 0.5),
+                                          Cell(symbol_code(D.Left, L.Low), start, duration))),),
         total_duration=total,
     )
     assert "non-finite" in {v.rule for v in validate(score)}
@@ -491,8 +521,10 @@ def _validate_per_cell(score):
             out.append(Violation("unknown-column", col.name, None, "not a known column name"))
     for col in score.columns:
         for i, cell in enumerate(col.cells):
-            if cell.symbol.direction == D.Place and cell.symbol.level == L.Middle:
+            if cell.code == symbol_code(D.Place, L.Middle):
                 out.append(Violation("place-middle", col.name, i, "(Place, Middle) is not a limb symbol"))
+            elif cell.code not in range(len(VALID_LIMB_SYMBOLS)):
+                out.append(Violation("unknown-code", col.name, i, f"code {cell.code!r} names no symbol"))
             if not (math.isfinite(cell.start) and math.isfinite(cell.duration)):
                 out.append(Violation("non-finite", col.name, i, f"start {cell.start}, duration {cell.duration}"))
             if cell.duration <= 0:
@@ -509,19 +541,21 @@ def _validate_per_cell(score):
     return out
 
 
-# one fault put into a cell: (start, duration, symbol) -> the broken cell
+# one fault put into a cell: (start, duration, code) -> the broken cell
 _CELL_FAULTS = {
-    "place-middle": lambda s, d, sym: (s, d, S(D.Place, L.Middle)),
-    "nan-start": lambda s, d, sym: (math.nan, d, sym),
-    "inf-start": lambda s, d, sym: (math.inf, d, sym),
-    "minus-inf-start": lambda s, d, sym: (-math.inf, d, sym),
-    "nan-duration": lambda s, d, sym: (s, math.nan, sym),
-    "inf-duration": lambda s, d, sym: (s, math.inf, sym),
-    "zero-duration": lambda s, d, sym: (s, 0.0, sym),
-    "negative-duration": lambda s, d, sym: (s, -0.5, sym),
-    "negative-start": lambda s, d, sym: (-0.25 - s, d, sym),
-    "beyond-total": lambda s, d, sym: (s, d + 20.0, sym),
-    "repeated-start": lambda s, d, sym: (s - d, d, sym),  # starts where the previous cell did, or before
+    "place-middle": lambda s, d, code: (s, d, symbol_code(D.Place, L.Middle)),
+    "code-past-the-last": lambda s, d, code: (s, d, len(VALID_LIMB_SYMBOLS)),
+    "fractional-code": lambda s, d, code: (s, d, code + 0.5),
+    "nan-start": lambda s, d, code: (math.nan, d, code),
+    "inf-start": lambda s, d, code: (math.inf, d, code),
+    "minus-inf-start": lambda s, d, code: (-math.inf, d, code),
+    "nan-duration": lambda s, d, code: (s, math.nan, code),
+    "inf-duration": lambda s, d, code: (s, math.inf, code),
+    "zero-duration": lambda s, d, code: (s, 0.0, code),
+    "negative-duration": lambda s, d, code: (s, -0.5, code),
+    "negative-start": lambda s, d, code: (-0.25 - s, d, code),
+    "beyond-total": lambda s, d, code: (s, d + 20.0, code),
+    "repeated-start": lambda s, d, code: (s - d, d, code),  # starts where the previous cell did, or before
 }
 
 
@@ -533,16 +567,16 @@ def _malformed_score(rng):
     for name in rng.choice(["LeftArm", "RightArm", "Head"], size=int(rng.integers(1, 4)), replace=False):
         cells, t = [], 0.0
         for _ in range(int(rng.integers(0, 9))):
-            sym = VALID_LIMB_SYMBOLS[int(rng.integers(len(VALID_LIMB_SYMBOLS)))]
+            code = int(rng.integers(len(VALID_LIMB_SYMBOLS)))
             d = float(rng.integers(1, 6)) / 4.0
             start, dur = t + float(rng.integers(0, 2)) / 4.0, d
             if rng.random() < 0.25:
-                start, dur, sym = _CELL_FAULTS[str(rng.choice(list(_CELL_FAULTS)))](start, dur, sym)
-            cells.append(Cell(sym, start, dur))
+                start, dur, code = _CELL_FAULTS[str(rng.choice(list(_CELL_FAULTS)))](start, dur, code)
+            cells.append(Cell(code, start, dur))
             t = start + d if math.isfinite(start) else t + d
         if len(cells) >= 4 and rng.random() < 0.3:  # the first cell runs over the next three
             first = cells[0]
-            cells[0] = Cell(first.symbol, first.start, cells[3].start + 0.125 - first.start)
+            cells[0] = Cell(first.code, first.start, cells[3].start + 0.125 - first.start)
         if rng.random() < 0.2:
             cells = [cells[int(i)] for i in rng.permutation(len(cells))]
         columns.append(LabanColumn(str(name), tuple(cells)))
@@ -559,33 +593,33 @@ def test_validate_matches_per_cell_reference(rng):
             _assert_overlaps_within_pairwise(col, [v for v in got if v.rule == "overlap" and v.column == col.name])
         seen |= {v.rule for v in got}
     # a long cell over three later ones gives three overlaps with it
-    long_cell = LabanColumn("RightArm", (Cell(S(D.Forward, L.High), 0.0, 4.0),) + tuple(
-        Cell(S(D.Left, L.Low), float(k), 0.5) for k in (1, 2, 3)))
+    long_cell = LabanColumn("RightArm", (Cell(symbol_code(D.Forward, L.High), 0.0, 4.0),) + tuple(
+        Cell(symbol_code(D.Left, L.Low), float(k), 0.5) for k in (1, 2, 3)))
     score = LabanScore(columns=(long_cell,), total_duration=4.0)
     assert validate(score) == _validate_per_cell(score)
     assert [(v.rule, v.cell) for v in validate(score)] == [("overlap", 1), ("overlap", 2), ("overlap", 3)]
     # starts out of order, and an overlap of cells 0 and 2 that no two
     # neighbouring cells show
-    unsorted = LabanColumn("RightArm", (Cell(S(D.Forward, L.High), 0.0, 3.0), Cell(S(D.Left, L.Low), 5.0, -4.0),
-                                        Cell(S(D.Left, L.High), 1.0, 0.5)))
+    unsorted = LabanColumn("RightArm", (Cell(symbol_code(D.Forward, L.High), 0.0, 3.0), Cell(symbol_code(D.Left, L.Low), 5.0, -4.0),
+                                        Cell(symbol_code(D.Left, L.High), 1.0, 0.5)))
     score = LabanScore(columns=(unsorted,), total_duration=6.0)
     assert validate(score) == _validate_per_cell(score)
     assert [(v.rule, v.cell) for v in validate(score)] == [
         ("nonpositive-duration", 1), ("start-order", 2), ("overlap", 2)]
     # the end of a cell may pass total_duration by 1e-9, no more
     for duration, rules in ((1.0 + 1e-10, []), (1.0 + 1e-8, ["beyond-total"])):
-        score = LabanScore(columns=(LabanColumn("Head", (Cell(S(D.Place, L.High), 0.0, duration),)),),
+        score = LabanScore(columns=(LabanColumn("Head", (Cell(symbol_code(D.Place, L.High), 0.0, duration),)),),
                            total_duration=1.0)
         assert [v.rule for v in validate(score)] == rules
         assert validate(score) == _validate_per_cell(score)
-    assert seen >= {"place-middle", "non-finite", "nonpositive-duration", "negative-start", "beyond-total",
+    assert seen >= {"place-middle", "unknown-code", "non-finite", "nonpositive-duration", "negative-start", "beyond-total",
                     "start-order", "overlap"}
 
 
 def test_validate_reports_column_names_before_cells():
     """The column-name rules (:func:`column_violations`, which robot
     descriptions keep too) come before every cell rule."""
-    faulty = (Cell(S(D.Forward, L.High), 0.0, -1.0),)
+    faulty = (Cell(symbol_code(D.Forward, L.High), 0.0, -1.0),)
     score = LabanScore(columns=(LabanColumn("RightArm", faulty), LabanColumn("Tail", faulty),
                                 LabanColumn("RightForearm", faulty)), total_duration=2.0)
     assert [(v.rule, v.column) for v in validate(score)] == [

@@ -43,7 +43,8 @@ from labanmotion.skeleton import JOINT_INDEX, JointName, SkeletonSequence, body_
 
 from labanmotion.trajectory import MotionDictionary, dict_update, serialize_dictionary
 
-from conftest import dict_build_per_transition, encode_pose_reference, random_rotation, state_key, states_brute_force
+from conftest import (dict_build_per_transition, encode_pose_reference, random_rotation, state_key, states_brute_force,
+                      symbol_code)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -57,7 +58,7 @@ SEG_FRONTAL = Segment("yaw", "pitch", (-90.0, 90.0), (-90.0, 90.0))
 
 def _full_score(symbol: LabanSymbol) -> LabanScore:
     cols = tuple(
-        LabanColumn(name, (Cell(symbol, 0.0, 1.0),)) for name in ("LeftArm", "RightArm", "Head")
+        LabanColumn(name, (Cell(SYMBOL_CODES[symbol], 0.0, 1.0),)) for name in ("LeftArm", "RightArm", "Head")
     )
     return LabanScore(columns=cols, total_duration=1.0)
 
@@ -260,9 +261,9 @@ def test_decode_single_cell_forward():
 def test_decode_uncovered_column_neutral():
     # head coverage starts later; at the first boundary its segment is neutral
     cols = (
-        LabanColumn("RightArm", (Cell(S(D.Forward, L.Middle), 0.0, 1.0),)),
-        LabanColumn("LeftArm", (Cell(S(D.Place, L.Low), 0.0, 1.0),)),
-        LabanColumn("Head", (Cell(S(D.Forward, L.Middle), 1.0, 1.0),)),
+        LabanColumn("RightArm", (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0),)),
+        LabanColumn("LeftArm", (Cell(symbol_code(D.Place, L.Low), 0.0, 1.0),)),
+        LabanColumn("Head", (Cell(symbol_code(D.Forward, L.Middle), 1.0, 1.0),)),
     )
     score = LabanScore(columns=cols, total_duration=2.0)
     robot = load_robot("frontal_7dof")
@@ -291,7 +292,7 @@ def test_decoded_states_are_the_states_at_each_pose():
 
 
 def test_decode_missing_mapped_column():
-    cols = (LabanColumn("RightArm", (Cell(S(D.Forward, L.Middle), 0.0, 1.0),)),)
+    cols = (LabanColumn("RightArm", (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0),)),)
     score = LabanScore(columns=cols, total_duration=1.0)
     robot = load_robot("frontal_7dof")
     with pytest.raises(MissingColumn):
@@ -405,11 +406,11 @@ def test_decode_merge_robot_threads_history():
     cols = (
         LabanColumn(
             "RightUpperArm",
-            (Cell(S(D.Forward, L.Middle), 0.0, 1.0), Cell(S(D.Left, L.Middle), 1.0, 1.0)),
+            (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0), Cell(symbol_code(D.Left, L.Middle), 1.0, 1.0)),
         ),
         LabanColumn(
             "RightForearm",
-            (Cell(S(D.Forward, L.Middle), 0.0, 1.0), Cell(S(D.Right, L.Middle), 1.0, 1.0)),
+            (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0), Cell(symbol_code(D.Right, L.Middle), 1.0, 1.0)),
         ),
     )
     score = LabanScore(columns=cols, total_duration=2.0)
@@ -427,7 +428,7 @@ def test_decode_merge_robot_threads_history():
 
 def test_decode_split_robot_copies_column():
     robot = _split_robot()
-    cols = (LabanColumn("RightArm", (Cell(S(D.Left, L.High), 0.0, 1.0),)),)
+    cols = (LabanColumn("RightArm", (Cell(symbol_code(D.Left, L.High), 0.0, 1.0),)),)
     score = LabanScore(columns=cols, total_duration=1.0)
     poses = decode_score(score, robot)
     assert poses[0].angles["u_yaw"] == pytest.approx(90.0, abs=1e-9)
@@ -543,7 +544,8 @@ def _decode_per_pose(score, robot):
     """Reference decode of a valid score: one reduce and one angle dict per
     pose. Returns the poses and the {column: symbol} maps in force at each."""
     times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
-    states = [states_brute_force(score, min(t, score.total_duration)) for t in times]
+    states = [{col: VALID_LIMB_SYMBOLS[code] for col, code in states_brute_force(score, t).items()}
+              for t in (min(t, score.total_duration) for t in times)]
     hist = {}
     out = []
     for t, symbols in zip(times, states):
@@ -626,7 +628,7 @@ def _random_decode_score(rng, names):
         for _ in range(int(rng.integers(1, 7))):
             pool = _OPPOSED if rng.random() < 0.6 else VALID_LIMB_SYMBOLS
             dur = int(rng.integers(1, 5))
-            cells.append(Cell(pool[int(rng.integers(0, len(pool)))], t / 4.0, dur / 4.0))
+            cells.append(Cell(SYMBOL_CODES[pool[int(rng.integers(0, len(pool)))]], t / 4.0, dur / 4.0))
             t += dur + int(rng.integers(0, 3)) * int(rng.random() < 0.3)
         end = max(end, t)
         columns.append(LabanColumn(name, tuple(cells)))

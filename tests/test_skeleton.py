@@ -36,7 +36,8 @@ def test_geometry_masks_read_every_child_after_the_root():
     """The masks read the child joints as the view positions[:, 1:], which
     holds only while the children are every joint after SpineBase; the
     masks equal those of gathering both sides."""
-    assert skeleton._CHILD_IDX == list(range(1, 12)) == list(range(1, len(ALL_JOINTS)))
+    child_idx = [skeleton.JOINT_INDEX[j] for j in skeleton._CHILDREN]
+    assert child_idx == list(range(1, 12)) == list(range(1, len(ALL_JOINTS)))
     rng = np.random.default_rng(5)
     positions = rng.normal(size=(60, len(ALL_JOINTS), 3))
     times = np.arange(60) / 30.0
@@ -47,7 +48,7 @@ def test_geometry_masks_read_every_child_after_the_root():
     positions[13, 8] = positions[13, skeleton._PARENT_IDX[7]] + [1e-170, 0.0, 0.0]  # one that underflows to 0
     times[15] = math.nan
     timed, located, apart = skeleton._geometry_masks(times, positions)
-    d = positions[:, skeleton._CHILD_IDX] - positions[:, skeleton._PARENT_IDX]
+    d = positions[:, child_idx] - positions[:, skeleton._PARENT_IDX]
     with np.errstate(invalid="ignore", over="ignore"):
         want_apart = skeleton.stacked_dot(d, d) > 0.0
     assert np.array_equal(timed, np.isfinite(times))

@@ -21,8 +21,8 @@ import labanmotion
 from labanmotion import robot as robot_mod, trajectory
 from labanmotion.errors import TimeOrderError
 from labanmotion.keyframe import EnergyParams
-from labanmotion.laban import Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level, Violation, load_score, \
-    parse_score, serialize_score
+from labanmotion.laban import SYMBOL_CODES, Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level, Violation, \
+    load_score, parse_score, serialize_score
 from labanmotion.robot import Chain, FixedJoint, KeyPoses, RobotDescription, Segment, load_robot
 from labanmotion.skeleton import BodyFrame
 from labanmotion.trajectory import DictEntry, DictKey, DictPath, MotionDictionary, parse_dictionary, \
@@ -114,8 +114,8 @@ _SYMBOL = LabanSymbol(Direction.LeftForward, Level.High)
 # (record, its fields in order) for each formerly frozen record
 _FROZEN = [
     (_SYMBOL, ("direction", "level")),
-    (Cell(_SYMBOL, 0.5, 1.25), ("symbol", "start", "duration")),
-    (LabanColumn("Head", (Cell(_SYMBOL, 0.0, 1.0),)), ("name", "cells")),
+    (Cell(SYMBOL_CODES[_SYMBOL], 0.5, 1.25), ("code", "start", "duration")),
+    (LabanColumn("Head", (Cell(SYMBOL_CODES[_SYMBOL], 0.0, 1.0),)), ("name", "cells")),
     (LabanScore((LabanColumn("Head", ()),), 2.0, (("k", "v"),)), ("columns", "total_duration", "meta")),
     (Violation("overlap", "Head", 2, "cells 1 and 2 overlap"), ("rule", "column", "cell", "detail")),
     (Segment("y", "p", (-90.0, 90.0), (-45.0, 45.0), "r", (-10.0, 10.0)),
@@ -138,7 +138,7 @@ def test_record_fields_are_read_only(record, fields):
 
 @pytest.mark.parametrize("make, fields", [
     (lambda: LabanSymbol(Direction.Left, Level.Low), ("direction", "level")),
-    (lambda: Cell(LabanSymbol(Direction.Left, Level.Low), 0.5, 1.25), ("symbol", "start", "duration")),
+    (lambda: Cell(SYMBOL_CODES[LabanSymbol(Direction.Left, Level.Low)], 0.5, 1.25), ("code", "start", "duration")),
     (lambda: DictKey.of(("Head", "RightArm"), (3, -1), (4, 5)), ("from_state", "to_state")),
     (lambda: Violation("overlap", "Head", 2, "cells 1 and 2 overlap"), ("rule", "column", "cell", "detail")),
     (lambda: Segment("y", "p", (-90.0, 90.0), (-45.0, 45.0)),
@@ -162,9 +162,7 @@ def test_a_serialized_score_parses_to_an_equal_score(name):
 def test_cached_properties_are_built_once_per_record():
     score = load_score(GOLDEN)
     robot = load_robot("frontal_7dof")
-    column = score.columns[0]
-    symbol = column.cells[0].symbol
-    cached = [(symbol, "code"), (column, "arrays"), (score, "violations")]
+    cached = [(score, "violations")]
     cached += [(robot, name) for name in ("segment_table", "mapped_columns", "neutral_angles", "symbol_table")]
     for record, name in cached:
         first = getattr(record, name)
