@@ -16,7 +16,6 @@ and direction formula, and the column layouts and column-name rules.
 from .errors import (
     BadDescriptor,
     BadInput,
-    BadSymbol,
     DegeneratePose,
     InsufficientData,
     LabanMotionError,
@@ -35,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BadDescriptor",
     "BadInput",
-    "BadSymbol",
     "DegeneratePose",
     "InsufficientData",
     "LabanMotionError",

@@ -278,21 +278,31 @@ def _cmd_dict_stats(run: _Run) -> int:
 
 def _cmd_roundtrip(run: _Run) -> int:
     robot, decoded = run.decode(laban.load_score(run.args.score))
+    table = robot.segment_table
+    joint = {j: c for c, j in enumerate(decoded.poses.joints)}
+    code_column = {col: c for c, col in enumerate(decoded.columns)}
+    # segment indices in ref order, a repeated ref keeping its last segment
+    order = sorted({ref: s for s, (ref, _, _) in enumerate(table)}.items())
+    driven, flags, states, samples = (a.tolist() for a in (decoded.driven, decoded.clamped, decoded.codes,
+                                                           decoded.poses.samples))
     skipped_merged = 0
     clamped: list[str] = []
     checked, directions = [], []  # (t, ref, symbol) and joint direction of each segment re-encoded
-    for d in decoded:
-        for ref, cmd in sorted(d.segments.items()):
-            if not cmd.driven:
+    for i, t in enumerate(decoded.poses.times.tolist()):
+        for ref, s in order:
+            _, seg, sources = table[s]
+            if not driven[i][s]:
                 continue
-            if cmd.merged:
+            if len(sources) > 1:
                 skipped_merged += 1
                 continue
-            if cmd.clamped:
-                clamped.append(f"t={d.t:.6f} {ref} {cmd.symbol}")
+            symbol = laban.VALID_LIMB_SYMBOLS[states[i][code_column[sources[0]]]]
+            if flags[i][s]:
+                clamped.append(f"t={t:.6f} {ref} {symbol}")
                 continue
-            checked.append((d.t, ref, cmd.symbol))
-            directions.append(laban.direction_vector(cmd.yaw, cmd.pitch))
+            checked.append((t, ref, symbol))
+            yaw, pitch = samples[i][joint[seg.yaw_joint]], samples[i][joint[seg.pitch_joint]]
+            directions.append(laban.direction_vector(yaw, pitch))
     codes = encoder.direction_codes(directions).tolist()
     mismatched = 0
     for (t, ref, symbol), code in zip(checked, codes):

@@ -137,29 +137,12 @@ def _sectors(azimuth_deg: np.ndarray) -> np.ndarray:
     return (np.floor((azimuth_deg + 22.5) / 45.0) % 8.0).astype(np.intp)
 
 
-def classify_elevation(elevation_deg: float) -> LabanSymbol | Level:
-    """Band of an elevation angle: a Place symbol in the polar caps, else the
-    level."""
-    return _ELEVATION_BANDS[_bands(np.array([elevation_deg], dtype=float))[0]]
-
-
-def classify_azimuth(azimuth_deg: float) -> Direction:
-    """Sector of an azimuth angle."""
-    return AZIMUTH_SECTORS[_sectors(np.array([azimuth_deg], dtype=float))[0]]
-
-
 def direction_codes(directions: np.ndarray) -> np.ndarray:
     """Symbol codes of (..., 3) unit body-frame directions (x forward, y
     left, z up) as a flat intp array, from their angles
     (:func:`~labanmotion.laban.direction_angles`) by the band boundaries."""
     azimuth, elevation = direction_angles(np.asarray(directions, dtype=float).reshape(-1, 3))
     return _BAND_CODES[_bands(elevation), _sectors(azimuth)]
-
-
-def digitize(v: np.ndarray) -> LabanSymbol:
-    """Map a unit body-frame direction to its Labanotation symbol."""
-    _check_unit(np.asarray(v, dtype=float))
-    return VALID_LIMB_SYMBOLS[direction_codes(v)[0]]
 
 
 def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> np.ndarray:
@@ -182,7 +165,9 @@ def encode_poses(positions: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) 
 
 
 def encode_pose(pos: np.ndarray, columns: tuple[str, ...] = ARM_COLUMNS) -> dict[str, LabanSymbol]:
-    """Symbols per column for one (12, 3) pose."""
+    """Symbols per column for one (12, 3) pose: one row of
+    :func:`encode_poses`. No command calls it; it is kept because the
+    benchmark's tracer names it."""
     codes = encode_poses(np.asarray(pos)[None], columns)[0].tolist()
     return {col: VALID_LIMB_SYMBOLS[code] for col, code in zip(columns, codes)}
 

@@ -49,10 +49,6 @@ class BadInput(LabanMotionError):
     """Numeric input violates a precondition (e.g. non-unit vector)."""
 
 
-class BadSymbol(LabanMotionError):
-    """A direction/level combination with no limb meaning."""
-
-
 class ParseError(LabanMotionError):
     """Syntactic or token-level error in an input file."""
 

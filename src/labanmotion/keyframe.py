@@ -80,8 +80,9 @@ class KeyFrameSet:
 
 
 def gaussian_kernel(sigma: float, rate: float, n: int) -> np.ndarray:
-    """The weights that :func:`smooth_signal` convolves a signal of ``n``
-    samples with: a unit-sum Gaussian truncated at +/- 3 sigma.
+    """The weights that :func:`_convolve_replicated` convolves a signal of
+    ``n`` samples with: a unit-sum Gaussian truncated at +/- 3 sigma, so the
+    smoothing has zero lag and passes constants through unchanged.
 
     A kernel longer than :data:`MAX_SAMPLES`, or one so narrow that
     1 / (2 s^2) overflows, is refused before anything is allocated. A kernel
@@ -109,24 +110,13 @@ def gaussian_kernel(sigma: float, rate: float, n: int) -> np.ndarray:
 
 def _convolve_replicated(xs: np.ndarray, w: np.ndarray) -> np.ndarray:
     """``xs`` convolved with the odd-length kernel ``w``, its edge samples
-    replicated, so the output has the input's length."""
+    replicated, so the output has the input's length. With the kernel folded
+    to the signal, n samples cost O(n * min(r, n)) for radius r."""
     if xs.size == 0:
         return xs.copy()
     m = len(w) // 2
     pad = np.concatenate([np.full(m, xs[0]), xs, np.full(m, xs[-1])])
     return np.convolve(pad, w, mode="valid")
-
-
-def smooth_signal(xs, sigma: float, rate: float) -> np.ndarray:
-    """Convolve with the unit-sum Gaussian kernel of :func:`gaussian_kernel`.
-
-    The kernel is symmetric (zero lag) and edges are handled by replicating
-    the boundary samples, so output length equals input length and constants
-    pass through unchanged. With the kernel folded to the signal, n samples
-    cost O(n * min(r, n)) for radius r.
-    """
-    xs = np.asarray(xs, dtype=float)
-    return _convolve_replicated(xs, gaussian_kernel(sigma, rate, xs.size))
 
 
 def _minmax(x: np.ndarray) -> np.ndarray:

@@ -174,12 +174,6 @@ class _ScoreFields(NamedTuple):
 
 
 class LabanScore(_ScoreFields):
-    def column(self, name: str) -> LabanColumn | None:
-        for col in self.columns:
-            if col.name == name:
-                return col
-        return None
-
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
         """What :func:`validate` returns, found at its first call: a score

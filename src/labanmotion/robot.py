@@ -46,10 +46,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .encoder import column_directions
-from .errors import (BadSymbol, MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers,
-                     read_json)
-from .laban import (CODE_VECTORS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, LabanScore, LabanSymbol, column_violations,
-                    direction_angles, states_at, validate)
+from .errors import MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers, read_json
+from .laban import (CODE_VECTORS, VALID_LIMB_SYMBOLS, LabanScore, LabanSymbol, column_violations, direction_angles,
+                    states_at, validate)
 from .skeleton import SkeletonSequence
 
 BUNDLED_ROBOTS = ("frontal_7dof", "lab_9dof")
@@ -126,9 +125,10 @@ class RobotDescription(_RobotFields):
         """Segment ref -> ``(yaw_pitch, clamped)`` for every segment fed by
         one column, built at the first decode rather than by
         :func:`load_robot`. Row k of the (27, 2) ``yaw_pitch`` and the (27,)
-        ``clamped`` is :func:`vector_to_joints` of symbol k of
-        ``VALID_LIMB_SYMBOLS``; the last row, which code -1 (no symbol in
-        force) selects, holds the segment's neutral angles, unclamped."""
+        ``clamped`` is :func:`_joint_rows` of row k of
+        :data:`~labanmotion.laban.CODE_VECTORS`; the last row, which code -1
+        (no symbol in force) selects, holds the segment's neutral angles,
+        unclamped."""
         table = {}
         for ref, seg, sources in self.segment_table:
             if len(sources) == 1:
@@ -140,7 +140,11 @@ class RobotDescription(_RobotFields):
 
 class _View:
     """Value equality and a repr over the attributes named in ``_fields``:
-    equal when of the same class with equal attributes, and unhashable."""
+    equal when of the same class with equal attributes, and unhashable.
+
+    This and the per-pose views built on it (:class:`JointPose`,
+    :class:`DecodedPose`, :class:`SegmentCommand`) are kept only because the
+    benchmark's tracer and output check read them; no command builds one."""
 
     _fields: tuple[str, ...] = ()
 
@@ -155,7 +159,8 @@ class _View:
 
 
 class JointPose(_View):
-    """One timed pose: joint name -> angle in degrees."""
+    """One timed pose: joint name -> angle in degrees. A copy of one row of
+    a :class:`KeyPoses`, kept for the benchmark's output check."""
 
     _fields = ("t", "angles")
 
@@ -192,28 +197,21 @@ class KeyPoses:
     poses, motion dictionary paths (on normalized time) and synthesized
     trajectories. The times increase strictly and ``joints``, sorted by
     name, names the columns of ``samples``, so every pose has the same
-    joints. Indexing and iterating give :class:`JointPose` copies.
+    joints. Indexing and iterating give :class:`JointPose` copies; no command
+    does either, and both remain for the benchmark's output check.
     """
 
     def __init__(self, times, joints, samples):
         self.times = np.asarray(times, dtype=float)  # (m,) seconds
         self.joints = tuple(joints)  # sorted; the columns of samples
         self.samples = np.asarray(samples, dtype=float)  # (m, len(joints)) degrees
-        if list(self.joints) != sorted(set(self.joints)) or self.samples.shape != (len(self.times), len(self.joints)):
-            raise ShapeError("poses disagree on joint names")
+        if list(self.joints) != sorted(set(self.joints)):
+            raise ShapeError(f"joint names must be sorted and distinct, got {list(self.joints)}")
+        if self.samples.shape != (len(self.times), len(self.joints)):
+            raise ShapeError(f"samples must have shape {(len(self.times), len(self.joints))} for "
+                             f"{len(self.times)} times and {len(self.joints)} joints, got {self.samples.shape}")
         if not any(self.times is t for t in _ORDERED):
             _check_order(self.times)
-
-    @classmethod
-    def of(cls, poses: Iterable[JointPose]) -> "KeyPoses":
-        """Key poses from :class:`JointPose` objects, which must all name the
-        same joints."""
-        poses = list(poses)
-        joints = tuple(sorted(poses[0].angles)) if poses else ()
-        if any(tuple(sorted(p.angles)) != joints for p in poses):
-            raise ShapeError("poses disagree on joint names")
-        angles = np.array([[p.angles[j] for j in joints] for p in poses], dtype=float)
-        return cls(np.array([p.t for p in poses], dtype=float), joints, angles.reshape(len(poses), len(joints)))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -341,15 +339,6 @@ def load_robot(path: str) -> RobotDescription:
 # Symbol geometry
 # ---------------------------------------------------------------------------
 
-def symbol_to_vector(s: LabanSymbol) -> np.ndarray:
-    """Unit body-frame direction at the center of a symbol's band: its row
-    of :data:`~labanmotion.laban.CODE_VECTORS`, a shared read-only array."""
-    code = SYMBOL_CODES.get(s, -1)
-    if code < 0:
-        raise BadSymbol("(Place, Middle) has no direction")
-    return CODE_VECTORS[code]
-
-
 def concatenate(a: np.ndarray, b: np.ndarray, last: np.ndarray | None) -> np.ndarray:
     """Combine two adjacent directions into one by the normalized sum.
 
@@ -392,8 +381,12 @@ def _clamp_nearest(values: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray
 
 
 def _joint_rows(directions: np.ndarray, seg: Segment) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`vector_to_joints` of each row of (n, 3) directions: yaw, pitch
-    and clamped arrays. The angles are
+    """Yaw, pitch and clamped arrays realizing each row of (n, 3) unit
+    directions on a gimbal segment.
+
+    Yaw is measured from forward toward left, pitch from the horizontal up;
+    at the poles yaw is 0. Angles outside the segment's limits are clamped
+    to the nearest limit and flagged. The angles are
     :func:`~labanmotion.laban.direction_angles`; the pole rule and the clamps
     are array arithmetic that rounds as scalar arithmetic does."""
     yaw, pitch = direction_angles(directions)
@@ -404,19 +397,9 @@ def _joint_rows(directions: np.ndarray, seg: Segment) -> tuple[np.ndarray, np.nd
     return yaw, pitch, yaw_clamped | pitch_clamped
 
 
-def vector_to_joints(v: np.ndarray, seg: Segment) -> tuple[float, float, bool]:
-    """(yaw, pitch, clamped) realizing a unit direction on a gimbal segment.
-
-    Yaw is measured from forward toward left, pitch from the horizontal up.
-    At the poles yaw is defined as 0. Angles outside the segment's limits
-    are clamped to the nearest limit and flagged.
-    """
-    yaw, pitch, clamped = _joint_rows(np.asarray(v, dtype=float).reshape(1, 3), seg)
-    return float(yaw[0]), float(pitch[0]), bool(clamped[0])
-
-
 class SegmentCommand(_View):
-    """Decoded state of one segment at one boundary time."""
+    """Decoded state of one segment at one boundary time, read from the
+    arrays of a :class:`DecodedScore`; kept for the benchmark's tracer."""
 
     _fields = ("yaw", "pitch", "clamped", "driven", "merged", "symbol")
 
@@ -432,7 +415,7 @@ class SegmentCommand(_View):
 
 class DecodedPose(_View):
     """One decoded pose with per-segment detail, as :class:`DecodedScore` items
-    present it."""
+    present it; kept for the benchmark's tracer."""
 
     _fields = ("t", "pose", "segments")
 
@@ -446,7 +429,8 @@ class DecodedScore:
     """A decoded score: the key poses, the codes of the symbols in force at
     each, and per-segment flags as (poses, segments) arrays whose columns
     follow ``robot.segment_table``. Indexing and iterating give
-    :class:`DecodedPose` views, built on demand."""
+    :class:`DecodedPose` views, built on demand; no command does either, and
+    both remain for the benchmark's tracer and output check."""
 
     def __init__(self, poses: KeyPoses, codes: np.ndarray, robot: RobotDescription, driven: np.ndarray,
                  clamped: np.ndarray):
@@ -573,7 +557,8 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
 
 
 def decode_score(score: LabanScore, robot: RobotDescription) -> KeyPoses:
-    """Timed joint-space key poses for a score on a robot."""
+    """Timed joint-space key poses for a score on a robot: the poses of
+    :func:`decode_score_detailed`, kept for the benchmark's output check."""
     return decode_score_detailed(score, robot).poses
 
 

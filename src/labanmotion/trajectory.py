@@ -184,25 +184,6 @@ def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
     return idx, tau, rows
 
 
-def evaluate(keyposes: KeyPoses, mode: str, t: float) -> dict[str, float]:
-    """Interpolated angles at an arbitrary time within the key-pose span."""
-    if len(keyposes) < 2:
-        raise InsufficientData("need at least 2 key poses")
-    row = _rows_at(keyposes.times, keyposes.samples, mode, np.array([t], dtype=float))[2][0]
-    return {j: float(row[i]) for i, j in enumerate(keyposes.joints)}
-
-
-def interpolate(keyposes: KeyPoses, mode: str, rate: float) -> KeyPoses:
-    """Uniformly sampled trajectory through the key poses.
-
-    Samples that land exactly on key-pose times reproduce those poses; per
-    joint and per segment the samples stay between the endpoint angles, so
-    limits honored by the key poses are honored by the whole trajectory.
-    This is :func:`synthesize` without a dictionary.
-    """
-    return synthesize(keyposes, None, None, mode, rate)
-
-
 # ---------------------------------------------------------------------------
 # Motion dictionary
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from labanmotion.laban import (
     SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
 )
-from labanmotion.encoder import COLUMN_DISTAL, classify_azimuth, classify_elevation, segment_direction
+from labanmotion.encoder import AZIMUTH_SECTORS, COLUMN_DISTAL, segment_direction
 from labanmotion.errors import BadInput, DegeneratePose
 from labanmotion.robot import project_path
 from labanmotion.skeleton import JointName, SkeletonSequence, body_frame
@@ -120,14 +120,54 @@ def transform_sequence(seq: SkeletonSequence, R: np.ndarray, t: np.ndarray) -> S
 
 
 # ---------------------------------------------------------------------------
+# Scalar band and sector rules, from the band table in encoder.py's docstring
+# ---------------------------------------------------------------------------
+
+def band_reference(elevation_deg: float) -> int:
+    """Band index from the top (Place High, High, Middle, Low, Place Low) of
+    an elevation, one comparison at a time: the caps are closed at +/-67.5,
+    High and Low own their +/-22.5 boundaries."""
+    if elevation_deg >= 67.5:
+        return 0
+    if elevation_deg <= -67.5:
+        return 4
+    if elevation_deg >= 22.5:
+        return 1
+    if elevation_deg <= -22.5:
+        return 3
+    return 2
+
+
+def sector_reference(azimuth_deg: float) -> int:
+    """Index in AZIMUTH_SECTORS (45-degree sectors counterclockwise from
+    forward) of an azimuth, each sector [c - 22.5, c + 22.5), lower edge closed."""
+    return int(math.floor((azimuth_deg + 22.5) / 45.0)) % 8
+
+
+def symbol_reference(x: float, y: float, z: float) -> LabanSymbol:
+    """Symbol of a unit direction from math.asin and math.atan2 on Python
+    floats; a cap's symbol takes no azimuth."""
+    band = band_reference(math.degrees(math.asin(max(-1.0, min(1.0, z)))))
+    if band in (0, 4):
+        return LabanSymbol(Direction.Place, Level.High if band == 0 else Level.Low)
+    level = (None, Level.High, Level.Middle, Level.Low)[band]
+    return LabanSymbol(AZIMUTH_SECTORS[sector_reference(math.degrees(math.atan2(y, x)))], level)
+
+
+def code_reference(x: float, y: float, z: float) -> int:
+    """Symbol code of a unit direction by :func:`symbol_reference`."""
+    return SYMBOL_CODES[symbol_reference(x, y, z)]
+
+
+# ---------------------------------------------------------------------------
 # Per-pose encoding and per-transition dictionary building (the loops that
 # encoder.encode_poses and one projection per clip replaced)
 # ---------------------------------------------------------------------------
 
 def encode_pose_reference(pos: np.ndarray, columns: tuple[str, ...]) -> dict[str, LabanSymbol]:
     """Symbols per column for one (12, 3) pose: its body frame, then per
-    column the segment direction, np.linalg.norm's unit check, and asin and
-    atan2 on Python floats."""
+    column the segment direction, np.linalg.norm's unit check, and the
+    scalar band and sector rules of :func:`symbol_reference`."""
     bf = body_frame(pos)
     out = {}
     for column in columns:
@@ -138,10 +178,7 @@ def encode_pose_reference(pos: np.ndarray, columns: tuple[str, ...]) -> dict[str
         norm = float(np.linalg.norm(v))
         if not abs(norm - 1.0) <= 1e-6:  # NaN fails it
             raise BadInput(f"expected a unit vector, |v| = {norm}")
-        band = classify_elevation(math.degrees(math.asin(max(-1.0, min(1.0, float(v[2]))))))
-        if not isinstance(band, LabanSymbol):
-            band = LabanSymbol(classify_azimuth(math.degrees(math.atan2(float(v[1]), float(v[0])))), band)
-        out[column] = band
+        out[column] = symbol_reference(*v.tolist())
     return out
 
 

@@ -11,9 +11,11 @@ import time
 import numpy as np
 import pytest
 
-from labanmotion.encoder import digitize, encode_pose, encode_sequence
+from labanmotion.encoder import direction_codes, encode_pose, encode_sequence
 from labanmotion.keyframe import EnergyParams, energy, extract_keyframes
 from labanmotion.laban import (
+    CODE_VECTORS,
+    SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
     Cell,
     Direction,
@@ -29,19 +31,16 @@ from labanmotion.laban import (
 )
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
-    JointPose,
     KeyPoses,
     decode_score_detailed,
     load_robot,
     project_path,
-    symbol_to_vector,
 )
 from labanmotion.skeleton import JointName, descriptor_timeline, synth_motion
 from labanmotion.trajectory import (
     MotionDictionary,
+    _rows_at,
     dict_update,
-    evaluate,
-    interpolate,
     serialize_dictionary,
     synthesize,
 )
@@ -67,7 +66,7 @@ def test_criterion_01_symbol_roundtrip():
     t0 = time.perf_counter()
     failures = []
     for sym in VALID_LIMB_SYMBOLS:
-        back = digitize(symbol_to_vector(sym))
+        back = VALID_LIMB_SYMBOLS[direction_codes(CODE_VECTORS[SYMBOL_CODES[sym]])[0]]
         if back != sym:
             failures.append((str(sym), str(back)))
     assert len(VALID_LIMB_SYMBOLS) == 26
@@ -160,14 +159,14 @@ def test_criterion_04_quantization_robustness():
     failures = []
     for trial in range(1000):
         sym = VALID_LIMB_SYMBOLS[int(rng.integers(0, 26))]
-        v = symbol_to_vector(sym)
+        v = CODE_VECTORS[SYMBOL_CODES[sym]]
         axis = rng.normal(size=3)
         while np.linalg.norm(np.cross(axis, v)) < 1e-9:
             axis = rng.normal(size=3)
         angle = math.radians(float(rng.uniform(0.0, 9.999)))
         w = rotate_about(v, axis, angle)
         w /= np.linalg.norm(w)
-        if digitize(w) != sym:
+        if VALID_LIMB_SYMBOLS[direction_codes(w)[0]] != sym:
             failures.append((trial, str(sym)))
     _report(4, "quantization robustness, 1000 perturbed poses", failures,
             time.perf_counter() - t0, 30.0)
@@ -218,7 +217,7 @@ def test_criterion_06_hardware_independence():
                 if not cmd.driven or cmd.merged or cmd.clamped:
                     continue
                 compared += 1
-                back = digitize(direction_vector(cmd.yaw, cmd.pitch))
+                back = VALID_LIMB_SYMBOLS[direction_codes(direction_vector(cmd.yaw, cmd.pitch))[0]]
                 if back != cmd.symbol:
                     failures.append((name, d.t, ref, str(cmd.symbol), str(back)))
     if times_per_robot[0] != times_per_robot[1]:
@@ -255,15 +254,11 @@ def test_criterion_07_boundary_gesture_clamping():
 
 
 def _fd_velocity(keyposes, t, side, eps=2e-5):
-    """Richardson-extrapolated one-sided FD velocity of the cubic interpolant."""
-    base = evaluate(keyposes, "cubic", t)
-    out = {}
-    for j in base:
-        f0 = base[j]
-        f1 = evaluate(keyposes, "cubic", t + side * eps / 2.0)[j]
-        f2 = evaluate(keyposes, "cubic", t + side * eps)[j]
-        out[j] = side * (2.0 * (f1 - f0) / (eps / 2.0) - (f2 - f0) / eps)
-    return out
+    """Richardson-extrapolated one-sided FD velocity of the cubic interpolant,
+    per joint."""
+    f0, f1, f2 = (_rows_at(keyposes.times, keyposes.samples, "cubic", np.array([x]))[2][0]
+                  for x in (t, t + side * eps / 2.0, t + side * eps))
+    return side * (2.0 * (f1 - f0) / (eps / 2.0) - (f2 - f0) / eps)
 
 
 def test_criterion_08_trajectory_exactness_and_stops():
@@ -276,54 +271,36 @@ def test_criterion_08_trajectory_exactness_and_stops():
         # times in whole deciseconds, gaps >= 1 s, so a 10 Hz grid hits them
         gaps = rng.integers(10, 26, size=k - 1)
         times = np.concatenate([[0], np.cumsum(gaps)]) / 10.0
-        keyposes = KeyPoses.of([
-            JointPose(t=float(t), angles={j: float(a) for j, a in zip(joints, rng.uniform(-170, 170, size=4))})
-            for t in times
-        ])
+        keyposes = KeyPoses(times, joints, [rng.uniform(-170, 170, size=4) for _ in times])
         mode = "cubic" if trial % 2 == 0 else "linear"
-        traj = interpolate(keyposes, mode, 10.0)
-        by_t = {
-            round(t, 9): JointPose(t=t, angles=dict(zip(traj.joints, row)))
-            for t, row in zip(traj.times.tolist(), traj.samples.tolist())
-        }
-        for kp in keyposes:
-            sample = by_t.get(round(kp.t, 9))
+        traj = synthesize(keyposes, None, None, mode, 10.0)
+        by_t = {round(t, 9): row for t, row in zip(traj.times.tolist(), traj.samples.tolist())}
+        for kt, angles in zip(keyposes.times.tolist(), keyposes.samples.tolist()):
+            sample = by_t.get(round(kt, 9))
             if sample is None:
-                failures.append((trial, "key time missing from grid", kp.t))
+                failures.append((trial, "key time missing from grid", kt))
                 continue
-            for j in joints:
-                if abs(sample.angles[j] - kp.angles[j]) > 1e-9:
+            for j, got, want in zip(joints, sample, angles):
+                if abs(got - want) > 1e-9:
                     failures.append((trial, "endpoint error", j))
         if mode == "cubic":
-            for i, kp in enumerate(keyposes):
+            for i, kt in enumerate(keyposes.times.tolist()):
                 sides = ([+1] if i == 0 else []) + ([-1] if i == len(keyposes) - 1 else [])
                 if 0 < i < len(keyposes) - 1:
                     sides = [+1, -1]
                 for side in sides:
-                    v = _fd_velocity(keyposes, kp.t, side)
-                    worst = max(abs(x) for x in v.values())
+                    worst = float(np.max(np.abs(_fd_velocity(keyposes, kt, side))))
                     if worst >= 1e-6:
-                        failures.append((trial, "nonzero stop velocity", kp.t, worst))
+                        failures.append((trial, "nonzero stop velocity", kt, worst))
     _report(8, "trajectory endpoint exactness and cubic stops", failures,
             time.perf_counter() - t0, 30.0)
 
 
 def _observed(offset: float, wiggle: float):
-    joints = ("p", "q", "r")
-    out = []
-    for i in range(25):
-        u = i / 24.0
-        out.append(
-            JointPose(
-                t=u,
-                angles={
-                    "p": 40.0 * u + offset + wiggle * math.sin(math.pi * u),
-                    "q": -30.0 * u + offset,
-                    "r": 10.0 + 20.0 * u * u + offset,
-                },
-            )
-        )
-    return KeyPoses.of(out)
+    times = [i / 24.0 for i in range(25)]
+    rows = [[40.0 * u + offset + wiggle * math.sin(math.pi * u), -30.0 * u + offset, 10.0 + 20.0 * u * u + offset]
+            for u in times]
+    return KeyPoses(times, ("p", "q", "r"), rows)
 
 
 def test_criterion_09_dictionary_semantics():

@@ -12,7 +12,7 @@ import pytest
 from labanmotion import cli, encoder, keyframe, trajectory
 from labanmotion.cli import main
 from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level, load_score
-from labanmotion.robot import JointPose, KeyPoses, decode_score_detailed, load_robot
+from labanmotion.robot import KeyPoses, decode_score_detailed, load_robot
 from labanmotion.skeleton import load_sequence, save_sequence, synth_motion
 
 from conftest import dict_build_per_transition, random_rotation, state_key, transform_sequence
@@ -70,7 +70,8 @@ def test_keyframes_command(tmp_path):
 def test_choices_and_keyframe_defaults_come_from_the_library(tmp_path):
     assert cli.CHOICES == {"interp": ("linear", "cubic"), "peak_mode": ("max", "min"), "columns": ("arm", "split")}
     for mode in cli.CHOICES["interp"]:
-        assert trajectory.interpolate(KeyPoses([0.0, 1.0], ("j",), [[0.0], [2.0]]), mode, 2.0).samples[1, 0] == 1.0
+        poses = KeyPoses([0.0, 1.0], ("j",), [[0.0], [2.0]])
+        assert trajectory.synthesize(poses, None, None, mode, 2.0).samples[1, 0] == 1.0
     for mode in cli.CHOICES["peak_mode"]:
         assert keyframe.EnergyParams(peak_mode=mode).peak_mode == mode
     for mode in cli.CHOICES["columns"]:
@@ -93,8 +94,8 @@ def test_encode_decode_pipeline_files(tmp_path):
     score_path = str(tmp_path / "score.json")
     assert main(["encode", clip, "-o", score_path]) == 0
     score = load_score(score_path)
-    right = score.column("RightArm")
-    assert [str(VALID_LIMB_SYMBOLS[c.code]) for c in right.cells] == ["Place.Low", "Forward.Middle"]
+    right = dict(score.columns)["RightArm"]
+    assert [str(VALID_LIMB_SYMBOLS[c.code]) for c in right] == ["Place.Low", "Forward.Middle"]
 
     traj_path = str(tmp_path / "traj.csv")
     assert main(["decode", score_path, "--robot", "frontal_7dof", "--interp", "cubic",
@@ -866,7 +867,7 @@ def _bad_dict_text(case: str) -> str:
         {"RightArm": LabanSymbol(Direction.Place, Level.Low)},
         {"RightArm": LabanSymbol(Direction.Forward, Level.Middle)},
     )
-    observed = KeyPoses.of([JointPose(t=float(t), angles={"a": 10.0 * t, "b": -5.0 * t}) for t in range(3)])
+    observed = KeyPoses([0.0, 1.0, 2.0], ("a", "b"), [[10.0 * t, -5.0 * t] for t in range(3)])
     trajectory.dict_update(mdict, key, observed)
     obj = json.loads(trajectory.serialize_dictionary(mdict))
     path = next(iter(obj["entries"].values()))[0]

@@ -9,11 +9,12 @@ from labanmotion.encoder import (
     AZIMUTH_SECTORS,
     COLUMN_DISTAL,
     SPLIT_COLUMNS,
-    classify_azimuth,
-    classify_elevation,
+    _ELEVATION_BANDS,
+    _bands,
+    _check_unit,
+    _sectors,
     column_directions,
     columns_for_mode,
-    digitize,
     direction_codes,
     encode_pose,
     encode_poses,
@@ -22,8 +23,7 @@ from labanmotion.encoder import (
 )
 from labanmotion.errors import BadInput, DegeneratePose, LabanMotionError, NoKeyFrames
 from labanmotion.keyframe import EnergyParams, KeyFrameSet, extract_keyframes
-from labanmotion.laban import SYMBOL_CODES, Direction, LabanSymbol, Level, validate
-from labanmotion.robot import symbol_to_vector
+from labanmotion.laban import CODE_VECTORS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level, validate
 from labanmotion.skeleton import (
     JOINT_INDEX,
     JointName,
@@ -34,7 +34,8 @@ from labanmotion.skeleton import (
     synth_motion,
 )
 
-from conftest import encode_pose_reference, random_rotation, rotate_about, symbol_code, transform_sequence
+from conftest import (band_reference, code_reference, encode_pose_reference, random_rotation, rotate_about,
+                      sector_reference, symbol_code, transform_sequence)
 
 D = Direction
 L = Level
@@ -111,86 +112,50 @@ def test_batched_degenerate_pose_raises():
     with pytest.raises(DegeneratePose, match="WristRight"):
         segment_direction(positions, JointName.WristRight)
 
+def _symbols(directions) -> list[LabanSymbol]:
+    """The symbol of each of (n, 3) directions, from their codes."""
+    return [VALID_LIMB_SYMBOLS[code] for code in direction_codes(np.array(directions, dtype=float))]
+
+
 def test_digitize_axes():
-    assert digitize(np.array([0.0, 0.0, 1.0])) == LabanSymbol(D.Place, L.High)
-    assert digitize(np.array([0.0, 0.0, -1.0])) == LabanSymbol(D.Place, L.Low)
-    assert digitize(np.array([1.0, 0.0, 0.0])) == LabanSymbol(D.Forward, L.Middle)
-    assert digitize(np.array([-1.0, 0.0, 0.0])) == LabanSymbol(D.Backward, L.Middle)
-    assert digitize(np.array([0.0, 1.0, 0.0])) == LabanSymbol(D.Left, L.Middle)
-    assert digitize(np.array([0.0, -1.0, 0.0])) == LabanSymbol(D.Right, L.Middle)
+    axes = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0]]
+    assert _symbols(axes) == [LabanSymbol(D.Place, L.High), LabanSymbol(D.Place, L.Low),
+                              LabanSymbol(D.Forward, L.Middle), LabanSymbol(D.Backward, L.Middle),
+                              LabanSymbol(D.Left, L.Middle), LabanSymbol(D.Right, L.Middle)]
 
 
 def test_digitize_diagonal_high():
     c = math.cos(math.radians(45.0))
     v = np.array([c * c, c * c, math.sin(math.radians(45.0))])
-    assert digitize(v) == LabanSymbol(D.LeftForward, L.High)
+    assert _symbols([v]) == [LabanSymbol(D.LeftForward, L.High)]
 
 
 def test_band_boundaries_exact():
-    from labanmotion.encoder import classify_azimuth, classify_elevation
-
     # elevation: caps closed at +/-67.5; High/Low own their 22.5 boundary
-    assert classify_elevation(67.5) == LabanSymbol(D.Place, L.High)
-    assert classify_elevation(-67.5) == LabanSymbol(D.Place, L.Low)
-    assert classify_elevation(22.5) == L.High
-    assert classify_elevation(-22.5) == L.Low
-    assert classify_elevation(22.4999) == L.Middle
-    assert classify_elevation(-22.4999) == L.Middle
+    bands = _bands(np.array([67.5, -67.5, 22.5, -22.5, 22.4999, -22.4999]))
+    assert [_ELEVATION_BANDS[b] for b in bands] == [LabanSymbol(D.Place, L.High), LabanSymbol(D.Place, L.Low),
+                                                    L.High, L.Low, L.Middle, L.Middle]
     # azimuth sectors are lower-closed: [c - 22.5, c + 22.5)
-    assert classify_azimuth(-22.5) == D.Forward
-    assert classify_azimuth(22.5) == D.LeftForward
-    assert classify_azimuth(90.0) == D.Left
-    assert classify_azimuth(157.5) == D.Backward
-    assert classify_azimuth(180.0) == D.Backward
-    assert classify_azimuth(-180.0) == D.Backward
-    assert classify_azimuth(-157.5) == D.RightBackward
-    assert classify_azimuth(-90.0) == D.Right
+    sectors = _sectors(np.array([-22.5, 22.5, 90.0, 157.5, 180.0, -180.0, -157.5, -90.0]))
+    assert [AZIMUTH_SECTORS[k] for k in sectors] == [D.Forward, D.LeftForward, D.Left, D.Backward, D.Backward,
+                                                     D.Backward, D.RightBackward, D.Right]
 
 
 def test_digitize_rejects_non_unit():
     with pytest.raises(BadInput):
-        digitize(np.array([2.0, 0.0, 0.0]))
+        _check_unit(np.array([2.0, 0.0, 0.0]))
     # NaN fails the unit check rather than passing it as every comparison would
     for v in ([math.nan, 0.0, 0.0], [0.0, 0.0, math.nan]):
         with pytest.raises(BadInput, match="nan"):
-            digitize(np.array(v))
+            _check_unit(np.array(v))
 
 
 def test_classify_azimuth_has_no_sector_for_a_non_finite_angle():
     for angle in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
-            classify_azimuth(angle)
-    assert classify_azimuth(1e300) == D.Forward  # finite, however large
-    assert classify_elevation(math.nan) == L.Middle  # as every band comparison is False
-
-
-def _band_reference(elevation_deg: float) -> int:
-    """Band index from the top (Place High, High, Middle, Low, Place Low) of
-    an elevation, one comparison at a time."""
-    if elevation_deg >= 67.5:
-        return 0
-    if elevation_deg <= -67.5:
-        return 4
-    if elevation_deg >= 22.5:
-        return 1
-    if elevation_deg <= -22.5:
-        return 3
-    return 2
-
-
-def _sector_reference(azimuth_deg: float) -> int:
-    """Index in AZIMUTH_SECTORS of an azimuth, lower edge closed."""
-    return int(math.floor((azimuth_deg + 22.5) / 45.0)) % 8
-
-
-def _code_reference(x: float, y: float, z: float) -> int:
-    """Symbol code of a unit direction from math.asin and math.atan2 on
-    Python floats; a cap's symbol takes no azimuth."""
-    band = _band_reference(math.degrees(math.asin(max(-1.0, min(1.0, z)))))
-    level = (None, L.High, L.Middle, L.Low, None)[band]
-    if level is None:
-        return SYMBOL_CODES[LabanSymbol(D.Place, L.High if band == 0 else L.Low)]
-    return SYMBOL_CODES[LabanSymbol(AZIMUTH_SECTORS[_sector_reference(math.degrees(math.atan2(y, x)))], level)]
+            _sectors(np.array([angle]))
+    assert AZIMUTH_SECTORS[_sectors(np.array([1e300]))[0]] == D.Forward  # finite, however large
+    assert _ELEVATION_BANDS[_bands(np.array([math.nan]))[0]] == L.Middle  # as every band comparison is False
 
 
 def test_direction_codes_match_a_scalar_band_and_sector_reference():
@@ -202,15 +167,13 @@ def test_direction_codes_match_a_scalar_band_and_sector_reference():
     azimuths = [a + d for a in _EDGE_AZIMUTHS + (-180.0, 0.0) for d in (-1e-12, 0.0, 1e-12)]
     edges = [laban.direction_vector(a, e) for e in elevations for a in azimuths]
     directions = np.vstack([random, edges, laban.CODE_VECTORS])
-    assert direction_codes(directions).tolist() == [_code_reference(*v) for v in directions.tolist()]
+    assert direction_codes(directions).tolist() == [code_reference(*v) for v in directions.tolist()]
     assert direction_codes(laban.CODE_VECTORS).tolist() == list(range(26))
-    # the angle classifiers are one-row calls of the same bands and sectors
-    for e in elevations + [-45.0, 45.0, 22.4999, -22.4999]:
-        band = _band_reference(e)
-        want = (LabanSymbol(D.Place, L.High), L.High, L.Middle, L.Low, LabanSymbol(D.Place, L.Low))[band]
-        assert classify_elevation(e) == want
-    for a in azimuths + [1e-300, -1e-300, 359.0, -359.0, 1e6]:
-        assert classify_azimuth(a) == AZIMUTH_SECTORS[_sector_reference(a)]
+    # the bands and sectors of angles, edges and far-out values included
+    elevations += [-45.0, 45.0, 22.4999, -22.4999]
+    assert _bands(np.array(elevations)).tolist() == [band_reference(e) for e in elevations]
+    azimuths += [1e-300, -1e-300, 359.0, -359.0, 1e6]
+    assert _sectors(np.array(azimuths)).tolist() == [sector_reference(a) for a in azimuths]
 
 
 def test_column_directions_is_the_one_path_of_encode_poses_and_project_path():
@@ -249,27 +212,28 @@ def test_column_directions_rejects_a_non_finite_direction():
 
 
 def test_digitize_total_on_random_sphere(rng):
+    directions = []
     for _ in range(500):
         v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        sym = digitize(v)
+        directions.append(v / np.linalg.norm(v))
+    codes = direction_codes(np.array(directions))
+    assert ((0 <= codes) & (codes < len(VALID_LIMB_SYMBOLS))).all()
+    for sym in _symbols(directions):
         assert isinstance(sym, LabanSymbol)
         assert not (sym.direction == D.Place and sym.level == L.Middle)
 
 
 def test_quantization_robustness_under_10_degrees(rng):
-    from labanmotion.laban import VALID_LIMB_SYMBOLS
-
     for _ in range(300):
         sym = VALID_LIMB_SYMBOLS[int(rng.integers(0, 26))]
-        v = symbol_to_vector(sym)
+        v = CODE_VECTORS[SYMBOL_CODES[sym]]
         axis = rng.normal(size=3)
         while np.linalg.norm(np.cross(axis, v)) < 1e-9:
             axis = rng.normal(size=3)
         angle = math.radians(float(rng.uniform(0.0, 9.99)))
         w = rotate_about(v, axis, angle)
         w /= np.linalg.norm(w)
-        assert digitize(w) == sym
+        assert _symbols([w]) == [sym]
 
 
 def test_encode_pose_tpose():
@@ -396,8 +360,8 @@ def test_encode_sequence_static_forced_keyframe():
     assert validate(score) == []
     for col in score.columns:
         assert len(col.cells) == 1
-    assert score.column("LeftArm").cells[0].code == symbol_code(D.Place, L.Low)
-    assert score.column("RightArm").cells[0].code == symbol_code(D.Place, L.Low)
+    assert dict(score.columns)["LeftArm"][0].code == symbol_code(D.Place, L.Low)
+    assert dict(score.columns)["RightArm"][0].code == symbol_code(D.Place, L.Low)
 
 
 def test_encode_sequence_move_hold_move():
@@ -407,8 +371,8 @@ def test_encode_sequence_move_hold_move():
         rate=30.0,
     )
     score = encode_sequence(seq, extract_keyframes(seq))
-    right = score.column("RightArm")
-    assert [c.code for c in right.cells] == [
+    right = dict(score.columns)["RightArm"]
+    assert [c.code for c in right] == [
         symbol_code(D.Place, L.Low),
         symbol_code(D.Forward, L.Middle),
     ]
@@ -435,7 +399,7 @@ def test_encode_sequence_skips_time_zero_keyframe():
     kfs = KeyFrameSet(per_part={}, merged=[0, 15], params=EnergyParams())
     score = encode_sequence(seq, kfs)
     assert validate(score) == []
-    assert score.column("RightArm").cells[0].start == 0.0
+    assert dict(score.columns)["RightArm"][0].start == 0.0
 
 
 def test_world_frame_invariance_of_scores(rng):
@@ -498,7 +462,7 @@ def test_every_pose_name_digitizes_to_its_symbol():
     names = [(d, l) for d in _POSE_DIRECTIONS for l in _POSE_LEVELS if (d, l) != ("place", "middle")]
     assert len(names) == len(laban.VALID_LIMB_SYMBOLS) == 26
     for d, l in names:
-        assert digitize(pose_vector(f"{d}_{l}")) == LabanSymbol(_POSE_DIRECTIONS[d], _POSE_LEVELS[l])
+        assert _symbols([pose_vector(f"{d}_{l}")]) == [LabanSymbol(_POSE_DIRECTIONS[d], _POSE_LEVELS[l])]
 
 
 def test_pose_vectors_are_the_band_centers():
@@ -513,7 +477,7 @@ def test_pose_vectors_are_the_band_centers():
                 up = 1.0 if l == L.High else -1.0
                 assert pose_vector(f"place_{name_l}").tobytes() == laban.direction_vector(0.0, 90.0 * up).tobytes()
                 assert laban.CODE_VECTORS[code].tolist() == [0.0, 0.0, up]
-                assert symbol_to_vector(LabanSymbol(d, l)).tolist() == [0.0, 0.0, up]
+                assert laban.CODE_VECTORS[SYMBOL_CODES[LabanSymbol(d, l)]].tolist() == [0.0, 0.0, up]
 
 
 def test_direction_angles_invert_the_direction_formula(rng):
@@ -531,5 +495,5 @@ def test_direction_angles_invert_the_direction_formula(rng):
 def test_code_vectors_are_read_only_rows_of_each_code():
     assert laban.CODE_VECTORS.shape == (26, 3) and not laban.CODE_VECTORS.flags.writeable
     for code, symbol in enumerate(laban.VALID_LIMB_SYMBOLS):
-        assert symbol_to_vector(symbol).tobytes() == laban.CODE_VECTORS[code].tobytes()
+        assert SYMBOL_CODES[symbol] == code
         assert laban.CODE_TOKENS[code] == (symbol.direction.value, symbol.level.value)

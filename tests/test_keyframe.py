@@ -14,7 +14,6 @@ from labanmotion.keyframe import (
     energy,
     extract_keyframes,
     merge_keyframes,
-    smooth_signal,
 )
 from labanmotion.skeleton import ALL_JOINTS, MAX_SAMPLES, JointName, SkeletonSequence, synth_motion
 
@@ -58,11 +57,17 @@ def _translated_sequence(step_64ths=(3, -2, 1), n=64, rate=32.0):
 
 
 # ---------------------------------------------------------------------------
-# smooth_signal
+# smoothing: the clip's Gaussian kernel, convolved with edges replicated
 # ---------------------------------------------------------------------------
 
+def _smooth(xs, sigma, rate):
+    """``xs`` smoothed as :func:`energy` smooths each coordinate signal."""
+    xs = np.asarray(xs, dtype=float)
+    return keyframe._convolve_replicated(xs, keyframe.gaussian_kernel(sigma, rate, xs.size))
+
+
 def test_smooth_constant_preserved():
-    out = smooth_signal([5.0, 5.0, 5.0, 5.0], sigma=0.1, rate=30.0)
+    out = _smooth([5.0, 5.0, 5.0, 5.0], sigma=0.1, rate=30.0)
     assert np.allclose(out, 5.0, atol=1e-12)
 
 
@@ -74,7 +79,7 @@ def test_smooth_impulse_center_weight():
     n = 21
     xs = np.zeros(n)
     xs[10] = 1.0
-    out = smooth_signal(xs, sigma, rate)
+    out = _smooth(xs, sigma, rate)
     weights = [math.exp(-(k * k) / 2.0) for k in range(-3, 4)]
     w0 = weights[3] / sum(weights)
     assert out[10] == pytest.approx(w0, abs=1e-12)
@@ -86,42 +91,42 @@ def test_smooth_mass_conservation_interior_impulse():
     sigma = 0.1
     xs = np.zeros(41)
     xs[20] = 2.5
-    out = smooth_signal(xs, sigma, rate)
+    out = _smooth(xs, sigma, rate)
     assert float(np.sum(out)) == pytest.approx(float(np.sum(xs)), abs=1e-9)
 
 
 def test_smooth_kernel_weights_sum_to_one():
     # a constant 1 series exposes the kernel sum directly
-    out = smooth_signal(np.ones(50), sigma=0.2, rate=30.0)
+    out = _smooth(np.ones(50), sigma=0.2, rate=30.0)
     assert np.max(np.abs(out - 1.0)) < 1e-12
 
 
 def test_smooth_empty_series():
-    assert smooth_signal([], sigma=0.1, rate=30.0).size == 0
+    assert _smooth([], sigma=0.1, rate=30.0).size == 0
 
 
 def test_smooth_kernel_is_bounded():
     # the kernel has 2 * ceil(3 * sigma * rate) + 1 samples
     at_bound = 2 * math.ceil(3 * 333333.0) + 1
     assert at_bound <= MAX_SAMPLES
-    assert np.allclose(smooth_signal([1.0, 2.0, 3.0], sigma=333333.0, rate=1.0), 2.0, atol=1e-6)
+    assert np.allclose(_smooth([1.0, 2.0, 3.0], sigma=333333.0, rate=1.0), 2.0, atol=1e-6)
     for sigma in (333333.34, 1e9, 1e300, math.inf):
         with pytest.raises(BadInput, match="samples"):
-            smooth_signal([1.0, 2.0, 3.0], sigma=sigma, rate=1.0)
+            _smooth([1.0, 2.0, 3.0], sigma=sigma, rate=1.0)
 
 
 def test_smooth_refuses_a_kernel_without_width():
     # 2 s^2 must be a normal float: at 1e-160 s (3e-159 samples) 1 / (2 s^2)
     # overflows, and below about 1e-154 samples 2 s^2 is 0 and every weight NaN
-    assert np.array_equal(smooth_signal([1.0, 2.0, 3.0], sigma=1e-150, rate=1.0), [1.0, 2.0, 3.0])
+    assert np.array_equal(_smooth([1.0, 2.0, 3.0], sigma=1e-150, rate=1.0), [1.0, 2.0, 3.0])
     for sigma in (1e-160, 1e-300, 0.0, -0.1, math.nan):
         with pytest.raises(BadInput, match="sigma"):
-            smooth_signal([1.0, 2.0, 3.0], sigma=sigma, rate=30.0)
+            _smooth([1.0, 2.0, 3.0], sigma=sigma, rate=30.0)
 
 
 def test_smooth_matches_oracle(rng):
     xs = rng.normal(size=80)
-    out = smooth_signal(xs, sigma=0.13, rate=30.0)
+    out = _smooth(xs, sigma=0.13, rate=30.0)
     ref = oracle_smooth(list(xs), 0.13, 30.0)
     assert np.max(np.abs(out - np.array(ref))) < 1e-9
 
@@ -146,7 +151,7 @@ def test_smooth_folds_a_kernel_wider_than_the_clip(rng, monkeypatch):
         xs = rng.normal(size=n)
         for sigma in (0.1, 1.0, 10.0, 100.0):
             widths.clear()
-            out = smooth_signal(xs, sigma, 30.0)
+            out = _smooth(xs, sigma, 30.0)
             assert widths == [min(2 * math.ceil(3.0 * (sigma * 30.0)) + 1, 2 * n - 1)], (n, sigma)
             with monkeypatch.context() as m:
                 m.setattr(np, "convolve", convolve)
@@ -280,7 +285,7 @@ def test_peaks_prominence_threshold():
 def test_peaks_sorted_and_separated(rng):
     params = EnergyParams()
     for _ in range(20):
-        vals = smooth_signal(rng.normal(size=200), sigma=0.05, rate=30.0)
+        vals = _smooth(rng.normal(size=200), sigma=0.05, rate=30.0)
         vals = (vals - vals.min()) / (vals.max() - vals.min()) * 2.0 - 1.0
         out = detect_peaks(_series(vals), params, 30.0)
         assert out == sorted(out)
@@ -498,7 +503,7 @@ def _reference_signals(seed, count):
             x = np.cumsum(rng.normal(size=n))
             x = np.round(x, int(rng.integers(0, 3)))
         else:
-            x = smooth_signal(rng.normal(size=n), sigma=float(rng.uniform(0.02, 0.2)), rate=30.0)
+            x = _smooth(rng.normal(size=n), sigma=float(rng.uniform(0.02, 0.2)), rate=30.0)
         lo, hi = float(x.min()), float(x.max())
         out.append((x - lo) / (hi - lo) * 2.0 - 1.0 if hi > lo else x)
     return out

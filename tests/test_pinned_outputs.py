@@ -24,6 +24,7 @@ import tempfile
 
 import pytest
 
+from labanmotion import robot as robot_mod
 from labanmotion.cli import main
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -242,6 +243,28 @@ PINNED = {
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_cli_outputs_are_pinned(inputs, case):
     assert _digest(inputs, _cases()[case]) == PINNED[case]
+
+
+def test_no_command_reads_the_per_pose_views(inputs, tmp_path, monkeypatch):
+    """Every command gives the same outputs while indexing a decode or a set
+    of key poses raises: the views that remain for the benchmark are built by
+    no command. ``synth`` and ``encode`` remake the inputs, and ``dict stats``
+    reads a dictionary that ``dict build`` writes."""
+    def no_view(self, i):
+        raise AssertionError(f"{type(self).__name__}[{i}] read")
+
+    stats = [["dict", "build", *(f"{{i}}/{clip}.json" for clip in CLIPS), "--robot", "{i}/merge_arm.json",
+              "-o", "{w}/dict.json"], ["dict", "stats", "{w}/dict.json"]]
+    unpatched = _digest(inputs, stats)
+    monkeypatch.setattr(robot_mod.DecodedScore, "__getitem__", no_view)
+    monkeypatch.setattr(robot_mod.KeyPoses, "__getitem__", no_view)
+    _setup(str(tmp_path))
+    for name in sorted(os.listdir(inputs)):
+        if name.endswith(".json"):
+            assert (tmp_path / name).read_bytes() == open(os.path.join(inputs, name), "rb").read(), name
+    assert _digest(inputs, stats) == unpatched
+    for case, steps in sorted(_cases().items()):
+        assert _digest(inputs, steps) == PINNED[case], case
 
 
 if __name__ == "__main__":

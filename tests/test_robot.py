@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from labanmotion.encoder import COLUMN_DISTAL, digitize, segment_direction
-from labanmotion.errors import BadSymbol, MissingColumn, ValidationError
+from labanmotion.encoder import COLUMN_DISTAL, direction_codes, segment_direction
+from labanmotion.errors import MissingColumn, ValidationError
 from labanmotion import cli, robot as robot_mod
 from labanmotion.keyframe import EnergyParams, KeyFrameSet
 from labanmotion.laban import (
+    CODE_VECTORS,
     Cell,
     Direction,
     LabanColumn,
@@ -35,9 +36,7 @@ from labanmotion.robot import (
     load_robot,
     parse_robot,
     project_path,
-    symbol_to_vector,
     validate_robot,
-    vector_to_joints,
 )
 from labanmotion.skeleton import JOINT_INDEX, JointName, SkeletonSequence, body_frame, synth_motion
 
@@ -63,21 +62,35 @@ def _full_score(symbol: LabanSymbol) -> LabanScore:
     return LabanScore(columns=cols, total_duration=1.0)
 
 
+def _vector(sym: LabanSymbol) -> np.ndarray:
+    """The direction at the center of a symbol's band: its row of CODE_VECTORS."""
+    return CODE_VECTORS[SYMBOL_CODES[sym]]
+
+
+def _one_row(v, seg: Segment) -> tuple[float, float, bool]:
+    """(yaw, pitch, clamped) of one direction on a segment: _joint_rows of a one-row array."""
+    yaw, pitch, clamped = robot_mod._joint_rows(np.asarray(v, dtype=float).reshape(1, 3), seg)
+    return yaw.item(), pitch.item(), clamped.item()
+
+
 def test_symbol_vectors():
-    assert np.allclose(symbol_to_vector(S(D.Forward, L.Middle)), [1, 0, 0], atol=1e-12)
-    assert np.allclose(symbol_to_vector(S(D.Place, L.Low)), [0, 0, -1], atol=1e-12)
+    assert np.allclose(_vector(S(D.Forward, L.Middle)), [1, 0, 0], atol=1e-12)
+    assert np.allclose(_vector(S(D.Place, L.Low)), [0, 0, -1], atol=1e-12)
     c = math.cos(math.radians(45.0))
-    assert np.allclose(symbol_to_vector(S(D.Right, L.High)), [0, -c, c], atol=1e-9)
+    assert np.allclose(_vector(S(D.Right, L.High)), [0, -c, c], atol=1e-9)
 
 
 def test_symbol_place_middle_rejected():
-    with pytest.raises(BadSymbol):
-        symbol_to_vector(S(D.Place, L.Middle))
+    # (Place, Middle) has code -1, "no symbol", not one of the 26 codes whose
+    # rows of CODE_VECTORS are directions; a decode holds its segment neutral
+    assert SYMBOL_CODES[S(D.Place, L.Middle)] == -1
+    assert S(D.Place, L.Middle) not in VALID_LIMB_SYMBOLS
+    assert len(CODE_VECTORS) == len(VALID_LIMB_SYMBOLS) == 26
 
 
 def test_symbol_roundtrip_all_26():
     for sym in VALID_LIMB_SYMBOLS:
-        assert digitize(symbol_to_vector(sym)) == sym
+        assert VALID_LIMB_SYMBOLS[direction_codes(_vector(sym))[0]] == sym
 
 
 def _merge_arm(upper, fore, hist):
@@ -198,26 +211,26 @@ def test_reduce_missing_column_raises():
 
 
 def test_vector_to_joints_forward():
-    yaw, pitch, clamped = vector_to_joints(np.array([1.0, 0, 0]), SEG_FRONTAL)
+    yaw, pitch, clamped = _one_row(np.array([1.0, 0, 0]), SEG_FRONTAL)
     assert (yaw, pitch, clamped) == (0.0, 0.0, False)
 
 
 def test_vector_to_joints_backward_clamps_to_lower_tie():
-    yaw, pitch, clamped = vector_to_joints(np.array([-1.0, 0, 0]), SEG_FRONTAL)
+    yaw, pitch, clamped = _one_row(np.array([-1.0, 0, 0]), SEG_FRONTAL)
     assert clamped is True
     assert yaw == -90.0  # equidistant from both limits: lower wins
     assert pitch == 0.0
 
 
 def test_vector_to_joints_nearest_limit():
-    v = symbol_to_vector(S(D.LeftBackward, L.Middle))  # azimuth +135
-    yaw, _, clamped = vector_to_joints(v, SEG_FRONTAL)
+    v = _vector(S(D.LeftBackward, L.Middle))  # azimuth +135
+    yaw, _, clamped = _one_row(v, SEG_FRONTAL)
     assert clamped is True
     assert yaw == 90.0
 
 
 def test_vector_to_joints_pole_yaw_zero():
-    yaw, pitch, clamped = vector_to_joints(np.array([0.0, 0, 1.0]), SEG_FRONTAL)
+    yaw, pitch, clamped = _one_row(np.array([0.0, 0, 1.0]), SEG_FRONTAL)
     assert yaw == 0.0
     assert pitch == 90.0
     assert clamped is False
@@ -227,7 +240,7 @@ def test_direction_vector_inverts_vector_to_joints():
     for yaw, pitch in ((0, 0), (45, 30), (-90, -45), (120, 80)):
         v = direction_vector(yaw, pitch)
         seg = SEG_FREE
-        y2, p2, clamped = vector_to_joints(v, seg)
+        y2, p2, clamped = _one_row(v, seg)
         assert not clamped
         assert y2 == pytest.approx(yaw, abs=1e-9)
         assert p2 == pytest.approx(pitch, abs=1e-9)
@@ -341,7 +354,7 @@ def test_hardware_independence_roundtrip():
             for ref, cmd in d.segments.items():
                 if not cmd.driven or cmd.merged or cmd.clamped:
                     continue
-                assert digitize(direction_vector(cmd.yaw, cmd.pitch)) == cmd.symbol
+                assert VALID_LIMB_SYMBOLS[direction_codes(direction_vector(cmd.yaw, cmd.pitch))[0]] == cmd.symbol
 
 
 def test_boundary_gesture_all_symbols():
@@ -522,7 +535,7 @@ def reduce_columns(symbols, robot, hist):
         for col in sources:
             if col not in symbols:
                 raise MissingColumn(ref, col)
-    vectors = {col: symbol_to_vector(sym) for col, sym in symbols.items()}
+    vectors = {col: _vector(sym) for col, sym in symbols.items()}
     return reduce_vectors(vectors, robot, hist)
 
 
@@ -550,7 +563,7 @@ def _decode_per_pose(score, robot):
     out = []
     for t, symbols in zip(times, states):
         vectors = {
-            col: symbol_to_vector(sym)
+            col: _vector(sym)
             for col, sym in symbols.items()
             if col in robot.column_map
         }
@@ -577,12 +590,13 @@ def _project_per_frame(seq, start, end, robot):
         for col in robot.column_map
         if col in COLUMN_DISTAL
     }
+    joints = tuple(sorted(robot.neutral_angles))
     hist = {}
-    poses = []
-    for k, t in enumerate(seq.times[start:end + 1].tolist()):
-        per_segment = reduce_vectors({col: v[k] for col, v in vectors.items()}, robot, hist)
-        poses.append(JointPose(t, _joint_angles(per_segment, robot)[0]))
-    return poses
+    rows = []
+    for k in range(len(positions)):
+        angles = _joint_angles(reduce_vectors({col: v[k] for col, v in vectors.items()}, robot, hist), robot)[0]
+        rows.append([angles[j] for j in joints])
+    return KeyPoses(seq.times[start:end + 1], joints, np.reshape(rows, (len(rows), len(joints))))
 
 
 def _merge3_robot():
@@ -705,11 +719,11 @@ def test_decode_matches_per_pose_reference():
             # merged segments: which poses cancel at the first and second fold step
             covered = [s for s in states if "RightUpperArm" in s and "RightForearm" in s]
             for k, s in enumerate(covered):
-                first = symbol_to_vector(s["RightUpperArm"]) + symbol_to_vector(s["RightForearm"])
+                first = _vector(s["RightUpperArm"]) + _vector(s["RightForearm"])
                 if np.linalg.norm(first) <= 1e-6:
                     seen["history cancel" if k else "cold cancel"] += 1
                 elif name == "merge3" and "Head" in s:
-                    second = first / np.linalg.norm(first) + symbol_to_vector(s["Head"])
+                    second = first / np.linalg.norm(first) + _vector(s["Head"])
                     seen["second-step cancel"] += int(np.linalg.norm(second) <= 1e-6)
     assert all(seen.values()), seen
 
@@ -743,9 +757,9 @@ def test_project_path_matches_per_frame_reference():
                 got = project_path(seq, a, b, robot)
                 ref = _project_per_frame(seq, a, b, robot)
                 assert len(got) == len(ref)
-                assert got.times.tolist() == [p.t for p in ref]
-                assert sorted(got.joints) == sorted(robot.joint_names())
-                assert _same_bits(got.samples, [[p.angles[j] for j in got.joints] for p in ref])
+                assert got.times.tolist() == ref.times.tolist()
+                assert got.joints == ref.joints and sorted(got.joints) == sorted(robot.joint_names())
+                assert _same_bits(got.samples, ref.samples)
         bf = body_frame(seq.positions)
         for col in ("LeftArm", "RightArm", "Head"):
             d = segment_direction(seq.positions, COLUMN_DISTAL[col], bf)
@@ -781,11 +795,11 @@ def test_dict_build_carries_merge_history_across_a_clip(tmp_path, monkeypatch):
     states = [encode_pose_reference(seq.positions[i], columns) for i in merged]
     mdict = MotionDictionary()
     for k, (a, b) in enumerate(zip(merged, merged[1:])):
-        dict_update(mdict, state_key(states[k], states[k + 1]),
-                    KeyPoses.of(whole[a - merged[0]:b - merged[0] + 1]))
+        rows = slice(a - merged[0], b - merged[0] + 1)
+        observed = KeyPoses(whole.times[rows], whole.joints, whole.samples[rows])
+        dict_update(mdict, state_key(states[k], states[k + 1]), observed)
     assert out.read_text() == serialize_dictionary(mdict)
-    first = whole[0].angles
-    assert all(p.angles == first for p in whole)
+    assert (whole.samples == whole.samples[0]).all()
     # restarting the history at each transition gives other paths
     assert out.read_text() != dict_build_per_transition([(seq, kfs)], robot, columns)
 
@@ -799,10 +813,10 @@ def test_symbol_table_is_vector_to_joints():
             yaw_pitch, clamped = robot.symbol_table[ref]
             assert yaw_pitch.shape == (len(VALID_LIMB_SYMBOLS) + 1, 2)
             for k, sym in enumerate(VALID_LIMB_SYMBOLS):
-                yaw, pitch, flag = vector_to_joints(symbol_to_vector(sym), seg)
+                yaw, pitch, flag = _one_row(_vector(sym), seg)
                 assert yaw_pitch[k].tolist() == [yaw, pitch]
                 assert clamped[k] == flag
-                assert _vector_to_joints(symbol_to_vector(sym), seg) == (yaw, pitch, flag)
+                assert _vector_to_joints(_vector(sym), seg) == (yaw, pitch, flag)
             # code -1: no symbol in force, the neutral pose
             assert yaw_pitch[-1].tolist() == [robot.neutral_angles[seg.yaw_joint], robot.neutral_angles[seg.pitch_joint]]
             assert not clamped[-1]
@@ -822,7 +836,7 @@ def test_joint_rows_match_vector_to_joints():
     edges = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [7e-7, 7e-7, 1.0], [7.1e-7, 7.1e-7, 1.0],
              [1.0, -0.0, 0.0], [-1.0, 0.0, 0.0], [-1.0, -0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
              [0.6, 0.8, 1.0 + 1e-15], [0.6, 0.8, -1.0 - 1e-15]]
-    directions = np.vstack([random, edges, [symbol_to_vector(s) for s in VALID_LIMB_SYMBOLS]])
+    directions = np.vstack([random, edges, [_vector(s) for s in VALID_LIMB_SYMBOLS]])
     segments = [SEG_FREE, SEG_FRONTAL, Segment("y", "p", (-45.0, 45.0), (-30.0, 30.0)),
                 Segment("y", "p", (10.0, 40.0), (-90.0, -60.0)), Segment("y", "p", (-180.0, -170.0), (80.0, 90.0)),
                 Segment("y", "p", (0.0, 0.0), (0.0, 0.0))]
@@ -833,4 +847,4 @@ def test_joint_rows_match_vector_to_joints():
         assert _same_bits(pitch, [w[1] for w in want])
         assert clamped.tolist() == [w[2] for w in want]
         # the scalar form is one row of the array form
-        assert [vector_to_joints(v, seg) for v in directions[-40:]] == want[-40:]
+        assert [_one_row(v, seg) for v in directions[-40:]] == want[-40:]

@@ -9,7 +9,7 @@ import pytest
 from labanmotion import trajectory
 from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
 from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
-from labanmotion.robot import JointPose, KeyPoses
+from labanmotion.robot import KeyPoses
 from labanmotion.skeleton import MAX_SAMPLES, uniform_grid
 from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
@@ -21,8 +21,6 @@ from labanmotion.trajectory import (
     _segment_index,
     dict_lookup,
     dict_update,
-    evaluate,
-    interpolate,
     parse_dictionary,
     path_distance,
     resample_path,
@@ -48,7 +46,24 @@ def _csv(traj):
 
 
 def _pose(t, *angles):
-    return JointPose(t=t, angles=dict(zip(JOINTS, angles)))
+    """One pose over JOINTS: its time and its angles."""
+    return t, angles
+
+
+def _poses(poses) -> KeyPoses:
+    """Key poses over JOINTS from :func:`_pose` pairs."""
+    return KeyPoses([t for t, _ in poses], JOINTS, np.reshape([a for _, a in poses], (len(poses), len(JOINTS))))
+
+
+def _interpolate(keyposes, mode, rate):
+    """Plain interpolation: :func:`synthesize` without a dictionary."""
+    return synthesize(keyposes, None, None, mode, rate)
+
+
+def _at(keyposes, mode, t) -> dict[str, float]:
+    """Interpolated angles per joint at one time."""
+    row = _rows_at(keyposes.times, keyposes.samples, mode, np.array([t], dtype=float))[2][0]
+    return dict(zip(keyposes.joints, row.tolist()))
 
 
 def _state(sym):
@@ -70,12 +85,12 @@ def fd_velocity(keyposes, mode, t, side, eps=5e-5):
     one. Extrapolation cancels the first-order acceleration term, leaving
     truncation ~ eps^2 * jerk, small enough to resolve a zero velocity.
     """
-    base = evaluate(keyposes, mode, t)
+    base = _at(keyposes, mode, t)
     out = {}
     for j in base:
         f0 = base[j]
-        f1 = evaluate(keyposes, mode, t + side * eps / 2.0)[j]
-        f2 = evaluate(keyposes, mode, t + side * eps)[j]
+        f1 = _at(keyposes, mode, t + side * eps / 2.0)[j]
+        f2 = _at(keyposes, mode, t + side * eps)[j]
         d_half = (f1 - f0) / (eps / 2.0)
         d_full = (f2 - f0) / eps
         out[j] = side * (2.0 * d_half - d_full)
@@ -83,20 +98,17 @@ def fd_velocity(keyposes, mode, t, side, eps=5e-5):
 
 
 # ---------------------------------------------------------------------------
-# interpolate
+# interpolation
 # ---------------------------------------------------------------------------
 
 def test_linear_midpoint_is_mean():
-    traj = interpolate(KeyPoses.of([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)]), "linear", 2.0)
-    mid = traj[1]
-    assert mid.t == pytest.approx(0.5)
-    assert mid.angles["elbow"] == pytest.approx(15.0, abs=1e-12)
-    assert mid.angles["shoulder_pitch"] == pytest.approx(15.0, abs=1e-12)
-    assert mid.angles["shoulder_yaw"] == pytest.approx(10.0, abs=1e-12)
+    traj = _interpolate(_poses([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)]), "linear", 2.0)
+    assert traj.times[1] == pytest.approx(0.5)
+    assert traj.samples[1] == pytest.approx([15.0, 15.0, 10.0], abs=1e-12)
 
 
 def test_cubic_endpoint_velocities_vanish():
-    keyposes = KeyPoses.of([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)])
+    keyposes = _poses([_pose(0.0, 0.0, 10.0, -20.0), _pose(1.0, 30.0, 20.0, 40.0)])
     v0 = fd_velocity(keyposes, "cubic", 0.0, +1)
     v1 = fd_velocity(keyposes, "cubic", 1.0, -1)
     for j in JOINTS:
@@ -105,19 +117,17 @@ def test_cubic_endpoint_velocities_vanish():
 
 
 def test_samples_at_key_times_equal_key_poses():
-    keyposes = KeyPoses.of([_pose(0.0, 1.0, 2.0, 3.0), _pose(0.5, -4.0, 5.0, -6.0), _pose(1.5, 7.0, -8.0, 9.0)])
+    keyposes = _poses([_pose(0.0, 1.0, 2.0, 3.0), _pose(0.5, -4.0, 5.0, -6.0), _pose(1.5, 7.0, -8.0, 9.0)])
     for mode in ("linear", "cubic"):
-        traj = interpolate(keyposes, mode, 10.0)
-        by_t = {p.t: p for p in traj}
-        for kp in keyposes:
-            sample = by_t[kp.t]
-            for j in JOINTS:
-                assert sample.angles[j] == pytest.approx(kp.angles[j], abs=1e-9)
+        traj = _interpolate(keyposes, mode, 10.0)
+        by_t = dict(zip(traj.times.tolist(), traj.samples.tolist()))
+        for t, angles in zip(keyposes.times.tolist(), keyposes.samples.tolist()):
+            assert by_t[t] == pytest.approx(angles, abs=1e-9)
 
 
 def test_linear_monotone_between_endpoints():
-    keyposes = KeyPoses.of([_pose(0.0, 0.0, 50.0, -10.0), _pose(2.0, 30.0, -50.0, -10.0)])
-    traj = interpolate(keyposes, "linear", 25.0)
+    keyposes = _poses([_pose(0.0, 0.0, 50.0, -10.0), _pose(2.0, 30.0, -50.0, -10.0)])
+    traj = _interpolate(keyposes, "linear", 25.0)
     for j in JOINTS:
         vals = traj.samples[:, traj.joints.index(j)]
         diffs = np.diff(vals)
@@ -126,23 +136,25 @@ def test_linear_monotone_between_endpoints():
 
 def test_interpolate_errors():
     with pytest.raises(InsufficientData):
-        interpolate(KeyPoses.of([_pose(0.0, 1.0, 2.0, 3.0)]), "linear", 10.0)
+        _interpolate(_poses([_pose(0.0, 1.0, 2.0, 3.0)]), "linear", 10.0)
     with pytest.raises(TimeOrderError):
-        interpolate(KeyPoses.of([_pose(0.0, 1, 2, 3), _pose(0.0, 4, 5, 6)]), "linear", 10.0)
+        _interpolate(_poses([_pose(0.0, 1, 2, 3), _pose(0.0, 4, 5, 6)]), "linear", 10.0)
     # float spacing at 1e10 s is 1.9e-6 s, so a 1 MHz grid repeats time stamps
     with pytest.raises(TimeOrderError):
-        interpolate(KeyPoses([1e10, 1e10 + 1.0], ("x",), [[0.0], [1.0]]), "linear", 1e6)
+        _interpolate(KeyPoses([1e10, 1e10 + 1.0], ("x",), [[0.0], [1.0]]), "linear", 1e6)
     with pytest.raises(ValueError):
-        interpolate(KeyPoses.of([_pose(0.0, 1, 2, 3), _pose(1.0, 4, 5, 6)]), "quintic", 10.0)
+        _interpolate(_poses([_pose(0.0, 1, 2, 3), _pose(1.0, 4, 5, 6)]), "quintic", 10.0)
 
 
 def test_key_poses_have_one_joint_set():
-    with pytest.raises(ShapeError):
-        KeyPoses.of([_pose(0.0, 1, 2, 3), JointPose(t=1.0, angles={"elbow": 1.0})])
-    with pytest.raises(ShapeError):  # joints not sorted
-        KeyPoses(np.array([0.0, 1.0]), ("shoulder_yaw", "elbow"), np.zeros((2, 2)))
-    with pytest.raises(ShapeError):  # angles not one per pose and joint
+    for joints in (("shoulder_yaw", "elbow"), ("elbow", "elbow")):  # not sorted, repeated
+        with pytest.raises(ShapeError, match="joint names must be sorted and distinct"):
+            KeyPoses(np.array([0.0, 1.0]), joints, np.zeros((2, 2)))
+    # angles not one per pose and joint: the shape is named, not the joints
+    with pytest.raises(ShapeError, match=r"samples must have shape \(2, 3\).*got \(2, 2\)"):
         KeyPoses(np.array([0.0, 1.0]), JOINTS, np.zeros((2, 2)))
+    with pytest.raises(ShapeError, match=r"samples must have shape \(2, 1\) for 2 times and 1 joints, got \(1, 1\)"):
+        KeyPoses([0.0, 1.0], ("a",), [[1.0]])
     # joints given as a list match a loaded dictionary's tuple
     listed = KeyPoses(np.array([0.0, 1.0]), list(JOINTS), np.array([[0.0, 0.0, 0.0], [30.0, 20.0, 40.0]]))
     assert listed.joints == JOINTS
@@ -156,7 +168,7 @@ def test_key_poses_have_one_joint_set():
 
 
 def test_uniform_grid():
-    traj = interpolate(KeyPoses.of([_pose(0.25, 0, 0, 0), _pose(1.25, 1, 1, 1)]), "linear", 30.0)
+    traj = _interpolate(_poses([_pose(0.25, 0, 0, 0), _pose(1.25, 1, 1, 1)]), "linear", 30.0)
     ts = traj.times
     assert np.max(np.abs(np.diff(ts) - 1.0 / 30.0)) < 1e-9
     assert ts[0] == 0.25
@@ -170,7 +182,7 @@ def _path(offset=0.0):
     poses = [_pose(0.0, 0.0 + offset, 10.0 + offset, -20.0 + offset),
              _pose(0.5, 15.0 + offset, 30.0 + offset, 0.0 + offset),
              _pose(1.0, 30.0 + offset, 20.0 + offset, 40.0 + offset)]
-    return KeyPoses.of(poses)
+    return _poses(poses)
 
 
 def test_path_distance_identity_and_offset():
@@ -293,7 +305,7 @@ def test_dict_serialization_roundtrip_randomized(rng):
             n = int(rng.integers(2, 40))
             times = np.cumsum(rng.uniform(0.01, 1.0, size=n))
             scale = 10.0 ** float(rng.uniform(-8, 3))
-            observed = KeyPoses.of([_pose(float(t), *map(float, rng.normal(0, scale, size=3))) for t in times])
+            observed = _poses([_pose(float(t), *map(float, rng.normal(0, scale, size=3))) for t in times])
             dict_update(mdict, state_key(_state(a), {"Head": b, "RightArm": a}), observed)
         text = serialize_dictionary(mdict)
         json.loads(text, parse_constant=_reject_constant)
@@ -353,16 +365,14 @@ def test_dict_key_of_codes_is_the_symbol_map_rule(rng):
 # ---------------------------------------------------------------------------
 
 def test_synthesize_empty_dict_equals_interpolate():
-    keyposes = KeyPoses.of([_pose(0.0, 0, 10, -20), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)])
+    keyposes = _poses([_pose(0.0, 0, 10, -20), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)), _state(S(D.Left, L.Middle))]
     for mode in ("linear", "cubic"):
-        a = interpolate(keyposes, mode, 25.0)
+        a = _interpolate(keyposes, mode, 25.0)
         b = synthesize(keyposes, _codes(states), MotionDictionary(), mode, 25.0, COLUMNS)
         assert len(a.samples) == len(b.samples)
-        for pa, pb in zip(a, b):
-            assert pa.t == pb.t
-            for j in JOINTS:
-                assert pa.angles[j] == pytest.approx(pb.angles[j], abs=0.0)
+        assert a.times.tolist() == b.times.tolist()
+        assert a.samples.tolist() == b.samples.tolist()
 
 
 def test_synthesize_recovers_recorded_path():
@@ -379,8 +389,8 @@ def test_synthesize_recovers_recorded_path():
                   10.0 - 10.0 * u,
                   40.0 * u * u)
         )
-    recorded = KeyPoses.of(recorded)
-    ends = KeyPoses.of([recorded[0], recorded[-1]])
+    recorded = _poses(recorded)
+    ends = KeyPoses(recorded.times[[0, -1]], recorded.joints, recorded.samples[[0, -1]])
     key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
     mdict = MotionDictionary()
     dict_update(mdict, key, recorded)
@@ -389,14 +399,14 @@ def test_synthesize_recovers_recorded_path():
     rebuilt = resample_path(traj)
     assert path_distance(rebuilt, resample_path(recorded)) < mdict.tau
     # and it would NOT be linear: the arc survives
-    linear = interpolate(ends, "linear", 30.0)
+    linear = _interpolate(ends, "linear", 30.0)
     assert path_distance(rebuilt, resample_path(linear)) > 1.0
 
 
 def test_synthesize_mixed_coverage_continuous():
-    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)])
+    keyposes = _poses([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40), _pose(2.0, -10, 0, 0)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)), _state(S(D.Left, L.Middle))]
-    observed = KeyPoses.of([keyposes[0], _pose(0.5, 25.0, 5.0, 10.0), keyposes[1]])
+    observed = _poses([_pose(0.0, 0, 0, 0), _pose(0.5, 25.0, 5.0, 10.0), _pose(1.0, 30, 20, 40)])
     mdict = MotionDictionary()
     dict_update(mdict, state_key(states[0], states[1]), observed)
     traj = synthesize(keyposes, _codes(states), mdict, "linear", 50.0, COLUMNS)
@@ -404,10 +414,9 @@ def test_synthesize_mixed_coverage_continuous():
     vals = traj.samples
     ts = traj.times
     # passes through all key poses
-    for kp in keyposes:
-        i = int(np.argmin(np.abs(ts - kp.t)))
-        for j in JOINTS:
-            assert traj[i].angles[j] == pytest.approx(kp.angles[j], abs=1e-9)
+    for t, angles in zip(keyposes.times, keyposes.samples):
+        i = int(np.argmin(np.abs(ts - t)))
+        assert vals[i] == pytest.approx(angles, abs=1e-9)
     # no jump at the shared key pose: successive steps stay bounded
     steps = np.max(np.abs(np.diff(vals, axis=0)), axis=1)
     assert np.max(steps) < 5.0  # 50 Hz sampling of bounded-slope segments
@@ -417,21 +426,19 @@ def test_synthesize_endpoint_exactness_randomized(rng):
     for _ in range(25):
         k = int(rng.integers(2, 6))
         times = np.cumsum(rng.integers(5, 20, size=k)) / 10.0
-        keyposes = KeyPoses.of([
+        keyposes = _poses([
             _pose(float(t), *[float(a) for a in rng.uniform(-90, 90, size=3)]) for t in times
         ])
-        states = [_state(S(D.Forward, L.Middle)) for _ in keyposes]
+        states = [_state(S(D.Forward, L.Middle)) for _ in range(len(keyposes))]
         mode = "cubic" if rng.random() < 0.5 else "linear"
         traj = synthesize(keyposes, _codes(states), None, mode, 10.0, COLUMNS)
-        by_t = {round(p.t, 9): p for p in traj}
-        for kp in keyposes:
-            sample = by_t[round(kp.t, 9)]
-            for j in JOINTS:
-                assert sample.angles[j] == pytest.approx(kp.angles[j], abs=1e-9)
+        by_t = {round(t, 9): row for t, row in zip(traj.times.tolist(), traj.samples.tolist())}
+        for t, angles in zip(keyposes.times.tolist(), keyposes.samples.tolist()):
+            assert by_t[round(t, 9)] == pytest.approx(angles, abs=1e-9)
 
 
 def test_csv_export_shape():
-    traj = interpolate(KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)]), "linear", 10.0)
+    traj = _interpolate(_poses([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)]), "linear", 10.0)
     text = _csv(traj)
     lines = text.strip().split("\n")
     assert lines[0] == "t," + ",".join(sorted(JOINTS))
@@ -518,18 +525,18 @@ def test_synthesize_memory_is_the_result_and_a_few_sample_arrays(rng):
 
 
 def test_synthesize_rejects_mismatched_dictionary_joints():
-    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
+    keyposes = _poses([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
     states = [_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle))]
     mdict = MotionDictionary()
     key = state_key(states[0], states[1])
-    other = KeyPoses.of([JointPose(t=0.0, angles={"x": 0.0}), JointPose(t=1.0, angles={"x": 1.0})])
+    other = KeyPoses([0.0, 1.0], ("x",), [[0.0], [1.0]])
     dict_update(mdict, key, other)
     with pytest.raises(ShapeError):
         synthesize(keyposes, _codes(states), mdict, "linear", 10.0, COLUMNS)
 
 
 def test_synthesize_states_misaligned():
-    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
+    keyposes = _poses([_pose(0.0, 0, 0, 0), _pose(1.0, 30, 20, 40)])
     with pytest.raises(ShapeError):
         synthesize(keyposes, _codes([_state(S(D.Place, L.Low))]), MotionDictionary(), "linear", 10.0, COLUMNS)
     with pytest.raises(ShapeError):  # codes without their columns
@@ -538,17 +545,17 @@ def test_synthesize_states_misaligned():
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
 def test_rate_must_be_finite_and_positive(rate):
-    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)])
+    keyposes = _poses([_pose(0.0, 0, 0, 0), _pose(1.0, 10, 20, 30)])
     with pytest.raises(BadInput):
         synthesize(keyposes, None, None, "linear", rate)
     with pytest.raises(BadInput):
-        interpolate(keyposes, "linear", rate)
+        _interpolate(keyposes, "linear", rate)
     with pytest.raises(BadInput):  # checked before the pose count
-        synthesize(KeyPoses.of([keyposes[0]]), None, None, "linear", rate)
+        synthesize(_poses([_pose(0.0, 0, 0, 0)]), None, None, "linear", rate)
 
 
 def test_sample_count_is_bounded():
-    keyposes = KeyPoses.of([_pose(0.0, 0, 0, 0), _pose(21.0, 10, 20, 30)])
+    keyposes = _poses([_pose(0.0, 0, 0, 0), _pose(21.0, 10, 20, 30)])
     # each rate asks for more than MAX_SAMPLES samples; the check runs
     # before the grid is allocated
     for rate in (MAX_SAMPLES / 21.0, 1e9, 1e300):
@@ -558,12 +565,12 @@ def test_sample_count_is_bounded():
 
 def test_from_poses_keeps_the_poses():
     # a score with fewer than two key poses writes the poses themselves
-    one = KeyPoses.of([_pose(0.5, 1.0, 2.0, 3.0)])
+    one = _poses([_pose(0.5, 1.0, 2.0, 3.0)])
     assert one.joints == JOINTS
     assert one.times.tolist() == [0.5]
     assert one.samples.tolist() == [[1.0, 2.0, 3.0]]
     assert _csv(one) == "t,elbow,shoulder_pitch,shoulder_yaw\n0.500000,1.000000,2.000000,3.000000\n"
-    none = KeyPoses.of([])
+    none = KeyPoses([], (), np.empty((0, 0)))
     assert none.samples.shape == (0, 0)
     assert _csv(none) == "t,\n"
 
@@ -571,9 +578,7 @@ def test_from_poses_keeps_the_poses():
 def _synthesize_per_segment(keyposes, states, mdict, mode, rate):
     """Reference: one grid mask per key-pose segment, filled from the
     dictionary path or by interpolation."""
-    joints = tuple(sorted(keyposes[0].angles))
-    times = np.array([p.t for p in keyposes])
-    angles = np.array([[p.angles[j] for j in joints] for p in keyposes])
+    joints, times, angles = keyposes.joints, keyposes.times, keyposes.samples
     n = int(math.floor((times[-1] - times[0]) * rate + 1e-6 * rate + 1e-9)) + 1
     grid = times[0] + np.arange(n) / rate
     idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 2)
@@ -599,12 +604,12 @@ def test_synthesize_matches_per_segment_reference(rng):
     for trial in range(30):
         k = int(rng.integers(2, 9))
         times = np.cumsum(rng.integers(1, 30, size=k)) / 7.0
-        keyposes = KeyPoses.of([_pose(float(t), *map(float, rng.uniform(-90, 90, size=3))) for t in times])
+        keyposes = _poses([_pose(float(t), *map(float, rng.uniform(-90, 90, size=3))) for t in times])
         states = [_state(symbols[int(i)]) for i in rng.integers(0, len(symbols), size=k)]
         mdict = MotionDictionary()
         for _ in range(3):  # some transitions get a recorded path, others none
             a, b = (int(i) for i in rng.integers(0, len(symbols), size=2))
-            observed = KeyPoses.of([_pose(float(u), *map(float, rng.uniform(-90, 90, size=3))) for u in range(4)])
+            observed = _poses([_pose(float(u), *map(float, rng.uniform(-90, 90, size=3))) for u in range(4)])
             dict_update(mdict, state_key(_state(symbols[a]), _state(symbols[b])), observed)
         mode = ("linear", "cubic")[trial % 2]
         rate = float(rng.choice([3.0, 10.0, 29.97]))
@@ -635,9 +640,9 @@ def _csv_per_value(times, samples):
 def test_csv_matches_per_value_formatting(rng):
     angles = np.concatenate([rng.uniform(-180, 180, size=40), [-0.0, 0.0, -1e-9, 2.5e-7, 0.0000005, 179.9999995]])
     keyposes = [_pose(float(i) / 3.0, *angles[3 * i:3 * i + 3]) for i in range(len(angles) // 3)]
-    traj = KeyPoses.of(keyposes)
+    traj = _poses(keyposes)
     expected = "t," + ",".join(JOINTS) + "\n" + "".join(
-        f"{p.t:.6f}," + ",".join(f"{p.angles[j]:.6f}" for j in JOINTS) + "\n" for p in keyposes
+        f"{t:.6f}," + ",".join(f"{a:.6f}" for a in angles) + "\n" for t, angles in keyposes
     )
     assert _csv(traj) == expected
 
@@ -805,12 +810,12 @@ def test_rows_at_matches_the_one_expression_reference(rng, monkeypatch):
         for mode in ("linear", "cubic"):
             for got, want in zip(_rows_at(times, angles, mode, t), _rows_at_one_expression(times, angles, mode, t)):
                 assert np.array_equal(got, want)
-            # one time, as evaluate passes it
+            # one time
             x = float(t[rng.integers(len(t))])
             _, _, rows = _rows_at(times, angles, mode, np.array([x]))
             want = _rows_at_one_expression(times, angles, mode, x)[2]
             assert rows.shape == (1, len(JOINTS)) and np.array_equal(rows[0], want)
-            assert evaluate(KeyPoses(times, JOINTS, angles), mode, x) == dict(zip(JOINTS, want.tolist()))
+            assert _at(KeyPoses(times, JOINTS, angles), mode, x) == dict(zip(JOINTS, want.tolist()))
 
     # synthesize's dictionary branch overwrites the interpolated rows of the
     # segments the dictionary covers; the others keep them
