@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import encoder, keyframe, laban, robot as robot_mod, skeleton, trajectory
-from .errors import LabanMotionError, NoKeyFrames, finite
+from .errors import LabanMotionError, NoKeyFrames, finite, read_text
 
 _BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no": False}
 # allowed values of the keys whose flags take a fixed set, as the library
@@ -66,28 +66,27 @@ def _number(text: str):
 
 def _read_config(path: str) -> dict:
     cfg = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key, value, where = key.strip(), value.strip().strip('"'), f"{path}:{lineno}"
-            if not sep or key not in SETTINGS:
-                raise LabanMotionError(f"{where}: unknown config key {key!r}")
-            kind = SETTINGS[key][0]
-            if kind is float:
-                cfg[key] = finite(_number(value), f"{where}: {key}", error=LabanMotionError)
-            elif kind is bool:
-                if value.lower() not in _BOOLS:
-                    raise LabanMotionError(f"{where}: {key} must be one of {', '.join(_BOOLS)}, got {value!r}")
-                cfg[key] = _BOOLS[value.lower()]
-            elif kind is str and not value:
-                raise LabanMotionError(f"{where}: {key} must not be empty")
-            elif kind is not str and value not in kind:
-                raise LabanMotionError(f"{where}: {key} must be one of {', '.join(kind)}, got {value!r}")
-            else:
-                cfg[key] = value
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key, value, where = key.strip(), value.strip().strip('"'), f"{path}:{lineno}"
+        if not sep or key not in SETTINGS:
+            raise LabanMotionError(f"{where}: unknown config key {key!r}")
+        kind = SETTINGS[key][0]
+        if kind is float:
+            cfg[key] = finite(_number(value), f"{where}: {key}", error=LabanMotionError)
+        elif kind is bool:
+            if value.lower() not in _BOOLS:
+                raise LabanMotionError(f"{where}: {key} must be one of {', '.join(_BOOLS)}, got {value!r}")
+            cfg[key] = _BOOLS[value.lower()]
+        elif kind is str and not value:
+            raise LabanMotionError(f"{where}: {key} must not be empty")
+        elif kind is not str and value not in kind:
+            raise LabanMotionError(f"{where}: {key} must be one of {', '.join(kind)}, got {value!r}")
+        else:
+            cfg[key] = value
     return cfg
 
 
@@ -281,8 +280,7 @@ def _cmd_roundtrip(run: _Run) -> int:
     table = robot.segment_table
     joint = {j: c for c, j in enumerate(decoded.poses.joints)}
     code_column = {col: c for c, col in enumerate(decoded.columns)}
-    # segment indices in ref order, a repeated ref keeping its last segment
-    order = sorted({ref: s for s, (ref, _, _) in enumerate(table)}.items())
+    order = sorted((ref, s) for s, (ref, _, _) in enumerate(table))  # segment indices in ref order
     driven, flags, states, samples = (a.tolist() for a in (decoded.driven, decoded.clamped, decoded.codes,
                                                            decoded.poses.samples))
     skipped_merged = 0

@@ -1,4 +1,4 @@
-"""Exception types and the input contract: one JSON reader, one number rule, one range check."""
+"""Exception types and the input contract: one file reader, one JSON reader, one number rule, one range check."""
 
 from __future__ import annotations
 
@@ -85,6 +85,15 @@ class MissingColumn(LabanMotionError):
 
 class ShapeError(LabanMotionError):
     """Mismatched sample counts or joint sets."""
+
+
+def read_text(path: str) -> str:
+    """The text of the file at ``path``; ParseError naming the file if it is not UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def read_json(text: str) -> dict:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadInput, OutOfRange, ParseError, ValidationError, finite, json_numbers, read_json
+from .errors import BadInput, OutOfRange, ParseError, ValidationError, finite, json_numbers, read_json, read_text
 
 
 class Direction(str, Enum):
@@ -442,8 +442,7 @@ def parse_score(text: str) -> LabanScore:
 
 
 def load_score(path: str) -> LabanScore:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_score(fh.read())
+    return parse_score(read_text(path))
 
 
 def save_score(score: LabanScore, path: str) -> None:

@@ -46,7 +46,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .encoder import column_directions
-from .errors import MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers, read_json
+from .errors import (MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers, read_json,
+                     read_text)
 from .laban import (CODE_VECTORS, VALID_LIMB_SYMBOLS, LabanScore, LabanSymbol, column_violations, direction_angles,
                     states_at, validate)
 from .skeleton import SkeletonSequence
@@ -322,6 +323,7 @@ def validate_robot(robot: RobotDescription) -> list[str]:
     for ref, n in fan_in.items():
         if n > 3:
             problems.append(f"segment {ref} merged from {n} columns (limit 3)")
+    problems += [f"chain name {cn} used twice" for cn, n in Counter(c.name for c in robot.chains).items() if n > 1]
     problems += [f"joint name {jn} used twice" for jn, n in Counter(robot.joint_names()).items() if n > 1]
     return problems
 
@@ -330,9 +332,7 @@ def load_robot(path: str) -> RobotDescription:
     """Load a description from a file path or a bundled name."""
     if path in BUNDLED_ROBOTS:
         path = os.path.join(_ROBOTS_DIR, f"{path}.json")
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_robot(text)
+    return parse_robot(read_text(path))
 
 
 # ---------------------------------------------------------------------------

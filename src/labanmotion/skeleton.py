@@ -14,8 +14,9 @@ In memory a sequence is two arrays, ``times`` (n,) and ``positions``
 resampling and the body frame run as array operations over all frames.
 Reading a file holds its text and these arrays but no JSON tree of it:
 frames are decoded one at a time and their numbers go straight into the
-arrays. Errors are unchanged: a document that fails any rule is read again
-as a whole, and that read names its first fault.
+arrays. The same walk names a file's first fault, so an invalid file costs
+what a valid one does; only text that is not one JSON object goes to
+:func:`~labanmotion.errors.read_json`, for the line and column of its error.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
     finite,
     json_numbers,
     read_json,
+    read_text,
 )
 from .laban import LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, Direction, Level, direction_vector
 
@@ -156,7 +158,7 @@ class BodyFrame(NamedTuple):
 
 # stands in for a missing joint until the geometry check names it
 _ABSENT = (math.nan, math.nan, math.nan)
-_STRUCTURE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
+_STRUCTURE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)
 
 
 def _number_arrays(ts: list, triples: list) -> tuple[np.ndarray, np.ndarray]:
@@ -176,40 +178,23 @@ def _number_arrays(ts: list, triples: list) -> tuple[np.ndarray, np.ndarray]:
     return np.array(ts, dtype=float), np.array(coords, dtype=float)
 
 
-def _frame_arrays(frames: list) -> tuple[np.ndarray, np.ndarray]:
-    """(times, positions) of parsed frame objects.
-
-    Raises one of ``_STRUCTURE_ERRORS`` when a frame is not an object with
-    a numeric ``t`` and a ``joints`` object of [x, y, z] number triples.
-    """
-    ts = [f["t"] for f in frames]
-    # one flat list, ALL_JOINTS triples frame after frame: converting it skips
-    # the shape discovery a nested list costs
-    triples = [f["joints"].get(k, _ABSENT) for f in frames for k in _JOINT_KEYS]
-    times, coords = _number_arrays(ts, triples)
-    return times, coords.reshape(len(frames), len(ALL_JOINTS), 3)
-
-
-def _raise_malformed(frames: list) -> None:
-    """Raise for the first frame :func:`_frame_arrays` cannot read (joints object,
-    then each triple, then ``t``), or for a geometry fault of an earlier frame."""
-    for i, f in enumerate(frames):
+def _frame_fault(i: int, t, triples: list) -> LabanMotionError | None:
+    """The first fault of frame ``i`` under :func:`_number_arrays`, None if it
+    has none: each triple in joint order, then ``t``."""
+    for key, triple in zip(_JOINT_KEYS, triples):
         try:
-            joints = f.get("joints") if isinstance(f, dict) else None
-            if not isinstance(joints, dict):
-                raise ParseError(f"frames[{i}]", "missing 'joints' object")
-            for key in _JOINT_KEYS:
-                triple = joints.get(key, _ABSENT)
-                try:
-                    shape = np.array(triple, dtype=float).shape
-                except _STRUCTURE_ERRORS:
-                    shape = None
-                if shape != (3,) or not json_numbers(triple):
-                    raise MalformedFrame(i, key, "bad coordinate triple")
-            finite(f.get("t"), "timestamp", error=functools.partial(ParseError, f"frames[{i}].t"))
-        except LabanMotionError:
-            _check_geometry(frames, *_frame_arrays(frames[:i]))
-            raise
+            _number_arrays((), [triple])
+        except _STRUCTURE_ERRORS:
+            return MalformedFrame(i, key, "bad coordinate triple")
+    try:
+        _number_arrays([t], ())
+        return None
+    except _STRUCTURE_ERRORS:
+        pass
+    try:  # the range check refuses every value the number rule does, and words the error
+        finite(t, "timestamp", error=functools.partial(ParseError, f"frames[{i}].t"))
+    except ParseError as fault:
+        return fault
 
 
 def _geometry_masks(times: np.ndarray, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -226,20 +211,24 @@ def _geometry_masks(times: np.ndarray, positions: np.ndarray) -> tuple[np.ndarra
     return timed, located, apart
 
 
-def _check_geometry(frames: list, times: np.ndarray, positions: np.ndarray) -> None:
-    """Raise for the first frame with a non-finite timestamp, a missing or
-    non-finite joint, or a joint on its parent (joints in enum order)."""
+def _check_geometry(times: np.ndarray, positions: np.ndarray, missing: set, unread: bool) -> None:
+    """Raise for the first frame with a non-finite timestamp, a missing (its
+    ``(frame, joint)`` on ``missing``) or non-finite joint, or a joint on its
+    parent (joints in enum order). With ``unread`` set, a frame that cannot be
+    read follows these, and they are held to that frame's own ``t`` rule: a
+    non-finite timestamp fails :func:`finite`, whose message gives the value."""
     timed, located, apart = _geometry_masks(times, positions)
     bad = ~timed | ~located.all(axis=1) | ~apart.all(axis=1)
     if not bad.any():
         return
     i = int(np.argmax(bad))
     if not timed[i]:
+        if unread:
+            finite(float(times[i]), "timestamp", error=functools.partial(ParseError, f"frames[{i}].t"))
         raise ParseError(f"frames[{i}].t", "non-finite timestamp")
     if not located[i].all():
         joint = _JOINT_KEYS[int(np.argmin(located[i]))]
-        detail = "non-finite coordinate" if joint in frames[i]["joints"] else "missing"
-        raise MalformedFrame(i, joint, detail)
+        raise MalformedFrame(i, joint, "missing" if (i, joint) in missing else "non-finite coordinate")
     raise MalformedFrame(i, _CHILDREN[int(np.argmin(apart[i]))].value, "coincides with parent")
 
 
@@ -255,9 +244,7 @@ def _uniform_rate(times: np.ndarray, hint) -> float | None:
 
 def load_sequence(path: str) -> SkeletonSequence:
     """Load and validate a skeleton sequence file (see :func:`parse_sequence`)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_sequence(text)
+    return parse_sequence(read_text(path))
 
 
 def parse_sequence(text: str) -> SkeletonSequence:
@@ -270,37 +257,58 @@ def parse_sequence(text: str) -> SkeletonSequence:
     non-increasing ``t``. ``sample_rate`` is ``sample_rate_hint`` when the
     timestamps are uniform at that rate, else None.
 
-    A valid document is read one frame at a time (:func:`_stream_sequence`);
-    any other is read whole by :func:`_parse_document`, which raises the error.
+    The root object is walked key by key and its ``frames`` frame by frame
+    (:func:`_read_frames`), so no tree of the whole document is built. Other
+    root keys are decoded and dropped; a repeated key keeps its last value,
+    as in ``json.loads``. A syntax error outranks every other fault; text that
+    is not one JSON object is handed to :func:`read_json`, which names it.
     """
+    skip = _WHITESPACE.match
+    frames = hint = None
     try:
-        return _stream_sequence(text)
-    except _STREAM_ERRORS:
-        return _parse_document(text)
-
-
-def _parse_document(text: str) -> SkeletonSequence:
-    """:func:`parse_sequence` on the whole decoded document."""
-    obj = read_json(text)
-    frames = obj.get("frames")
-    if not isinstance(frames, list):
+        idx = skip(text, 0).end()
+        if text[idx] != "{":
+            raise ValueError("expected an object")
+        idx = skip(text, idx + 1).end()
+        last = text[idx] == "}"
+        while not last:
+            key, idx = _DECODE(text, idx)
+            if type(key) is not str:
+                raise ValueError("expected a key")
+            idx = skip(text, idx).end()
+            if text[idx] != ":":
+                raise ValueError("expected ':'")
+            idx = skip(text, idx + 1).end()
+            if key == "frames" and text[idx] == "[":
+                frames, idx = _read_frames(text, idx)
+            else:
+                value, idx = _DECODE(text, idx)
+                if key == "frames":
+                    frames = None
+                elif key == "sample_rate_hint":
+                    hint = value
+            idx = skip(text, idx).end()
+            last = text[idx] != ","
+            if not last:
+                idx = skip(text, idx + 1).end()
+        if text[idx] != "}" or skip(text, idx + 1).end() != len(text):
+            raise ValueError("expected one object")
+    # bad syntax, a text cut off (IndexError), too deep nesting
+    except (ValueError, IndexError, RecursionError):
+        read_json(text)
+        raise  # a syntax fault that json.loads does not see: a bug
+    if frames is None:
         raise ParseError("$", "expected object with a 'frames' list")
-    try:
-        times, positions = _frame_arrays(frames)
-    except _STRUCTURE_ERRORS:
-        _raise_malformed(frames)
-        raise  # a structure fault the frame scan does not know: a bug
-    _check_geometry(frames, times, positions)
+    times, positions, missing, fault = frames
+    _check_geometry(times, positions, missing, fault is not None)
+    if fault is not None:
+        raise fault
     late = times[1:] <= times[:-1]
     if late.any():
         raise TimeOrderError(int(np.argmax(late)) + 1)
-    return SkeletonSequence(times, positions, _uniform_rate(times, obj.get("sample_rate_hint")))
+    return SkeletonSequence(times, positions, _uniform_rate(times, hint))
 
 
-# what reading a document that the stream does not take raises: bad syntax
-# and a failed check (ValueError), a value of the wrong type, a file cut off
-# (IndexError), too deep nesting
-_STREAM_ERRORS = (ValueError, KeyError, TypeError, IndexError, OverflowError, RecursionError)
 _WHITESPACE = re.compile(r"[ \t\n\r]*")  # between JSON tokens, as json.loads skips it
 # json.loads' scanner on the value at an index: the same numbers, bit for bit
 _DECODE = json.JSONDecoder().raw_decode
@@ -310,87 +318,71 @@ _JOINTS_OF = operator.itemgetter(*_JOINT_KEYS)
 _CHUNK = 64
 
 
-def _stream_frames(text: str, idx: int) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+def _convert(ts: list, triples: list, first: int) -> tuple[np.ndarray, np.ndarray, LabanMotionError | None]:
+    """(times, flat coordinates, None) of the pending frames ``first``,
+    ``first + 1``, ...; if one fails :func:`_number_arrays`, the arrays of the
+    frames before it and its error. The error is made outside any handler,
+    so it holds no traceback into the chunk's lists."""
+    try:
+        return (*_number_arrays(ts, triples), None)
+    except _STRUCTURE_ERRORS:
+        pass
+    n = len(_JOINT_KEYS)
+    for k, t in enumerate(ts):
+        fault = _frame_fault(first + k, t, triples[k * n:(k + 1) * n])
+        if fault is not None:
+            return (*_number_arrays(ts[:k], triples[:k * n]), fault)
+    raise AssertionError("a chunk fails the number rule and none of its frames does")
+
+
+def _read_frames(text: str, idx: int) -> tuple[tuple[np.ndarray, np.ndarray, set, LabanMotionError | None], int]:
     """Read the array that opens at ``text[idx]`` one frame at a time.
 
-    Returns its (times, positions), None in their place if some frame is not
-    an object with a JSON-number ``t`` and a ``joints`` object holding every
-    joint as three JSON numbers, and the index after the array. A frame's
-    objects die once its numbers are converted, ``_CHUNK`` frames at a time.
+    Returns (times, positions, missing, fault) and the index after the array.
+    ``fault`` is the error of the first frame that is not an object with a
+    ``joints`` object of JSON-number triples and a JSON-number ``t``, None if
+    every frame is; the arrays hold the frames before it. A missing joint
+    reads as NaN, with its ``(frame, joint)`` on ``missing``. A frame's
+    objects die once its numbers are converted, ``_CHUNK`` frames at a time;
+    after a fault, frames are only decoded.
     """
     skip = _WHITESPACE.match
-    time_chunks, coord_chunks, ts, triples = [], [], [], []
+    n = len(_JOINT_KEYS)
+    time_chunks, coord_chunks, ts, triples = [np.empty(0)], [np.empty(0)], [], []
+    missing, fault, first = set(), None, 0  # first: the frame index of ts[0]
     idx = skip(text, idx + 1).end()
     last = text[idx] == "]"
     while not last:
         frame, idx = _DECODE(text, idx)
         idx = skip(text, idx).end()
         last = text[idx] != ","
-        if time_chunks is not None:
+        if fault is None:
             try:
                 triples += _JOINTS_OF(frame["joints"])
                 ts.append(frame["t"])
-                if last or len(ts) == _CHUNK:
-                    times, coords = _number_arrays(ts, triples)
-                    time_chunks.append(times)
-                    coord_chunks.append(coords)
-                    ts, triples = [], []
-            except _STRUCTURE_ERRORS:
-                time_chunks = None
+            except _STRUCTURE_ERRORS:  # read it key by key; its numbers are checked with its chunk's
+                i = first + len(ts)
+                del triples[len(ts) * n:]  # the joints of a frame without a t
+                joints = frame.get("joints") if isinstance(frame, dict) else None
+                if isinstance(joints, dict):
+                    missing.update((i, key) for key in _JOINT_KEYS if key not in joints)
+                    triples += [joints.get(key, _ABSENT) for key in _JOINT_KEYS]
+                    ts.append(frame.get("t"))
+                else:
+                    fault = ParseError(f"frames[{i}]", "missing 'joints' object")
+            if last or len(ts) == _CHUNK or fault is not None:
+                times, coords, earlier = _convert(ts, triples, first)
+                time_chunks.append(times)
+                coord_chunks.append(coords)
+                fault = earlier or fault
+                first += len(ts)
+                ts, triples = [], []
         if not last:
             idx = skip(text, idx + 1).end()
     if text[idx] != "]":
         raise ValueError("expected ',' or ']' after a frame")
-    if time_chunks is None:
-        return None, idx + 1
-    if not time_chunks:  # "frames": []
-        time_chunks = coord_chunks = [np.empty(0)]
-    return (np.concatenate(time_chunks), np.concatenate(coord_chunks).reshape(-1, len(ALL_JOINTS), 3)), idx + 1
-
-
-def _stream_sequence(text: str) -> SkeletonSequence:
-    """:func:`parse_sequence` of a valid document, walking the root object
-    key by key and its ``frames`` frame by frame, so no tree of the whole
-    document is built. Other root keys are decoded and dropped; a repeated
-    key keeps its last value, as in ``json.loads``. Raises one of
-    ``_STREAM_ERRORS`` for every document it does not take.
-    """
-    skip = _WHITESPACE.match
-    arrays = hint = None
-    idx = skip(text, 0).end()
-    if text[idx] != "{":
-        raise ValueError("expected an object")
-    idx = skip(text, idx + 1).end()
-    last = text[idx] == "}"
-    while not last:
-        key, idx = _DECODE(text, idx)
-        if type(key) is not str:
-            raise TypeError("expected a key")
-        idx = skip(text, idx).end()
-        if text[idx] != ":":
-            raise ValueError("expected ':'")
-        idx = skip(text, idx + 1).end()
-        if key == "frames" and text[idx] == "[":
-            arrays, idx = _stream_frames(text, idx)
-        else:
-            value, idx = _DECODE(text, idx)
-            if key == "frames":
-                arrays = None
-            elif key == "sample_rate_hint":
-                hint = value
-        idx = skip(text, idx).end()
-        last = text[idx] != ","
-        if not last:
-            idx = skip(text, idx + 1).end()
-    if text[idx] != "}" or skip(text, idx + 1).end() != len(text):
-        raise ValueError("expected one object")
-    if arrays is None:
-        raise ValueError("no valid 'frames' list")
-    times, positions = arrays
-    timed, located, apart = _geometry_masks(times, positions)
-    if not (timed.all() and located.all() and apart.all()) or (times[1:] <= times[:-1]).any():
-        raise ValueError("a frame fails a check")
-    return SkeletonSequence(times, positions, _uniform_rate(times, hint))
+    positions = np.concatenate(coord_chunks).reshape(-1, n, 3)
+    return (np.concatenate(time_chunks), positions, missing, fault), idx + 1
 
 
 def serialize_sequence(seq: SkeletonSequence) -> str:

@@ -26,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json
+from .errors import (InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json,
+                     read_text)
 from .laban import CODE_TOKENS, COLUMN_NAMES
 from .robot import KeyPoses, ordered_times
 from .skeleton import uniform_grid
@@ -532,5 +533,4 @@ def save_dictionary(mdict: MotionDictionary, path: str) -> None:
 
 
 def load_dictionary(path: str) -> MotionDictionary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_dictionary(fh.read())
+    return parse_dictionary(read_text(path))

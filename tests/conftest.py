@@ -2,10 +2,14 @@
 
 The energy oracle re-implements the signal chain in plain Python so the
 numpy implementation is checked against an independent route, not itself.
+The skeleton reference reads a whole document with ``json.loads`` and scans
+the frame objects for the first fault, where the library walks the text
+frame by frame.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -22,7 +26,9 @@ from labanmotion.laban import (
     VALID_LIMB_SYMBOLS,
 )
 from labanmotion.encoder import AZIMUTH_SECTORS, COLUMN_DISTAL, segment_direction
-from labanmotion.errors import BadInput, DegeneratePose
+from labanmotion import skeleton
+from labanmotion.errors import (BadInput, DegeneratePose, LabanMotionError, MalformedFrame, ParseError, TimeOrderError,
+                                finite, json_numbers, read_json)
 from labanmotion.robot import project_path
 from labanmotion.skeleton import JointName, SkeletonSequence, body_frame
 from labanmotion.trajectory import DictKey, MotionDictionary, dict_update, serialize_dictionary
@@ -88,6 +94,81 @@ def oracle_energy(seq: SkeletonSequence, part: JointName, sigma: float) -> list[
     ea = _oracle_minmax(raw_ea)
     es = _oracle_minmax(raw_es)
     return [ea[i] - es[i] for i in range(n)]
+
+
+# ---------------------------------------------------------------------------
+# Whole-document skeleton reader
+# ---------------------------------------------------------------------------
+
+_STRUCTURE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, OverflowError)
+
+
+def _frame_arrays_reference(frames: list) -> tuple[np.ndarray, np.ndarray]:
+    """(times, positions) of parsed frame objects; raises one of
+    ``_STRUCTURE_ERRORS`` for a frame the scan below names."""
+    ts = [f["t"] for f in frames]
+    triples = [f["joints"].get(k, skeleton._ABSENT) for f in frames for k in skeleton._JOINT_KEYS]
+    times, coords = skeleton._number_arrays(ts, triples)
+    return times, coords.reshape(len(frames), len(skeleton.ALL_JOINTS), 3)
+
+
+def _check_geometry_reference(frames: list, times: np.ndarray, positions: np.ndarray) -> None:
+    """Raise for the first frame with a non-finite timestamp, a missing or
+    non-finite joint, or a joint on its parent (joints in enum order)."""
+    timed, located, apart = skeleton._geometry_masks(times, positions)
+    bad = ~timed | ~located.all(axis=1) | ~apart.all(axis=1)
+    if not bad.any():
+        return
+    i = int(np.argmax(bad))
+    if not timed[i]:
+        raise ParseError(f"frames[{i}].t", "non-finite timestamp")
+    if not located[i].all():
+        joint = skeleton._JOINT_KEYS[int(np.argmin(located[i]))]
+        detail = "non-finite coordinate" if joint in frames[i]["joints"] else "missing"
+        raise MalformedFrame(i, joint, detail)
+    raise MalformedFrame(i, skeleton._CHILDREN[int(np.argmin(apart[i]))].value, "coincides with parent")
+
+
+def _raise_malformed_reference(frames: list) -> None:
+    """Raise for the first frame the conversion cannot read (joints object,
+    then each triple by its array shape, then ``t`` by the range check), or
+    for a geometry fault of an earlier frame."""
+    for i, f in enumerate(frames):
+        try:
+            joints = f.get("joints") if isinstance(f, dict) else None
+            if not isinstance(joints, dict):
+                raise ParseError(f"frames[{i}]", "missing 'joints' object")
+            for key in skeleton._JOINT_KEYS:
+                triple = joints.get(key, skeleton._ABSENT)
+                try:
+                    shape = np.array(triple, dtype=float).shape
+                except _STRUCTURE_ERRORS:
+                    shape = None
+                if shape != (3,) or not json_numbers(triple):
+                    raise MalformedFrame(i, key, "bad coordinate triple")
+            finite(f.get("t"), "timestamp", error=functools.partial(ParseError, f"frames[{i}].t"))
+        except LabanMotionError:
+            _check_geometry_reference(frames, *_frame_arrays_reference(frames[:i]))
+            raise
+
+
+def parse_sequence_reference(text: str) -> SkeletonSequence:
+    """What ``skeleton.parse_sequence`` gives for ``text``, read from the
+    ``json.loads`` tree of the whole document."""
+    obj = read_json(text)
+    frames = obj.get("frames")
+    if not isinstance(frames, list):
+        raise ParseError("$", "expected object with a 'frames' list")
+    try:
+        times, positions = _frame_arrays_reference(frames)
+    except _STRUCTURE_ERRORS:
+        _raise_malformed_reference(frames)
+        raise  # a structure fault the frame scan does not know
+    _check_geometry_reference(frames, times, positions)
+    late = times[1:] <= times[:-1]
+    if late.any():
+        raise TimeOrderError(int(np.argmax(late)) + 1)
+    return SkeletonSequence(times, positions, skeleton._uniform_rate(times, obj.get("sample_rate_hint")))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,9 @@ the input, no faster. Time ratios are too noisy to assert, so the proxies
 are deterministic: the number of violations in the error, the length of
 the ``error:`` line, and the ``tracemalloc`` peak of the run. A valid
 input that goes unused, a motion dictionary none of whose entries a decode
-looks up, is held to the same bound on its peak, and so is reading a valid
-skeleton clip, whose peak also stays below a few times its text."""
+looks up, is held to the same bound on its peak, and so is reading a
+skeleton clip, valid or not, whose peak also stays below a few times its
+text."""
 
 import gc
 import itertools
@@ -17,6 +18,7 @@ import pytest
 
 from labanmotion import cli
 from labanmotion.cli import main
+from labanmotion.errors import MalformedFrame
 from labanmotion.laban import CODE_TOKENS
 from labanmotion.robot import load_robot
 from labanmotion.skeleton import parse_sequence, serialize_sequence, synth_motion
@@ -134,16 +136,24 @@ def test_unused_dictionary_cost_grows_with_its_entries(tmp_path):
     assert big <= GROWTH * small, f"tracemalloc peak: {small} at n={N}, {big} at n={4 * N}"
 
 
-def _parse_peak(text: str) -> int:
-    """tracemalloc peak of reading the skeleton text ``text``."""
+def _parse_peak(text: str, fault=None) -> int:
+    """tracemalloc peak of reading the skeleton text ``text``; the read must
+    raise ``fault`` if one is given, a MalformedFrame as (index, joint, detail)."""
     gc.collect()
     tracemalloc.start()
     try:
-        seq = parse_sequence(text)
+        try:
+            seq = parse_sequence(text)
+        except MalformedFrame as exc:
+            seq = exc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(seq) > 0
+    if fault is None:
+        assert len(seq) > 0
+    else:
+        assert isinstance(seq, MalformedFrame) and (seq.index, seq.joint, str(seq)) == (
+            fault[0], fault[1], f"frame {fault[0]}: joint {fault[1]} ({fault[2]})"), seq
     return peak
 
 
@@ -154,6 +164,28 @@ def test_reading_a_clip_holds_no_tree_of_it():
     texts = [serialize_sequence(synth_motion({"pattern": "static", "duration": n / 30.0})) for n in (N, 4 * N)]
     _parse_peak(texts[0])  # once first, so one-time allocations count in neither size
     small, big = (_parse_peak(text) for text in texts)
+    for n, text, peak in zip((N, 4 * N), texts, (small, big)):
+        assert peak < 3 * len(text), f"tracemalloc peak {peak} for {len(text)} bytes of text at n={n}"
+    assert big <= GROWTH * small, f"tracemalloc peak: {small} at n={N}, {big} at n={4 * N}"
+
+
+def _edit_last_head(text: str, triple: str | None) -> str:
+    """``text`` with the last frame's Head triple replaced by ``triple``, or
+    deleted (with the comma after it) when None."""
+    start = text.rindex('"Head": [')
+    end = text.index("]", start) + 1
+    return text[:start] + text[end + 2:] if triple is None else text[:start] + f'"Head": {triple}' + text[end:]
+
+
+@pytest.mark.parametrize("fault", ["bad coordinate triple", "missing"])
+def test_reading_an_invalid_clip_holds_no_tree_of_it(fault):
+    """A fault in the last frame is named by the same frame-by-frame read, with
+    the same bound on its peak as a valid clip: nothing is read a second time."""
+    triple = '[0.0, 0.0, "0.73"]' if fault == "bad coordinate triple" else None
+    clips = [serialize_sequence(synth_motion({"pattern": "static", "duration": n / 30.0})) for n in (N, 4 * N)]
+    texts = [_edit_last_head(text, triple) for text in clips]
+    _parse_peak(texts[0], (N - 1, "Head", fault))  # once first, so one-time allocations count in neither size
+    small, big = (_parse_peak(text, (n - 1, "Head", fault)) for n, text in zip((N, 4 * N), texts))
     for n, text, peak in zip((N, 4 * N), texts, (small, big)):
         assert peak < 3 * len(text), f"tracemalloc peak {peak} for {len(text)} bytes of text at n={n}"
     assert big <= GROWTH * small, f"tracemalloc peak: {small} at n={N}, {big} at n={4 * N}"

@@ -4,7 +4,18 @@ import sys
 
 import pytest
 
-from labanmotion.errors import BadDescriptor, BadInput, ParseError, ValidationError, finite, json_numbers, read_json
+from labanmotion.errors import (BadDescriptor, BadInput, ParseError, ValidationError, finite, json_numbers, read_json,
+                                read_text)
+
+
+def test_read_text_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "clip.json"
+    path.write_bytes('{"a": "é",\r\n "b": 1}'.encode())
+    assert read_text(str(path)) == '{"a": "é",\n "b": 1}'  # universal newlines, as open() reads text
+    path.write_bytes(b'{"a": 1,\r\n "b": \xff}')
+    with pytest.raises(ParseError) as exc:
+        read_text(str(path))
+    assert (exc.value.location, exc.value.detail) == (str(path), "not UTF-8 text: invalid start byte at byte 16")
 
 
 def test_read_json_locates_syntax_errors():

@@ -1,15 +1,17 @@
-"""The exit contract as a property of the readers: whatever a score, robot
-description or motion dictionary file holds, every command that reads it
-exits 0 or 1, never 2 (an internal error), and prints at most one ``error:``
-line. And the two skeleton readers agree wherever the streaming one accepts
-a file.
+"""The exit contract as a property of the readers: whatever a skeleton clip,
+score, robot description, motion dictionary or config file holds, every
+command that reads it exits 0 or 1, never 2 (an internal error), and prints
+at most one ``error:`` line; a file that is not UTF-8 exits 1 with one line
+naming it. And the one skeleton reader gives what a whole-document reference
+gives on every mutated clip: the same arrays, or the same error.
 
-The inputs are seeded mutations of the four golden scores, the two bundled
-robots, a dictionary that ``dict build`` writes and a ``synth`` clip:
-numbers swapped for values a reader must refuse or convert, unknown tokens,
-renamed joints, deleted keys, deleted bytes and duplicated spans. Each runs
-through ``cli.main`` in process, so a numpy RuntimeWarning is an error here
-too (``filterwarnings`` in pyproject.toml).
+The inputs are seeded mutations of ``synth`` clips, the four golden scores,
+the two bundled robots, a dictionary that ``dict build`` writes and a config
+file: numbers and values swapped for ones a reader must refuse or convert,
+unknown tokens and keys, renamed joints, deleted keys, deleted bytes,
+duplicated spans and inserted bytes that are not UTF-8. Each runs through
+``cli.main`` in process, so a numpy RuntimeWarning is an error here too
+(``filterwarnings`` in pyproject.toml).
 """
 
 import glob
@@ -24,6 +26,8 @@ from labanmotion import cli, skeleton
 from labanmotion.errors import LabanMotionError
 from labanmotion.robot import _ROBOTS_DIR, BUNDLED_ROBOTS
 from labanmotion.skeleton import JointName
+
+from conftest import parse_sequence_reference
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = sorted(glob.glob(os.path.join(DATA, "golden_*_score.json")))
@@ -189,8 +193,8 @@ def test_mutated_dictionaries_exit_0_or_1_with_at_most_one_error_line(tmp_path, 
 
 
 # ---------------------------------------------------------------------------
-# The two skeleton readers: the stream reads valid files, _parse_document
-# reads the others again to name the error
+# Skeleton clips: the commands that read them, and the one reader against the
+# whole-document reference
 # ---------------------------------------------------------------------------
 
 _JOINT_KEY = re.compile(r'"(%s)"' % "|".join(j.value for j in JointName))
@@ -203,33 +207,174 @@ def _rename_joint(rng: random.Random, text: str) -> str:
 
 
 CLIP_MUTATIONS = {"number": _swap_any_number, "bytes": _delete_bytes, "span": _duplicate_span,
-                  "joint": _rename_joint}
+                  "joint": _rename_joint, "key": _delete_key}
 
 
-def test_skeleton_readers_agree_on_mutated_clips():
-    """Wherever the stream accepts a mutated clip, the whole-document reader
-    accepts it too, with bit-identical arrays and rate; wherever the stream
-    refuses one, parse_sequence raises a LabanMotionError and nothing else."""
+def _mutate_clip(rng: random.Random, text: str, count: int) -> tuple[str, list[str]]:
+    """``text`` after ``count`` mutations, and their kinds; a mutation that
+    finds nothing to change (no JSON left to delete a key from, no number
+    left to swap) leaves the text as it is."""
+    kinds = [rng.choice(sorted(CLIP_MUTATIONS)) for _ in range(count)]
+    for kind in kinds:
+        try:
+            text = CLIP_MUTATIONS[kind](rng, text)
+        except (ValueError, IndexError):
+            pass
+    return text, kinds
+
+
+def test_mutated_clips_exit_0_or_1_with_at_most_one_error_line(tmp_path, capsys):
+    """keyframes, encode, dict build and pipeline on mutated clips; a pipeline
+    that exits 1 leaves its output directory empty."""
+    rng = random.Random(27)
+    clips = [open(path, encoding="utf-8").read() for path in _clips(tmp_path, capsys)]
+    clip, kf, score, built = (str(tmp_path / name) for name in ("clip.json", "kf.json", "score.json", "dict.json"))
+    exits = {kind: set() for kind in CLIP_MUTATIONS}
+    for case in range(120):
+        text, kinds = _mutate_clip(rng, rng.choice(clips), 1)
+        with open(clip, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        robot = rng.choice(sorted(BUNDLED_ROBOTS))
+        out = tmp_path / f"out{case}"
+        for argv in (["keyframes", clip, "-o", kf], ["encode", clip, "-o", score],
+                     ["dict", "build", clip, "--robot", robot, "-o", built],
+                     ["pipeline", clip, "--robot", robot, "-o", str(out)]):
+            rc = _run(argv, capsys, (case, kinds, text[:2000]))
+            exits[kinds[0]].add(rc)
+        if rc == 1:
+            assert not out.exists() or not os.listdir(out), (case, kinds, os.listdir(out))
+    assert all(1 in seen for seen in exits.values()), exits
+    assert any(0 in seen for seen in exits.values()), exits
+
+
+def test_skeleton_readers_agree_on_mutated_clips(monkeypatch):
+    """On seeded clips with one to three mutations each, read in chunks of
+    several sizes, parse_sequence gives what the whole-document reference
+    gives: bit-identical arrays and rate, or an error of the same class and
+    message."""
     seq = skeleton.synth_motion({"pattern": "reach_sequence", "part": "right_arm",
                                  "poses": [["place_low", 0.3], ["forward_middle", 0.3]]}, rate=30.0)
     base = skeleton.serialize_sequence(seq)
     rng = random.Random(26)
     accepted = {kind: 0 for kind in CLIP_MUTATIONS}
     refused = {kind: 0 for kind in CLIP_MUTATIONS}
-    for case in range(500):
-        kind = rng.choice(sorted(CLIP_MUTATIONS))
-        text = CLIP_MUTATIONS[kind](rng, base)
+    errors = set()
+    for case in range(1000):
+        text, kinds = _mutate_clip(rng, base, rng.randint(1, 3))
+        monkeypatch.setattr(skeleton, "_CHUNK", rng.choice((1, 5, 16, 64)))
         try:
-            got = skeleton._stream_sequence(text)
-        except skeleton._STREAM_ERRORS:
-            with pytest.raises(LabanMotionError):
+            want = parse_sequence_reference(text)
+        except LabanMotionError as exc:
+            with pytest.raises(LabanMotionError) as got:
                 skeleton.parse_sequence(text)
-            refused[kind] += 1
+            assert (type(got.value), str(got.value)) == (type(exc), str(exc)), (case, kinds, text[:2000])
+            errors.add(type(exc).__name__)
+            for kind in kinds:
+                refused[kind] += 1
             continue
-        want = skeleton._parse_document(text)
-        assert got.times.tobytes() == want.times.tobytes(), (case, kind)
-        assert got.positions.tobytes() == want.positions.tobytes(), (case, kind)
-        assert repr(got.sample_rate) == repr(want.sample_rate), (case, kind)
-        accepted[kind] += 1
-    # every kind of mutation gave files that the stream took and files it refused
-    assert all(accepted.values()) and all(refused.values()), (accepted, refused)
+        got = skeleton.parse_sequence(text)
+        assert got.times.tobytes() == want.times.tobytes(), (case, kinds)
+        assert got.positions.tobytes() == want.positions.tobytes(), (case, kinds)
+        assert repr(got.sample_rate) == repr(want.sample_rate), (case, kinds)
+        for kind in kinds:
+            accepted[kind] += 1
+    # every kind of mutation was in clips that were refused, and every kind but
+    # a deleted key (which leaves a valid clip only when it is sample_rate_hint)
+    # in clips that were read
+    assert all(refused.values()) and all(n for kind, n in accepted.items() if kind != "key"), (accepted, refused)
+    assert errors >= {"ParseError", "MalformedFrame", "TimeOrderError"}, errors
+
+
+# ---------------------------------------------------------------------------
+# The config reader, and bytes that are not UTF-8 in any file
+# ---------------------------------------------------------------------------
+
+def _config(dictionary: str) -> str:
+    """A config file that sets every key ``pipeline`` and ``dict build`` read."""
+    return "\n".join(["# every stage", "rate = 25", "sigma = 0.08", "prominence = 0.1", "min_sep = 0.2",
+                      "merge_window = 0.15", "peak_mode = max", "force_final_keyframe = yes", "columns = arm",
+                      "robot = frontal_7dof", "interp = cubic", f'dict = "{dictionary}"', "traj_rate = 50  # Hz",
+                      "tau = 12", "move_seconds = 0.8", ""])
+
+
+_CONFIG_LINE = re.compile(r"^(\w+) = ([^#\n]*)", re.M)
+_CONFIG_VALUES = ("", "1e400", "nan", "inf", "-inf", "-0", "0", "1e-320", "1e30", "1" + "0" * 400, "true", "no",
+                  "abc", '"', "lab_9dof", "split", "linear", "min", "=", "0.5")
+_CONFIG_KEYS = tuple(cli.SETTINGS) + ("rates", "Rate", "", "traj-rate")
+
+
+def _swap_config_value(rng: random.Random, text: str) -> str:
+    m = rng.choice(list(_CONFIG_LINE.finditer(text)))
+    return text[:m.start(2)] + rng.choice(_CONFIG_VALUES) + text[m.end(2):]
+
+
+def _swap_config_key(rng: random.Random, text: str) -> str:
+    m = rng.choice(list(_CONFIG_LINE.finditer(text)))
+    return text[:m.start(1)] + rng.choice(_CONFIG_KEYS) + text[m.end(1):]
+
+
+CONFIG_MUTATIONS = {"value": _swap_config_value, "key": _swap_config_key, "bytes": _delete_bytes,
+                    "span": _duplicate_span}
+
+
+def test_mutated_configs_exit_0_or_1_with_at_most_one_error_line(tmp_path, capsys):
+    rng = random.Random(28)
+    clips = _clips(tmp_path, capsys)
+    built = str(tmp_path / "built.json")
+    assert cli.main(["dict", "build", *clips, "--robot", "frontal_7dof", "-o", built]) == 0
+    base = _config(built)
+    cfg, out = str(tmp_path / "labanmotion.cfg"), str(tmp_path / "dict.json")
+    with open(cfg, "w", encoding="utf-8") as fh:
+        fh.write(base)
+    assert _run(["--config", cfg, "pipeline", clips[0], "-o", str(tmp_path / "plain")], capsys, "unmutated") == 0
+    exits = {kind: set() for kind in CONFIG_MUTATIONS}
+    for case in range(150):
+        kind = rng.choice(sorted(CONFIG_MUTATIONS))
+        text = CONFIG_MUTATIONS[kind](rng, base)
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        for argv in (["--config", cfg, "pipeline", clips[0], "-o", str(tmp_path / f"out{case}")],
+                     ["--config", cfg, "dict", "build", clips[1], "-o", out]):
+            exits[kind].add(_run(argv, capsys, (case, kind, text)))
+    assert all(1 in seen for seen in exits.values()), exits
+    assert any(0 in seen for seen in exits.values()), exits
+
+
+_NOT_UTF8 = (b"\xff", b"\xfe", b"\x80", b"\xc3(", b"\xed\xa0\x80", b"\xf4\x90\x80\x80")
+
+
+def _insert_not_utf8(rng: random.Random, data: bytes) -> bytes:
+    i = rng.randrange(len(data) + 1)
+    return data[:i] + rng.choice(_NOT_UTF8) + data[i:]
+
+
+def test_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path, capsys):
+    """A byte sequence that is not UTF-8, anywhere in any kind of file a
+    command reads, exits 1 with one ``error:`` line naming that file."""
+    rng = random.Random(29)
+    clips = _clips(tmp_path, capsys)
+    built = str(tmp_path / "built.json")
+    assert cli.main(["dict", "build", *clips, "--robot", "frontal_7dof", "-o", built]) == 0
+    csv, score, bad = str(tmp_path / "t.csv"), WHOLE_ARM[0], str(tmp_path / "bad")
+    # kind -> (the file to mutate, argv with ``bad`` in its place)
+    kinds = {
+        "clip": (clips[0], [["keyframes", bad, "-o", csv], ["dict", "build", bad, "--robot", "frontal_7dof",
+                                                            "-o", csv]]),
+        "score": (score, [["decode", bad, "--robot", "frontal_7dof", "-o", csv],
+                          ["roundtrip", bad, "--robot", "lab_9dof"]]),
+        "robot": (os.path.join(_ROBOTS_DIR, "frontal_7dof.json"), [["decode", score, "--robot", bad, "-o", csv]]),
+        "dictionary": (built, [["dict", "stats", bad],
+                               ["decode", score, "--robot", "frontal_7dof", "--dict", bad, "-o", csv]]),
+        "config": (None, [["--config", bad, "decode", score, "--robot", "frontal_7dof", "-o", csv]]),
+    }
+    for kind, (path, argvs) in kinds.items():
+        base = _config(built).encode() if path is None else open(path, "rb").read()
+        for case in range(10):
+            with open(bad, "wb") as fh:
+                fh.write(_insert_not_utf8(rng, base))
+            for argv in argvs:
+                rc = cli.main(argv)
+                err = capsys.readouterr().err
+                assert rc == 1 and err.count("\n") == 1 and err.startswith(f"error: {bad}: not UTF-8 text"), \
+                    (kind, case, argv, rc, err)
+            assert not os.path.exists(csv)

@@ -386,6 +386,16 @@ def test_validate_robot_rules():
                    "yaw_limits": [90, -90], "pitch_limits": [-90, 90]}]}],
                 "column_map": {}}"""
         )
+    # two chains of one name would share their segment refs, so one column entry would drive both
+    with pytest.raises(ValidationError, match=r"^chain name arm used twice$"):
+        parse_robot(
+            """{"name": "bad",
+                "chains": [{"name": "arm", "segments": [{"yaw_joint": "y0", "pitch_joint": "p0",
+                                                          "yaw_limits": [-90, 90], "pitch_limits": [-90, 90]}]},
+                           {"name": "arm", "segments": [{"yaw_joint": "y1", "pitch_joint": "p1",
+                                                          "yaw_limits": [-90, 90], "pitch_limits": [-90, 90]}]}],
+                "column_map": {"RightArm": ["arm/0"]}}"""
+        )
 
 
 def test_validate_robot_checks_column_map_keys_by_the_score_column_rules():

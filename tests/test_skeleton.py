@@ -29,7 +29,7 @@ from labanmotion.skeleton import (
     synth_motion,
 )
 
-from conftest import random_rotation, transform_sequence
+from conftest import parse_sequence_reference, random_rotation, transform_sequence
 
 
 def test_geometry_masks_read_every_child_after_the_root():
@@ -244,9 +244,13 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(MALFORMED))
-def test_parse_malformed_skeleton(case):
-    mutators, error, attrs = MALFORMED[case]
+# the cases whose text is not one JSON object
+_SYNTAX = {"data-after-root", "trailing-comma-in-frames", "cut-off-inside-a-frame", "frame-nested-too-deep",
+           "number-as-key", "root-not-object"}
+
+
+def _malformed_text(case):
+    mutators = MALFORMED[case][0]
     obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.2}, rate=30.0)))
     for mutate in mutators:
         if not isinstance(mutate, _Text):
@@ -255,8 +259,14 @@ def test_parse_malformed_skeleton(case):
     for mutate in mutators:
         if isinstance(mutate, _Text):
             text = mutate.edit(text)
+    return text
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_parse_malformed_skeleton(case):
+    _, error, attrs = MALFORMED[case]
     with pytest.raises(error) as exc:
-        parse_sequence(text)
+        parse_sequence(_malformed_text(case))
     assert {k: getattr(exc.value, k) for k in attrs} == attrs
 
 
@@ -302,19 +312,28 @@ def _streamed_variants():
 _VARIANTS = dict(_streamed_variants())
 
 
-@pytest.mark.parametrize("chunk", [1, 7, skeleton._CHUNK])
-@pytest.mark.parametrize("name", list(_VARIANTS))
-def test_valid_documents_are_read_frame_by_frame(monkeypatch, name, chunk):
-    """Every valid document is read by the stream, never by the whole-document
-    path, and gives what that path reads from the ``json.loads`` tree, bit for bit."""
-    text = _VARIANTS[name]
-    want = skeleton._parse_document(text)
+class _WholeDocument(Exception):
+    pass
 
+
+def _no_whole_document(monkeypatch, chunk):
+    """Make ``read_json``, the one whole-document read, raise _WholeDocument, and
+    convert ``chunk`` frames at a time."""
     def whole_document(text):
-        raise AssertionError("the whole-document path ran")
+        raise _WholeDocument
 
     monkeypatch.setattr(skeleton, "read_json", whole_document)
     monkeypatch.setattr(skeleton, "_CHUNK", chunk)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, skeleton._CHUNK])
+@pytest.mark.parametrize("name", list(_VARIANTS))
+def test_valid_documents_are_read_frame_by_frame(monkeypatch, name, chunk):
+    """Every valid document is read frame by frame, never whole, and gives what
+    the reference reads from the ``json.loads`` tree, bit for bit."""
+    text = _VARIANTS[name]
+    want = parse_sequence_reference(text)
+    _no_whole_document(monkeypatch, chunk)
     got = parse_sequence(text)
     assert got.times.dtype == want.times.dtype and got.positions.dtype == want.positions.dtype
     assert got.times.shape == want.times.shape and got.positions.shape == want.positions.shape
@@ -324,6 +343,47 @@ def test_valid_documents_are_read_frame_by_frame(monkeypatch, name, chunk):
         assert len(got) == len(json.loads(text)["frames"]) < len(json.loads(_VARIANTS["dumps"])["frames"])
     if name == "no-frames":
         assert got.positions.shape == (0, len(ALL_JOINTS), 3)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, skeleton._CHUNK])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_documents_are_named_frame_by_frame(monkeypatch, case, chunk):
+    """Every fault of a document that is one JSON object is named by the
+    frame-by-frame read, whatever frame a chunk starts at, with the error the
+    reference gives; only text that is not one JSON object is read whole."""
+    text = _malformed_text(case)
+    _, error, attrs = MALFORMED[case]
+    with pytest.raises(error) as want:
+        parse_sequence_reference(text)
+    _no_whole_document(monkeypatch, chunk)
+    if case in _SYNTAX:
+        with pytest.raises(_WholeDocument):
+            parse_sequence(text)
+        return
+    with pytest.raises(error) as exc:
+        parse_sequence(text)
+    assert {k: getattr(exc.value, k) for k in attrs} == attrs
+    assert str(exc.value) == str(want.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 4, skeleton._CHUNK])
+def test_a_non_finite_t_before_a_frame_that_cannot_be_read_is_named_by_the_range_check(monkeypatch, chunk):
+    """A non-finite ``t`` is a geometry fault, named "non-finite timestamp";
+    when a frame that cannot be read follows it, in its chunk or a later one,
+    it is named by the range check with its value, as that frame's own
+    check names it."""
+    monkeypatch.setattr(skeleton, "_CHUNK", chunk)
+    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.4}, rate=30.0)))
+    obj["frames"][2]["t"] = INF
+    del obj["frames"][2]["joints"]["Head"]
+    with pytest.raises(ParseError, match=r"^frames\[2\]\.t: non-finite timestamp$"):
+        parse_sequence(json.dumps(obj))
+    obj["frames"][9]["joints"]["Neck"] = [0.0, "0.5", 0.6]
+    with pytest.raises(ParseError, match=r"^frames\[2\]\.t: timestamp must be a finite number, got inf$"):
+        parse_sequence(json.dumps(obj))
+    obj["frames"][1]["joints"]["Head"][0] = NAN  # an earlier geometry fault comes first either way
+    with pytest.raises(MalformedFrame, match=r"^frame 1: joint Head \(non-finite coordinate\)$"):
+        parse_sequence(json.dumps(obj))
 
 
 def test_a_later_invalid_frames_key_replaces_a_valid_one():
