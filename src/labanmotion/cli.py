@@ -1,8 +1,9 @@
 """Command-line pipeline: synth, keyframes, encode, decode, dict, roundtrip.
 
 Every command is deterministic given its inputs and flags. Exit status 0 on
-success, 1 on validation/parse failures and on files that cannot be read or
-written, 2 on internal invariant breaches.
+success and when the reader of stdout closes it early, 1 on validation/parse
+failures and on files that cannot be read or written, 2 on internal
+invariant breaches.
 A config file of ``key = value`` lines can seed any flag; explicit flags win.
 """
 
@@ -252,8 +253,8 @@ def _cmd_dict_build(run: _Run) -> int:
         with run.stage(f"build {path}") as counts:
             codes = encoder.encode_poses(seq.positions[merged], columns).tolist()
             if len(merged) >= 2:
-                # one projection per clip, so a merge's history runs across
-                # transitions; each transition's path is a slice of it
+                # one projection per clip, so frames shared by two transitions
+                # are projected once; each transition's path is a slice of it
                 clip = robot_mod.project_path(seq, merged[0], merged[-1], robot)
                 for k, (a, b) in enumerate(zip(merged, merged[1:])):
                     rows = slice(a - merged[0], b - merged[0] + 1)
@@ -283,18 +284,14 @@ def _cmd_roundtrip(run: _Run) -> int:
     order = sorted((ref, s) for s, (ref, _, _) in enumerate(table))  # segment indices in ref order
     driven, flags, states, samples = (a.tolist() for a in (decoded.driven, decoded.clamped, decoded.codes,
                                                            decoded.poses.samples))
-    skipped_merged = 0
     clamped: list[str] = []
     checked, directions = [], []  # (t, ref, symbol) and joint direction of each segment re-encoded
     for i, t in enumerate(decoded.poses.times.tolist()):
         for ref, s in order:
-            _, seg, sources = table[s]
+            _, seg, col = table[s]
             if not driven[i][s]:
                 continue
-            if len(sources) > 1:
-                skipped_merged += 1
-                continue
-            symbol = laban.VALID_LIMB_SYMBOLS[states[i][code_column[sources[0]]]]
+            symbol = laban.VALID_LIMB_SYMBOLS[states[i][code_column[col]]]
             if flags[i][s]:
                 clamped.append(f"t={t:.6f} {ref} {symbol}")
                 continue
@@ -314,8 +311,6 @@ def _cmd_roundtrip(run: _Run) -> int:
     print(f"clamped (boundary gestures, excluded): {len(clamped)}")
     for line in clamped:
         print(f"  {line}")
-    if skipped_merged:
-        print(f"merged segments (no single source symbol, excluded): {skipped_merged}")
     return 0 if mismatched == 0 else 1
 
 
@@ -415,7 +410,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _read_config(args.config) if args.config is not None else {}
-        return args.func(_Run(args, cfg))
+        status = args.func(_Run(args, cfg))
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
+    except BrokenPipeError:  # the reader of stdout has gone, as in `| head -1`: not an input fault
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # the flush at exit writes nowhere
+        return 0
     except NoKeyFrames as exc:
         print(f"error: {exc} (try --force-final-keyframe)", file=sys.stderr)
         return 1

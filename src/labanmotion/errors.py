@@ -88,10 +88,11 @@ class ShapeError(LabanMotionError):
 
 
 def read_text(path: str) -> str:
-    """The text of the file at ``path``; ParseError naming the file if it is not UTF-8."""
+    """The text of the file at ``path`` without one leading byte-order mark;
+    ParseError naming the file and the byte offset in it if it is not UTF-8."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise ParseError(path, f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 

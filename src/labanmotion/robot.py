@@ -1,13 +1,11 @@
 """Robot kinematic descriptions and score decoding.
 
 A robot is a set of 2-DOF yaw/pitch gimbal segments grouped into chains,
-plus a column map that wires Labanotation columns to segments. One column
-feeding several segments is a split (the direction is copied); several
-columns feeding one segment is a merge (directions are combined by
-normalized vector sums, with transition history resolving the opposed-
-directions singularity). Commanded directions outside a joint's limits are
-realized at the nearest limit and flagged as clamped. A decode takes the
-symbols in force as one array of symbol codes for all key poses
+plus a column map that wires Labanotation columns to segments. A segment
+takes its direction from at most one column; one column feeding several
+segments is a split (the direction is copied). Commanded directions outside
+a joint's limits are realized at the nearest limit and flagged as clamped.
+A decode takes the symbols in force as one array of symbol codes for all key poses
 (:func:`~labanmotion.laban.states_at`) and keeps those of the robot's mapped
 columns in :attr:`DecodedScore.codes`. Decoded and projected poses are a
 :class:`KeyPoses`, the package's one type for timed joint angles, which the
@@ -28,7 +26,8 @@ Each ``column_map`` key is a column name of
 (``RightArm``) is not mapped together with its upper-arm or forearm column
 (``RightUpperArm``, ``RightForearm``): the column rules a score keeps
 (:func:`~labanmotion.laban.column_violations`). Loading a description that
-breaks them raises ValidationError naming the key.
+breaks them, or that feeds one segment from several columns, raises
+ValidationError.
 
 Roll joints and fixed joints carry no direction information and are held at
 zero (clamped into their limits). Two descriptions ship with the package:
@@ -41,7 +40,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -85,14 +84,14 @@ class _RobotFields(NamedTuple):
 
 class RobotDescription(_RobotFields):
     @cached_property
-    def segment_table(self) -> tuple[tuple[str, Segment, tuple[str, ...]], ...]:
-        """``(ref, segment, source columns in column_map order)`` for every
+    def segment_table(self) -> tuple[tuple[str, Segment, str | None], ...]:
+        """``(ref, segment, the column that feeds it or None)`` for every
         segment in chain order, built once per description."""
         table = []
         for chain in self.chains:
             for i, seg in enumerate(chain.segments):
                 ref = f"{chain.name}/{i}"
-                table.append((ref, seg, tuple(col for col, refs in self.column_map.items() if ref in refs)))
+                table.append((ref, seg, next((col for col, refs in self.column_map.items() if ref in refs), None)))
         return tuple(table)
 
     @cached_property
@@ -123,19 +122,17 @@ class RobotDescription(_RobotFields):
 
     @cached_property
     def symbol_table(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        """Segment ref -> ``(yaw_pitch, clamped)`` for every segment fed by
-        one column, built at the first decode rather than by
-        :func:`load_robot`. Row k of the (27, 2) ``yaw_pitch`` and the (27,)
-        ``clamped`` is :func:`_joint_rows` of row k of
+        """Segment ref -> ``(yaw_pitch, clamped)`` for every segment, built
+        at the first decode rather than by :func:`load_robot`. Row k of the
+        (27, 2) ``yaw_pitch`` and the (27,) ``clamped`` is :func:`_joint_rows` of row k of
         :data:`~labanmotion.laban.CODE_VECTORS`; the last row, which code -1
         (no symbol in force) selects, holds the segment's neutral angles,
         unclamped."""
         table = {}
-        for ref, seg, sources in self.segment_table:
-            if len(sources) == 1:
-                yaw, pitch, clamped = _joint_rows(CODE_VECTORS, seg)
-                neutral = [self.neutral_angles[seg.yaw_joint], self.neutral_angles[seg.pitch_joint]]
-                table[ref] = (np.vstack([np.column_stack([yaw, pitch]), neutral]), np.append(clamped, False))
+        for ref, seg, _ in self.segment_table:
+            yaw, pitch, clamped = _joint_rows(CODE_VECTORS, seg)
+            neutral = [self.neutral_angles[seg.yaw_joint], self.neutral_angles[seg.pitch_joint]]
+            table[ref] = (np.vstack([np.column_stack([yaw, pitch]), neutral]), np.append(clamped, False))
         return table
 
 
@@ -312,17 +309,13 @@ def validate_robot(robot: RobotDescription) -> list[str]:
     """The rules the description breaks, as messages; empty means it is valid."""
     problems = [f"column_map: {v}" for v in column_violations(list(robot.column_map))]
     refs = {ref for ref, _, _ in robot.segment_table}
-    fan_in: dict[str, int] = {}
+    fed: Counter[str] = Counter()
     for col, targets in robot.column_map.items():
         if len(set(targets)) != len(targets):
             problems.append(f"column {col} lists a segment twice")
-        for ref in targets:
-            if ref not in refs:
-                problems.append(f"column {col} references unknown segment {ref}")
-            fan_in[ref] = fan_in.get(ref, 0) + 1
-    for ref, n in fan_in.items():
-        if n > 3:
-            problems.append(f"segment {ref} merged from {n} columns (limit 3)")
+        problems += [f"column {col} references unknown segment {ref}" for ref in targets if ref not in refs]
+        fed.update(dict.fromkeys(targets, 1))  # a segment listed twice is reported above, not counted twice
+    problems += [f"segment {ref} fed by {n} columns (a segment takes one)" for ref, n in fed.items() if n > 1]
     problems += [f"chain name {cn} used twice" for cn, n in Counter(c.name for c in robot.chains).items() if n > 1]
     problems += [f"joint name {jn} used twice" for jn, n in Counter(robot.joint_names()).items() if n > 1]
     return problems
@@ -338,35 +331,6 @@ def load_robot(path: str) -> RobotDescription:
 # ---------------------------------------------------------------------------
 # Symbol geometry
 # ---------------------------------------------------------------------------
-
-def concatenate(a: np.ndarray, b: np.ndarray, last: np.ndarray | None) -> np.ndarray:
-    """Combine two adjacent directions into one by the normalized sum.
-
-    Opposed directions cancel; in that singular case ``last``, the previous
-    combined direction, is kept (or the first operand on a cold start).
-    """
-    s = a + b
-    norm = float(np.linalg.norm(s))
-    if norm > 1e-6:
-        return s / norm
-    if last is not None:
-        return last
-    return np.asarray(a, dtype=float)
-
-
-def _fold(rows: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
-    """Combined directions of a merged segment, one per row of its source
-    columns' directions: each row left-folds :func:`concatenate` in
-    column-map order, each step's result being the next step's history,
-    from one row to the next too. Returns an (n, 3) array."""
-    out, last = [], None
-    for vectors in rows:
-        v = vectors[0]
-        for w in vectors[1:]:
-            v = last = concatenate(v, w, last)
-        out.append(v)
-    return np.array(out, dtype=float).reshape(len(out), 3)
-
 
 def _clamp_nearest(values: np.ndarray, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Clamp each value to the angularly nearest limit, equidistant picking
@@ -401,16 +365,14 @@ class SegmentCommand(_View):
     """Decoded state of one segment at one boundary time, read from the
     arrays of a :class:`DecodedScore`; kept for the benchmark's tracer."""
 
-    _fields = ("yaw", "pitch", "clamped", "driven", "merged", "symbol")
+    _fields = ("yaw", "pitch", "clamped", "driven", "symbol")
 
-    def __init__(self, yaw: float, pitch: float, clamped: bool, driven: bool, merged: bool,
-                 symbol: LabanSymbol | None):
+    def __init__(self, yaw: float, pitch: float, clamped: bool, driven: bool, symbol: LabanSymbol | None):
         self.yaw = yaw
         self.pitch = pitch
         self.clamped = clamped
         self.driven = driven  # False when the segment held the neutral pose
-        self.merged = merged  # True when several columns were combined
-        self.symbol = symbol  # source symbol for single-column segments
+        self.symbol = symbol  # the column's symbol in force, None when not driven
 
 
 class DecodedPose(_View):
@@ -437,7 +399,7 @@ class DecodedScore:
         self.poses = poses
         self.codes = codes  # (m, len(columns)) intp: symbol code in force per mapped column, -1 where none is
         self.robot = robot
-        self.driven = driven  # (m, segments) bool: the segment's source columns all had a symbol
+        self.driven = driven  # (m, segments) bool: the segment's column had a symbol in force
         self.clamped = clamped  # (m, segments) bool: a driven segment realized at a joint limit
 
     @property
@@ -452,13 +414,11 @@ class DecodedScore:
         pose = self.poses[i]
         codes = dict(zip(self.columns, self.codes[i].tolist()))
         segments = {}
-        for s, (ref, seg, sources) in enumerate(self.robot.segment_table):
+        for s, (ref, seg, col) in enumerate(self.robot.segment_table):
             driven = bool(self.driven[i, s])
-            merged = driven and len(sources) > 1
-            segments[ref] = SegmentCommand(
-                pose.angles[seg.yaw_joint], pose.angles[seg.pitch_joint], bool(self.clamped[i, s]), driven,
-                merged, VALID_LIMB_SYMBOLS[codes[sources[0]]] if driven and not merged else None,
-            )
+            segments[ref] = SegmentCommand(pose.angles[seg.yaw_joint], pose.angles[seg.pitch_joint],
+                                           bool(self.clamped[i, s]), driven,
+                                           VALID_LIMB_SYMBOLS[codes[col]] if driven else None)
         return DecodedPose(pose.t, pose, segments)
 
     def __iter__(self) -> Iterator[DecodedPose]:
@@ -503,19 +463,17 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
     columns are ignored with a warning.
 
     The robot's mapped columns are taken from one :func:`~labanmotion.laban.states_at`
-    code array. A segment fed by one column reads its angles from the
+    code array. Each segment fed by a column reads its angles from the
     robot's :attr:`~RobotDescription.symbol_table`, one gather over all
-    poses; a merged segment folds its columns' directions pose by pose
-    (:func:`_fold`).
+    poses.
     """
     violations = validate(score)
     if violations:
         raise ValidationError(violations)
     score_columns = {c.name: k for k, c in enumerate(score.columns)}
-    for ref, _, sources in robot.segment_table:
-        for col in sources:
-            if col not in score_columns:
-                raise MissingColumn(ref, col)
+    for ref, _, col in robot.segment_table:
+        if col is not None and col not in score_columns:
+            raise MissingColumn(ref, col)
     for name in sorted(score_columns.keys() - set(robot.column_map)):
         import logging  # only a decode that warns loads logging, not every start-up
         logging.getLogger(__name__).warning("score column %s not mapped on robot %s; ignored", name, robot.name)
@@ -537,22 +495,13 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
     joints, column, angles = _neutral(robot, len(times))
     driven = np.zeros((len(times), len(robot.segment_table)), dtype=bool)
     clamped = np.zeros_like(driven)
-    for s, (ref, seg, sources) in enumerate(robot.segment_table):
-        cols = [column[seg.yaw_joint], column[seg.pitch_joint]]
-        if len(sources) == 1:
+    for s, (ref, seg, col) in enumerate(robot.segment_table):
+        if col is not None:
             yaw_pitch, flags = robot.symbol_table[ref]
-            code = codes[:, index[sources[0]]]
-            angles[:, cols] = yaw_pitch[code]
+            code = codes[:, index[col]]
+            angles[:, [column[seg.yaw_joint], column[seg.pitch_joint]]] = yaw_pitch[code]
             driven[:, s] = code >= 0
             clamped[:, s] = flags[code]
-        elif sources:
-            source_codes = codes[:, [index[col] for col in sources]]
-            rows = np.flatnonzero((source_codes >= 0).all(axis=1))
-            directions = _fold(CODE_VECTORS[source_codes[rows]])
-            yaw, pitch, flags = _joint_rows(directions, seg)
-            angles[rows, cols[0]], angles[rows, cols[1]] = yaw, pitch
-            driven[rows, s] = True
-            clamped[rows, s] = flags
     return DecodedScore(KeyPoses(times, joints, angles), codes, robot, driven, clamped)
 
 
@@ -570,16 +519,14 @@ def project_path(
     Uses the un-quantized directions of the mapped columns, from the
     encoder's ``column_directions``, so intermediate motion between key poses
     lands in joint space without passing through symbols. Body frames,
-    directions and joint angles are computed for the whole range at once;
-    merges, whose history is sequential, run frame by frame, carrying the
-    history from the first frame of the range to the last.
+    directions and joint angles are computed for the whole range at once,
+    and each frame's angles depend on that frame alone.
     """
     directions = column_directions(seq.positions[start:end + 1], robot.mapped_columns)
     vectors = dict(zip(robot.mapped_columns, directions.transpose(1, 0, 2)))
     joints, column, angles = _neutral(robot, len(directions))
-    for _, seg, sources in robot.segment_table:
-        if sources:
-            rows = _fold(zip(*(vectors[col] for col in sources))) if len(sources) > 1 else vectors[sources[0]]
-            yaw, pitch, _ = _joint_rows(rows, seg)
+    for _, seg, col in robot.segment_table:
+        if col is not None:
+            yaw, pitch, _ = _joint_rows(vectors[col], seg)
             angles[:, column[seg.yaw_joint]], angles[:, column[seg.pitch_joint]] = yaw, pitch
     return KeyPoses(seq.times[start:end + 1], joints, angles)

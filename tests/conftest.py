@@ -275,7 +275,8 @@ def state_key(from_state: dict[str, LabanSymbol], to_state: dict[str, LabanSymbo
 def dict_build_per_transition(observed, robot, columns, tau: float = 10.0) -> str:
     """Serialized dictionary of (sequence, key frame set) pairs, each key
     frame encoded by :func:`encode_pose_reference` and each transition
-    projected on its own, so a merge's history restarts per transition."""
+    projected on its own: the paths ``dict build`` must give from one
+    projection per clip."""
     mdict = MotionDictionary(tau=tau)
     for seq, kfs in observed:
         merged = kfs.merged

@@ -214,7 +214,7 @@ def test_criterion_06_hardware_independence():
         times_per_robot.append([d.t for d in decoded])
         for d in decoded:
             for ref, cmd in sorted(d.segments.items()):
-                if not cmd.driven or cmd.merged or cmd.clamped:
+                if not cmd.driven or cmd.clamped:
                     continue
                 compared += 1
                 back = VALID_LIMB_SYMBOLS[direction_codes(direction_vector(cmd.yaw, cmd.pitch))[0]]

@@ -158,7 +158,7 @@ def test_roundtrip_quantizes_once_per_run(capsys, monkeypatch, robot):
     want = []
     for d in decode_score_detailed(load_score(score), load_robot(robot)):
         for ref, cmd in sorted(d.segments.items()):
-            if cmd.driven and not cmd.merged and not cmd.clamped:
+            if cmd.driven and not cmd.clamped:
                 back = VALID_LIMB_SYMBOLS[(SYMBOL_CODES[cmd.symbol] + 1) % 26]
                 want.append(f"MISMATCH t={d.t:.6f} {ref}: {cmd.symbol} -> {back}")
     assert len(calls) == 1 and calls[0] == len(want) > 0
@@ -433,6 +433,28 @@ def test_duplicate_names_are_reported_in_file_order(tmp_path, case):
         proc = subprocess.run([sys.executable, "-m", "labanmotion.cli", *argv], capture_output=True, text=True,
                               env=env, timeout=120)
         assert (proc.returncode, proc.stderr) == (1, f"error: {expected}\n"), seed
+
+
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
+    """A reader that closes stdout after the first line, as ``| head -1``
+    does, is no input fault: the command exits 0 with nothing on stderr. The
+    listing is several times what a pipe holds, so the command is still
+    writing when the pipe closes."""
+    mdict = trajectory.MotionDictionary()
+    path = KeyPoses([0.0, 1.0], ["j"], [[0.0], [1.0]])
+    for a in range(26):
+        for b in range(26):
+            for c in range(3):
+                key = trajectory.DictKey.of(("Head", "LeftArm", "RightArm"), [a, b, c], [b, a, c])
+                trajectory.dict_update(mdict, key, path)
+    trajectory.save_dictionary(mdict, str(tmp_path / "d.json"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "labanmotion.cli", "dict", "stats", str(tmp_path / "d.json")],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (first, proc.wait(timeout=120), err) == (b"tau: 10.0\n", 0, b"")
 
 
 @pytest.mark.parametrize("argv", [
@@ -719,12 +741,15 @@ _DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pi
                                "Head": ["head/0"]}), "column RightArm lists a segment twice"),
     (_frontal_with_column_map({column: ["right_arm/0"] for column in
                                ("LeftUpperArm", "LeftForearm", "RightUpperArm", "RightForearm")} | {"Head": ["head/0"]}),
-     "segment right_arm/0 merged from 4 columns (limit 3)"),
+     "segment right_arm/0 fed by 4 columns (a segment takes one)"),
+    (_frontal_with_column_map({"LeftArm": ["left_arm/0"], "RightUpperArm": ["right_arm/0"],
+                               "RightForearm": ["right_arm/0"], "Head": ["head/0"]}),
+     "segment right_arm/0 fed by 2 columns (a segment takes one)"),
 ], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
         "fixed-joints-not-list", "fixed-joint-not-object", "roll-joint-not-string", "roll-joint-null",
         "roll-joint-empty", "yaw-joint-empty", "fixed-joint-name-empty", "nan-limit", "limit-beyond-float-range",
         "bool-limit", "unknown-column", "arm-with-split-column", "joint-names-repeated", "segment-listed-twice",
-        "segment-fed-by-4-columns"])
+        "segment-fed-by-4-columns", "segment-fed-by-2-columns"])
 def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
     """Every command that loads a robot rejects the description at load."""
     robot = str(tmp_path / "robot.json")

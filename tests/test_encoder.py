@@ -192,9 +192,9 @@ def test_column_directions_is_the_one_path_of_encode_poses_and_project_path():
         assert encode_poses(seq.positions, columns).tolist() == \
             direction_codes(directions).reshape(len(seq), len(columns)).tolist()
         projected = robot_mod.project_path(seq, 0, len(seq) - 1, robot)
-        for _, seg, sources in robot.segment_table:
-            assert len(sources) == 1  # the bundled robots merge no columns
-            yaw, pitch, _ = robot_mod._joint_rows(directions[:, columns.index(sources[0])], seg)
+        for _, seg, col in robot.segment_table:
+            assert col is not None  # the bundled robots map every segment
+            yaw, pitch, _ = robot_mod._joint_rows(directions[:, columns.index(col)], seg)
             for joint, want in ((seg.yaw_joint, yaw), (seg.pitch_joint, pitch)):
                 got = projected.samples[:, projected.joints.index(joint)]
                 assert got.tobytes() == want.tobytes()

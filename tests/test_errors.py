@@ -18,6 +18,16 @@ def test_read_text_names_a_file_that_is_not_utf8(tmp_path):
     assert (exc.value.location, exc.value.detail) == (str(path), "not UTF-8 text: invalid start byte at byte 16")
 
 
+def test_read_text_drops_one_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "clip.json"
+    path.write_bytes(b'\xef\xbb\xbf{"a": 1}\xef\xbb\xbf')
+    assert read_text(str(path)) == '{"a": 1}\ufeff'  # a mark elsewhere is text
+    path.write_bytes(b'\xef\xbb\xbf\xef\xbb\xbf{"a": 1}')
+    assert read_text(str(path)) == '\ufeff{"a": 1}'
+    with pytest.raises(ParseError, match=r"^line 1, column 1: Unexpected UTF-8 BOM"):
+        read_json(read_text(str(path)))
+
+
 def test_read_json_locates_syntax_errors():
     with pytest.raises(ParseError) as exc:
         read_json('{"a": 1,\n "b": }')

@@ -348,15 +348,13 @@ def _insert_not_utf8(rng: random.Random, data: bytes) -> bytes:
     return data[:i] + rng.choice(_NOT_UTF8) + data[i:]
 
 
-def test_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path, capsys):
-    """A byte sequence that is not UTF-8, anywhere in any kind of file a
-    command reads, exits 1 with one ``error:`` line naming that file."""
-    rng = random.Random(29)
+def _file_kinds(tmp_path, capsys) -> dict[str, tuple[bytes, list[list[str]]]]:
+    """Kind of file -> (the bytes of a valid one, argv that read it from
+    ``tmp_path/bad`` and write only ``tmp_path/t.csv``)."""
     clips = _clips(tmp_path, capsys)
     built = str(tmp_path / "built.json")
     assert cli.main(["dict", "build", *clips, "--robot", "frontal_7dof", "-o", built]) == 0
     csv, score, bad = str(tmp_path / "t.csv"), WHOLE_ARM[0], str(tmp_path / "bad")
-    # kind -> (the file to mutate, argv with ``bad`` in its place)
     kinds = {
         "clip": (clips[0], [["keyframes", bad, "-o", csv], ["dict", "build", bad, "--robot", "frontal_7dof",
                                                             "-o", csv]]),
@@ -367,8 +365,16 @@ def test_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path, capsys):
                                ["decode", score, "--robot", "frontal_7dof", "--dict", bad, "-o", csv]]),
         "config": (None, [["--config", bad, "decode", score, "--robot", "frontal_7dof", "-o", csv]]),
     }
-    for kind, (path, argvs) in kinds.items():
-        base = _config(built).encode() if path is None else open(path, "rb").read()
+    return {kind: (_config(built).encode() if path is None else open(path, "rb").read(), argvs)
+            for kind, (path, argvs) in kinds.items()}
+
+
+def test_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path, capsys):
+    """A byte sequence that is not UTF-8, anywhere in any kind of file a
+    command reads, exits 1 with one ``error:`` line naming that file."""
+    rng = random.Random(29)
+    csv, bad = str(tmp_path / "t.csv"), str(tmp_path / "bad")
+    for kind, (base, argvs) in _file_kinds(tmp_path, capsys).items():
         for case in range(10):
             with open(bad, "wb") as fh:
                 fh.write(_insert_not_utf8(rng, base))
@@ -378,3 +384,29 @@ def test_files_that_are_not_utf8_exit_1_naming_the_file(tmp_path, capsys):
                 assert rc == 1 and err.count("\n") == 1 and err.startswith(f"error: {bad}: not UTF-8 text"), \
                     (kind, case, argv, rc, err)
             assert not os.path.exists(csv)
+
+
+def test_a_leading_byte_order_mark_is_read_as_absent(tmp_path, capsys):
+    """Every kind of file a command reads gives the same exit status, output
+    and written file with one leading UTF-8 byte-order mark as without it;
+    a byte that is not UTF-8 after the mark is named at its offset in the
+    file, the mark's three bytes counted."""
+    csv, bad = str(tmp_path / "t.csv"), str(tmp_path / "bad")
+
+    def run(data: bytes, argv):
+        with open(bad, "wb") as fh:
+            fh.write(data)
+        rc = cli.main(argv)
+        out, err = capsys.readouterr()
+        written = open(csv, "rb").read() if os.path.exists(csv) else None
+        if written is not None:
+            os.remove(csv)
+        return rc, out.replace(bad, "BAD"), err, written
+
+    for kind, (base, argvs) in _file_kinds(tmp_path, capsys).items():
+        for argv in argvs:
+            plain = run(base, argv)
+            assert plain[0] == 0 and plain[2] == "", (kind, argv, plain)
+            assert run(b"\xef\xbb\xbf" + base, argv) == plain, (kind, argv)
+            rc, _, err, written = run(b"\xef\xbb\xbf" + base[:7] + b"\xff" + base[7:], argv)
+            assert (rc, err, written) == (1, f"error: {bad}: not UTF-8 text: invalid start byte at byte 10\n", None)

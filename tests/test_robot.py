@@ -6,8 +6,7 @@ import pytest
 
 from labanmotion.encoder import COLUMN_DISTAL, direction_codes, segment_direction
 from labanmotion.errors import MissingColumn, ValidationError
-from labanmotion import cli, robot as robot_mod
-from labanmotion.keyframe import EnergyParams, KeyFrameSet
+from labanmotion import robot as robot_mod
 from labanmotion.laban import (
     CODE_VECTORS,
     Cell,
@@ -30,7 +29,6 @@ from labanmotion.robot import (
     KeyPoses,
     Segment,
     SegmentCommand,
-    concatenate,
     decode_score,
     decode_score_detailed,
     load_robot,
@@ -38,12 +36,9 @@ from labanmotion.robot import (
     project_path,
     validate_robot,
 )
-from labanmotion.skeleton import JOINT_INDEX, JointName, SkeletonSequence, body_frame, synth_motion
+from labanmotion.skeleton import body_frame, synth_motion
 
-from labanmotion.trajectory import MotionDictionary, dict_update, serialize_dictionary
-
-from conftest import (dict_build_per_transition, encode_pose_reference, random_rotation, state_key, states_brute_force,
-                      symbol_code)
+from conftest import states_brute_force, symbol_code
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -93,74 +88,6 @@ def test_symbol_roundtrip_all_26():
         assert VALID_LIMB_SYMBOLS[direction_codes(_vector(sym))[0]] == sym
 
 
-def _merge_arm(upper, fore, hist):
-    """Merge two directions on ``_merge_robot``'s one segment; ``hist`` is
-    updated in place."""
-    vectors = {"RightUpperArm": np.array(upper, dtype=float), "RightForearm": np.array(fore, dtype=float)}
-    return reduce_vectors(vectors, _merge_robot(), hist)["arm/0"]
-
-
-def test_concatenate_continue():
-    v = concatenate(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), None)
-    assert np.allclose(v, [1, 0, 0], atol=1e-12)
-    # the combined direction is the history the segment's next merge gets
-    hist = {}
-    assert np.array_equal(_merge_arm([1, 0, 0], [1, 0, 0], hist), v)
-    assert np.allclose(hist["arm/0"], v, atol=0)
-
-
-def test_concatenate_orthogonal():
-    v = concatenate(np.array([1.0, 0, 0]), np.array([0.0, 0, 1.0]), None)
-    r = 1.0 / math.sqrt(2.0)
-    assert np.allclose(v, [r, 0, r], atol=1e-12)
-
-
-def test_concatenate_reverse_uses_history():
-    v = concatenate(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), np.array([0.0, 0.0, 1.0]))
-    assert np.allclose(v, [0, 0, 1], atol=1e-12)
-    hist = {"arm/0": np.array([0.0, 0.0, 1.0])}
-    _merge_arm([1, 0, 0], [-1, 0, 0], hist)
-    assert np.allclose(hist["arm/0"], [0, 0, 1], atol=1e-12)
-
-
-def test_concatenate_reverse_cold_start_keeps_first():
-    v = concatenate(np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]), None)
-    assert np.allclose(v, [1, 0, 0], atol=1e-12)
-
-
-def test_concatenate_commutative_and_planar(rng):
-    for _ in range(50):
-        a = rng.normal(size=3)
-        a /= np.linalg.norm(a)
-        b = rng.normal(size=3)
-        b /= np.linalg.norm(b)
-        if np.linalg.norm(a + b) < 1e-3:
-            continue
-        v_ab = concatenate(a, b, None)
-        v_ba = concatenate(b, a, None)
-        assert np.max(np.abs(v_ab - v_ba)) < 1e-12
-        # result lies in span(a, b): zero component along a x b
-        n = np.cross(a, b)
-        if np.linalg.norm(n) > 1e-9:
-            assert abs(v_ab @ (n / np.linalg.norm(n))) < 1e-9
-
-
-_MERGE_ROBOT = """
-    {"name": "merger",
-     "chains": [{"name": "arm", "segments": [
-        {"yaw_joint": "a_yaw", "pitch_joint": "a_pitch",
-         "yaw_limits": [-180, 180], "pitch_limits": [-90, 90]}]},
-                {"name": "hand", "segments": [
-        {"yaw_joint": "h_yaw", "pitch_joint": "h_pitch",
-         "yaw_limits": [-180, 180], "pitch_limits": [-90, 90]}]}],
-     "column_map": {"RightUpperArm": ["arm/0"], "RightForearm": ["arm/0"]}}
-    """
-
-
-def _merge_robot():
-    return parse_robot(_MERGE_ROBOT)
-
-
 def _split_robot():
     return parse_robot(
         """
@@ -178,36 +105,16 @@ def _split_robot():
 
 def test_reduce_split_copies_direction():
     robot = _split_robot()
-    out = reduce_columns({"RightArm": S(D.Forward, L.Middle)}, robot, {})
+    out = reduce_columns({"RightArm": S(D.Forward, L.Middle)}, robot)
     assert set(out) == {"upper/0", "fore/0"}
     for v in out.values():
         assert np.allclose(v, [1, 0, 0], atol=1e-12)
 
 
-def test_reduce_merge_continue():
-    robot = _merge_robot()
-    out = reduce_columns(
-        {"RightUpperArm": S(D.Forward, L.Middle), "RightForearm": S(D.Forward, L.Middle)},
-        robot,
-        {},
-    )
-    assert np.allclose(out["arm/0"], [1, 0, 0], atol=1e-12)
-
-
-def test_reduce_merge_reverse_cold_start():
-    robot = _merge_robot()
-    out = reduce_columns(
-        {"RightUpperArm": S(D.Forward, L.Middle), "RightForearm": S(D.Backward, L.Middle)},
-        robot,
-        {},
-    )
-    assert np.allclose(out["arm/0"], [1, 0, 0], atol=1e-12)
-
-
 def test_reduce_missing_column_raises():
-    robot = _merge_robot()
+    robot = _split_robot()
     with pytest.raises(MissingColumn):
-        reduce_columns({"RightUpperArm": S(D.Forward, L.Middle)}, robot, {})
+        reduce_columns({"LeftArm": S(D.Forward, L.Middle)}, robot)
 
 
 def test_vector_to_joints_forward():
@@ -352,7 +259,7 @@ def test_hardware_independence_roundtrip():
             assert ts == times  # identical pose times across robots
         for d in detailed:
             for ref, cmd in d.segments.items():
-                if not cmd.driven or cmd.merged or cmd.clamped:
+                if not cmd.driven or cmd.clamped:
                     continue
                 assert VALID_LIMB_SYMBOLS[direction_codes(direction_vector(cmd.yaw, cmd.pitch))[0]] == cmd.symbol
 
@@ -396,6 +303,14 @@ def test_validate_robot_rules():
                                                           "yaw_limits": [-90, 90], "pitch_limits": [-90, 90]}]}],
                 "column_map": {"RightArm": ["arm/0"]}}"""
         )
+    # a segment takes its direction from one column at most
+    with pytest.raises(ValidationError, match=r"^segment arm/0 fed by 2 columns \(a segment takes one\)$"):
+        parse_robot(
+            """{"name": "bad",
+                "chains": [{"name": "arm", "segments": [{"yaw_joint": "y", "pitch_joint": "p",
+                                                          "yaw_limits": [-90, 90], "pitch_limits": [-90, 90]}]}],
+                "column_map": {"RightUpperArm": ["arm/0"], "RightForearm": ["arm/0"]}}"""
+        )
 
 
 def test_validate_robot_checks_column_map_keys_by_the_score_column_rules():
@@ -407,46 +322,22 @@ def test_validate_robot_checks_column_map_keys_by_the_score_column_rules():
     assert problems(frontal.column_map) == []
     # a split layout on one side and a whole arm on the other is allowed, as in a score
     assert problems({"LeftArm": ("left_arm/0",), "RightUpperArm": ("right_arm/0",),
-                     "RightForearm": ("right_arm/0",), "Head": ("head/0",)}) == []
+                     "RightForearm": ("head/0",)}) == []
     assert problems({"RightArms": ("right_arm/0",), "Head": ("head/0",), "Neck": ("head/0",)}) == [
         "column_map: RightArms: unknown-column: not a known column name",
         "column_map: Neck: unknown-column: not a known column name",
+        "segment head/0 fed by 2 columns (a segment takes one)",
     ]
     assert problems({"LeftArm": ("left_arm/0",), "LeftForearm": ("left_arm/0",), "RightArm": ("right_arm/0",),
                      "RightUpperArm": ("right_arm/0",), "RightForearm": ("head/0",)}) == [
         "column_map: LeftArm: arm-exclusive: LeftArm cannot coexist with LeftForearm",
         "column_map: RightArm: arm-exclusive: RightArm cannot coexist with RightUpperArm, RightForearm",
+        "segment left_arm/0 fed by 2 columns (a segment takes one)",
+        "segment right_arm/0 fed by 2 columns (a segment takes one)",
     ]
     # the column rules come first, then the segment rules
     assert problems({"Tail": ("tail/0",)}) == ["column_map: Tail: unknown-column: not a known column name",
                                                "column Tail references unknown segment tail/0"]
-
-
-def test_decode_merge_robot_threads_history():
-    # opposed upper-arm/forearm directions cancel; the decoder must fall back
-    # to the previously combined direction at that boundary
-    robot = _merge_robot()
-    cols = (
-        LabanColumn(
-            "RightUpperArm",
-            (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0), Cell(symbol_code(D.Left, L.Middle), 1.0, 1.0)),
-        ),
-        LabanColumn(
-            "RightForearm",
-            (Cell(symbol_code(D.Forward, L.Middle), 0.0, 1.0), Cell(symbol_code(D.Right, L.Middle), 1.0, 1.0)),
-        ),
-    )
-    score = LabanScore(columns=cols, total_duration=2.0)
-    detailed = decode_score_detailed(score, robot)
-    assert [d.t for d in detailed] == [1.0, 2.0]
-    first, second = detailed
-    # t=1: both forward -> combined forward
-    assert first.pose.angles["a_yaw"] == pytest.approx(0.0, abs=1e-9)
-    assert first.pose.angles["a_pitch"] == pytest.approx(0.0, abs=1e-9)
-    assert first.segments["arm/0"].merged is True
-    # t=2: left + right cancel -> history keeps the forward direction
-    assert second.pose.angles["a_yaw"] == pytest.approx(0.0, abs=1e-9)
-    assert second.pose.angles["a_pitch"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_decode_split_robot_copies_column():
@@ -515,38 +406,20 @@ def _vector_to_joints(v, seg):
     return yaw_c, pitch_c, yaw_clamped or pitch_clamped
 
 
-def reduce_vectors(vectors, robot, hist):
-    """Per-segment direction from per-column directions.
-
-    Split targets receive their source column's vector unchanged; merge
-    targets left-fold ``concatenate`` over their source columns in
-    column-map order, each step's result being the next step's history.
-    Segments whose sources are not all present are left out. ``hist`` maps
-    each merged segment to its last combined direction and is updated in
-    place.
-    """
-    out = {}
-    for ref, _, sources in robot.segment_table:
-        if not sources or any(c not in vectors for c in sources):
-            continue
-        v = vectors[sources[0]]
-        if len(sources) > 1:
-            last = hist.get(ref)
-            for col in sources[1:]:
-                v = last = concatenate(v, vectors[col], last)
-            hist[ref] = v
-        out[ref] = v
-    return out
+def reduce_vectors(vectors, robot):
+    """Per-segment direction from per-column directions: each segment
+    receives its column's vector unchanged, so a split copies it. Segments
+    whose column is absent or that no column feeds are left out."""
+    return {ref: vectors[col] for ref, _, col in robot.segment_table if col in vectors}
 
 
-def reduce_columns(symbols, robot, hist):
-    """Symbol form of :func:`reduce_vectors`; missing source columns raise."""
-    for ref, _, sources in robot.segment_table:
-        for col in sources:
-            if col not in symbols:
-                raise MissingColumn(ref, col)
+def reduce_columns(symbols, robot):
+    """Symbol form of :func:`reduce_vectors`; a missing column raises."""
+    for ref, _, col in robot.segment_table:
+        if col is not None and col not in symbols:
+            raise MissingColumn(ref, col)
     vectors = {col: _vector(sym) for col, sym in symbols.items()}
-    return reduce_vectors(vectors, robot, hist)
+    return reduce_vectors(vectors, robot)
 
 
 def _joint_angles(per_segment, robot):
@@ -569,7 +442,6 @@ def _decode_per_pose(score, robot):
     times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
     states = [{col: VALID_LIMB_SYMBOLS[code] for col, code in states_brute_force(score, t).items()}
               for t in (min(t, score.total_duration) for t in times)]
-    hist = {}
     out = []
     for t, symbols in zip(times, states):
         vectors = {
@@ -577,16 +449,14 @@ def _decode_per_pose(score, robot):
             for col, sym in symbols.items()
             if col in robot.column_map
         }
-        angles, driven = _joint_angles(reduce_vectors(vectors, robot, hist), robot)
+        angles, driven = _joint_angles(reduce_vectors(vectors, robot), robot)
         detail = {}
-        for ref, seg, sources in robot.segment_table:
+        for ref, seg, col in robot.segment_table:
             if ref in driven:
-                merged = len(sources) > 1
-                symbol = symbols[sources[0]] if not merged else None
-                detail[ref] = SegmentCommand(*driven[ref], True, merged, symbol)
+                detail[ref] = SegmentCommand(*driven[ref], True, symbols[col])
             else:
                 yaw, pitch = angles[seg.yaw_joint], angles[seg.pitch_joint]
-                detail[ref] = SegmentCommand(yaw, pitch, False, False, False, None)
+                detail[ref] = SegmentCommand(yaw, pitch, False, False, None)
         out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail))
     return out, states
 
@@ -601,28 +471,35 @@ def _project_per_frame(seq, start, end, robot):
         if col in COLUMN_DISTAL
     }
     joints = tuple(sorted(robot.neutral_angles))
-    hist = {}
     rows = []
     for k in range(len(positions)):
-        angles = _joint_angles(reduce_vectors({col: v[k] for col, v in vectors.items()}, robot, hist), robot)[0]
+        angles = _joint_angles(reduce_vectors({col: v[k] for col, v in vectors.items()}, robot), robot)[0]
         rows.append([angles[j] for j in joints])
     return KeyPoses(seq.times[start:end + 1], joints, np.reshape(rows, (len(rows), len(joints))))
 
 
-def _merge3_robot():
-    """Upper arm, forearm and head merged into one torso segment; the forearm
-    also drives a narrow wrist. Roll and fixed joints have nonzero neutrals."""
+def _split3_robot():
+    """Upper arm, forearm and head on their own segments; the forearm also
+    drives a narrow wrist, and a tail segment that no column feeds holds its
+    neutral pose. Roll and fixed joints have nonzero neutrals."""
     return parse_robot(
         """
-        {"name": "merge3",
-         "chains": [{"name": "torso", "segments": [
-            {"yaw_joint": "t_yaw", "pitch_joint": "t_pitch", "yaw_limits": [-120, 120],
-             "pitch_limits": [-60, 80], "roll_joint": "t_roll", "roll_limits": [10, 40]}]},
+        {"name": "split3",
+         "chains": [{"name": "arm", "segments": [
+            {"yaw_joint": "u_yaw", "pitch_joint": "u_pitch", "yaw_limits": [-120, 120],
+             "pitch_limits": [-60, 80], "roll_joint": "u_roll", "roll_limits": [10, 40]},
+            {"yaw_joint": "f_yaw", "pitch_joint": "f_pitch", "yaw_limits": [-180, 180],
+             "pitch_limits": [-90, 90]}]},
                     {"name": "wrist", "segments": [
             {"yaw_joint": "w_yaw", "pitch_joint": "w_pitch",
-             "yaw_limits": [-45, 45], "pitch_limits": [-30, 30]}]}],
-         "column_map": {"RightUpperArm": ["torso/0"], "RightForearm": ["torso/0", "wrist/0"],
-                        "Head": ["torso/0"]},
+             "yaw_limits": [-45, 45], "pitch_limits": [-30, 30]}]},
+                    {"name": "head", "segments": [
+            {"yaw_joint": "h_yaw", "pitch_joint": "h_pitch", "yaw_limits": [-90, 90],
+             "pitch_limits": [-90, 90]}]},
+                    {"name": "tail", "segments": [
+            {"yaw_joint": "t_yaw", "pitch_joint": "t_pitch", "yaw_limits": [15, 60],
+             "pitch_limits": [-90, -20]}]}],
+         "column_map": {"RightUpperArm": ["arm/0"], "RightForearm": ["arm/1", "wrist/0"], "Head": ["head/0"]},
          "fixed_joints": [{"name": "base", "limits": [-30, -5]}]}
         """
     )
@@ -630,11 +507,10 @@ def _merge3_robot():
 
 def _reference_robots():
     return {"frontal_7dof": load_robot("frontal_7dof"), "lab_9dof": load_robot("lab_9dof"),
-            "merge": _merge_robot(), "merge3": _merge3_robot()}
+            "split": _split_robot(), "split3": _split3_robot()}
 
 
 # opposed pairs (Forward/Backward, Left/Right, Place High/Low, two diagonals)
-# make merged directions cancel often
 _OPPOSED = tuple(S(d, l) for d, l in (
     (D.Forward, L.Middle), (D.Backward, L.Middle), (D.Left, L.Middle), (D.Right, L.Middle),
     (D.Place, L.High), (D.Place, L.Low), (D.LeftBackward, L.High), (D.RightForward, L.Low)))
@@ -715,10 +591,10 @@ def test_boundary_time_rounding_matches_round():
 
 def test_decode_matches_per_pose_reference():
     rng = np.random.default_rng(909)
-    seen = {"cold cancel": 0, "history cancel": 0, "second-step cancel": 0, "uncovered first": 0, "clamped": 0}
+    seen = {"uncovered first": 0, "clamped": 0}
     for name, robot in _reference_robots().items():
-        names = ("LeftArm", "RightArm", "Head") if name in BUNDLED_ROBOTS else (
-            "RightUpperArm", "RightForearm", "Head")
+        # the split robot maps RightArm alone, so it also ignores two of the columns
+        names = ("RightUpperArm", "RightForearm", "Head") if name == "split3" else ("LeftArm", "RightArm", "Head")
         for _ in range(200):
             score = _random_decode_score(rng, names)
             got = decode_score_detailed(score, robot)
@@ -726,31 +602,16 @@ def test_decode_matches_per_pose_reference():
             _assert_same_decode(got, ref, states, robot)
             seen["uncovered first"] += int(not got.driven[0].all())
             seen["clamped"] += int(got.clamped.sum())
-            # merged segments: which poses cancel at the first and second fold step
-            covered = [s for s in states if "RightUpperArm" in s and "RightForearm" in s]
-            for k, s in enumerate(covered):
-                first = _vector(s["RightUpperArm"]) + _vector(s["RightForearm"])
-                if np.linalg.norm(first) <= 1e-6:
-                    seen["history cancel" if k else "cold cancel"] += 1
-                elif name == "merge3" and "Head" in s:
-                    second = first / np.linalg.norm(first) + _vector(s["Head"])
-                    seen["second-step cancel"] += int(np.linalg.norm(second) <= 1e-6)
     assert all(seen.values()), seen
 
 
-def _folded_clip(rng):
-    """A reach clip through poles and backward poses; in a few frames,
-    frame 0 among them, the right wrist sits on the right shoulder, so the
-    forearm points exactly opposite the upper arm."""
+def _reach_clip(rng):
+    """A reach clip through poles and backward poses, in a random order."""
     poses = ["place_low", "place_high", "left_backward_middle", "right_backward_high", "backward_low",
              "forward_middle", "left_high", "right_low"]
     order = [poses[int(i)] for i in rng.permutation(len(poses))]
-    seq = synth_motion({"pattern": "reach_sequence", "part": str(rng.choice(["right_arm", "left_arm", "head"])),
-                        "poses": [[p, 0.4] for p in order]}, rate=30.0)
-    positions = seq.positions.copy()
-    folded = [0, *rng.choice(np.arange(1, len(seq)), size=6, replace=False).tolist()]
-    positions[folded, JOINT_INDEX[JointName.WristRight]] = positions[folded, JOINT_INDEX[JointName.ShoulderRight]]
-    return SkeletonSequence(seq.times, positions, seq.sample_rate)
+    return synth_motion({"pattern": "reach_sequence", "part": str(rng.choice(["right_arm", "left_arm", "head"])),
+                         "poses": [[p, 0.4] for p in order]}, rate=30.0)
 
 
 def test_project_path_matches_per_frame_reference():
@@ -758,7 +619,7 @@ def test_project_path_matches_per_frame_reference():
     robots = _reference_robots()
     poles = clamped = 0
     for _ in range(6):
-        seq = _folded_clip(rng)
+        seq = _reach_clip(rng)
         n = len(seq)
         ranges = [(0, n - 1), (0, 0)] + [tuple(sorted(rng.choice(n, size=2, replace=False).tolist()))
                                          for _ in range(4)]
@@ -779,47 +640,11 @@ def test_project_path_matches_per_frame_reference():
     assert poles and clamped
 
 
-def test_dict_build_carries_merge_history_across_a_clip(tmp_path, monkeypatch):
-    """dict build projects each clip once, so a merged segment's fold history
-    runs across all of the clip's transitions. With the right forearm folded
-    back onto the upper arm in every frame, each frame cancels, and every
-    path holds the direction of the clip's first key frame rather than that
-    of its own first frame."""
-    seq = synth_motion({"pattern": "reach_sequence", "part": "right_arm",
-                        "poses": [[p, 0.6] for p in ("place_low", "forward_middle", "right_high", "left_high")]},
-                       rate=30.0)
-    positions = seq.positions.copy()
-    positions[:, JOINT_INDEX[JointName.WristRight]] = positions[:, JOINT_INDEX[JointName.ShoulderRight]]
-    seq = SkeletonSequence(seq.times, positions, seq.sample_rate)
-    merged = [int(len(seq) * f) for f in (0.1, 0.35, 0.6, 0.85)]
-    kfs = KeyFrameSet(per_part={}, merged=merged, params=EnergyParams())
-    monkeypatch.setattr(cli._Run, "observe", lambda run, path: (seq, kfs))
-    robot_path = tmp_path / "merger.json"
-    robot_path.write_text(_MERGE_ROBOT)
-    out = tmp_path / "dict.json"
-    assert cli.main(["dict", "build", "clip.json", "--robot", str(robot_path), "-o", str(out)]) == 0
-
-    robot = _merge_robot()
-    columns = ("RightForearm", "RightUpperArm")
-    whole = _project_per_frame(seq, merged[0], merged[-1], robot)
-    states = [encode_pose_reference(seq.positions[i], columns) for i in merged]
-    mdict = MotionDictionary()
-    for k, (a, b) in enumerate(zip(merged, merged[1:])):
-        rows = slice(a - merged[0], b - merged[0] + 1)
-        observed = KeyPoses(whole.times[rows], whole.joints, whole.samples[rows])
-        dict_update(mdict, state_key(states[k], states[k + 1]), observed)
-    assert out.read_text() == serialize_dictionary(mdict)
-    assert (whole.samples == whole.samples[0]).all()
-    # restarting the history at each transition gives other paths
-    assert out.read_text() != dict_build_per_transition([(seq, kfs)], robot, columns)
-
-
 def test_symbol_table_is_vector_to_joints():
     for name in BUNDLED_ROBOTS:
         robot = load_robot(name)
-        single = [(ref, seg) for ref, seg, sources in robot.segment_table if len(sources) == 1]
-        assert sorted(robot.symbol_table) == sorted(ref for ref, _ in single)
-        for ref, seg in single:
+        assert list(robot.symbol_table) == [ref for ref, _, _ in robot.segment_table]
+        for ref, seg, _ in robot.segment_table:
             yaw_pitch, clamped = robot.symbol_table[ref]
             assert yaw_pitch.shape == (len(VALID_LIMB_SYMBOLS) + 1, 2)
             for k, sym in enumerate(VALID_LIMB_SYMBOLS):
