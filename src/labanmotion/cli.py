@@ -183,19 +183,21 @@ class _Run:
             raise LabanMotionError("a robot description is required (--robot)")
         return robot_mod.load_robot(path)
 
-    def decode(self, score: laban.LabanScore) -> tuple[robot_mod.RobotDescription, robot_mod.DecodedScore]:
-        robot = self.robot()
+    def dictionary(self) -> trajectory.MotionDictionary | None:
+        path = self.get("dict")
+        return trajectory.load_dictionary(path) if path is not None else None
+
+    def decode(self, score: laban.LabanScore, robot: robot_mod.RobotDescription) -> robot_mod.DecodedScore:
         with self.stage("decode") as counts:
             decoded = robot_mod.decode_score_detailed(score, robot)
             counts["key_poses"] = len(decoded)
             counts["clamped_segments"] = int(decoded.clamped.sum())
-        return robot, decoded
+        return decoded
 
-    def synthesize(self, decoded: robot_mod.DecodedScore) -> robot_mod.KeyPoses:
-        dict_path, rate = self.get("dict"), self.get("traj_rate")
-        mdict = trajectory.load_dictionary(dict_path) if dict_path is not None else None
+    def synthesize(self, decoded: robot_mod.DecodedScore,
+                   mdict: trajectory.MotionDictionary | None) -> robot_mod.KeyPoses:
         with self.stage("trajectory") as counts:
-            poses = decoded.poses
+            poses, rate = decoded.poses, self.get("traj_rate")
             if len(poses) >= 2:
                 traj = trajectory.synthesize(poses, decoded.codes, mdict, self.get("interp"), rate,
                                              decoded.columns)
@@ -238,8 +240,8 @@ def _cmd_encode(run: _Run) -> int:
 
 
 def _cmd_decode(run: _Run) -> int:
-    _, decoded = run.decode(laban.load_score(run.args.score))
-    _write_csv(run.args.output, run.synthesize(decoded))
+    score, robot, mdict = laban.load_score(run.args.score), run.robot(), run.dictionary()
+    _write_csv(run.args.output, run.synthesize(run.decode(score, robot), mdict))
     return 0
 
 
@@ -248,20 +250,25 @@ def _cmd_dict_build(run: _Run) -> int:
     mdict = trajectory.MotionDictionary(tau=run.get("tau"))
     columns = robot.mapped_columns
     for path in sorted(run.args.skeletons):  # lexicographic: deterministic merge order
-        seq, kfs = run.observe(path)
-        merged = kfs.merged
-        with run.stage(f"build {path}") as counts:
-            codes = encoder.encode_poses(seq.positions[merged], columns).tolist()
-            if len(merged) >= 2:
-                # one projection per clip, so frames shared by two transitions
-                # are projected once; each transition's path is a slice of it
-                clip = robot_mod.project_path(seq, merged[0], merged[-1], robot)
-                for k, (a, b) in enumerate(zip(merged, merged[1:])):
-                    rows = slice(a - merged[0], b - merged[0] + 1)
-                    observed = robot_mod.KeyPoses(clip.times[rows], clip.joints, clip.samples[rows])
-                    key = trajectory.DictKey.of(columns, codes[k], codes[k + 1])
-                    trajectory.dict_update(mdict, key, observed)
-            counts["transitions"] = max(len(merged) - 1, 0)
+        try:
+            seq, kfs = run.observe(path)
+            merged = kfs.merged
+            with run.stage(f"build {path}") as counts:
+                codes = encoder.encode_poses(seq.positions[merged], columns).tolist()
+                if len(merged) >= 2:
+                    # one projection per clip, so frames shared by two transitions
+                    # are projected once; each transition's path is a slice of it
+                    clip = robot_mod.project_path(seq, merged[0], merged[-1], robot)
+                    for k, (a, b) in enumerate(zip(merged, merged[1:])):
+                        rows = slice(a - merged[0], b - merged[0] + 1)
+                        observed = robot_mod.KeyPoses(clip.times[rows], clip.joints, clip.samples[rows])
+                        key = trajectory.DictKey.of(columns, codes[k], codes[k + 1])
+                        trajectory.dict_update(mdict, key, observed)
+                counts["transitions"] = max(len(merged) - 1, 0)
+        except LabanMotionError as exc:
+            if getattr(exc, "location", None) != path:  # the not-UTF-8 error names its file already
+                exc.path = path
+            raise
     trajectory.save_dictionary(mdict, run.args.output)
     return 0
 
@@ -277,8 +284,8 @@ def _cmd_dict_stats(run: _Run) -> int:
 
 
 def _cmd_roundtrip(run: _Run) -> int:
-    robot, decoded = run.decode(laban.load_score(run.args.score))
-    table = robot.segment_table
+    decoded = run.decode(laban.load_score(run.args.score), run.robot())
+    table = decoded.robot.segment_table
     joint = {j: c for c, j in enumerate(decoded.poses.joints)}
     code_column = {col: c for c, col in enumerate(decoded.columns)}
     order = sorted((ref, s) for s, (ref, _, _) in enumerate(table))  # segment indices in ref order
@@ -306,7 +313,7 @@ def _cmd_roundtrip(run: _Run) -> int:
             mismatched += 1
             print(f"MISMATCH t={t:.6f} {ref}: {symbol} -> {back}")
     matched = len(checked) - mismatched
-    print(f"robot: {robot.name}")
+    print(f"robot: {decoded.robot.name}")
     print(f"cells compared: {matched + mismatched}, matched: {matched}, mismatched: {mismatched}")
     print(f"clamped (boundary gestures, excluded): {len(clamped)}")
     for line in clamped:
@@ -317,10 +324,10 @@ def _cmd_roundtrip(run: _Run) -> int:
 def _cmd_pipeline(run: _Run) -> int:
     out = run.args.output
     os.makedirs(out, exist_ok=True)  # an unusable output path fails before any stage runs
+    robot, mdict = run.robot(), run.dictionary()  # so do a robot and a dictionary that cannot load
     seq, kfs = run.observe(run.args.skeleton)
     score = run.encode(seq, kfs)
-    robot, decoded = run.decode(score)
-    traj = run.synthesize(decoded)
+    traj = run.synthesize(run.decode(score, robot), mdict)
     # every stage has succeeded: a failing run leaves no partial output
     _write(os.path.join(out, "keyframes.json"), _keyframes_json(seq, kfs))
     laban.save_score(score, os.path.join(out, "score.json"))

@@ -7,7 +7,13 @@ import sys
 
 
 class LabanMotionError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors. ``path``, once set, is the input
+    file the error was found in, and the message starts with it."""
+
+    path: str | None = None
+
+    def __str__(self) -> str:
+        return super().__str__() if self.path is None else f"{self.path}: {super().__str__()}"
 
 
 class MalformedFrame(LabanMotionError):

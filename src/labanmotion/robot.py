@@ -10,6 +10,8 @@ A decode takes the symbols in force as one array of symbol codes for all key pos
 columns in :attr:`DecodedScore.codes`. Decoded and projected poses are a
 :class:`KeyPoses`, the package's one type for timed joint angles, which the
 trajectory module also uses for dictionary paths and sampled trajectories.
+Commands read these arrays; only the benchmark indexes them, for one pose
+at a time as a ``types.SimpleNamespace``.
 
 Description files are JSON:
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import cached_property
+from types import SimpleNamespace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -47,8 +50,8 @@ import numpy as np
 from .encoder import column_directions
 from .errors import (MissingColumn, ParseError, ShapeError, TimeOrderError, ValidationError, json_numbers, read_json,
                      read_text)
-from .laban import (CODE_VECTORS, VALID_LIMB_SYMBOLS, LabanScore, LabanSymbol, column_violations, direction_angles,
-                    states_at, validate)
+from .laban import (CODE_VECTORS, VALID_LIMB_SYMBOLS, LabanScore, column_violations, direction_angles, states_at,
+                    validate)
 from .skeleton import SkeletonSequence
 
 BUNDLED_ROBOTS = ("frontal_7dof", "lab_9dof")
@@ -136,37 +139,6 @@ class RobotDescription(_RobotFields):
         return table
 
 
-class _View:
-    """Value equality and a repr over the attributes named in ``_fields``:
-    equal when of the same class with equal attributes, and unhashable.
-
-    This and the per-pose views built on it (:class:`JointPose`,
-    :class:`DecodedPose`, :class:`SegmentCommand`) are kept only because the
-    benchmark's tracer and output check read them; no command builds one."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({', '.join(f'{f}={v!r}' for f, v in zip(self._fields, self._values()))})"
-
-
-class JointPose(_View):
-    """One timed pose: joint name -> angle in degrees. A copy of one row of
-    a :class:`KeyPoses`, kept for the benchmark's output check."""
-
-    _fields = ("t", "angles")
-
-    def __init__(self, t: float, angles: dict[str, float]):
-        self.t = t
-        self.angles = angles
-
-
 def _check_order(times: np.ndarray) -> None:
     steps = np.diff(times) <= 0
     if steps.any():
@@ -195,8 +167,8 @@ class KeyPoses:
     poses, motion dictionary paths (on normalized time) and synthesized
     trajectories. The times increase strictly and ``joints``, sorted by
     name, names the columns of ``samples``, so every pose has the same
-    joints. Indexing and iterating give :class:`JointPose` copies; no command
-    does either, and both remain for the benchmark's output check.
+    joints. Item i is ``SimpleNamespace(t=float, angles={joint: float})``
+    of row i; no command reads one, the benchmark's output check does.
     """
 
     def __init__(self, times, joints, samples):
@@ -214,10 +186,10 @@ class KeyPoses:
     def __len__(self) -> int:
         return len(self.times)
 
-    def __getitem__(self, i: int) -> JointPose:
-        return JointPose(float(self.times[i]), dict(zip(self.joints, self.samples[i].tolist())))
+    def __getitem__(self, i: int) -> SimpleNamespace:
+        return SimpleNamespace(t=float(self.times[i]), angles=dict(zip(self.joints, self.samples[i].tolist())))
 
-    def __iter__(self) -> Iterator[JointPose]:
+    def __iter__(self) -> Iterator[SimpleNamespace]:
         return (self[i] for i in range(len(self)))
 
 
@@ -361,38 +333,13 @@ def _joint_rows(directions: np.ndarray, seg: Segment) -> tuple[np.ndarray, np.nd
     return yaw, pitch, yaw_clamped | pitch_clamped
 
 
-class SegmentCommand(_View):
-    """Decoded state of one segment at one boundary time, read from the
-    arrays of a :class:`DecodedScore`; kept for the benchmark's tracer."""
-
-    _fields = ("yaw", "pitch", "clamped", "driven", "symbol")
-
-    def __init__(self, yaw: float, pitch: float, clamped: bool, driven: bool, symbol: LabanSymbol | None):
-        self.yaw = yaw
-        self.pitch = pitch
-        self.clamped = clamped
-        self.driven = driven  # False when the segment held the neutral pose
-        self.symbol = symbol  # the column's symbol in force, None when not driven
-
-
-class DecodedPose(_View):
-    """One decoded pose with per-segment detail, as :class:`DecodedScore` items
-    present it; kept for the benchmark's tracer."""
-
-    _fields = ("t", "pose", "segments")
-
-    def __init__(self, t: float, pose: JointPose, segments: dict[str, SegmentCommand]):
-        self.t = t
-        self.pose = pose
-        self.segments = segments
-
-
 class DecodedScore:
     """A decoded score: the key poses, the codes of the symbols in force at
     each, and per-segment flags as (poses, segments) arrays whose columns
-    follow ``robot.segment_table``. Indexing and iterating give
-    :class:`DecodedPose` views, built on demand; no command does either, and
-    both remain for the benchmark's tracer and output check."""
+    follow ``robot.segment_table``. Item i is ``SimpleNamespace(t, pose,
+    segments={ref: SimpleNamespace(yaw, pitch, clamped, driven, symbol)})``,
+    ``symbol`` None where not driven; no command reads one, the benchmark's
+    tracer does."""
 
     def __init__(self, poses: KeyPoses, codes: np.ndarray, robot: RobotDescription, driven: np.ndarray,
                  clamped: np.ndarray):
@@ -410,18 +357,18 @@ class DecodedScore:
     def __len__(self) -> int:
         return len(self.poses)
 
-    def __getitem__(self, i: int) -> DecodedPose:
+    def __getitem__(self, i: int) -> SimpleNamespace:
         pose = self.poses[i]
         codes = dict(zip(self.columns, self.codes[i].tolist()))
         segments = {}
         for s, (ref, seg, col) in enumerate(self.robot.segment_table):
             driven = bool(self.driven[i, s])
-            segments[ref] = SegmentCommand(pose.angles[seg.yaw_joint], pose.angles[seg.pitch_joint],
-                                           bool(self.clamped[i, s]), driven,
-                                           VALID_LIMB_SYMBOLS[codes[col]] if driven else None)
-        return DecodedPose(pose.t, pose, segments)
+            segments[ref] = SimpleNamespace(yaw=pose.angles[seg.yaw_joint], pitch=pose.angles[seg.pitch_joint],
+                                            clamped=bool(self.clamped[i, s]), driven=driven,
+                                            symbol=VALID_LIMB_SYMBOLS[codes[col]] if driven else None)
+        return SimpleNamespace(t=pose.t, pose=pose, segments=segments)
 
-    def __iter__(self) -> Iterator[DecodedPose]:
+    def __iter__(self) -> Iterator[SimpleNamespace]:
         return (self[i] for i in range(len(self)))
 
 

@@ -783,11 +783,13 @@ def test_skeleton_whose_spine_overflows_exits_1(tmp_path, capsys):
         frame["joints"]["SpineShoulder"] = [0.0, 0.0, 1.7e308]
     (tmp_path / "clip.json").write_text(json.dumps(obj))
     capsys.readouterr()
-    for argv in (["encode", clip, "-o", str(tmp_path / "score.json")],
-                 ["pipeline", clip, "--robot", "frontal_7dof", "-o", str(tmp_path / "out")],
-                 ["dict", "build", clip, "--robot", "frontal_7dof", "-o", str(tmp_path / "dict.json")]):
+    # dict build reads several clips, so its error names the clip
+    for argv, where in ((["encode", clip, "-o", str(tmp_path / "score.json")], ""),
+                        (["pipeline", clip, "--robot", "frontal_7dof", "-o", str(tmp_path / "out")], ""),
+                        (["dict", "build", clip, "--robot", "frontal_7dof", "-o", str(tmp_path / "dict.json")],
+                         f"{clip}: ")):
         assert main(argv) == 1, argv
-        assert capsys.readouterr().err == "error: non-finite body frame\n"
+        assert capsys.readouterr().err == f"error: {where}non-finite body frame\n"
     assert not (tmp_path / "score.json").exists() and not (tmp_path / "dict.json").exists()
     assert not os.listdir(tmp_path / "out")
 

@@ -285,6 +285,64 @@ def test_skeleton_readers_agree_on_mutated_clips(monkeypatch):
     assert errors >= {"ParseError", "MalformedFrame", "TimeOrderError"}, errors
 
 
+def test_dict_build_names_the_clip_that_failed(tmp_path, capsys):
+    """An error in one of several clips names that clip, once, whichever of
+    them it is, and no dictionary is written."""
+    clips, out = _clips(tmp_path, capsys), str(tmp_path / "dict.json")
+    for bad in clips:
+        good = open(bad, encoding="utf-8").read()
+        obj = json.loads(good)
+        obj["frames"][6]["joints"]["Head"][0] = "0.1"
+        # a string coordinate, and a copy cut off part way, named at its line and column
+        for text, detail in ((json.dumps(obj), "frame 6: joint Head (bad coordinate triple)\n"),
+                             (good[:3000], "line ")):
+            with open(bad, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            rc = cli.main(["dict", "build", *clips, "--robot", "frontal_7dof", "-o", out])
+            err = capsys.readouterr().err
+            assert rc == 1 and err.count("\n") == 1 and err.startswith(f"error: {bad}: {detail}"), (bad, err)
+            assert sum(err.count(clip) for clip in clips) == 1, err
+            assert not os.path.exists(out)
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(good)
+
+
+def test_pipeline_and_decode_check_the_robot_and_dictionary_before_any_stage(tmp_path, capsys, monkeypatch):
+    """A robot that feeds one segment from two columns, or a dictionary whose
+    entries are not an object, is refused before the clip is read and before
+    any stage runs: one error: line and no stage line, even with --verbose."""
+    clip = _clips(tmp_path, capsys)[0]
+    robot, mdict, csv, out = (str(tmp_path / name) for name in ("robot.json", "dict.json", "t.csv", "out"))
+    frontal = open(os.path.join(_ROBOTS_DIR, "frontal_7dof.json"), encoding="utf-8").read()
+    fed_by_two = frontal.replace('"RightArm": ["right_arm/0"]',
+                                 '"RightUpperArm": ["right_arm/0"], "RightForearm": ["right_arm/0"]')
+    assert fed_by_two != frontal
+    with open(robot, "w", encoding="utf-8") as fh:
+        fh.write(fed_by_two)
+    assert cli.main(["dict", "build", clip, "--robot", "frontal_7dof", "-o", mdict]) == 0
+    obj = json.load(open(mdict, encoding="utf-8"))
+    obj["entries"] = 5
+    with open(mdict, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    capsys.readouterr()
+
+    def unread(path):
+        raise AssertionError(f"{path} was read")
+
+    monkeypatch.setattr(skeleton, "load_sequence", unread)
+    # the patched reader is the one a pipeline calls: a robot and dictionary that load reach it
+    assert cli.main(["pipeline", clip, "--robot", "frontal_7dof", "-o", out]) == 2
+    assert capsys.readouterr().err.startswith("internal error: AssertionError")
+    refused = {"robot": "segment right_arm/0 fed by 2 columns (a segment takes one)",
+               "dictionary": "$.entries: expected an object"}
+    for argv, message in (
+            (["pipeline", clip, "--robot", robot, "-o", out], refused["robot"]),
+            (["pipeline", clip, "--robot", "frontal_7dof", "--dict", mdict, "-o", out], refused["dictionary"]),
+            (["decode", WHOLE_ARM[0], "--robot", "frontal_7dof", "--dict", mdict, "-o", csv], refused["dictionary"])):
+        assert (cli.main(["--verbose", *argv]), capsys.readouterr().err) == (1, f"error: {message}\n"), argv
+        assert not os.path.exists(csv)
+
+
 # ---------------------------------------------------------------------------
 # The config reader, and bytes that are not UTF-8 in any file
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,11 +25,8 @@ from labanmotion.laban import (
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
     _round9,
-    DecodedPose,
-    JointPose,
     KeyPoses,
     Segment,
-    SegmentCommand,
     decode_score,
     decode_score_detailed,
     load_robot,
@@ -453,11 +451,12 @@ def _decode_per_pose(score, robot):
         detail = {}
         for ref, seg, col in robot.segment_table:
             if ref in driven:
-                detail[ref] = SegmentCommand(*driven[ref], True, symbols[col])
+                yaw, pitch, clamped = driven[ref]
+                detail[ref] = SimpleNamespace(yaw=yaw, pitch=pitch, clamped=clamped, driven=True, symbol=symbols[col])
             else:
                 yaw, pitch = angles[seg.yaw_joint], angles[seg.pitch_joint]
-                detail[ref] = SegmentCommand(yaw, pitch, False, False, None)
-        out.append(DecodedPose(t=t, pose=JointPose(t=t, angles=angles), segments=detail))
+                detail[ref] = SimpleNamespace(yaw=yaw, pitch=pitch, clamped=False, driven=False, symbol=None)
+        out.append(SimpleNamespace(t=t, pose=SimpleNamespace(t=t, angles=angles), segments=detail))
     return out, states
 
 
@@ -603,6 +602,36 @@ def test_decode_matches_per_pose_reference():
             seen["uncovered first"] += int(not got.driven[0].all())
             seen["clamped"] += int(got.clamped.sum())
     assert all(seen.values()), seen
+
+
+def test_per_pose_views_hold_the_decode_arrays():
+    """The per-pose reads the benchmark makes: each ``decode_score`` item's
+    ``t`` and ``angles``, and each ``DecodedScore`` item's per-segment
+    ``driven`` and ``clamped``, are the decode's arrays as Python floats and
+    bools; items compare by value and are unhashable."""
+    rng = np.random.default_rng(911)
+    seen = set()
+    for name, robot in _reference_robots().items():
+        names = ("RightUpperArm", "RightForearm", "Head") if name == "split3" else ("LeftArm", "RightArm", "Head")
+        refs = [ref for ref, _, _ in robot.segment_table]
+        for _ in range(20):
+            score = _random_decode_score(rng, names)
+            poses, detailed = decode_score(score, robot), decode_score_detailed(score, robot)
+            assert len(list(poses)) == len(list(detailed)) == len(detailed.poses.times) > 0
+            for i, (pose, item) in enumerate(zip(poses, detailed)):
+                assert type(pose.t) is float and pose.t == detailed.poses.times[i]
+                assert pose.angles == dict(zip(detailed.poses.joints, detailed.poses.samples[i].tolist()))
+                assert all(type(angle) is float for angle in pose.angles.values())
+                assert item.t == pose.t and item.pose == pose
+                flags = [(item.segments[ref].driven, item.segments[ref].clamped) for ref in refs]
+                assert flags == list(zip(detailed.driven[i].tolist(), detailed.clamped[i].tolist()))
+                assert all(type(flag) is bool for pair in flags for flag in pair)
+                seen.update(flags)
+            with pytest.raises(TypeError):
+                hash(poses[0])
+            with pytest.raises(TypeError):
+                hash(detailed[0])
+    assert seen == {(False, False), (True, False), (True, True)}
 
 
 def _reach_clip(rng):
