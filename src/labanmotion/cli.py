@@ -262,7 +262,7 @@ def _cmd_dict_build(run: _Run) -> int:
                     for k, (a, b) in enumerate(zip(merged, merged[1:])):
                         rows = slice(a - merged[0], b - merged[0] + 1)
                         observed = robot_mod.KeyPoses(clip.times[rows], clip.joints, clip.samples[rows])
-                        key = trajectory.DictKey.of(columns, codes[k], codes[k + 1])
+                        key = trajectory.dict_key(columns, codes[k], codes[k + 1])
                         trajectory.dict_update(mdict, key, observed)
                 counts["transitions"] = max(len(merged) - 1, 0)
         except LabanMotionError as exc:
@@ -276,7 +276,7 @@ def _cmd_dict_build(run: _Run) -> int:
 def _cmd_dict_stats(run: _Run) -> int:
     mdict = trajectory.load_dictionary(run.args.dictionary)
     print(f"tau: {mdict.tau}\nentries: {len(mdict.entries)}")
-    for key in sorted(mdict.entries, key=str):
+    for key in sorted(mdict.entries):
         entry = mdict.entries[key]
         probs = ", ".join(f"{p:.3f}" for p in entry.probabilities())
         print(f"  {key}: {len(entry.paths)} path(s), counts {[p.count for p in entry.paths]}, probs [{probs}]")

@@ -139,27 +139,6 @@ class RobotDescription(_RobotFields):
         return table
 
 
-def _check_order(times: np.ndarray) -> None:
-    steps = np.diff(times) <= 0
-    if steps.any():
-        raise TimeOrderError(int(np.argmax(steps)) + 1, "times must be strictly increasing")
-
-
-# the arrays that ordered_times made: KeyPoses does not check their order again
-_ORDERED: list[np.ndarray] = []
-
-
-def ordered_times(times) -> np.ndarray:
-    """Strictly increasing ``times`` as a read-only float array for many
-    :class:`KeyPoses` to share, such as the normalized times of every motion
-    dictionary path: their order is checked here, once, not by each."""
-    times = np.array(times, dtype=float)
-    _check_order(times)
-    times.flags.writeable = False
-    _ORDERED.append(times)
-    return times
-
-
 class KeyPoses:
     """Timed joint angles as arrays: pose i is ``samples[i]`` at ``times[i]``.
 
@@ -180,8 +159,9 @@ class KeyPoses:
         if self.samples.shape != (len(self.times), len(self.joints)):
             raise ShapeError(f"samples must have shape {(len(self.times), len(self.joints))} for "
                              f"{len(self.times)} times and {len(self.joints)} joints, got {self.samples.shape}")
-        if not any(self.times is t for t in _ORDERED):
-            _check_order(self.times)
+        steps = np.diff(self.times) <= 0
+        if steps.any():
+            raise TimeOrderError(int(np.argmax(steps)) + 1, "times must be strictly increasing")
 
     def __len__(self) -> int:
         return len(self.times)

@@ -3,13 +3,13 @@
 Two interpolation modes connect decoded key poses: ``linear`` (straight
 segments) and ``cubic`` (per-segment Hermite with zero velocity at every key
 pose, so each key reads as a brief stop). The motion dictionary stores
-observed intermediate joint paths keyed by (start state, end state) pairs of
-column symbols; replaying a familiar transition bumps that path's count,
-novel ones are appended, and counts define transition probabilities. During
-synthesis, dictionary paths are time-warped onto the key-pose interval and
-their endpoint residuals are blended out linearly so the result still passes
-exactly through the key poses; uncovered transitions fall back to plain
-interpolation.
+observed intermediate joint paths keyed by the text of (start state, end
+state) pairs of column symbols (:func:`dict_key`); replaying a familiar
+transition bumps that path's count, novel ones are appended, and counts
+define transition probabilities. During synthesis, dictionary paths are
+time-warped onto the key-pose interval and their endpoint residuals are
+blended out linearly so the result still passes exactly through the key
+poses; uncovered transitions fall back to plain interpolation.
 
 Every timed set of joint angles here is a :class:`~labanmotion.robot.KeyPoses`:
 the key poses going in, the dictionary paths (on normalized time, 0 to 1)
@@ -22,20 +22,24 @@ import itertools
 import json
 import math
 from collections.abc import Sequence
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json,
                      read_text)
-from .laban import CODE_TOKENS, COLUMN_NAMES
-from .robot import KeyPoses, ordered_times
+from .laban import COLUMN_NAMES, VALID_LIMB_SYMBOLS
+from .robot import KeyPoses
 from .skeleton import uniform_grid
 
 PATH_SAMPLES = 32
 DEFAULT_TAU_DEG = 10.0
 # the normalized times of every loaded dictionary path, shared read-only
-_PATH_TIMES = ordered_times(np.linspace(0.0, 1.0, PATH_SAMPLES))
+_PATH_TIMES = np.linspace(0.0, 1.0, PATH_SAMPLES)
+_PATH_TIMES.flags.writeable = False
+# "Direction.Level" by symbol code, and every "Column=Direction.Level" item
+# that one side of a key may hold
+_SYMBOL_TEXT = tuple(map(str, VALID_LIMB_SYMBOLS))
+_KEY_ITEMS = frozenset(f"{col}={sym}" for col in COLUMN_NAMES for sym in _SYMBOL_TEXT)
 
 
 class DictPath:
@@ -48,69 +52,43 @@ class DictEntry:
     def __init__(self, paths: list[DictPath] | None = None):
         self.paths = [] if paths is None else paths
 
-    @property
-    def total(self) -> int:
-        return sum(p.count for p in self.paths)
-
     def probabilities(self) -> list[float]:
-        total = self.total
+        total = sum(p.count for p in self.paths)
         return [p.count / total for p in self.paths]
 
 
-class DictKey(NamedTuple):
-    """Canonical (start state, end state) pair of column symbol maps: per
-    side, ``(column, direction, level)`` for each column with a symbol in
-    force, columns sorted."""
+def dict_key(columns: Sequence[str], from_codes: Sequence[int], to_codes: Sequence[int]) -> str:
+    """The key of a transition between two rows of symbol codes over
+    ``columns``: per side, ``Column=Direction.Level`` for each column whose
+    code is not -1 (no symbol in force), columns sorted and joined by ``,``;
+    the two sides joined by ``->``. ``dict build`` and :func:`synthesize`
+    both make their keys here, over the robot's mapped columns."""
+    def side(codes):
+        return ",".join(f"{col}={_SYMBOL_TEXT[code]}" for col, code in sorted(zip(columns, codes)) if code >= 0)
 
-    from_state: tuple[tuple[str, str, str], ...]
-    to_state: tuple[tuple[str, str, str], ...]
+    return f"{side(from_codes)}->{side(to_codes)}"
 
-    @classmethod
-    def of(cls, columns: Sequence[str], from_codes: Sequence[int], to_codes: Sequence[int]) -> "DictKey":
-        """The key of a transition between two rows of symbol codes over
-        ``columns``, skipping columns whose code is -1 (no symbol in force).
-        ``dict build`` and :func:`synthesize` both make their keys here, over
-        the robot's mapped columns."""
-        def side(codes):
-            return tuple((col, *CODE_TOKENS[code]) for col, code in sorted(zip(columns, codes)) if code >= 0)
 
-        return cls(side(from_codes), side(to_codes))
-
-    def __str__(self) -> str:
-        def side(items):
-            return ",".join(f"{c}={d}.{l}" for c, d, l in items)
-
-        return f"{side(self.from_state)}->{side(self.to_state)}"
-
-    @classmethod
-    def parse(cls, text: str) -> "DictKey":
-        """Inverse of ``str``; ValueError for text that :meth:`of` never
-        gives: an unknown or non-limb symbol, a column name outside
-        :data:`~labanmotion.laban.COLUMN_NAMES`, or columns out of sorted
-        order or repeated."""
-        def side(part: str):
-            items = []
-            if part:
-                for tok in part.split(","):
-                    col, _, sym = tok.partition("=")
-                    d, _, l = sym.partition(".")
-                    if (d, l) not in CODE_TOKENS:
-                        raise ValueError(f"{sym} is not a limb symbol")
-                    items.append((col, d, l))
-            columns = [col for col, _, _ in items]
-            if columns != sorted(set(columns)):
-                raise ValueError("columns must be sorted and distinct")
-            unknown = [col for col in columns if col not in COLUMN_NAMES]
-            if unknown:
-                raise ValueError(f"{unknown[0]} is not a column name")
-            return tuple(items)
-
-        a, _, b = text.partition("->")
-        return cls(side(a), side(b))
+def _key_fault(text: str) -> str | None:
+    """Why :func:`dict_key` never gives ``text``, or None if it can: not
+    exactly one ``->``, an item that is not a column of
+    :data:`~labanmotion.laban.COLUMN_NAMES` with a limb symbol, or columns
+    out of sorted order or repeated."""
+    if text.count("->") != 1:
+        return "expected one ->"
+    for side in text.split("->"):
+        items = side.split(",") if side else []
+        unknown = [item for item in items if item not in _KEY_ITEMS]
+        if unknown:
+            return f"{unknown[0]!r} is not a Column=Direction.Level item"
+        columns = [item.partition("=")[0] for item in items]
+        if columns != sorted(set(columns)):
+            return "columns must be sorted and distinct"
+    return None
 
 
 class MotionDictionary:
-    def __init__(self, tau: float = DEFAULT_TAU_DEG, entries: dict[DictKey, DictEntry] | None = None):
+    def __init__(self, tau: float = DEFAULT_TAU_DEG, entries: dict[str, DictEntry] | None = None):
         finite(tau, "tau", 0.0, strict=True)
         self.tau = tau
         self.entries = {} if entries is None else entries
@@ -209,7 +187,7 @@ def path_distance(a: KeyPoses, b: KeyPoses) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def dict_update(mdict: MotionDictionary, key: DictKey, observed: KeyPoses) -> MotionDictionary:
+def dict_update(mdict: MotionDictionary, key: str, observed: KeyPoses) -> MotionDictionary:
     """Fold one observed transition into the dictionary.
 
     The observation is resampled to the fixed path length; if its nearest
@@ -221,13 +199,8 @@ def dict_update(mdict: MotionDictionary, key: DictKey, observed: KeyPoses) -> Mo
     if entry is None:
         mdict.entries[key] = DictEntry(paths=[DictPath(motion=motion, count=1)])
         return mdict
-    best_i = -1
-    best_d = math.inf
-    for i, p in enumerate(entry.paths):
-        d = path_distance(motion, p.motion)
-        if d < best_d:
-            best_d = d
-            best_i = i
+    best_d, best_i = min(((path_distance(motion, p.motion), i) for i, p in enumerate(entry.paths)),
+                         default=(math.inf, -1))
     if best_d < mdict.tau:
         entry.paths[best_i].count += 1
     else:
@@ -235,13 +208,12 @@ def dict_update(mdict: MotionDictionary, key: DictKey, observed: KeyPoses) -> Mo
     return mdict
 
 
-def dict_lookup(mdict: MotionDictionary, key: DictKey) -> KeyPoses | None:
+def dict_lookup(mdict: MotionDictionary, key: str) -> KeyPoses | None:
     """Highest-probability path for a key (ties pick the lowest index)."""
     entry = mdict.entries.get(key)
     if entry is None or not entry.paths:
         return None
-    best = max(range(len(entry.paths)), key=lambda i: (entry.paths[i].count, -i))
-    return entry.paths[best].motion
+    return max(entry.paths, key=lambda p: p.count).motion
 
 
 def synthesize(
@@ -258,7 +230,7 @@ def synthesize(
     ``codes`` holds one row of symbol codes per key pose over ``columns``
     (a decode's ``codes`` and ``columns``). For each adjacent key-pose pair,
     a stored path for the transition between their rows
-    (:meth:`DictKey.of`) is time-warped onto the interval and shifted by the
+    (:func:`dict_key`) is time-warped onto the interval and shifted by the
     linear ramp of its endpoint residuals; transitions without a stored
     path use plain interpolation. The result passes through every key pose.
 
@@ -282,7 +254,7 @@ def synthesize(
         block = _block_rows(len(joints))
         code_rows = np.asarray(codes).tolist()
         for k in range(len(keyposes) - 1):
-            path = dict_lookup(mdict, DictKey.of(columns, code_rows[k], code_rows[k + 1]))
+            path = dict_lookup(mdict, dict_key(columns, code_rows[k], code_rows[k + 1]))
             if path is None:
                 continue
             if path.joints != joints:
@@ -446,22 +418,16 @@ def trajectory_to_csv(traj: KeyPoses, fh) -> None:
 
 def serialize_dictionary(mdict: MotionDictionary) -> str:
     """Deterministic JSON: sorted keys, full-precision floats."""
-    lines = ["{"]
-    lines.append(f'  "samples_per_path": {PATH_SAMPLES},')
-    lines.append(f'  "tau": {mdict.tau!r},')
-    lines.append('  "entries": {')
-    keys = sorted(mdict.entries, key=str)
+    lines = ["{", f'  "samples_per_path": {PATH_SAMPLES},', f'  "tau": {mdict.tau!r},', '  "entries": {']
+    keys = sorted(mdict.entries)
     for ki, key in enumerate(keys):
-        entry = mdict.entries[key]
-        lines.append(f'    {json.dumps(str(key))}: [')
-        for pi, p in enumerate(entry.paths):
-            joints = json.dumps(list(p.motion.joints))
-            rows = ", ".join("[" + ", ".join(map(repr, row)) + "]" for row in p.motion.samples.tolist())
-            comma = "," if pi + 1 < len(entry.paths) else ""
-            lines.append(f'      {{"count": {p.count}, "joints": {joints}, "samples": [{rows}]}}{comma}')
+        paths = mdict.entries[key].paths
+        lines.append(f"    {json.dumps(key)}: [")
+        for pi, p in enumerate(paths):
+            path = {"count": p.count, "joints": list(p.motion.joints), "samples": p.motion.samples.tolist()}
+            lines.append(f"      {json.dumps(path)}" + ("," if pi + 1 < len(paths) else ""))
         lines.append("    ]" + ("," if ki + 1 < len(keys) else ""))
-    lines.append("  }")
-    lines.append("}")
+    lines += ["  }", "}"]
     return "\n".join(lines) + "\n"
 
 
@@ -498,11 +464,12 @@ def _parse_path(p, where: str) -> DictPath:
 def parse_dictionary(text: str) -> MotionDictionary:
     """Inverse of :func:`serialize_dictionary`.
 
-    Malformed JSON and wrong types raise ParseError; a ``samples_per_path``
-    other than PATH_SAMPLES, a key with no paths, path joints out of sorted
-    order or repeated, a path that is not PATH_SAMPLES rows of one angle per
-    joint, a non-finite angle, a count below 1 and a tau that is not a
-    finite number > 0 raise ValidationError.
+    Malformed JSON, wrong types and a key that :func:`dict_key` cannot give
+    raise ParseError; a ``samples_per_path`` other than PATH_SAMPLES, a key
+    with no paths, path joints out of sorted order or repeated, a path that
+    is not PATH_SAMPLES rows of one angle per joint, a non-finite angle, a
+    count below 1 and a tau that is not a finite number > 0 raise
+    ValidationError.
     """
     obj = read_json(text)
     if obj.get("samples_per_path") != PATH_SAMPLES:
@@ -513,12 +480,11 @@ def parse_dictionary(text: str) -> MotionDictionary:
     mdict = MotionDictionary(tau=finite(tau, "$.tau", 0.0, strict=True, error=ValidationError))
     if not isinstance(entries, dict):
         raise ParseError("$.entries", "expected an object")
-    for key_text, paths in entries.items():
-        where = f"$.entries[{json.dumps(key_text)}]"
-        try:
-            key = DictKey.parse(key_text)
-        except ValueError as exc:
-            raise ParseError(where, f"not a (from-state)->(to-state) key: {exc}") from None
+    for key, paths in entries.items():
+        where = f"$.entries[{json.dumps(key)}]"
+        fault = _key_fault(key)
+        if fault:
+            raise ParseError(where, f"not a (from-state)->(to-state) key: {fault}")
         if not isinstance(paths, list):
             raise ParseError(where, "expected a list of paths")
         if not paths:

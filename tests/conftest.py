@@ -10,6 +10,7 @@ frame by frame.
 from __future__ import annotations
 
 import functools
+import json
 import math
 
 import numpy as np
@@ -31,7 +32,7 @@ from labanmotion.errors import (BadInput, DegeneratePose, LabanMotionError, Malf
                                 finite, json_numbers, read_json)
 from labanmotion.robot import project_path
 from labanmotion.skeleton import JointName, SkeletonSequence, body_frame
-from labanmotion.trajectory import DictKey, MotionDictionary, dict_update, serialize_dictionary
+from labanmotion.trajectory import PATH_SAMPLES, MotionDictionary, dict_update, serialize_dictionary
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +264,32 @@ def encode_pose_reference(pos: np.ndarray, columns: tuple[str, ...]) -> dict[str
     return out
 
 
-def state_key(from_state: dict[str, LabanSymbol], to_state: dict[str, LabanSymbol]) -> DictKey:
+def state_key(from_state: dict[str, LabanSymbol], to_state: dict[str, LabanSymbol]) -> str:
     """The dictionary key of two {column: symbol} maps, each side's columns
-    sorted: the rule that ``DictKey.of`` keeps for rows of symbol codes."""
+    sorted: the rule that ``dict_key`` keeps for rows of symbol codes."""
     def side(state):
-        return tuple((col, state[col].direction.value, state[col].level.value) for col in sorted(state))
+        return ",".join(f"{col}={state[col].direction.value}.{state[col].level.value}" for col in sorted(state))
 
-    return DictKey(side(from_state), side(to_state))
+    return f"{side(from_state)}->{side(to_state)}"
+
+
+def serialize_dictionary_reference(mdict: MotionDictionary) -> str:
+    """A dictionary file written line by line, each path's line joined by
+    hand from the ``repr`` of every angle: the bytes that
+    ``serialize_dictionary`` writes with one ``json.dumps`` per path."""
+    lines = ["{", f'  "samples_per_path": {PATH_SAMPLES},', f'  "tau": {mdict.tau!r},', '  "entries": {']
+    keys = sorted(mdict.entries)
+    for ki, key in enumerate(keys):
+        entry = mdict.entries[key]
+        lines.append(f'    {json.dumps(key)}: [')
+        for pi, p in enumerate(entry.paths):
+            joints = json.dumps(list(p.motion.joints))
+            rows = ", ".join("[" + ", ".join(map(repr, row)) + "]" for row in p.motion.samples.tolist())
+            comma = "," if pi + 1 < len(entry.paths) else ""
+            lines.append(f'      {{"count": {p.count}, "joints": {joints}, "samples": [{rows}]}}{comma}')
+        lines.append("    ]" + ("," if ki + 1 < len(keys) else ""))
+    lines += ["  }", "}"]
+    return "\n".join(lines) + "\n"
 
 
 def dict_build_per_transition(observed, robot, columns, tau: float = 10.0) -> str:

@@ -445,7 +445,7 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
     for a in range(26):
         for b in range(26):
             for c in range(3):
-                key = trajectory.DictKey.of(("Head", "LeftArm", "RightArm"), [a, b, c], [b, a, c])
+                key = trajectory.dict_key(("Head", "LeftArm", "RightArm"), [a, b, c], [b, a, c])
                 trajectory.dict_update(mdict, key, path)
     trajectory.save_dictionary(mdict, str(tmp_path / "d.json"))
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -917,6 +917,10 @@ def _bad_dict_text(case: str) -> str:
         obj["entries"] = {k.replace("RightArm=", "RightArms="): v for k, v in obj["entries"].items()}
     elif case == "place-middle-key":
         obj["entries"] = {"RightArm=Place.Middle->RightArm=Forward.Low": [path]}
+    elif case == "no-arrow-key":
+        obj["entries"] = {"RightArm=Forward.Middle": [path]}
+    elif case == "empty-key":
+        obj["entries"] = {"": [path]}
     elif case == "no-paths":
         obj["entries"] = {k: [] for k in obj["entries"]}
     elif case == "count-string":
@@ -953,6 +957,8 @@ _BAD_DICTIONARIES = [
     ("unsorted-key", "not a (from-state)->(to-state) key"),
     ("repeated-column-key", "not a (from-state)->(to-state) key"),
     ("place-middle-key", "not a (from-state)->(to-state) key"),
+    ("no-arrow-key", '$.entries["RightArm=Forward.Middle"]: not a (from-state)->(to-state) key: expected one ->'),
+    ("empty-key", '$.entries[""]: not a (from-state)->(to-state) key: expected one ->'),
     ("misspelled-column-key", "RightArms=Place.Low->RightArms=Forward.Middle"),
     ("no-paths", "no paths"),
     ("count-string", ".count"),

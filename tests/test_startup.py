@@ -18,14 +18,14 @@ import numpy as np
 import pytest
 
 import labanmotion
-from labanmotion import robot as robot_mod, trajectory
+from labanmotion import trajectory
 from labanmotion.errors import TimeOrderError
 from labanmotion.keyframe import EnergyParams
 from labanmotion.laban import SYMBOL_CODES, Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level, Violation, \
     load_score, parse_score, serialize_score
 from labanmotion.robot import Chain, FixedJoint, KeyPoses, RobotDescription, Segment, load_robot
 from labanmotion.skeleton import BodyFrame
-from labanmotion.trajectory import DictEntry, DictKey, DictPath, MotionDictionary, parse_dictionary, \
+from labanmotion.trajectory import DictEntry, DictPath, MotionDictionary, dict_key, parse_dictionary, \
     serialize_dictionary
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -125,7 +125,6 @@ _FROZEN = [
     (RobotDescription("r", (), {}, ()), ("name", "chains", "column_map", "fixed_joints")),
     (BodyFrame(np.zeros(3), np.eye(3)), ("origin", "axes")),
     (EnergyParams(), ("sigma", "prominence", "min_separation", "merge_window", "peak_mode")),
-    (DictKey((("Head", "Left", "High"),), ()), ("from_state", "to_state")),
 ]
 
 
@@ -139,11 +138,10 @@ def test_record_fields_are_read_only(record, fields):
 @pytest.mark.parametrize("make, fields", [
     (lambda: LabanSymbol(Direction.Left, Level.Low), ("direction", "level")),
     (lambda: Cell(SYMBOL_CODES[LabanSymbol(Direction.Left, Level.Low)], 0.5, 1.25), ("code", "start", "duration")),
-    (lambda: DictKey.of(("Head", "RightArm"), (3, -1), (4, 5)), ("from_state", "to_state")),
     (lambda: Violation("overlap", "Head", 2, "cells 1 and 2 overlap"), ("rule", "column", "cell", "detail")),
     (lambda: Segment("y", "p", (-90.0, 90.0), (-45.0, 45.0)),
      ("yaw_joint", "pitch_joint", "yaw_limits", "pitch_limits", "roll_joint", "roll_limits")),
-], ids=["LabanSymbol", "Cell", "DictKey", "Violation", "Segment"])
+], ids=["LabanSymbol", "Cell", "Violation", "Segment"])
 def test_equal_records_are_equal_and_hash_as_their_field_tuple(make, fields):
     a, b = make(), make()
     assert a is not b and a == b and not a != b
@@ -175,30 +173,25 @@ def _dictionary_text(n_paths: int) -> str:
     rng = np.random.default_rng(5)
     entries = {}
     for i in range(n_paths):
-        key = DictKey.of(("RightArm",), (i // 5,), (25,))
+        key = dict_key(("RightArm",), (i // 5,), (25,))
         path = KeyPoses(np.linspace(0.0, 1.0, trajectory.PATH_SAMPLES), ("a", "b"),
                         rng.uniform(-90.0, 90.0, (trajectory.PATH_SAMPLES, 2)))
         entries.setdefault(key, DictEntry()).paths.append(DictPath(path, 1 + i % 3))
     return serialize_dictionary(MotionDictionary(entries=entries))
 
 
-def test_loading_a_dictionary_checks_no_path_times(monkeypatch):
-    """Every loaded path shares one read-only array of normalized times,
-    whose order was checked when it was made; each path's own data (joints,
-    shape, finite angles) is still checked. A time-order check is one
-    ``np.diff`` of a KeyPoses' times."""
+def test_loaded_dictionary_paths_share_one_read_only_times_array(monkeypatch):
+    """Every loaded path shares one read-only array of normalized times, and
+    its order is checked like any KeyPoses' times: one ``np.diff`` per path.
+    Each path's own data (joints, shape, finite angles) is checked too."""
     text = _dictionary_text(50)
     checks = []
     diff = np.diff
     monkeypatch.setattr(np, "diff", lambda *a, **kw: checks.append(1) or diff(*a, **kw))
     mdict = parse_dictionary(text)
     assert sum(len(entry.paths) for entry in mdict.entries.values()) == 50
-    assert len(checks) == 0
+    assert len(checks) == 50
     assert all(p.motion.times is trajectory._PATH_TIMES for e in mdict.entries.values() for p in e.paths)
     assert not trajectory._PATH_TIMES.flags.writeable
-    # other times are still checked, and so is an array made to be shared
     with pytest.raises(TimeOrderError):
         KeyPoses(trajectory._PATH_TIMES[::-1], ("a",), np.zeros((trajectory.PATH_SAMPLES, 1)))
-    with pytest.raises(TimeOrderError):
-        robot_mod.ordered_times([0.0, 1.0, 1.0])
-    assert len(checks) == 2

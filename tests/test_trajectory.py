@@ -7,18 +7,20 @@ import numpy as np
 import pytest
 
 from labanmotion import trajectory
-from labanmotion.errors import BadInput, InsufficientData, ShapeError, TimeOrderError
-from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
+from labanmotion.errors import BadInput, InsufficientData, ParseError, ShapeError, TimeOrderError
+from labanmotion.laban import COLUMN_NAMES, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
 from labanmotion.robot import KeyPoses
 from labanmotion.skeleton import MAX_SAMPLES, uniform_grid
 from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
-    DictKey,
+    DictEntry,
+    DictPath,
     MotionDictionary,
     PATH_SAMPLES,
     _block_rows,
     _rows_at,
     _segment_index,
+    dict_key,
     dict_lookup,
     dict_update,
     parse_dictionary,
@@ -29,7 +31,7 @@ from labanmotion.trajectory import (
     trajectory_to_csv,
 )
 
-from conftest import state_key
+from conftest import serialize_dictionary_reference, state_key
 
 D = Direction
 L = Level
@@ -332,32 +334,84 @@ def test_dict_serialization_writes_each_angle_as_its_float_repr(rng):
 _KEY_COLUMNS = ("Head", "LeftArm", "LeftForearm", "RightArm", "RightUpperArm")
 
 
+# joint names that JSON escapes: quotes, backslashes, control and non-ASCII characters
+_ESCAPED_JOINTS = ('a"b', "coude_\u00e9", "\u80a9", "q\\r", "x\ty", "z")
+# angles at the edges of float repr: signed zeros, the smallest subnormal, huge and 17-digit values
+_EDGE_ANGLES = (-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1 + 0.2, 1.2345678901234567, -98.76543210987654)
+
+
+def test_dictionary_writer_gives_the_bytes_of_the_per_row_reference(rng):
+    """One json.dumps per path writes the bytes that joining each row's
+    float reprs by hand wrote: keys from random code rows (with -1), counts
+    up to 10**6, escaped joint names and edge-case angles."""
+    columns = sorted(COLUMN_NAMES)
+    texts = []
+    for _ in range(30):
+        mdict = MotionDictionary(tau=float(rng.uniform(0.5, 40.0)))
+        for _ in range(int(rng.integers(0, 6))):
+            cols = rng.choice(columns, size=int(rng.integers(0, len(columns) + 1)), replace=False).tolist()
+            a, b = (rng.integers(-1, len(VALID_LIMB_SYMBOLS), size=len(cols)).tolist() for _ in range(2))
+            paths = []
+            for _ in range(int(rng.integers(1, 4))):
+                joints = sorted(rng.choice(_ESCAPED_JOINTS, size=int(rng.integers(1, 5)), replace=False).tolist())
+                samples = rng.normal(0.0, 10.0 ** rng.uniform(-300, 300), size=(PATH_SAMPLES, len(joints)))
+                samples.flat[rng.integers(0, samples.size, size=4)] = rng.choice(_EDGE_ANGLES, size=4)
+                count = int(rng.choice([1, 10**6, int(rng.integers(1, 10**6, endpoint=True))]))
+                paths.append(DictPath(KeyPoses(trajectory._PATH_TIMES, joints, samples), count))
+            mdict.entries[dict_key(cols, a, b)] = DictEntry(paths)
+        texts.append(serialize_dictionary(mdict))
+        assert texts[-1] == serialize_dictionary_reference(mdict)
+        assert serialize_dictionary(parse_dictionary(texts[-1])) == texts[-1]
+    joined = "".join(texts)
+    for needle in ("-0.0,", "5e-324", "1e+300", "0.30000000000000004", '\\"', "\\u00e9", ": 1000000,"):
+        assert needle in joined, needle
+
+
+_KEY_COLUMNS = ("Head", "LeftArm", "LeftForearm", "RightArm", "RightUpperArm")
+
+
+def _loaded_keys(text: str) -> list[str]:
+    """The keys that a one-path dictionary file whose one key is ``text``
+    loads under."""
+    obj = json.loads(serialize_dictionary(dict_update(MotionDictionary(), "->", _path())))
+    obj["entries"] = {text: obj["entries"]["->"]}
+    return list(parse_dictionary(json.dumps(obj)).entries)
+
+
 def test_dict_key_parses_its_text_and_nothing_from_states_cannot_give(rng):
+    """A dictionary file loads every key that two states give under its own
+    text, and refuses any other key, so a loaded dictionary writes its own
+    bytes again."""
     for _ in range(200):
         a, b = ({c: VALID_LIMB_SYMBOLS[int(rng.integers(len(VALID_LIMB_SYMBOLS)))]
                  for c in rng.choice(_KEY_COLUMNS, size=int(rng.integers(0, 4)), replace=False)}
                 for _ in range(2))
         key = state_key(a, b)
-        assert DictKey.parse(str(key)) == key
+        assert _loaded_keys(key) == [key]
     for text in ("RightArm=Forward.High,LeftArm=Forward.Low->",
                  "->Head=Left.Low,Head=Left.Low",
                  "Head=Place.Middle->Head=Place.High",
                  "Head=Up.High->",
                  "RightArms=Forward.High->RightArms=Forward.Low",
-                 "->Head=Left.Low,Torso=Left.Low"):
-        with pytest.raises(ValueError):
-            DictKey.parse(text)
+                 "->Head=Left.Low,Torso=Left.Low",
+                 "RightArm=Forward.Middle",
+                 "",
+                 "->->",
+                 "Head=Left.Low->->",
+                 "Head=Left.Low,->"):
+        with pytest.raises(ParseError, match=r"not a \(from-state\)->\(to-state\) key"):
+            _loaded_keys(text)
 
 
 def test_dict_key_of_codes_is_the_symbol_map_rule(rng):
-    """DictKey.of over code rows, in any column order and with -1 for no
+    """dict_key over code rows, in any column order and with -1 for no
     symbol, gives the key of the {column: symbol} maps of the same states."""
     for _ in range(200):
         columns = [str(c) for c in rng.permutation(_KEY_COLUMNS)[:int(rng.integers(0, 6))]]
         a, b = (rng.integers(-1, len(VALID_LIMB_SYMBOLS), size=len(columns)).tolist() for _ in range(2))
         maps = [{col: VALID_LIMB_SYMBOLS[code] for col, code in zip(columns, row) if code >= 0} for row in (a, b)]
-        assert DictKey.of(columns, a, b) == state_key(*maps)
-        assert DictKey.of(columns, np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)) == state_key(*maps)
+        assert dict_key(columns, a, b) == state_key(*maps)
+        assert dict_key(columns, np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)) == state_key(*maps)
 
 
 # ---------------------------------------------------------------------------
