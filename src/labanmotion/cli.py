@@ -172,8 +172,7 @@ class _Run:
 
     def encode(self, seq: skeleton.SkeletonSequence, kfs: keyframe.KeyFrameSet) -> laban.LabanScore:
         with self.stage("encode") as counts:
-            columns = encoder.columns_for_mode(self.get("columns"))
-            score = encoder.encode_sequence(seq, kfs, columns)
+            score = encoder.encode_sequence(seq, kfs, encoder.COLUMN_MODES[self.get("columns")])
             counts["cells"] = sum(len(c.cells) for c in score.columns)
         return score
 

@@ -6,8 +6,10 @@ azimuth from forward toward left. The sphere is partitioned into eight
 caps, so every unit vector maps to exactly one of the 26 limb symbols.
 
 Poses become directions in :func:`column_directions`, which the robot's
-``project_path`` also calls, and directions become symbol codes in one
-array quantizer, :func:`direction_codes`.
+``project_path`` also calls: each column's parent-to-distal segment as
+components on the (..., 3, 3) axes array of
+:func:`~labanmotion.skeleton.body_frame`. Directions become symbol codes in
+one array quantizer, :func:`direction_codes`.
 
 Band boundaries (degrees):
     elevation  [67.5,  90]  Place High
@@ -26,15 +28,7 @@ from .errors import BadInput, DegeneratePose, NoKeyFrames
 from .keyframe import KeyFrameSet
 from .laban import (ARM_COLUMNS, SECTOR_CENTER_DEG, SPLIT_COLUMNS, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Cell,
                     Direction, LabanColumn, LabanScore, LabanSymbol, Level, direction_angles)
-from .skeleton import (
-    JOINT_INDEX,
-    PARENT,
-    BodyFrame,
-    JointName,
-    SkeletonSequence,
-    body_frame,
-    stacked_norm,
-)
+from .skeleton import JOINT_INDEX, PARENT, JointName, SkeletonSequence, body_frame, stacked_dot, stacked_norm
 
 # Sector k is centered at azimuth 45k degrees, counterclockwise from forward
 AZIMUTH_SECTORS: tuple[Direction, ...] = tuple(sorted(SECTOR_CENTER_DEG, key=lambda d: SECTOR_CENTER_DEG[d] % 360.0))
@@ -56,33 +50,6 @@ COLUMN_DISTAL: dict[str, JointName] = {
 COLUMN_MODES: dict[str, tuple[str, ...]] = {"arm": ARM_COLUMNS, "split": SPLIT_COLUMNS}
 
 
-def columns_for_mode(mode: str) -> tuple[str, ...]:
-    if mode not in COLUMN_MODES:
-        raise ValueError(f"unknown columns mode: {mode!r}")
-    return COLUMN_MODES[mode]
-
-
-def segment_direction(pos: np.ndarray, distal: JointName, bf: BodyFrame | None = None) -> np.ndarray:
-    """Unit direction of the distal joint relative to its parent, expressed
-    as (forward, left, up) components of the pose's body frame.
-
-    ``pos`` is a (..., 12, 3) position array; the result has shape (..., 3),
-    and ``bf`` must have the same leading axes. A segment whose length
-    overflows gives NaN components, which :func:`column_directions` rejects.
-    """
-    parent = PARENT[distal]
-    if parent is None:
-        raise DegeneratePose(f"{distal.value} has no parent")
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = pos[..., JOINT_INDEX[distal], :] - pos[..., JOINT_INDEX[parent], :]
-        norm = stacked_norm(d)
-        if (norm < 1e-9).any():
-            raise DegeneratePose(f"zero-length segment at {distal.value}")
-        if bf is None:
-            bf = body_frame(pos)
-        return bf.to_body(d / norm[..., None])
-
-
 def _check_unit(v: np.ndarray) -> None:
     """BadInput for the first of (..., 3) directions not of unit length, NaN included."""
     norm = stacked_norm(v).reshape(-1)
@@ -92,18 +59,24 @@ def _check_unit(v: np.ndarray) -> None:
 
 
 def column_directions(positions: np.ndarray, columns: tuple[str, ...]) -> np.ndarray:
-    """Body-frame direction of each column's segment (:data:`COLUMN_DISTAL`)
-    in each pose of an (m, 12, 3) array: an (m, len(columns), 3) array, from
-    one body frame for all poses. The body frame is checked first, then each
-    column in order: a zero-length segment (DegeneratePose naming the
-    column), then a direction that is not of unit length (BadInput)."""
-    bf = body_frame(positions)
+    """Body-frame direction of each column's segment in each pose of an
+    (m, 12, 3) array: an (m, len(columns), 3) array, from one body frame for
+    all poses. A column's segment runs from the :data:`COLUMN_DISTAL`
+    joint's parent to that joint; its unit world direction is projected on
+    the frame's forward, left and up axes. The body frame is checked first,
+    then each column in order: a zero-length segment (DegeneratePose naming
+    the column), then a direction that is not of unit length, as from a
+    segment whose length overflows (BadInput)."""
+    axes = body_frame(positions)
     out = np.empty((len(positions), len(columns), 3))
     for c, column in enumerate(columns):
-        try:
-            v = segment_direction(positions, COLUMN_DISTAL[column], bf)
-        except DegeneratePose as exc:
-            raise DegeneratePose(f"column {column}: {exc}") from exc
+        distal = COLUMN_DISTAL[column]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = positions[:, JOINT_INDEX[distal]] - positions[:, JOINT_INDEX[PARENT[distal]]]
+            norm = stacked_norm(d)
+            if (norm < 1e-9).any():
+                raise DegeneratePose(f"column {column}: zero-length segment at {distal.value}")
+            v = stacked_dot(axes, (d / norm[..., None])[..., None, :])
         _check_unit(v)
         out[:, c] = v
     return out

@@ -1,7 +1,8 @@
 """Per-part motion energy, peak detection, and key-frame merging.
 
-Each tracked body part gets its own scalar energy signal built from its
-smoothed position: normalized acceleration magnitude minus normalized speed.
+Each tracked body part gets its own scalar energy signal, one array value
+per frame, built from its smoothed position: normalized acceleration
+magnitude minus normalized speed.
 Brief stops show up as positive peaks (deceleration is still high while the
 speed has already collapsed), so the peaks of the signal mark the moments a
 part settles into a pose. Peaks from different parts that fall close together
@@ -60,16 +61,6 @@ class EnergyParams(_EnergyFields):
         if self.peak_mode not in PEAK_MODES:
             raise BadInput(f"peak_mode must be {' or '.join(map(repr, PEAK_MODES))}")
         return self
-
-
-class EnergySeries:
-    """Energy samples for one part, aligned with the sequence frames."""
-
-    def __init__(self, part: JointName, values: np.ndarray, ea: np.ndarray, es: np.ndarray):
-        self.part = part
-        self.values = values  # ea - es
-        self.ea = ea  # normalized acceleration magnitude, in [0, 1]
-        self.es = es  # normalized speed magnitude, in [0, 1]
 
 
 class KeyFrameSet:
@@ -142,13 +133,15 @@ def _derivatives(x: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams,
-           kernel: np.ndarray | None = None) -> EnergySeries:
-    """Energy signal of one part over a uniformly sampled sequence.
+           kernel: np.ndarray | None = None) -> np.ndarray:
+    """Energy signal of one part over a uniformly sampled sequence: an (n,)
+    array aligned with the frames, values in [-1, 1].
 
     The x, y, z coordinate signals are smoothed first (with ``kernel``, the
     clip's :func:`gaussian_kernel`, built here if not given), then differentiated;
     acceleration and speed magnitudes (each scaled by 1/sqrt(3)) are min-max
-    normalized into [0, 1] over the whole sequence. A constant magnitude
+    normalized into [0, 1] over the whole sequence, and the signal is the
+    normalized acceleration minus the normalized speed. A constant magnitude
     series normalizes to all zeros. Coordinates so large that a derivative
     or its square overflows raise BadInput naming the part.
     """
@@ -176,7 +169,7 @@ def energy(seq: SkeletonSequence, part: JointName, params: EnergyParams,
             es = _minmax(raw_es)
     except FloatingPointError:
         raise BadInput(f"energy of {part.value} overflows: its coordinates are too large") from None
-    return EnergySeries(part=part, values=ea - es, ea=ea, es=es)
+    return ea - es
 
 
 def _local_maxima(vals: np.ndarray) -> np.ndarray:
@@ -224,13 +217,14 @@ def _prominences(vals: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     return np.asarray(heights) - np.maximum(left, right)
 
 
-def detect_peaks(es: EnergySeries, params: EnergyParams, rate: float) -> list[int]:
-    """Frame indices of qualifying energy peaks, sorted ascending.
+def detect_peaks(values: np.ndarray, params: EnergyParams, rate: float) -> list[int]:
+    """Frame indices of qualifying peaks of an (n,) :func:`energy` signal,
+    sorted ascending.
 
     Local maxima with prominence >= params.prominence are filtered greedily,
     highest value first, so that survivors are at least min_separation apart.
     """
-    vals = es.values if params.peak_mode == "max" else -es.values
+    vals = values if params.peak_mode == "max" else -values
     peaks = _local_maxima(vals)
     if peaks.size == 0:
         return []

@@ -159,7 +159,7 @@ class KeyPoses:
         if self.samples.shape != (len(self.times), len(self.joints)):
             raise ShapeError(f"samples must have shape {(len(self.times), len(self.joints))} for "
                              f"{len(self.times)} times and {len(self.joints)} joints, got {self.samples.shape}")
-        steps = np.diff(self.times) <= 0
+        steps = ~(np.diff(self.times) > 0)  # a NaN step is not an increase
         if steps.any():
             raise TimeOrderError(int(np.argmax(steps)) + 1, "times must be strictly increasing")
 

@@ -6,8 +6,9 @@ The skeleton file format is JSON:
      "frames": [{"t": 0.0, "joints": {"WristLeft": [x, y, z], ...}}, ...]}
 
 Coordinates are meters in an arbitrary rigid world frame; all direction
-encoding downstream goes through the person-anchored body frame built by
-:func:`body_frame`, so the world frame never matters.
+encoding downstream goes through the person-anchored body frame that
+:func:`body_frame` returns as a plain array of axes, so the world frame
+never matters.
 
 In memory a sequence is two arrays, ``times`` (n,) and ``positions``
 (n, 12, 3) with joints in ``ALL_JOINTS`` order, so parsing, validation,
@@ -28,7 +29,6 @@ import math
 import operator
 import re
 from enum import Enum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,33 +127,6 @@ class SkeletonSequence:
     def positions_of(self, joint: JointName) -> np.ndarray:
         """(n, 3) view of one joint's positions over time."""
         return self.positions[:, JOINT_INDEX[joint]]
-
-
-class BodyFrame(NamedTuple):
-    """Right-handed person-anchored frame: forward = left x up.
-
-    ``axes`` holds the forward, left and up unit vectors as rows: (3, 3) for
-    one pose, (..., 3, 3) for a batch. ``origin`` is (3,) or (..., 3).
-    """
-
-    origin: np.ndarray
-    axes: np.ndarray
-
-    @property
-    def forward(self) -> np.ndarray:
-        return self.axes[..., 0, :]
-
-    @property
-    def left(self) -> np.ndarray:
-        return self.axes[..., 1, :]
-
-    @property
-    def up(self) -> np.ndarray:
-        return self.axes[..., 2, :]
-
-    def to_body(self, v: np.ndarray) -> np.ndarray:
-        """World-frame direction(s) -> (forward, left, up) components."""
-        return stacked_dot(self.axes, np.asarray(v)[..., None, :])
 
 
 # stands in for a missing joint until the geometry check names it
@@ -449,18 +422,20 @@ _SPINE_BASE, _SPINE_SHOULDER, _SHOULDER_LEFT, _SHOULDER_RIGHT = (
 )
 
 
-def body_frame(pos: np.ndarray) -> BodyFrame:
-    """Build the body frame: origin at SpineShoulder, up along the spine,
-    left along the shoulder line with the spine component removed.
+def body_frame(pos: np.ndarray) -> np.ndarray:
+    """The person-anchored, right-handed body frame of each pose: up along
+    the spine, left along the shoulder line with the spine component
+    removed, forward = left x up.
 
-    ``pos`` is a (..., 12, 3) position array, (12, 3) for one pose; every
-    field gets its leading axes. Raises DegeneratePose for the first pose
-    that cannot define a frame, one whose spine or shoulder length is not
-    finite (a span or a norm that overflows) included.
+    ``pos`` is a (..., 12, 3) position array, (12, 3) for one pose; the
+    result is the (..., 3, 3) array of unit axes with rows forward, left and
+    up, so ``stacked_dot(axes, v[..., None, :])`` gives a world direction's
+    body-frame components. Raises DegeneratePose for the first pose that
+    cannot define a frame, one whose spine or shoulder length is not finite
+    (a span or a norm that overflows) included.
     """
-    origin = pos[..., _SPINE_SHOULDER, :]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        spine = origin - pos[..., _SPINE_BASE, :]
+        spine = pos[..., _SPINE_SHOULDER, :] - pos[..., _SPINE_BASE, :]
         span = pos[..., _SHOULDER_LEFT, :] - pos[..., _SHOULDER_RIGHT, :]
         spine_len = stacked_norm(spine)
         up = spine / spine_len[..., None]
@@ -480,7 +455,7 @@ def body_frame(pos: np.ndarray) -> BodyFrame:
     if bad.any():
         i = int(np.argmax(bad.reshape(-1)))
         raise DegeneratePose(next(m for m, f in zip(_DEGENERATE, failed) if f.reshape(-1)[i]))
-    return BodyFrame(origin=origin, axes=axes)
+    return axes
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .errors import (InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers, read_json,
-                     read_text)
+from .errors import (BadInput, InsufficientData, ParseError, ShapeError, ValidationError, finite, json_numbers,
+                     read_json, read_text)
 from .laban import COLUMN_NAMES, VALID_LIMB_SYMBOLS
 from .robot import KeyPoses
 from .skeleton import uniform_grid
@@ -193,8 +193,12 @@ def dict_update(mdict: MotionDictionary, key: str, observed: KeyPoses) -> Motion
     The observation is resampled to the fixed path length; if its nearest
     stored path (lowest index on ties) is closer than tau, that path's count
     is bumped, otherwise the observation becomes a new path with count 1.
+    A path with a non-finite angle, which the dictionary file cannot hold,
+    raises BadInput naming the key and leaves the dictionary unchanged.
     """
     motion = resample_path(observed)
+    if not np.isfinite(motion.samples).all():
+        raise BadInput(f"dictionary key {key}: non-finite angle in the observed path")
     entry = mdict.entries.get(key)
     if entry is None:
         mdict.entries[key] = DictEntry(paths=[DictPath(motion=motion, count=1)])

@@ -26,12 +26,12 @@ from labanmotion.laban import (
     SYMBOL_CODES,
     VALID_LIMB_SYMBOLS,
 )
-from labanmotion.encoder import AZIMUTH_SECTORS, COLUMN_DISTAL, segment_direction
+from labanmotion.encoder import AZIMUTH_SECTORS, COLUMN_DISTAL
 from labanmotion import skeleton
 from labanmotion.errors import (BadInput, DegeneratePose, LabanMotionError, MalformedFrame, ParseError, TimeOrderError,
                                 finite, json_numbers, read_json)
 from labanmotion.robot import project_path
-from labanmotion.skeleton import JointName, SkeletonSequence, body_frame
+from labanmotion.skeleton import JOINT_INDEX, PARENT, JointName, SkeletonSequence, body_frame
 from labanmotion.trajectory import PATH_SAMPLES, MotionDictionary, dict_update, serialize_dictionary
 
 
@@ -248,15 +248,22 @@ def code_reference(x: float, y: float, z: float) -> int:
 
 def encode_pose_reference(pos: np.ndarray, columns: tuple[str, ...]) -> dict[str, LabanSymbol]:
     """Symbols per column for one (12, 3) pose: its body frame, then per
-    column the segment direction, np.linalg.norm's unit check, and the
-    scalar band and sector rules of :func:`symbol_reference`."""
-    bf = body_frame(pos)
+    column the parent-to-distal segment made unit by np.linalg.norm and
+    projected on each of the frame's axes, np.linalg.norm's unit check, and
+    the scalar band and sector rules of :func:`symbol_reference`."""
+    axes = body_frame(pos)
     out = {}
     for column in columns:
-        try:
-            v = segment_direction(pos, COLUMN_DISTAL[column], bf)
-        except DegeneratePose as exc:
-            raise DegeneratePose(f"column {column}: {exc}") from exc
+        distal = COLUMN_DISTAL[column]
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = pos[JOINT_INDEX[distal]] - pos[JOINT_INDEX[PARENT[distal]]]
+            length = np.linalg.norm(d)
+            if length < 1e-9:
+                raise DegeneratePose(f"column {column}: zero-length segment at {distal.value}")
+            unit = d / length
+            # one vector dot per axis, as for any pair of vectors; the matrix
+            # product axes @ unit may round differently, which flips band edges
+            v = np.array([axis @ unit for axis in axes])
         norm = float(np.linalg.norm(v))
         if not abs(norm - 1.0) <= 1e-6:  # NaN fails it
             raise BadInput(f"expected a unit vector, |v| = {norm}")

@@ -105,7 +105,7 @@ def test_criterion_02_energy_oracle_equivalence():
             failures.append((trial, "sequence too long"))
             continue
         for part in joints:
-            got = energy(seq, part, params).values
+            got = energy(seq, part, params)
             ref = np.array(oracle_energy(seq, part, params.sigma))
             err = float(np.max(np.abs(got - ref)))
             if err >= 1e-9:

@@ -75,7 +75,7 @@ def test_choices_and_keyframe_defaults_come_from_the_library(tmp_path):
     for mode in cli.CHOICES["peak_mode"]:
         assert keyframe.EnergyParams(peak_mode=mode).peak_mode == mode
     for mode in cli.CHOICES["columns"]:
-        assert set(encoder.columns_for_mode(mode)) <= set(encoder.COLUMN_DISTAL)
+        assert set(encoder.COLUMN_MODES[mode]) <= set(encoder.COLUMN_DISTAL)
     # with no flags and no config, key frames are found with the EnergyParams defaults
     clip = _synth(tmp_path)
     assert main(["keyframes", clip, "-o", str(tmp_path / "kf.json")]) == 0

@@ -14,12 +14,10 @@ from labanmotion.encoder import (
     _check_unit,
     _sectors,
     column_directions,
-    columns_for_mode,
     direction_codes,
     encode_pose,
     encode_poses,
     encode_sequence,
-    segment_direction,
 )
 from labanmotion.errors import BadInput, DegeneratePose, LabanMotionError, NoKeyFrames
 from labanmotion.keyframe import EnergyParams, KeyFrameSet, extract_keyframes
@@ -48,32 +46,37 @@ def _pose(right_arm="place_low", left_arm="place_low", head="place_high"):
     )
 
 
+def _right_arm(pose: np.ndarray) -> np.ndarray:
+    """The RightArm column's direction (wrist relative to elbow) in one (12, 3) pose."""
+    return column_directions(pose[None], ("RightArm",))[0, 0]
+
+
 def test_segment_direction_wrist_above_elbow():
-    v = segment_direction(_pose(right_arm="place_high"), JointName.WristRight)
+    v = _right_arm(_pose(right_arm="place_high"))
     assert np.allclose(v, [0, 0, 1], atol=1e-9)
 
 
 def test_segment_direction_forward():
-    v = segment_direction(_pose(right_arm="forward_middle"), JointName.WristRight)
+    v = _right_arm(_pose(right_arm="forward_middle"))
     assert np.allclose(v, [1, 0, 0], atol=1e-9)
 
 
 def test_segment_direction_world_invariant(rng):
     pose = _pose(right_arm="left_forward_high")
-    v0 = segment_direction(pose, JointName.WristRight)
+    v0 = _right_arm(pose)
     for _ in range(10):
         R = random_rotation(rng)
         t = rng.normal(size=3)
         moved = pose @ R.T + t
-        v1 = segment_direction(moved, JointName.WristRight)
+        v1 = _right_arm(moved)
         assert np.max(np.abs(v1 - v0)) < 1e-6
 
 
 def test_segment_direction_degenerate():
     pose = _pose()
     pose[JOINT_INDEX[JointName.WristRight]] = pose[JOINT_INDEX[JointName.ElbowRight]]
-    with pytest.raises(DegeneratePose):
-        segment_direction(pose, JointName.WristRight)
+    with pytest.raises(DegeneratePose, match="^column RightArm: zero-length segment at WristRight$"):
+        _right_arm(pose)
 
 
 
@@ -87,17 +90,14 @@ def test_batched_body_frame_and_directions_match_per_frame(rng, rotated):
     )
     if rotated:
         seq = transform_sequence(seq, random_rotation(rng), rng.normal(size=3))
-    bf = body_frame(seq.positions)
-    assert np.array_equal(bf.forward, np.cross(bf.left, bf.up))
-    distal = (JointName.WristLeft, JointName.ElbowLeft, JointName.WristRight, JointName.Head)
-    batched = {j: segment_direction(seq.positions, j, bf) for j in distal}
+    axes = body_frame(seq.positions)
+    assert axes.shape == (len(seq), 3, 3)
+    assert np.array_equal(axes[:, 0], np.cross(axes[:, 1], axes[:, 2]))
+    columns = ("LeftArm", "LeftUpperArm", "RightArm", "Head")
+    batched = column_directions(seq.positions, columns)
     for i in range(len(seq)):
-        pose = seq.positions[i]
-        one = body_frame(pose)
-        for axis in ("origin", "forward", "left", "up"):
-            assert np.array_equal(getattr(bf, axis)[i], getattr(one, axis))
-        for j in distal:
-            assert np.array_equal(batched[j][i], segment_direction(pose, j))
+        assert np.array_equal(axes[i], body_frame(seq.positions[i]))
+        assert np.array_equal(batched[i], column_directions(seq.positions[i:i + 1], columns)[0])
 
 
 def test_batched_degenerate_pose_raises():
@@ -110,7 +110,7 @@ def test_batched_degenerate_pose_raises():
     positions = seq.positions.copy()
     positions[3, J[JointName.WristRight]] = positions[3, J[JointName.ElbowRight]]
     with pytest.raises(DegeneratePose, match="WristRight"):
-        segment_direction(positions, JointName.WristRight)
+        column_directions(positions, ("RightArm",))
 
 def _symbols(directions) -> list[LabanSymbol]:
     """The symbol of each of (n, 3) directions, from their codes."""
@@ -283,9 +283,7 @@ def test_encode_poses_matches_per_pose_reference(rng, columns):
         assert got.dtype == np.intp and got.shape == (len(positions), len(columns))
         assert got.tolist() == [[SYMBOL_CODES[state[col]] for col in columns] for state in want]
         assert [encode_pose(pos, columns) for pos in positions] == want
-        bf = body_frame(positions)
-        for column in columns:
-            z = segment_direction(positions, COLUMN_DISTAL[column], bf)[:, 2]
+        for z in column_directions(positions, columns)[:, :, 2].T:
             on_edge += sum(math.degrees(math.asin(x)) in _EDGE_ELEVATIONS for x in z.tolist())
     assert on_edge  # some elevations land exactly on a band edge
 
@@ -344,13 +342,6 @@ def test_encode_poses_without_columns_checks_the_body_frame():
     _put_fault(positions[2], "zero shoulder span")
     with pytest.raises(DegeneratePose, match="zero shoulder span"):
         encode_poses(positions, ())
-
-
-def test_columns_for_mode():
-    assert columns_for_mode("arm") == ARM_COLUMNS
-    assert columns_for_mode("split") == SPLIT_COLUMNS
-    with pytest.raises(ValueError):
-        columns_for_mode("both")
 
 
 def test_encode_sequence_static_forced_keyframe():

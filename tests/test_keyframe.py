@@ -8,7 +8,6 @@ from labanmotion.errors import BadInput, InsufficientData
 from labanmotion.keyframe import (
     DEFAULT_TRACKED_PARTS,
     EnergyParams,
-    EnergySeries,
     KeyFrameSet,
     detect_peaks,
     energy,
@@ -18,16 +17,6 @@ from labanmotion.keyframe import (
 from labanmotion.skeleton import ALL_JOINTS, MAX_SAMPLES, JointName, SkeletonSequence, synth_motion
 
 from conftest import oracle_energy, oracle_smooth
-
-
-def _series(values):
-    vals = np.asarray(values, dtype=float)
-    return EnergySeries(
-        part=JointName.WristRight,
-        values=vals,
-        ea=np.maximum(vals, 0.0),
-        es=np.maximum(-vals, 0.0),
-    )
 
 
 # Upright skeleton on a 1/64 m grid so translated copies stay exact in floats.
@@ -165,10 +154,9 @@ def test_smooth_folds_a_kernel_wider_than_the_clip(rng, monkeypatch):
 
 def test_energy_static_all_zero():
     seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
-    es = energy(seq, JointName.WristRight, EnergyParams())
-    assert np.all(es.values == 0.0)
-    assert np.all(es.ea == 0.0)
-    assert np.all(es.es == 0.0)
+    values = energy(seq, JointName.WristRight, EnergyParams())
+    assert values.shape == (len(seq),)
+    assert np.all(values == 0.0)
 
 
 def test_energy_uniform_motion_all_zero():
@@ -177,18 +165,15 @@ def test_energy_uniform_motion_all_zero():
     # sigma keeps the smoothing kernel an exact identity so the boundary
     # replication cannot bend the straight-line signal.
     seq = _translated_sequence()
-    es = energy(seq, JointName.WristRight, EnergyParams(sigma=1e-4))
-    assert np.all(es.ea == 0.0)
-    assert np.all(es.es == 0.0)
-    assert np.all(es.values == 0.0)
+    assert np.all(energy(seq, JointName.WristRight, EnergyParams(sigma=1e-4)) == 0.0)
 
 
 def test_energy_uniform_motion_matches_oracle_at_default_sigma():
     seq = _translated_sequence()
     params = EnergyParams()
-    es = energy(seq, JointName.WristRight, params)
+    values = energy(seq, JointName.WristRight, params)
     ref = oracle_energy(seq, JointName.WristRight, params.sigma)
-    assert np.max(np.abs(es.values - np.array(ref))) < 1e-9
+    assert np.max(np.abs(values - np.array(ref))) < 1e-9
 
 
 def test_energy_move_hold_move_peak_inside_hold():
@@ -205,8 +190,7 @@ def test_energy_move_hold_move_peak_inside_hold():
     hold_start = ts[-1] - hold
     t_peak_oracle = ts[int(np.argmax(ref))]
     assert hold_start - 1e-9 <= t_peak_oracle <= ts[-1] + 1e-9
-    es = energy(seq, JointName.WristRight, params)
-    assert int(np.argmax(es.values)) == int(np.argmax(ref))
+    assert int(np.argmax(energy(seq, JointName.WristRight, params))) == int(np.argmax(ref))
 
 
 def test_energy_bounds_and_consistency(rng):
@@ -216,11 +200,9 @@ def test_energy_bounds_and_consistency(rng):
         rate=30.0,
     )
     for part in (JointName.WristLeft, JointName.ElbowLeft, JointName.Head):
-        es = energy(seq, part, EnergyParams())
-        assert np.all(es.ea >= 0.0) and np.all(es.ea <= 1.0)
-        assert np.all(es.es >= 0.0) and np.all(es.es <= 1.0)
-        assert np.all(es.values >= -1.0) and np.all(es.values <= 1.0)
-        assert np.allclose(es.values, es.ea - es.es, atol=0.0)
+        values = energy(seq, part, EnergyParams())
+        assert values.shape == (len(seq),)
+        assert np.all(values >= -1.0) and np.all(values <= 1.0)
 
 
 def test_energy_too_short():
@@ -241,9 +223,9 @@ def test_energy_oracle_equivalence_randomized(rng):
         seq = synth_motion({"pattern": "reach_sequence", "part": "right_arm", "poses": poses}, rate=30.0)
         assert len(seq) <= 200
         for part in (JointName.WristRight, JointName.ElbowRight):
-            es = energy(seq, part, params)
+            values = energy(seq, part, params)
             ref = oracle_energy(seq, part, params.sigma)
-            assert np.max(np.abs(es.values - np.array(ref))) < 1e-9
+            assert np.max(np.abs(values - np.array(ref))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +233,7 @@ def test_energy_oracle_equivalence_randomized(rng):
 # ---------------------------------------------------------------------------
 
 def test_peaks_all_zero():
-    assert detect_peaks(_series(np.zeros(50)), EnergyParams(), 30.0) == []
+    assert detect_peaks(np.zeros(50), EnergyParams(), 30.0) == []
 
 
 def test_peaks_single_triangle():
@@ -259,7 +241,7 @@ def test_peaks_single_triangle():
     apex = 15
     for i in range(31):
         vals[i] = max(0.0, 0.8 * (1.0 - abs(i - apex) / 8.0))
-    assert detect_peaks(_series(vals), EnergyParams(), 30.0) == [apex]
+    assert detect_peaks(vals, EnergyParams(), 30.0) == [apex]
 
 
 def test_peaks_close_pair_keeps_taller():
@@ -268,7 +250,7 @@ def test_peaks_close_pair_keeps_taller():
     vals = np.zeros(40)
     vals[18] = 0.5
     vals[21] = 0.8
-    out = detect_peaks(_series(vals), EnergyParams(min_separation=0.25), 30.0)
+    out = detect_peaks(vals, EnergyParams(min_separation=0.25), 30.0)
     assert out == [21]
 
 
@@ -278,7 +260,7 @@ def test_peaks_prominence_threshold():
     vals[10:31] = np.linspace(0.0, 1.0, 21)
     vals[31:52] = np.linspace(1.0, 0.0, 21)
     vals[40] += 0.05  # prominence 0.05 < 0.1
-    out = detect_peaks(_series(vals), EnergyParams(), 30.0)
+    out = detect_peaks(vals, EnergyParams(), 30.0)
     assert out == [30]
 
 
@@ -287,7 +269,7 @@ def test_peaks_sorted_and_separated(rng):
     for _ in range(20):
         vals = _smooth(rng.normal(size=200), sigma=0.05, rate=30.0)
         vals = (vals - vals.min()) / (vals.max() - vals.min()) * 2.0 - 1.0
-        out = detect_peaks(_series(vals), params, 30.0)
+        out = detect_peaks(vals, params, 30.0)
         assert out == sorted(out)
         for a, b in zip(out, out[1:]):
             assert b - a >= params.min_separation * 30.0
@@ -296,8 +278,8 @@ def test_peaks_sorted_and_separated(rng):
 def test_peaks_min_mode_flips():
     vals = np.zeros(40)
     vals[20] = -0.9  # a dip
-    out_max = detect_peaks(_series(vals), EnergyParams(), 30.0)
-    out_min = detect_peaks(_series(vals), EnergyParams(peak_mode="min"), 30.0)
+    out_max = detect_peaks(vals, EnergyParams(), 30.0)
+    out_min = detect_peaks(vals, EnergyParams(peak_mode="min"), 30.0)
     assert out_max == []
     assert out_min == [20]
 
@@ -519,13 +501,12 @@ _REF_SEPARATIONS = (0.0, 0.25, 1.0)
 
 
 def _assert_peaks_match(values, rate=30.0):
-    series = _series(values)
     for mode in ("max", "min"):
-        vals, candidates = _ref_candidates(series.values, mode)
+        vals, candidates = _ref_candidates(values, mode)
         for prominence in _REF_PROMINENCES:
             for min_sep in _REF_SEPARATIONS:
                 params = EnergyParams(prominence=prominence, min_separation=min_sep, peak_mode=mode)
-                got = detect_peaks(series, params, rate)
+                got = detect_peaks(values, params, rate)
                 assert got == _ref_separate(vals, candidates, prominence, min_sep * rate), (mode, params)
                 assert all(type(p) is int for p in got)
 
@@ -561,6 +542,6 @@ def test_merge_matches_reference_on_detected_peaks():
         for merge_window in (0.1, 0.2, 0.6):
             for min_sep in _REF_SEPARATIONS:
                 params = EnergyParams(prominence=0.0, merge_window=merge_window, min_separation=min_sep)
-                per_part = {part: detect_peaks(_series(s[:n]), params, 30.0)
+                per_part = {part: detect_peaks(s[:n], params, 30.0)
                             for part, s in zip(DEFAULT_TRACKED_PARTS, signals[k:k + 5])}
                 assert merge_keyframes(per_part, params, 30.0).merged == _ref_merge(per_part, params, 30.0)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from labanmotion.encoder import COLUMN_DISTAL, direction_codes, segment_direction
+from labanmotion.encoder import COLUMN_DISTAL, column_directions, direction_codes
 from labanmotion.errors import MissingColumn, ValidationError
 from labanmotion import robot as robot_mod
 from labanmotion.laban import (
@@ -34,7 +34,7 @@ from labanmotion.robot import (
     project_path,
     validate_robot,
 )
-from labanmotion.skeleton import body_frame, synth_motion
+from labanmotion.skeleton import synth_motion
 
 from conftest import states_brute_force, symbol_code
 
@@ -463,12 +463,8 @@ def _decode_per_pose(score, robot):
 def _project_per_frame(seq, start, end, robot):
     """Reference projection: one reduce and one angle dict per frame."""
     positions = seq.positions[start:end + 1]
-    bf = body_frame(positions)
-    vectors = {
-        col: segment_direction(positions, COLUMN_DISTAL[col], bf)
-        for col in robot.column_map
-        if col in COLUMN_DISTAL
-    }
+    columns = tuple(col for col in robot.column_map if col in COLUMN_DISTAL)
+    vectors = dict(zip(columns, column_directions(positions, columns).transpose(1, 0, 2)))
     joints = tuple(sorted(robot.neutral_angles))
     rows = []
     for k in range(len(positions)):
@@ -660,9 +656,7 @@ def test_project_path_matches_per_frame_reference():
                 assert got.times.tolist() == ref.times.tolist()
                 assert got.joints == ref.joints and sorted(got.joints) == sorted(robot.joint_names())
                 assert _same_bits(got.samples, ref.samples)
-        bf = body_frame(seq.positions)
-        for col in ("LeftArm", "RightArm", "Head"):
-            d = segment_direction(seq.positions, COLUMN_DISTAL[col], bf)
+        for d in column_directions(seq.positions, ("LeftArm", "RightArm", "Head")).transpose(1, 0, 2):
             poles += int(np.sum(d[:, 0] ** 2 + d[:, 1] ** 2 < 1e-12))
             clamped += sum(_vector_to_joints(v, SEG_FRONTAL)[2] for v in d)
     # the clips reach the yaw = 0 pole rule and yaws beyond the frontal limits

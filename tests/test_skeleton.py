@@ -450,20 +450,19 @@ def test_resample_idempotent(rng):
 
 
 def test_body_frame_axis_aligned():
-    bf = body_frame(_upright_pose())
-    assert np.allclose(bf.up, [0, 0, 1], atol=1e-12)
-    assert np.allclose(bf.left, [0, 1, 0], atol=1e-12)
-    assert np.allclose(bf.forward, [1, 0, 0], atol=1e-12)
-    assert np.allclose(bf.origin, [0, 0, 0.5], atol=1e-12)
+    forward, left, up = body_frame(_upright_pose())
+    assert np.allclose(up, [0, 0, 1], atol=1e-12)
+    assert np.allclose(left, [0, 1, 0], atol=1e-12)
+    assert np.allclose(forward, [1, 0, 0], atol=1e-12)
 
 
 def test_body_frame_rotated_90_about_z():
     Rz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-    bf = body_frame(_upright_pose() @ Rz.T)
-    assert np.allclose(bf.forward, Rz @ np.array([1.0, 0.0, 0.0]), atol=1e-9)
-    assert np.allclose(bf.left, Rz @ np.array([0.0, 1.0, 0.0]), atol=1e-9)
+    forward, left, up = body_frame(_upright_pose() @ Rz.T)
+    assert np.allclose(forward, Rz @ np.array([1.0, 0.0, 0.0]), atol=1e-9)
+    assert np.allclose(left, Rz @ np.array([0.0, 1.0, 0.0]), atol=1e-9)
     # orthonormality preserved
-    M = np.column_stack([bf.forward, bf.left, bf.up])
+    M = np.column_stack([forward, left, up])
     assert np.allclose(M.T @ M, np.eye(3), atol=1e-9)
 
 
@@ -473,21 +472,20 @@ def test_body_frame_equivariance_randomized(rng):
         R = random_rotation(rng)
         t = rng.normal(size=3)
         moved = pose @ R.T + t
-        bf0 = body_frame(pose)
-        bf1 = body_frame(moved)
-        assert np.max(np.abs(bf1.forward - R @ bf0.forward)) < 1e-6
-        assert np.max(np.abs(bf1.left - R @ bf0.left)) < 1e-6
-        assert np.max(np.abs(bf1.up - R @ bf0.up)) < 1e-6
+        axes0 = body_frame(pose)
+        axes1 = body_frame(moved)
+        for k in range(3):  # forward, left, up
+            assert np.max(np.abs(axes1[k] - R @ axes0[k])) < 1e-6
 
 
 def test_body_frame_orthonormal_and_right_handed():
-    bf = body_frame(_upright_pose())
-    for v in (bf.forward, bf.left, bf.up):
+    forward, left, up = body_frame(_upright_pose())
+    for v in (forward, left, up):
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
-    assert abs(bf.forward @ bf.left) < 1e-9
-    assert abs(bf.forward @ bf.up) < 1e-9
-    assert abs(bf.left @ bf.up) < 1e-9
-    det = np.linalg.det(np.column_stack([bf.forward, bf.left, bf.up]))
+    assert abs(forward @ left) < 1e-9
+    assert abs(forward @ up) < 1e-9
+    assert abs(left @ up) < 1e-9
+    det = np.linalg.det(np.column_stack([forward, left, up]))
     assert abs(det - 1.0) < 1e-6
 
 

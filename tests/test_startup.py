@@ -24,7 +24,6 @@ from labanmotion.keyframe import EnergyParams
 from labanmotion.laban import SYMBOL_CODES, Cell, Direction, LabanColumn, LabanScore, LabanSymbol, Level, Violation, \
     load_score, parse_score, serialize_score
 from labanmotion.robot import Chain, FixedJoint, KeyPoses, RobotDescription, Segment, load_robot
-from labanmotion.skeleton import BodyFrame
 from labanmotion.trajectory import DictEntry, DictPath, MotionDictionary, dict_key, parse_dictionary, \
     serialize_dictionary
 
@@ -123,7 +122,6 @@ _FROZEN = [
     (Chain("arm", ()), ("name", "segments")),
     (FixedJoint("base", (-30.0, 30.0)), ("name", "limits")),
     (RobotDescription("r", (), {}, ()), ("name", "chains", "column_map", "fixed_joints")),
-    (BodyFrame(np.zeros(3), np.eye(3)), ("origin", "axes")),
     (EnergyParams(), ("sigma", "prominence", "min_separation", "merge_window", "peak_mode")),
 ]
 

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,14 @@ def test_interpolate_errors():
         _interpolate(_poses([_pose(0.0, 1, 2, 3), _pose(1.0, 4, 5, 6)]), "quintic", 10.0)
 
 
+def test_key_poses_refuse_a_nan_time():
+    """A NaN time is no increase: the step into it is refused, not let through
+    as a comparison that is False."""
+    for times, index in (([0.0, math.nan, 2.0], 1), ([math.nan, 1.0, 2.0], 1), ([0.0, 1.0, math.nan], 2)):
+        with pytest.raises(TimeOrderError, match=f"^non-increasing timestamp at index {index} "):
+            KeyPoses(times, ("a",), [[0.0], [1.0], [2.0]])
+
+
 def test_key_poses_have_one_joint_set():
     for joints in (("shoulder_yaw", "elbow"), ("elbow", "elbow")):  # not sorted, repeated
         with pytest.raises(ShapeError, match="joint names must be sorted and distinct"):
@@ -278,6 +287,21 @@ def test_dict_update_deterministic_serialization():
         return serialize_dictionary(mdict)
 
     assert build() == build()
+
+
+def test_dict_update_refuses_a_non_finite_path_and_keeps_the_dictionary():
+    """The dictionary file cannot hold a non-finite angle, so such a path is
+    refused where it enters, naming its key, and the dictionary is unchanged."""
+    mdict = MotionDictionary()
+    key = state_key(_state(S(D.Place, L.Low)), _state(S(D.Forward, L.Middle)))
+    dict_update(mdict, key, _path())
+    before = serialize_dictionary(mdict)
+    for bad in (math.inf, -math.inf, math.nan):
+        for k in (key, "->"):  # an entry that exists and a new one
+            with pytest.raises(BadInput, match=f"^dictionary key {re.escape(k)}: non-finite angle"):
+                dict_update(mdict, k, KeyPoses([0.0, 1.0], ("a",), [[0.0], [bad]]))
+            assert serialize_dictionary(mdict) == before
+    assert serialize_dictionary(parse_dictionary(before)) == before
 
 
 def test_dict_serialization_roundtrip():
