@@ -196,13 +196,8 @@ class _Run:
     def synthesize(self, decoded: robot_mod.DecodedScore,
                    mdict: trajectory.MotionDictionary | None) -> robot_mod.KeyPoses:
         with self.stage("trajectory") as counts:
-            poses, rate = decoded.poses, self.get("traj_rate")
-            if len(poses) >= 2:
-                traj = trajectory.synthesize(poses, decoded.codes, mdict, self.get("interp"), rate,
-                                             decoded.columns)
-            else:  # fewer poses than synthesize needs: the poses themselves are the trajectory
-                finite(rate, "trajectory rate", 0.0, strict=True)
-                traj = poses
+            traj = trajectory.synthesize(decoded.poses, decoded.codes, mdict, self.get("interp"),
+                                         self.get("traj_rate"), decoded.columns)
             counts["trajectory_samples"] = len(traj.samples)
         return traj
 

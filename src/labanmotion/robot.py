@@ -194,6 +194,15 @@ def _objects(obj: dict, key: str, where: str) -> list[dict]:
     return items
 
 
+def _check_joint_name(name: str, where: str) -> None:
+    """A joint name heads a column of the trajectory CSV, after ``t``: it is
+    not empty, not ``t`` and holds no ``,``, ``"``, CR or LF."""
+    if not name:
+        raise ParseError(where, "empty joint name")
+    if name == "t" or any(c in name for c in ',"\r\n'):
+        raise ParseError(where, f"joint name {name!r} cannot head a trajectory CSV column")
+
+
 def parse_robot(text: str) -> RobotDescription:
     obj = read_json(text)
     name = obj.get("name")
@@ -216,8 +225,8 @@ def parse_robot(text: str) -> RobotDescription:
             if "roll_joint" in seg_obj and not isinstance(roll_j, str):
                 raise ParseError(f"{swhere}.roll_joint", "expected a joint name")
             for key, joint in (("yaw_joint", yaw_j), ("pitch_joint", pitch_j), ("roll_joint", roll_j)):
-                if joint == "":
-                    raise ParseError(f"{swhere}.{key}", "empty joint name")
+                if joint is not None:
+                    _check_joint_name(joint, f"{swhere}.{key}")
             segments.append(
                 Segment(
                     yaw_joint=yaw_j,
@@ -245,8 +254,7 @@ def parse_robot(text: str) -> RobotDescription:
         fname = fj_obj.get("name")
         if not isinstance(fname, str):
             raise ParseError(f"{fwhere}.name", "missing joint name")
-        if not fname:
-            raise ParseError(f"{fwhere}.name", "empty joint name")
+        _check_joint_name(fname, f"{fwhere}.name")
         fixed.append(FixedJoint(name=fname, limits=_limits(fj_obj, "limits", fwhere)))
     robot = RobotDescription(
         name=name, chains=tuple(chains), column_map=column_map, fixed_joints=tuple(fixed)

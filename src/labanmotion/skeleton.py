@@ -582,11 +582,23 @@ def _arc_angle(a: np.ndarray, b: np.ndarray) -> float:
 
 # a descriptor time: BadDescriptor unless a finite number > 0, or >= 0 with strict=False
 _seconds = functools.partial(finite, lo=0.0, strict=True, error=BadDescriptor)
+# the keys each pattern reads, beside "pattern" and "move_seconds"
+_PATTERN_KEYS = {
+    "static": {"duration"},
+    "move_hold_move": {"part", "hold", "from_pose", "to_pose", "lead_seconds"},
+    "reach_sequence": {"part", "poses"},
+}
 
 
 def _segment_plan(descriptor: dict) -> tuple[str, list[tuple[str, float, np.ndarray, np.ndarray]]]:
-    """Expand a descriptor into (part, [(kind, seconds, from_dir, to_dir)...])."""
+    """Expand a descriptor into (part, [(kind, seconds, from_dir, to_dir)...]).
+    A key that the pattern does not read is refused, not ignored."""
     pattern = descriptor.get("pattern")
+    if not isinstance(pattern, str) or pattern not in _PATTERN_KEYS:
+        raise BadDescriptor(f"unknown pattern: {pattern!r}")
+    unread = sorted(map(str, descriptor.keys() - _PATTERN_KEYS[pattern] - {"pattern", "move_seconds"}))
+    if unread:
+        raise BadDescriptor(f"{pattern} does not read {', '.join(unread)}")
     move_floor = _seconds(descriptor.get("move_seconds", DEFAULT_MOVE_SECONDS), "move_seconds", strict=False)
 
     def move_seconds(a: np.ndarray, b: np.ndarray) -> float:
@@ -605,22 +617,20 @@ def _segment_plan(descriptor: dict) -> tuple[str, list[tuple[str, float, np.ndar
         b = pose_vector(descriptor["to_pose"])
         lead = _seconds(descriptor.get("lead_seconds", DEFAULT_LEAD_SECONDS), "lead_seconds", strict=False)
         return part, [("dwell", lead, a, a), ("move", move_seconds(a, b), a, b), ("dwell", hold, b, b)]
-    if pattern == "reach_sequence":
-        part = _part_key(descriptor.get("part", "right_arm"))
-        poses = descriptor.get("poses")
-        if not poses or len(poses) < 2:
-            raise BadDescriptor("reach_sequence needs at least 2 poses")
-        plan: list[tuple[str, float, np.ndarray, np.ndarray]] = []
-        prev = None
-        for name, dwell in poses:
-            u = pose_vector(name)
-            dwell = _seconds(dwell, f"dwell of {name}")
-            if prev is not None:
-                plan.append(("move", move_seconds(prev, u), prev, u))
-            plan.append(("dwell", dwell, u, u))
-            prev = u
-        return part, plan
-    raise BadDescriptor(f"unknown pattern: {pattern!r}")
+    part = _part_key(descriptor.get("part", "right_arm"))  # reach_sequence
+    poses = descriptor.get("poses")
+    if not poses or len(poses) < 2:
+        raise BadDescriptor("reach_sequence needs at least 2 poses")
+    plan: list[tuple[str, float, np.ndarray, np.ndarray]] = []
+    prev = None
+    for name, dwell in poses:
+        u = pose_vector(name)
+        dwell = _seconds(dwell, f"dwell of {name}")
+        if prev is not None:
+            plan.append(("move", move_seconds(prev, u), prev, u))
+        plan.append(("dwell", dwell, u, u))
+        prev = u
+    return part, plan
 
 
 def descriptor_timeline(descriptor: dict) -> list[tuple[str, float, float]]:
@@ -643,8 +653,11 @@ def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
 
     Patterns:
       {"pattern": "static", "duration": s}
-      {"pattern": "move_hold_move", "part": p, "from_pose": n, "to_pose": n, "hold": s}
+      {"pattern": "move_hold_move", "part": p, "from_pose": n, "to_pose": n, "hold": s, "lead_seconds": s}
       {"pattern": "reach_sequence", "part": p, "poses": [[name, dwell_s], ...]}
+
+    Each pattern also reads ``move_seconds``, the shortest move; any other
+    key is refused (``BadDescriptor``) rather than ignored.
 
     The moved part travels with a cosine ease-in to constant speed and an
     abrupt stop, so arrivals read as brief stops. Parts not named stay at

@@ -229,7 +229,8 @@ def synthesize(
     columns: Sequence[str] = (),
 ) -> KeyPoses:
     """Trajectory through the key poses, preferring dictionary paths, sampled
-    at ``rate`` from the first key-pose time to the last.
+    at ``rate`` from the first key-pose time to the last. Fewer than two key
+    poses, once the rate is checked, are their own trajectory.
 
     ``codes`` holds one row of symbol codes per key pose over ``columns``
     (a decode's ``codes`` and ``columns``). For each adjacent key-pose pair,
@@ -245,7 +246,7 @@ def synthesize(
     """
     finite(rate, "trajectory rate", 0.0, strict=True)
     if len(keyposes) < 2:
-        raise InsufficientData("need at least 2 key poses")
+        return keyposes
     times, joints, angles = keyposes.times, keyposes.joints, keyposes.samples
     if codes is not None and np.shape(codes) != (len(keyposes), len(columns)):
         raise ShapeError("codes must have one row per key pose and one column per state column")

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -29,6 +30,13 @@ def _synth(tmp_path, name="clip.json", pattern=None):
     ]
     assert main(argv) == 0
     return out
+
+
+def _reach_clip(tmp_path):
+    """A right-arm clip of three stops, 0.6 s each, as clip.json."""
+    out = str(tmp_path / "clip.json")
+    return _synth(tmp_path, pattern=["synth", "reach_sequence", "--pose", "place_low:0.6", "--pose",
+                                     "forward_middle:0.6", "--pose", "right_high:0.6", "-o", out])
 
 
 def test_synth_writes_loadable_file(tmp_path):
@@ -186,6 +194,19 @@ def test_pipeline_end_to_end(tmp_path):
     assert pitches[-1] == pytest.approx(0.0, abs=1e-3)
 
 
+def test_keyframes_and_encode_write_what_the_pipeline_writes(tmp_path):
+    """keyframes and encode run the pipeline's first stages alone: with no
+    flags and no config they write its keyframes.json and score.json byte for
+    byte, so none of the three has a default the others do not share."""
+    clip = _reach_clip(tmp_path)
+    out = tmp_path / "out"
+    assert main(["pipeline", clip, "--robot", "lab_9dof", "-o", str(out)]) == 0
+    assert main(["keyframes", clip, "-o", str(tmp_path / "kf.json")]) == 0
+    assert main(["encode", clip, "-o", str(tmp_path / "score.json")]) == 0
+    assert (tmp_path / "kf.json").read_bytes() == (out / "keyframes.json").read_bytes()
+    assert (tmp_path / "score.json").read_bytes() == (out / "score.json").read_bytes()
+
+
 def test_pipeline_deterministic(tmp_path):
     clip = _synth(tmp_path)
     out1 = str(tmp_path / "o1")
@@ -211,10 +232,12 @@ def test_dict_build_and_stats(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "entries:" in out
 
-    # rebuilding is bit-identical
+    # rebuilding is bit-identical, and the dictionary loads and serializes back to its own bytes
     dict_path2 = str(tmp_path / "dict2.json")
     assert main(["dict", "build", clip1, clip2, "--robot", "frontal_7dof", "-o", dict_path2]) == 0
     assert open(dict_path, "rb").read() == open(dict_path2, "rb").read()
+    text = trajectory.serialize_dictionary(trajectory.load_dictionary(dict_path))
+    assert text.encode("utf-8") == open(dict_path, "rb").read()
 
     # decode with the dictionary still works
     score_path = str(tmp_path / "score.json")
@@ -315,6 +338,11 @@ def test_decode_single_pose_score(tmp_path):
     assert main(["decode", score_path, "--robot", "lab_9dof", "-o", traj_path]) == 0
     lines = open(traj_path).read().strip().split("\n")
     assert len(lines) == 2  # header + the single decoded pose
+    # a one-cell score on a robot that maps its column: the one pose, at the cell's end
+    assert main(["decode", os.path.join(DATA, "golden_minimal_score.json"), "--robot",
+                 os.path.join(DATA, "partial_frontal.json"), "-o", traj_path]) == 0
+    lines = open(traj_path).read().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("1.500000,"), lines
 
 
 def test_decode_score_without_cells_writes_the_header(tmp_path):
@@ -336,15 +364,17 @@ def test_config_traj_rate(tmp_path):
     assert times[1] - times[0] == pytest.approx(0.02, abs=1e-9)
 
 
-@pytest.mark.parametrize("config,step", [("", 0.01), ("rate = 30\n", 0.01), ("traj_rate = 50\n", 0.02)],
-                         ids=["no-config", "config-rate", "config-traj-rate"])
-def test_config_rate_is_not_the_decode_rate(tmp_path, config, step):
-    # rate is the skeleton rate; only traj_rate (or --rate) sets decode's rate
+@pytest.mark.parametrize("config,flags,step", [("", [], 0.01), ("rate = 30\n", [], 0.01),
+                                               ("traj_rate = 50\n", [], 0.02),
+                                               ("traj_rate = 50\n", ["--rate", "25"], 0.04)],
+                         ids=["no-config", "config-rate", "config-traj-rate", "flag-over-config-traj-rate"])
+def test_config_rate_is_not_the_decode_rate(tmp_path, config, flags, step):
+    # rate is the skeleton rate; only traj_rate (or --rate, which wins) sets decode's rate
     cfg = tmp_path / "run.cfg"
     cfg.write_text(config)
     golden = os.path.join(DATA, "golden_frontal_score.json")
     out = tmp_path / "t.csv"
-    assert main(["--config", str(cfg), "decode", golden, "--robot", "frontal_7dof", "-o", str(out)]) == 0
+    assert main(["--config", str(cfg), "decode", golden, "--robot", "frontal_7dof", *flags, "-o", str(out)]) == 0
     rows = out.read_text().strip().split("\n")[1:]
     times = [float(r.split(",")[0]) for r in rows[:2]]
     assert times[1] - times[0] == pytest.approx(step, abs=1e-9)
@@ -488,6 +518,24 @@ def test_a_failed_csv_write_exits_1(capsys):
     assert err.startswith("error: ") and err.count("\n") == 1 and "internal error" not in err, err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout to name the standard output")
+def test_a_csv_written_to_a_pipe_is_the_csv_written_to_a_file(tmp_path):
+    """decode streams the CSV into its output block by block, writing each
+    block once and never seeking: a pipe gets the bytes a regular file gets.
+    At 2000 Hz the golden score's CSV is 4,201 rows of 8 values, three blocks
+    of up to 2,048 rows and more than a pipe's 64 KiB buffer."""
+    golden = os.path.join(DATA, "golden_frontal_score.json")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for rate in ("100", "2000"):
+        argv = ["decode", golden, "--robot", "frontal_7dof", "--rate", rate, "-o"]
+        assert main([*argv, str(tmp_path / "file.csv")]) == 0
+        proc = subprocess.run([sys.executable, "-m", "labanmotion.cli", *argv, "/dev/stdout"], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b""), (rate, proc.stderr)
+        assert proc.stdout == (tmp_path / "file.csv").read_bytes(), rate
+    assert proc.stdout.count(b"\n") > 2 * 2048 + 1 and len(proc.stdout) > 65536
+
+
 def _score_text(duration: str, total: str, start: str = "0.0") -> str:
     """A frontal_7dof score whose RightArm cell has the given duration and start."""
     columns = [
@@ -572,6 +620,20 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
      "run.cfg:2: robot must not be empty"),
     (["--config", "", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
      "No such file or directory: ''"),
+    # a synth flag that the pattern does not read is refused, not ignored
+    (["synth", "static", "--pose", "forward_high:1", "--hold", "3", "--from-pose", "left_low", "-o", "{tmp}/x.json"],
+     None, "static does not read from_pose, hold, poses"),
+    (["synth", "static", "--part", "left_arm", "--to-pose", "left_low", "-o", "{tmp}/x.json"], None,
+     "static does not read part, to_pose"),
+    (["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--duration", "2",
+      "-o", "{tmp}/x.json"], None, "move_hold_move does not read duration"),
+    (["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--pose", "left_low:1",
+      "-o", "{tmp}/x.json"], None, "move_hold_move does not read poses"),
+    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--hold", "1",
+      "-o", "{tmp}/x.json"], None, "reach_sequence does not read hold"),
+    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--duration", "2",
+      "--from-pose", "left_low", "--to-pose", "left_high", "-o", "{tmp}/x.json"], None,
+     "reach_sequence does not read duration, from_pose, to_pose"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -584,7 +646,9 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
         "keyframes-sigma-1e9", "keyframes-sigma-1e300", "keyframes-sigma-1e-300", "score-401-digit-total",
         "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t",
         "skeleton-head-1e308", "skeleton-wrist-1e308", "decode-one-pose-rate-0", "decode-dict-empty",
-        "config-dict-empty", "config-robot-empty", "config-path-empty"])
+        "config-dict-empty", "config-robot-empty", "config-path-empty", "synth-static-pose-hold-from-pose",
+        "synth-static-part-to-pose", "synth-move-hold-move-duration", "synth-move-hold-move-pose",
+        "synth-reach-sequence-hold", "synth-reach-sequence-duration-from-to"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -704,9 +768,12 @@ def _frontal_with_column_map(column_map: dict) -> str:
 # l_shoulder_yaw, l_shoulder_pitch, head_yaw, head_pitch renamed so that
 # r_wrist_roll and then head_pitch appear twice
 with open(_FRONTAL) as _fh:
-    _DUPLICATE_JOINT_ROBOT = (_fh.read().replace('"l_shoulder_yaw"', '"head_pitch"')
-                              .replace('"head_yaw"', '"r_wrist_roll"'))
+    _FRONTAL_TEXT = _fh.read()
+_DUPLICATE_JOINT_ROBOT = (_FRONTAL_TEXT.replace('"l_shoulder_yaw"', '"head_pitch"')
+                          .replace('"head_yaw"', '"r_wrist_roll"'))
 _DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pitch used twice"
+# a joint name heads a trajectory CSV column, after the time column t
+_NOT_A_CSV_HEADER = "cannot head a trajectory CSV column"
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -745,11 +812,24 @@ _DUPLICATE_JOINT_ERROR = "joint name r_wrist_roll used twice; joint name head_pi
     (_frontal_with_column_map({"LeftArm": ["left_arm/0"], "RightUpperArm": ["right_arm/0"],
                                "RightForearm": ["right_arm/0"], "Head": ["head/0"]}),
      "segment right_arm/0 fed by 2 columns (a segment takes one)"),
+    (_FRONTAL_TEXT.replace('"r_shoulder_yaw"', '"r_shoulder,yaw"'),
+     f"$.chains[0].segments[0].yaw_joint: joint name 'r_shoulder,yaw' {_NOT_A_CSV_HEADER}"),
+    (_FRONTAL_TEXT.replace('"l_shoulder_pitch"', '"l_shoulder\\"pitch"'),
+     f"$.chains[1].segments[0].pitch_joint: joint name 'l_shoulder\"pitch' {_NOT_A_CSV_HEADER}"),
+    (_FRONTAL_TEXT.replace('"r_wrist_roll"', '"r_wrist\\rroll"'),
+     f"$.chains[0].segments[0].roll_joint: joint name 'r_wrist\\rroll' {_NOT_A_CSV_HEADER}"),
+    (_FRONTAL_TEXT.replace('"head_yaw"', '"head\\nyaw"'),
+     f"$.chains[2].segments[0].yaw_joint: joint name 'head\\nyaw' {_NOT_A_CSV_HEADER}"),
+    (_FRONTAL_TEXT.replace('"head_pitch"', '"t"'),
+     f"$.chains[2].segments[0].pitch_joint: joint name 't' {_NOT_A_CSV_HEADER}"),
+    ('{"name": "r", "chains": [], "column_map": {}, "fixed_joints": [{"name": "body,yaw", "limits": [-90, 90]}]}',
+     f"$.fixed_joints[0].name: joint name 'body,yaw' {_NOT_A_CSV_HEADER}"),
 ], ids=["chains-not-list", "chain-not-object", "segments-not-list", "segment-not-object",
         "fixed-joints-not-list", "fixed-joint-not-object", "roll-joint-not-string", "roll-joint-null",
         "roll-joint-empty", "yaw-joint-empty", "fixed-joint-name-empty", "nan-limit", "limit-beyond-float-range",
         "bool-limit", "unknown-column", "arm-with-split-column", "joint-names-repeated", "segment-listed-twice",
-        "segment-fed-by-4-columns", "segment-fed-by-2-columns"])
+        "segment-fed-by-4-columns", "segment-fed-by-2-columns", "yaw-joint-comma", "pitch-joint-quote",
+        "roll-joint-cr", "yaw-joint-lf", "pitch-joint-t", "fixed-joint-comma"])
 def test_bad_robot_exit_1(tmp_path, capsys, text, needle):
     """Every command that loads a robot rejects the description at load."""
     robot = str(tmp_path / "robot.json")
@@ -792,6 +872,33 @@ def test_skeleton_whose_spine_overflows_exits_1(tmp_path, capsys):
         assert capsys.readouterr().err == f"error: {where}non-finite body frame\n"
     assert not (tmp_path / "score.json").exists() and not (tmp_path / "dict.json").exists()
     assert not os.listdir(tmp_path / "out")
+
+
+def test_keyframes_read_any_layout_and_name_a_cut_off_or_typed_clip(tmp_path, capsys):
+    """A clip is read frame by frame in any layout: a re-indented copy with the
+    root keys and each frame's keys in another order gives the canonical
+    clip's key frames byte for byte. A copy cut off part way exits 1 with one
+    error: line naming a line and column; one with a string coordinate, with
+    one naming its frame and joint."""
+    clip = _reach_clip(tmp_path)
+    obj = json.loads(open(clip).read())
+    frames = [{"joints": dict(reversed(f["joints"].items())), "t": f["t"]} for f in obj["frames"]]
+    relaid = json.dumps({"frames": frames, "sample_rate_hint": obj["sample_rate_hint"]}, indent=4)
+    assert relaid != open(clip).read()
+    frames[6]["joints"]["Head"][0] = str(frames[6]["joints"]["Head"][0])
+    typed = json.dumps({"frames": frames, "sample_rate_hint": obj["sample_rate_hint"]}, indent=4)
+    for name, text in (("relaid", relaid), ("cut", relaid[:5000]), ("typed", typed)):
+        (tmp_path / f"{name}.json").write_text(text)
+    capsys.readouterr()
+    for name in ("clip", "relaid"):
+        assert main(["keyframes", str(tmp_path / f"{name}.json"), "-o", str(tmp_path / f"{name}_kf.json")]) == 0
+    assert (tmp_path / "relaid_kf.json").read_bytes() == (tmp_path / "clip_kf.json").read_bytes()
+    assert capsys.readouterr().err == ""
+    assert main(["keyframes", str(tmp_path / "cut.json"), "-o", str(tmp_path / "cut_kf.json")]) == 1
+    assert re.fullmatch(r"error: .*line \d+, column \d+.*\n", capsys.readouterr().err)
+    assert main(["keyframes", str(tmp_path / "typed.json"), "-o", str(tmp_path / "typed_kf.json")]) == 1
+    assert capsys.readouterr().err == "error: frame 6: joint Head (bad coordinate triple)\n"
+    assert not (tmp_path / "cut_kf.json").exists() and not (tmp_path / "typed_kf.json").exists()
 
 
 def test_dict_build_encodes_each_key_frame_once(tmp_path, monkeypatch):

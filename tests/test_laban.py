@@ -19,6 +19,7 @@ from labanmotion.laban import (
     VALID_LIMB_SYMBOLS,
     Violation,
     column_violations,
+    load_score,
     parse_score,
     serialize_score,
     states_at,
@@ -162,11 +163,13 @@ def test_parse_empty_columns_is_validation_error():
 
 
 def test_golden_files_roundtrip():
-    assert GOLDEN, "golden files missing"
+    assert [os.path.basename(path) for path in GOLDEN] == [
+        f"golden_{name}_score.json" for name in ("backward", "frontal", "minimal", "split")]
     for path in GOLDEN:
-        text = open(path).read()
-        score = parse_score(text)
-        assert serialize_score(score) == text  # goldens are stored canonically
+        with open(path, "rb") as fh:
+            data = fh.read()
+        score = load_score(path)
+        assert serialize_score(score).encode("utf-8") == data  # goldens are stored canonically
         assert parse_score(serialize_score(score)) == score
 
 

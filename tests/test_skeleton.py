@@ -572,6 +572,25 @@ def test_synth_unknown_pattern():
         synth_motion({"pattern": "wiggle"})
 
 
+@pytest.mark.parametrize("descriptor,unread", [
+    ({"pattern": "static", "part": "head", "poses": [["left_low", 1.0]], "hold": 1.0}, "hold, part, poses"),
+    ({"pattern": "static", "from_pose": "left_low", "to_pose": "left_high", "lead_seconds": 0.5},
+     "from_pose, lead_seconds, to_pose"),
+    ({"pattern": "move_hold_move", "from_pose": "place_low", "to_pose": "left_high", "duration": 2.0}, "duration"),
+    ({"pattern": "move_hold_move", "from_pose": "place_low", "to_pose": "left_high", "poses": []}, "poses"),
+    ({"pattern": "reach_sequence", "poses": [["place_low", 0.5], ["left_high", 0.5]], "lead_seconds": 0.5},
+     "lead_seconds"),
+    ({"pattern": "reach_sequence", "poses": [["place_low", 0.5], ["left_high", 0.5]], "duration": 1.0, "hold": 1.0,
+      "from_pose": "left_low", "to_pose": "left_high", "speed": 2.0}, "duration, from_pose, hold, speed, to_pose"),
+], ids=["static-part-poses-hold", "static-from-to-lead", "move-hold-move-duration", "move-hold-move-poses",
+        "reach-sequence-lead", "reach-sequence-unknown-key"])
+def test_synth_refuses_keys_its_pattern_does_not_read(descriptor, unread):
+    for make in (synth_motion, descriptor_timeline):
+        with pytest.raises(BadDescriptor) as exc:
+            make(descriptor)
+        assert str(exc.value) == f"{descriptor['pattern']} does not read {unread}"
+
+
 def test_synth_unknown_pose():
     with pytest.raises(BadDescriptor):
         synth_motion(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from labanmotion import trajectory
-from labanmotion.errors import BadInput, InsufficientData, ParseError, ShapeError, TimeOrderError
+from labanmotion.errors import BadInput, ParseError, ShapeError, TimeOrderError
 from labanmotion.laban import COLUMN_NAMES, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
 from labanmotion.robot import KeyPoses
 from labanmotion.skeleton import MAX_SAMPLES, uniform_grid
@@ -138,8 +138,13 @@ def test_linear_monotone_between_endpoints():
 
 
 def test_interpolate_errors():
-    with pytest.raises(InsufficientData):
-        _interpolate(_poses([_pose(0.0, 1.0, 2.0, 3.0)]), "linear", 10.0)
+    # fewer than two key poses are their own trajectory, but the rate is still checked
+    for poses in ([_pose(0.5, 1.0, 2.0, 3.0)], []):
+        keyposes = _poses(poses)
+        for mode in ("linear", "cubic"):
+            assert _interpolate(keyposes, mode, 10.0) is keyposes
+        with pytest.raises(BadInput, match="trajectory rate"):
+            _interpolate(keyposes, "linear", 0.0)
     with pytest.raises(TimeOrderError):
         _interpolate(_poses([_pose(0.0, 1, 2, 3), _pose(0.0, 4, 5, 6)]), "linear", 10.0)
     # float spacing at 1e10 s is 1.9e-6 s, so a 1 MHz grid repeats time stamps
