@@ -1,9 +1,9 @@
 """Command-line pipeline: synth, keyframes, encode, decode, dict, roundtrip.
 
 Every command is deterministic given its inputs and flags. Exit status 0 on
-success and when the reader of stdout closes it early, 1 on validation/parse
-failures and on files that cannot be read or written, 2 on internal
-invariant breaches.
+success and when the reader of stdout closes it early, 1 on usage errors,
+validation/parse failures and files that cannot be read or written, 2 on
+internal invariant breaches.
 A config file of ``key = value`` lines can seed any flag; explicit flags win.
 """
 
@@ -208,15 +208,12 @@ class _Run:
 
 def _cmd_synth(run: _Run) -> int:
     args = run.args
-    descriptor = {key: getattr(args, key) for key in ("duration", "part", "from_pose", "to_pose", "hold")
-                  if getattr(args, key) is not None}
-    descriptor.update(pattern=args.pattern, move_seconds=run.get("move_seconds"))
-    if args.pose:
-        poses = []
-        for item in args.pose:
-            name, _, dwell = item.partition(":")
-            poses.append([name, _number(dwell or "0.5")])  # synth_motion checks the dwell
-        descriptor["poses"] = poses
+    stops = [item.partition(":") for item in args.pose or ()]
+    # synth_motion checks each dwell: a NAME without :DWELL has the dwell ''
+    descriptor = {"pattern": args.pattern, "move_seconds": run.get("move_seconds"),
+                  "poses": [[name, _number(dwell)] for name, _, dwell in stops]}
+    if args.part is not None:
+        descriptor["part"] = args.part
     seq = skeleton.synth_motion(descriptor, rate=run.get("rate"))
     skeleton.save_sequence(seq, args.output)
     return 0
@@ -342,6 +339,15 @@ def _add_options(parser: argparse.ArgumentParser, options) -> None:
         parser.add_argument(flag, **kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a usage error exits 1, as every input fault does;
+    it prints the usage and the message as argparse does."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 class _Subcommand:
     """A subcommand's parser, built and given its arguments by ``fill`` when
     it first parses, so a run builds the parser of the command it runs and
@@ -353,13 +359,13 @@ class _Subcommand:
 
     def parse_known_args(self, args=None, namespace=None):
         if self._parser is None:
-            self._parser = argparse.ArgumentParser(**self._kwargs)
+            self._parser = _Parser(**self._kwargs)
             self._fill(self._parser)
         return self._parser.parse_known_args(args, namespace)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="labanmotion")
+    parser = _Parser(prog="labanmotion")
     parser.add_argument("--config", default=None, help="key=value settings file; flags win")
     parser.add_argument("--verbose", action="store_true", help="per-stage timing and counts on stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Subcommand)
@@ -379,14 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
         subs.add_parser(name, help=help, fill=fill)
 
     command(sub, "synth", _cmd_synth, "generate a synthetic skeleton file",
-            pattern={"choices": ("static", "move_hold_move", "reach_sequence")},
-            options=("rate",
-                     ("--duration", {"type": float, "help": "static pattern length, s"}),
-                     ("--part", {"help": "left_arm | right_arm | head"}),
-                     ("--from-pose", {}), ("--to-pose", {}), ("--hold", {"type": float}),
-                     "move_seconds",
+            pattern={"choices": ("reach_sequence",)},
+            options=("rate", ("--part", {"help": "left_arm | right_arm | head"}), "move_seconds",
                      ("--pose", {"action": "append", "metavar": "NAME:DWELL",
-                                 "help": "reach_sequence stop; repeatable"})))
+                                 "help": "a pose and its dwell, seconds; repeatable"})))
     command(sub, "keyframes", _cmd_keyframes, "detect key frames", "skeleton", options=_KEYFRAME_KEYS)
     command(sub, "encode", _cmd_encode, "skeleton -> Labanotation score", "skeleton",
             options=("columns", *_KEYFRAME_KEYS))

@@ -491,7 +491,6 @@ _POSE_LEVELS = {l.value.lower(): l for l in Level}
 _EASE_SECONDS = 0.6
 _MAX_EASE_FRACTION = 0.75
 DEFAULT_MOVE_SECONDS = 0.8
-DEFAULT_LEAD_SECONDS = 0.6
 # Long arcs take proportionally longer, capping angular velocity; otherwise
 # the centripetal acceleration of fast wide sweeps dwarfs every other
 # feature of the motion.
@@ -582,52 +581,31 @@ def _arc_angle(a: np.ndarray, b: np.ndarray) -> float:
 
 # a descriptor time: BadDescriptor unless a finite number > 0, or >= 0 with strict=False
 _seconds = functools.partial(finite, lo=0.0, strict=True, error=BadDescriptor)
-# the keys each pattern reads, beside "pattern" and "move_seconds"
-_PATTERN_KEYS = {
-    "static": {"duration"},
-    "move_hold_move": {"part", "hold", "from_pose", "to_pose", "lead_seconds"},
-    "reach_sequence": {"part", "poses"},
-}
+# the keys a descriptor may hold; any other is refused, not ignored
+_DESCRIPTOR_KEYS = {"pattern", "part", "poses", "move_seconds"}
 
 
 def _segment_plan(descriptor: dict) -> tuple[str, list[tuple[str, float, np.ndarray, np.ndarray]]]:
-    """Expand a descriptor into (part, [(kind, seconds, from_dir, to_dir)...]).
-    A key that the pattern does not read is refused, not ignored."""
+    """Expand a descriptor into (part, [(kind, seconds, from_dir, to_dir)...]):
+    a dwell at each pose, with a move between each two."""
     pattern = descriptor.get("pattern")
-    if not isinstance(pattern, str) or pattern not in _PATTERN_KEYS:
+    if pattern != "reach_sequence":
         raise BadDescriptor(f"unknown pattern: {pattern!r}")
-    unread = sorted(map(str, descriptor.keys() - _PATTERN_KEYS[pattern] - {"pattern", "move_seconds"}))
+    unread = sorted(map(str, descriptor.keys() - _DESCRIPTOR_KEYS))
     if unread:
         raise BadDescriptor(f"{pattern} does not read {', '.join(unread)}")
     move_floor = _seconds(descriptor.get("move_seconds", DEFAULT_MOVE_SECONDS), "move_seconds", strict=False)
-
-    def move_seconds(a: np.ndarray, b: np.ndarray) -> float:
-        return max(move_floor, _SECONDS_PER_RADIAN * _arc_angle(a, b))
-
-    if pattern == "static":
-        dur = _seconds(descriptor.get("duration", 2.0), "static duration")
-        down = pose_vector("place_low")
-        return "right_arm", [("dwell", dur, down, down)]
-    if pattern == "move_hold_move":
-        part = _part_key(descriptor.get("part", "right_arm"))
-        hold = _seconds(descriptor.get("hold", 0.5), "hold")
-        if "from_pose" not in descriptor or "to_pose" not in descriptor:
-            raise BadDescriptor("move_hold_move needs a from pose and a to pose")
-        a = pose_vector(descriptor["from_pose"])
-        b = pose_vector(descriptor["to_pose"])
-        lead = _seconds(descriptor.get("lead_seconds", DEFAULT_LEAD_SECONDS), "lead_seconds", strict=False)
-        return part, [("dwell", lead, a, a), ("move", move_seconds(a, b), a, b), ("dwell", hold, b, b)]
-    part = _part_key(descriptor.get("part", "right_arm"))  # reach_sequence
+    part = _part_key(descriptor.get("part", "right_arm"))
     poses = descriptor.get("poses")
-    if not poses or len(poses) < 2:
-        raise BadDescriptor("reach_sequence needs at least 2 poses")
+    if not poses:
+        raise BadDescriptor("reach_sequence needs at least one pose")
     plan: list[tuple[str, float, np.ndarray, np.ndarray]] = []
     prev = None
     for name, dwell in poses:
         u = pose_vector(name)
         dwell = _seconds(dwell, f"dwell of {name}")
         if prev is not None:
-            plan.append(("move", move_seconds(prev, u), prev, u))
+            plan.append(("move", max(move_floor, _SECONDS_PER_RADIAN * _arc_angle(prev, u)), prev, u))
         plan.append(("dwell", dwell, u, u))
         prev = u
     return part, plan
@@ -651,13 +629,11 @@ def descriptor_timeline(descriptor: dict) -> list[tuple[str, float, float]]:
 def synth_motion(descriptor: dict, rate: float = 30.0) -> SkeletonSequence:
     """Generate a deterministic synthetic sequence from a descriptor dict.
 
-    Patterns:
-      {"pattern": "static", "duration": s}
-      {"pattern": "move_hold_move", "part": p, "from_pose": n, "to_pose": n, "hold": s, "lead_seconds": s}
-      {"pattern": "reach_sequence", "part": p, "poses": [[name, dwell_s], ...]}
-
-    Each pattern also reads ``move_seconds``, the shortest move; any other
-    key is refused (``BadDescriptor``) rather than ignored.
+    The one pattern is
+      {"pattern": "reach_sequence", "part": p, "poses": [[name, dwell_s], ...], "move_seconds": s}
+    with one pose or more; ``part`` defaults to "right_arm" and
+    ``move_seconds``, the shortest move, to :data:`DEFAULT_MOVE_SECONDS`. Any
+    other key is refused (``BadDescriptor``) rather than ignored.
 
     The moved part travels with a cosine ease-in to constant speed and an
     abrupt stop, so arrivals read as brief stops. Parts not named stay at

@@ -201,6 +201,12 @@ def transform_sequence(seq: SkeletonSequence, R: np.ndarray, t: np.ndarray) -> S
     return SkeletonSequence(seq.times.copy(), seq.positions @ R.T + t, seq.sample_rate)
 
 
+# every name skeleton.pose_vector accepts: a direction and a level, in snake case
+POSE_NAMES = [f"{d}_{l}" for d in ("place", "forward", "left_forward", "left", "left_backward", "backward",
+                                   "right_backward", "right", "right_forward")
+              for l in ("high", "middle", "low") if (d, l) != ("place", "middle")]
+
+
 # ---------------------------------------------------------------------------
 # Scalar band and sector rules, from the band table in encoder.py's docstring
 # ---------------------------------------------------------------------------

@@ -96,8 +96,8 @@ def test_criterion_02_energy_oracle_equivalence():
         else:
             a, b = rng.choice(pose_names, size=2, replace=False)
             seq = synth_motion(
-                {"pattern": "move_hold_move", "part": "right_arm",
-                 "from_pose": str(a), "to_pose": str(b), "hold": float(rng.uniform(0.4, 0.9))},
+                {"pattern": "reach_sequence", "part": "right_arm",
+                 "poses": [[str(a), 0.6], [str(b), float(rng.uniform(0.4, 0.9))]]},
                 rate=30.0,
             )
             joints = (JointName.WristRight, JointName.Head)
@@ -336,8 +336,8 @@ def test_criterion_09_dictionary_semantics():
     # full-pipeline replay: same synthetic clip observed twice via a robot
     robot = load_robot("frontal_7dof")
     seq = synth_motion(
-        {"pattern": "move_hold_move", "part": "right_arm",
-         "from_pose": "place_low", "to_pose": "forward_middle", "hold": 0.5},
+        {"pattern": "reach_sequence", "part": "right_arm",
+         "poses": [["place_low", 0.6], ["forward_middle", 0.5]]},
         rate=30.0,
     )
     kfs = extract_keyframes(seq)

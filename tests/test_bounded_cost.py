@@ -161,7 +161,8 @@ def test_reading_a_clip_holds_no_tree_of_it():
     """Frames are read one at a time into the arrays: the peak is the arrays
     and their checks, below 3 times the text (a tree of the whole document,
     a Python object per number, list and object, is about 6 times)."""
-    texts = [serialize_sequence(synth_motion({"pattern": "static", "duration": n / 30.0})) for n in (N, 4 * N)]
+    texts = [serialize_sequence(synth_motion({"pattern": "reach_sequence", "poses": [["place_low", n / 30.0]]}))
+             for n in (N, 4 * N)]
     _parse_peak(texts[0])  # once first, so one-time allocations count in neither size
     small, big = (_parse_peak(text) for text in texts)
     for n, text, peak in zip((N, 4 * N), texts, (small, big)):
@@ -182,7 +183,8 @@ def test_reading_an_invalid_clip_holds_no_tree_of_it(fault):
     """A fault in the last frame is named by the same frame-by-frame read, with
     the same bound on its peak as a valid clip: nothing is read a second time."""
     triple = '[0.0, 0.0, "0.73"]' if fault == "bad coordinate triple" else None
-    clips = [serialize_sequence(synth_motion({"pattern": "static", "duration": n / 30.0})) for n in (N, 4 * N)]
+    clips = [serialize_sequence(synth_motion({"pattern": "reach_sequence", "poses": [["place_low", n / 30.0]]}))
+             for n in (N, 4 * N)]
     texts = [_edit_last_head(text, triple) for text in clips]
     _parse_peak(texts[0], (N - 1, "Head", fault))  # once first, so one-time allocations count in neither size
     small, big = (_parse_peak(text, (n - 1, "Head", fault)) for n, text in zip((N, 4 * N), texts))

@@ -24,9 +24,8 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 def _synth(tmp_path, name="clip.json", pattern=None):
     out = str(tmp_path / name)
     argv = pattern or [
-        "synth", "move_hold_move", "--part", "right_arm",
-        "--from-pose", "place_low", "--to-pose", "forward_middle",
-        "--hold", "0.5", "-o", out,
+        "synth", "reach_sequence", "--part", "right_arm",
+        "--pose", "place_low:0.6", "--pose", "forward_middle:0.5", "-o", out,
     ]
     assert main(argv) == 0
     return out
@@ -59,8 +58,8 @@ def test_synth_reach_sequence_flags(tmp_path):
 def test_synth_bad_pose_exits_1(tmp_path):
     out = str(tmp_path / "x.json")
     rc = main([
-        "synth", "move_hold_move", "--part", "right_arm",
-        "--from-pose", "nope", "--to-pose", "forward_middle", "--hold", "0.5", "-o", out,
+        "synth", "reach_sequence", "--part", "right_arm",
+        "--pose", "nope:0.6", "--pose", "forward_middle:0.5", "-o", out,
     ])
     assert rc == 1
 
@@ -114,7 +113,8 @@ def test_encode_decode_pipeline_files(tmp_path):
 
 
 def test_static_needs_force_final(tmp_path):
-    clip = _synth(tmp_path, "static.json", ["synth", "static", "--duration", "2", "-o", str(tmp_path / "static.json")])
+    clip = _synth(tmp_path, "static.json",
+                  ["synth", "reach_sequence", "--pose", "place_low:2", "-o", str(tmp_path / "static.json")])
     score_path = str(tmp_path / "score.json")
     assert main(["encode", clip, "-o", score_path]) == 1  # NoKeyFrames
     assert main(["encode", clip, "--force-final-keyframe", "-o", score_path]) == 0
@@ -222,9 +222,8 @@ def test_pipeline_deterministic(tmp_path):
 def test_dict_build_and_stats(tmp_path, capsys):
     clip1 = _synth(tmp_path, "c1.json")
     clip2 = _synth(tmp_path, "c2.json", [
-        "synth", "move_hold_move", "--part", "right_arm",
-        "--from-pose", "place_low", "--to-pose", "left_high",
-        "--hold", "0.5", "-o", str(tmp_path / "c2.json"),
+        "synth", "reach_sequence", "--part", "right_arm",
+        "--pose", "place_low:0.6", "--pose", "left_high:0.5", "-o", str(tmp_path / "c2.json"),
     ])
     dict_path = str(tmp_path / "dict.json")
     assert main(["dict", "build", clip1, clip2, "--robot", "frontal_7dof", "-o", dict_path]) == 0
@@ -310,7 +309,8 @@ def test_verbose_stderr_lines(tmp_path, capsys):
 ], ids=["split-columns-on-arm-robot", "no-robot", "missing-dict", "traj-rate-negative", "static-no-force-final"])
 def test_failed_pipeline_writes_nothing(tmp_path, capsys, argv):
     clip = _synth(tmp_path)
-    static = _synth(tmp_path, "static.json", ["synth", "static", "-o", str(tmp_path / "static.json")])
+    static = _synth(tmp_path, "static.json",
+                    ["synth", "reach_sequence", "--pose", "place_low:2", "-o", str(tmp_path / "static.json")])
     out = tmp_path / "out"
     capsys.readouterr()
     rc = main([a.format(tmp=tmp_path, clip=clip, static=static) for a in argv] + ["-o", str(out)])
@@ -322,7 +322,8 @@ def test_failed_pipeline_writes_nothing(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize("value,rc", [("1", 0), ("TRUE", 0), ("Yes", 0), ("0", 1), ("false", 1), ("NO", 1)])
 def test_config_bool_values(tmp_path, value, rc):
-    clip = _synth(tmp_path, "static.json", ["synth", "static", "-o", str(tmp_path / "static.json")])
+    clip = _synth(tmp_path, "static.json",
+                  ["synth", "reach_sequence", "--pose", "place_low:2", "-o", str(tmp_path / "static.json")])
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"force_final_keyframe = {value}\n")
     # a static clip has key frames only when the final frame is forced
@@ -331,7 +332,7 @@ def test_config_bool_values(tmp_path, value, rc):
 
 def test_decode_single_pose_score(tmp_path):
     clip = _synth(tmp_path, "static.json",
-                  ["synth", "static", "--duration", "2", "-o", str(tmp_path / "static.json")])
+                  ["synth", "reach_sequence", "--pose", "place_low:2", "-o", str(tmp_path / "static.json")])
     score_path = str(tmp_path / "score.json")
     assert main(["encode", clip, "--force-final-keyframe", "-o", score_path]) == 0
     traj_path = str(tmp_path / "traj.csv")
@@ -388,7 +389,8 @@ def test_settings_are_the_documented_config_keys():
 @pytest.mark.parametrize("key", list(cli.SETTINGS))
 def test_setting_resolves_as_flag_then_config_then_default(tmp_path, key):
     kind, default, _ = cli.SETTINGS[key]
-    command = {"move_seconds": ["synth", "static"], "tau": ["dict", "build", "c.json"]}.get(key, ["pipeline", "c.json"])
+    command = {"move_seconds": ["synth", "reach_sequence"],
+               "tau": ["dict", "build", "c.json"]}.get(key, ["pipeline", "c.json"])
     flag = "--" + key.replace("_", "-")
     # a config text and its value; a config text that the flag's arguments override, and the flag's value
     if kind is float:
@@ -489,12 +491,12 @@ def test_a_closed_stdout_ends_the_command_quietly(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["encode", "{tmp}/nope.json", "-o", "{tmp}/score.json"],
-    ["synth", "static", "-o", "{tmp}/nodir/x.json"],
-    ["synth", "static", "-o", "{tmp}"],
+    ["synth", "reach_sequence", "--pose", "place_low:2", "-o", "{tmp}/nodir/x.json"],
+    ["synth", "reach_sequence", "--pose", "place_low:2", "-o", "{tmp}"],
     ["decode", "{tmp}/nope.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"],
     ["decode", "{golden}", "--robot", "{tmp}/nope_robot.json", "-o", "{tmp}/t.csv"],
     ["decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/nodir/t.csv"],
-    ["--config", "{tmp}/nope.cfg", "synth", "static", "-o", "{tmp}/x.json"],
+    ["--config", "{tmp}/nope.cfg", "synth", "reach_sequence", "--pose", "place_low:2", "-o", "{tmp}/x.json"],
     ["pipeline", "{tmp}/nope.json", "--robot", "frontal_7dof", "-o", "{tmp}/taken"],
 ], ids=["missing-input", "missing-output-dir", "output-is-dir", "missing-score",
         "missing-robot", "unwritable-csv", "missing-config", "output-dir-is-file"])
@@ -567,13 +569,15 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
      "run.cfg:1: peak_mode"),
     (["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"], "columns = legs\n",
      "run.cfg:1: columns"),
+    # the removed patterns are usage errors
     (["synth", "move_hold_move", "--part", "right_arm", "--from-pose", "place_low", "-o", "{tmp}/x.json"], None,
-     "to pose"),
-    (["synth", "move_hold_move", "--to-pose", "forward_middle", "-o", "{tmp}/x.json"], None, "from pose"),
+     "invalid choice: 'move_hold_move'"),
+    (["synth", "move_hold_move", "--to-pose", "forward_middle", "-o", "{tmp}/x.json"], None,
+     "invalid choice: 'move_hold_move'"),
     (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "forward_middle:x", "-o", "{tmp}/x.json"],
      None, "dwell of forward_middle"),
-    (["synth", "static", "--rate", "nan", "-o", "{tmp}/x.json"], None, "rate"),
-    (["synth", "static", "--duration", "nan", "-o", "{tmp}/x.json"], None, "duration"),
+    (["synth", "reach_sequence", "--pose", "place_low:2", "--rate", "nan", "-o", "{tmp}/x.json"], None, "rate"),
+    (["synth", "reach_sequence", "--pose", "place_low:nan", "-o", "{tmp}/x.json"], None, "dwell of place_low"),
     (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--move-seconds", "nan",
       "-o", "{tmp}/x.json"], None, "move_seconds"),
     (["keyframes", "{clip}", "--sigma=-1", "-o", "{tmp}/kf.json"], None, "sigma"),
@@ -590,7 +594,7 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
      "force_final_keyframe = maybe\n", "run.cfg:1: force_final_keyframe"),
     # both grids would far exceed the sample cap, which is checked before any allocation
     (["keyframes", "{clip}", "--rate", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
-    (["synth", "static", "--rate", "1e9", "-o", "{tmp}/x.json"], None, "samples"),
+    (["synth", "reach_sequence", "--pose", "place_low:2", "--rate", "1e9", "-o", "{tmp}/x.json"], None, "samples"),
     # so would the smoothing kernel
     (["keyframes", "{clip}", "--sigma", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
     (["keyframes", "{clip}", "--sigma", "1e300", "-o", "{tmp}/kf.json"], None, "samples"),
@@ -620,20 +624,24 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
      "run.cfg:2: robot must not be empty"),
     (["--config", "", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
      "No such file or directory: ''"),
-    # a synth flag that the pattern does not read is refused, not ignored
+    # the removed patterns and their flags are usage errors, not ignored
     (["synth", "static", "--pose", "forward_high:1", "--hold", "3", "--from-pose", "left_low", "-o", "{tmp}/x.json"],
-     None, "static does not read from_pose, hold, poses"),
+     None, "invalid choice: 'static'"),
     (["synth", "static", "--part", "left_arm", "--to-pose", "left_low", "-o", "{tmp}/x.json"], None,
-     "static does not read part, to_pose"),
+     "invalid choice: 'static'"),
     (["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--duration", "2",
-      "-o", "{tmp}/x.json"], None, "move_hold_move does not read duration"),
+      "-o", "{tmp}/x.json"], None, "invalid choice: 'move_hold_move'"),
     (["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--pose", "left_low:1",
-      "-o", "{tmp}/x.json"], None, "move_hold_move does not read poses"),
+      "-o", "{tmp}/x.json"], None, "invalid choice: 'move_hold_move'"),
     (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--hold", "1",
-      "-o", "{tmp}/x.json"], None, "reach_sequence does not read hold"),
+      "-o", "{tmp}/x.json"], None, "unrecognized arguments: --hold 1"),
     (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--duration", "2",
       "--from-pose", "left_low", "--to-pose", "left_high", "-o", "{tmp}/x.json"], None,
-     "reach_sequence does not read duration, from_pose, to_pose"),
+     "unrecognized arguments: --duration 2 --from-pose left_low --to-pose left_high"),
+    # a stop needs its dwell: NAME alone is not NAME:DWELL
+    (["synth", "reach_sequence", "--pose", "forward_high", "-o", "{tmp}/x.json"], None,
+     "dwell of forward_high must be a finite number > 0, got ''"),
+    (["synth", "reach_sequence", "-o", "{tmp}/x.json"], None, "reach_sequence needs at least one pose"),
 ], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
         "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
         "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
@@ -648,7 +656,8 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
         "skeleton-head-1e308", "skeleton-wrist-1e308", "decode-one-pose-rate-0", "decode-dict-empty",
         "config-dict-empty", "config-robot-empty", "config-path-empty", "synth-static-pose-hold-from-pose",
         "synth-static-part-to-pose", "synth-move-hold-move-duration", "synth-move-hold-move-pose",
-        "synth-reach-sequence-hold", "synth-reach-sequence-duration-from-to"])
+        "synth-reach-sequence-hold", "synth-reach-sequence-duration-from-to", "synth-dwell-missing",
+        "synth-no-pose"])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")
@@ -672,8 +681,15 @@ def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     if config is not None:
         (tmp_path / "run.cfg").write_text(config)
     capsys.readouterr()
-    rc = main([a.format(tmp=tmp_path, golden=golden, clip=clip) for a in argv])
-    err = capsys.readouterr().err
+    try:
+        rc = main([a.format(tmp=tmp_path, golden=golden, clip=clip) for a in argv])
+    except SystemExit as exc:  # a usage error: argparse's usage lines, then its one error line
+        rc = exc.code
+        *usage, last = capsys.readouterr().err.splitlines(keepends=True)
+        assert usage[0].startswith("usage: labanmotion ") and re.match(r"labanmotion( synth)?: error: ", last), usage
+        err = last[last.index("error: "):]
+    else:
+        err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert needle in err

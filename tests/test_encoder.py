@@ -101,7 +101,7 @@ def test_batched_body_frame_and_directions_match_per_frame(rng, rotated):
 
 
 def test_batched_degenerate_pose_raises():
-    seq = synth_motion({"pattern": "static", "duration": 0.5}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 0.5]]}, rate=30.0)
     J = JOINT_INDEX
     positions = seq.positions.copy()
     positions[7, J[JointName.ShoulderLeft]] = positions[7, J[JointName.ShoulderRight]]
@@ -345,7 +345,7 @@ def test_encode_poses_without_columns_checks_the_body_frame():
 
 
 def test_encode_sequence_static_forced_keyframe():
-    seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 1.0]]}, rate=30.0)
     kfs = KeyFrameSet(per_part={}, merged=[len(seq) - 1], params=EnergyParams())
     score = encode_sequence(seq, kfs)
     assert validate(score) == []
@@ -357,8 +357,8 @@ def test_encode_sequence_static_forced_keyframe():
 
 def test_encode_sequence_move_hold_move():
     seq = synth_motion(
-        {"pattern": "move_hold_move", "part": "right_arm",
-         "from_pose": "place_low", "to_pose": "forward_middle", "hold": 0.5},
+        {"pattern": "reach_sequence", "part": "right_arm",
+         "poses": [["place_low", 0.6], ["forward_middle", 0.5]]},
         rate=30.0,
     )
     score = encode_sequence(seq, extract_keyframes(seq))
@@ -371,7 +371,7 @@ def test_encode_sequence_move_hold_move():
 
 
 def test_encode_sequence_coalesces_identical_symbols():
-    seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 2.0]]}, rate=30.0)
     kfs = KeyFrameSet(per_part={}, merged=[20, 40], params=EnergyParams())
     score = encode_sequence(seq, kfs)
     for col in score.columns:
@@ -379,14 +379,14 @@ def test_encode_sequence_coalesces_identical_symbols():
 
 
 def test_encode_sequence_no_keyframes():
-    seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 1.0]]}, rate=30.0)
     kfs = KeyFrameSet(per_part={}, merged=[], params=EnergyParams())
     with pytest.raises(NoKeyFrames):
         encode_sequence(seq, kfs)
 
 
 def test_encode_sequence_skips_time_zero_keyframe():
-    seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 1.0]]}, rate=30.0)
     kfs = KeyFrameSet(per_part={}, merged=[0, 15], params=EnergyParams())
     score = encode_sequence(seq, kfs)
     assert validate(score) == []

@@ -153,7 +153,7 @@ def test_smooth_folds_a_kernel_wider_than_the_clip(rng, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_energy_static_all_zero():
-    seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 1.0]]}, rate=30.0)
     values = energy(seq, JointName.WristRight, EnergyParams())
     assert values.shape == (len(seq),)
     assert np.all(values == 0.0)
@@ -179,8 +179,8 @@ def test_energy_uniform_motion_matches_oracle_at_default_sigma():
 def test_energy_move_hold_move_peak_inside_hold():
     hold = 0.5
     seq = synth_motion(
-        {"pattern": "move_hold_move", "part": "right_arm",
-         "from_pose": "place_low", "to_pose": "forward_middle", "hold": hold},
+        {"pattern": "reach_sequence", "part": "right_arm",
+         "poses": [["place_low", 0.6], ["forward_middle", hold]]},
         rate=30.0,
     )
     params = EnergyParams()
@@ -206,7 +206,7 @@ def test_energy_bounds_and_consistency(rng):
 
 
 def test_energy_too_short():
-    seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 1.0]]}, rate=30.0)
     short = SkeletonSequence(seq.times[:2], seq.positions[:2], sample_rate=30.0)
     with pytest.raises(InsufficientData):
         energy(short, JointName.WristRight, EnergyParams())
@@ -366,7 +366,7 @@ def test_scale_invariance_of_peak_locations():
 
 
 def test_extract_keyframes_static_is_empty():
-    seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "poses": [["place_low", 2.0]]}, rate=30.0)
     assert extract_keyframes(seq).merged == []
 
 

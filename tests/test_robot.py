@@ -353,8 +353,8 @@ def test_project_path_continuous_directions():
     from labanmotion.skeleton import synth_motion
 
     seq = synth_motion(
-        {"pattern": "move_hold_move", "part": "right_arm",
-         "from_pose": "place_low", "to_pose": "forward_middle", "hold": 0.5},
+        {"pattern": "reach_sequence", "part": "right_arm",
+         "poses": [["place_low", 0.6], ["forward_middle", 0.5]]},
         rate=30.0,
     )
     robot = load_robot("frontal_7dof")

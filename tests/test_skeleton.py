@@ -29,7 +29,7 @@ from labanmotion.skeleton import (
     synth_motion,
 )
 
-from conftest import parse_sequence_reference, random_rotation, transform_sequence
+from conftest import POSE_NAMES, parse_sequence_reference, random_rotation, transform_sequence
 
 
 def test_geometry_masks_read_every_child_after_the_root():
@@ -55,6 +55,11 @@ def test_geometry_masks_read_every_child_after_the_root():
     assert np.array_equal(located, np.isfinite(positions).all(axis=2))
     assert np.array_equal(apart, want_apart)
     assert not apart[3, 3] and not apart[13, 7] and apart[11, 5]
+
+
+def _still(seconds: float) -> SkeletonSequence:
+    """A 30 Hz clip that holds the right arm down for ``seconds``."""
+    return synth_motion({"pattern": "reach_sequence", "poses": [["place_low", seconds]]}, rate=30.0)
 
 
 def _upright_pose():
@@ -251,7 +256,7 @@ _SYNTAX = {"data-after-root", "trailing-comma-in-frames", "cut-off-inside-a-fram
 
 def _malformed_text(case):
     mutators = MALFORMED[case][0]
-    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.2}, rate=30.0)))
+    obj = json.loads(serialize_sequence(_still(0.2)))
     for mutate in mutators:
         if not isinstance(mutate, _Text):
             mutate(obj)
@@ -273,8 +278,8 @@ def test_parse_malformed_skeleton(case):
 def _streamed_variants():
     """(name, text) of valid skeleton documents in layouts and key orders
     other than the canonical one; most hold more frames than one chunk."""
-    seq = synth_motion({"pattern": "move_hold_move", "part": "left_arm", "from_pose": "place_low",
-                        "to_pose": "left_high", "hold": 2.5}, rate=30.0)
+    seq = synth_motion({"pattern": "reach_sequence", "part": "left_arm",
+                        "poses": [["place_low", 0.6], ["left_high", 2.5]]}, rate=30.0)
     assert len(seq) > 2 * skeleton._CHUNK
     obj = json.loads(serialize_sequence(seq))
     frames = json.dumps(obj["frames"])
@@ -373,7 +378,7 @@ def test_a_non_finite_t_before_a_frame_that_cannot_be_read_is_named_by_the_range
     it is named by the range check with its value, as that frame's own
     check names it."""
     monkeypatch.setattr(skeleton, "_CHUNK", chunk)
-    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.4}, rate=30.0)))
+    obj = json.loads(serialize_sequence(_still(0.4)))
     obj["frames"][2]["t"] = INF
     del obj["frames"][2]["joints"]["Head"]
     with pytest.raises(ParseError, match=r"^frames\[2\]\.t: non-finite timestamp$"):
@@ -389,7 +394,7 @@ def test_a_non_finite_t_before_a_frame_that_cannot_be_read_is_named_by_the_range
 def test_a_later_invalid_frames_key_replaces_a_valid_one():
     """A repeated key keeps its last value: a valid frames list followed by
     an invalid one raises the error of the invalid one."""
-    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.2}, rate=30.0)))
+    obj = json.loads(serialize_sequence(_still(0.2)))
     frames = json.dumps(obj["frames"])
     del obj["frames"][2]["joints"]["Head"]
     text = f'{{"frames": {frames}, "sample_rate_hint": 30.0, "frames": {json.dumps(obj["frames"])}}}'
@@ -401,7 +406,7 @@ def test_a_later_invalid_frames_key_replaces_a_valid_one():
 
 
 def test_sample_rate_hint_needs_uniform_time_steps():
-    obj = json.loads(serialize_sequence(synth_motion({"pattern": "static", "duration": 0.5}, rate=30.0)))
+    obj = json.loads(serialize_sequence(_still(0.5)))
     assert parse_sequence(json.dumps(obj)).sample_rate == 30.0
     obj["frames"][4]["t"] += 0.01
     assert parse_sequence(json.dumps(obj)).sample_rate is None
@@ -414,7 +419,7 @@ def test_sample_rate_hint_needs_uniform_time_steps():
     assert parse_sequence(json.dumps(obj)).sample_rate is None
 
 def test_resample_identity_at_same_rate():
-    seq = synth_motion({"pattern": "static", "duration": 1.0}, rate=30.0)
+    seq = _still(1.0)
     out = resample(seq, 30.0)
     assert len(out) == len(seq)
     assert np.max(np.abs(seq.positions - out.positions)) < 1e-9
@@ -439,8 +444,8 @@ def test_resample_single_frame():
 
 def test_resample_idempotent(rng):
     seq = synth_motion(
-        {"pattern": "move_hold_move", "part": "right_arm",
-         "from_pose": "place_low", "to_pose": "forward_middle", "hold": 0.5},
+        {"pattern": "reach_sequence", "part": "right_arm",
+         "poses": [["place_low", 0.6], ["forward_middle", 0.5]]},
         rate=30.0,
     )
     once = resample(seq, 30.0)
@@ -523,7 +528,7 @@ def test_body_frame_rejects_a_pose_whose_lengths_overflow():
 
 
 def test_synth_static_frame_count_and_constancy():
-    seq = synth_motion({"pattern": "static", "duration": 2.0}, rate=30.0)
+    seq = _still(2.0)
     assert len(seq) == 60
     for pose in seq.positions[1:]:
         assert np.array_equal(pose, seq.positions[0])
@@ -532,8 +537,8 @@ def test_synth_static_frame_count_and_constancy():
 def test_synth_move_hold_move_constant_on_hold():
     hold = 0.5
     seq = synth_motion(
-        {"pattern": "move_hold_move", "part": "right_arm",
-         "from_pose": "place_low", "to_pose": "forward_middle", "hold": hold},
+        {"pattern": "reach_sequence", "part": "right_arm",
+         "poses": [["place_low", 0.6], ["forward_middle", hold]]},
         rate=30.0,
     )
     ts = seq.times
@@ -572,37 +577,44 @@ def test_synth_unknown_pattern():
         synth_motion({"pattern": "wiggle"})
 
 
-@pytest.mark.parametrize("descriptor,unread", [
-    ({"pattern": "static", "part": "head", "poses": [["left_low", 1.0]], "hold": 1.0}, "hold, part, poses"),
+@pytest.mark.parametrize("descriptor,message", [
+    # the removed patterns "static" and "move_hold_move" are unknown, whatever keys they hold
+    ({"pattern": "static", "part": "head", "poses": [["left_low", 1.0]], "hold": 1.0}, "unknown pattern: 'static'"),
     ({"pattern": "static", "from_pose": "left_low", "to_pose": "left_high", "lead_seconds": 0.5},
-     "from_pose, lead_seconds, to_pose"),
-    ({"pattern": "move_hold_move", "from_pose": "place_low", "to_pose": "left_high", "duration": 2.0}, "duration"),
-    ({"pattern": "move_hold_move", "from_pose": "place_low", "to_pose": "left_high", "poses": []}, "poses"),
+     "unknown pattern: 'static'"),
+    ({"pattern": "move_hold_move", "from_pose": "place_low", "to_pose": "left_high", "duration": 2.0},
+     "unknown pattern: 'move_hold_move'"),
+    ({"pattern": "move_hold_move", "from_pose": "place_low", "to_pose": "left_high", "poses": []},
+     "unknown pattern: 'move_hold_move'"),
+    # their keys are keys that reach_sequence does not read
     ({"pattern": "reach_sequence", "poses": [["place_low", 0.5], ["left_high", 0.5]], "lead_seconds": 0.5},
-     "lead_seconds"),
+     "reach_sequence does not read lead_seconds"),
     ({"pattern": "reach_sequence", "poses": [["place_low", 0.5], ["left_high", 0.5]], "duration": 1.0, "hold": 1.0,
-      "from_pose": "left_low", "to_pose": "left_high", "speed": 2.0}, "duration, from_pose, hold, speed, to_pose"),
+      "from_pose": "left_low", "to_pose": "left_high", "speed": 2.0},
+     "reach_sequence does not read duration, from_pose, hold, speed, to_pose"),
+    ({"pattern": "reach_sequence", "poses": [["place_low", 2.0]], "duration": 2.0},
+     "reach_sequence does not read duration"),
 ], ids=["static-part-poses-hold", "static-from-to-lead", "move-hold-move-duration", "move-hold-move-poses",
-        "reach-sequence-lead", "reach-sequence-unknown-key"])
-def test_synth_refuses_keys_its_pattern_does_not_read(descriptor, unread):
+        "reach-sequence-lead", "reach-sequence-unknown-key", "reach-sequence-one-pose-duration"])
+def test_synth_refuses_keys_its_pattern_does_not_read(descriptor, message):
     for make in (synth_motion, descriptor_timeline):
         with pytest.raises(BadDescriptor) as exc:
             make(descriptor)
-        assert str(exc.value) == f"{descriptor['pattern']} does not read {unread}"
+        assert str(exc.value) == message
 
 
 def test_synth_unknown_pose():
     with pytest.raises(BadDescriptor):
         synth_motion(
-            {"pattern": "move_hold_move", "part": "right_arm",
-             "from_pose": "sideways_sorta", "to_pose": "forward_middle", "hold": 0.5}
+            {"pattern": "reach_sequence", "part": "right_arm",
+             "poses": [["sideways_sorta", 0.6], ["forward_middle", 0.5]]}
         )
 
 
 def test_serialize_load_roundtrip_bitwise(tmp_path):
     seq = synth_motion(
-        {"pattern": "move_hold_move", "part": "left_arm",
-         "from_pose": "place_low", "to_pose": "left_high", "hold": 0.4},
+        {"pattern": "reach_sequence", "part": "left_arm",
+         "poses": [["place_low", 0.6], ["left_high", 0.4]]},
         rate=30.0,
     )
     path = tmp_path / "seq.json"
@@ -639,7 +651,7 @@ def test_parse_serialize_roundtrip_seeded(rng):
 
 
 def test_serialize_parse_identity_twice():
-    seq = synth_motion({"pattern": "static", "duration": 0.5}, rate=30.0)
+    seq = _still(0.5)
     text1 = serialize_sequence(seq)
     text2 = serialize_sequence(parse_sequence(text1))
     assert text1 == text2
@@ -667,13 +679,8 @@ def _synth_motion_nested(descriptor: dict, rate: float) -> tuple[np.ndarray, np.
     return times, skeleton._pose_positions(dirs)
 
 
-_POSE_NAMES = [f"{d}_{l}" for d in ("place", "forward", "left_forward", "left", "left_backward", "backward",
-                                    "right_backward", "right", "right_forward")
-               for l in ("high", "middle", "low") if (d, l) != ("place", "middle")]
-
-
 def test_synth_motion_matches_nested_scan_reference(rng):
-    lead_zero = on_end = near_end = 0
+    one_pose = on_end = near_end = 0
     for _ in range(80):
         part = str(rng.choice(["left_arm", "right_arm", "head"]))
         # move_seconds 3.0 outlasts every arc (0.7 s per radian), so segment
@@ -681,16 +688,11 @@ def test_synth_motion_matches_nested_scan_reference(rng):
         # 1e-12 of one after rounding
         move = float(rng.choice([0.0, 0.5, 3.0]))
         dwells = [0.1, 0.25, 0.3, 0.5, 0.7, 1.0]
-        if rng.random() < 0.4:
-            lead = float(rng.choice([0.0, 0.25, 0.5]))
-            from_pose, to_pose = (str(p) for p in rng.choice(_POSE_NAMES, size=2))
-            descriptor = {"pattern": "move_hold_move", "part": part, "from_pose": from_pose, "to_pose": to_pose,
-                          "hold": float(rng.choice(dwells)), "lead_seconds": lead, "move_seconds": move}
-            lead_zero += lead == 0.0
-        else:
-            names = rng.choice(_POSE_NAMES, size=int(rng.integers(2, 12)))
-            poses = [[str(p), float(rng.choice(dwells))] for p in names]
-            descriptor = {"pattern": "reach_sequence", "part": part, "poses": poses, "move_seconds": move}
+        names = rng.choice(POSE_NAMES, size=int(rng.integers(1, 12)))
+        # one pose is one dwell, which must span a frame at 4 Hz: 0.25 s or more
+        poses = [[str(p), float(rng.choice(dwells[len(names) == 1:]))] for p in names]
+        descriptor = {"pattern": "reach_sequence", "part": part, "poses": poses, "move_seconds": move}
+        one_pose += len(poses) == 1
         rate = float(rng.choice([4.0, 8.0, 10.0, 30.0]))
         seq = synth_motion(descriptor, rate=rate)
         times, positions = _synth_motion_nested(descriptor, rate)
@@ -699,4 +701,4 @@ def test_synth_motion_matches_nested_scan_reference(rng):
         ends = [end for _, _, end in descriptor_timeline(descriptor)]
         on_end += any(t in ends for t in times.tolist())
         near_end += any(0.0 < end - t <= 1e-12 for end in ends for t in times.tolist())
-    assert lead_zero > 5 and on_end > 20 and near_end > 0
+    assert one_pose > 2 and on_end > 20 and near_end > 0
