@@ -24,7 +24,6 @@ _BOOLS = {"1": True, "0": False, "true": True, "false": False, "yes": True, "no"
 # checks them; argparse and the config reader both check against these
 CHOICES = {
     "interp": tuple(trajectory.INTERP_MODES),
-    "peak_mode": keyframe.PEAK_MODES,
     "columns": tuple(encoder.COLUMN_MODES),
 }
 _ENERGY = keyframe.EnergyParams()  # the detector's defaults
@@ -36,7 +35,6 @@ SETTINGS = {
     "prominence": (float, _ENERGY.prominence, "minimum peak prominence, 0-1"),
     "min_sep": (float, _ENERGY.min_separation, "minimum key-frame spacing, seconds"),
     "merge_window": (float, _ENERGY.merge_window, "gap merging key frames across parts, seconds"),
-    "peak_mode": (CHOICES["peak_mode"], _ENERGY.peak_mode, "detect energy maxima or minima"),
     "force_final_keyframe": (bool, False, "make the last frame a key frame"),
     "columns": (CHOICES["columns"], "arm", "whole-arm or upper-arm and forearm columns"),
     "robot": (str, None, "description file or bundled name"),
@@ -48,7 +46,7 @@ SETTINGS = {
 }
 # config key -> the EnergyParams field it sets
 _ENERGY_KEYS = {"sigma": "sigma", "prominence": "prominence", "min_sep": "min_separation",
-                "merge_window": "merge_window", "peak_mode": "peak_mode"}
+                "merge_window": "merge_window"}
 # argparse options of each kind of setting; a tuple of values is the flag's choices
 _KIND_OPTIONS = {float: {"type": float}, bool: {"action": "store_const", "const": True}, str: {}}
 # each setting's flag, ``--<key>`` with dashes, and its argparse options, worked out once
@@ -361,7 +359,8 @@ class _Subcommand:
         if self._parser is None:
             self._parser = _Parser(**self._kwargs)
             self._fill(self._parser)
-        return self._parser.parse_known_args(args, namespace)
+        # parse_args: an argument this command does not take is refused under its own usage
+        return self._parser.parse_args(args, namespace), []
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -28,15 +28,12 @@ DEFAULT_TRACKED_PARTS: tuple[JointName, ...] = (
     JointName.Head,
 )
 
-PEAK_MODES = ("max", "min")  # the values of EnergyParams.peak_mode
-
 
 class _EnergyFields(NamedTuple):
     sigma: float = 0.1
     prominence: float = 0.1
     min_separation: float = 0.25
     merge_window: float = 0.2
-    peak_mode: str = "max"
 
 
 class EnergyParams(_EnergyFields):
@@ -46,8 +43,6 @@ class EnergyParams(_EnergyFields):
     prominence     minimum topographic prominence of an accepted peak
     min_separation minimum spacing between surviving peaks, seconds
     merge_window   single-linkage gap for clustering peaks across parts, seconds
-    peak_mode      'max' detects energy maxima; 'min' is an escape hatch that
-                   detects minima instead
     """
 
     __slots__ = ()
@@ -58,8 +53,6 @@ class EnergyParams(_EnergyFields):
         finite(self.prominence, "prominence", 0.0, 1.0)
         finite(self.min_separation, "min_separation", 0.0)
         finite(self.merge_window, "merge_window", 0.0)
-        if self.peak_mode not in PEAK_MODES:
-            raise BadInput(f"peak_mode must be {' or '.join(map(repr, PEAK_MODES))}")
         return self
 
 
@@ -224,17 +217,16 @@ def detect_peaks(values: np.ndarray, params: EnergyParams, rate: float) -> list[
     Local maxima with prominence >= params.prominence are filtered greedily,
     highest value first, so that survivors are at least min_separation apart.
     """
-    vals = values if params.peak_mode == "max" else -values
-    peaks = _local_maxima(vals)
+    peaks = _local_maxima(values)
     if peaks.size == 0:
         return []
-    candidates = peaks[_prominences(vals, peaks) >= params.prominence]
+    candidates = peaks[_prominences(values, peaks) >= params.prominence]
     from bisect import bisect  # here, so that importing the package does not load it
     min_sep_frames = params.min_separation * rate
     kept: list[int] = []
     # highest first, ties by index; the sorted survivors closest on either
     # side are the only ones that can be too near
-    for p in candidates[np.lexsort((candidates, -vals[candidates]))].tolist():
+    for p in candidates[np.lexsort((candidates, -values[candidates]))].tolist():
         k = bisect(kept, p)
         far_left = k == 0 or p - kept[k - 1] >= min_sep_frames
         far_right = k == len(kept) or kept[k] - p >= min_sep_frames

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from labanmotion.encoder import direction_codes, encode_pose, encode_sequence
+from labanmotion.encoder import direction_codes, encode_poses, encode_sequence
 from labanmotion.keyframe import EnergyParams, energy, extract_keyframes
 from labanmotion.laban import (
     CODE_VECTORS,
@@ -211,15 +211,18 @@ def test_criterion_06_hardware_independence():
     for name in BUNDLED_ROBOTS:
         robot = load_robot(name)
         decoded = decode_score_detailed(score, robot)
-        times_per_robot.append([d.t for d in decoded])
-        for d in decoded:
-            for ref, cmd in sorted(d.segments.items()):
-                if not cmd.driven or cmd.clamped:
-                    continue
+        times = decoded.poses.times.tolist()
+        times_per_robot.append(times)
+        samples, joints = decoded.poses.samples.tolist(), decoded.poses.joints
+        for s, (ref, seg, col) in enumerate(robot.segment_table):
+            codes = decoded.codes[:, decoded.columns.index(col)].tolist()
+            for i in np.flatnonzero(decoded.driven[:, s] & ~decoded.clamped[:, s]).tolist():
                 compared += 1
-                back = VALID_LIMB_SYMBOLS[direction_codes(direction_vector(cmd.yaw, cmd.pitch))[0]]
-                if back != cmd.symbol:
-                    failures.append((name, d.t, ref, str(cmd.symbol), str(back)))
+                yaw, pitch = samples[i][joints.index(seg.yaw_joint)], samples[i][joints.index(seg.pitch_joint)]
+                symbol = VALID_LIMB_SYMBOLS[codes[i]]
+                back = VALID_LIMB_SYMBOLS[direction_codes(direction_vector(yaw, pitch))[0]]
+                if back != symbol:
+                    failures.append((name, times[i], ref, str(symbol), str(back)))
     if times_per_robot[0] != times_per_robot[1]:
         failures.append(("pose times differ", times_per_robot))
     if compared == 0:
@@ -237,18 +240,19 @@ def test_criterion_07_boundary_gesture_clamping():
             LabanColumn(n, (Cell(code, 0.0, 1.0),)) for n in ("LeftArm", "RightArm", "Head")
         )
         decoded = decode_score_detailed(LabanScore(columns=cols, total_duration=1.0), robot)
-        cmd = decoded[0].segments["right_arm/0"]
-        seg = next(seg for ref, seg, _ in robot.segment_table if ref == "right_arm/0")
+        s, seg = next((s, seg) for s, (ref, seg, _) in enumerate(robot.segment_table) if ref == "right_arm/0")
+        angles = dict(zip(decoded.poses.joints, decoded.poses.samples[0].tolist()))
+        yaw, pitch, clamped = angles[seg.yaw_joint], angles[seg.pitch_joint], decoded.clamped[0, s].tolist()
         within = (
-            seg.yaw_limits[0] <= cmd.yaw <= seg.yaw_limits[1]
-            and seg.pitch_limits[0] <= cmd.pitch <= seg.pitch_limits[1]
+            seg.yaw_limits[0] <= yaw <= seg.yaw_limits[1]
+            and seg.pitch_limits[0] <= pitch <= seg.pitch_limits[1]
         )
         if not within:
             failures.append((str(sym), "outside limits"))
         if sym.direction in outside:
-            if not cmd.clamped or abs(cmd.yaw) != 90.0:
-                failures.append((str(sym), "expected boundary clamp", cmd.yaw, cmd.clamped))
-        elif cmd.clamped:
+            if not clamped or abs(yaw) != 90.0:
+                failures.append((str(sym), "expected boundary clamp", yaw, clamped))
+        elif clamped:
             failures.append((str(sym), "unexpected clamp"))
     _report(7, "boundary-gesture clamping, 26 symbols", failures, time.perf_counter() - t0, 10.0)
 
@@ -342,12 +346,12 @@ def test_criterion_09_dictionary_semantics():
     )
     kfs = extract_keyframes(seq)
     columns = tuple(sorted(robot.column_map))
+    states = [{col: VALID_LIMB_SYMBOLS[code] for col, code in zip(columns, row)}
+              for row in encode_poses(seq.positions[kfs.merged], columns).tolist()]
     mdict = MotionDictionary()
     for _ in range(2):
-        for a, b in zip(kfs.merged, kfs.merged[1:]):
-            k2 = state_key(
-                encode_pose(seq.positions[a], columns), encode_pose(seq.positions[b], columns)
-            )
+        for k, (a, b) in enumerate(zip(kfs.merged, kfs.merged[1:])):
+            k2 = state_key(states[k], states[k + 1])
             dict_update(mdict, k2, project_path(seq, a, b, robot))
     for k2, entry in mdict.entries.items():
         if len(entry.paths) != 1 or entry.probabilities() != [1.0]:

@@ -12,7 +12,7 @@ import pytest
 
 from labanmotion import cli, encoder, keyframe, trajectory
 from labanmotion.cli import main
-from labanmotion.laban import SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level, load_score
+from labanmotion.laban import VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level, load_score
 from labanmotion.robot import KeyPoses, decode_score_detailed, load_robot
 from labanmotion.skeleton import load_sequence, save_sequence, synth_motion
 
@@ -75,19 +75,17 @@ def test_keyframes_command(tmp_path):
 
 
 def test_choices_and_keyframe_defaults_come_from_the_library(tmp_path):
-    assert cli.CHOICES == {"interp": ("linear", "cubic"), "peak_mode": ("max", "min"), "columns": ("arm", "split")}
+    assert cli.CHOICES == {"interp": ("linear", "cubic"), "columns": ("arm", "split")}
     for mode in cli.CHOICES["interp"]:
         poses = KeyPoses([0.0, 1.0], ("j",), [[0.0], [2.0]])
         assert trajectory.synthesize(poses, None, None, mode, 2.0).samples[1, 0] == 1.0
-    for mode in cli.CHOICES["peak_mode"]:
-        assert keyframe.EnergyParams(peak_mode=mode).peak_mode == mode
     for mode in cli.CHOICES["columns"]:
         assert set(encoder.COLUMN_MODES[mode]) <= set(encoder.COLUMN_DISTAL)
     # with no flags and no config, key frames are found with the EnergyParams defaults
     clip = _synth(tmp_path)
     assert main(["keyframes", clip, "-o", str(tmp_path / "kf.json")]) == 0
     params = json.loads((tmp_path / "kf.json").read_text())["params"]
-    assert params == {k: getattr(keyframe.EnergyParams(), k) for k in params} and len(params) == 5
+    assert params == {k: getattr(keyframe.EnergyParams(), k) for k in params} and len(params) == 4
     # a given setting replaces its default only
     (tmp_path / "run.cfg").write_text("sigma = 0.05\n")
     assert main(["--config", str(tmp_path / "run.cfg"), "keyframes", clip, "--min-sep", "0.5",
@@ -164,11 +162,15 @@ def test_roundtrip_quantizes_once_per_run(capsys, monkeypatch, robot):
     assert main(["roundtrip", score, "--robot", robot]) == 1
     out = capsys.readouterr().out
     want = []
-    for d in decode_score_detailed(load_score(score), load_robot(robot)):
-        for ref, cmd in sorted(d.segments.items()):
-            if cmd.driven and not cmd.clamped:
-                back = VALID_LIMB_SYMBOLS[(SYMBOL_CODES[cmd.symbol] + 1) % 26]
-                want.append(f"MISMATCH t={d.t:.6f} {ref}: {cmd.symbol} -> {back}")
+    decoded = decode_score_detailed(load_score(score), load_robot(robot))
+    table = decoded.robot.segment_table
+    for i, t in enumerate(decoded.poses.times.tolist()):
+        for s in sorted(range(len(table)), key=lambda s: table[s][0]):
+            ref, _, col = table[s]
+            if decoded.driven[i, s] and not decoded.clamped[i, s]:
+                code = decoded.codes[i, decoded.columns.index(col)]
+                symbol, back = VALID_LIMB_SYMBOLS[code], VALID_LIMB_SYMBOLS[(code + 1) % 26]
+                want.append(f"MISMATCH t={t:.6f} {ref}: {symbol} -> {back}")
     assert len(calls) == 1 and calls[0] == len(want) > 0
     assert out.splitlines() == want + clean.replace(f"matched: {len(want)}, mismatched: 0",
                                                     f"matched: 0, mismatched: {len(want)}").splitlines()
@@ -382,7 +384,7 @@ def test_config_rate_is_not_the_decode_rate(tmp_path, config, flags, step):
 
 
 def test_settings_are_the_documented_config_keys():
-    assert set(cli.SETTINGS) == {"sigma", "prominence", "min_sep", "merge_window", "peak_mode", "columns", "interp",
+    assert set(cli.SETTINGS) == {"sigma", "prominence", "min_sep", "merge_window", "columns", "interp",
                                  "rate", "traj_rate", "tau", "robot", "dict", "force_final_keyframe", "move_seconds"}
 
 
@@ -549,115 +551,126 @@ def _score_text(duration: str, total: str, start: str = "0.0") -> str:
 
 
 @pytest.mark.parametrize("argv,config,needle", [
-    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "0", "-o", "{tmp}/t.csv"], None, "rate"),
-    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "nan", "-o", "{tmp}/t.csv"], None, "rate"),
-    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate=-inf", "-o", "{tmp}/t.csv"], None, "rate"),
-    (["pipeline", "{clip}", "--robot", "frontal_7dof", "--traj-rate", "-1", "-o", "{tmp}/out"], None, "rate"),
-    (["decode", "{tmp}/nan.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
-    (["decode", "{tmp}/inf.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
-    (["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "sigma = abc\n",
-     "run.cfg:1: sigma"),
-    (["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "\nrate = nan\n",
-     "run.cfg:2: rate"),
-    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
-     "robot = frontal_7dof\ntraj_rate = 0\n", "rate"),
-    (["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "1e9", "-o", "{tmp}/t.csv"], None,
-     "samples"),
-    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
-     "robot = frontal_7dof\ninterp = quintic\n", "run.cfg:2: interp"),
-    (["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "peak_mode = median\n",
-     "run.cfg:1: peak_mode"),
-    (["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"], "columns = legs\n",
-     "run.cfg:1: columns"),
-    # the removed patterns are usage errors
-    (["synth", "move_hold_move", "--part", "right_arm", "--from-pose", "place_low", "-o", "{tmp}/x.json"], None,
-     "invalid choice: 'move_hold_move'"),
-    (["synth", "move_hold_move", "--to-pose", "forward_middle", "-o", "{tmp}/x.json"], None,
-     "invalid choice: 'move_hold_move'"),
-    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "forward_middle:x", "-o", "{tmp}/x.json"],
-     None, "dwell of forward_middle"),
-    (["synth", "reach_sequence", "--pose", "place_low:2", "--rate", "nan", "-o", "{tmp}/x.json"], None, "rate"),
-    (["synth", "reach_sequence", "--pose", "place_low:nan", "-o", "{tmp}/x.json"], None, "dwell of place_low"),
-    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--move-seconds", "nan",
-      "-o", "{tmp}/x.json"], None, "move_seconds"),
-    (["keyframes", "{clip}", "--sigma=-1", "-o", "{tmp}/kf.json"], None, "sigma"),
-    (["keyframes", "{clip}", "--sigma", "nan", "-o", "{tmp}/kf.json"], None, "sigma"),
-    (["keyframes", "{clip}", "--prominence", "2", "-o", "{tmp}/kf.json"], None, "prominence"),
-    (["keyframes", "{clip}", "--rate", "0", "-o", "{tmp}/kf.json"], None, "rate"),
-    (["keyframes", "{clip}", "--rate", "nan", "-o", "{tmp}/kf.json"], None, "rate"),
-    (["keyframes", "{clip}", "--min-sep", "nan", "-o", "{tmp}/kf.json"], None, "min_separation"),
-    (["keyframes", "{clip}", "--merge-window", "inf", "-o", "{tmp}/kf.json"], None, "merge_window"),
-    (["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "0", "-o", "{tmp}/d.json"], None, "tau"),
-    (["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "nan", "-o", "{tmp}/d.json"], None, "tau"),
-    (["keyframes", "{tmp}/typed.json", "-o", "{tmp}/kf.json"], None, "frame 3: joint WristRight"),
-    (["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"],
-     "force_final_keyframe = maybe\n", "run.cfg:1: force_final_keyframe"),
+    pytest.param(["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "0", "-o", "{tmp}/t.csv"], None, "rate",
+                 id="decode-rate-0"),
+    pytest.param(["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "nan", "-o", "{tmp}/t.csv"], None, "rate",
+                 id="decode-rate-nan"),
+    pytest.param(["decode", "{golden}", "--robot", "frontal_7dof", "--rate=-inf", "-o", "{tmp}/t.csv"], None, "rate",
+                 id="decode-rate-minus-inf"),
+    pytest.param(["pipeline", "{clip}", "--robot", "frontal_7dof", "--traj-rate", "-1", "-o", "{tmp}/out"], None,
+                 "rate", id="pipeline-traj-rate-negative"),
+    pytest.param(["decode", "{tmp}/nan.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite",
+                 id="score-nan-duration"),
+    pytest.param(["decode", "{tmp}/inf.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite",
+                 id="score-infinite-total"),
+    pytest.param(["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "sigma = abc\n",
+                 "run.cfg:1: sigma", id="config-sigma-not-a-number"),
+    pytest.param(["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "\nrate = nan\n",
+                 "run.cfg:2: rate", id="config-rate-nan"),
+    pytest.param(["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
+                 "robot = frontal_7dof\ntraj_rate = 0\n", "rate", id="config-rate-0"),
+    pytest.param(["decode", "{golden}", "--robot", "frontal_7dof", "--rate", "1e9", "-o", "{tmp}/t.csv"], None,
+                 "samples", id="decode-rate-1e9"),
+    pytest.param(["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"],
+                 "robot = frontal_7dof\ninterp = quintic\n", "run.cfg:2: interp", id="config-interp-unknown"),
+    pytest.param(["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"], "columns = legs\n",
+                 "run.cfg:1: columns", id="config-columns-unknown"),
+    # the removed peak mode is refused, not ignored (its flag: tests/data/cli_usage.json)
+    pytest.param(["--config", "{tmp}/run.cfg", "keyframes", "{clip}", "-o", "{tmp}/kf.json"], "peak_mode = max\n",
+                 "run.cfg:1: unknown config key 'peak_mode'", id="config-peak-mode-unknown"),
+    pytest.param(["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "forward_middle:x", "-o",
+                 "{tmp}/x.json"], None, "dwell of forward_middle", id="synth-dwell-not-a-number"),
+    pytest.param(["synth", "reach_sequence", "--pose", "place_low:2", "--rate", "nan", "-o", "{tmp}/x.json"], None,
+                 "rate", id="synth-rate-nan"),
+    pytest.param(["synth", "reach_sequence", "--pose", "place_low:nan", "-o", "{tmp}/x.json"], None,
+                 "dwell of place_low", id="synth-dwell-nan"),
+    pytest.param(["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--move-seconds",
+                 "nan", "-o", "{tmp}/x.json"], None, "move_seconds", id="synth-move-seconds-nan"),
+    pytest.param(["keyframes", "{clip}", "--sigma=-1", "-o", "{tmp}/kf.json"], None, "sigma",
+                 id="keyframes-sigma-negative"),
+    pytest.param(["keyframes", "{clip}", "--sigma", "nan", "-o", "{tmp}/kf.json"], None, "sigma",
+                 id="keyframes-sigma-nan"),
+    pytest.param(["keyframes", "{clip}", "--prominence", "2", "-o", "{tmp}/kf.json"], None, "prominence",
+                 id="keyframes-prominence-2"),
+    pytest.param(["keyframes", "{clip}", "--rate", "0", "-o", "{tmp}/kf.json"], None, "rate", id="keyframes-rate-0"),
+    pytest.param(["keyframes", "{clip}", "--rate", "nan", "-o", "{tmp}/kf.json"], None, "rate",
+                 id="keyframes-rate-nan"),
+    pytest.param(["keyframes", "{clip}", "--min-sep", "nan", "-o", "{tmp}/kf.json"], None, "min_separation",
+                 id="keyframes-min-sep-nan"),
+    pytest.param(["keyframes", "{clip}", "--merge-window", "inf", "-o", "{tmp}/kf.json"], None, "merge_window",
+                 id="keyframes-merge-window-inf"),
+    pytest.param(["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "0", "-o", "{tmp}/d.json"], None,
+                 "tau", id="dict-tau-0"),
+    pytest.param(["dict", "build", "{clip}", "--robot", "frontal_7dof", "--tau", "nan", "-o", "{tmp}/d.json"], None,
+                 "tau", id="dict-tau-nan"),
+    pytest.param(["keyframes", "{tmp}/typed.json", "-o", "{tmp}/kf.json"], None, "frame 3: joint WristRight",
+                 id="skeleton-string-coordinate"),
+    pytest.param(["--config", "{tmp}/run.cfg", "encode", "{clip}", "-o", "{tmp}/score.json"],
+                 "force_final_keyframe = maybe\n", "run.cfg:1: force_final_keyframe", id="config-bool-unknown"),
     # both grids would far exceed the sample cap, which is checked before any allocation
-    (["keyframes", "{clip}", "--rate", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
-    (["synth", "reach_sequence", "--pose", "place_low:2", "--rate", "1e9", "-o", "{tmp}/x.json"], None, "samples"),
+    pytest.param(["keyframes", "{clip}", "--rate", "1e9", "-o", "{tmp}/kf.json"], None, "samples",
+                 id="keyframes-rate-1e9"),
+    pytest.param(["synth", "reach_sequence", "--pose", "place_low:2", "--rate", "1e9", "-o", "{tmp}/x.json"], None,
+                 "samples", id="synth-rate-1e9"),
     # so would the smoothing kernel
-    (["keyframes", "{clip}", "--sigma", "1e9", "-o", "{tmp}/kf.json"], None, "samples"),
-    (["keyframes", "{clip}", "--sigma", "1e300", "-o", "{tmp}/kf.json"], None, "samples"),
+    pytest.param(["keyframes", "{clip}", "--sigma", "1e9", "-o", "{tmp}/kf.json"], None, "samples",
+                 id="keyframes-sigma-1e9"),
+    pytest.param(["keyframes", "{clip}", "--sigma", "1e300", "-o", "{tmp}/kf.json"], None, "samples",
+                 id="keyframes-sigma-1e300"),
     # 2 s^2 underflows to 0: the kernel would be 0/0
-    (["keyframes", "{clip}", "--sigma", "1e-300", "-o", "{tmp}/kf.json"], None, "sigma"),
+    pytest.param(["keyframes", "{clip}", "--sigma", "1e-300", "-o", "{tmp}/kf.json"], None, "sigma",
+                 id="keyframes-sigma-1e-300"),
     # integers beyond the float range are non-finite numbers; bools are not numbers
-    (["decode", "{tmp}/big-total.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
-    (["decode", "{tmp}/big-start.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite"),
-    (["decode", "{tmp}/false-start.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
-     "$.columns[2].cells[0].start"),
-    (["decode", "{tmp}/true-duration.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
-     "$.columns[2].cells[0].duration"),
-    (["keyframes", "{tmp}/big-t.json", "-o", "{tmp}/kf.json"], None, "frames[3].t"),
+    pytest.param(["decode", "{tmp}/big-total.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite",
+                 id="score-401-digit-total"),
+    pytest.param(["decode", "{tmp}/big-start.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None, "non-finite",
+                 id="score-401-digit-start"),
+    pytest.param(["decode", "{tmp}/false-start.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
+                 "$.columns[2].cells[0].start", id="score-false-start"),
+    pytest.param(["decode", "{tmp}/true-duration.json", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
+                 "$.columns[2].cells[0].duration", id="score-true-duration"),
+    pytest.param(["keyframes", "{tmp}/big-t.json", "-o", "{tmp}/kf.json"], None, "frames[3].t",
+                 id="skeleton-401-digit-t"),
     # finite coordinates whose velocity or its square overflows
-    (["keyframes", "{tmp}/big-Head.json", "-o", "{tmp}/kf.json"], None, "energy of Head"),
-    (["pipeline", "{tmp}/big-WristRight.json", "--robot", "frontal_7dof", "-o", "{tmp}/out"], None,
-     "energy of WristRight"),
+    pytest.param(["keyframes", "{tmp}/big-Head.json", "-o", "{tmp}/kf.json"], None, "energy of Head",
+                 id="skeleton-head-1e308"),
+    pytest.param(["pipeline", "{tmp}/big-WristRight.json", "--robot", "frontal_7dof", "-o", "{tmp}/out"], None,
+                 "energy of WristRight", id="skeleton-wrist-1e308"),
     # one key pose is written as it is, but the rate is still checked
-    (["decode", os.path.join(DATA, "golden_minimal_score.json"), "--robot", os.path.join(DATA, "partial_frontal.json"),
-      "--rate", "0", "-o", "{tmp}/t.csv"], None, "trajectory rate"),
+    pytest.param(["decode", os.path.join(DATA, "golden_minimal_score.json"),
+                  "--robot", os.path.join(DATA, "partial_frontal.json"), "--rate", "0", "-o", "{tmp}/t.csv"], None,
+                 "trajectory rate", id="decode-one-pose-rate-0"),
     # an empty value names no file: the flag's fails to open, the config line's is refused
-    (["decode", "{golden}", "--robot", "frontal_7dof", "--dict", "", "-o", "{tmp}/t.csv"], None,
-     "No such file or directory: ''"),
-    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"],
-     "dict =\n", "run.cfg:1: dict must not be empty"),
-    (["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"], "interp = cubic\nrobot =\n",
-     "run.cfg:2: robot must not be empty"),
-    (["--config", "", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
-     "No such file or directory: ''"),
+    pytest.param(["decode", "{golden}", "--robot", "frontal_7dof", "--dict", "", "-o", "{tmp}/t.csv"], None,
+                 "No such file or directory: ''", id="decode-dict-empty"),
+    pytest.param(["--config", "{tmp}/run.cfg", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"],
+                 "dict =\n", "run.cfg:1: dict must not be empty", id="config-dict-empty"),
+    pytest.param(["--config", "{tmp}/run.cfg", "decode", "{golden}", "-o", "{tmp}/t.csv"], "interp = cubic\nrobot =\n",
+                 "run.cfg:2: robot must not be empty", id="config-robot-empty"),
+    pytest.param(["--config", "", "decode", "{golden}", "--robot", "frontal_7dof", "-o", "{tmp}/t.csv"], None,
+                 "No such file or directory: ''", id="config-path-empty"),
     # the removed patterns and their flags are usage errors, not ignored
-    (["synth", "static", "--pose", "forward_high:1", "--hold", "3", "--from-pose", "left_low", "-o", "{tmp}/x.json"],
-     None, "invalid choice: 'static'"),
-    (["synth", "static", "--part", "left_arm", "--to-pose", "left_low", "-o", "{tmp}/x.json"], None,
-     "invalid choice: 'static'"),
-    (["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--duration", "2",
-      "-o", "{tmp}/x.json"], None, "invalid choice: 'move_hold_move'"),
-    (["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--pose", "left_low:1",
-      "-o", "{tmp}/x.json"], None, "invalid choice: 'move_hold_move'"),
-    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--hold", "1",
-      "-o", "{tmp}/x.json"], None, "unrecognized arguments: --hold 1"),
-    (["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--duration", "2",
-      "--from-pose", "left_low", "--to-pose", "left_high", "-o", "{tmp}/x.json"], None,
-     "unrecognized arguments: --duration 2 --from-pose left_low --to-pose left_high"),
+    pytest.param(["synth", "static", "--pose", "forward_high:1", "--hold", "3", "--from-pose", "left_low", "-o",
+                 "{tmp}/x.json"], None, "invalid choice: 'static'", id="synth-static-pose-hold-from-pose"),
+    pytest.param(["synth", "static", "--part", "left_arm", "--to-pose", "left_low", "-o", "{tmp}/x.json"], None,
+                 "invalid choice: 'static'", id="synth-static-part-to-pose"),
+    pytest.param(["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--duration", "2",
+                 "-o", "{tmp}/x.json"], None, "invalid choice: 'move_hold_move'", id="synth-move-hold-move-duration"),
+    pytest.param(["synth", "move_hold_move", "--from-pose", "place_low", "--to-pose", "left_high", "--pose",
+                 "left_low:1", "-o", "{tmp}/x.json"], None, "invalid choice: 'move_hold_move'",
+                 id="synth-move-hold-move-pose"),
+    pytest.param(["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--hold", "1", "-o",
+                 "{tmp}/x.json"], None, "unrecognized arguments: --hold 1", id="synth-reach-sequence-hold"),
+    pytest.param(["synth", "reach_sequence", "--pose", "place_low:0.5", "--pose", "left_high:0.5", "--duration", "2",
+                 "--from-pose", "left_low", "--to-pose", "left_high", "-o", "{tmp}/x.json"], None,
+                 "unrecognized arguments: --duration 2 --from-pose left_low --to-pose left_high",
+                 id="synth-reach-sequence-duration-from-to"),
     # a stop needs its dwell: NAME alone is not NAME:DWELL
-    (["synth", "reach_sequence", "--pose", "forward_high", "-o", "{tmp}/x.json"], None,
-     "dwell of forward_high must be a finite number > 0, got ''"),
-    (["synth", "reach_sequence", "-o", "{tmp}/x.json"], None, "reach_sequence needs at least one pose"),
-], ids=["decode-rate-0", "decode-rate-nan", "decode-rate-minus-inf", "pipeline-traj-rate-negative",
-        "score-nan-duration", "score-infinite-total", "config-sigma-not-a-number",
-        "config-rate-nan", "config-rate-0", "decode-rate-1e9", "config-interp-unknown",
-        "config-peak-mode-unknown", "config-columns-unknown", "synth-no-to-pose", "synth-no-from-pose",
-        "synth-dwell-not-a-number", "synth-rate-nan", "synth-duration-nan", "synth-move-seconds-nan",
-        "keyframes-sigma-negative", "keyframes-sigma-nan", "keyframes-prominence-2", "keyframes-rate-0",
-        "keyframes-rate-nan",
-        "keyframes-min-sep-nan", "keyframes-merge-window-inf", "dict-tau-0", "dict-tau-nan",
-        "skeleton-string-coordinate", "config-bool-unknown", "keyframes-rate-1e9", "synth-rate-1e9",
-        "keyframes-sigma-1e9", "keyframes-sigma-1e300", "keyframes-sigma-1e-300", "score-401-digit-total",
-        "score-401-digit-start", "score-false-start", "score-true-duration", "skeleton-401-digit-t",
-        "skeleton-head-1e308", "skeleton-wrist-1e308", "decode-one-pose-rate-0", "decode-dict-empty",
-        "config-dict-empty", "config-robot-empty", "config-path-empty", "synth-static-pose-hold-from-pose",
-        "synth-static-part-to-pose", "synth-move-hold-move-duration", "synth-move-hold-move-pose",
-        "synth-reach-sequence-hold", "synth-reach-sequence-duration-from-to", "synth-dwell-missing",
-        "synth-no-pose"])
+    pytest.param(["synth", "reach_sequence", "--pose", "forward_high", "-o", "{tmp}/x.json"], None,
+                 "dwell of forward_high must be a finite number > 0, got ''", id="synth-dwell-missing"),
+    pytest.param(["synth", "reach_sequence", "-o", "{tmp}/x.json"], None, "reach_sequence needs at least one pose",
+                 id="synth-no-pose"),
+])
 def test_bad_values_exit_1(tmp_path, capsys, argv, config, needle):
     clip = _synth(tmp_path)
     golden = os.path.join(DATA, "golden_frontal_score.json")

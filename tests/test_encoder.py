@@ -236,23 +236,28 @@ def test_quantization_robustness_under_10_degrees(rng):
         assert _symbols([w]) == [sym]
 
 
+def _codes(pos, columns):
+    """One (12, 3) pose's symbol code per column, from :func:`encode_poses`."""
+    return dict(zip(columns, encode_poses(pos[None], columns)[0].tolist()))
+
+
 def test_encode_pose_tpose():
-    symbols = encode_pose(_pose(right_arm="right_middle", left_arm="left_middle"), ARM_COLUMNS)
-    assert symbols["LeftArm"] == LabanSymbol(D.Left, L.Middle)
-    assert symbols["RightArm"] == LabanSymbol(D.Right, L.Middle)
+    codes = _codes(_pose(right_arm="right_middle", left_arm="left_middle"), ARM_COLUMNS)
+    assert codes["LeftArm"] == symbol_code(D.Left, L.Middle)
+    assert codes["RightArm"] == symbol_code(D.Right, L.Middle)
 
 
 def test_encode_pose_arms_down_head_up():
-    symbols = encode_pose(_pose(), ARM_COLUMNS)
-    assert symbols["LeftArm"] == LabanSymbol(D.Place, L.Low)
-    assert symbols["RightArm"] == LabanSymbol(D.Place, L.Low)
-    assert symbols["Head"] == LabanSymbol(D.Place, L.High)
+    codes = _codes(_pose(), ARM_COLUMNS)
+    assert codes["LeftArm"] == symbol_code(D.Place, L.Low)
+    assert codes["RightArm"] == symbol_code(D.Place, L.Low)
+    assert codes["Head"] == symbol_code(D.Place, L.High)
 
 
 def test_encode_pose_split_columns():
-    symbols = encode_pose(_pose(right_arm="forward_high"), SPLIT_COLUMNS)
-    assert symbols["RightUpperArm"] == LabanSymbol(D.Forward, L.High)
-    assert symbols["RightForearm"] == LabanSymbol(D.Forward, L.High)
+    codes = _codes(_pose(right_arm="forward_high"), SPLIT_COLUMNS)
+    assert codes["RightUpperArm"] == symbol_code(D.Forward, L.High)
+    assert codes["RightForearm"] == symbol_code(D.Forward, L.High)
 
 
 _EDGE_ELEVATIONS = (-67.5, -22.5, 22.5, 67.5)
@@ -282,7 +287,7 @@ def test_encode_poses_matches_per_pose_reference(rng, columns):
         want = [encode_pose_reference(pos, columns) for pos in positions]
         assert got.dtype == np.intp and got.shape == (len(positions), len(columns))
         assert got.tolist() == [[SYMBOL_CODES[state[col]] for col in columns] for state in want]
-        assert [encode_pose(pos, columns) for pos in positions] == want
+        assert [encode_pose(pos, columns) for pos in positions] == want  # the one-pose form is a row of it
         for z in column_directions(positions, columns)[:, :, 2].T:
             on_edge += sum(math.degrees(math.asin(x)) in _EDGE_ELEVATIONS for x in z.tolist())
     assert on_edge  # some elevations land exactly on a band edge

@@ -350,7 +350,7 @@ def test_pipeline_and_decode_check_the_robot_and_dictionary_before_any_stage(tmp
 def _config(dictionary: str) -> str:
     """A config file that sets every key ``pipeline`` and ``dict build`` read."""
     return "\n".join(["# every stage", "rate = 25", "sigma = 0.08", "prominence = 0.1", "min_sep = 0.2",
-                      "merge_window = 0.15", "peak_mode = max", "force_final_keyframe = yes", "columns = arm",
+                      "merge_window = 0.15", "force_final_keyframe = yes", "columns = arm",
                       "robot = frontal_7dof", "interp = cubic", f'dict = "{dictionary}"', "traj_rate = 50  # Hz",
                       "tau = 12", "move_seconds = 0.8", ""])
 

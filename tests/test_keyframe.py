@@ -277,11 +277,8 @@ def test_peaks_sorted_and_separated(rng):
 
 def test_peaks_min_mode_flips():
     vals = np.zeros(40)
-    vals[20] = -0.9  # a dip
-    out_max = detect_peaks(vals, EnergyParams(), 30.0)
-    out_min = detect_peaks(vals, EnergyParams(peak_mode="min"), 30.0)
-    assert out_max == []
-    assert out_min == [20]
+    vals[20] = -0.9  # a dip: the detector finds maxima only
+    assert detect_peaks(vals, EnergyParams(), 30.0) == []
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +419,9 @@ def _ref_prominence(vals, peak):
     return float(h - max(lo_left, lo_right))
 
 
-def _ref_candidates(values, peak_mode):
-    """Local maxima of the (flipped) signal with their prominences."""
-    vals = values if peak_mode == "max" else -values
-    return vals, [(p, _ref_prominence(vals, p)) for p in _ref_local_maxima(vals)]
+def _ref_candidates(vals):
+    """Local maxima of the signal with their prominences."""
+    return [(p, _ref_prominence(vals, p)) for p in _ref_local_maxima(vals)]
 
 
 def _ref_separate(vals, candidates, prominence, min_sep_frames):
@@ -501,13 +497,14 @@ _REF_SEPARATIONS = (0.0, 0.25, 1.0)
 
 
 def _assert_peaks_match(values, rate=30.0):
-    for mode in ("max", "min"):
-        vals, candidates = _ref_candidates(values, mode)
+    # the signal and its negation: the maxima of both are the extrema of one
+    for sign, vals in (("+", values), ("-", -values)):
+        candidates = _ref_candidates(vals)
         for prominence in _REF_PROMINENCES:
             for min_sep in _REF_SEPARATIONS:
-                params = EnergyParams(prominence=prominence, min_separation=min_sep, peak_mode=mode)
-                got = detect_peaks(values, params, rate)
-                assert got == _ref_separate(vals, candidates, prominence, min_sep * rate), (mode, params)
+                params = EnergyParams(prominence=prominence, min_separation=min_sep)
+                got = detect_peaks(vals, params, rate)
+                assert got == _ref_separate(vals, candidates, prominence, min_sep * rate), (sign, params)
                 assert all(type(p) is int for p in got)
 
 

@@ -99,11 +99,10 @@ CANCEL_SCORE = """
 
 ROBOTS = ("frontal_7dof", "lab_9dof")
 
-# detector settings away from the defaults: no filtering at all, minima,
-# narrow smoothing, and wide clusters under a long separation bound
+# detector settings away from the defaults: no filtering at all, narrow
+# smoothing, and wide clusters under a long separation bound
 KEYFRAME_SETTINGS = {
     "unfiltered": ["--prominence", "0", "--min-sep", "0"],
-    "min": ["--peak-mode", "min"],
     "sigma-0.03": ["--sigma", "0.03"],
     "wide-merge": ["--merge-window", "0.6", "--min-sep", "1"],
 }
@@ -224,36 +223,34 @@ PINNED = {
     "dict-decode-merge_arm": "7b187e1298eb6a55e7cdd8094727963c0cdb8a8e4ac6a64da40ea784b56675c1",
     "dict-decode-partial_frontal": "e038d5fda429a196fa5b0d9cd43f114396bc1d43f29c3e1f52185ed471cafd8e",
     "dict-decode-split_arms": "77ede5696b9b48f71f52d6c99361ce815456128bac3496c90e67ca31d50de445",
-    "keyframes-reach_left-min": "769ae4847557605ad5a4839e9bb1e4c20e75e6096e6692770948fe1ee5fe5ee4",
-    "keyframes-reach_left-sigma-0.03": "91fd3392ae2b5406c4bed77c8fdabef7ee1be1290339ef8bf1e91b168244fcef",
-    "keyframes-reach_left-unfiltered": "b27a1266967e3af927b2dce71bc910b2cf2df413312db0dcce1d0071d63daf7f",
-    "keyframes-reach_left-wide-merge": "5d21c68f0ee40667c6225de42e598a610d41f1e2d88a8447a5387ed0ac61f712",
-    "keyframes-reach_right-min": "497271d17a03aaaaefe18cb27f72d6adb5947675f9a5f3975fdcd80ffba240ba",
-    "keyframes-reach_right-sigma-0.03": "1da0fe9f413445bba93a907846a6b69acdc6ed35ef43e415ce138a6fda36a89d",
-    "keyframes-reach_right-unfiltered": "b058b1879f04855f9b0de53e864b190d164b381c5d72ad233eb2861ed1b5e588",
-    "keyframes-reach_right-wide-merge": "2ead879467d53c97ad96034638fc3a9545d5361aa8367e03e26471b2f9154901",
-    "pipeline-reach_left-frontal_7dof-arm-cubic": "fb681d8c9322338423b1459948c32d5cb9c8c1173f9a369d59f70fcebace547e",
-    "pipeline-reach_left-frontal_7dof-arm-linear": "04c72eb984944a6ea5de8758ba208e542ce4046903121ab03e9cdd10eaf7e243",
+    "keyframes-reach_left-sigma-0.03": "916f550a665e11bd3ee63815aeab7fdb7efa30b749ebcfcc5295fbc63cdcae1d",
+    "keyframes-reach_left-unfiltered": "83dca72e8c96b60533c3dc5156a30ef0da126ae86b9e82bee107e1b9caee36b0",
+    "keyframes-reach_left-wide-merge": "757d3a282629772c9721cee604f79cbb9cf6cc9461ce89b3eae10b487101ec50",
+    "keyframes-reach_right-sigma-0.03": "a579a331502b8f182559d59d954850da77dc37ba13297713972baeb5edd76483",
+    "keyframes-reach_right-unfiltered": "aeddf8f59448e20594d056b9872249be0c14ac27e01500213a8e5cbbbfe41c93",
+    "keyframes-reach_right-wide-merge": "2029ce5b84bb10cec26f3cf661e976193e5cdf8fbfe379e956ffbac59d6c2b02",
+    "pipeline-reach_left-frontal_7dof-arm-cubic": "f0ca4711706812297071fc2a34036962a219ad079a4baa1340be2c582ecc7324",
+    "pipeline-reach_left-frontal_7dof-arm-linear": "f9c28306d70d0004667dfa2180feea3aa2b05d31be8cda0d715d15904b348431",
     "pipeline-reach_left-frontal_7dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_left-frontal_7dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
-    "pipeline-reach_left-lab_9dof-arm-cubic": "79883e5eac269146c6a2ea617de1232896a6d88321c5945243beb0ef22e03a7a",
-    "pipeline-reach_left-lab_9dof-arm-linear": "942ff38f58d09917b2f7ad3f09b24b4c2da0824ce14d1d34c49576f02ce7759c",
+    "pipeline-reach_left-lab_9dof-arm-cubic": "afa287e2b56e92a2106d51a7168bb0eac510931a5444b7c309c037de64563bd7",
+    "pipeline-reach_left-lab_9dof-arm-linear": "cc4699e142d0730d9683bf233b5a44e65a28c235ebf69464e7b8ee07719c4786",
     "pipeline-reach_left-lab_9dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_left-lab_9dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_left-merge_arm-cubic": "8523c76f62e9b5655a2a4240f9af38fe08410597b9ebd018f689d40a064ba90a",
     "pipeline-reach_left-merge_split-cubic": "0884d26d19d51692324feae129d4464af94093def129283f801de04408df3c3b",
-    "pipeline-reach_left-split_arms-cubic": "35f29c69a26d766b361480ac4cee998a835d9b2c61246cd59c66b7b44f68b77d",
-    "pipeline-reach_right-frontal_7dof-arm-cubic": "3e470a6cee12747ffff2d57c840963855ec9a924e8b6af52a7c099fcf3673ed3",
-    "pipeline-reach_right-frontal_7dof-arm-linear": "7a87c81d486fd6d66a91808595fc56d1902136275364674028fe421a2b9e002b",
+    "pipeline-reach_left-split_arms-cubic": "f2a28527a15ef8d58cd38c908bfb814c166c742a51cff819b8b22c2def98ec85",
+    "pipeline-reach_right-frontal_7dof-arm-cubic": "60256c0c79bd1e19f564881224594481205ce5bed0c560a85c3431b3ec9a8156",
+    "pipeline-reach_right-frontal_7dof-arm-linear": "a9e95f730fb00c6dc9812e3287aeb55b5cdf04d3b2f5766a466d121e961f00da",
     "pipeline-reach_right-frontal_7dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_right-frontal_7dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
-    "pipeline-reach_right-lab_9dof-arm-cubic": "eee30355957c3c84043a189607ee40ca95c37c686fe9a2e08a8fb9d970df9e3c",
-    "pipeline-reach_right-lab_9dof-arm-linear": "7a4b3c5dd6a687d90083d44474884f23b4c46a9d5f47ae2e6b1ac9eefc7ee107",
+    "pipeline-reach_right-lab_9dof-arm-cubic": "66d57d1ebd2fd8939b0d47a931100f4c0da159c5797b43ab1af0dfcd14667c3a",
+    "pipeline-reach_right-lab_9dof-arm-linear": "d3f7b44796953287971307847b6aa95d439be07f0d1cc71dba39cef30bf2806e",
     "pipeline-reach_right-lab_9dof-split-cubic": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_right-lab_9dof-split-linear": "c0e57c93def1cd5ea170f3b9122cdec96705aed4bcc7ed98030c6c4f8ad4804e",
     "pipeline-reach_right-merge_arm-cubic": "8523c76f62e9b5655a2a4240f9af38fe08410597b9ebd018f689d40a064ba90a",
     "pipeline-reach_right-merge_split-cubic": "0884d26d19d51692324feae129d4464af94093def129283f801de04408df3c3b",
-    "pipeline-reach_right-split_arms-cubic": "56192319ff2db589b2d7566771c6cd00a4e563d06febffa3638fdd5ee0a13398",
+    "pipeline-reach_right-split_arms-cubic": "0047784ef98ebc0512daa85a921c4e830e338e9b5866437e4c91da136c131169",
     "roundtrip-backward-frontal_7dof": "ef3b373b838766e35696bd24a2f53f53fb64a221b18e05cd020acfd27e4942d7",
     "roundtrip-backward-lab_9dof": "61e97e3db97d7102461d4db005308876822bae92d762ff2a2eed0347557bc5c3",
     "roundtrip-backward-merge_arm": "8523c76f62e9b5655a2a4240f9af38fe08410597b9ebd018f689d40a064ba90a",

@@ -159,21 +159,31 @@ def test_bundled_robots_load_and_differ():
     assert set(r7.column_map) == set(r9.column_map) == {"LeftArm", "RightArm", "Head"}
 
 
+def _angles(poses, i):
+    """Row i of a ``KeyPoses``' samples by joint name."""
+    return dict(zip(poses.joints, poses.samples[i].tolist()))
+
+
+def _segment(robot, ref):
+    """The index of segment ``ref`` in ``robot.segment_table``, the columns of
+    a decode's ``driven`` and ``clamped``, and the segment itself."""
+    return next((s, seg) for s, (r, seg, _) in enumerate(robot.segment_table) if r == ref)
+
+
 def test_decode_single_cell_forward():
     robot = load_robot("frontal_7dof")
     score = _full_score(S(D.Forward, L.Middle))
-    poses = decode_score(score, robot)
-    assert len(poses) == 1
-    pose = poses[0]
-    assert pose.t == 1.0
-    assert pose.angles["r_shoulder_yaw"] == pytest.approx(0.0, abs=1e-12)
-    assert pose.angles["r_shoulder_pitch"] == pytest.approx(0.0, abs=1e-12)
-    assert pose.angles["r_wrist_roll"] == 0.0
+    poses = decode_score_detailed(score, robot).poses
+    assert poses.times.tolist() == [1.0]
+    angles = _angles(poses, 0)
+    assert angles["r_shoulder_yaw"] == pytest.approx(0.0, abs=1e-12)
+    assert angles["r_shoulder_pitch"] == pytest.approx(0.0, abs=1e-12)
+    assert angles["r_wrist_roll"] == 0.0
     # all joints within their declared limits
     for chain in robot.chains:
         for seg in chain.segments:
-            assert seg.yaw_limits[0] <= pose.angles[seg.yaw_joint] <= seg.yaw_limits[1]
-            assert seg.pitch_limits[0] <= pose.angles[seg.pitch_joint] <= seg.pitch_limits[1]
+            assert seg.yaw_limits[0] <= angles[seg.yaw_joint] <= seg.yaw_limits[1]
+            assert seg.pitch_limits[0] <= angles[seg.pitch_joint] <= seg.pitch_limits[1]
 
 
 def test_decode_uncovered_column_neutral():
@@ -186,12 +196,12 @@ def test_decode_uncovered_column_neutral():
     score = LabanScore(columns=cols, total_duration=2.0)
     robot = load_robot("frontal_7dof")
     detailed = decode_score_detailed(score, robot)
-    assert [d.t for d in detailed] == [1.0, 2.0]
-    first = detailed[0]
-    assert first.segments["head/0"].driven is False
-    assert first.pose.angles["head_yaw"] == 0.0
-    assert first.pose.angles["head_pitch"] == 0.0
-    assert detailed[1].segments["head/0"].driven is True
+    assert detailed.poses.times.tolist() == [1.0, 2.0]
+    head, _ = _segment(robot, "head/0")
+    assert detailed.driven[:, head].tolist() == [False, True]
+    first = _angles(detailed.poses, 0)
+    assert first["head_yaw"] == 0.0
+    assert first["head_pitch"] == 0.0
     # the codes of the symbols in force at each pose, mapped columns sorted, -1 where none is
     assert detailed.columns == ("Head", "LeftArm", "RightArm")
     fm, pl = SYMBOL_CODES[S(D.Forward, L.Middle)], SYMBOL_CODES[S(D.Place, L.Low)]
@@ -204,8 +214,8 @@ def test_decoded_states_are_the_states_at_each_pose():
     detailed = decode_score_detailed(score, robot)
     assert len(detailed) > 2
     names = [col.name for col in score.columns]
-    for i, d in enumerate(detailed):
-        states = states_at(score, [min(d.t, score.total_duration)])[0]
+    for i, t in enumerate(detailed.poses.times.tolist()):
+        states = states_at(score, [min(t, score.total_duration)])[0]
         assert detailed.codes[i].tolist() == [states[names.index(col)] for col in robot.mapped_columns]
 
 
@@ -214,34 +224,34 @@ def test_decode_missing_mapped_column():
     score = LabanScore(columns=cols, total_duration=1.0)
     robot = load_robot("frontal_7dof")
     with pytest.raises(MissingColumn):
-        decode_score(score, robot)
+        decode_score_detailed(score, robot)
 
 
 def test_decode_rejects_invalid_score():
     score = LabanScore(columns=(), total_duration=1.0)
     with pytest.raises(ValidationError):
-        decode_score(score, load_robot("frontal_7dof"))
+        decode_score_detailed(score, load_robot("frontal_7dof"))
 
 
 def test_decode_golden_four_key_times():
     score = load_score(os.path.join(DATA, "golden_frontal_score.json"))
     robot = load_robot("frontal_7dof")
-    poses = decode_score(score, robot)
-    assert [p.t for p in poses] == [0.5, 1.2, 1.9, 2.6]
+    poses = decode_score_detailed(score, robot).poses
+    assert poses.times.tolist() == [0.5, 1.2, 1.9, 2.6]
     # hand-computed angles for the RightArm column symbols
     expect = [(0.0, -90.0), (0.0, 0.0), (-90.0, 45.0), (0.0, 90.0)]
-    for pose, (yaw, pitch) in zip(poses, expect):
-        assert pose.angles["r_shoulder_yaw"] == pytest.approx(yaw, abs=1e-9)
-        assert pose.angles["r_shoulder_pitch"] == pytest.approx(pitch, abs=1e-9)
+    for i, (yaw, pitch) in enumerate(expect):
+        assert _angles(poses, i)["r_shoulder_yaw"] == pytest.approx(yaw, abs=1e-9)
+        assert _angles(poses, i)["r_shoulder_pitch"] == pytest.approx(pitch, abs=1e-9)
 
 
 def test_decode_deterministic():
     score = load_score(os.path.join(DATA, "golden_frontal_score.json"))
     robot = load_robot("lab_9dof")
-    a = decode_score(score, robot)
-    b = decode_score(score, robot)
-    assert [p.angles for p in a] == [p.angles for p in b]
-    assert [p.t for p in a] == [p.t for p in b]
+    a = decode_score_detailed(score, robot).poses
+    b = decode_score_detailed(score, robot).poses
+    assert a.joints == b.joints and a.samples.tolist() == b.samples.tolist()
+    assert a.times.tolist() == b.times.tolist()
 
 
 def test_hardware_independence_roundtrip():
@@ -250,16 +260,17 @@ def test_hardware_independence_roundtrip():
     for name in BUNDLED_ROBOTS:
         robot = load_robot(name)
         detailed = decode_score_detailed(score, robot)
-        ts = [d.t for d in detailed]
+        ts = detailed.poses.times.tolist()
         if times is None:
             times = ts
         else:
             assert ts == times  # identical pose times across robots
-        for d in detailed:
-            for ref, cmd in d.segments.items():
-                if not cmd.driven or cmd.clamped:
-                    continue
-                assert VALID_LIMB_SYMBOLS[direction_codes(direction_vector(cmd.yaw, cmd.pitch))[0]] == cmd.symbol
+        for s, (ref, seg, col) in enumerate(robot.segment_table):
+            codes = detailed.codes[:, detailed.columns.index(col)].tolist()
+            for i in np.flatnonzero(detailed.driven[:, s] & ~detailed.clamped[:, s]).tolist():
+                angles = _angles(detailed.poses, i)
+                back = direction_codes(direction_vector(angles[seg.yaw_joint], angles[seg.pitch_joint]))[0]
+                assert VALID_LIMB_SYMBOLS[back] == VALID_LIMB_SYMBOLS[codes[i]], (name, ref, i)
 
 
 def test_boundary_gesture_all_symbols():
@@ -267,15 +278,16 @@ def test_boundary_gesture_all_symbols():
     outside = {D.Backward, D.LeftBackward, D.RightBackward}
     for sym in VALID_LIMB_SYMBOLS:
         detailed = decode_score_detailed(_full_score(sym), robot)
-        cmd = detailed[0].segments["right_arm/0"]
-        seg = next(seg for ref, seg, _ in robot.segment_table if ref == "right_arm/0")
-        assert seg.yaw_limits[0] <= cmd.yaw <= seg.yaw_limits[1]
-        assert seg.pitch_limits[0] <= cmd.pitch <= seg.pitch_limits[1]
+        s, seg = _segment(robot, "right_arm/0")
+        angles, clamped = _angles(detailed.poses, 0), detailed.clamped[0, s].tolist()
+        yaw, pitch = angles[seg.yaw_joint], angles[seg.pitch_joint]
+        assert seg.yaw_limits[0] <= yaw <= seg.yaw_limits[1]
+        assert seg.pitch_limits[0] <= pitch <= seg.pitch_limits[1]
         if sym.direction in outside:
-            assert cmd.clamped is True
-            assert abs(cmd.yaw) == 90.0  # realized at a limit boundary
+            assert clamped is True
+            assert abs(yaw) == 90.0  # realized at a limit boundary
         else:
-            assert cmd.clamped is False
+            assert clamped is False
 
 
 def test_validate_robot_rules():
@@ -342,11 +354,11 @@ def test_decode_split_robot_copies_column():
     robot = _split_robot()
     cols = (LabanColumn("RightArm", (Cell(symbol_code(D.Left, L.High), 0.0, 1.0),)),)
     score = LabanScore(columns=cols, total_duration=1.0)
-    poses = decode_score(score, robot)
-    assert poses[0].angles["u_yaw"] == pytest.approx(90.0, abs=1e-9)
-    assert poses[0].angles["f_yaw"] == pytest.approx(90.0, abs=1e-9)
-    assert poses[0].angles["u_pitch"] == pytest.approx(45.0, abs=1e-9)
-    assert poses[0].angles["f_pitch"] == pytest.approx(45.0, abs=1e-9)
+    angles = _angles(decode_score_detailed(score, robot).poses, 0)
+    assert angles["u_yaw"] == pytest.approx(90.0, abs=1e-9)
+    assert angles["f_yaw"] == pytest.approx(90.0, abs=1e-9)
+    assert angles["u_pitch"] == pytest.approx(45.0, abs=1e-9)
+    assert angles["f_pitch"] == pytest.approx(45.0, abs=1e-9)
 
 
 def test_project_path_continuous_directions():
@@ -358,13 +370,13 @@ def test_project_path_continuous_directions():
         rate=30.0,
     )
     robot = load_robot("frontal_7dof")
-    start = project_path(seq, 0, 0, robot)[0]
-    end = project_path(seq, len(seq) - 1, len(seq) - 1, robot)[0]
-    assert start.angles["r_shoulder_pitch"] == pytest.approx(-90.0, abs=1e-6)
-    assert end.angles["r_shoulder_pitch"] == pytest.approx(0.0, abs=1e-6)
+    start = _angles(project_path(seq, 0, 0, robot), 0)
+    end = _angles(project_path(seq, len(seq) - 1, len(seq) - 1, robot), 0)
+    assert start["r_shoulder_pitch"] == pytest.approx(-90.0, abs=1e-6)
+    assert end["r_shoulder_pitch"] == pytest.approx(0.0, abs=1e-6)
     # mid-move angles are intermediate, not quantized to 45-degree steps
-    mid = project_path(seq, len(seq) // 2, len(seq) // 2, robot)[0]
-    assert -90.0 < mid.angles["r_shoulder_pitch"] < 0.0
+    mid = _angles(project_path(seq, len(seq) // 2, len(seq) // 2, robot), 0)
+    assert -90.0 < mid["r_shoulder_pitch"] < 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +559,13 @@ def _assert_same_decode(got, ref, states, robot):
     assert sorted(joints) == sorted(robot.joint_names())
     assert np.array_equal(got.driven, np.array([[d.segments[r].driven for r in refs] for d in ref]).reshape(shape))
     assert np.array_equal(got.clamped, np.array([[d.segments[r].clamped for r in refs] for d in ref]).reshape(shape))
-    assert [[d.segments[r].symbol for r in refs] for d in got] == [[d.segments[r].symbol for r in refs] for d in ref]
     assert got.columns == robot.mapped_columns
     assert got.codes.tolist() == [[SYMBOL_CODES[s[col]] if col in s else -1 for col in got.columns] for s in states]
-    assert [d.segments for d in got] == [d.segments for d in ref]
+    # a driven segment's symbol is the code in force in its column
+    codes = got.codes.tolist()
+    symbols = [[VALID_LIMB_SYMBOLS[codes[i][got.columns.index(col)]] if got.driven[i, s] else None
+                for s, (_, _, col) in enumerate(robot.segment_table)] for i in range(len(ref))]
+    assert symbols == [[d.segments[r].symbol for r in refs] for d in ref]
 
 
 def test_boundary_time_rounding_matches_round():
@@ -683,7 +698,7 @@ def test_symbol_table_is_vector_to_joints():
 def test_load_robot_does_not_build_the_symbol_table():
     robot = load_robot("frontal_7dof")
     assert "symbol_table" not in vars(robot)
-    decode_score(_full_score(S(D.Forward, L.Middle)), robot)
+    decode_score_detailed(_full_score(S(D.Forward, L.Middle)), robot)
     assert "symbol_table" in vars(robot)
 
 

@@ -122,7 +122,7 @@ _FROZEN = [
     (Chain("arm", ()), ("name", "segments")),
     (FixedJoint("base", (-30.0, 30.0)), ("name", "limits")),
     (RobotDescription("r", (), {}, ()), ("name", "chains", "column_map", "fixed_joints")),
-    (EnergyParams(), ("sigma", "prominence", "min_separation", "merge_window", "peak_mode")),
+    (EnergyParams(), ("sigma", "prominence", "min_separation", "merge_window")),
 ]
 
 
