@@ -367,31 +367,11 @@ def _neutral(robot: RobotDescription, m: int) -> tuple[tuple[str, ...], dict[str
     return joints, {j: c for c, j in enumerate(joints)}, angles
 
 
-def _round9(values: np.ndarray) -> np.ndarray:
-    """Python's ``round(v, 9)`` of each float of ``values``, in one array pass.
-
-    ``rint(v·1e9) / 1e9`` is that value wherever the rounded product v·1e9
-    lies farther than its spacing from a half-integer: the exact product then
-    rounds to the same integer, below 2**52 the integer is exact, and the
-    division rounds correctly. Products within their spacing of a
-    half-integer, which includes every one at 2**52 or more, and non-finite
-    ones take Python's ``round``, which np.round can differ from in the last
-    bit.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = values * 1e9
-        r = np.rint(y)
-        out = r / 1e9
-        near = ~(0.5 - np.abs(y - r) > np.spacing(np.abs(y)))
-    if near.any():
-        out[near] = [round(v, 9) for v in values[near].tolist()]
-    return out
-
-
 def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> DecodedScore:
     """Decode a score into per-boundary-time joint poses with segment detail.
 
-    Boundary times are the distinct cell end times, ascending. At each time,
+    Boundary times are the distinct cell end times, rounded to whole
+    microseconds (the score file's resolution), ascending. At each time,
     the symbols in force drive their mapped segments; segments with no
     symbol yet hold the neutral pose (zeros clamped into limits). A mapped
     column that never appears anywhere in the score is an error; extra score
@@ -413,11 +393,14 @@ def decode_score_detailed(score: LabanScore, robot: RobotDescription) -> Decoded
         import logging  # only a decode that warns loads logging, not every start-up
         logging.getLogger(__name__).warning("score column %s not mapped on robot %s; ignored", name, robot.name)
 
-    # nanosecond quantization collapses float drift in start + duration so
-    # shared boundaries dedupe across columns; sorted and deduplicated by hand,
-    # as np.unique imports numpy.ma (about 1 MB) on its first call
-    ends = [start + duration for col in score.columns for _, start, duration in col.cells]  # Cell.end
-    times = np.sort(_round9(np.array(ends, dtype=float)))
+    # cell ends rounded to whole microseconds, the score file's resolution, so
+    # float drift in start + duration dedupes across columns (ends of 2**52 µs
+    # or more stay as they are); sorted and deduplicated by hand, as np.unique
+    # imports numpy.ma (about 1 MB) on its first call
+    ends = np.array([start + duration for col in score.columns for _, start, duration in col.cells],  # Cell.end
+                    dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        times = np.sort(np.where(np.abs(ends) < 2**52 / 1e6, np.rint(ends * 1e6) / 1e6, ends))
     distinct = np.ones(len(times), dtype=bool)
     distinct[1:] = times[1:] != times[:-1]
     times = times[distinct]

@@ -116,12 +116,6 @@ def _block_rows(columns: int) -> int:
     return max(1, _BLOCK_VALUES // max(columns, 1))
 
 
-def _blend(mode: str, tau):
-    if mode not in INTERP_MODES:
-        raise ValueError(f"unknown interpolation mode: {mode!r}")
-    return INTERP_MODES[mode](tau)
-
-
 def _segment_index(times: np.ndarray, t: np.ndarray) -> np.ndarray:
     """The index of the key-pose segment holding each time of a sorted (m,)
     array ``t``, such as a sampling grid, clipped to the first and last
@@ -156,7 +150,7 @@ def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
         w /= spans[i]
         np.clip(w, 0.0, 1.0, out=w)
         step = np.take(steps, i, axis=0)
-        step *= _blend(mode, w)[:, None]
+        step *= INTERP_MODES[mode](w)[:, None]
         out = rows[part]
         np.take(angles, i, axis=0, out=out)
         out += step
@@ -230,7 +224,7 @@ def synthesize(
 ) -> KeyPoses:
     """Trajectory through the key poses, preferring dictionary paths, sampled
     at ``rate`` from the first key-pose time to the last. Fewer than two key
-    poses, once the rate is checked, are their own trajectory.
+    poses, once the rate and mode are checked, are their own trajectory.
 
     ``codes`` holds one row of symbol codes per key pose over ``columns``
     (a decode's ``codes`` and ``columns``). For each adjacent key-pose pair,
@@ -245,6 +239,8 @@ def synthesize(
     count.
     """
     finite(rate, "trajectory rate", 0.0, strict=True)
+    if mode not in INTERP_MODES:
+        raise ValueError(f"unknown interpolation mode: {mode!r}")
     if len(keyposes) < 2:
         return keyposes
     times, joints, angles = keyposes.times, keyposes.joints, keyposes.samples

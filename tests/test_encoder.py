@@ -360,7 +360,7 @@ def test_encode_sequence_static_forced_keyframe():
     assert dict(score.columns)["RightArm"][0].code == symbol_code(D.Place, L.Low)
 
 
-def test_encode_sequence_move_hold_move():
+def test_encode_sequence_two_pose_reach_sequence():
     seq = synth_motion(
         {"pattern": "reach_sequence", "part": "right_arm",
          "poses": [["place_low", 0.6], ["forward_middle", 0.5]]},

@@ -176,7 +176,7 @@ def test_energy_uniform_motion_matches_oracle_at_default_sigma():
     assert np.max(np.abs(values - np.array(ref))) < 1e-9
 
 
-def test_energy_move_hold_move_peak_inside_hold():
+def test_energy_two_pose_reach_sequence_peak_inside_hold():
     hold = 0.5
     seq = synth_motion(
         {"pattern": "reach_sequence", "part": "right_arm",
@@ -275,7 +275,7 @@ def test_peaks_sorted_and_separated(rng):
             assert b - a >= params.min_separation * 30.0
 
 
-def test_peaks_min_mode_flips():
+def test_peaks_a_dip_gives_no_peak():
     vals = np.zeros(40)
     vals[20] = -0.9  # a dip: the detector finds maxima only
     assert detect_peaks(vals, EnergyParams(), 30.0) == []

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from labanmotion.cli import main
 from labanmotion.encoder import COLUMN_DISTAL, column_directions, direction_codes
 from labanmotion.errors import MissingColumn, ValidationError
 from labanmotion import robot as robot_mod
@@ -20,11 +21,11 @@ from labanmotion.laban import (
     VALID_LIMB_SYMBOLS,
     direction_vector,
     load_score,
+    save_score,
     states_at,
 )
 from labanmotion.robot import (
     BUNDLED_ROBOTS,
-    _round9,
     KeyPoses,
     Segment,
     decode_score,
@@ -449,7 +450,7 @@ def _joint_angles(per_segment, robot):
 def _decode_per_pose(score, robot):
     """Reference decode of a valid score: one reduce and one angle dict per
     pose. Returns the poses and the {column: symbol} maps in force at each."""
-    times = sorted({round(cell.end, 9) for col in score.columns for cell in col.cells})
+    times = sorted({round(cell.end * 1e6) / 1e6 for col in score.columns for cell in col.cells})
     states = [{col: VALID_LIMB_SYMBOLS[code] for col, code in states_brute_force(score, t).items()}
               for t in (min(t, score.total_duration) for t in times)]
     out = []
@@ -568,35 +569,64 @@ def _assert_same_decode(got, ref, states, robot):
     assert symbols == [[d.segments[r].symbol for r in refs] for d in ref]
 
 
-def test_boundary_time_rounding_matches_round():
-    """decode's boundary times round with ``_round9``, one array pass, which
-    must give Python's ``round(v, 9)`` float for float: at and next to
-    half-nanoseconds, on start + duration sums that drift off the nanosecond
-    grid, and at magnitudes of 2**52 / 1e9 and more, where v·1e9 has no
-    fraction bits left."""
+def test_boundary_times_are_cell_ends_on_the_microsecond_grid():
+    """decode's key-pose times are the distinct cell ends rounded to whole
+    microseconds, the score file's resolution. On scores built from 6-decimal
+    starts and durations up to 1e6 s, whose ends start + duration drift off
+    that grid, this is ``round(end, 9)`` bit for bit; ends too large for a
+    microsecond step decode as they are, with no RuntimeWarning."""
     rng = np.random.default_rng(2024)
-    half = (np.arange(-20_000, 20_000) + 0.5) / 1e9
-    seconds = rng.integers(0, 5_000, size=half.size).astype(float)
-    starts = np.round(rng.uniform(0.0, 600.0, 20_000), 3)
-    durations = np.round(rng.uniform(0.001, 5.0, 20_000), int(rng.integers(1, 10)))
-    big = 2.0**52 / 1e9
-    cases = {
-        "halfway": np.concatenate([half, np.nextafter(half, np.inf), np.nextafter(half, -np.inf)]),
-        "halfway past whole seconds": seconds + np.abs(half),
-        "drifted sums": np.concatenate([starts + durations, np.cumsum(durations), np.cumsum(np.full(5_000, 0.1))]),
-        "at and past 2**52 / 1e9": np.concatenate([[big, np.nextafter(big, 0.0), np.nextafter(big, np.inf), 2 * big,
-                                                    1e12, 1e300, 1.7e308], big * rng.uniform(1.0, 1e6, 5_000),
-                                                   big * rng.uniform(0.5, 1.0, 5_000)]),
-        "small and signed": [0.0, -0.0, 5e-10, -5e-10, 1.5e-9, 2.5e-9, 1e-300, -1e-300, 4.9e-324, -2.5e-9],
-        "uniform": rng.uniform(-1000.0, 1000.0, 50_000),
-    }
-    for name, values in cases.items():
-        values = np.asarray(values, dtype=float)
-        got = _round9(values)
-        want = np.array([round(v, 9) for v in values.tolist()])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name  # bit for bit, -0.0 too
-        ends = np.abs(values[np.isfinite(values)])
-        assert np.unique(_round9(ends)).tolist() == sorted({round(v, 9) for v in ends.tolist()}), name
+    robot = load_robot("frontal_7dof")
+    code = symbol_code(D.Forward, L.Middle)
+    drifted = merged = 0
+    for _ in range(300):
+        # every cell starts and ends on a point of one shared 6-decimal grid,
+        # with a grid point between cells, so ends meet across columns
+        grid = np.unique(np.round(rng.uniform(0.0, 10.0 ** rng.uniform(0.0, 6.0), 40), 6))
+        columns = []
+        for name in ("LeftArm", "RightArm", "Head"):
+            points = np.sort(rng.choice(grid, size=2 * int(rng.integers(1, len(grid) // 2 + 1)), replace=False))
+            cells = (Cell(code, a, round(b - a, 6)) for a, b in points.reshape(-1, 2).tolist())
+            columns.append(LabanColumn(name, tuple(cells)))
+        ends = [cell.end for col in columns for cell in col.cells]
+        times = decode_score_detailed(LabanScore(tuple(columns), float(grid[-1])), robot).poses.times.tolist()
+        assert times == sorted({round(e, 9) for e in ends})
+        drifted += sum(e != round(e, 6) for e in ends)
+        merged += len(set(ends)) - len(times)
+    assert drifted and merged, (drifted, merged)
+    # 2**52 µs (about 52 days) and more: kept as they are
+    cols = tuple(LabanColumn(name, (Cell(code, 0.0, end),))
+                 for name, end in (("LeftArm", 1.0), ("RightArm", 1e300), ("Head", 1.7e308)))
+    assert decode_score_detailed(LabanScore(cols, 1.7e308), robot).poses.times.tolist() == [1.0, 1e300, 1.7e308]
+
+
+def test_long_score_shares_its_last_boundary(tmp_path, capsys):
+    """Past 2**52 / 1e9 s (about 52 days) a nanosecond step no longer merges
+    float drift: LeftArm's 4747982.066619 + 3.019996 ends one float above the
+    other columns' 4747985.086615. On the microsecond grid the three columns
+    share that boundary: two key poses, three segments compared at each."""
+    end = 4747985.086615
+    code = symbol_code(D.Forward, L.Middle)
+    left = (Cell(symbol_code(D.Place, L.Low), 0.0, 4747982.066619), Cell(code, 4747982.066619, 3.019996))
+    score = LabanScore((LabanColumn("LeftArm", left), LabanColumn("RightArm", (Cell(code, 0.0, end),)),
+                        LabanColumn("Head", (Cell(code, 0.0, end),))), end)
+    assert left[1].end != end
+    assert decode_score_detailed(score, load_robot("frontal_7dof")).poses.times.tolist() == [4747982.066619, end]
+    path = str(tmp_path / "long.json")
+    save_score(score, path)
+    assert main(["roundtrip", path, "--robot", "frontal_7dof"]) == 0
+    assert "cells compared: 6, matched: 6, mismatched: 0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("other, want", [(1.0000003, [1.0]), (1.000001, [1.0, 1.000001])],
+                         ids=["within-a-microsecond", "a-microsecond-apart"])
+def test_ends_share_a_key_pose_when_they_round_to_one_microsecond(other, want):
+    """Columns ending at 1.0 and 1.0000003 share one key pose, as in a score
+    file, which holds times to the microsecond; ends 1 µs apart give two."""
+    code = symbol_code(D.Forward, L.Middle)
+    cols = tuple(LabanColumn(name, (Cell(code, 0.0, end),))
+                 for name, end in (("LeftArm", 1.0), ("RightArm", other), ("Head", 1.0)))
+    assert decode_score_detailed(LabanScore(cols, other), load_robot("frontal_7dof")).poses.times.tolist() == want
 
 
 def test_decode_matches_per_pose_reference():

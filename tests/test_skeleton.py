@@ -534,7 +534,7 @@ def test_synth_static_frame_count_and_constancy():
         assert np.array_equal(pose, seq.positions[0])
 
 
-def test_synth_move_hold_move_constant_on_hold():
+def test_synth_two_pose_reach_sequence_constant_on_hold():
     hold = 0.5
     seq = synth_motion(
         {"pattern": "reach_sequence", "part": "right_arm",

@@ -138,13 +138,15 @@ def test_linear_monotone_between_endpoints():
 
 
 def test_interpolate_errors():
-    # fewer than two key poses are their own trajectory, but the rate is still checked
+    # fewer than two key poses are their own trajectory, but the rate and mode are still checked
     for poses in ([_pose(0.5, 1.0, 2.0, 3.0)], []):
         keyposes = _poses(poses)
         for mode in ("linear", "cubic"):
             assert _interpolate(keyposes, mode, 10.0) is keyposes
         with pytest.raises(BadInput, match="trajectory rate"):
             _interpolate(keyposes, "linear", 0.0)
+        with pytest.raises(ValueError, match="^unknown interpolation mode: 'quintic'$"):
+            _interpolate(keyposes, "quintic", 10.0)
     with pytest.raises(TimeOrderError):
         _interpolate(_poses([_pose(0.0, 1, 2, 3), _pose(0.0, 4, 5, 6)]), "linear", 10.0)
     # float spacing at 1e10 s is 1.9e-6 s, so a 1 MHz grid repeats time stamps
