@@ -231,17 +231,23 @@ def column_violations(names: Sequence[str]) -> list[Violation]:
     return out
 
 
+# float drift the time rules forgive at t: |t|·2**-50 (4-8 ulps; start + duration
+# drifts at most 2), at least 1e-12 s (overlap, states_at's range) or 1e-9 s (ends)
+_DRIFT = 2.0**-50
+
+
 def _cells_pass(col: LabanColumn, total: float) -> bool:
     """Whether every cell passes the cell rules and starts after the previous
     cell ends: one pass over the cells, which :func:`_column_violations`
     reports on only when it fails. A start or duration that is not finite
     makes a NaN or infinite end."""
     prev_start = prev_end = -math.inf
-    limit = total + 1e-9
+    limit = total + max(1e-9, abs(total) * _DRIFT)
     for code, start, duration in col.cells:
         end = start + duration
         if not (code in _LIMB_CODES and duration > 0 and start >= 0 and end < math.inf and end <= limit
-                and start > prev_start and prev_end - 1e-12 <= start):
+                and start > prev_start  # the overlap slack, max(1e-12, drift), as two tests: the first is cheap
+                and (prev_end - 1e-12 <= start or prev_end - abs(prev_end) * _DRIFT <= start)):
             return False
         prev_start, prev_end = start, end
     return True
@@ -252,12 +258,12 @@ def _column_violations(col: LabanColumn, total: float) -> list[Violation]:
     cell order its broken rules, then start-order, then overlap.
 
     Overlaps: in start order (lower index first on equal starts), a finite
-    cell that starts more than 1e-12 before the running maximum of the
-    earlier finite cells' ends overlaps the first cell that reached that
-    maximum. Each such cell gives that one pair, so n cells give at most
-    n - 1 overlaps, sorted. Comparisons with NaN are False, as for floats.
+    cell that starts more than the drift (:data:`_DRIFT`) before the running
+    maximum of the earlier finite cells' ends overlaps the first cell that
+    reached that maximum. Each such cell gives that one pair, so n cells
+    give at most n - 1 overlaps, sorted. NaN compares False.
     """
-    name, cells, limit = col.name, col.cells, total + 1e-9
+    name, cells, limit = col.name, col.cells, total + max(1e-9, abs(total) * _DRIFT)
     out: list[Violation] = []
     for i, cell in enumerate(cells):
         start, duration = cell.start, cell.duration
@@ -279,7 +285,7 @@ def _column_violations(col: LabanColumn, total: float) -> list[Violation]:
     reach, first = -math.inf, -1
     for j in sorted((i for i, c in enumerate(cells) if math.isfinite(c.start) and math.isfinite(c.end)),
                     key=lambda i: cells[i].start):
-        if cells[j].start < reach - 1e-12:
+        if cells[j].start < reach - max(1e-12, abs(reach) * _DRIFT):
             pairs.append((min(first, j), max(first, j)))
         if cells[j].end > reach:
             reach, first = cells[j].end, j
@@ -295,18 +301,19 @@ def states_at(score: LabanScore, times: Iterable[float]) -> np.ndarray:
 
     A cell covers (start, start + duration]; at exactly a cell's start the
     previous cell (if any) still holds. The candidate cell at t is the first
-    whose end (plus 1e-9 of slack for float drift in start + duration) is not
-    before t, and it covers t if it starts before t; in a score that passes
-    :func:`validate` that is the first covering cell in column order. One
-    ``searchsorted`` per column finds it, over the running maximum of the
-    ends, since a valid column's ends may still step back by up to 1e-12.
-    Times out of [0, total_duration] raise OutOfRange, decreasing times
+    whose end plus its drift (:data:`_DRIFT`) is not before t, and it covers
+    t if it starts before t; in a score that passes :func:`validate` that is
+    the first covering cell in column order. One ``searchsorted`` per column
+    finds it, over the running maximum of the ends, since a valid column's
+    ends may still step back by up to the drift. Times out of [0,
+    total_duration] plus its drift raise OutOfRange, decreasing times
     ValueError; the first bad time decides.
     """
     times = list(times)
     prev = -math.inf
+    limit = score.total_duration + max(1e-12, abs(score.total_duration) * _DRIFT)
     for x in times:
-        if not 0 <= x <= score.total_duration + 1e-12:
+        if not 0 <= x <= limit:
             raise OutOfRange(f"t={x} outside [0, {score.total_duration}]")
         if x < prev:
             raise ValueError("states_at needs nondecreasing times")
@@ -318,7 +325,7 @@ def states_at(score: LabanScore, times: Iterable[float]) -> np.ndarray:
         ends = np.array(starts, dtype=float) + durations  # Cell.end, the same IEEE adds
         # the first cell whose end is not before t; one past the last, a
         # sentinel cell that starts at +inf and so covers nothing
-        first = np.searchsorted(np.maximum.accumulate(ends + 1e-9), t).tolist()
+        first = np.searchsorted(np.maximum.accumulate(ends + np.maximum(1e-9, np.abs(ends) * _DRIFT)), t).tolist()
         starts, codes = starts + (math.inf,), codes + (-1,)
         out[:, c] = [codes[k] if starts[k] < x else -1 for k, x in zip(first, times)]
     return out

@@ -13,6 +13,8 @@ never matters.
 In memory a sequence is two arrays, ``times`` (n,) and ``positions``
 (n, 12, 3) with joints in ``ALL_JOINTS`` order, so parsing, validation,
 resampling and the body frame run as array operations over all frames.
+Resampling goes through :func:`_rows_at`, the one interpolator, which
+trajectories and the motion dictionary share.
 Reading a file holds its text and these arrays but no JSON tree of it:
 frames are decoded one at a time and their numbers go straight into the
 arrays. The same walk names a file's first fault, so an invalid file costs
@@ -32,20 +34,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    BadDescriptor,
-    BadInput,
-    DegeneratePose,
-    InsufficientData,
-    LabanMotionError,
-    MalformedFrame,
-    ParseError,
-    TimeOrderError,
-    finite,
-    json_numbers,
-    read_json,
-    read_text,
-)
+from .errors import (BadDescriptor, BadInput, DegeneratePose, InsufficientData, LabanMotionError, MalformedFrame,
+                     ParseError, TimeOrderError, finite, json_numbers, read_json, read_text)
 from .laban import LEVEL_ELEVATION_DEG, SECTOR_CENTER_DEG, Direction, Level, direction_vector
 
 
@@ -398,20 +388,75 @@ def uniform_grid(t0: float, t1: float, rate: float) -> np.ndarray:
     return t0 + np.arange(int(math.floor(steps)) + 1) / rate
 
 
+# values per array pass of interpolation and the CSV formatter: their
+# temporaries stay this many values' worth whatever the sample count
+_BLOCK_VALUES = 16384
+
+
+def _block_rows(columns: int) -> int:
+    """Rows of ``columns`` values each per array pass: at least one."""
+    return max(1, _BLOCK_VALUES // max(columns, 1))
+
+
+def _segment_index(times: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``clip(searchsorted(times, t, "right") - 1, 0, k - 2)`` for k key
+    times and a sorted (m,) array ``t``: each time's segment. With more than
+    4 times per key, one search per inner key time instead of one per time."""
+    if len(t) <= 4 * len(times):
+        return np.searchsorted(times[1:-1], t, "right")
+    # segment j holds the samples from the first at or past times[j] (the
+    # first sample for j = 0) up to the next segment's first
+    bounds = np.concatenate(([0], np.searchsorted(t, times[1:-1]), [len(t)]))
+    return np.repeat(np.arange(len(times) - 1, dtype=np.intp), np.diff(bounds))
+
+
+def _rows_at(times: np.ndarray, values: np.ndarray, t: np.ndarray, blend=None, out=None):
+    """The package's one interpolator. At each time of a sorted (m,) array
+    ``t``, between the (k, J) ``values`` at increasing ``times``: the
+    segment index i, the normalized segment time tau clipped to [0, 1], and
+    the row ``values[i] + blend(tau) * (values[i + 1] - values[i])``, with
+    ``blend`` linear when None. As numpy's ``interp`` does, a time at a key
+    time gives that key's row bit for bit, and times outside the span the
+    end rows. The rows, new or ``out``, are filled block by block
+    (:func:`_block_rows`); non-finite values raise no RuntimeWarning."""
+    idx = _segment_index(times, t)
+    tau = np.empty(len(t))
+    rows = np.empty((len(t), values.shape[1])) if out is None else out
+    block = _block_rows(values.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, len(t), block):
+            part = slice(a, a + block)
+            i, w, r = idx[part], tau[part], rows[part]
+            j, start = i + 1, times[i]
+            np.subtract(t[part], start, out=w)
+            w /= times[j] - start
+            np.maximum(w, 0.0, out=w)
+            np.minimum(w, 1.0, out=w)
+            # every index is in range: take skips the bounds check
+            np.take(values, i, axis=0, out=r, mode="clip")
+            step = np.take(values, j, axis=0, mode="clip")
+            step -= r
+            step *= (w if blend is None else blend(w))[:, None]
+            step[np.flatnonzero(w == 0.0)] = -0.0  # x + -0.0 is x: at a key time, its row bit for bit
+            r += step
+    rows[np.searchsorted(t, times[-1]):] = values[-1]
+    return idx, tau, rows
+
+
 def resample(seq: SkeletonSequence, rate: float) -> SkeletonSequence:
     """Resample to a uniform grid from the first to the last timestamp.
 
-    Positions are interpolated linearly per coordinate, clamping at the ends.
-    Idempotent when the input is already uniform at the requested rate.
+    Positions are interpolated linearly, clamping at the ends, by one
+    :func:`_rows_at` call: beside the result it holds a few (n,) arrays. A
+    clip already on the grid keeps its positions bit for bit.
     """
     finite(rate, "resample rate", 0.0, strict=True)
     if len(seq) < 2:
         raise InsufficientData("resample needs at least 2 frames")
     ts = seq.times
     grid = uniform_grid(float(ts[0]), float(ts[-1]), rate)
-    coords = seq.positions.reshape(len(ts), -1)
-    out = np.column_stack([np.interp(grid, ts, coords[:, c]) for c in range(coords.shape[1])])
-    return SkeletonSequence(grid, out.reshape(grid.shape + seq.positions.shape[1:]), float(rate))
+    rows = _rows_at(ts, seq.positions.reshape(len(ts), -1), grid)[2]
+    return SkeletonSequence(grid, rows.reshape(grid.shape + seq.positions.shape[1:]), float(rate))
 
 
 _MIN_SPAN = 1e-6  # meters; below this the pose cannot define a frame

@@ -9,7 +9,9 @@ transition bumps that path's count, novel ones are appended, and counts
 define transition probabilities. During synthesis, dictionary paths are
 time-warped onto the key-pose interval and their endpoint residuals are
 blended out linearly so the result still passes exactly through the key
-poses; uncovered transitions fall back to plain interpolation.
+poses; uncovered transitions fall back to plain interpolation. Key poses,
+observed paths and warps all go through one block-wise interpolator,
+:func:`~labanmotion.skeleton._rows_at`.
 
 Every timed set of joint angles here is a :class:`~labanmotion.robot.KeyPoses`:
 the key poses going in, the dictionary paths (on normalized time, 0 to 1)
@@ -29,7 +31,7 @@ from .errors import (BadInput, InsufficientData, ParseError, ShapeError, Validat
                      read_json, read_text)
 from .laban import COLUMN_NAMES, VALID_LIMB_SYMBOLS
 from .robot import KeyPoses
-from .skeleton import uniform_grid
+from .skeleton import _block_rows, _rows_at, uniform_grid
 
 PATH_SAMPLES = 32
 DEFAULT_TAU_DEG = 10.0
@@ -106,71 +108,17 @@ INTERP_MODES = {
 }
 
 
-# values per array pass on the write side (synthesis and the CSV formatter):
-# their temporaries stay this many values' worth whatever the sample count
-_BLOCK_VALUES = 16384
-
-
-def _block_rows(columns: int) -> int:
-    """Rows of ``columns`` values each per array pass: at least one."""
-    return max(1, _BLOCK_VALUES // max(columns, 1))
-
-
-def _segment_index(times: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The index of the key-pose segment holding each time of a sorted (m,)
-    array ``t``, such as a sampling grid, clipped to the first and last
-    segment: ``clip(searchsorted(times, t, "right") - 1, 0, k - 2)`` for k key
-    times, from one search per inner key time instead of one per sample."""
-    # segment j holds the samples from the first at or past times[j] (the
-    # first sample for j = 0) up to the next segment's first
-    bounds = np.concatenate(([0], np.searchsorted(t, times[1:-1]), [len(t)]))
-    return np.repeat(np.arange(len(times) - 1, dtype=np.intp), np.diff(bounds))
-
-
-def _rows_at(times: np.ndarray, angles: np.ndarray, mode: str, t):
-    """(segment index, normalized segment time, angles) at each time of a
-    sorted (m,) array ``t``; times outside the key-pose span hold the end
-    poses.
-
-    The (m, J) result is allocated once and filled block by block
-    (:func:`_block_rows`), so the temporaries are one block's worth however
-    many samples there are."""
-    idx = _segment_index(times, t)
-    tau = np.empty(len(t))
-    rows = np.empty((len(t), angles.shape[1]))
-    spans, steps = np.diff(times), np.diff(angles, axis=0)
-    block = _block_rows(angles.shape[1])
-    for a in range(0, len(t), block):
-        part = slice(a, a + block)
-        i, w = idx[part], tau[part]
-        # (t - times[i]) / spans[i], clipped to [0, 1], then
-        # angles[i] + blend * (angles[i + 1] - angles[i]), in the same IEEE
-        # operations as over the whole grid at once
-        np.subtract(t[part], times[i], out=w)
-        w /= spans[i]
-        np.clip(w, 0.0, 1.0, out=w)
-        step = np.take(steps, i, axis=0)
-        step *= INTERP_MODES[mode](w)[:, None]
-        out = rows[part]
-        np.take(angles, i, axis=0, out=out)
-        out += step
-    return idx, tau, rows
-
-
 # ---------------------------------------------------------------------------
 # Motion dictionary
 # ---------------------------------------------------------------------------
 
-def resample_path(poses: KeyPoses, n: int = PATH_SAMPLES) -> KeyPoses:
-    """Per-joint linear resampling onto n uniform points of normalized time,
-    ``np.linspace(0, 1, n)``."""
+def resample_path(poses: KeyPoses) -> KeyPoses:
+    """Linear resampling onto the PATH_SAMPLES uniform points of normalized
+    time that every dictionary path shares (:data:`_PATH_TIMES`)."""
     if len(poses) < 2:
         raise InsufficientData("need at least 2 observed samples")
-    times = poses.times
-    u = (times - times[0]) / (times[-1] - times[0])
-    grid = np.linspace(0.0, 1.0, n)
-    out = np.column_stack([np.interp(grid, u, poses.samples[:, c]) for c in range(len(poses.joints))])
-    return KeyPoses(grid, poses.joints, out)
+    u = (poses.times - poses.times[0]) / (poses.times[-1] - poses.times[0])
+    return KeyPoses(_PATH_TIMES, poses.joints, _rows_at(u, poses.samples, _PATH_TIMES)[2])
 
 
 def path_distance(a: KeyPoses, b: KeyPoses) -> float:
@@ -233,10 +181,9 @@ def synthesize(
     linear ramp of its endpoint residuals; transitions without a stored
     path use plain interpolation. The result passes through every key pose.
 
-    The (m, J) result is allocated once and every step, interpolation and
-    dictionary warp alike, fills it block by block; beside it only the (m,)
-    grid, segment index and normalized segment times grow with the sample
-    count.
+    The (m, J) result is allocated once and :func:`~labanmotion.skeleton._rows_at`
+    fills it block by block, dictionary warps too; beside it only the (m,)
+    grid, segment index and normalized segment times grow with the samples.
     """
     finite(rate, "trajectory rate", 0.0, strict=True)
     if mode not in INTERP_MODES:
@@ -248,7 +195,7 @@ def synthesize(
         raise ShapeError("codes must have one row per key pose and one column per state column")
 
     grid = uniform_grid(float(times[0]), float(times[-1]), rate)
-    idx, tau, rows = _rows_at(times, angles, mode, grid)
+    idx, tau, rows = _rows_at(times, angles, grid, INTERP_MODES[mode])
     if mdict is not None and codes is not None:
         # idx is sorted, so segment k's samples are rows[bounds[k]:bounds[k + 1]]
         bounds = np.searchsorted(idx, np.arange(len(times)))
@@ -260,13 +207,11 @@ def synthesize(
                 continue
             if path.joints != joints:
                 raise ShapeError("dictionary path joints do not match key poses")
-            res0 = angles[k] - path.samples[0]
-            res1 = angles[k + 1] - path.samples[-1]
+            res0, res1 = angles[k] - path.samples[0], angles[k + 1] - path.samples[-1]
             for a in range(bounds[k], bounds[k + 1], block):
                 part = slice(a, min(a + block, bounds[k + 1]))
                 tk, out = tau[part], rows[part]
-                for c in range(len(joints)):
-                    out[:, c] = np.interp(tk, path.times, path.samples[:, c])
+                _rows_at(path.times, path.samples, tk, out=out)
                 out += (1.0 - tk)[:, None] * res0
                 out += tk[:, None] * res1
     return KeyPoses(grid, joints, rows)

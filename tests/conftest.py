@@ -320,14 +320,20 @@ def dict_build_per_transition(observed, robot, columns, tau: float = 10.0) -> st
     return serialize_dictionary(mdict)
 
 
+def drift(t: float, floor: float) -> float:
+    """The float drift that the score's time rules forgive at a time t:
+    2**-50 of |t| (4 to 8 ulps), at least ``floor`` seconds."""
+    return max(floor, abs(t) * 2.0**-50)
+
+
 def states_brute_force(score: LabanScore, t: float) -> dict[str, int]:
     """Per-time scan: the code of the first cell of each column that covers
-    t, by the (start, end + 1e-9] rule; columns with no covering cell are
-    absent."""
+    t, by the (start, end + drift(end, 1e-9)] rule; columns with no covering
+    cell are absent."""
     out = {}
     for col in score.columns:
         for cell in col.cells:
-            if cell.start < t <= cell.end + 1e-9:
+            if cell.start < t <= cell.end + drift(cell.end, 1e-9):
                 out[col.name] = cell.code
                 break
     return out

@@ -36,10 +36,10 @@ from labanmotion.robot import (
     load_robot,
     project_path,
 )
-from labanmotion.skeleton import JointName, descriptor_timeline, synth_motion
+from labanmotion.skeleton import JointName, _rows_at, descriptor_timeline, synth_motion
 from labanmotion.trajectory import (
+    INTERP_MODES,
     MotionDictionary,
-    _rows_at,
     dict_update,
     serialize_dictionary,
     synthesize,
@@ -260,7 +260,7 @@ def test_criterion_07_boundary_gesture_clamping():
 def _fd_velocity(keyposes, t, side, eps=2e-5):
     """Richardson-extrapolated one-sided FD velocity of the cubic interpolant,
     per joint."""
-    f0, f1, f2 = (_rows_at(keyposes.times, keyposes.samples, "cubic", np.array([x]))[2][0]
+    f0, f1, f2 = (_rows_at(keyposes.times, keyposes.samples, np.array([x]), INTERP_MODES["cubic"])[2][0]
                   for x in (t, t + side * eps / 2.0, t + side * eps))
     return side * (2.0 * (f1 - f0) / (eps / 2.0) - (f2 - f0) / eps)
 

@@ -6,7 +6,7 @@ the ``error:`` line, and the ``tracemalloc`` peak of the run. A valid
 input that goes unused, a motion dictionary none of whose entries a decode
 looks up, is held to the same bound on its peak, and so is reading a
 skeleton clip, valid or not, whose peak also stays below a few times its
-text."""
+text. Resampling a clip holds its result and a few (m,) arrays."""
 
 import gc
 import itertools
@@ -14,6 +14,7 @@ import json
 import os
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from labanmotion import cli
@@ -21,7 +22,7 @@ from labanmotion.cli import main
 from labanmotion.errors import MalformedFrame
 from labanmotion.laban import CODE_TOKENS
 from labanmotion.robot import load_robot
-from labanmotion.skeleton import parse_sequence, serialize_sequence, synth_motion
+from labanmotion.skeleton import SkeletonSequence, parse_sequence, resample, serialize_sequence, synth_motion
 from labanmotion.trajectory import PATH_SAMPLES, parse_dictionary
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -191,3 +192,23 @@ def test_reading_an_invalid_clip_holds_no_tree_of_it(fault):
     for n, text, peak in zip((N, 4 * N), texts, (small, big)):
         assert peak < 3 * len(text), f"tracemalloc peak {peak} for {len(text)} bytes of text at n={n}"
     assert big <= GROWTH * small, f"tracemalloc peak: {small} at n={N}, {big} at n={4 * N}"
+
+
+def test_resample_holds_the_result_and_a_few_frame_arrays():
+    """Resampling fills the (m, 12, 3) result block by block, all 36
+    coordinates at once: beside it the tracemalloc peak holds the grid, the
+    segment index, the normalized times and one block's temporaries, below
+    five (m,) arrays. A column or a difference of every coordinate at a
+    time would be a second result."""
+    rng = np.random.default_rng(3)
+    n = 100_000
+    seq = SkeletonSequence((np.arange(n) + rng.uniform(-0.3, 0.3, n)) / 30.0, rng.normal(size=(n, 12, 3)))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        out = resample(seq, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out) == n
+    assert peak <= out.positions.nbytes + 5 * n * 8, (peak, out.positions.nbytes)

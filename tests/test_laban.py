@@ -26,7 +26,9 @@ from labanmotion.laban import (
     validate,
 )
 
-from conftest import random_score, states_brute_force, symbol_code
+from labanmotion.robot import decode_score_detailed, load_robot
+
+from conftest import drift, random_score, states_brute_force, symbol_code
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = sorted(glob.glob(os.path.join(DATA, "golden_*.json")))
@@ -275,14 +277,14 @@ def _states_at_cursor(score, times):
     {column: code} dict per time, uncovered columns absent."""
     columns = [
         (col.name, [c.code for c in col.cells], [c.start for c in col.cells],
-         [c.end + 1e-9 for c in col.cells])
+         [c.end + drift(c.end, 1e-9) for c in col.cells])
         for col in score.columns
     ]
     cursors = [0] * len(columns)
     out = []
     prev = -math.inf
     for t in times:
-        if not 0 <= t <= score.total_duration + 1e-12:
+        if not 0 <= t <= score.total_duration + drift(score.total_duration, 1e-12):
             raise OutOfRange(f"t={t} outside [0, {score.total_duration}]")
         if t < prev:
             raise ValueError("states_at needs nondecreasing times")
@@ -393,14 +395,14 @@ def _overlaps_brute_force(col):
             if not all(math.isfinite(x) for x in (a.start, a.end, b.start, b.end)):
                 continue
             lo, hi = (a, b) if a.start <= b.start else (b, a)
-            if hi.start < lo.end - 1e-12:
+            if hi.start < lo.end - drift(lo.end, 1e-12):
                 out.append(Violation("overlap", col.name, j, f"cells {i} and {j} overlap"))
     return out
 
 
 def _overlaps_per_cell(col):
     """Reference for the overlap rule, cell by cell: a cell with a finite
-    start and end that starts more than 1e-12 before the last end of the
+    start and end that starts more than the drift before the last end of the
     finite cells ahead of it in start order (the lower index first on equal
     starts) overlaps the first of them, in that order, to end there. One
     violation per such cell, in (i, j) order."""
@@ -413,7 +415,7 @@ def _overlaps_per_cell(col):
         if ahead:
             last = max(cells[i].end for i in ahead)
             i = next(i for i in ahead if cells[i].end == last)
-            if cells[j].start < last - 1e-12:
+            if cells[j].start < last - drift(last, 1e-12):
                 pairs.append((min(i, j), max(i, j)))
     return [Violation("overlap", col.name, j, f"cells {i} and {j} overlap") for i, j in sorted(pairs)]
 
@@ -446,6 +448,63 @@ def test_validate_overlaps_match_pairwise_reference(rng):
         overlaps = [v for v in validate(score) if v.rule == "overlap"]
         assert overlaps == _overlaps_per_cell(col)
         _assert_overlaps_within_pairwise(col, overlaps)
+
+
+def _abutting_score(rng, magnitude: float, overlap_us: int = 0) -> LabanScore:
+    """Three columns of cells as a score file holds them: whole-microsecond
+    starts and durations near ``magnitude`` seconds, each cell starting where
+    the one before it ends in decimal (``overlap_us`` earlier), so that
+    ``start + duration`` may round a float away from the next start."""
+    columns, last = [], 0
+    for name in ("LeftArm", "RightArm", "Head"):
+        start, cells = int(magnitude * 1e6) + int(rng.integers(0, 10**6)), []
+        for _ in range(int(rng.integers(2, 8))):
+            duration = int(rng.integers(1, 10**7))
+            cells.append(Cell(int(rng.integers(len(VALID_LIMB_SYMBOLS))), start / 1e6, duration / 1e6))
+            start += duration - overlap_us
+        columns.append(LabanColumn(name, tuple(cells)))
+        last = max(last, start + overlap_us)
+    return LabanScore(columns=tuple(columns), total_duration=last / 1e6)
+
+
+def _assert_decodes_each_cell(score):
+    """Each cell's code is in force at the key pose of its end, rounded to
+    the microsecond, on a robot that maps every column."""
+    decoded = decode_score_detailed(score, load_robot("frontal_7dof"))
+    row = {t: i for i, t in enumerate(decoded.poses.times.tolist())}
+    columns = decoded.robot.mapped_columns
+    ends = {round(cell.end * 1e6) / 1e6 for col in score.columns for cell in col.cells}
+    assert sorted(row) == sorted(ends)
+    for col in score.columns:
+        for cell in col.cells:
+            assert decoded.codes[row[round(cell.end * 1e6) / 1e6], columns.index(col.name)] == cell.code
+
+
+def test_a_cell_may_start_where_the_drifting_end_before_it_rounds():
+    """start + duration of 6-decimal values can round a float past the next
+    cell's start; that is drift, not an overlap, at any magnitude."""
+    cells = (Cell(symbol_code(D.Forward, L.High), 50677.366994, 39865.610453),
+             Cell(symbol_code(D.Left, L.Low), 90542.977447, 1.0))
+    assert cells[0].end == 90542.97744700001 > cells[1].start
+    score = LabanScore(columns=(LabanColumn("RightArm", cells),), total_duration=90543.977447)
+    assert validate(score) == []
+    assert states_at(score, [cells[0].end, 90543.977447]).tolist() == [[cells[0].code], [cells[1].code]]
+
+
+@pytest.mark.parametrize("magnitude", [1e5, 1e6, 1e7, 1e9, 2.0**52 / 1e6 - 100.0],
+                         ids=["1e5", "1e6", "1e7", "1e9", "2**52/1e6"])
+def test_abutting_columns_validate_and_decode(rng, magnitude):
+    """Seeded file-like columns whose cells abut validate and decode, each
+    cell's code at its end, up to 2**52 / 1e6 s (where the microsecond
+    rounding of key-pose times stops); a 1 µs overlap is still refused
+    where 1 µs is many ulps."""
+    for _ in range(30):
+        score = _abutting_score(rng, magnitude)
+        assert validate(score) == []
+        _assert_decodes_each_cell(score)
+        if magnitude <= 1e7:
+            overlapping = _abutting_score(rng, magnitude, overlap_us=1)
+            assert {v.rule for v in validate(overlapping)} == {"overlap"}
 
 
 @pytest.mark.parametrize("start,duration,total", [
@@ -534,7 +593,7 @@ def _validate_per_cell(score):
                 out.append(Violation("nonpositive-duration", col.name, i, f"duration {cell.duration}"))
             if cell.start < 0:
                 out.append(Violation("negative-start", col.name, i, f"start {cell.start}"))
-            if cell.end > score.total_duration + 1e-9:
+            if cell.end > score.total_duration + drift(score.total_duration, 1e-9):
                 out.append(Violation("beyond-total", col.name, i,
                                      f"cell ends at {cell.end} after total_duration {score.total_duration}"))
         for i in range(1, len(col.cells)):

@@ -23,6 +23,7 @@ import io
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from labanmotion import robot as robot_mod
@@ -297,6 +298,22 @@ def test_no_command_reads_the_per_pose_views(inputs, tmp_path, monkeypatch):
         if name.endswith(".json"):
             assert (tmp_path / name).read_bytes() == open(os.path.join(inputs, name), "rb").read(), name
     assert _digest(inputs, stats) == unpatched
+    for case, steps in sorted(_cases().items()):
+        assert _digest(inputs, steps) == PINNED[case], case
+
+
+def test_no_command_calls_np_interp(inputs, tmp_path, monkeypatch):
+    """One block-wise interpolator resamples clips, resamples dictionary
+    paths and synthesizes trajectories: with ``np.interp`` made to raise,
+    the inputs are remade byte for byte and every case keeps its digest."""
+    def no_interp(*args, **kwargs):
+        raise AssertionError("np.interp called")
+
+    monkeypatch.setattr(np, "interp", no_interp)
+    _setup(str(tmp_path))
+    for name in sorted(os.listdir(inputs)):
+        if name.endswith(".json"):
+            assert (tmp_path / name).read_bytes() == open(os.path.join(inputs, name), "rb").read(), name
     for case, steps in sorted(_cases().items()):
         assert _digest(inputs, steps) == PINNED[case], case
 

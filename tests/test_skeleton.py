@@ -450,8 +450,25 @@ def test_resample_idempotent(rng):
     )
     once = resample(seq, 30.0)
     twice = resample(once, 30.0)
-    assert len(once) == len(twice)
-    assert np.max(np.abs(once.positions - twice.positions)) < 1e-9
+    assert once.times.tobytes() == twice.times.tobytes()
+    assert once.positions.tobytes() == twice.positions.tobytes()
+
+
+def test_resample_keeps_a_clip_on_its_grid_bit_for_bit(rng):
+    """A frame at a grid time keeps its positions bit for bit, as numpy's
+    interp gives a sample at its own time: signed zeros and coordinates
+    whose differences overflow included, with no RuntimeWarning."""
+    for _ in range(200):
+        rate = float(rng.choice([10.0, 25.0, 29.97, 30.0, 100.0, 120.0]))
+        t0 = float(rng.uniform(-5.0, 50.0))
+        times = skeleton.uniform_grid(t0, t0 + int(rng.integers(1, 120)) / rate, rate)
+        positions = rng.normal(size=(len(times), len(ALL_JOINTS), 3))
+        special = rng.random(positions.shape)
+        positions[special < 0.05] = -0.0
+        positions[special > 0.99] = rng.choice([-1.7e308, 1.7e308])
+        out = resample(SkeletonSequence(times, positions), rate)
+        assert out.times.tobytes() == times.tobytes()
+        assert out.positions.tobytes() == positions.tobytes()
 
 
 def test_body_frame_axis_aligned():

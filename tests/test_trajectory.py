@@ -11,16 +11,14 @@ from labanmotion import trajectory
 from labanmotion.errors import BadInput, ParseError, ShapeError, TimeOrderError
 from labanmotion.laban import COLUMN_NAMES, SYMBOL_CODES, VALID_LIMB_SYMBOLS, Direction, LabanSymbol, Level
 from labanmotion.robot import KeyPoses
-from labanmotion.skeleton import MAX_SAMPLES, uniform_grid
+from labanmotion.skeleton import MAX_SAMPLES, _block_rows, _rows_at, _segment_index, uniform_grid
 from labanmotion.trajectory import (
     DEFAULT_TAU_DEG,
+    INTERP_MODES,
     DictEntry,
     DictPath,
     MotionDictionary,
     PATH_SAMPLES,
-    _block_rows,
-    _rows_at,
-    _segment_index,
     dict_key,
     dict_lookup,
     dict_update,
@@ -65,7 +63,7 @@ def _interpolate(keyposes, mode, rate):
 
 def _at(keyposes, mode, t) -> dict[str, float]:
     """Interpolated angles per joint at one time."""
-    row = _rows_at(keyposes.times, keyposes.samples, mode, np.array([t], dtype=float))[2][0]
+    row = _rows_at(keyposes.times, keyposes.samples, np.array([t], dtype=float), INTERP_MODES[mode])[2][0]
     return dict(zip(keyposes.joints, row.tolist()))
 
 
@@ -666,9 +664,8 @@ def _synthesize_per_segment(keyposes, states, mdict, mode, rate):
     joints, times, angles = keyposes.joints, keyposes.times, keyposes.samples
     n = int(math.floor((times[-1] - times[0]) * rate + 1e-6 * rate + 1e-9)) + 1
     grid = times[0] + np.arange(n) / rate
-    idx = np.clip(np.searchsorted(times, grid, side="right") - 1, 0, len(times) - 2)
-    tau = np.clip((grid - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    rows = np.empty((grid.size, len(joints)))
+    blend = None if mode == "linear" else lambda tau: tau * tau * (3.0 - 2.0 * tau)
+    idx, tau, rows = _rows_at_one_expression(times, angles, grid, blend)
     path_u = np.linspace(0.0, 1.0, PATH_SAMPLES)
     for k in range(len(keyposes) - 1):
         m = idx == k
@@ -676,11 +673,8 @@ def _synthesize_per_segment(keyposes, states, mdict, mode, rate):
         path = dict_lookup(mdict, state_key(states[k], states[k + 1])) if mdict else None
         if path is not None:
             S = path.samples
-            base = np.column_stack([np.interp(tk, path_u, S[:, c]) for c in range(len(joints))])
+            base = _rows_at_one_expression(path_u, S, tk)[2]
             rows[m] = base + (1.0 - tk)[:, None] * (angles[k] - S[0]) + tk[:, None] * (angles[k + 1] - S[-1])
-        else:
-            s = tk if mode == "linear" else tk * tk * (3.0 - 2.0 * tk)
-            rows[m] = angles[k] + s[:, None] * (angles[k + 1] - angles[k])
     return grid, rows
 
 
@@ -838,12 +832,17 @@ def test_csv_matches_the_digit_loop_reference(rng):
     assert _csv(traj) == _csv_digit_loop(np.column_stack([traj.times, traj.samples]))
 
 
-def _rows_at_one_expression(times, angles, mode, t):
-    """Reference: the interpolation as one expression over gathered rows."""
+def _rows_at_one_expression(times, angles, t, blend=None, out=None):
+    """Reference: the interpolation as one expression over gathered rows,
+    the last key's row at and past its time."""
     idx = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
     tau = np.clip((t - times[idx]) / (times[idx + 1] - times[idx]), 0.0, 1.0)
-    s = tau if mode == "linear" else tau * tau * (3.0 - 2.0 * tau)
-    return idx, tau, angles[idx] + s[..., None] * (angles[idx + 1] - angles[idx])
+    s = tau if blend is None else blend(tau)
+    rows = angles[idx] + s[..., None] * (angles[idx + 1] - angles[idx])
+    rows = np.where((t >= times[-1])[..., None], angles[-1], rows)
+    if out is not None:
+        out[...] = rows
+    return idx, tau, rows
 
 
 def _segment_index_search(times, t):
@@ -869,7 +868,8 @@ def test_segment_index_of_a_sorted_grid_matches_the_search(rng, monkeypatch):
         got, want = _segment_index(times, grid), _segment_index_search(times, grid)
         assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want), (times, grid)
 
-    # a sorted grid costs one search per inner key time, not one per sample
+    # a grid much denser than the key times costs one search per inner key
+    # time, not one per sample
     searched = []
     search = np.searchsorted
 
@@ -893,12 +893,13 @@ def test_rows_at_matches_the_one_expression_reference(rng, monkeypatch):
         # sorted, as _rows_at takes its times
         t = np.sort(np.concatenate([rng.uniform(times[0] - 1.0, times[-1] + 1.0, size=200), times]))
         for mode in ("linear", "cubic"):
-            for got, want in zip(_rows_at(times, angles, mode, t), _rows_at_one_expression(times, angles, mode, t)):
+            blend = INTERP_MODES[mode]
+            for got, want in zip(_rows_at(times, angles, t, blend), _rows_at_one_expression(times, angles, t, blend)):
                 assert np.array_equal(got, want)
             # one time
             x = float(t[rng.integers(len(t))])
-            _, _, rows = _rows_at(times, angles, mode, np.array([x]))
-            want = _rows_at_one_expression(times, angles, mode, x)[2]
+            _, _, rows = _rows_at(times, angles, np.array([x]), blend)
+            want = _rows_at_one_expression(times, angles, x, blend)[2]
             assert rows.shape == (1, len(JOINTS)) and np.array_equal(rows[0], want)
             assert _at(KeyPoses(times, JOINTS, angles), mode, x) == dict(zip(JOINTS, want.tolist()))
 
